@@ -1,33 +1,24 @@
-"""Builds the optional compiled event-loop kernel.
+"""Builds the optional compiled event loop of the discrete-event simulator.
 
-The package works without it (a pure-Python kernel with the identical RNG
-stream is selected at import time); compiling just makes the discrete-event
-simulator an order of magnitude faster.  Build in place with:
+_lossloop.c is plain C99 with no Python API: femtonet.des loads the shared
+library through ctypes.  The package works without it (the pure-Python
+kernel with the identical random stream runs instead), so a failed compile
+does not fail the install; compiling just makes the discrete-event
+simulator about a hundred times faster.  Build in place with:
 
     python setup.py build_ext --inplace
 """
 
 from setuptools import Extension, setup
 
-try:
-    from Cython.Build import cythonize
-
-    extensions = cythonize(
-        [
-            Extension(
-                "femtonet._deskernel",
-                ["src/femtonet/_deskernel.pyx"],
-                extra_compile_args=["-O3"],
-            )
-        ],
-        compiler_directives={
-            "language_level": "3",
-            "boundscheck": False,
-            "wraparound": False,
-            "cdivision": True,
-        },
-    )
-except ImportError:
-    extensions = []
-
-setup(ext_modules=extensions)
+setup(
+    ext_modules=[
+        Extension(
+            "femtonet._lossloop",
+            ["src/femtonet/_lossloop.c"],
+            extra_compile_args=["-O3", "-ffp-contract=off"],
+            libraries=["m"],
+            optional=True,
+        )
+    ]
+)

@@ -1,8 +1,9 @@
 """Pure-Python discrete-event kernel for birth-death loss chains.
 
-Mirrors _deskernel.pyx operation for operation (same splitmix64 stream, same
-arithmetic order), so both backends produce bit-identical results and the
-compiled kernel is a drop-in speedup.
+The reference for the compiled loop in _lossloop.c, which mirrors it
+operation for operation (same splitmix64 stream, same arithmetic order), so
+both backends produce bit-identical results and the compiled kernel is a
+drop-in speedup.
 """
 
 from __future__ import annotations
@@ -22,6 +23,23 @@ def _splitmix64(state: int) -> tuple[int, int]:
     return state, z
 
 
+def check_loss_chain(stream_rates, stream_limits, srv_rates,
+                     start_state: int = 0, min_state: int = 0) -> None:
+    """Reject a chain that would index outside srv_rates, or whose rates are
+    negative or not finite.  Both backends call this before simulating."""
+    if len(stream_limits) != len(stream_rates):
+        raise ValueError("stream rate/limit length mismatch")
+    n_states = len(srv_rates)
+    if min_state < 0:
+        raise ValueError("min_state must be >= 0")
+    if not min_state <= start_state < n_states:
+        raise ValueError(f"start_state must lie in [min_state, {n_states})")
+    if stream_limits and max(stream_limits) >= n_states:
+        raise ValueError(f"stream limits must be < {n_states} (len(srv_rates))")
+    if not all(0.0 <= r < math.inf for r in (*stream_rates, *srv_rates)):
+        raise ValueError("stream and service rates must be finite and >= 0")
+
+
 def run_loss_chain(
     seed: int,
     target_arrivals: int,
@@ -39,9 +57,8 @@ def run_loss_chain(
     rejected per stream, time_in_state list, elapsed time, final chain
     state, final RNG state) so a run can be resumed, e.g. after a warmup.
     """
+    check_loss_chain(stream_rates, stream_limits, srv_rates, start_state, min_state)
     n_streams = len(stream_rates)
-    if len(stream_limits) != n_streams:
-        raise ValueError("stream rate/limit length mismatch")
     n_states = len(srv_rates)
     time_in_state = [0.0] * n_states
     seen = [0] * n_streams

@@ -85,10 +85,6 @@ class CellLoadState:
     def occupied(self) -> float:
         return sum(n * b for n, b in zip(self.counts, self.allocs))
 
-    @property
-    def n_rt(self) -> float:
-        return sum(n for n, c in zip(self.counts, self.classes) if c.kind == "rt")
-
     def n_nrt(self) -> float:
         return sum(n for n, c in zip(self.counts, self.classes) if c.kind == "nrt")
 

@@ -1,15 +1,17 @@
 """Discrete-event simulation oracle for the analytic chains.
 
-The hot event loop lives in the compiled _deskernel extension when it has
-been built; a pure-Python twin with the identical random stream is selected
-at import time otherwise.  Set FEMTONET_PURE=1 to force the fallback.
+The hot event loop is the C function in _lossloop.c, called through ctypes
+when `python setup.py build_ext --inplace` (or an install) has built it; the
+pure-Python twin in _despy, with the identical random stream, runs otherwise.
 """
 
 from __future__ import annotations
 
+import ctypes
+import importlib.util
 import math
-import os
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -17,7 +19,6 @@ from . import _despy
 from .queueing import (
     Ch6QueueParams,
     Ch7QueueParams,
-    ChainSolution,
     TwoTierParams,
     _scheme_classes,
     chain_dimensions,
@@ -26,29 +27,50 @@ from .queueing import (
     state_release_rates,
 )
 
-if os.environ.get("FEMTONET_PURE"):
-    _kernel = _despy
-    BACKEND = "pure-python"
-else:
-    try:
-        from . import _deskernel as _kernel
 
-        BACKEND = "compiled"
-    except ImportError:
-        _kernel = _despy
-        BACKEND = "pure-python"
+def load_compiled(path: str) -> SimpleNamespace:
+    """Bind the event loop of the shared library built from _lossloop.c.
+
+    The result's run_loss_chain has _despy.run_loss_chain's signature,
+    validation and return tuple."""
+    f64 = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
+    i64 = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
+    loop = ctypes.CDLL(path).run_loss_chain
+    loop.restype = ctypes.c_uint64
+    loop.argtypes = [ctypes.c_uint64, ctypes.c_int64, ctypes.c_int64, f64, i64,
+                     f64, ctypes.c_int64, i64, i64, i64, f64, f64]
+
+    def run_loss_chain(seed, target_arrivals, stream_rates, stream_limits,
+                       srv_rates, start_state=0, min_state=0):
+        _despy.check_loss_chain(stream_rates, stream_limits, srv_rates,
+                                start_state, min_state)
+        n_streams = len(stream_rates)
+        seen = np.zeros(n_streams, dtype=np.int64)
+        rejected = np.zeros(n_streams, dtype=np.int64)
+        tis, elapsed = np.zeros(len(srv_rates)), np.zeros(1)
+        chain = np.array([start_state], dtype=np.int64)
+        state = loop(seed & _despy._MASK, target_arrivals, n_streams,
+                     np.asarray(stream_rates, dtype=np.float64),
+                     np.asarray(stream_limits, dtype=np.int64),
+                     np.asarray(srv_rates, dtype=np.float64), min_state, chain,
+                     seen, rejected, tis, elapsed)
+        return (seen.tolist(), rejected.tolist(), tis.tolist(),
+                float(elapsed[0]), int(chain[0]), state)
+
+    return SimpleNamespace(run_loss_chain=run_loss_chain)
+
+
+_compiled_spec = importlib.util.find_spec(f"{__package__}._lossloop")
+_KERNELS = {"pure-python": _despy}
+if _compiled_spec is not None:
+    _KERNELS["compiled"] = load_compiled(_compiled_spec.origin)
+BACKEND = "compiled" if "compiled" in _KERNELS else "pure-python"
+_kernel = _KERNELS[BACKEND]
 
 
 def kernel_backends() -> dict[str, object]:
     """Available kernels by name (for benchmarks and equivalence tests)."""
-    out = {"pure-python": _despy}
-    try:
-        from . import _deskernel
-
-        out["compiled"] = _deskernel
-    except ImportError:
-        pass
-    return out
+    return dict(_KERNELS)
 
 
 @dataclass(frozen=True)
@@ -69,8 +91,8 @@ class LossChainSpec:
     hand_stream: int | None = None
 
     def __post_init__(self):
-        if len(self.stream_rates) != len(self.stream_limits):
-            raise ValueError("stream rates/limits length mismatch")
+        _despy.check_loss_chain(self.stream_rates, self.stream_limits,
+                                self.srv_rates, self.start_state, self.min_state)
 
 
 @dataclass
@@ -84,12 +106,9 @@ class DesResult:
     elapsed: float
     replications: int
 
-    def contains(self, p_block: float, p_drop: float) -> bool:
-        return (self.block_ci[0] <= p_block <= self.block_ci[1]
-                and self.drop_ci[0] <= p_drop <= self.drop_ci[1])
 
-
-# two-sided 95% Student-t quantiles by degrees of freedom
+# two-sided 95% Student-t quantiles by degrees of freedom; _t95 reads the
+# row at or below df, which is never narrower than the true quantile
 _T95 = {1: 12.706, 2: 4.303, 3: 3.182, 4: 2.776, 5: 2.571, 6: 2.447,
         7: 2.365, 8: 2.306, 9: 2.262, 10: 2.228, 11: 2.201, 12: 2.179,
         13: 2.160, 14: 2.145, 15: 2.131, 16: 2.120, 17: 2.110, 18: 2.101,
@@ -99,10 +118,7 @@ _T95 = {1: 12.706, 2: 4.303, 3: 3.182, 4: 2.776, 5: 2.571, 6: 2.447,
 def _t95(df: int) -> float:
     if df <= 0:
         return float("inf")
-    for key in sorted(_T95):
-        if df <= key:
-            return _T95[key]
-    return 1.96
+    return _T95[max(key for key in _T95 if key <= df)]
 
 
 def _mean_ci(samples: np.ndarray, successes: int = 0,
@@ -207,10 +223,6 @@ def simulate_des(spec: LossChainSpec, total_calls: int = 1_000_000,
         elapsed=elapsed_tot,
         replications=replications,
     )
-
-
-def empirical_solution(result: DesResult) -> ChainSolution:
-    return ChainSolution(result.state_time, result.p_block, result.p_drop)
 
 
 # -- model-specific chain specs ----------------------------------------------

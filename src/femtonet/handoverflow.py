@@ -40,9 +40,6 @@ class FlowTrace:
     outcome: str = OUTCOME_COMPLETED
     diagnostic: str = ""
 
-    def kinds(self) -> list[str]:
-        return [s.kind for s in self.steps]
-
     def numbers(self) -> list[int]:
         return [s.number for s in self.steps]
 

@@ -106,7 +106,9 @@ class TwoTierParams:
             raise ValueError("alpha + beta must be <= 1")
         if min(self.mu, self.eta_f, self.eta_m) <= 0:
             raise ValueError("rates must be positive")
-        if self.n > 0 and self.lambda_o_f < 0 or self.lambda_o_m < 0:
+        if self.n < 0:
+            raise ValueError("deployed femtocell count n must be >= 0")
+        if self.lambda_o_f < 0 or self.lambda_o_m < 0:
             raise ValueError("arrival rates must be >= 0")
 
 

@@ -12,7 +12,7 @@ experiment checks assert scheme orderings, not absolute levels.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -293,18 +293,3 @@ def shannon_throughput(bandwidth_hz: float, sir_linear: float) -> float:
     if bandwidth_hz == 0.0:
         return 0.0
     return bandwidth_hz * math.log2(1.0 + sir_linear)
-
-
-def throughput_report(
-    topo, plan, ue_xy, serving, params: PropagationParams | None = None
-) -> float:
-    """Mean-path throughput at the UE: plan band width x capped spectral
-    efficiency."""
-    params = params or PropagationParams()
-    rep = sir(topo, plan, ue_xy, serving, params, rng=None)
-    band = plan.band_for_link(serving, ue_xy, topo)
-    return shannon_throughput(band.width, rep.capped_sir(params))
-
-
-def params_with(params: PropagationParams, **overrides) -> PropagationParams:
-    return replace(params, **overrides)

@@ -1,13 +1,20 @@
+import math
+import shutil
+import subprocess
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from oracles import balance_equation_solve
 
-from femtonet import des
+from femtonet import _despy, des
 from femtonet.admission import TrafficClass
 from femtonet.des import (
     LossChainSpec,
-    kernel_backends,
+    load_compiled,
     simulate_des,
     spec_for_ch6,
     spec_for_ch7,
@@ -22,18 +29,87 @@ def test_backend_reported():
     assert des.BACKEND in ("compiled", "pure-python")
 
 
-def test_backends_bit_identical():
-    backends = kernel_backends()
-    if len(backends) < 2:
-        pytest.skip("compiled kernel not built")
+KERNEL_SOURCE = Path(__file__).resolve().parents[1] / "src" / "femtonet" / "_lossloop.c"
+
+
+@pytest.fixture(scope="module")
+def compiled(tmp_path_factory):
+    """The C kernel compiled from this checkout's source into a temp dir."""
+    cc = shutil.which("cc") or shutil.which("gcc")
+    if cc is None:
+        pytest.skip("no C compiler on PATH")
+    lib = tmp_path_factory.mktemp("kernel") / "lossloop.so"
+    subprocess.run([cc, "-O3", "-ffp-contract=off", "-shared", "-fPIC",
+                    "-o", str(lib), str(KERNEL_SOURCE), "-lm"], check=True)
+    return load_compiled(str(lib))
+
+
+def test_backends_bit_identical(compiled):
     args = (77, 50_000, [0.8, 0.3, 0.1], [4, 6, 8], [i * 0.2 for i in range(9)], 2, 1)
-    results = [b.run_loss_chain(*args) for b in backends.values()]
-    first = results[0]
-    for other in results[1:]:
-        assert other[0] == first[0]
-        assert other[1] == first[1]
-        assert other[2] == first[2]
-        assert other[3] == first[3]
+    assert compiled.run_loss_chain(*args) == _despy.run_loss_chain(*args)
+
+
+def _outcome(kernel, args):
+    try:
+        return kernel.run_loss_chain(*args)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+@st.composite
+def loss_chains(draw):
+    """run_loss_chain arguments: a valid chain, or one that breaks one rule."""
+    n_states, n_streams = draw(st.integers(1, 8)), draw(st.integers(1, 3))
+    rates = draw(st.lists(st.sampled_from([0.0, 0.4, 2.5]) | st.floats(0.05, 3.0),
+                          min_size=n_streams, max_size=n_streams))
+    limits = draw(st.lists(st.integers(-1, n_states - 1),
+                           min_size=n_streams, max_size=n_streams))
+    srv = draw(st.lists(st.floats(0.0, 3.0), min_size=n_states, max_size=n_states))
+    min_state = draw(st.integers(0, n_states - 1))
+    start = draw(st.integers(min_state, n_states - 1))
+    fault = draw(st.sampled_from([None] * 4 + ["limit", "start", "min", "rate",
+                                              "length", "empty"]))
+    if fault == "limit":
+        limits[draw(st.integers(0, n_streams - 1))] = n_states
+    elif fault == "start":
+        start = draw(st.sampled_from([min_state - 1, n_states]))
+    elif fault == "min":
+        min_state = -1
+    elif fault == "rate":
+        values = draw(st.sampled_from([rates, srv]))
+        values[draw(st.integers(0, len(values) - 1))] = draw(
+            st.sampled_from([-1.0, math.inf, math.nan]))
+    elif fault == "length":
+        limits.append(0)
+    elif fault == "empty":
+        srv = []
+    return (draw(st.integers(0, 2**64 - 1)), draw(st.integers(0, 300)),
+            rates, limits, srv, start, min_state)
+
+
+@settings(max_examples=150, deadline=None)
+@given(args=loss_chains())
+@example(args=(1, 2000, [5.0], [6], [0.0, 1.0, 2.0], 0, 0))
+def test_backends_agree_or_reject_alike(compiled, args):
+    """Both kernels raise the same ValueError or return the same tuple, and
+    LossChainSpec rejects exactly the chains the kernels reject."""
+    out = _outcome(_despy, args)
+    assert _outcome(compiled, args) == out
+    rejected = isinstance(out[0], str)
+    try:
+        LossChainSpec(*map(tuple, args[2:5]), *args[5:])
+    except ValueError:
+        assert rejected
+    else:
+        assert not rejected
+
+
+@pytest.mark.parametrize("df, true_quantile", [(19, 2.093), (21, 2.080),
+                                               (60, 2.000), (1000, 1.962)])
+def test_t95_never_below_true_quantile(df, true_quantile):
+    assert des._t95(df) >= true_quantile
+    if df in des._T95:
+        assert des._t95(df) == true_quantile
 
 
 def test_zero_arrivals():

@@ -67,6 +67,12 @@ def test_handover_prob_no_femtos():
     assert p.mf == 0.0 and p.ff == 0.0
 
 
+@pytest.mark.parametrize("kw", [dict(n=0, lam_f=-1.0), dict(n=-5)])
+def test_two_tier_params_reject_negative_rate_or_count(kw):
+    with pytest.raises(ValueError):
+        _two_tier(**kw)
+
+
 def test_handover_prob_coverage_error():
     with pytest.raises(CoverageError):
         handover_probabilities(_two_tier(n=20000))
