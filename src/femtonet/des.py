@@ -93,6 +93,10 @@ class LossChainSpec:
     def __post_init__(self):
         _despy.check_loss_chain(self.stream_rates, self.stream_limits,
                                 self.srv_rates, self.start_state, self.min_state)
+        n_streams = len(self.stream_rates)
+        hand = () if self.hand_stream is None else (self.hand_stream,)
+        if not all(0 <= k < n_streams for k in (*self.new_streams, *hand)):
+            raise ValueError(f"new_streams and hand_stream must lie in [0, {n_streams})")
 
 
 @dataclass

@@ -116,24 +116,23 @@ def _radio_sweep(scenario: Scenario, counts, trials: int):
 DEFAULT_FIG4_COUNTS = (60, 100, 300, 600, 1000)
 
 
-def run_fig4_throughput(scenario: Scenario) -> ExperimentResult:
+def _run_fig4(scenario: Scenario, name: str, metric: str, index: int) -> ExperimentResult:
+    """One fig4 metric: `index` 0 is throughput and 1 outage in the sweep."""
     counts = [int(c) for c in scenario["sweep.femto_counts"]] or list(DEFAULT_FIG4_COUNTS)
-    res = ExperimentResult("fig4-throughput", scenario.name, scenario.seed)
+    res = ExperimentResult(name, scenario.name, scenario.seed)
     sweep = _radio_sweep(scenario, counts, scenario["trials"])
     for count, per_scheme in sweep.items():
-        for scheme, (thr, _) in per_scheme.items():
-            res.add(scheme, count, "mean_throughput_bps", thr)
+        for scheme, values in per_scheme.items():
+            res.add(scheme, count, metric, values[index])
     return res
+
+
+def run_fig4_throughput(scenario: Scenario) -> ExperimentResult:
+    return _run_fig4(scenario, "fig4-throughput", "mean_throughput_bps", 0)
 
 
 def run_fig4_outage(scenario: Scenario) -> ExperimentResult:
-    counts = [int(c) for c in scenario["sweep.femto_counts"]] or list(DEFAULT_FIG4_COUNTS)
-    res = ExperimentResult("fig4-outage", scenario.name, scenario.seed)
-    sweep = _radio_sweep(scenario, counts, scenario["trials"])
-    for count, per_scheme in sweep.items():
-        for scheme, (_, outage) in per_scheme.items():
-            res.add(scheme, count, "mean_outage", outage)
-    return res
+    return _run_fig4(scenario, "fig4-outage", "mean_outage", 1)
 
 
 # ---------------------------------------------------------------------------

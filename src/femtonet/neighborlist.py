@@ -132,13 +132,11 @@ def build_list_from_femto(
 
     coordinators = {serving, *kept_strong}
     hidden = set()
-    for fap in topo.femto_ids:
+    for fap in topo_mod.within(topo, ue, d_max_m):
         if fap == serving or fap in kept_strong or not accessible(fap):
             continue
         weak = scan.levels_dbm.get(fap, -math.inf) < scan.s_t1_dbm
         if not (weak or shares_frequency(plan, fap, serving)):
-            continue
-        if topo_mod.distance(topo, fap, ue) > d_max_m:
             continue
         if any(_coordinated(topo, via, fap) for via in coordinators):
             hidden.add(fap)
@@ -185,12 +183,10 @@ def build_list_from_macro(
     strong = {i for i, v in detected.items() if v >= scan.s_t1_dbm}
 
     hidden = set()
-    for fap in topo.femto_ids:
+    for fap in topo_mod.within(topo, ue, d_max_m):
         if fap in strong or not accessible(fap):
             continue
-        if scan.levels_dbm.get(fap, -math.inf) >= scan.s_t1_dbm:
-            continue
-        if topo_mod.distance(topo, fap, ue) <= d_max_m:
+        if scan.levels_dbm.get(fap, -math.inf) < scan.s_t1_dbm:
             hidden.add(fap)
 
     entries = _order_entries(strong, hidden, scan)

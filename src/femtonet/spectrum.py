@@ -13,6 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import topology as topo_mod
 from .topology import CellTopology, UnknownSiteError
 
@@ -177,37 +179,23 @@ class SpectrumPlan:
 
     # -- interference relation -------------------------------------------
 
-    def _assigned_arrays(self, topo: CellTopology):
-        """Cached (ids, row indices, radii) arrays of the assigned femtos;
-        refreshed when the assignment set or any radius changes."""
-        import numpy as np
-
-        version = (getattr(self, "_mutation", 0),
-                   getattr(self, "_radius_version", 0))
-        cache = getattr(self, "_arr_cache", None)
-        if cache is None or cache[0] != version:
-            ids = np.fromiter(self.femto_assignment, dtype=np.int64,
-                              count=len(self.femto_assignment))
-            rows = np.fromiter((topo._row[int(f)] for f in ids), dtype=np.int64,
-                               count=len(ids))
-            if self.radius_of:
-                radii = np.array([self.femto_radius(int(f), topo) for f in ids])
-            else:
-                radii = np.full(len(ids), topo.femto_radius_m)
-            cache = (version, ids, rows, radii)
-            self._arr_cache = cache
-        return cache[1], cache[2], cache[3]
-
     def interferers(self, topo: CellTopology, fap_id: int) -> list[int]:
         """Femtocells within mutual interference range of `fap_id`."""
         if len(self.femto_assignment) <= 1:
             return []
-        dist = topo.pairwise_distances()
-        ids, rows, radii = self._assigned_arrays(topo)
-        d = dist[topo._row[fap_id], rows]
-        reach = INTERFERENCE_RADIUS_SCALE * (self.femto_radius(fap_id, topo) + radii)
-        hit = (d <= reach) & (ids != fap_id)
-        return [int(f) for f in sorted(ids[hit])]
+        d = topo.distances_to(topo.site(fap_id).position)
+        r = self.femto_radius(fap_id, topo)
+        # no radius exceeds the widest one, so this keeps every interferer
+        widest = max(topo.femto_radius_m, max(self.radius_of.values(), default=0.0))
+        near = np.flatnonzero(d <= INTERFERENCE_RADIUS_SCALE * (r + widest))
+        hits = []
+        for k in near:
+            other = topo.femtocells[k].id
+            if (other != fap_id and other in self.femto_assignment
+                    and d[k] <= INTERFERENCE_RADIUS_SCALE
+                    * (r + self.femto_radius(other, topo))):
+                hits.append(other)
+        return sorted(hits)
 
     def _interfering(self, topo: CellTopology, a: int, b: int) -> bool:
         reach = INTERFERENCE_RADIUS_SCALE * (
@@ -217,21 +205,11 @@ class SpectrumPlan:
 
     def edge_conflicts(self, topo: CellTopology) -> list[tuple[int, int]]:
         """Pairs of interfering femtocells sharing an edge band (should be [])."""
-        import numpy as np
-
-        if self.scheme != "dynamic-reuse" or len(self.femto_assignment) <= 1:
+        if self.scheme != "dynamic-reuse":
             return []
-        ids, rows, radii = self._assigned_arrays(topo)
-        label_index = {lab: k for k, lab in enumerate(("Bm3", *_EDGE_LABELS))}
-        labels = np.array([label_index[self.femto_assignment[int(f)].edge_label]
-                           for f in ids])
-        d = topo.pairwise_distances()[np.ix_(rows, rows)]
-        reach = INTERFERENCE_RADIUS_SCALE * (radii[:, None] + radii[None, :])
-        same = labels[:, None] == labels[None, :]
-        close = (d <= reach) & same
-        ai, bi = np.nonzero(np.triu(close, k=1))
-        return sorted((min(int(ids[i]), int(ids[j])), max(int(ids[i]), int(ids[j])))
-                      for i, j in zip(ai, bi))
+        edge = {f: a.edge_label for f, a in self.femto_assignment.items()}
+        return sorted((a, b) for a in edge for b in self.interferers(topo, a)
+                      if a < b and edge[a] == edge[b])
 
 
 # ---------------------------------------------------------------------------
@@ -290,22 +268,21 @@ def build_plan(
 
 def _assign_static(plan: SpectrumPlan, topo: CellTopology, seed: int) -> None:
     """Static reuse: each femto takes Bm2 or Bm3, differing from femtocells
-    whose coverage discs overlap where possible, random otherwise."""
-    import numpy as np
-
+    whose coverage discs overlap where possible, random otherwise.  The
+    plan is fresh, so every cell has the nominal radius."""
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0x57A7)))
-    for f in topo.femto_ids:
-        used = set()
-        for other, a in plan.femto_assignment.items():
-            reach = plan.femto_radius(f, topo) + plan.femto_radius(other, topo)
-            if topo_mod.distance(topo, f, other) <= reach:
-                used.add(a.center_label)
+    reach = topo.femto_radius_m + topo.femto_radius_m
+    picks = []
+    for k, site in enumerate(topo.femtocells):
+        close = topo.distances_to(site.position)[:k] <= reach
+        used = {picks[j] for j in np.flatnonzero(close)}
         free = [b for b in ("Bm2", "Bm3") if b not in used]
         if free:
             pick = free[0] if len(free) == 1 else free[int(rng.integers(2))]
         else:
             pick = ("Bm2", "Bm3")[int(rng.integers(2))]
-        plan.femto_assignment[f] = FemtoBandAssignment(pick, None, "static-reuse")
+        picks.append(pick)
+        plan.femto_assignment[site.id] = FemtoBandAssignment(pick, None, "static-reuse")
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +340,6 @@ def configure_new_femto(
     topo.site(new_id)
 
     plan.femto_assignment[new_id] = FemtoBandAssignment("Bm2", None, "dynamic-reuse")
-    plan._mutation = getattr(plan, "_mutation", 0) + 1
     interf = plan.interferers(topo, new_id)
 
     if (_mutual_overlap_count(plan, topo, interf) > 3
@@ -470,7 +446,6 @@ def _shrink_one(plan, topo, fid) -> bool:
     if current <= floor + 1e-12:
         return False
     plan.radius_of[fid] = SHRINK_FACTOR * current
-    plan._radius_version = getattr(plan, "_radius_version", 0) + 1
     return True
 
 
@@ -536,7 +511,6 @@ def remove_femto(plan: SpectrumPlan, topo: CellTopology, fap_id: int) -> Spectru
     former = plan.interferers(topo, fap_id) if plan.scheme == "dynamic-reuse" else []
     del plan.femto_assignment[fap_id]
     plan.radius_of.pop(fap_id, None)
-    plan._mutation = getattr(plan, "_mutation", 0) + 1
     if former:
         _repair_conflicts(plan, topo, set(former))
     return plan

@@ -84,13 +84,11 @@ class CellTopology:
         if len(ids) != len(set(ids)):
             raise ValueError("femtocell ids must be unique")
         self._by_id = {f.id: f for f in self.femtocells}
-        self._row = {f.id: k for k, f in enumerate(self.femtocells)}
         self._pos = (
             np.array([f.position for f in self.femtocells], dtype=float)
             if self.femtocells
             else np.zeros((0, 2))
         )
-        self._neighbor_cache: dict[int, frozenset[int]] = {}
 
     @property
     def femto_ids(self) -> list[int]:
@@ -100,13 +98,12 @@ class CellTopology:
     def positions(self) -> np.ndarray:
         return self._pos
 
-    def pairwise_distances(self) -> np.ndarray:
-        """Cached n x n FAP distance matrix (row order = femtocells order)."""
-        if getattr(self, "_pairwise", None) is None:
-            p = self._pos
-            self._pairwise = np.hypot(p[:, None, 0] - p[None, :, 0],
-                                      p[:, None, 1] - p[None, :, 1])
-        return self._pairwise
+    def distances_to(self, xy) -> np.ndarray:
+        """Distance from a point to every FAP, in femtocells order."""
+        x, y = xy
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise ValueError("positions must be finite")
+        return np.hypot(x - self._pos[:, 0], y - self._pos[:, 1])
 
     def site(self, fap_id: int) -> FemtoSite:
         try:
@@ -142,20 +139,14 @@ def distance(topo: CellTopology, a, b) -> float:
 
 def neighbors_of(topo: CellTopology, fap_id: int) -> frozenset[int]:
     """Ids of femtocells within neighbor_threshold_m of the given FAP."""
-    cached = topo._neighbor_cache.get(fap_id)
-    if cached is not None:
-        return cached
     site = topo.site(fap_id)
-    if len(topo.femtocells) <= 1:
-        result = frozenset()
-    else:
-        d = np.hypot(*(topo._pos - np.asarray(site.position)).T)
-        close = d <= topo.neighbor_threshold_m
-        result = frozenset(
-            f.id for f, c in zip(topo.femtocells, close) if c and f.id != fap_id
-        )
-    topo._neighbor_cache[fap_id] = result
-    return result
+    return frozenset(within(topo, site.position, topo.neighbor_threshold_m)) - {fap_id}
+
+
+def within(topo: CellTopology, xy, radius_m: float) -> list[int]:
+    """Ids of the femtocells within radius_m of a position, in femtocells order."""
+    close = np.flatnonzero(topo.distances_to(xy) <= radius_m)
+    return [topo.femtocells[k].id for k in close]
 
 
 def first_tier_ring(macro_radius_m: float) -> list[tuple[float, float]]:

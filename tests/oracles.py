@@ -73,3 +73,36 @@ def pairwise_edge_conflicts(plan, topo):
                 if ea == eb:
                     bad.append((a, b))
     return bad
+
+
+def static_reuse_labels(topo, seed):
+    """Static-reuse center bands by the scalar O(n^2) loop: each FAP takes a
+    band unused by every earlier FAP whose coverage disc overlaps its own."""
+    from femtonet.topology import distance
+
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 0x57A7)))
+    reach = topo.femto_radius_m + topo.femto_radius_m
+    labels = {}
+    for f in topo.femto_ids:
+        used = {lab for other, lab in labels.items()
+                if distance(topo, f, other) <= reach}
+        free = [b for b in ("Bm2", "Bm3") if b not in used]
+        if free:
+            labels[f] = free[0] if len(free) == 1 else free[int(rng.integers(2))]
+        else:
+            labels[f] = ("Bm2", "Bm3")[int(rng.integers(2))]
+    return labels
+
+
+def brute_interferers(plan, topo, fap_id):
+    """Assigned FAPs in interference range of fap_id, one scalar test each."""
+    return [f for f in sorted(plan.femto_assignment)
+            if f != fap_id and plan._interfering(topo, fap_id, f)]
+
+
+def brute_neighbors(topo, fap_id):
+    """FAPs within the neighbor threshold of fap_id, one scalar test each."""
+    from femtonet.topology import distance
+
+    return frozenset(f for f in topo.femto_ids if f != fap_id
+                     and distance(topo, fap_id, f) <= topo.neighbor_threshold_m)

@@ -2,6 +2,7 @@
 with its runtime against the stated budget.  Run with `pytest -s` to see the
 lines as they complete."""
 
+import hashlib
 import itertools
 import math
 import sys
@@ -476,6 +477,23 @@ def test_criterion_13_experiment_determinism():
         "fig7-mbs": {"traffic.arrival_grid": (0.4, 1.2)},
         "fig8-popularity": {"trials": 4, "sweep.session_counts": (15.0, 30.0)},
     }
+    # sha256 of each CSV above; a change here is a change of results
+    csv_sha256 = {
+        "fig4-throughput":
+            "1b5674aba07b3802468d95f5487f69ae49bb9d0fa6997cba2218c01b030baed1",
+        "fig4-outage":
+            "fef9f87607ce9c3c248300b970c11ae49efb39d29944440ab2e79fb0f986fb30",
+        "fig5-mobility":
+            "624d1141b53333b3a7bce10c66cb34519c919f24fdffeb145864f35861be1905",
+        "fig5-neighborlist":
+            "031beb9057c303e1e8e2fca949623294a0e0d06121211f5283b6855da914138d",
+        "fig6-cac":
+            "09b115b79173f18e64811f77dd55705f79d4eee8c7c2d5f699bb28e404463b5f",
+        "fig7-mbs":
+            "75dc3eabf78c96a3659e0a0b2334ff59f86e36e550456d0e6c2957bf28c4e78d",
+        "fig8-popularity":
+            "7264c5155f214146e0f1123aeb33fba411b59ad887a23fe0f28d01d1255aec16",
+    }
     from femtonet.experiments import DEFAULT_PRESET
 
     for name, extra in tweaks.items():
@@ -486,5 +504,7 @@ def test_criterion_13_experiment_determinism():
         first = result_to_csv(run_experiment(name, scenario))
         second = result_to_csv(run_experiment(name, Scenario(dict(values))))
         assert first == second, f"{name} not deterministic"
+        assert hashlib.sha256(first.encode()).hexdigest() == csv_sha256[name], \
+            f"{name} CSV bytes changed"
         assert len(first.splitlines()) > 1
     budget.done()

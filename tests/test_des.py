@@ -104,6 +104,14 @@ def test_backends_agree_or_reject_alike(compiled, args):
         assert not rejected
 
 
+@pytest.mark.parametrize("streams", [{"hand_stream": 3},
+                                     {"new_streams": (-1,), "hand_stream": -1},
+                                     {"new_streams": (0, 1)}])
+def test_spec_rejects_stream_index_out_of_range(streams):
+    with pytest.raises(ValueError, match="new_streams and hand_stream"):
+        LossChainSpec((1.0,), (2,), (0.0, 1.0, 2.0), **streams)
+
+
 @pytest.mark.parametrize("df, true_quantile", [(19, 2.093), (21, 2.080),
                                                (60, 2.000), (1000, 1.962)])
 def test_t95_never_below_true_quantile(df, true_quantile):
