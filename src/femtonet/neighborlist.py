@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import topology as topo_mod
-from .radio import PropagationParams, linear_to_db, received_power, LinkBudget
+from .radio import PropagationParams, link_power, linear_to_db, wall_attenuation
 from .spectrum import SpectrumPlan, bands_overlap
 from .topology import CellTopology, UnknownSiteError
 
@@ -88,6 +88,12 @@ def _coordinated(topo: CellTopology, via: int, candidate: int) -> bool:
     return topo.walls_between(via, candidate) <= COORDINATION_WALL_LIMIT
 
 
+def _accessible(topo: CellTopology, access: dict[int, bool], fap: int) -> bool:
+    if topo.site(fap).access_mode == "open":
+        return True
+    return access.get(fap, False)
+
+
 def _order_entries(strong, hidden, scan: RssiScan) -> list[int]:
     def key(fap):
         level = scan.levels_dbm.get(fap, -math.inf)
@@ -119,13 +125,8 @@ def build_list_from_femto(
     ue = tuple(ue_xy) if ue_xy is not None else serving_site.position
     access = access or {}
 
-    def accessible(fap: int) -> bool:
-        if topo.site(fap).access_mode == "open":
-            return True
-        return access.get(fap, False)
-
     detected = {i: v for i, v in scan.detected().items()
-                if i != serving and accessible(i)}
+                if i != serving and _accessible(topo, access, i)}
     strong = {i for i, v in detected.items() if v >= scan.s_t1_dbm}
     same_freq = {i for i in strong if shares_frequency(plan, i, serving)}
     kept_strong = strong - same_freq
@@ -133,7 +134,7 @@ def build_list_from_femto(
     coordinators = {serving, *kept_strong}
     hidden = set()
     for fap in topo_mod.within(topo, ue, d_max_m):
-        if fap == serving or fap in kept_strong or not accessible(fap):
+        if fap == serving or fap in kept_strong or not _accessible(topo, access, fap):
             continue
         weak = scan.levels_dbm.get(fap, -math.inf) < scan.s_t1_dbm
         if not (weak or shares_frequency(plan, fap, serving)):
@@ -174,17 +175,12 @@ def build_list_from_macro(
     access = access or {}
     ue = tuple(ue_xy)
 
-    def accessible(fap: int) -> bool:
-        if topo.site(fap).access_mode == "open":
-            return True
-        return access.get(fap, False)
-
-    detected = {i: v for i, v in scan.detected().items() if accessible(i)}
+    detected = {i: v for i, v in scan.detected().items() if _accessible(topo, access, i)}
     strong = {i for i, v in detected.items() if v >= scan.s_t1_dbm}
 
     hidden = set()
     for fap in topo_mod.within(topo, ue, d_max_m):
-        if fap in strong or not accessible(fap):
+        if fap in strong or not _accessible(topo, access, fap):
             continue
         if scan.levels_dbm.get(fap, -math.inf) < scan.s_t1_dbm:
             hidden.add(fap)
@@ -214,15 +210,25 @@ def scan_from_geometry(
     s_t1_dbm: float = DEFAULT_S_T1_DBM,
 ) -> RssiScan:
     """Deterministic scan: free-space-style femto links (no inter-home wall
-    for a user in the open femto zone); obstructed links carry extra walls."""
+    for a user in the open femto zone); obstructed links carry extra walls.
+
+    One scalar pass in math-module arithmetic: numpy's hypot, pow and log10
+    differ from it in the last bit, and the levels are reported values."""
     params = params or PropagationParams()
     obstructed = obstructed or set()
+    ue = tuple(ue_xy)
+    ux, uy = ue[0], ue[1]
+    if not (math.isfinite(ux) and math.isfinite(uy)):
+        raise ValueError("positions must be finite")
+    tx, p0 = params.tx_power_femto_w, params.p0_femto
+    eta = params.path_loss_exp_femto_interf
+    clear = wall_attenuation(params.wall_loss_db, 0)
+    walled = wall_attenuation(params.wall_loss_db, OBSTRUCTION_WALLS)
     levels = {}
-    for fap in topo.femto_ids:
-        d = max(topo_mod.distance(topo, fap, tuple(ue_xy)), 0.1)
-        walls = OBSTRUCTION_WALLS if fap in obstructed else 0
-        p = received_power(params, LinkBudget(params.tx_power_femto_w, d, walls=walls),
-                           "femto", serving=False)
+    for fap, (px, py) in zip(topo.femto_ids, topo.positions.tolist()):
+        d = max(math.hypot(px - ux, py - uy), 0.1)
+        p = link_power(tx, p0, d, eta, 1.0, 1.0,
+                       walled if fap in obstructed else clear)
         levels[fap] = linear_to_db(p) + 30.0  # W -> dBm
     return RssiScan(levels, serving, s_t0_dbm, s_t1_dbm)
 

@@ -64,6 +64,8 @@ class PropagationParams:
             raise ValueError("shadow sigmas must be >= 0")
         if self.wall_loss_db < 0:
             raise ValueError("wall loss must be >= 0")
+        if min(self.tx_power_macro_w, self.tx_power_femto_w) <= 0:
+            raise ValueError("tx powers must be positive")
 
 
 @dataclass(frozen=True)
@@ -128,15 +130,22 @@ def received_power(
         eta = params.path_loss_exp_serving if serving else params.path_loss_exp_femto_interf
     else:
         raise ValueError(f"unknown tier {tier!r}")
-    wall_att = db_to_linear(-params.wall_loss_db * link.walls)
-    return (
-        link.tx_power_w
-        * p0
-        * link.distance_m ** (-eta)
-        * link.shadowing
-        * link.fast_fade
-        * wall_att
-    )
+    return link_power(link.tx_power_w, p0, link.distance_m, eta, link.shadowing,
+                      link.fast_fade, wall_attenuation(params.wall_loss_db, link.walls))
+
+
+def wall_attenuation(wall_loss_db: float, walls: int) -> float:
+    """Linear power factor of `walls` walls at wall_loss_db each."""
+    return db_to_linear(-wall_loss_db * walls)
+
+
+def link_power(tx_power_w: float, p0: float, distance_m: float, eta: float,
+               shadowing: float, fast_fade: float, wall_att: float) -> float:
+    """P_T * P0 * d^-eta * xi * Z * wall_att on plain floats, in watts.
+
+    The one place the link formula is written; callers that already hold
+    the tier constants (the RSSI scan) call it directly."""
+    return tx_power_w * p0 * distance_m ** (-eta) * shadowing * fast_fade * wall_att
 
 
 def _shadow_sample(rng, sigma_db: float) -> float:

@@ -181,8 +181,6 @@ class SpectrumPlan:
 
     def interferers(self, topo: CellTopology, fap_id: int) -> list[int]:
         """Femtocells within mutual interference range of `fap_id`."""
-        if len(self.femto_assignment) <= 1:
-            return []
         d = topo.distances_to(topo.site(fap_id).position)
         r = self.femto_radius(fap_id, topo)
         # no radius exceeds the widest one, so this keeps every interferer

@@ -106,3 +106,22 @@ def brute_neighbors(topo, fap_id):
 
     return frozenset(f for f in topo.femto_ids if f != fap_id
                      and distance(topo, fap_id, f) <= topo.neighbor_threshold_m)
+
+
+def scalar_scan_levels(topo, ue_xy, params=None, obstructed=None):
+    """Scan levels by the original per-FAP loop: one `distance`, one
+    `LinkBudget` and one `received_power` call per FAP."""
+    from femtonet import topology as topo_mod
+    from femtonet.neighborlist import OBSTRUCTION_WALLS
+    from femtonet.radio import LinkBudget, PropagationParams, linear_to_db, received_power
+
+    params = params or PropagationParams()
+    obstructed = obstructed or set()
+    levels = {}
+    for fap in topo.femto_ids:
+        d = max(topo_mod.distance(topo, fap, tuple(ue_xy)), 0.1)
+        walls = OBSTRUCTION_WALLS if fap in obstructed else 0
+        p = received_power(params, LinkBudget(params.tx_power_femto_w, d, walls=walls),
+                           "femto", serving=False)
+        levels[fap] = linear_to_db(p) + 30.0  # W -> dBm
+    return levels

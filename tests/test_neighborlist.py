@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from oracles import scalar_scan_levels
 
 from femtonet.neighborlist import (
     NeighborList,
@@ -11,6 +14,7 @@ from femtonet.neighborlist import (
     scan_from_geometry,
     shares_frequency,
 )
+from femtonet.radio import PropagationParams
 from femtonet.spectrum import FemtoBandAssignment, build_plan
 from femtonet.topology import CellTopology, FemtoSite, place_femtocells, distance
 
@@ -215,3 +219,74 @@ def test_p_target_missing_proposed_below_baseline():
     dense = p_target_missing(count=400, trials=60, seed=9, obstruction_prob=0.35)
     assert dense["rssi-only"] > 0.0
     assert dense["proposed"] < dense["rssi-only"]
+
+
+# ---------------------------------------------------------------------------
+# the scan against the per-FAP reference loop, to the last bit
+
+
+def _shuffled_topo(seed, count, side_m=400.0):
+    """Random positions under shuffled, non-contiguous ids."""
+    rng = np.random.default_rng(seed)
+    ids = rng.permutation(3 * count)[:count]
+    xy = rng.uniform(0.0, side_m, size=(count, 2))
+    return CellTopology(
+        macro_radius_m=1000.0, femto_radius_m=10.0, macro_sites=[(0.0, 0.0)],
+        femtocells=[FemtoSite(int(i), (float(x), float(y))) for i, (x, y) in zip(ids, xy)])
+
+
+def _assert_scan_matches_oracle(topo, ue, serving, params=None, obstructed=None):
+    scan = scan_from_geometry(topo, ue, serving, params=params, obstructed=obstructed)
+    oracle = scalar_scan_levels(topo, ue, params=params, obstructed=obstructed)
+    # list equality of float items compares keys, their order and the float bits
+    assert list(scan.levels_dbm.items()) == list(oracle.items())
+    assert scan.serving == serving
+
+
+PARAM_CASES = {
+    "default": None,
+    "steep-walled-weak": PropagationParams(path_loss_exp_femto_interf=3.7,
+                                           wall_loss_db=12.5, tx_power_femto_w=0.02),
+}
+
+
+@pytest.mark.parametrize("params", PARAM_CASES.values(), ids=PARAM_CASES.keys())
+@pytest.mark.parametrize("seed", range(6))
+def test_scan_bitwise_equal_to_scalar_oracle(seed, params):
+    rng = np.random.default_rng(1000 + seed)
+    topo = _shuffled_topo(seed, count=int(rng.integers(1, 300)))
+    ids = topo.femto_ids
+    for k in range(20):
+        if k % 5 == 0:
+            ue = topo.site(ids[int(rng.integers(len(ids)))]).position  # on a FAP
+        else:
+            ue = tuple(float(v) for v in rng.uniform(-50.0, 450.0, size=2))
+        # obstructed sets also name ids that are not in the topology
+        pool = ids + [-1, 3 * len(ids) + 7]
+        obstructed = {f for f in pool if rng.random() < 0.3}
+        serving = "macro" if k % 4 == 0 else ids[int(rng.integers(len(ids)))]
+        _assert_scan_matches_oracle(topo, ue, serving, params, obstructed or None)
+
+
+def test_scan_ue_on_a_fap_uses_the_clamped_distance():
+    topo = _shuffled_topo(3, count=40)
+    fap = topo.femto_ids[7]
+    ue = topo.site(fap).position
+    _assert_scan_matches_oracle(topo, ue, fap)
+    _assert_scan_matches_oracle(topo, ue, "macro", obstructed={fap})
+    grid = _grid_topo([(0.0, 0.0), (30.0, 0.0)])
+    on_fap = scan_from_geometry(grid, (0.0, 0.0), 1).levels_dbm[0]
+    assert on_fap == scan_from_geometry(grid, (0.1, 0.0), 1).levels_dbm[0]
+
+
+def test_scan_empty_topology():
+    topo = _grid_topo([])
+    _assert_scan_matches_oracle(topo, (3.0, 4.0), "macro")
+    assert scan_from_geometry(topo, (3.0, 4.0), "macro").levels_dbm == {}
+
+
+@pytest.mark.parametrize("ue", [(math.nan, 0.0), (0.0, math.inf), (-math.inf, math.nan)])
+@pytest.mark.parametrize("positions", [[], [(0.0, 0.0), (30.0, 0.0)]], ids=["empty", "two"])
+def test_scan_rejects_non_finite_ue(positions, ue):
+    with pytest.raises(ValueError, match="finite"):
+        scan_from_geometry(_grid_topo(positions), ue, "macro")

@@ -72,6 +72,15 @@ def test_received_power_zero_distance():
         received_power(_unit_params(), LinkBudget(1.0, 0.0), "femto")
 
 
+@pytest.mark.parametrize("field", ["tx_power_femto_w", "tx_power_macro_w"])
+@pytest.mark.parametrize("value", [0.0, -0.01])
+def test_params_reject_non_positive_tx_power(field, value):
+    # the RSSI scan reads the femto tx power directly, so no LinkBudget
+    # check stands behind it
+    with pytest.raises(ValueError, match="tx powers"):
+        PropagationParams(**{field: value})
+
+
 # ---------------------------------------------------------------------------
 # SIR
 

@@ -196,6 +196,16 @@ def test_more_than_three_interferers_shrinks():
     assert any(r < 10.0 for r in plan.radius_of.values())
 
 
+def test_interferers_of_an_unassigned_fap_next_to_the_only_assigned_one():
+    topo = _manual_topo([(0.0, 0.0), (30.0, 0.0), (50.0, 0.0)])
+    plan = _empty_dynamic_plan(topo)
+    plan.femto_assignment[0] = FemtoBandAssignment("Bm2", "Bm3", "dynamic-reuse")
+    assert plan.interferers(topo, 1) == [0]
+    assert plan.interferers(topo, 0) == []
+    plan.femto_assignment[2] = FemtoBandAssignment("Bm2", "B4", "dynamic-reuse")
+    assert plan.interferers(topo, 1) == [0, 2]
+
+
 def test_remove_only_femto():
     topo = _manual_topo([(0.0, 0.0)])
     plan = build_plan("dynamic-reuse", topo)
