@@ -18,13 +18,13 @@ import numpy as np
 from . import _despy
 from .queueing import (
     Ch6QueueParams,
-    Ch7QueueParams,
+    LossChainSpec,
     TwoTierParams,
-    _scheme_classes,
-    chain_dimensions,
-    channel_release_rates,
+    ch6_chain,
+    ch7_chain,
     solve_two_tier,
-    state_release_rates,
+    two_tier_femto_chain,
+    two_tier_macro_chain,
 )
 
 
@@ -71,32 +71,6 @@ _kernel = _KERNELS[BACKEND]
 def kernel_backends() -> dict[str, object]:
     """Available kernels by name (for benchmarks and equivalence tests)."""
     return dict(_KERNELS)
-
-
-@dataclass(frozen=True)
-class LossChainSpec:
-    """A loss cell fed by independent Poisson arrival streams.
-
-    srv_rates[i] is the total departure rate in state i; stream k is
-    admitted while the state is below stream_limits[k].  By convention the
-    last stream is the handover stream when hand_stream is unset.
-    """
-
-    stream_rates: tuple[float, ...]
-    stream_limits: tuple[int, ...]
-    srv_rates: tuple[float, ...]
-    start_state: int = 0
-    min_state: int = 0
-    new_streams: tuple[int, ...] = (0,)
-    hand_stream: int | None = None
-
-    def __post_init__(self):
-        _despy.check_loss_chain(self.stream_rates, self.stream_limits,
-                                self.srv_rates, self.start_state, self.min_state)
-        n_streams = len(self.stream_rates)
-        hand = () if self.hand_stream is None else (self.hand_stream,)
-        if not all(0 <= k < n_streams for k in (*self.new_streams, *hand)):
-            raise ValueError(f"new_streams and hand_stream must lie in [0, {n_streams})")
 
 
 @dataclass
@@ -243,51 +217,20 @@ def spec_for_ch6(params: Ch6QueueParams, lam_hand: float,
                  scheme: str = "proposed") -> LossChainSpec:
     """Chain matching solve_ch6's converged model; the handover stream is
     exogenous Poisson at the converged rate."""
-    classes = _scheme_classes(params.classes, scheme)
-    n, s, ell = chain_dimensions(classes, params.capacity)
-    mu_rates = state_release_rates(classes, params.capacity, params.eta, n, s)
-    if scheme in ("hard-qos", "guard"):
-        guard = params.guard_channels if scheme == "guard" else 0
-        srv = tuple(i * mu_rates[0] for i in range(n + 1))
-        return LossChainSpec((params.lam_new, lam_hand), (n - guard, n), srv,
-                             new_streams=(0,), hand_stream=1)
-    srv = tuple(i * mu_rates[i - 1] if i else 0.0 for i in range(n + s + 1))
-    return LossChainSpec((params.lam_new, lam_hand), (n + ell, n + s), srv,
-                         new_streams=(0,), hand_stream=1)
+    return ch6_chain(params, lam_hand, scheme)[0]
 
 
-def spec_for_ch7(params: Ch7QueueParams) -> LossChainSpec:
-    """MBS cell: background blocked from N, voice/unicast from N+L, handover
-    dropped only at N+S; service starts above the M always-on sessions."""
-    m, n, s, ell = (params.sessions, params.n_states, params.s_states,
-                    params.l_states)
-    srv = tuple(max(i - m, 0) * params.mu for i in range(n + s + 1))
-    return LossChainSpec(
-        stream_rates=(params.lam_new_background,
-                      params.lam_new_voice + params.lam_new_unicast,
-                      params.lam_hand),
-        stream_limits=(n, n + ell, n + s),
-        srv_rates=srv,
-        start_state=m, min_state=m,
-        new_streams=(0, 1), hand_stream=2)
+spec_for_ch7 = ch7_chain  # the MBS cell chain has no fixed point
 
 
 def spec_for_two_tier_macro(params: TwoTierParams,
                             solution=None) -> LossChainSpec:
     solution = solution or solve_two_tier(params)
-    mu_m, _ = channel_release_rates(params)
-    n, s = params.macro_base_states, params.macro_adaptive_states
-    srv = tuple(i * mu_m for i in range(n + s + 1))
-    return LossChainSpec((params.lambda_o_m, solution.rates["lambda_h_m"]),
-                         (n, n + s), srv, new_streams=(0,), hand_stream=1)
+    return two_tier_macro_chain(params, solution.rates["lambda_h_m"])
 
 
 def spec_for_two_tier_femto(params: TwoTierParams,
                             solution=None) -> LossChainSpec:
     """One femtocell of the layer: K servers, no handover priority."""
     solution = solution or solve_two_tier(params)
-    _, mu_f = channel_release_rates(params)
-    k = params.femto_capacity
-    lam = solution.rates["lambda_T_f"] / max(params.n, 1)
-    srv = tuple(i * mu_f for i in range(k + 1))
-    return LossChainSpec((lam,), (k,), srv, new_streams=(0,), hand_stream=0)
+    return two_tier_femto_chain(params, solution.rates["lambda_T_f"])

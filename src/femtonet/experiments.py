@@ -173,11 +173,14 @@ def run_fig5_neighborlist(scenario: Scenario) -> ExperimentResult:
     counts = [int(c) for c in scenario["sweep.femto_counts"]] or [100, 200, 400, 700, 1000]
     trials = scenario["trials"]
     macro = scenario.macro_geometry()
+    radio = scenario.propagation()
+    s_t0, s_t1 = scenario["neighborlist.s_t0_dbm"], scenario["neighborlist.s_t1_dbm"]
     for count in counts:
         miss = nl_mod.p_target_missing(
             count=count, trials=trials, seed=scenario.seed,
             obstruction_prob=scenario["neighborlist.obstruction_prob"],
-            d_max_m=scenario["neighborlist.d_max_m"], macro=macro)
+            d_max_m=scenario["neighborlist.d_max_m"], macro=macro,
+            params=radio, s_t0_dbm=s_t0, s_t1_dbm=s_t1)
         res.add("proposed", count, "p_target_missing", miss["proposed"])
         res.add("rssi-only", count, "p_target_missing", miss["rssi-only"])
 
@@ -190,9 +193,7 @@ def run_fig5_neighborlist(scenario: Scenario) -> ExperimentResult:
             serving = int(rng.integers(count))
             ue = topo.site(serving).position
             scan = nl_mod.scan_from_geometry(
-                topo, ue, serving,
-                s_t0_dbm=scenario["neighborlist.s_t0_dbm"],
-                s_t1_dbm=scenario["neighborlist.s_t1_dbm"])
+                topo, ue, serving, radio, s_t0_dbm=s_t0, s_t1_dbm=s_t1)
             built = nl_mod.build_list_from_femto(
                 scan, plan, topo, serving,
                 d_max_m=scenario["neighborlist.d_max_m"], ue_xy=ue)

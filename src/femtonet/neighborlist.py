@@ -242,12 +242,16 @@ def p_target_missing(
     d_max_m: float = DEFAULT_D_MAX_M,
     macro=None,
     trials_per_topology: int = 50,
+    params: PropagationParams | None = None,
+    s_t0_dbm: float = DEFAULT_S_T0_DBM,
+    s_t1_dbm: float = DEFAULT_S_T1_DBM,
 ) -> dict[str, float]:
     """Monte-Carlo probability that the best handover target is absent.
 
     Per trial the geometric best target is the strongest unobstructed
     non-serving FAP at or above S_T1 (trials with no valid target are
-    skipped).  The RSSI-only baseline lists FAPs whose observed level
+    skipped).  Both scans of a trial use `params` and the S_T0/S_T1
+    thresholds.  The RSSI-only baseline lists FAPs whose observed level
     clears S_T1; the proposed scheme adds coordinated hidden FAPs.
     Topologies are redrawn every `trials_per_topology` trials; the serving
     cell, user position, and obstructions are redrawn every trial.
@@ -273,7 +277,8 @@ def p_target_missing(
         ue = (s_pos[0] + topo.femto_radius_m * math.cos(ang),
               s_pos[1] + topo.femto_radius_m * math.sin(ang))
 
-        clear = scan_from_geometry(topo, ue, serving)
+        clear = scan_from_geometry(topo, ue, serving, params,
+                                   s_t0_dbm=s_t0_dbm, s_t1_dbm=s_t1_dbm)
         candidates = {f: v for f, v in clear.levels_dbm.items() if f != serving}
         best, best_level = max(candidates.items(), key=lambda kv: (kv[1], -kv[0]))
         if best_level < clear.s_t1_dbm:
@@ -287,7 +292,8 @@ def p_target_missing(
 
         obstructed = {f for f in topo.femto_ids
                       if f != serving and rng.random() < obstruction_prob}
-        observed = scan_from_geometry(topo, ue, serving, obstructed=obstructed)
+        observed = scan_from_geometry(topo, ue, serving, params, obstructed,
+                                      s_t0_dbm, s_t1_dbm)
 
         baseline = {f for f, v in observed.levels_dbm.items()
                     if f != serving and v >= observed.s_t1_dbm}

@@ -1,10 +1,13 @@
 """Markov-chain traffic models: the coupled two-tier femto/macro system, the
 single-cell bandwidth-adaptive chain, and the MBS cell chain.
 
-All chains are birth-death processes evaluated in log space, so state counts
-in the hundreds stay numerically exact.  Handover arrival rates and blocking
-and dropping probabilities depend on each other; the solvers run damped
-successive substitution to the requested residual.
+Each chain is described once, as a LossChainSpec built by its model's
+*_chain function; the solvers here evaluate that spec analytically and
+femtonet.des simulates the same spec.  The stationary distribution is
+computed in log space, so state counts in the hundreds stay numerically
+exact.  Handover arrival rates and blocking and dropping probabilities
+depend on each other; the solvers run damped successive substitution to the
+requested residual.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import _despy
 from .admission import CellLoadState, TrafficClass, rebalance
 
 FIXED_POINT_TOL = 1e-8
@@ -81,6 +85,56 @@ def birth_death_probs(birth_rates, death_rates) -> np.ndarray:
     return p / p.sum()
 
 
+@dataclass(frozen=True)
+class LossChainSpec:
+    """A loss cell fed by independent Poisson arrival streams.
+
+    srv_rates[i] is the total departure rate in state i; stream k is
+    admitted while the state is below stream_limits[k].  By convention the
+    last stream is the handover stream when hand_stream is unset.
+    """
+
+    stream_rates: tuple[float, ...]
+    stream_limits: tuple[int, ...]
+    srv_rates: tuple[float, ...]
+    start_state: int = 0
+    min_state: int = 0
+    new_streams: tuple[int, ...] = (0,)
+    hand_stream: int | None = None
+
+    def __post_init__(self):
+        _despy.check_loss_chain(self.stream_rates, self.stream_limits,
+                                self.srv_rates, self.start_state, self.min_state)
+        n_streams = len(self.stream_rates)
+        hand = () if self.hand_stream is None else (self.hand_stream,)
+        if not all(0 <= k < n_streams for k in (*self.new_streams, *hand)):
+            raise ValueError(f"new_streams and hand_stream must lie in [0, {n_streams})")
+
+
+def loss_chain_probs(spec: LossChainSpec) -> tuple[np.ndarray, list[float]]:
+    """Stationary probabilities of states min_state..len(srv_rates)-1, and
+    for each stream the probability that it finds the cell at or above its
+    limit, i.e. that it rejects a call.
+
+    The birth rate out of state i sums, in stream order from 0.0, the rates
+    of the streams whose limit exceeds i; the death rate down into state i
+    is srv_rates[i+1]."""
+    lo = spec.min_state
+    births = np.zeros(len(spec.srv_rates) - 1 - lo)
+    for rate, limit in zip(spec.stream_rates, spec.stream_limits):
+        births[:max(limit - lo, 0)] += rate
+    probs = birth_death_probs(births, spec.srv_rates[lo + 1:])
+    return probs, [float(probs[max(limit - lo, 0):].sum())
+                   for limit in spec.stream_limits]
+
+
+def _with_hand_rate(spec: LossChainSpec, lam_hand: float) -> LossChainSpec:
+    """The same chain with its handover stream at lam_hand."""
+    rates = list(spec.stream_rates)
+    rates[spec.hand_stream] = lam_hand
+    return replace(spec, stream_rates=tuple(rates))
+
+
 # ---------------------------------------------------------------------------
 # Ch. 5: two-tier femto/macro model
 
@@ -145,11 +199,24 @@ def channel_release_rates(params: TwoTierParams) -> tuple[float, float]:
     return mu_m, mu_f
 
 
-def _macro_adaptive_chain(lam_total: float, lam_hand: float, mu_m: float,
-                          n_states: int, s_states: int) -> np.ndarray:
-    births = [lam_total] * n_states + [lam_hand] * s_states
-    deaths = [(i + 1) * mu_m for i in range(n_states + s_states)]
-    return birth_death_probs(births, deaths)
+def two_tier_macro_chain(params: TwoTierParams, lam_hand: float) -> LossChainSpec:
+    """The macrocell: new calls admitted below N, handovers (arriving at
+    lam_hand) below N+S."""
+    mu_m, _ = channel_release_rates(params)
+    n, s = params.macro_base_states, params.macro_adaptive_states
+    srv = tuple(i * mu_m for i in range(n + s + 1))
+    return LossChainSpec((params.lambda_o_m, lam_hand), (n, n + s), srv,
+                         new_streams=(0,), hand_stream=1)
+
+
+def two_tier_femto_chain(params: TwoTierParams, lam_tf: float) -> LossChainSpec:
+    """One femtocell of the layer, offered lam_tf / n: K servers, no
+    handover priority."""
+    _, mu_f = channel_release_rates(params)
+    k = params.femto_capacity
+    srv = tuple(i * mu_f for i in range(k + 1))
+    return LossChainSpec((lam_tf / max(params.n, 1),), (k,), srv,
+                         new_streams=(0,), hand_stream=0)
 
 
 @dataclass
@@ -180,6 +247,7 @@ def solve_two_tier(params: TwoTierParams,
     l_mm = l_mf = l_ff = l_fm = 0.0
     p_bf = p_df = p_bm = p_dm = 0.0
     residuals: list[float] = []
+    macro_chain = two_tier_macro_chain(params, 0.0)
 
     for iteration in range(1, MAX_ITERATIONS + 1):
         lam_tf = lam_of + l_mf + alpha * l_ff + p_dm * beta * l_ff
@@ -190,11 +258,8 @@ def solve_two_tier(params: TwoTierParams,
             p_bf = p_df = 0.0
 
         lam_hm = l_mm + l_fm + alpha * p_df * l_ff + (1.0 - alpha) * l_ff
-        macro_probs = _macro_adaptive_chain(
-            lam_om + lam_hm, lam_hm, mu_m,
-            params.macro_base_states, params.macro_adaptive_states)
-        p_bm = float(macro_probs[params.macro_base_states:].sum())
-        p_dm = float(macro_probs[-1])
+        macro_chain = _with_hand_rate(macro_chain, lam_hm)
+        _, (p_bm, p_dm) = loss_chain_probs(macro_chain)
 
         num_m = (1.0 - p_bm) * (lam_om + lam_of * p_bf) + (1.0 - p_dm) * (
             l_fm + l_ff * (1.0 - alpha + alpha * p_df))
@@ -223,14 +288,10 @@ def solve_two_tier(params: TwoTierParams,
     lam_tf = lam_of + l_mf + alpha * l_ff + p_dm * beta * l_ff
     lam_hm = l_mm + l_fm + alpha * p_df * l_ff + (1.0 - alpha) * l_ff
     if n > 0:
-        offered = lam_tf / n / mu_f
-        femto_probs = birth_death_probs(
-            [lam_tf / n] * k_f, [(i + 1) * mu_f for i in range(k_f)])
+        femto_probs, _ = loss_chain_probs(two_tier_femto_chain(params, lam_tf))
     else:
         femto_probs = np.array([1.0])
-    macro_probs = _macro_adaptive_chain(
-        lam_om + lam_hm, lam_hm, mu_m,
-        params.macro_base_states, params.macro_adaptive_states)
+    macro_probs, _ = loss_chain_probs(_with_hand_rate(macro_chain, lam_hm))
 
     femto_util = float(np.dot(np.arange(len(femto_probs)), femto_probs)) / max(k_f, 1)
     macro_occ = np.minimum(np.arange(len(macro_probs)), params.macro_base_states)
@@ -321,8 +382,9 @@ def mean_duration_at_full(classes) -> float:
 
 
 def state_release_rates(classes, capacity: float, eta: float,
-                        n: int, s: int) -> np.ndarray:
-    """Per-call channel release rate mu_i for states 1..N+S.
+                        n: int, s: int) -> tuple[np.ndarray, list[float]]:
+    """Per-call channel release rate mu_i for states 1..N+S, and the
+    bandwidth occupied in each state N+1..N+S.
 
     Up to N every class holds its request, so mu_i = eta + 1/T(full).  Above
     N the expected class mix a_m * i is rebalanced; degraded non-real-time
@@ -332,31 +394,45 @@ def state_release_rates(classes, capacity: float, eta: float,
     t_full = mean_duration_at_full(classes)
     mu1 = eta + 1.0 / t_full
     rates = np.full(n + s, mu1)
+    occupied = []
     for i in range(n + 1, n + s + 1):
         mix = CellLoadState(capacity, tuple(classes),
                             counts=[c.arrival_share * i for c in classes])
         balanced = rebalance(mix)
+        occupied.append(balanced.occupied)
         t = 0.0
         for c, b in zip(classes, balanced.allocs):
             stretch = 1.0 if c.kind == "rt" else c.requested_bw / b
             t += c.arrival_share * c.duration_s * stretch
         rates[i - 1] = eta + 1.0 / t
-    return rates
+    return rates, occupied
 
 
-def ch6_chain_probs(lam_new: float, lam_hand: float, mu_rates: np.ndarray,
-                    n: int, s: int, ell: int) -> np.ndarray:
-    """Stationary probabilities for states 0..N+S: new+handover arrivals up
-    to N+L, handover-only beyond, total departure rate i * mu_i."""
-    births = [lam_new + lam_hand] * (n + ell) + [lam_hand] * (s - ell)
-    deaths = [(i + 1) * mu_rates[i] for i in range(n + s)]
-    return birth_death_probs(births, deaths)
+def ch6_chain(params: Ch6QueueParams, lam_hand: float,
+              scheme: str = "proposed") -> tuple[LossChainSpec, dict]:
+    """The cell under one scheme, with the handover stream exogenous Poisson
+    at lam_hand, and the facts of the cell that solve_ch6 reports: N, S, L,
+    P_h, the per-call release rates mu_rates and the bandwidth occupied in
+    each state.
 
-
-def _hard_qos_probs(lam_new, lam_hand, mu1, n, guard):
-    births = [lam_new + lam_hand] * (n - guard) + [lam_hand] * guard
-    deaths = [(i + 1) * mu1 for i in range(n)]
-    return birth_death_probs(births, deaths)
+    New calls are admitted below N+L, or below N - guard_channels for the
+    guard scheme; handovers below N+S.  hard-qos and guard degrade no call,
+    so for them S = L = 0.
+    """
+    classes = _scheme_classes(params.classes, scheme)
+    n, s, ell = chain_dimensions(classes, params.capacity)
+    guard = params.guard_channels if scheme == "guard" else 0
+    if not 0 <= guard <= n:
+        raise ValueError("guard channels outside [0, N]")
+    mu_rates, occupied = state_release_rates(classes, params.capacity, params.eta, n, s)
+    srv = tuple(i * mu_rates[i - 1] if i else 0.0 for i in range(n + s + 1))
+    chain = LossChainSpec((params.lam_new, lam_hand), (n + ell - guard, n + s), srv,
+                          new_streams=(0,), hand_stream=1)
+    mean_req = sum(c.arrival_share * c.requested_bw for c in classes)
+    occupancy = [min(i * mean_req, params.capacity) for i in range(n + 1)] + occupied
+    p_h = params.eta / (params.eta + 1.0 / mean_duration_at_full(classes))
+    return chain, {"N": n, "S": s, "L": ell, "P_h": p_h, "mu_rates": mu_rates,
+                   "occupancy": occupancy}
 
 
 def solve_ch6(params: Ch6QueueParams, scheme: str = "proposed",
@@ -367,33 +443,14 @@ def solve_ch6(params: Ch6QueueParams, scheme: str = "proposed",
     lam_h = P_h (1 - P_B) lam_n / (1 - P_h (1 - P_D)); damped substitution
     iterates the pair to FIXED_POINT_TOL.
     """
-    classes = _scheme_classes(params.classes, scheme)
-    n, s, ell = chain_dimensions(classes, params.capacity)
-    if scheme == "guard":
-        guard = params.guard_channels
-        if not 0 <= guard <= n:
-            raise ValueError("guard channels outside [0, N]")
-    t_full = mean_duration_at_full(classes)
-    mu = 1.0 / t_full
-    p_h = params.eta / (params.eta + mu)
-    mu_rates = state_release_rates(classes, params.capacity, params.eta, n, s)
-
-    lam_n = params.lam_new
-
-    def chain_at(lam_h):
-        if scheme == "guard":
-            probs = _hard_qos_probs(lam_n, lam_h, mu_rates[0], n, params.guard_channels)
-            return probs, float(probs[n - params.guard_channels:].sum()), float(probs[-1])
-        if scheme == "hard-qos":
-            probs = _hard_qos_probs(lam_n, lam_h, mu_rates[0], n, 0)
-            return probs, float(probs[-1]), float(probs[-1])
-        probs = ch6_chain_probs(lam_n, lam_h, mu_rates, n, s, ell)
-        return probs, float(probs[n + ell:].sum()), float(probs[-1])
+    chain, cell = ch6_chain(params, 0.0, scheme)
+    occupancy = cell.pop("occupancy")
+    p_h, lam_n = cell["P_h"], params.lam_new
 
     lam_h = p_h * lam_n  # starting guess
     residuals = []
     for iteration in range(1, MAX_ITERATIONS + 1):
-        probs, p_b, p_d = chain_at(lam_h)
+        _, (p_b, p_d) = loss_chain_probs(_with_hand_rate(chain, lam_h))
         new_h = p_h * (1.0 - p_b) * lam_n / (1.0 - p_h * (1.0 - p_d))
         residual = abs(new_h - lam_h)
         residuals.append(residual)
@@ -402,24 +459,13 @@ def solve_ch6(params: Ch6QueueParams, scheme: str = "proposed",
             break
     else:
         raise NonConvergenceError("ch6 fixed point did not converge", residuals)
-    probs, p_b, p_d = chain_at(lam_h)
-
-    mean_req = sum(c.arrival_share * c.requested_bw for c in classes)
-    occupancies = []
-    for i in range(len(probs)):
-        if i <= n or scheme in ("hard-qos", "guard"):
-            occupancies.append(min(i * mean_req, params.capacity))
-        else:
-            mix = CellLoadState(params.capacity, tuple(classes),
-                                counts=[c.arrival_share * i for c in classes])
-            occupancies.append(rebalance(mix).occupied)
-    utilization = float(np.dot(probs, occupancies)) / params.capacity
+    probs, (p_b, p_d) = loss_chain_probs(_with_hand_rate(chain, lam_h))
+    utilization = float(np.dot(probs, occupancy)) / params.capacity
 
     return ChainSolution(
         probs, p_b, p_d, utilization, handover_rate=lam_h,
         iterations=iteration, residual=residuals[-1],
-        extra={"N": n, "S": s, "L": ell, "P_h": p_h,
-               "mu_rates": mu_rates, "scheme": scheme},
+        extra={**cell, "scheme": scheme},
     )
 
 
@@ -444,40 +490,37 @@ class Ch7QueueParams:
             raise ValueError("require M <= N")
         if not 0 <= self.l_states <= self.s_states:
             raise ValueError("require 0 <= L <= S")
+        if min(self.lam_new_voice, self.lam_new_unicast,
+               self.lam_new_background, self.lam_hand) < 0:
+            raise ValueError("arrival rates must be >= 0")
         if self.mu <= 0:
             raise ValueError("service rate must be positive")
 
 
+def ch7_chain(params: Ch7QueueParams) -> LossChainSpec:
+    """MBS cell: background blocked from N, voice/unicast from N+L, handover
+    dropped only at N+S; service starts above the M always-on sessions."""
+    m, n, s, ell = (params.sessions, params.n_states, params.s_states,
+                    params.l_states)
+    srv = tuple(max(i - m, 0) * params.mu for i in range(n + s + 1))
+    return LossChainSpec(
+        stream_rates=(params.lam_new_background,
+                      params.lam_new_voice + params.lam_new_unicast,
+                      params.lam_hand),
+        stream_limits=(n, n + ell, n + s),
+        srv_rates=srv,
+        start_state=m, min_state=m,
+        new_streams=(0, 1), hand_stream=2)
+
+
 def solve_ch7(params: Ch7QueueParams) -> ChainSolution:
-    """MBS cell: chain starts at M (sessions always on); background new calls
-    blocked from N, voice/unicast new calls from N+L, handovers dropped only
-    at N+S."""
-    m, n, s, ell = params.sessions, params.n_states, params.s_states, params.l_states
-    lam_t = (params.lam_new_voice + params.lam_new_unicast
-             + params.lam_new_background + params.lam_hand)
-    lam_mid = params.lam_new_voice + params.lam_new_unicast + params.lam_hand
-
-    births = [lam_t] * (n - m) + [lam_mid] * ell + [params.lam_hand] * (s - ell)
-    deaths = [(i + 1) * params.mu for i in range(n + s - m)]
-    if not births:
-        probs = np.array([1.0])
-    else:
-        if lam_t == 0.0:
-            probs = np.zeros(n + s - m + 1)
-            probs[0] = 1.0
-        else:
-            probs = birth_death_probs(births, deaths)
-
-    def prob_from(state: int) -> float:
-        return float(probs[state - m:].sum())
-
-    p_d = float(probs[-1])
-    p_b_v = prob_from(n + ell)
-    p_b_back = prob_from(n)
+    """MBS cell: the chain of ch7_chain over states M..N+S."""
+    m, n, s = params.sessions, params.n_states, params.s_states
+    probs, (p_b_back, p_b_v, p_d) = loss_chain_probs(ch7_chain(params))
     occupancy = np.arange(m, n + s + 1)
     utilization = float(np.dot(probs, occupancy)) / (n + s)
     return ChainSolution(
         probs, p_b_v, p_d, utilization, handover_rate=params.lam_hand,
         extra={"P_B_voice": p_b_v, "P_B_unicast": p_b_v, "P_B_background": p_b_back,
-               "M": m, "N": n, "S": s, "L": ell},
+               "M": m, "N": n, "S": s, "L": params.l_states},
     )

@@ -45,7 +45,6 @@ SCENARIO_KEYS: dict[str, tuple] = {
     "preset": (str, ""),
     "seed": (int, 7),
     "trials": (int, 20),
-    "experiment": (str, ""),
     # topology
     "topology.count": (int, 1000),
     "topology.macro_radius_m": (float, 1000.0),
@@ -54,9 +53,7 @@ SCENARIO_KEYS: dict[str, tuple] = {
     "topology.min_separation_m": (float, 2.0),
     "topology.macro_ue_walls": (int, 1),
     "topology.inter_femto_walls": (int, 1),
-    "topology.closed_access_fraction": (float, 0.0),
     # spectrum
-    "spectrum.scheme": (str, "dynamic-reuse"),
     "spectrum.total_hz": (float, 18e6),
     "spectrum.femto_fraction": (float, 1.0 / 3.0),
     "spectrum.edge_fraction": (float, 0.6),
@@ -88,8 +85,6 @@ SCENARIO_KEYS: dict[str, tuple] = {
     # sweeps
     "sweep.femto_counts": (_parse_float_list, ()),
     "sweep.session_counts": (_parse_float_list, ()),
-    "mc.trials": (int, 100_000),
-    "des.calls": (int, 1_000_000),
 }
 
 # preset key -> scenario key translation (only keys that map directly)
@@ -213,8 +208,6 @@ def _apply_preset(values: dict, preset_name: str, line: int, path) -> None:
             values[bound] = SCENARIO_KEYS[bound][0](value) \
                 if not isinstance(value, (tuple, list)) else value
     values["preset"] = preset_name
-    # keys without a dotted binding stay reachable through the raw preset
-    values.setdefault("_preset_raw", dict(preset))
 
 
 def parse_assignment(text: str, line_no: int = 0, path=None) -> tuple[str, object]:

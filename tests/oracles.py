@@ -125,3 +125,148 @@ def scalar_scan_levels(topo, ue_xy, params=None, obstructed=None):
                            "femto", serving=False)
         levels[fap] = linear_to_db(p) + 30.0  # W -> dBm
     return levels
+
+
+# -- the loss chains as written twice before each model became one spec
+# builder: des.spec_for_* built the simulated chain and queueing built its
+# own birth/death lists.  Kept as the bitwise reference for the one spec.
+
+
+def spec_for_ch6(params, lam_hand, scheme="proposed"):
+    from femtonet.queueing import (
+        LossChainSpec,
+        _scheme_classes,
+        chain_dimensions,
+        state_release_rates,
+    )
+
+    classes = _scheme_classes(params.classes, scheme)
+    n, s, ell = chain_dimensions(classes, params.capacity)
+    mu_rates, _ = state_release_rates(classes, params.capacity, params.eta, n, s)
+    if scheme in ("hard-qos", "guard"):
+        guard = params.guard_channels if scheme == "guard" else 0
+        srv = tuple(i * mu_rates[0] for i in range(n + 1))
+        return LossChainSpec((params.lam_new, lam_hand), (n - guard, n), srv,
+                             new_streams=(0,), hand_stream=1)
+    srv = tuple(i * mu_rates[i - 1] if i else 0.0 for i in range(n + s + 1))
+    return LossChainSpec((params.lam_new, lam_hand), (n + ell, n + s), srv,
+                         new_streams=(0,), hand_stream=1)
+
+
+def spec_for_ch7(params):
+    from femtonet.queueing import LossChainSpec
+
+    m, n, s, ell = (params.sessions, params.n_states, params.s_states,
+                    params.l_states)
+    srv = tuple(max(i - m, 0) * params.mu for i in range(n + s + 1))
+    return LossChainSpec(
+        stream_rates=(params.lam_new_background,
+                      params.lam_new_voice + params.lam_new_unicast,
+                      params.lam_hand),
+        stream_limits=(n, n + ell, n + s),
+        srv_rates=srv,
+        start_state=m, min_state=m,
+        new_streams=(0, 1), hand_stream=2)
+
+
+def spec_for_two_tier_macro(params, solution):
+    from femtonet.queueing import LossChainSpec, channel_release_rates
+
+    mu_m, _ = channel_release_rates(params)
+    n, s = params.macro_base_states, params.macro_adaptive_states
+    srv = tuple(i * mu_m for i in range(n + s + 1))
+    return LossChainSpec((params.lambda_o_m, solution.rates["lambda_h_m"]),
+                         (n, n + s), srv, new_streams=(0,), hand_stream=1)
+
+
+def spec_for_two_tier_femto(params, solution):
+    from femtonet.queueing import LossChainSpec, channel_release_rates
+
+    _, mu_f = channel_release_rates(params)
+    k = params.femto_capacity
+    lam = solution.rates["lambda_T_f"] / max(params.n, 1)
+    srv = tuple(i * mu_f for i in range(k + 1))
+    return LossChainSpec((lam,), (k,), srv, new_streams=(0,), hand_stream=0)
+
+
+def ch6_probs(params, lam_h, scheme="proposed"):
+    """(probs, P_B, P_D) of the ch6 chain at handover rate lam_h, from the
+    birth/death lists of each scheme."""
+    from femtonet.queueing import (
+        _scheme_classes,
+        birth_death_probs,
+        chain_dimensions,
+        state_release_rates,
+    )
+
+    def ch6_chain_probs(lam_new, lam_hand, mu_rates, n, s, ell):
+        births = [lam_new + lam_hand] * (n + ell) + [lam_hand] * (s - ell)
+        deaths = [(i + 1) * mu_rates[i] for i in range(n + s)]
+        return birth_death_probs(births, deaths)
+
+    def hard_qos_probs(lam_new, lam_hand, mu1, n, guard):
+        births = [lam_new + lam_hand] * (n - guard) + [lam_hand] * guard
+        deaths = [(i + 1) * mu1 for i in range(n)]
+        return birth_death_probs(births, deaths)
+
+    classes = _scheme_classes(params.classes, scheme)
+    n, s, ell = chain_dimensions(classes, params.capacity)
+    mu_rates, _ = state_release_rates(classes, params.capacity, params.eta, n, s)
+    lam_n = params.lam_new
+    if scheme == "guard":
+        probs = hard_qos_probs(lam_n, lam_h, mu_rates[0], n, params.guard_channels)
+        return probs, float(probs[n - params.guard_channels:].sum()), float(probs[-1])
+    if scheme == "hard-qos":
+        probs = hard_qos_probs(lam_n, lam_h, mu_rates[0], n, 0)
+        return probs, float(probs[-1]), float(probs[-1])
+    probs = ch6_chain_probs(lam_n, lam_h, mu_rates, n, s, ell)
+    return probs, float(probs[n + ell:].sum()), float(probs[-1])
+
+
+def ch7_probs(params):
+    """(probs, P_B voice/unicast, P_B background, P_D) of the MBS cell."""
+    from femtonet.queueing import birth_death_probs
+
+    m, n, s, ell = params.sessions, params.n_states, params.s_states, params.l_states
+    lam_t = (params.lam_new_voice + params.lam_new_unicast
+             + params.lam_new_background + params.lam_hand)
+    lam_mid = params.lam_new_voice + params.lam_new_unicast + params.lam_hand
+
+    births = [lam_t] * (n - m) + [lam_mid] * ell + [params.lam_hand] * (s - ell)
+    deaths = [(i + 1) * params.mu for i in range(n + s - m)]
+    if not births:
+        probs = np.array([1.0])
+    else:
+        if lam_t == 0.0:
+            probs = np.zeros(n + s - m + 1)
+            probs[0] = 1.0
+        else:
+            probs = birth_death_probs(births, deaths)
+
+    def prob_from(state: int) -> float:
+        return float(probs[state - m:].sum())
+
+    return probs, prob_from(n + ell), prob_from(n), float(probs[-1])
+
+
+def two_tier_probs(params, solution):
+    """(femto probs, macro probs) at the solution's converged rates."""
+    from femtonet.queueing import birth_death_probs
+
+    def macro_adaptive_chain(lam_total, lam_hand, mu_m, n_states, s_states):
+        births = [lam_total] * n_states + [lam_hand] * s_states
+        deaths = [(i + 1) * mu_m for i in range(n_states + s_states)]
+        return birth_death_probs(births, deaths)
+
+    n, k_f = params.n, params.femto_capacity
+    lam_tf, lam_hm = solution.rates["lambda_T_f"], solution.rates["lambda_h_m"]
+    mu_m, mu_f = solution.rates["mu_m"], solution.rates["mu_f"]
+    if n > 0:
+        femto_probs = birth_death_probs(
+            [lam_tf / n] * k_f, [(i + 1) * mu_f for i in range(k_f)])
+    else:
+        femto_probs = np.array([1.0])
+    macro_probs = macro_adaptive_chain(
+        params.lambda_o_m + lam_hm, lam_hm, mu_m,
+        params.macro_base_states, params.macro_adaptive_states)
+    return femto_probs, macro_probs

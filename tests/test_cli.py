@@ -44,6 +44,14 @@ def test_run_bad_override(tmp_path, capsys):
     assert code == EXIT_INPUT_ERROR
 
 
+def test_run_negative_arrival_rate_is_input_error(tmp_path, capsys):
+    code = main(["run", "fig6-cac", "--out", str(tmp_path),
+                 "--set", "traffic.arrival_grid=-0.5"])
+    assert code == EXIT_INPUT_ERROR
+    assert "error" in capsys.readouterr().err
+    assert not os.listdir(tmp_path)
+
+
 def test_validate_ok_and_bad(tmp_path, capsys):
     good = tmp_path / "ok.scenario"
     good.write_text("name = demo\npreset = table-6.1\n")

@@ -80,6 +80,18 @@ def test_load_scenario_unknown_key(tmp_path):
     assert err.value.line == 2
 
 
+@pytest.mark.parametrize("key", ["experiment", "topology.closed_access_fraction",
+                                 "spectrum.scheme", "mc.trials", "des.calls"])
+def test_load_scenario_rejects_removed_key(tmp_path, key):
+    # these keys were once parsed and then ignored by every experiment
+    path = tmp_path / "old.scenario"
+    path.write_text(f"name = x\n{key} = 1\n")
+    with pytest.raises(ScenarioError) as err:
+        load_scenario(path)
+    assert f"unknown key {key!r}" in str(err.value)
+    assert (err.value.line, err.value.column) == (2, 1)
+
+
 def test_load_scenario_bad_value(tmp_path):
     path = tmp_path / "bad2.scenario"
     path.write_text("seed = banana\n")
@@ -176,6 +188,19 @@ def test_fig5_mobility_trends():
     assert blocking[0] >= blocking[1] >= blocking[2]
     release = [v for _, v in sorted(res.values("integrated", "macro_channel_release_rate"))]
     assert release[0] < release[1] < release[2]
+
+
+@pytest.mark.parametrize("override", ["neighborlist.s_t1_dbm = -60",
+                                      "radio.tx_power_femto_w = 1.0"])
+def test_fig5_neighborlist_p_target_missing_follows_scenario(override):
+    sc = _small(scenario_from_preset("table-5.1"), trials=60,
+                **{"sweep.femto_counts": (150.0, 400.0)})
+
+    def missing(scenario):
+        res = run_experiment("fig5-neighborlist", scenario)
+        return [r for r in res.rows if r[3] == "p_target_missing"]
+
+    assert missing(apply_overrides(sc, [override])) != missing(sc)
 
 
 def test_fig7_mbs_allocation_trend():

@@ -265,6 +265,37 @@ def test_ch6_guard_scheme():
     assert guard.p_block > proposed.p_block  # guard blocks far more new calls
 
 
+@pytest.mark.parametrize("lam", [0.8, 1.6])
+@pytest.mark.parametrize("scheme, guard", [("hard-qos", 0), ("guard", 5), ("guard", 12)])
+def test_ch6_hard_qos_and_guard_chains_match_balance_solve(scheme, guard, lam):
+    params = Ch6QueueParams(lam_new=lam, capacity=6000.0, classes=TABLE61,
+                            eta=1 / 240.0, guard_channels=guard)
+    sol = solve_ch6(params, scheme)
+    n = sol.extra["N"]
+    assert sol.extra["S"] == sol.extra["L"] == 0  # neither scheme degrades a call
+    guard = guard if scheme == "guard" else 0
+    mu1 = params.eta + 1.0 / sum(c.arrival_share * c.duration_s for c in TABLE61)
+    lam_h = sol.handover_rate
+    births = [lam + lam_h] * (n - guard) + [lam_h] * guard
+    deaths = [(i + 1) * mu1 for i in range(n)]
+    pi = balance_equation_solve(births, deaths)
+    assert np.max(np.abs(sol.probs - pi)) < 1e-9
+    assert sol.p_block == pytest.approx(pi[n - guard:].sum(), abs=1e-9)
+    assert sol.p_drop == pytest.approx(pi[-1], abs=1e-9)
+    p_h = sol.extra["P_h"]
+    fixed = p_h * (1 - sol.p_block) * lam / (1 - p_h * (1 - sol.p_drop))
+    assert lam_h == pytest.approx(fixed, abs=1e-7)
+
+
+@pytest.mark.parametrize("scheme", ["proposed", "guard"])
+@pytest.mark.parametrize("lam_new", [-0.5, math.nan])
+def test_ch6_rejects_bad_arrival_rate_when_the_chain_is_built(lam_new, scheme):
+    params = Ch6QueueParams(lam_new=lam_new, capacity=6000.0, classes=TABLE61,
+                            eta=1 / 240.0, guard_channels=5)
+    with pytest.raises(ValueError, match="finite and >= 0"):
+        solve_ch6(params, scheme)
+
+
 # ---------------------------------------------------------------------------
 # Ch. 7 chain
 
@@ -324,6 +355,14 @@ def test_ch7_random_small_instances_match_balance_solve():
         assert sol.p_drop == pytest.approx(pi[-1], abs=1e-9)
         assert sol.extra["P_B_voice"] == pytest.approx(pi[n + ell - m:].sum(), abs=1e-9)
         assert sol.extra["P_B_background"] == pytest.approx(pi[n - m:].sum(), abs=1e-9)
+
+
+@pytest.mark.parametrize("kw", [dict(lam_new_voice=-0.5),  # voice + unicast < 0
+                                dict(lam_new_voice=-0.005),  # voice + unicast > 0
+                                dict(lam_hand=-0.01)])
+def test_ch7_rejects_negative_rate(kw):
+    with pytest.raises(ValueError):
+        solve_ch7(_ch7(**kw))
 
 
 def test_forced_termination_probability():
