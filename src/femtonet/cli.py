@@ -83,9 +83,21 @@ def _cmd_run(args) -> int:
 
     formats = ("csv", "plot-script") if args.format == "both" else (args.format,)
     for fmt in formats:
-        for path in emit(result, fmt, args.out):
-            print(path)
+        if not _write(result, fmt, args.out):
+            return EXIT_INPUT_ERROR
     return EXIT_OK
+
+
+def _write(result: ExperimentResult, fmt: str, out_dir) -> bool:
+    """Emit one format and print the written paths; False on an OS error."""
+    try:
+        paths = emit(result, fmt, out_dir)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return False
+    for path in paths:
+        print(path)
+    return True
 
 
 def _cmd_list() -> int:
@@ -123,9 +135,7 @@ def _cmd_emit(args) -> int:
 
     name = os.path.splitext(os.path.basename(args.csv_path))[0]
     result = ExperimentResult(name, rows[0][0], rows[0][6], rows=rows)
-    for path in emit(result, "plot-script", args.out):
-        print(path)
-    return EXIT_OK
+    return EXIT_OK if _write(result, "plot-script", args.out) else EXIT_INPUT_ERROR
 
 
 def main(argv=None) -> int:

@@ -123,22 +123,27 @@ def _mean_ci(samples: np.ndarray, successes: int = 0,
     return (max(0.0, mean - half), min(1.0, mean + half))
 
 
+# simulate_des splits its calls over this many replications and discards
+# this leading fraction of each one
+REPLICATIONS = 20
+WARMUP = 0.05
+
+
 def simulate_des(spec: LossChainSpec, total_calls: int = 1_000_000,
-                 seed: int = 0, replications: int = 20,
-                 warmup: float = 0.05) -> DesResult:
-    """Simulate the chain with `total_calls` arrivals split over independent
-    replications.
+                 seed: int = 0) -> DesResult:
+    """Simulate the chain with `total_calls` arrivals split over REPLICATIONS
+    independent replications (fewer when there are fewer calls).
 
     Blocking/dropping fractions of consecutive arrivals are autocorrelated,
     so confidence intervals come from the replication means (Student t),
-    not from a binomial fit.  Each replication discards a warmup fraction
-    before counting.
+    not from a binomial fit.  Each replication discards a WARMUP fraction
+    of its calls before counting.
     """
     if total_calls < 1:
         raise ValueError("total_calls must be >= 1")
-    replications = max(2, min(replications, total_calls))
+    replications = max(2, min(REPLICATIONS, total_calls))
     per_rep = max(1, total_calls // replications)
-    warm_calls = int(warmup * per_rep)
+    warm_calls = int(WARMUP * per_rep)
     rep_seeds = np.random.SeedSequence(seed).generate_state(replications, dtype=np.uint64)
 
     n_streams = len(spec.stream_rates)

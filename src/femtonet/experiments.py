@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import des as des_mod
 from . import neighborlist as nl_mod
 from . import queueing as q_mod
 from .presets import TABLE_7_1, TABLE_8_1, table61_classes, table71_mbs_sessions

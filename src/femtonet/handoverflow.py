@@ -224,18 +224,6 @@ def run_flow(flow: str, hooks: dict | None = None) -> FlowTrace:
     return trace
 
 
-def run_femto_to_macro(hooks: dict | None = None) -> FlowTrace:
-    return run_flow("femto-to-macro", hooks)
-
-
-def run_macro_to_femto(hooks: dict | None = None) -> FlowTrace:
-    return run_flow("macro-to-femto", hooks)
-
-
-def run_femto_to_femto(hooks: dict | None = None) -> FlowTrace:
-    return run_flow("femto-to-femto", hooks)
-
-
 def validate_trace(trace: FlowTrace) -> None:
     """Template-prefix and ordering invariants; raises AssertionError."""
     template = TEMPLATES[trace.flow]

@@ -26,6 +26,8 @@ DEFAULT_D_MAX_M = 40.0
 COORDINATION_WALL_LIMIT = 1
 # an obstructed scan link carries this many extra walls
 OBSTRUCTION_WALLS = 2
+# p_target_missing redraws its topology after this many trials
+TRIALS_PER_TOPOLOGY = 50
 
 
 @dataclass(frozen=True)
@@ -227,8 +229,7 @@ def scan_from_geometry(
     levels = {}
     for fap, (px, py) in zip(topo.femto_ids, topo.positions.tolist()):
         d = max(math.hypot(px - ux, py - uy), 0.1)
-        p = link_power(tx, p0, d, eta, 1.0, 1.0,
-                       walled if fap in obstructed else clear)
+        p = link_power(tx, p0, d, eta, walled if fap in obstructed else clear)
         levels[fap] = linear_to_db(p) + 30.0  # W -> dBm
     return RssiScan(levels, serving, s_t0_dbm, s_t1_dbm)
 
@@ -237,11 +238,9 @@ def p_target_missing(
     count: int,
     trials: int,
     seed: int,
-    plan_builder=None,
     obstruction_prob: float = 0.3,
     d_max_m: float = DEFAULT_D_MAX_M,
     macro=None,
-    trials_per_topology: int = 50,
     params: PropagationParams | None = None,
     s_t0_dbm: float = DEFAULT_S_T0_DBM,
     s_t1_dbm: float = DEFAULT_S_T1_DBM,
@@ -253,8 +252,9 @@ def p_target_missing(
     skipped).  Both scans of a trial use `params` and the S_T0/S_T1
     thresholds.  The RSSI-only baseline lists FAPs whose observed level
     clears S_T1; the proposed scheme adds coordinated hidden FAPs.
-    Topologies are redrawn every `trials_per_topology` trials; the serving
-    cell, user position, and obstructions are redrawn every trial.
+    Topologies (each with a dynamic-reuse plan) are redrawn every
+    TRIALS_PER_TOPOLOGY trials; the serving cell, user position, and
+    obstructions are redrawn every trial.
     """
     from .spectrum import build_plan
 
@@ -267,10 +267,9 @@ def p_target_missing(
     for trial in range(trials):
         if count < 2:
             continue
-        if topo is None or trial % trials_per_topology == 0:
+        if topo is None or trial % TRIALS_PER_TOPOLOGY == 0:
             topo = topo_mod.place_femtocells(seed + 7919 * trial, count, macro=macro)
-            plan = (plan_builder(topo) if plan_builder
-                    else build_plan("dynamic-reuse", topo))
+            plan = build_plan("dynamic-reuse", topo)
         serving = int(rng.integers(count))
         s_pos = topo.site(serving).position
         ang = 2 * math.pi * rng.random()

@@ -490,6 +490,8 @@ class Ch7QueueParams:
             raise ValueError("require M <= N")
         if not 0 <= self.l_states <= self.s_states:
             raise ValueError("require 0 <= L <= S")
+        if self.n_states + self.s_states < 1:
+            raise ValueError("require N + S >= 1")
         if min(self.lam_new_voice, self.lam_new_unicast,
                self.lam_new_background, self.lam_hand) < 0:
             raise ValueError("arrival rates must be >= 0")

@@ -1,12 +1,13 @@
-"""Propagation, fading, SIR, outage probability, and Shannon throughput.
+"""Propagation, SIR, outage probability, and Shannon throughput.
 
-Link model: P_R = P_T * P0 * d^-eta * xi * Z, attenuated a further
-wall_loss_db per wall.  xi is log-normal shadowing (disabled on the serving
-femto link, where slow fading is negligible indoors), Z is exponential
-Rayleigh-power fast fading.  The macro-interference constants are anchored to
-a 900 MHz urban Hata evaluation at the 200 m reference range; the femto
-constants to free-space at 1 m.  All of them are scenario-overridable --
-experiment checks assert scheme orderings, not absolute levels.
+Link model: mean-path power P_R = P_T * P0 * d^-eta, attenuated a further
+wall_loss_db per wall; every SIR report is on these mean paths.  Rayleigh
+fading enters only the outage probability, as a unit-mean exponential power
+factor Z on the serving link (closed form and Monte Carlo).  The
+macro-interference constants are anchored to a 900 MHz urban Hata evaluation
+at the 200 m reference range; the femto constants to free-space at 1 m.  All
+of them are scenario-overridable -- experiment checks assert scheme
+orderings, not absolute levels.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import spectrum as spec_mod
 from . import topology as topo_mod
 from .spectrum import SpectrumPlan, bands_overlap
 from .topology import CellTopology, DegenerateGeometryError
@@ -42,26 +42,20 @@ _FEMTO_INTERCEPT_DB = 31.5
 
 @dataclass(frozen=True)
 class PropagationParams:
-    carrier_hz: float = 900e6
     p0_macro: float = db_to_linear(-(_MACRO_ANCHOR_PL_DB - 10.0 * _DEFAULT_ETA_MACRO * math.log10(_MACRO_ANCHOR_M)))
     p0_femto: float = db_to_linear(-_FEMTO_INTERCEPT_DB)
     path_loss_exp_serving: float = 2.0      # inside the serving home
     path_loss_exp_femto_interf: float = 3.0  # between homes
     path_loss_exp_macro_interf: float = _DEFAULT_ETA_MACRO
-    shadow_sigma_db_macro: float = 8.0
-    shadow_sigma_db_femto: float = 4.0
     wall_loss_db: float = 20.0
     tx_power_macro_w: float = 1500.0
     tx_power_femto_w: float = 0.01
-    serving_shadowing: bool = False
     sir_cap_db: float = 30.0
 
     def __post_init__(self):
         if min(self.path_loss_exp_serving, self.path_loss_exp_femto_interf,
                self.path_loss_exp_macro_interf) < 2.0:
             raise ValueError("path loss exponents must be >= 2")
-        if min(self.shadow_sigma_db_macro, self.shadow_sigma_db_femto) < 0:
-            raise ValueError("shadow sigmas must be >= 0")
         if self.wall_loss_db < 0:
             raise ValueError("wall loss must be >= 0")
         if min(self.tx_power_macro_w, self.tx_power_femto_w) <= 0:
@@ -73,13 +67,11 @@ class LinkBudget:
     tx_power_w: float
     distance_m: float
     walls: int = 0
-    shadowing: float = 1.0  # linear xi sample
-    fast_fade: float = 1.0  # linear Z sample
 
     def __post_init__(self):
         if self.tx_power_w <= 0:
             raise ValueError("tx power must be positive")
-        if self.distance_m < 0 or self.fast_fade < 0 or self.shadowing <= 0:
+        if self.distance_m < 0:
             raise ValueError("bad link budget")
 
 
@@ -120,7 +112,7 @@ def received_power(
     tier: str,
     serving: bool = False,
 ) -> float:
-    """P_T * P0 * d^-eta * xi * Z with wall attenuation, in watts."""
+    """P_T * P0 * d^-eta with wall attenuation, in watts."""
     if link.distance_m == 0:
         raise DegenerateGeometryError("zero-length link")
     if tier == "macro":
@@ -130,8 +122,8 @@ def received_power(
         eta = params.path_loss_exp_serving if serving else params.path_loss_exp_femto_interf
     else:
         raise ValueError(f"unknown tier {tier!r}")
-    return link_power(link.tx_power_w, p0, link.distance_m, eta, link.shadowing,
-                      link.fast_fade, wall_attenuation(params.wall_loss_db, link.walls))
+    return link_power(link.tx_power_w, p0, link.distance_m, eta,
+                      wall_attenuation(params.wall_loss_db, link.walls))
 
 
 def wall_attenuation(wall_loss_db: float, walls: int) -> float:
@@ -140,22 +132,12 @@ def wall_attenuation(wall_loss_db: float, walls: int) -> float:
 
 
 def link_power(tx_power_w: float, p0: float, distance_m: float, eta: float,
-               shadowing: float, fast_fade: float, wall_att: float) -> float:
-    """P_T * P0 * d^-eta * xi * Z * wall_att on plain floats, in watts.
+               wall_att: float) -> float:
+    """P_T * P0 * d^-eta * wall_att on plain floats, in watts.
 
     The one place the link formula is written; callers that already hold
     the tier constants (the RSSI scan) call it directly."""
-    return tx_power_w * p0 * distance_m ** (-eta) * shadowing * fast_fade * wall_att
-
-
-def _shadow_sample(rng, sigma_db: float) -> float:
-    if rng is None or sigma_db == 0.0:
-        return 1.0
-    return db_to_linear(rng.normal(0.0, sigma_db))
-
-
-def _fade_sample(rng) -> float:
-    return 1.0 if rng is None else rng.exponential(1.0)
+    return tx_power_w * p0 * distance_m ** (-eta) * wall_att
 
 
 def sir(
@@ -164,10 +146,9 @@ def sir(
     ue_xy,
     serving: int,
     params: PropagationParams | None = None,
-    rng: np.random.Generator | None = None,
     macro_tiers: str = "all",
 ) -> SirReport:
-    """SIR report for a femtocell user.
+    """Mean-path SIR report for a femtocell user.
 
     Interference is summed over the serving FAP's neighbor femtocells and
     over the macro BSs, counting a source only when its band toward the UE
@@ -175,8 +156,7 @@ def sir(
     first-tier ring; "reference" keeps only the overlaid macro BS (used by
     the mid-cell measurement protocol, where the ring sits several cell
     radii away and its contribution is negligible next to any in-band
-    source).  With rng=None all fading terms are 1 (deterministic
-    mean-path report).
+    source).
     """
     params = params or PropagationParams()
     topo.site(serving)
@@ -185,14 +165,8 @@ def sir(
                    else topo.macro_sites[:1])
 
     d0 = topo_mod.distance(topo, serving, tuple(ue_xy))
-    z0 = _fade_sample(rng)
-    xi0 = _shadow_sample(rng, params.shadow_sigma_db_femto) if params.serving_shadowing else 1.0
     signal = received_power(
-        params,
-        LinkBudget(params.tx_power_femto_w, d0, walls=0, shadowing=xi0, fast_fade=z0),
-        "femto",
-        serving=True,
-    )
+        params, LinkBudget(params.tx_power_femto_w, d0), "femto", serving=True)
 
     per_source = []
     i_f = 0.0
@@ -204,13 +178,7 @@ def sir(
         d = topo_mod.distance(topo, nid, tuple(ue_xy))
         p = received_power(
             params,
-            LinkBudget(
-                params.tx_power_femto_w,
-                d,
-                walls=topo.walls_between(serving, nid),
-                shadowing=_shadow_sample(rng, params.shadow_sigma_db_femto),
-                fast_fade=_fade_sample(rng),
-            ),
+            LinkBudget(params.tx_power_femto_w, d, walls=topo.walls_between(serving, nid)),
             "femto",
         )
         i_f += p
@@ -223,13 +191,7 @@ def sir(
         d = topo_mod.distance(topo, site, tuple(ue_xy))
         p = received_power(
             params,
-            LinkBudget(
-                params.tx_power_macro_w,
-                d,
-                walls=topo.macro_ue_walls,
-                shadowing=_shadow_sample(rng, params.shadow_sigma_db_macro),
-                fast_fade=_fade_sample(rng),
-            ),
+            LinkBudget(params.tx_power_macro_w, d, walls=topo.macro_ue_walls),
             "macro",
         )
         i_m += p
@@ -265,32 +227,22 @@ def outage_probability_mc(
     trials: int,
     seed: int,
     params: PropagationParams | None = None,
-    resample_interference: bool = False,
 ) -> tuple[float, float]:
     """Monte-Carlo outage estimate with binomial standard error.
 
-    By default interference is held at its mean-path value and only the
-    serving link's fast fade is drawn, matching the closed form's
-    conditioning; resample_interference=True redraws all fading per trial.
+    Interference is held at its mean-path value and only the serving link's
+    fast fade is drawn, matching the closed form's conditioning.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     params = params or PropagationParams()
     rng = np.random.default_rng(np.random.SeedSequence(seed))
 
-    if not resample_interference:
-        base = sir(topo, plan, ue_xy, serving, params, rng=None)
-        if base.interference_free:
-            return 0.0, 0.0
-        z = rng.exponential(1.0, size=trials)
-        outages = int(np.sum(base.signal_w * z < gamma_linear * base.total_interference_w))
-    else:
-        outages = 0
-        for _ in range(trials):
-            rep = sir(topo, plan, ue_xy, serving, params, rng=rng)
-            if not rep.interference_free and rep.sir_linear < gamma_linear:
-                outages += 1
-
+    base = sir(topo, plan, ue_xy, serving, params)
+    if base.interference_free:
+        return 0.0, 0.0
+    z = rng.exponential(1.0, size=trials)
+    outages = int(np.sum(base.signal_w * z < gamma_linear * base.total_interference_w))
     p = outages / trials
     return p, math.sqrt(max(p * (1.0 - p), 1e-12) / trials)
 

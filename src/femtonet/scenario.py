@@ -27,14 +27,6 @@ class ScenarioError(ValueError):
         self.column = column
 
 
-def _parse_bool(text: str) -> bool:
-    if text in ("true", "yes", "on"):
-        return True
-    if text in ("false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
-
-
 def _parse_float_list(text: str) -> tuple[float, ...]:
     return tuple(float(tok) for tok in text.split(",") if tok.strip())
 
@@ -205,8 +197,7 @@ def _apply_preset(values: dict, preset_name: str, line: int, path) -> None:
     for key, value in preset.items():
         bound = _PRESET_BINDINGS.get(key)
         if bound is not None:
-            values[bound] = SCENARIO_KEYS[bound][0](value) \
-                if not isinstance(value, (tuple, list)) else value
+            values[bound] = SCENARIO_KEYS[bound][0](value)
     values["preset"] = preset_name
 
 
@@ -223,11 +214,8 @@ def parse_assignment(text: str, line_no: int = 0, path=None) -> tuple[str, objec
     if key not in SCENARIO_KEYS:
         raise ScenarioError(f"unknown key {key!r}", line_no,
                             text.index(key) + 1, path)
-    ctor = SCENARIO_KEYS[key][0]
     try:
-        if ctor is bool:
-            return key, _parse_bool(raw)
-        return key, ctor(raw)
+        return key, SCENARIO_KEYS[key][0](raw)
     except ValueError as exc:
         raise ScenarioError(f"bad value for {key}: {exc}", line_no,
                             text.index("=") + 2, path) from None

@@ -126,7 +126,6 @@ class SpectrumPlan:
     partition: BandPartition
     macro_assignment: dict[int, str]
     femto_assignment: dict[int, FemtoBandAssignment]
-    femto_band_label: str = "Bf"  # dedicated/sub only
     femto_fraction: float = DEFAULT_FEMTO_FRACTION
     edge_fraction: float = DEFAULT_EDGE_FRACTION
     radius_of: dict[int, float] = field(default_factory=dict)

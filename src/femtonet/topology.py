@@ -42,7 +42,6 @@ class MacroGeometry:
     femto_radius_m: float = DEFAULT_FEMTO_RADIUS
     neighbor_threshold_m: float = DEFAULT_NEIGHBOR_THRESHOLD
     min_separation_m: float = DEFAULT_MIN_SEPARATION
-    cluster_size: int = 3
     # wall counts used by the propagation model; both scenario-configurable
     macro_ue_walls: int = 1
     inter_femto_walls: int = 1
@@ -75,7 +74,6 @@ class CellTopology:
     macro_sites: list[tuple[float, float]]
     femtocells: list[FemtoSite]
     neighbor_threshold_m: float = DEFAULT_NEIGHBOR_THRESHOLD
-    cluster_size: int = 3
     macro_ue_walls: int = 1
     inter_femto_walls: int = 1
 
@@ -162,15 +160,14 @@ def place_femtocells(
     seed: int,
     count: int,
     macro: MacroGeometry | None = None,
-    closed_access_fraction: float = 0.0,
-    pin_reference_fap: bool = True,
 ) -> CellTopology:
-    """Drop `count` FAPs uniformly inside the reference macrocell disc.
+    """Drop `count` open-access FAPs uniformly inside the reference macrocell
+    disc.
 
     Positions closer than the minimum separation to an existing FAP are
     rejected and redrawn, so the same (seed, params) always yields the same
-    topology.  When `pin_reference_fap` is set, femtocell 0 is placed at the
-    fixed reference range from the BS instead of being sampled.
+    topology.  Femtocell 0 is placed at the fixed reference range from the
+    BS instead of being sampled.
 
     Raises PlacementInfeasibleError when the disc cannot hold `count` sites
     at the requested separation.
@@ -192,7 +189,7 @@ def place_femtocells(
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     buf = np.empty((count, 2)) if count else np.zeros((0, 2))
     placed = 0
-    if count > 0 and pin_reference_fap:
+    if count > 0:
         buf[0] = (REFERENCE_FAP_DISTANCE, 0.0)
         placed = 1
 
@@ -213,12 +210,7 @@ def place_femtocells(
             continue
         buf[placed] = (x, y)
         placed += 1
-    positions = [tuple(row) for row in buf[:count]]
-
-    femtos = []
-    for i, p in enumerate(positions):
-        mode = "closed" if rng.random() < closed_access_fraction else "open"
-        femtos.append(FemtoSite(id=i, position=p, access_mode=mode))
+    femtos = [FemtoSite(id=i, position=tuple(row)) for i, row in enumerate(buf)]
 
     return CellTopology(
         macro_radius_m=macro.macro_radius_m,
@@ -226,7 +218,6 @@ def place_femtocells(
         macro_sites=[(0.0, 0.0)] + first_tier_ring(macro.macro_radius_m),
         femtocells=femtos,
         neighbor_threshold_m=macro.neighbor_threshold_m,
-        cluster_size=macro.cluster_size,
         macro_ue_walls=macro.macro_ue_walls,
         inter_femto_walls=macro.inter_femto_walls,
     )

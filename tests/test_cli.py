@@ -1,8 +1,22 @@
 import os
+import subprocess
+import sys
 
 import pytest
 
+import femtonet
 from femtonet.cli import EXIT_INPUT_ERROR, EXIT_OK, main
+
+FIG8_SMALL = ["--trials", "3", "--set", "sweep.session_counts = 20"]
+
+
+def _femtonet(*argv):
+    """Run the CLI in a fresh interpreter, so an uncaught error shows as a
+    traceback on stderr."""
+    src = os.path.dirname(os.path.dirname(femtonet.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    return subprocess.run([sys.executable, "-m", "femtonet.cli", *argv],
+                          capture_output=True, text=True, env=env)
 
 
 def test_list(capsys):
@@ -90,3 +104,22 @@ def test_run_plot_script_format(tmp_path, capsys):
     assert code == EXIT_OK
     out = capsys.readouterr().out
     assert ".csv" in out and ".gnuplot" in out
+
+
+def test_run_out_names_a_file_is_input_error(tmp_path):
+    blocker = tmp_path / "taken"
+    blocker.write_text("")
+    proc = _femtonet("run", "fig8-popularity", *FIG8_SMALL, "--out", str(blocker))
+    assert proc.returncode == EXIT_INPUT_ERROR
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
+
+
+def test_emit_out_names_a_file_is_input_error(tmp_path):
+    assert main(["run", "fig8-popularity", *FIG8_SMALL, "--out", str(tmp_path)]) == EXIT_OK
+    blocker = tmp_path / "taken"
+    blocker.write_text("")
+    proc = _femtonet("emit", str(tmp_path / "fig8-popularity.csv"), "--out", str(blocker))
+    assert proc.returncode == EXIT_INPUT_ERROR
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr

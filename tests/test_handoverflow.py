@@ -12,10 +12,7 @@ from femtonet.handoverflow import (
     OUTCOME_REJECTED_CAC,
     TEMPLATES,
     HookTimeout,
-    run_femto_to_femto,
-    run_femto_to_macro,
     run_flow,
-    run_macro_to_femto,
     validate_trace,
 )
 
@@ -32,14 +29,14 @@ def test_templates_numbered_consecutively():
 
 
 def test_femto_to_macro_accept():
-    trace = run_femto_to_macro({"cac": lambda: True})
+    trace = run_flow("femto-to-macro", {"cac": lambda: True})
     assert trace.outcome == OUTCOME_COMPLETED
     assert len(trace.steps) == 33
     validate_trace(trace)
 
 
 def test_femto_to_macro_cac_reject_truncates():
-    trace = run_femto_to_macro({"cac": lambda: False})
+    trace = run_flow("femto-to-macro", {"cac": lambda: False})
     assert trace.outcome == OUTCOME_REJECTED_CAC
     assert max(trace.numbers()) < 17  # no link establishment
     assert 12 in trace.numbers() and 16 in trace.numbers()
@@ -57,7 +54,7 @@ def test_forwarding_before_detach_all_branches():
 
 
 def test_macro_to_femto_authorized_admitted():
-    trace = run_macro_to_femto({"authorize": lambda: True, "cac": lambda: True})
+    trace = run_flow("macro-to-femto", {"authorize": lambda: True, "cac": lambda: True})
     assert trace.outcome == OUTCOME_COMPLETED
     assert len(trace.steps) == 34
     # packets forwarded to the UE through the FAP
@@ -67,7 +64,7 @@ def test_macro_to_femto_authorized_admitted():
 
 
 def test_macro_to_femto_unauthorized_stops_at_12():
-    trace = run_macro_to_femto({"authorize": lambda: False})
+    trace = run_flow("macro-to-femto", {"authorize": lambda: False})
     assert trace.outcome == OUTCOME_REJECTED_AUTH
     assert max(trace.numbers()) == 12
     assert all(s.gate != "cac" for s in trace.steps)
@@ -75,7 +72,7 @@ def test_macro_to_femto_unauthorized_stops_at_12():
 
 
 def test_macro_to_femto_cleanup_after_complete():
-    trace = run_macro_to_femto()
+    trace = run_flow("macro-to-femto")
     complete = [s.number for s in trace.steps if s.kind == "handover-complete"]
     delete = [s.number for s in trace.steps if s.kind.startswith("delete-old-link")]
     assert complete == [29, 30, 31]
@@ -84,14 +81,14 @@ def test_macro_to_femto_cleanup_after_complete():
 
 
 def test_femto_to_femto_accept():
-    trace = run_femto_to_femto()
+    trace = run_flow("femto-to-femto")
     assert trace.outcome == OUTCOME_COMPLETED
     assert len(trace.steps) == 29
     validate_trace(trace)
 
 
 def test_femto_to_femto_cac_reject():
-    trace = run_femto_to_femto({"cac": lambda: False})
+    trace = run_flow("femto-to-femto", {"cac": lambda: False})
     assert trace.outcome == OUTCOME_REJECTED_CAC
     assert trace.first("link-setup-request") == -1
     validate_trace(trace)
@@ -117,7 +114,7 @@ def test_hook_timeout_aborts():
     def boom():
         raise HookTimeout("no answer from CAC")
 
-    trace = run_femto_to_macro({"cac": boom})
+    trace = run_flow("femto-to-macro", {"cac": boom})
     assert trace.outcome == OUTCOME_ABORTED
     assert "step 12" in trace.diagnostic
 
@@ -139,7 +136,7 @@ def test_exhaustive_branch_enumeration_invariants():
 
 
 def test_trace_exports():
-    trace = run_femto_to_femto()
+    trace = run_flow("femto-to-femto")
     rows = trace.to_csv_rows()
     assert rows[0] == (1, "UE", "S-FAP", "measurement-report")
     log = trace.to_log()

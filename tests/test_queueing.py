@@ -365,6 +365,12 @@ def test_ch7_rejects_negative_rate(kw):
         solve_ch7(_ch7(**kw))
 
 
+def test_ch7_rejects_empty_chain():
+    # N = S = 0 leaves no state above the sessions to normalize over
+    with pytest.raises(ValueError, match="N \\+ S"):
+        Ch7QueueParams(0, 0, 0, 0, 0.1, 0.1, 0.1, 0.1, 1 / 120.0)
+
+
 def test_forced_termination_probability():
     assert forced_termination_probability(0.5, 0.0) == 0.0
     assert forced_termination_probability(0.5, 1.0) == pytest.approx(0.5)
