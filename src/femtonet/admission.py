@@ -212,6 +212,13 @@ def _degradation_list(before: CellLoadState, after: CellLoadState):
     return tuple(out)
 
 
+def _class_position(state: CellLoadState, class_index: int) -> int:
+    for pos, c in enumerate(state.classes):
+        if c.index == class_index:
+            return pos
+    raise ValueError(f"no traffic class with index {class_index!r} in this cell")
+
+
 def admit_ch6(state: CellLoadState, class_index: int, kind: str) -> AdmissionDecision:
     """Bandwidth-adaptive CAC for one cell.
 
@@ -222,7 +229,7 @@ def admit_ch6(state: CellLoadState, class_index: int, kind: str) -> AdmissionDec
     """
     if kind not in ("new", "handover"):
         raise ValueError(f"bad call kind {kind!r}")
-    pos = next(i for i, c in enumerate(state.classes) if c.index == class_index)
+    pos = _class_position(state, class_index)
     cls = state.classes[pos]
 
     if kind == "new":
@@ -292,7 +299,7 @@ def admit_new_call(
             femto_state.admit()
             return AdmissionDecision("accept-femto", "snir-above-t2")
 
-    pos = next(i for i, c in enumerate(macro_state.classes) if c.index == class_index)
+    pos = _class_position(macro_state, class_index)
     cls = macro_state.classes[pos]
     free = macro_state.capacity - macro_state.occupied
     if cls.requested_bw <= free + CONSERVATION_TOL:
@@ -322,28 +329,23 @@ def admit_macro_to_femto(
 
 
 def _macro_handover_admit(
-    macro_state: CellLoadState, class_index: int, allow_degradation: bool
+    macro_state: CellLoadState, class_index: int
 ) -> AdmissionDecision | None:
-    """Try the macrocell for a handover call; None when it cannot fit."""
-    pos = next(i for i, c in enumerate(macro_state.classes) if c.index == class_index)
+    """Try the macrocell for a handover call, degrading its adaptive calls
+    if need be; None when it cannot fit.  A call that fits the free
+    bandwidth at its full rate also fits free plus releasable at its floor."""
+    pos = _class_position(macro_state, class_index)
     cls = macro_state.classes[pos]
     free = macro_state.capacity - macro_state.occupied
-    if cls.requested_bw <= free + CONSERVATION_TOL:
-        after = macro_state.copy()
-        after.counts[pos] += 1
-        after = rebalance(after)
-        return AdmissionDecision("accept-macro", "fits-free",
-                                 _degradation_list(macro_state, after), after)
-    if not allow_degradation:
-        return None
     req = required_bw(cls, "handover")
-    if req <= free + releasable(macro_state, "handover") + CONSERVATION_TOL:
-        after = macro_state.copy()
-        after.counts[pos] += 1
-        after = rebalance(after)
-        return AdmissionDecision("accept-macro", "degraded-release",
-                                 _degradation_list(macro_state, after), after)
-    return None
+    if req > free + releasable(macro_state, "handover") + CONSERVATION_TOL:
+        return None
+    after = macro_state.copy()
+    after.counts[pos] += 1
+    after = rebalance(after)
+    reason = "fits-free" if cls.requested_bw <= free + CONSERVATION_TOL else "degraded-release"
+    return AdmissionDecision("accept-macro", reason,
+                             _degradation_list(macro_state, after), after)
 
 
 def admit_from_femto(
@@ -366,12 +368,12 @@ def admit_from_femto(
         if femto_state.has_room():
             femto_state.admit()
             return AdmissionDecision("accept-femto", "snir-above-t2")
-        d = _macro_handover_admit(macro_state, class_index, allow_degradation=True)
+        d = _macro_handover_admit(macro_state, class_index)
         return d or AdmissionDecision("drop", "femto-full-macro-exhausted",
                                       (), macro_state)
 
     if have_fap and thresholds.t1_db <= snir_tf_db < thresholds.t2_db:
-        d = _macro_handover_admit(macro_state, class_index, allow_degradation=True)
+        d = _macro_handover_admit(macro_state, class_index)
         if d is not None:
             return d
         if femto_state.has_room():
@@ -380,7 +382,7 @@ def admit_from_femto(
         return AdmissionDecision("drop", "no-resource-between-thresholds",
                                  (), macro_state)
 
-    d = _macro_handover_admit(macro_state, class_index, allow_degradation=True)
+    d = _macro_handover_admit(macro_state, class_index)
     return d or AdmissionDecision("drop", "below-t1-macro-exhausted", (), macro_state)
 
 

@@ -158,6 +158,8 @@ def sir(
     radii away and its contribution is negligible next to any in-band
     source).
     """
+    if macro_tiers not in ("all", "reference"):
+        raise ValueError(f"macro_tiers must be 'all' or 'reference', not {macro_tiers!r}")
     params = params or PropagationParams()
     topo.site(serving)
     serving_band = plan.band_for_link(serving, ue_xy, topo)

@@ -6,6 +6,9 @@ from Bm2 (femtocell centers) and Bm3 (femtocell edges).  Under dynamic reuse
 the edge spectrum Bm3 is subdivided two ways -- into halves B4/B5 and thirds
 B1/B2/B3 -- and edge bands are auto-assigned so that interfering femtocells
 never hold the same edge band.
+
+`SpectrumPlan.interferers` is the one interference relation; each dynamic-reuse
+configuration step reads a FAP's list once and hands it to the helpers.
 """
 
 from __future__ import annotations
@@ -111,7 +114,6 @@ class BandPartition:
 class FemtoBandAssignment:
     center_label: str
     edge_label: str | None
-    scheme: str
 
 
 @dataclass
@@ -179,7 +181,8 @@ class SpectrumPlan:
     # -- interference relation -------------------------------------------
 
     def interferers(self, topo: CellTopology, fap_id: int) -> list[int]:
-        """Femtocells within mutual interference range of `fap_id`."""
+        """Femtocells within mutual interference range of `fap_id`: the one
+        interference relation, read once per FAP by each configuration step."""
         d = topo.distances_to(topo.site(fap_id).position)
         r = self.femto_radius(fap_id, topo)
         # no radius exceeds the widest one, so this keeps every interferer
@@ -193,12 +196,6 @@ class SpectrumPlan:
                     * (r + self.femto_radius(other, topo))):
                 hits.append(other)
         return sorted(hits)
-
-    def _interfering(self, topo: CellTopology, a: int, b: int) -> bool:
-        reach = INTERFERENCE_RADIUS_SCALE * (
-            self.femto_radius(a, topo) + self.femto_radius(b, topo)
-        )
-        return topo_mod.distance(topo, a, b) <= reach
 
     def edge_conflicts(self, topo: CellTopology) -> list[tuple[int, int]]:
         """Pairs of interfering femtocells sharing an edge band (should be [])."""
@@ -241,15 +238,15 @@ def build_plan(
     if scheme == "shared":
         plan.macro_assignment = {j: "BT" for j in range(n_macro)}
         for f in topo.femto_ids:
-            plan.femto_assignment[f] = FemtoBandAssignment("BT", None, scheme)
+            plan.femto_assignment[f] = FemtoBandAssignment("BT", None)
     elif scheme == "sub":
         plan.macro_assignment = {j: "BT" for j in range(n_macro)}
         for f in topo.femto_ids:
-            plan.femto_assignment[f] = FemtoBandAssignment("Bf", None, scheme)
+            plan.femto_assignment[f] = FemtoBandAssignment("Bf", None)
     elif scheme == "dedicated":
         plan.macro_assignment = {j: "Bm" for j in range(n_macro)}
         for f in topo.femto_ids:
-            plan.femto_assignment[f] = FemtoBandAssignment("Bf", None, scheme)
+            plan.femto_assignment[f] = FemtoBandAssignment("Bf", None)
     else:
         # reuse schemes: reference macro on Bm1, first tier alternating
         plan.macro_assignment = {0: "Bm1"}
@@ -279,7 +276,7 @@ def _assign_static(plan: SpectrumPlan, topo: CellTopology, seed: int) -> None:
         else:
             pick = ("Bm2", "Bm3")[int(rng.integers(2))]
         picks.append(pick)
-        plan.femto_assignment[site.id] = FemtoBandAssignment(pick, None, "static-reuse")
+        plan.femto_assignment[site.id] = FemtoBandAssignment(pick, None)
 
 
 # ---------------------------------------------------------------------------
@@ -301,25 +298,28 @@ def _free_third(used: set[str]) -> str | None:
     return None
 
 
-def _used_edges(plan: SpectrumPlan, topo: CellTopology, fid: int) -> list[str]:
-    return [
-        _edge_of(plan, i)
-        for i in plan.interferers(topo, fid)
-        if i in plan.femto_assignment and _edge_of(plan, i) is not None
-    ]
+def _used_edges(plan: SpectrumPlan, others: list[int]) -> list[str]:
+    return [_edge_of(plan, i) for i in others if _edge_of(plan, i) is not None]
 
 
-def _labels_exhausted(plan: SpectrumPlan, topo: CellTopology, fid: int) -> bool:
-    return set(_EDGE_LABELS) <= set(_used_edges(plan, topo, fid))
+def _labels_exhausted(plan: SpectrumPlan, others: list[int]) -> bool:
+    return set(_EDGE_LABELS) <= set(_used_edges(plan, others))
 
 
-def _free_label(plan: SpectrumPlan, topo: CellTopology, fid: int) -> str:
-    """First edge label unused by fid's interferers; least-used as last resort."""
-    used = _used_edges(plan, topo, fid)
+def _free_label(plan: SpectrumPlan, others: list[int]) -> str:
+    """First edge label unused by `others`; least-used as last resort."""
+    used = _used_edges(plan, others)
     for lab in _EDGE_LABELS:
         if lab not in used:
             return lab
     return min(_EDGE_LABELS, key=lambda lab: (used.count(lab), _EDGE_LABELS.index(lab)))
+
+
+def _near(plan: SpectrumPlan, topo: CellTopology, fid: int) -> dict[int, list[int]]:
+    """Interferer lists of fid and of each of its interferers.  A list
+    changes only when a radius does; edge-label moves leave it as it is."""
+    interf = plan.interferers(topo, fid)
+    return {fid: interf, **{i: plan.interferers(topo, i) for i in interf}}
 
 
 def configure_new_femto(
@@ -336,29 +336,31 @@ def configure_new_femto(
         raise PlanConfigError("configure_new_femto requires a dynamic-reuse plan")
     topo.site(new_id)
 
-    plan.femto_assignment[new_id] = FemtoBandAssignment("Bm2", None, "dynamic-reuse")
-    interf = plan.interferers(topo, new_id)
+    plan.femto_assignment[new_id] = FemtoBandAssignment("Bm2", None)
+    near = _near(plan, topo, new_id)
 
-    if (_mutual_overlap_count(plan, topo, interf) > 3
-            or _labels_exhausted(plan, topo, new_id)):
+    if (_mutual_overlap_count(near, new_id) > 3
+            or _labels_exhausted(plan, near[new_id])):
         _count_branch(plan, "shrink")
-        interf = _shrink_until_manageable(plan, topo, new_id, interf)
+        near = _shrink_until_manageable(plan, topo, new_id, near)
 
+    interf = near[new_id]
     if len(interf) == 0:
         _count_branch(plan, "0")
         _set_edge(plan, new_id, "Bm3")
     elif len(interf) == 1:
         _count_branch(plan, "1")
-        _configure_one(plan, topo, new_id, interf[0])
+        _configure_one(plan, near, new_id, interf[0])
     elif len(interf) == 2:
         a, b = interf
-        _count_branch(plan, "2" if plan._interfering(topo, a, b) else "2-independent")
-        _configure_two(plan, topo, new_id, interf)
+        mutual = b in near[a]
+        _count_branch(plan, "2" if mutual else "2-independent")
+        _configure_two(plan, near, new_id, mutual)
     else:
         _count_branch(plan, "3")
-        _configure_many(plan, topo, new_id, interf)
+        _configure_many(plan, near, new_id)
 
-    _repair_conflicts(plan, topo, {new_id, *interf})
+    _repair_conflicts(plan, topo, near)
     return plan.femto_assignment[new_id]
 
 
@@ -366,11 +368,12 @@ def _count_branch(plan, label: str) -> None:
     plan.branch_counts[label] = plan.branch_counts.get(label, 0) + 1
 
 
-def _mutual_overlap_count(plan, topo, interf) -> int:
+def _mutual_overlap_count(near, new_id) -> int:
     """Size of the largest set of femtocells that all overlap one another,
     counting the newcomer: the newcomer plus the largest pairwise-interfering
     clique among its interferers.  Greedy lower bound is enough here -- the
     shrink path only needs to know whether more than three cells overlap."""
+    interf = near[new_id]
     if len(interf) < 3:
         return len(interf) + 1
     best = 1
@@ -379,25 +382,24 @@ def _mutual_overlap_count(plan, topo, interf) -> int:
         for cand in interf:
             if cand == anchor:
                 continue
-            if all(plan._interfering(topo, cand, member) for member in clique):
+            if all(member in near[cand] for member in clique):
                 clique.append(cand)
         best = max(best, len(clique))
     return best + 1
 
 
-def _configure_one(plan, topo, new_id, other) -> None:
+def _configure_one(plan, near, new_id, other) -> None:
     e = _edge_of(plan, other)
     if e == "Bm3":
         # the incumbent held the whole edge spectrum; split into halves
         _set_edge(plan, other, "B4")
         _set_edge(plan, new_id, "B5")
     else:
-        _set_edge(plan, new_id, _CYCLIC_EDGE.get(e) or _free_label(plan, topo, new_id))
+        _set_edge(plan, new_id, _CYCLIC_EDGE.get(e) or _free_label(plan, near[new_id]))
 
 
-def _configure_two(plan, topo, new_id, interf) -> None:
-    a, b = interf
-    mutual = plan._interfering(topo, a, b)
+def _configure_two(plan, near, new_id, mutual: bool) -> None:
+    a, b = near[new_id]
     ea, eb = _edge_of(plan, a), _edge_of(plan, b)
     if mutual:
         pair = {ea, eb}
@@ -417,23 +419,24 @@ def _configure_two(plan, topo, new_id, interf) -> None:
             # whole-band incumbent onto a free third, then take one ourselves
             for fid in (a, b):
                 if _edge_of(plan, fid) == "Bm3":
-                    _set_edge(plan, fid, _free_label(plan, topo, fid))
+                    _set_edge(plan, fid, _free_label(plan, near[fid]))
             used = {_edge_of(plan, a), _edge_of(plan, b)}
-            _set_edge(plan, new_id, _free_third(used) or _free_label(plan, topo, new_id))
+            _set_edge(plan, new_id, _free_third(used) or _free_label(plan, near[new_id]))
     else:
         # interferers not in range of each other: single-interferer rule
         # against the first, then verify against the second
-        _configure_one(plan, topo, new_id, a)
+        _configure_one(plan, near, new_id, a)
         if _edge_of(plan, new_id) in (_edge_of(plan, a), _edge_of(plan, b)):
-            _set_edge(plan, new_id, _free_label(plan, topo, new_id))
+            _set_edge(plan, new_id, _free_label(plan, near[new_id]))
 
 
-def _configure_many(plan, topo, new_id, interf) -> None:
+def _configure_many(plan, near, new_id) -> None:
+    interf = near[new_id]
     for fid in interf:
         if _edge_of(plan, fid) == "Bm3":
-            _set_edge(plan, fid, _free_label(plan, topo, fid))
+            _set_edge(plan, fid, _free_label(plan, near[fid]))
     used = {_edge_of(plan, i) for i in interf}
-    _set_edge(plan, new_id, _free_third(used) or _free_label(plan, topo, new_id))
+    _set_edge(plan, new_id, _free_third(used) or _free_label(plan, near[new_id]))
 
 
 def _shrink_one(plan, topo, fid) -> bool:
@@ -446,55 +449,50 @@ def _shrink_one(plan, topo, fid) -> bool:
     return True
 
 
-def _shrink_until_manageable(plan, topo, new_id, interf) -> list[int]:
+def _shrink_until_manageable(plan, topo, new_id, near) -> dict[int, list[int]]:
     """Cell-size re-adjustment: more than three mutually overlapping cells,
-    or no conflict-free edge band left for the newcomer."""
+    or no conflict-free edge band left for the newcomer.  Returns the
+    interferer lists at the final radii."""
     for _ in range(MAX_SHRINK_STEPS):
         progressed = False
-        for fid in (new_id, *interf):
+        for fid in (new_id, *near[new_id]):
             progressed |= _shrink_one(plan, topo, fid)
-        plan.events.append(("shrink", new_id, tuple(interf)))
-        interf = plan.interferers(topo, new_id)
-        if (_mutual_overlap_count(plan, topo, interf) <= 3
-                and not _labels_exhausted(plan, topo, new_id)):
-            return interf
+        plan.events.append(("shrink", new_id, tuple(near[new_id])))
+        near = _near(plan, topo, new_id)
+        if (_mutual_overlap_count(near, new_id) <= 3
+                and not _labels_exhausted(plan, near[new_id])):
+            return near
         if not progressed:
             break
-    plan.events.append(("shrink-failed", new_id, tuple(interf)))
-    return interf
+    plan.events.append(("shrink-failed", new_id, tuple(near[new_id])))
+    return near
 
 
-def _repair_conflicts(plan, topo, touched: set[int]) -> None:
+def _repair_conflicts(plan, topo, near: dict[int, list[int]]) -> None:
     """Clear residual same-edge conflicts among interfering pairs near the
-    touched set (reassignments may collide with an unexamined third party).
-    When a conflicted cell has no free band left, it shrinks step by step,
-    per the automatic cell-size re-adjustment."""
-    frontier = set(touched)
+    cells keyed in `near` (reassignments may collide with an unexamined third
+    party).  When a conflicted cell has no free band left, it shrinks step by
+    step, per the automatic cell-size re-adjustment; `near` is then re-taken."""
     for _ in range(8 * (MAX_SHRINK_STEPS + 1)):
-        conflicts = []
-        for fid in sorted(frontier):
-            if fid not in plan.femto_assignment:
-                continue
-            for other in plan.interferers(topo, fid):
-                if other in plan.femto_assignment and _edge_of(plan, other) == _edge_of(plan, fid):
-                    conflicts.append(max(fid, other))
+        conflicts = [max(fid, other) for fid in sorted(near) for other in near[fid]
+                     if _edge_of(plan, other) == _edge_of(plan, fid)]
         if not conflicts:
             return
         loser = max(conflicts)
-        if _labels_exhausted(plan, topo, loser):
+        if loser not in near:
+            near[loser] = plan.interferers(topo, loser)
+        if _labels_exhausted(plan, near[loser]):
             shrunk = _shrink_one(plan, topo, loser)
             for nid in plan.interferers(topo, loser):
                 shrunk |= _shrink_one(plan, topo, nid)
             plan.events.append(("shrink", loser, ()))
-            if not shrunk:
+            if shrunk:
+                near = {f: plan.interferers(topo, f) for f in near}
+            else:
                 plan.events.append(("repair-exhausted", (loser,)))
-                _set_edge(plan, loser, _free_label(plan, topo, loser))
-                frontier.add(loser)
-                continue
-        _set_edge(plan, loser, _free_label(plan, topo, loser))
-        frontier.add(loser)
+        _set_edge(plan, loser, _free_label(plan, near[loser]))
     if plan.edge_conflicts(topo):
-        plan.events.append(("repair-exhausted", tuple(sorted(frontier))))
+        plan.events.append(("repair-exhausted", tuple(sorted(near))))
 
 
 def remove_femto(plan: SpectrumPlan, topo: CellTopology, fap_id: int) -> SpectrumPlan:
@@ -509,7 +507,7 @@ def remove_femto(plan: SpectrumPlan, topo: CellTopology, fap_id: int) -> Spectru
     del plan.femto_assignment[fap_id]
     plan.radius_of.pop(fap_id, None)
     if former:
-        _repair_conflicts(plan, topo, set(former))
+        _repair_conflicts(plan, topo, {f: plan.interferers(topo, f) for f in former})
     return plan
 
 
@@ -553,13 +551,12 @@ def plan_from_text(text: str) -> SpectrumPlan:
             macro[int(key[6:])] = value
         elif key.startswith("femto."):
             center, _, edge = value.partition(",")
-            femto[int(key[6:])] = FemtoBandAssignment(
-                center, None if edge == "-" else edge, fields.get("scheme", ""))
+            femto[int(key[6:])] = FemtoBandAssignment(center, None if edge == "-" else edge)
         elif key.startswith("radius."):
             radius[int(key[7:])] = float(value)
         else:
             fields[key] = value
-    plan = SpectrumPlan(
+    return SpectrumPlan(
         scheme=fields["scheme"],
         partition=BandPartition(float(fields["total_hz"])),
         macro_assignment=macro,
@@ -568,9 +565,6 @@ def plan_from_text(text: str) -> SpectrumPlan:
         edge_fraction=float(fields.get("edge_fraction", DEFAULT_EDGE_FRACTION)),
         radius_of=radius,
     )
-    for a in plan.femto_assignment.values():
-        a.scheme = plan.scheme
-    return plan
 
 
 # ---------------------------------------------------------------------------

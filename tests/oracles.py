@@ -61,13 +61,25 @@ def greedy_layer_packing(budget, sessions):
     return layers
 
 
+def interfering(plan, topo, a, b):
+    """The interference relation for one pair by a scalar distance: the
+    two cells reach each other within INTERFERENCE_RADIUS_SCALE times the
+    sum of their radii."""
+    from femtonet.spectrum import INTERFERENCE_RADIUS_SCALE
+    from femtonet.topology import distance
+
+    reach = INTERFERENCE_RADIUS_SCALE * (
+        plan.femto_radius(a, topo) + plan.femto_radius(b, topo))
+    return distance(topo, a, b) <= reach
+
+
 def pairwise_edge_conflicts(plan, topo):
     """Exhaustive O(n^2) scan for interfering pairs sharing an edge band."""
     ids = sorted(plan.femto_assignment)
     bad = []
     for i, a in enumerate(ids):
         for b in ids[i + 1:]:
-            if plan._interfering(topo, a, b):
+            if interfering(plan, topo, a, b):
                 ea = plan.femto_assignment[a].edge_label
                 eb = plan.femto_assignment[b].edge_label
                 if ea == eb:
@@ -97,7 +109,7 @@ def static_reuse_labels(topo, seed):
 def brute_interferers(plan, topo, fap_id):
     """Assigned FAPs in interference range of fap_id, one scalar test each."""
     return [f for f in sorted(plan.femto_assignment)
-            if f != fap_id and plan._interfering(topo, fap_id, f)]
+            if f != fap_id and interfering(plan, topo, fap_id, f)]
 
 
 def brute_neighbors(topo, fap_id):

@@ -13,7 +13,6 @@ import pytest
 
 from oracles import balance_equation_solve, erlang_b_direct, greedy_layer_packing
 
-from femtonet import des as des_mod
 from femtonet import handoverflow as hf
 from femtonet import neighborlist as nl
 from femtonet import queueing as q

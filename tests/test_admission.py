@@ -297,6 +297,16 @@ def test_ch5_never_degrades_for_new_calls():
     assert not d.degradations
 
 
+def test_unknown_class_index_is_value_error():
+    thr = SnirThresholds()
+    with pytest.raises(ValueError, match="99"):
+        admit_ch6(make_state(1000.0, [VOICE, VIDEO]), 99, "new")
+    with pytest.raises(ValueError, match="99"):
+        admit_new_call(False, None, thr, None, _macro_51([0, 0]), 99)
+    with pytest.raises(ValueError, match="99"):
+        admit_from_femto(None, thr, None, _macro_51([0, 0]), 99)
+
+
 @given(st.integers(0, 5), st.integers(0, 5), st.integers(0, 5))
 @settings(max_examples=60, deadline=None)
 def test_admit_keeps_invariants(n1, n4, n7):

@@ -77,8 +77,8 @@ def test_same_frequency_pruning_dynamic():
     # sharing the serving band is pruned, then recovered only via location
     topo = _grid_topo([(0.0, 0.0), (15.0, 0.0), (200.0, 0.0)])
     plan = build_plan("dynamic-reuse", topo)
-    plan.femto_assignment[1] = FemtoBandAssignment("Bm2", "B4", "dynamic-reuse")
-    plan.femto_assignment[0] = FemtoBandAssignment("Bm2", "B4", "dynamic-reuse")
+    plan.femto_assignment[1] = FemtoBandAssignment("Bm2", "B4")
+    plan.femto_assignment[0] = FemtoBandAssignment("Bm2", "B4")
     assert shares_frequency(plan, 1, 0)
     scan = RssiScan({1: -60.0}, serving=0)
     out = build_list_from_femto(scan, plan, topo, 0, d_max_m=40.0, ue_xy=(5.0, 0.0))

@@ -124,6 +124,17 @@ def test_shared_band_sums_all_sources_brute_force():
     assert rep.sir_linear == pytest.approx(rep.signal_w / (exp_f + exp_m), rel=1e-12)
 
 
+def test_sir_macro_tiers_must_be_all_or_reference():
+    topo = place_femtocells(seed=3, count=20)
+    plan = build_plan("shared", topo)
+    x, y = topo.site(0).position
+    ue = (x + 2.0, y)
+    assert len(sir(topo, plan, ue, 0, macro_tiers="all").per_source) > len(
+        sir(topo, plan, ue, 0, macro_tiers="reference").per_source)
+    with pytest.raises(ValueError, match="macro_tiers"):
+        sir(topo, plan, ue, 0, macro_tiers="bogus")
+
+
 def test_sir_unknown_serving():
     topo = _manual_topo([(200.0, 0.0)])
     plan = build_plan("shared", topo)

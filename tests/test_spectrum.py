@@ -2,12 +2,14 @@ import itertools
 
 import numpy as np
 import pytest
+from oracles import interfering
 
 from femtonet.spectrum import (
     Band,
     BandPartition,
     FemtoBandAssignment,
     PlanConfigError,
+    SpectrumPlan,
     bands_overlap,
     build_plan,
     configure_new_femto,
@@ -139,7 +141,7 @@ def test_configure_one_interferer_cyclic_table():
         topo = _manual_topo([(0.0, 0.0), (30.0, 0.0)])
         plan = build_plan("dynamic-reuse", _manual_topo([]))
         plan.femto_assignment.clear()
-        plan.femto_assignment[0] = FemtoBandAssignment("Bm2", incumbent, "dynamic-reuse")
+        plan.femto_assignment[0] = FemtoBandAssignment("Bm2", incumbent)
         got = configure_new_femto(plan, topo, 1)
         assert got.center_label == "Bm2"
         assert got.edge_label == expected
@@ -158,8 +160,8 @@ def test_configure_two_interferers_b4_b5_reassignment():
     topo = _manual_topo([(0.0, 0.0), (30.0, 0.0), (15.0, 20.0)])
     plan = build_plan("dynamic-reuse", _manual_topo([]))
     plan.femto_assignment.clear()
-    plan.femto_assignment[0] = FemtoBandAssignment("Bm2", "B4", "dynamic-reuse")
-    plan.femto_assignment[1] = FemtoBandAssignment("Bm2", "B5", "dynamic-reuse")
+    plan.femto_assignment[0] = FemtoBandAssignment("Bm2", "B4")
+    plan.femto_assignment[1] = FemtoBandAssignment("Bm2", "B5")
     got = configure_new_femto(plan, topo, 2)
     assert got.edge_label == "B3"
     assert plan.femto_assignment[0].edge_label == "B1"
@@ -172,8 +174,8 @@ def test_configure_two_interferers_third_pairs():
         topo = _manual_topo([(0.0, 0.0), (30.0, 0.0), (15.0, 20.0)])
         plan = build_plan("dynamic-reuse", _manual_topo([]))
         plan.femto_assignment.clear()
-        plan.femto_assignment[0] = FemtoBandAssignment("Bm2", pair[0], "dynamic-reuse")
-        plan.femto_assignment[1] = FemtoBandAssignment("Bm2", pair[1], "dynamic-reuse")
+        plan.femto_assignment[0] = FemtoBandAssignment("Bm2", pair[0])
+        plan.femto_assignment[1] = FemtoBandAssignment("Bm2", pair[1])
         got = configure_new_femto(plan, topo, 2)
         assert got.edge_label == expected
         assert plan.edge_conflicts(topo) == []
@@ -196,13 +198,31 @@ def test_more_than_three_interferers_shrinks():
     assert any(r < 10.0 for r in plan.radius_of.values())
 
 
+def test_dense_dynamic_plan_branches_and_query_count(monkeypatch):
+    # branch counts recorded before the helpers took interferer lists from
+    # their callers; that code made 4.69 interferers calls per FAP here
+    topo = place_femtocells(7, 1000)
+    calls = []
+    query = SpectrumPlan.interferers
+
+    def counted(self, topo, fap_id):
+        calls.append(fap_id)
+        return query(self, topo, fap_id)
+
+    monkeypatch.setattr(SpectrumPlan, "interferers", counted)
+    plan = build_plan("dynamic-reuse", topo)
+    assert plan.branch_counts == {"0": 283, "1": 272, "2": 160, "2-independent": 96,
+                                  "3": 189, "shrink": 107}
+    assert len(calls) <= 3.5 * 1000
+
+
 def test_interferers_of_an_unassigned_fap_next_to_the_only_assigned_one():
     topo = _manual_topo([(0.0, 0.0), (30.0, 0.0), (50.0, 0.0)])
     plan = _empty_dynamic_plan(topo)
-    plan.femto_assignment[0] = FemtoBandAssignment("Bm2", "Bm3", "dynamic-reuse")
+    plan.femto_assignment[0] = FemtoBandAssignment("Bm2", "Bm3")
     assert plan.interferers(topo, 1) == [0]
     assert plan.interferers(topo, 0) == []
-    plan.femto_assignment[2] = FemtoBandAssignment("Bm2", "B4", "dynamic-reuse")
+    plan.femto_assignment[2] = FemtoBandAssignment("Bm2", "B4")
     assert plan.interferers(topo, 1) == [0, 2]
 
 
@@ -230,7 +250,7 @@ def test_remove_middle_of_chain_keeps_pairwise_distinct():
     # exhaustive pairwise re-check of the survivors
     ids = sorted(plan.femto_assignment)
     for a, b in itertools.combinations(ids, 2):
-        if plan._interfering(topo, a, b):
+        if interfering(plan, topo, a, b):
             assert plan.femto_assignment[a].edge_label != plan.femto_assignment[b].edge_label
 
 
