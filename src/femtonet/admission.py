@@ -293,13 +293,13 @@ def admit_new_call(
     class_index: int,
 ) -> AdmissionDecision:
     """New originating call: femtocell first, macrocell without degradation,
-    otherwise blocked."""
+    otherwise blocked.  An unknown class raises ValueError on either path."""
+    pos = _class_position(macro_state, class_index)
     if femto_available and snir_tf_db is not None and femto_state is not None:
         if snir_tf_db >= thresholds.t2_db and femto_state.has_room():
             femto_state.admit()
             return AdmissionDecision("accept-femto", "snir-above-t2")
 
-    pos = _class_position(macro_state, class_index)
     cls = macro_state.classes[pos]
     free = macro_state.capacity - macro_state.occupied
     if cls.requested_bw <= free + CONSERVATION_TOL:
@@ -328,13 +328,11 @@ def admit_macro_to_femto(
     return AdmissionDecision("stay-macro", "avoids-unnecessary-handover")
 
 
-def _macro_handover_admit(
-    macro_state: CellLoadState, class_index: int
-) -> AdmissionDecision | None:
-    """Try the macrocell for a handover call, degrading its adaptive calls
-    if need be; None when it cannot fit.  A call that fits the free
-    bandwidth at its full rate also fits free plus releasable at its floor."""
-    pos = _class_position(macro_state, class_index)
+def _macro_handover_admit(macro_state: CellLoadState, pos: int) -> AdmissionDecision | None:
+    """Try the macrocell for a handover call of the class at `pos`, degrading
+    its adaptive calls if need be; None when it cannot fit.  A call that fits
+    the free bandwidth at its full rate also fits free plus releasable at its
+    floor."""
     cls = macro_state.classes[pos]
     free = macro_state.capacity - macro_state.occupied
     req = required_bw(cls, "handover")
@@ -361,19 +359,21 @@ def admit_from_femto(
     the macrocell is tried first -- plain, then with QoS degradation of its
     adaptive calls -- before falling back to the FAP without degradation.
     Below T1, or with no target FAP, only the degradable macrocell remains.
+    An unknown class raises ValueError before any cell is tried.
     """
+    pos = _class_position(macro_state, class_index)
     have_fap = snir_tf_db is not None and femto_state is not None
 
     if have_fap and snir_tf_db >= thresholds.t2_db:
         if femto_state.has_room():
             femto_state.admit()
             return AdmissionDecision("accept-femto", "snir-above-t2")
-        d = _macro_handover_admit(macro_state, class_index)
+        d = _macro_handover_admit(macro_state, pos)
         return d or AdmissionDecision("drop", "femto-full-macro-exhausted",
                                       (), macro_state)
 
     if have_fap and thresholds.t1_db <= snir_tf_db < thresholds.t2_db:
-        d = _macro_handover_admit(macro_state, class_index)
+        d = _macro_handover_admit(macro_state, pos)
         if d is not None:
             return d
         if femto_state.has_room():
@@ -382,7 +382,7 @@ def admit_from_femto(
         return AdmissionDecision("drop", "no-resource-between-thresholds",
                                  (), macro_state)
 
-    d = _macro_handover_admit(macro_state, class_index)
+    d = _macro_handover_admit(macro_state, pos)
     return d or AdmissionDecision("drop", "below-t1-macro-exhausted", (), macro_state)
 
 

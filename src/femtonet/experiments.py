@@ -112,12 +112,21 @@ def _radio_sweep(scenario: Scenario, counts, trials: int):
     return out
 
 
+def _sweep_counts(scenario: Scenario, key: str, default, minimum: int = 1) -> list[int]:
+    """The counts listed under `key`, or `default` when it is empty; each
+    must be a whole number no smaller than `minimum`."""
+    for c in scenario[key]:
+        if not float(c).is_integer() or c < minimum:
+            raise ValueError(f"{key}: count {c!r} is not a whole number >= {minimum}")
+    return [int(c) for c in scenario[key]] or list(default)
+
+
 DEFAULT_FIG4_COUNTS = (60, 100, 300, 600, 1000)
 
 
 def _run_fig4(scenario: Scenario, name: str, metric: str, index: int) -> ExperimentResult:
     """One fig4 metric: `index` 0 is throughput and 1 outage in the sweep."""
-    counts = [int(c) for c in scenario["sweep.femto_counts"]] or list(DEFAULT_FIG4_COUNTS)
+    counts = _sweep_counts(scenario, "sweep.femto_counts", DEFAULT_FIG4_COUNTS)
     res = ExperimentResult(name, scenario.name, scenario.seed)
     sweep = _radio_sweep(scenario, counts, scenario["trials"])
     for count, per_scheme in sweep.items():
@@ -142,7 +151,8 @@ def run_fig5_mobility(scenario: Scenario) -> ExperimentResult:
     """Macro-layer blocking/forced termination and handover rates as the
     femtocell count grows, against the macro-only baseline."""
     res = ExperimentResult("fig5-mobility", scenario.name, scenario.seed)
-    counts = [int(c) for c in scenario["sweep.femto_counts"]] or [0, 200, 400, 600, 800, 1000]
+    counts = _sweep_counts(scenario, "sweep.femto_counts", (0, 200, 400, 600, 800, 1000),
+                           minimum=0)
     lam = scenario["traffic.total_arrival_per_s"]
 
     baseline = q_mod.solve_two_tier(scenario.two_tier_params(n=0, lam_total=lam))
@@ -169,7 +179,7 @@ def run_fig5_mobility(scenario: Scenario) -> ExperimentResult:
 
 def run_fig5_neighborlist(scenario: Scenario) -> ExperimentResult:
     res = ExperimentResult("fig5-neighborlist", scenario.name, scenario.seed)
-    counts = [int(c) for c in scenario["sweep.femto_counts"]] or [100, 200, 400, 700, 1000]
+    counts = _sweep_counts(scenario, "sweep.femto_counts", (100, 200, 400, 700, 1000))
     trials = scenario["trials"]
     macro = scenario.macro_geometry()
     radio = scenario.propagation()
@@ -331,8 +341,8 @@ def run_fig7_mbs(scenario: Scenario) -> ExperimentResult:
 def run_fig8_popularity(scenario: Scenario) -> ExperimentResult:
     res = ExperimentResult("fig8-popularity", scenario.name, scenario.seed)
     t = TABLE_8_1
-    counts = [int(c) for c in scenario["sweep.session_counts"]] or \
-        [5, 10, 15, 20, 25, 30, 35, 40, 45, 50]
+    counts = _sweep_counts(scenario, "sweep.session_counts",
+                           (5, 10, 15, 20, 25, 30, 35, 40, 45, 50))
     capacity = t["capacity_mbps"]
     viewers_total = t["total_viewers"]
 
@@ -400,7 +410,8 @@ DEFAULT_PRESET = {
 
 def run_experiment(name: str, scenario: Scenario | None = None,
                    seed: int | None = None) -> ExperimentResult:
-    """Run a named experiment; unknown names raise KeyError."""
+    """Run a named experiment; unknown names raise KeyError, a negative
+    trial count or a bad sweep count ValueError."""
     if name not in EXPERIMENTS:
         raise KeyError(f"unknown experiment {name!r} "
                        f"(known: {', '.join(sorted(EXPERIMENTS))})")
@@ -408,6 +419,8 @@ def run_experiment(name: str, scenario: Scenario | None = None,
         scenario = scenario_from_preset(DEFAULT_PRESET[name])
     if seed is not None:
         scenario = Scenario({**scenario.values, "seed": seed})
+    if scenario["trials"] < 0:
+        raise ValueError(f"trials must be >= 0, got {scenario['trials']}")
     if scenario["trials"] == 0:
         return ExperimentResult(name, scenario.name, scenario.seed,
                                 metadata={"note": "zero trials"})

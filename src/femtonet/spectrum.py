@@ -5,7 +5,9 @@ reference macrocell uses band Bm1 of a 3-cell cluster; its femtocells draw
 from Bm2 (femtocell centers) and Bm3 (femtocell edges).  Under dynamic reuse
 the edge spectrum Bm3 is subdivided two ways -- into halves B4/B5 and thirds
 B1/B2/B3 -- and edge bands are auto-assigned so that interfering femtocells
-never hold the same edge band.
+never hold the same edge band.  The dedicated and sub-band schemes split the
+whole band BT at the femto fraction into Bf (femtocells) and Bm (macrocells).
+Each plan computes this label -> Band table once, when it is made.
 
 `SpectrumPlan.interferers` is the one interference relation; each dynamic-reuse
 configuration step reads a FAP's list once and hands it to the helpers.
@@ -32,15 +34,16 @@ INTERFERENCE_RADIUS_SCALE = 3.0
 SHRINK_FACTOR = 0.8
 MAX_SHRINK_STEPS = 3
 
+# single-band schemes: scheme -> (macro label, femto label)
+_SINGLE_BAND = {"shared": ("BT", "BT"), "sub": ("BT", "Bf"), "dedicated": ("Bm", "Bf")}
 # one-interferer edge selection (pseudocode lines 7-20)
 _CYCLIC_EDGE = {"B5": "B4", "B4": "B5", "B1": "B2", "B2": "B3", "B3": "B1"}
 _THIRDS = ("B1", "B2", "B3")
-_HALVES = ("B4", "B5")
 _EDGE_LABELS = ("B4", "B5", "B1", "B2", "B3")
 
 
 class PlanConfigError(ValueError):
-    """Bad scheme parameters (e.g. femto fraction outside (0, 1])."""
+    """Bad plan parameters (e.g. femto fraction outside (0, 1))."""
 
 
 @dataclass(frozen=True)
@@ -63,51 +66,24 @@ def bands_overlap(a: Band, b: Band) -> bool:
     return max(a.lo, b.lo) < min(a.hi, b.hi)
 
 
-@dataclass(frozen=True)
-class BandPartition:
-    """System band split per the dynamic-reuse spectrum layout.
-
-    macro_bands: the three equal cluster bands (Bm1, Bm2, Bm3).
-    edge_thirds/edge_halves: the two subdivisions of Bm3, the edge spectrum
-    of femtocells under the reference macrocell.
-    """
-
-    total_hz: float = DEFAULT_TOTAL_HZ
-
-    def __post_init__(self):
-        if self.total_hz <= 0:
-            raise PlanConfigError("total bandwidth must be positive")
-
-    @property
-    def full(self) -> Band:
-        return Band(0.0, self.total_hz, "BT")
-
-    @property
-    def macro_bands(self) -> tuple[Band, Band, Band]:
-        w = self.total_hz / 3.0
-        return tuple(Band(i * w, (i + 1) * w, f"Bm{i + 1}") for i in range(3))
-
-    @property
-    def edge_parent(self) -> Band:
-        return self.macro_bands[2]
-
-    @property
-    def edge_thirds(self) -> tuple[Band, Band, Band]:
-        p = self.edge_parent
-        w = p.width / 3.0
-        return tuple(Band(p.lo + i * w, p.lo + (i + 1) * w, f"B{i + 1}") for i in range(3))
-
-    @property
-    def edge_halves(self) -> tuple[Band, Band]:
-        p = self.edge_parent
-        w = p.width / 2.0
-        return (Band(p.lo, p.lo + w, "B4"), Band(p.lo + w, p.hi, "B5"))
-
-    def band(self, label: str) -> Band:
-        for b in (self.full, *self.macro_bands, *self.edge_thirds, *self.edge_halves):
-            if b.label == label:
-                return b
-        raise KeyError(f"unknown band label {label!r}")
+def _band_table(total_hz: float, femto_fraction: float) -> dict[str, Band]:
+    """Every labelled band: BT, the cluster bands Bm1-Bm3, the thirds B1-B3
+    and halves B4/B5 of the edge spectrum Bm3, and the Bf/Bm split of BT."""
+    w = total_hz / 3.0
+    macro = [Band(i * w, (i + 1) * w, f"Bm{i + 1}") for i in range(3)]
+    edge = macro[2]
+    third, half = edge.width / 3.0, edge.width / 2.0
+    split = total_hz * femto_fraction
+    bands = [
+        Band(0.0, total_hz, "BT"),
+        *macro,
+        *(Band(edge.lo + i * third, edge.lo + (i + 1) * third, f"B{i + 1}") for i in range(3)),
+        Band(edge.lo, edge.lo + half, "B4"),
+        Band(edge.lo + half, edge.hi, "B5"),
+        Band(0.0, split, "Bf"),
+        Band(split, total_hz, "Bm"),
+    ]
+    return {b.label: b for b in bands}
 
 
 @dataclass
@@ -120,12 +96,14 @@ class FemtoBandAssignment:
 class SpectrumPlan:
     """Band assignments for every macro BS and femtocell.
 
+    The constructor rejects an unknown scheme, a non-positive total band and
+    a femto fraction outside (0, 1), then builds the band table once.
     Mutation (configure/remove under dynamic reuse) is single-writer; reads
     may be concurrent between mutations.
     """
 
     scheme: str
-    partition: BandPartition
+    total_hz: float
     macro_assignment: dict[int, str]
     femto_assignment: dict[int, FemtoBandAssignment]
     femto_fraction: float = DEFAULT_FEMTO_FRACTION
@@ -134,14 +112,20 @@ class SpectrumPlan:
     events: list[tuple] = field(default_factory=list)
     branch_counts: dict[str, int] = field(default_factory=dict)
 
+    def __post_init__(self):
+        if self.scheme not in SCHEMES:
+            raise PlanConfigError(f"unknown scheme {self.scheme!r}")
+        if not self.total_hz > 0:
+            raise PlanConfigError("total bandwidth must be positive")
+        if not 0.0 < self.femto_fraction < 1.0:
+            raise PlanConfigError("femto fraction must lie in (0, 1)")
+        self._bands = _band_table(self.total_hz, self.femto_fraction)
+
     def band(self, label: str) -> Band:
-        if label == "Bf":
-            w = self.partition.total_hz * self.femto_fraction
-            return Band(0.0, w, "Bf")
-        if label == "Bm":
-            w = self.partition.total_hz * self.femto_fraction
-            return Band(w, self.partition.total_hz, "Bm")
-        return self.partition.band(label)
+        try:
+            return self._bands[label]
+        except KeyError:
+            raise KeyError(f"unknown band label {label!r}") from None
 
     def macro_band(self, macro_index: int) -> Band:
         return self.band(self.macro_assignment[macro_index])
@@ -218,16 +202,11 @@ def build_plan(
     seed: int = 0,
     edge_fraction: float = DEFAULT_EDGE_FRACTION,
 ) -> SpectrumPlan:
-    """Construct a SpectrumPlan satisfying the scheme's set relations."""
-    if scheme not in SCHEMES:
-        raise PlanConfigError(f"unknown scheme {scheme!r}")
-    if scheme in ("dedicated", "sub") and not 0.0 < femto_fraction <= 1.0:
-        raise PlanConfigError("femto fraction must lie in (0, 1]")
-
-    part = BandPartition(total_hz)
+    """Construct a SpectrumPlan satisfying the scheme's set relations.
+    The plan's constructor checks the scheme and the band parameters."""
     plan = SpectrumPlan(
         scheme=scheme,
-        partition=part,
+        total_hz=total_hz,
         macro_assignment={},
         femto_assignment={},
         femto_fraction=femto_fraction,
@@ -235,28 +214,21 @@ def build_plan(
     )
 
     n_macro = len(topo.macro_sites)
-    if scheme == "shared":
-        plan.macro_assignment = {j: "BT" for j in range(n_macro)}
+    if scheme in _SINGLE_BAND:
+        macro, femto = _SINGLE_BAND[scheme]
+        plan.macro_assignment = {j: macro for j in range(n_macro)}
         for f in topo.femto_ids:
-            plan.femto_assignment[f] = FemtoBandAssignment("BT", None)
-    elif scheme == "sub":
-        plan.macro_assignment = {j: "BT" for j in range(n_macro)}
-        for f in topo.femto_ids:
-            plan.femto_assignment[f] = FemtoBandAssignment("Bf", None)
-    elif scheme == "dedicated":
-        plan.macro_assignment = {j: "Bm" for j in range(n_macro)}
-        for f in topo.femto_ids:
-            plan.femto_assignment[f] = FemtoBandAssignment("Bf", None)
+            plan.femto_assignment[f] = FemtoBandAssignment(femto, None)
+        return plan
+    # reuse schemes: reference macro on Bm1, first tier alternating
+    plan.macro_assignment = {0: "Bm1"}
+    for j in range(1, n_macro):
+        plan.macro_assignment[j] = "Bm2" if j % 2 == 1 else "Bm3"
+    if scheme == "static-reuse":
+        _assign_static(plan, topo, seed)
     else:
-        # reuse schemes: reference macro on Bm1, first tier alternating
-        plan.macro_assignment = {0: "Bm1"}
-        for j in range(1, n_macro):
-            plan.macro_assignment[j] = "Bm2" if j % 2 == 1 else "Bm3"
-        if scheme == "static-reuse":
-            _assign_static(plan, topo, seed)
-        else:
-            for f in topo.femto_ids:
-                configure_new_femto(plan, topo, f)
+        for f in topo.femto_ids:
+            configure_new_femto(plan, topo, f)
     return plan
 
 
@@ -519,7 +491,7 @@ def plan_to_text(plan: SpectrumPlan) -> str:
     """Serialize a plan as line-oriented key = value text."""
     lines = [
         f"scheme = {plan.scheme}",
-        f"total_hz = {plan.partition.total_hz!r}",
+        f"total_hz = {plan.total_hz!r}",
         f"femto_fraction = {plan.femto_fraction!r}",
         f"edge_fraction = {plan.edge_fraction!r}",
     ]
@@ -558,7 +530,7 @@ def plan_from_text(text: str) -> SpectrumPlan:
             fields[key] = value
     return SpectrumPlan(
         scheme=fields["scheme"],
-        partition=BandPartition(float(fields["total_hz"])),
+        total_hz=float(fields["total_hz"]),
         macro_assignment=macro,
         femto_assignment=femto,
         femto_fraction=float(fields.get("femto_fraction", DEFAULT_FEMTO_FRACTION)),
@@ -573,7 +545,7 @@ def plan_from_text(text: str) -> SpectrumPlan:
 
 def verify_plan_relations(plan: SpectrumPlan) -> None:
     """Assert the scheme's band-set identities; raises AssertionError."""
-    bt = plan.partition.full
+    bt = plan.band("BT")
     if plan.scheme == "dedicated":
         bm, bf = plan.band("Bm"), plan.band("Bf")
         assert not bands_overlap(bm, bf)
@@ -588,7 +560,7 @@ def verify_plan_relations(plan: SpectrumPlan) -> None:
         bf = plan.band("Bf")
         assert bt.lo <= bf.lo and bf.hi <= bt.hi and bf.width < bt.width
     else:
-        m1, m2, m3 = plan.partition.macro_bands
+        m1, m2, m3 = (plan.band(lab) for lab in ("Bm1", "Bm2", "Bm3"))
         assert math.isclose(m1.width, m2.width) and math.isclose(m2.width, m3.width)
         assert math.isclose(m1.width + m2.width + m3.width, bt.width)
         for a in plan.femto_assignment.values():

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
+
+from femtonet.spectrum import DEFAULT_TOTAL_HZ, Band, PlanConfigError
 
 
 def balance_equation_solve(birth_rates, death_rates) -> np.ndarray:
@@ -59,6 +63,73 @@ def greedy_layer_packing(budget, sessions):
         if not progressed:
             break
     return layers
+
+
+# The band layout as it was computed before plans held a band table: a
+# partition whose properties rebuild every Band on each read, and a plan-level
+# branch for the dedicated/sub-band split.  Kept verbatim, so the table can be
+# checked against it bit for bit.
+
+BAND_LABELS = ("BT", "Bm1", "Bm2", "Bm3", "B1", "B2", "B3", "B4", "B5", "Bf", "Bm")
+
+
+@dataclass(frozen=True)
+class BandPartition:
+    """System band split per the dynamic-reuse spectrum layout.
+
+    macro_bands: the three equal cluster bands (Bm1, Bm2, Bm3).
+    edge_thirds/edge_halves: the two subdivisions of Bm3, the edge spectrum
+    of femtocells under the reference macrocell.
+    """
+
+    total_hz: float = DEFAULT_TOTAL_HZ
+
+    def __post_init__(self):
+        if self.total_hz <= 0:
+            raise PlanConfigError("total bandwidth must be positive")
+
+    @property
+    def full(self) -> Band:
+        return Band(0.0, self.total_hz, "BT")
+
+    @property
+    def macro_bands(self) -> tuple[Band, Band, Band]:
+        w = self.total_hz / 3.0
+        return tuple(Band(i * w, (i + 1) * w, f"Bm{i + 1}") for i in range(3))
+
+    @property
+    def edge_parent(self) -> Band:
+        return self.macro_bands[2]
+
+    @property
+    def edge_thirds(self) -> tuple[Band, Band, Band]:
+        p = self.edge_parent
+        w = p.width / 3.0
+        return tuple(Band(p.lo + i * w, p.lo + (i + 1) * w, f"B{i + 1}") for i in range(3))
+
+    @property
+    def edge_halves(self) -> tuple[Band, Band]:
+        p = self.edge_parent
+        w = p.width / 2.0
+        return (Band(p.lo, p.lo + w, "B4"), Band(p.lo + w, p.hi, "B5"))
+
+    def band(self, label: str) -> Band:
+        for b in (self.full, *self.macro_bands, *self.edge_thirds, *self.edge_halves):
+            if b.label == label:
+                return b
+        raise KeyError(f"unknown band label {label!r}")
+
+
+def partition_band(partition: BandPartition, femto_fraction: float, label: str) -> Band:
+    """The former `SpectrumPlan.band`: Bf/Bm from the femto fraction, every
+    other label from the partition."""
+    if label == "Bf":
+        w = partition.total_hz * femto_fraction
+        return Band(0.0, w, "Bf")
+    if label == "Bm":
+        w = partition.total_hz * femto_fraction
+        return Band(w, partition.total_hz, "Bm")
+    return partition.band(label)
 
 
 def interfering(plan, topo, a, b):

@@ -305,6 +305,16 @@ def test_unknown_class_index_is_value_error():
         admit_new_call(False, None, thr, None, _macro_51([0, 0]), 99)
     with pytest.raises(ValueError, match="99"):
         admit_from_femto(None, thr, None, _macro_51([0, 0]), 99)
+    # a free FAP above T2 (or between the thresholds) would take the call at
+    # once, so the class is looked up before the femtocell is tried
+    femto = FemtoCellState()
+    with pytest.raises(ValueError, match="99"):
+        admit_new_call(True, 13.0, thr, femto, _macro_51([0, 0]), 99)
+    assert femto.active_calls == 0
+    for snir in (13.0, 11.0):
+        with pytest.raises(ValueError, match="99"):
+            admit_from_femto(snir, thr, femto, _macro_51([0, 0]), 99)
+        assert femto.active_calls == 0
 
 
 @given(st.integers(0, 5), st.integers(0, 5), st.integers(0, 5))

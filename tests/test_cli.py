@@ -66,6 +66,21 @@ def test_run_negative_arrival_rate_is_input_error(tmp_path, capsys):
     assert not os.listdir(tmp_path)
 
 
+@pytest.mark.parametrize("argv, named", [
+    (["fig4-outage", "--trials", "-1"], "trials"),
+    (["fig8-popularity", "--trials", "-2"], "trials"),
+    (["fig8-popularity", "--set", "sweep.session_counts=0"], "sweep.session_counts"),
+    (["fig4-outage", "--set", "sweep.femto_counts=0"], "sweep.femto_counts"),
+    (["fig5-mobility", "--set", "sweep.femto_counts=100.5"], "sweep.femto_counts"),
+])
+def test_run_bad_trials_or_sweep_count_is_input_error(tmp_path, argv, named):
+    proc = _femtonet("run", *argv, "--out", str(tmp_path))
+    assert proc.returncode == EXIT_INPUT_ERROR
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert named in proc.stderr
+    assert not os.listdir(tmp_path)
+
+
 def test_validate_ok_and_bad(tmp_path, capsys):
     good = tmp_path / "ok.scenario"
     good.write_text("name = demo\npreset = table-6.1\n")

@@ -1,12 +1,13 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
-from oracles import interfering
+from oracles import BAND_LABELS, BandPartition, interfering, partition_band
 
 from femtonet.spectrum import (
+    SCHEMES,
     Band,
-    BandPartition,
     FemtoBandAssignment,
     PlanConfigError,
     SpectrumPlan,
@@ -38,35 +39,62 @@ def _empty_dynamic_plan(topo):
 # partition / overlap
 
 
+def _table(total_hz=18e6, femto_fraction=1 / 3):
+    """A plan with no cells: only its band table is read."""
+    return SpectrumPlan("shared", total_hz, {}, {}, femto_fraction)
+
+
 def test_partition_tilings_exact():
-    part = BandPartition(18e6)
-    m1, m2, m3 = part.macro_bands
+    plan = _table(18e6)
+    m1, m2, m3 = (plan.band(lab) for lab in ("Bm1", "Bm2", "Bm3"))
     assert m1.width == m2.width == m3.width == 6e6
     assert m1.lo == 0.0 and m3.hi == 18e6 and m1.hi == m2.lo and m2.hi == m3.lo
-    b1, b2, b3 = part.edge_thirds
+    b1, b2, b3 = (plan.band(lab) for lab in ("B1", "B2", "B3"))
     assert b1.lo == m3.lo and b3.hi == m3.hi and b1.width == b2.width == b3.width
-    b4, b5 = part.edge_halves
+    b4, b5 = plan.band("B4"), plan.band("B5")
     assert b4.lo == m3.lo and b5.hi == m3.hi and b4.width == b5.width == m3.width / 2
 
 
 def test_bands_overlap_basics():
-    part = BandPartition()
-    m1, m2, _ = part.macro_bands
+    plan = _table()
+    m1, m2 = plan.band("Bm1"), plan.band("Bm2")
     assert not bands_overlap(m1, m2)
     assert bands_overlap(m1, m1)
 
 
 def test_bands_overlap_interval_oracle():
     # B4/B5 halves against B1/B2/B3 thirds, checked against raw intervals
-    part = BandPartition()
-    pool = [*part.edge_thirds, *part.edge_halves, *part.macro_bands, part.full]
+    plan = _table()
+    pool = [plan.band(lab) for lab in ("B1", "B2", "B3", "B4", "B5", "Bm1", "Bm2", "Bm3", "BT")]
     for a, b in itertools.product(pool, repeat=2):
         expected = max(a.lo, b.lo) < min(a.hi, b.hi)
         assert bands_overlap(a, b) == expected
-    b4 = part.band("B4")
-    b1, _, b3 = part.edge_thirds
+    b4 = plan.band("B4")
+    b1, b3 = plan.band("B1"), plan.band("B3")
     assert bands_overlap(b4, b1)
     assert not bands_overlap(b4, b3)
+
+
+@pytest.mark.parametrize("total_hz", [18e6, 1.234567e7, 2e7, 5e6, 9.87654321e8, 1.0, 3.0])
+def test_band_table_bit_identical_to_partition(total_hz):
+    for fraction in (1 / 3, 0.25, 0.5, 0.1, 0.9, 1e-6, 1 - 1e-9, 0.123456789, 2 / 3):
+        old = BandPartition(total_hz)
+        for scheme in SCHEMES:
+            plan = SpectrumPlan(scheme, total_hz, {}, {}, fraction)
+            for label in BAND_LABELS:
+                band, ref = plan.band(label), partition_band(old, fraction, label)
+                assert band.label == label
+                assert (band.lo.hex(), band.hi.hex()) == (ref.lo.hex(), ref.hi.hex())
+
+
+def test_band_is_a_lookup_not_a_construction():
+    plan = build_plan("dynamic-reuse", place_femtocells(seed=5, count=20))
+    for label in BAND_LABELS:
+        assert plan.band(label) is plan.band(label)
+    for f in plan.femto_assignment:
+        assert plan.interferer_band(f) is plan.band(plan.femto_assignment[f].edge_label)
+    with pytest.raises(KeyError, match="unknown band label"):
+        plan.band("B6")
 
 
 # ---------------------------------------------------------------------------
@@ -95,7 +123,7 @@ def test_sub_plan_subset():
     topo = place_femtocells(seed=5, count=10)
     plan = build_plan("sub", topo)
     verify_plan_relations(plan)
-    bf, bt = plan.band("Bf"), plan.partition.full
+    bf, bt = plan.band("Bf"), plan.band("BT")
     assert bands_overlap(bf, bt) and bf.width < bt.width
 
 
@@ -121,6 +149,15 @@ def test_dedicated_fraction_validation():
         build_plan("dedicated", topo, femto_fraction=0.0)
     with pytest.raises(PlanConfigError):
         build_plan("sub", topo, femto_fraction=1.5)
+    # every scheme checks the open interval; at 1.0 a dedicated plan's Bm
+    # used to be empty, and only radio.sir failed on it
+    for scheme in SCHEMES:
+        for fraction in (0.0, 1.0, -0.25, math.nan):
+            with pytest.raises(PlanConfigError, match="femto fraction"):
+                build_plan(scheme, topo, femto_fraction=fraction)
+        for total_hz in (0.0, -18e6, math.nan):
+            with pytest.raises(PlanConfigError, match="total bandwidth"):
+                build_plan(scheme, topo, total_hz=total_hz)
 
 
 # ---------------------------------------------------------------------------
@@ -300,10 +337,21 @@ def test_plan_snapshot_round_trip():
 
 
 def test_plan_snapshot_bad_line():
-    from femtonet.spectrum import plan_from_text
+    from femtonet.spectrum import plan_from_text, plan_to_text
 
     with pytest.raises(ValueError):
         plan_from_text("scheme dedicated\n")
+    # a snapshot passes the same constructor checks as build_plan
+    text = plan_to_text(build_plan("dedicated", place_femtocells(seed=5, count=3)))
+    assert f"femto_fraction = {1 / 3!r}" in text
+    for fraction in ("0.0", "1.0"):
+        bad = text.replace(f"femto_fraction = {1 / 3!r}", f"femto_fraction = {fraction}")
+        with pytest.raises(PlanConfigError, match="femto fraction"):
+            plan_from_text(bad)
+    with pytest.raises(PlanConfigError, match="unknown scheme 'dedicted'"):
+        plan_from_text(text.replace("scheme = dedicated", "scheme = dedicted"))
+    with pytest.raises(PlanConfigError, match="total bandwidth"):
+        plan_from_text(text.replace("total_hz = 18000000.0", "total_hz = 0.0"))
 
 
 def test_reuse_band_statistics():
