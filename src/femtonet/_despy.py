@@ -36,7 +36,12 @@ def check_loss_chain(stream_rates, stream_limits, srv_rates,
         raise ValueError(f"start_state must lie in [min_state, {n_states})")
     if stream_limits and max(stream_limits) >= n_states:
         raise ValueError(f"stream limits must be < {n_states} (len(srv_rates))")
-    if not all(0.0 <= r < math.inf for r in (*stream_rates, *srv_rates)):
+    check_rates((*stream_rates, *srv_rates))
+
+
+def check_rates(rates) -> None:
+    """Reject a rate that is negative or not finite."""
+    if not all(0.0 <= r < math.inf for r in rates):
         raise ValueError("stream and service rates must be finite and >= 0")
 
 

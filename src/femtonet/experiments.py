@@ -121,12 +121,20 @@ def _sweep_counts(scenario: Scenario, key: str, default, minimum: int = 1) -> li
     return [int(c) for c in scenario[key]] or list(default)
 
 
+def _no_trials(name: str, scenario: Scenario) -> ExperimentResult:
+    """The empty result of a Monte-Carlo driver asked for zero trials."""
+    return ExperimentResult(name, scenario.name, scenario.seed,
+                            metadata={"note": "zero trials"})
+
+
 DEFAULT_FIG4_COUNTS = (60, 100, 300, 600, 1000)
 
 
 def _run_fig4(scenario: Scenario, name: str, metric: str, index: int) -> ExperimentResult:
     """One fig4 metric: `index` 0 is throughput and 1 outage in the sweep."""
     counts = _sweep_counts(scenario, "sweep.femto_counts", DEFAULT_FIG4_COUNTS)
+    if scenario["trials"] == 0:
+        return _no_trials(name, scenario)
     res = ExperimentResult(name, scenario.name, scenario.seed)
     sweep = _radio_sweep(scenario, counts, scenario["trials"])
     for count, per_scheme in sweep.items():
@@ -178,9 +186,11 @@ def run_fig5_mobility(scenario: Scenario) -> ExperimentResult:
 
 
 def run_fig5_neighborlist(scenario: Scenario) -> ExperimentResult:
-    res = ExperimentResult("fig5-neighborlist", scenario.name, scenario.seed)
     counts = _sweep_counts(scenario, "sweep.femto_counts", (100, 200, 400, 700, 1000))
     trials = scenario["trials"]
+    if trials == 0:
+        return _no_trials("fig5-neighborlist", scenario)
+    res = ExperimentResult("fig5-neighborlist", scenario.name, scenario.seed)
     macro = scenario.macro_geometry()
     radio = scenario.propagation()
     s_t0, s_t1 = scenario["neighborlist.s_t0_dbm"], scenario["neighborlist.s_t1_dbm"]
@@ -339,10 +349,12 @@ def run_fig7_mbs(scenario: Scenario) -> ExperimentResult:
 
 
 def run_fig8_popularity(scenario: Scenario) -> ExperimentResult:
-    res = ExperimentResult("fig8-popularity", scenario.name, scenario.seed)
-    t = TABLE_8_1
     counts = _sweep_counts(scenario, "sweep.session_counts",
                            (5, 10, 15, 20, 25, 30, 35, 40, 45, 50))
+    if scenario["trials"] == 0:
+        return _no_trials("fig8-popularity", scenario)
+    res = ExperimentResult("fig8-popularity", scenario.name, scenario.seed)
+    t = TABLE_8_1
     capacity = t["capacity_mbps"]
     viewers_total = t["total_viewers"]
 
@@ -411,7 +423,9 @@ DEFAULT_PRESET = {
 def run_experiment(name: str, scenario: Scenario | None = None,
                    seed: int | None = None) -> ExperimentResult:
     """Run a named experiment; unknown names raise KeyError, a negative
-    trial count or a bad sweep count ValueError."""
+    trial count or a bad sweep count ValueError.  Zero trials give the
+    Monte-Carlo drivers (fig4, fig5-neighborlist, fig8) an empty result;
+    the analytic ones never read the trial count."""
     if name not in EXPERIMENTS:
         raise KeyError(f"unknown experiment {name!r} "
                        f"(known: {', '.join(sorted(EXPERIMENTS))})")
@@ -421,9 +435,6 @@ def run_experiment(name: str, scenario: Scenario | None = None,
         scenario = Scenario({**scenario.values, "seed": seed})
     if scenario["trials"] < 0:
         raise ValueError(f"trials must be >= 0, got {scenario['trials']}")
-    if scenario["trials"] == 0:
-        return ExperimentResult(name, scenario.name, scenario.seed,
-                                metadata={"note": "zero trials"})
     return EXPERIMENTS[name](scenario)
 
 

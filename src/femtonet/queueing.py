@@ -129,10 +129,15 @@ def loss_chain_probs(spec: LossChainSpec) -> tuple[np.ndarray, list[float]]:
 
 
 def _with_hand_rate(spec: LossChainSpec, lam_hand: float) -> LossChainSpec:
-    """The same chain with its handover stream at lam_hand."""
+    """The same chain with its handover stream at lam_hand.  The rest of
+    the spec was checked when it was made, so only the new rate is checked
+    here and the copy skips __post_init__."""
+    _despy.check_rates((lam_hand,))
     rates = list(spec.stream_rates)
     rates[spec.hand_stream] = lam_hand
-    return replace(spec, stream_rates=tuple(rates))
+    out = object.__new__(LossChainSpec)
+    out.__dict__.update(spec.__dict__, stream_rates=tuple(rates))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,8 @@ whole band BT at the femto fraction into Bf (femtocells) and Bm (macrocells).
 Each plan computes this label -> Band table once, when it is made.
 
 `SpectrumPlan.interferers` is the one interference relation; each dynamic-reuse
-configuration step reads a FAP's list once and hands it to the helpers.
+configuration step reads a FAP's list once and hands it to the helpers.  It
+and static reuse read the topology's neighbor table, not distance rows.
 """
 
 from __future__ import annotations
@@ -21,16 +22,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import topology as topo_mod
-from .topology import CellTopology, UnknownSiteError
+from .topology import INTERFERENCE_RADIUS_SCALE, CellTopology, UnknownSiteError
 
 SCHEMES = ("dedicated", "shared", "sub", "static-reuse", "dynamic-reuse")
 
 DEFAULT_TOTAL_HZ = 18e6
 DEFAULT_FEMTO_FRACTION = 1.0 / 3.0  # dedicated / sub-band femto share
 DEFAULT_EDGE_FRACTION = 0.6  # UE is "edge" beyond this fraction of r_f
-# interference detection range as a multiple of the two cell radii; at the
-# default 10 m femto radius this reproduces the 60 m neighbor cutoff
-INTERFERENCE_RADIUS_SCALE = 3.0
 SHRINK_FACTOR = 0.8
 MAX_SHRINK_STEPS = 3
 
@@ -100,6 +98,12 @@ class SpectrumPlan:
     a femto fraction outside (0, 1), then builds the band table once.
     Mutation (configure/remove under dynamic reuse) is single-writer; reads
     may be concurrent between mutations.
+
+    The constructor also records the widest radius it was given.  No cell
+    is ever wider than that or the nominal radius: `_shrink_one` is the only
+    code that sets a radius, and it only lowers one (`remove_femto` only
+    deletes), so `interferers` bounds its search by the two without
+    scanning `radius_of`.
     """
 
     scheme: str
@@ -120,6 +124,7 @@ class SpectrumPlan:
         if not 0.0 < self.femto_fraction < 1.0:
             raise PlanConfigError("femto fraction must lie in (0, 1)")
         self._bands = _band_table(self.total_hz, self.femto_fraction)
+        self._widest = max(self.radius_of.values(), default=0.0)
 
     def band(self, label: str) -> Band:
         try:
@@ -167,17 +172,15 @@ class SpectrumPlan:
     def interferers(self, topo: CellTopology, fap_id: int) -> list[int]:
         """Femtocells within mutual interference range of `fap_id`: the one
         interference relation, read once per FAP by each configuration step."""
-        d = topo.distances_to(topo.site(fap_id).position)
         r = self.femto_radius(fap_id, topo)
         # no radius exceeds the widest one, so this keeps every interferer
-        widest = max(topo.femto_radius_m, max(self.radius_of.values(), default=0.0))
-        near = np.flatnonzero(d <= INTERFERENCE_RADIUS_SCALE * (r + widest))
+        widest = max(topo.femto_radius_m, self._widest)
+        idx, dist = topo.near(fap_id, INTERFERENCE_RADIUS_SCALE * (r + widest))
         hits = []
-        for k in near:
+        for k, d in zip(idx.tolist(), dist.tolist()):
             other = topo.femtocells[k].id
-            if (other != fap_id and other in self.femto_assignment
-                    and d[k] <= INTERFERENCE_RADIUS_SCALE
-                    * (r + self.femto_radius(other, topo))):
+            if (other in self.femto_assignment
+                    and d <= INTERFERENCE_RADIUS_SCALE * (r + self.femto_radius(other, topo))):
                 hits.append(other)
         return sorted(hits)
 
@@ -240,8 +243,8 @@ def _assign_static(plan: SpectrumPlan, topo: CellTopology, seed: int) -> None:
     reach = topo.femto_radius_m + topo.femto_radius_m
     picks = []
     for k, site in enumerate(topo.femtocells):
-        close = topo.distances_to(site.position)[:k] <= reach
-        used = {picks[j] for j in np.flatnonzero(close)}
+        idx, _ = topo.near(site.id, reach)
+        used = {picks[j] for j in idx[idx < k].tolist()}
         free = [b for b in ("Bm2", "Bm3") if b not in used]
         if free:
             pick = free[0] if len(free) == 1 else free[int(rng.integers(2))]

@@ -4,6 +4,10 @@ The reference macrocell BS sits at the origin; the six first-tier macrocell
 BSs form a hexagonal ring at distance 2*r_m*cos(30 deg).  Femto access points
 (FAPs) are dropped uniformly over the reference macrocell disc with a minimum
 pairwise separation, which makes local neighbor counts Poisson-like.
+
+Each topology builds one fixed-radius neighbor table when it is made, and
+`CellTopology.near` answers every FAP-to-FAP range query from it.  Queries
+from arbitrary points (UE positions) read a full `distances_to` row.
 """
 
 from __future__ import annotations
@@ -20,6 +24,9 @@ DEFAULT_NEIGHBOR_THRESHOLD = 60.0
 DEFAULT_MIN_SEPARATION = 2.0
 REFERENCE_FAP_DISTANCE = 200.0  # reference FAP pinned at this range from the BS
 FIRST_TIER_SIZE = 6
+# interference detection range as a multiple of the two cell radii; at the
+# default 10 m femto radius this reproduces the 60 m neighbor cutoff
+INTERFERENCE_RADIUS_SCALE = 3.0
 
 
 class UnknownSiteError(LookupError):
@@ -67,7 +74,12 @@ class FemtoSite:
 
 @dataclass
 class CellTopology:
-    """Immutable after construction; safe for concurrent read-only use."""
+    """Immutable after construction; safe for concurrent read-only use.
+
+    The constructor builds the neighbor table: every pair of FAPs within
+    the reach INTERFERENCE_RADIUS_SCALE * 2 * femto_radius_m (60 m by
+    default), which covers two cells of nominal radius.
+    """
 
     macro_radius_m: float
     femto_radius_m: float
@@ -78,15 +90,20 @@ class CellTopology:
     inter_femto_walls: int = 1
 
     def __post_init__(self):
-        ids = [f.id for f in self.femtocells]
-        if len(ids) != len(set(ids)):
+        self._index = {f.id: k for k, f in enumerate(self.femtocells)}
+        if len(self._index) != len(self.femtocells):
             raise ValueError("femtocell ids must be unique")
-        self._by_id = {f.id: f for f in self.femtocells}
+        if not self.femto_radius_m > 0:
+            raise ValueError("femto_radius_m must be > 0")
         self._pos = (
             np.array([f.position for f in self.femtocells], dtype=float)
             if self.femtocells
             else np.zeros((0, 2))
         )
+        if not np.isfinite(self._pos).all():
+            raise ValueError("positions must be finite")
+        self._reach = INTERFERENCE_RADIUS_SCALE * (self.femto_radius_m + self.femto_radius_m)
+        self._ptr, self._nbr, self._nbr_dist = _neighbor_table(self._pos, self._reach)
 
     @property
     def femto_ids(self) -> list[int]:
@@ -103,11 +120,29 @@ class CellTopology:
             raise ValueError("positions must be finite")
         return np.hypot(x - self._pos[:, 0], y - self._pos[:, 1])
 
-    def site(self, fap_id: int) -> FemtoSite:
+    def near(self, fap_id: int, radius_m: float) -> tuple[np.ndarray, np.ndarray]:
+        """The femtocells within radius_m of a FAP, itself excluded: their
+        indices in femtocells order, ascending, and their distances.  A
+        radius up to the table's reach reads the table; a wider one reads
+        the FAP's distance row."""
+        k = self._index_of(fap_id)
+        if radius_m <= self._reach:
+            span = slice(self._ptr[k], self._ptr[k + 1])
+            idx, dist = self._nbr[span], self._nbr_dist[span]
+        else:
+            dist = np.delete(self.distances_to(self.femtocells[k].position), k)
+            idx = np.delete(np.arange(len(self.femtocells)), k)
+        keep = dist <= radius_m
+        return idx[keep], dist[keep]
+
+    def _index_of(self, fap_id: int) -> int:
         try:
-            return self._by_id[fap_id]
+            return self._index[fap_id]
         except KeyError:
             raise UnknownSiteError(f"unknown femtocell id {fap_id}") from None
+
+    def site(self, fap_id: int) -> FemtoSite:
+        return self.femtocells[self._index_of(fap_id)]
 
     def walls_between(self, a: int, b: int) -> int:
         """Wall count on the inter-femtocell path (default one wall)."""
@@ -116,6 +151,56 @@ class CellTopology:
         site = self.site(a)
         self.site(b)
         return site.walls_to.get(b, self.inter_femto_walls)
+
+
+def _neighbor_table(pos: np.ndarray, reach: float):
+    """Every pair of points within `reach`, in CSR form: the neighbors of
+    point k are nbr[ptr[k]:ptr[k + 1]], ascending, at distances
+    dist[ptr[k]:ptr[k + 1]].
+
+    Cell lists (Allen & Tildesley): points are binned on a square grid of
+    side at least `reach`, so a pair within reach shares a cell or lies in
+    two adjacent ones.  Each cell is paired with itself and with 4 of its 8
+    neighbors, each pair is measured once with the same differences as
+    `CellTopology.distances_to`, and then mirrored.
+    """
+    n = len(pos)
+    if n < 2:
+        return np.zeros(n + 1, dtype=np.intp), np.zeros(0, dtype=np.intp), np.zeros(0)
+    x, y = pos[:, 0], pos[:, 1]
+    # the side exceeds `reach` by more than x/side can round, so a pair
+    # within reach never lands two cells apart; at most 2**20 cells a side
+    # keep the keys far from overflow
+    span = max(np.ptp(x), np.ptp(y))
+    side = (max(reach, span * 2.0**-20) * (1.0 + 2.0**-40)
+            + np.abs(pos).max() * 2.0**-40)
+    kx = np.floor(x / side).astype(np.int64)
+    ky = np.floor(y / side).astype(np.int64)
+    kx -= kx.min()
+    ky -= ky.min() - 1  # ky >= 1, so ky - 1 and ky + 1 stay in kx's column
+    width = int(ky.max()) + 2
+    key = kx * width + ky
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    # partners of sorted point p: the rest of its own cell, then the cells
+    # above it, right-below, right and right-above
+    ahead = [key + off for off in (1, width - 1, width, width + 1)]
+    lo = np.concatenate([np.arange(1, n + 1), *(np.searchsorted(key, a, "left") for a in ahead)])
+    hi = np.concatenate([np.searchsorted(key, a, "right") for a in (key, *ahead)])
+    counts = hi - lo
+    a = order[np.repeat(np.tile(np.arange(n), 5), counts)]
+    b = order[np.repeat(lo - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())]
+    d = np.hypot(x[a] - x[b], y[a] - y[b])
+    keep = d <= reach
+    a, b, d = a[keep], b[keep], d[keep]
+    rows, cols = np.concatenate([a, b]), np.concatenate([b, a])
+    sort = np.lexsort((cols, rows))
+    ptr = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(np.bincount(rows, minlength=n), out=ptr[1:])
+    table = ptr, cols[sort], np.concatenate([d, d])[sort]
+    for arr in table:
+        arr.flags.writeable = False
+    return table
 
 
 def distance(topo: CellTopology, a, b) -> float:
@@ -137,8 +222,8 @@ def distance(topo: CellTopology, a, b) -> float:
 
 def neighbors_of(topo: CellTopology, fap_id: int) -> frozenset[int]:
     """Ids of femtocells within neighbor_threshold_m of the given FAP."""
-    site = topo.site(fap_id)
-    return frozenset(within(topo, site.position, topo.neighbor_threshold_m)) - {fap_id}
+    idx, _ = topo.near(fap_id, topo.neighbor_threshold_m)
+    return frozenset(topo.femtocells[k].id for k in idx.tolist())
 
 
 def within(topo: CellTopology, xy, radius_m: float) -> list[int]:

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -72,6 +73,9 @@ def test_run_negative_arrival_rate_is_input_error(tmp_path, capsys):
     (["fig8-popularity", "--set", "sweep.session_counts=0"], "sweep.session_counts"),
     (["fig4-outage", "--set", "sweep.femto_counts=0"], "sweep.femto_counts"),
     (["fig5-mobility", "--set", "sweep.femto_counts=100.5"], "sweep.femto_counts"),
+    # zero trials must not skip the sweep-count check
+    (["fig8-popularity", "--trials", "0", "--set", "sweep.session_counts=0"],
+     "sweep.session_counts"),
 ])
 def test_run_bad_trials_or_sweep_count_is_input_error(tmp_path, argv, named):
     proc = _femtonet("run", *argv, "--out", str(tmp_path))
@@ -79,6 +83,15 @@ def test_run_bad_trials_or_sweep_count_is_input_error(tmp_path, argv, named):
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
     assert named in proc.stderr
     assert not os.listdir(tmp_path)
+
+
+def test_zero_trials_leaves_an_analytic_figure_unchanged(tmp_path, capsys):
+    # fig5-mobility never reads the trial count, so it writes its default CSV
+    assert main(["run", "fig5-mobility", "--trials", "0", "--out", str(tmp_path)]) == EXIT_OK
+    data = open(capsys.readouterr().out.strip(), "rb").read()
+    pins = os.path.join(os.path.dirname(__file__), "data", "default_csvs.sha256")
+    expected = dict(line.split()[::-1] for line in open(pins))["fig5-mobility.csv"]
+    assert hashlib.sha256(data).hexdigest() == expected
 
 
 def test_validate_ok_and_bad(tmp_path, capsys):

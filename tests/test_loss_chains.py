@@ -4,6 +4,9 @@ it replaced, the des.spec_for_* builders and queueing's own birth/death
 lists (kept verbatim in oracles.py): specs and probabilities must be equal
 to the last bit, not merely close."""
 
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -13,6 +16,7 @@ from femtonet.queueing import (
     CH6_SCHEMES,
     Ch7QueueParams,
     LossChainSpec,
+    _with_hand_rate,
     loss_chain_probs,
     solve_ch6,
     solve_ch7,
@@ -90,3 +94,16 @@ def test_stream_limited_at_or_below_the_floor_is_always_rejected():
     assert reject_1 == pytest.approx(probs[-1])
     sim = des.simulate_des(spec, total_calls=2_000, seed=1)
     assert sim.per_stream[0]["p_reject"] == 1.0
+
+
+@pytest.mark.parametrize("lam_h", [0.0, 0.4, 7.5])
+def test_new_hand_rate_gives_the_spec_a_full_build_gives(lam_h):
+    spec = LossChainSpec((0.5, 0.2), (3, 5), (0.0, 1.0, 2.0, 3.0, 3.5, 4.0), hand_stream=1)
+    assert _with_hand_rate(spec, lam_h) == replace(spec, stream_rates=(0.5, lam_h))
+
+
+@pytest.mark.parametrize("lam_h", [-0.01, math.nan, math.inf])
+def test_bad_new_hand_rate_is_rejected(lam_h):
+    spec = LossChainSpec((0.5, 0.2), (3, 5), (0.0, 1.0, 2.0, 3.0, 3.5, 4.0), hand_stream=1)
+    with pytest.raises(ValueError, match="finite and >= 0"):
+        _with_hand_rate(spec, lam_h)

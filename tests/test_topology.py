@@ -138,3 +138,13 @@ def test_first_tier_ring_distance():
     for site in topo.macro_sites[1:]:
         d = math.hypot(*site)
         assert d == pytest.approx(2 * 1000.0 * math.cos(math.pi / 6))
+
+
+@pytest.mark.parametrize("radius, xy", [
+    (0.0, (0.0, 0.0)), (math.nan, (0.0, 0.0)), (10.0, (math.inf, 0.0)), (10.0, (0.0, math.nan)),
+])
+def test_topology_rejects_a_bad_radius_or_position(radius, xy):
+    # the neighbor table bins positions on a grid of side 6 * radius
+    with pytest.raises(ValueError):
+        CellTopology(macro_radius_m=1000.0, femto_radius_m=radius, macro_sites=[(0.0, 0.0)],
+                     femtocells=[FemtoSite(0, xy), FemtoSite(1, (5.0, 5.0))])
