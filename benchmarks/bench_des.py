@@ -40,8 +40,10 @@ def main() -> int:
             print(f"{name:24s} {label:12s} {dt:9.3f} {calls / dt / 1e6:9.2f}")
             if reference is None:
                 reference = out
+            elif out != reference:
+                print(f"{name}: backends disagree", file=sys.stderr)
+                return 1
             else:
-                assert out == reference, f"{name}: backends disagree"
                 print(f"{name:24s} bit-identical return tuples")
     return 0
 

@@ -1,26 +1,29 @@
 """Pure-Python discrete-event kernel for birth-death loss chains.
 
-The reference for the compiled loop in _lossloop.c, which mirrors it
-operation for operation (same splitmix64 stream, same arithmetic order), so
-both backends produce bit-identical results and the compiled kernel is a
-drop-in speedup.
+The twin of the compiled loop in _lossloop.c: both draw the same splitmix64
+stream (Steele, Lea & Flood, OOPSLA 2014) and do the same per-event
+arithmetic in the same order, so both backends return bit-identical results
+and the compiled kernel is a drop-in speedup.  This twin draws the stream
+ahead in numpy blocks.  Every event consumes exactly two outputs, whatever
+the chain state, so the k-th output after `state` is a pure function of k:
+the splitmix64 mix of (state + k * GAMMA) mod 2**64.  Only the event loop
+runs in Python, reading the numbers drawn ahead.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+from bisect import bisect_right
+
+import numpy as np
 
 _MASK = 0xFFFFFFFFFFFFFFFF
 _TWO53 = 9007199254740992.0  # 2**53
-
-
-def _splitmix64(state: int) -> tuple[int, int]:
-    state = (state + 0x9E3779B97F4A7C15) & _MASK
-    z = state
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
-    z = z ^ (z >> 31)
-    return state, z
+_GAMMA = 0x9E3779B97F4A7C15  # the splitmix64 state increment
+# a block holds at most this many events' draws, so a long run keeps about
+# 2.6 MB of draws at a time (traced peak), not two floats per event
+_BLOCK_EVENTS = 16_384
 
 
 def check_loss_chain(stream_rates, stream_limits, srv_rates,
@@ -39,10 +42,46 @@ def check_loss_chain(stream_rates, stream_limits, srv_rates,
     check_rates((*stream_rates, *srv_rates))
 
 
+def check_arrivals(target_arrivals) -> int:
+    """The arrival count as an int.  ValueError unless it is an integer
+    (numpy integers included) that fits the compiled kernel's int64, so
+    both backends reject 2.5, 1e5 and 2**64 alike."""
+    try:
+        count = operator.index(target_arrivals)
+    except TypeError:
+        raise ValueError(f"the arrival count must be an integer, "
+                         f"got {target_arrivals!r}") from None
+    if not -2**63 <= count < 2**63:
+        raise ValueError(f"the arrival count {count} does not fit in 64 bits")
+    return count
+
+
 def check_rates(rates) -> None:
     """Reject a rate that is negative or not finite."""
     if not all(0.0 <= r < math.inf for r in rates):
         raise ValueError("stream and service rates must be finite and >= 0")
+
+
+def _draws(state: int, n_events: int) -> tuple[list[float], list[float]]:
+    """The 2 * n_events splitmix64 outputs after `state`, as uniforms in
+    [0, 1): per event, log(1 - u) of its first output and the second
+    output itself.
+
+    numpy uint64 arithmetic wraps mod 2**64 like the C kernel's, (z >> 11)
+    / 2**53 is exact in float64, and 1 - u is one IEEE operation.  The log
+    is math.log, element by element: np.log differs from libm's log in the
+    last bit on some inputs."""
+    z = np.arange(1, 2 * n_events + 1, dtype=np.uint64)
+    z *= np.uint64(_GAMMA)
+    z += np.uint64(state)
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    u = (z >> np.uint64(11)).astype(np.float64)
+    u /= _TWO53
+    return list(map(math.log, (1.0 - u[0::2]).tolist())), u[1::2].tolist()
 
 
 def run_loss_chain(
@@ -63,50 +102,50 @@ def run_loss_chain(
     state, final RNG state) so a run can be resumed, e.g. after a warmup.
     """
     check_loss_chain(stream_rates, stream_limits, srv_rates, start_state, min_state)
+    remaining = check_arrivals(target_arrivals)
     n_streams = len(stream_rates)
-    n_states = len(srv_rates)
-    time_in_state = [0.0] * n_states
+    time_in_state = [0.0] * len(srv_rates)
     seen = [0] * n_streams
     rejected = [0] * n_streams
+    # the running sums by which an arrival picks its stream; the last is
+    # the total arrival rate
+    cum_rates = []
     lam_total = 0.0
     for r in stream_rates:
         lam_total += float(r)
-    if lam_total <= 0.0 or target_arrivals <= 0:
+        cum_rates.append(lam_total)
+    if lam_total <= 0.0 or remaining <= 0:
         return seen, rejected, time_in_state, 0.0, start_state, seed & _MASK
 
-    rates = [float(r) for r in stream_rates]
     limits = [int(x) for x in stream_limits]
-    srv = [float(s) for s in srv_rates]
+    event_rates = [lam_total + float(s) for s in srv_rates]
     state = seed & _MASK
     i = start_state
     elapsed = 0.0
-    arrivals = 0
-    log = math.log
 
-    while arrivals < target_arrivals:
-        rate = lam_total + srv[i]
-        state, z = _splitmix64(state)
-        u = (z >> 11) / _TWO53
-        dt = -log(1.0 - u) / rate
-        time_in_state[i] += dt
-        elapsed += dt
+    while remaining:
+        # a chain in balance takes about two events per arrival
+        n_events = min(2 * remaining + 64, _BLOCK_EVENTS)
+        logs, picks = _draws(state, n_events)
+        for used, (log_v, u) in enumerate(zip(logs, picks), 1):
+            rate = event_rates[i]
+            dt = -log_v / rate
+            time_in_state[i] += dt
+            elapsed += dt
 
-        state, z = _splitmix64(state)
-        pick = ((z >> 11) / _TWO53) * rate
-        if pick < lam_total:
-            arrivals += 1
-            acc = 0.0
-            for k in range(n_streams):
-                acc += rates[k]
-                if pick < acc:
-                    seen[k] += 1
-                    if i < limits[k]:
-                        i += 1
-                    else:
-                        rejected[k] += 1
+            pick = u * rate
+            if pick < lam_total:
+                k = bisect_right(cum_rates, pick)  # first k with pick < sum
+                seen[k] += 1
+                if i < limits[k]:
+                    i += 1
+                else:
+                    rejected[k] += 1
+                remaining -= 1
+                if not remaining:
                     break
-        else:
-            if i > min_state:
+            elif i > min_state:
                 i -= 1
+        state = (state + 2 * used * _GAMMA) & _MASK
 
     return seen, rejected, time_in_state, elapsed, i, state

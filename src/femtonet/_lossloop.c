@@ -1,11 +1,14 @@
 /* Compiled event loop for birth-death loss chains, called through ctypes.
 
    Keep in lockstep with _despy.run_loss_chain: the same splitmix64 stream
-   (Steele, Lea & Flood, OOPSLA 2014) and the same arithmetic order, so both
-   backends return bit-identical results.  Build with -ffp-contract=off so no
-   multiply-add is fused.  The caller validates every index first
-   (_despy.check_loss_chain): 0 <= min_state <= *chain < n_states and every
-   limit < n_states, so the chain state never leaves [0, n_states). */
+   (Steele, Lea & Flood, OOPSLA 2014) and the same per-event arithmetic in
+   the same order, so both backends return bit-identical results.  The
+   Python twin draws that stream ahead in numpy blocks, two outputs per
+   event, where this loop draws one output at a time.  Build with
+   -ffp-contract=off so no multiply-add is fused.  The caller validates
+   every index first (_despy.check_loss_chain): 0 <= min_state <= *chain <
+   n_states and every limit < n_states, so the chain state never leaves
+   [0, n_states). */
 #include <math.h>
 #include <stdint.h>
 

@@ -1,6 +1,6 @@
 """Command-line entry point.
 
-Subcommands: run (execute a named experiment), list (experiments and
+Subcommands: run (execute named experiments), list (experiments and
 presets), validate (check a scenario file), emit (re-emit a stored result
 CSV as a plot script).  Exit codes: 0 success, 1 input error,
 2 non-convergence.
@@ -19,7 +19,7 @@ from .experiments import (
     csv_to_rows,
     emit,
     result_to_plot_script,
-    run_experiment,
+    run_experiments,
 )
 from .presets import PRESETS
 from .queueing import NonConvergenceError
@@ -36,8 +36,10 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Two-tier femtocell/macrocell network simulator")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run_p = sub.add_parser("run", help="run a named experiment")
-    run_p.add_argument("experiment", help="experiment name (see `femtonet list`)")
+    run_p = sub.add_parser("run", help="run named experiments")
+    run_p.add_argument("experiments", nargs="+", metavar="experiment",
+                       help="experiment names (see `femtonet list`); fig4-throughput "
+                            "and fig4-outage named together share one sweep")
     run_p.add_argument("--scenario", help="scenario file to load")
     run_p.add_argument("--seed", type=int, default=None)
     run_p.add_argument("--trials", type=int, default=None)
@@ -58,22 +60,29 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _scenario(args, name: str) -> Scenario:
+    """The scenario an experiment runs on: the --scenario file or the
+    experiment's default preset, with --set, --seed and --trials applied."""
+    if args.scenario:
+        scenario = load_scenario(args.scenario)
+    else:
+        scenario = scenario_from_preset(DEFAULT_PRESET.get(name, ""))
+    if args.overrides:
+        scenario = apply_overrides(scenario, args.overrides)
+    updates = {}
+    if args.seed is not None:
+        updates["seed"] = args.seed
+    if args.trials is not None:
+        updates["trials"] = args.trials
+    if updates:
+        scenario = Scenario({**scenario.values, **updates})
+    return scenario
+
+
 def _cmd_run(args) -> int:
     try:
-        if args.scenario:
-            scenario = load_scenario(args.scenario)
-        else:
-            scenario = scenario_from_preset(DEFAULT_PRESET.get(args.experiment, ""))
-        if args.overrides:
-            scenario = apply_overrides(scenario, args.overrides)
-        updates = {}
-        if args.seed is not None:
-            updates["seed"] = args.seed
-        if args.trials is not None:
-            updates["trials"] = args.trials
-        if updates:
-            scenario = Scenario({**scenario.values, **updates})
-        result = run_experiment(args.experiment, scenario)
+        results = run_experiments({name: _scenario(args, name)
+                                   for name in args.experiments})
     except (ScenarioError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
@@ -82,9 +91,10 @@ def _cmd_run(args) -> int:
         return EXIT_NONCONVERGENCE
 
     formats = ("csv", "plot-script") if args.format == "both" else (args.format,)
-    for fmt in formats:
-        if not _write(result, fmt, args.out):
-            return EXIT_INPUT_ERROR
+    for result in results:
+        for fmt in formats:
+            if not _write(result, fmt, args.out):
+                return EXIT_INPUT_ERROR
     return EXIT_OK
 
 

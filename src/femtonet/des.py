@@ -2,7 +2,8 @@
 
 The hot event loop is the C function in _lossloop.c, called through ctypes
 when `python setup.py build_ext --inplace` (or an install) has built it; the
-pure-Python twin in _despy, with the identical random stream, runs otherwise.
+pure-Python twin in _despy, which draws the identical random stream in numpy
+blocks, runs otherwise.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ def load_compiled(path: str) -> SimpleNamespace:
                        srv_rates, start_state=0, min_state=0):
         _despy.check_loss_chain(stream_rates, stream_limits, srv_rates,
                                 start_state, min_state)
+        target_arrivals = _despy.check_arrivals(target_arrivals)
         n_streams = len(stream_rates)
         seen = np.zeros(n_streams, dtype=np.int64)
         rejected = np.zeros(n_streams, dtype=np.int64)
@@ -139,6 +141,7 @@ def simulate_des(spec: LossChainSpec, total_calls: int = 1_000_000,
     not from a binomial fit.  Each replication discards a WARMUP fraction
     of its calls before counting.
     """
+    total_calls = _despy.check_arrivals(total_calls)
     if total_calls < 1:
         raise ValueError("total_calls must be >= 1")
     replications = max(2, min(REPLICATIONS, total_calls))

@@ -130,25 +130,34 @@ def _no_trials(name: str, scenario: Scenario) -> ExperimentResult:
 DEFAULT_FIG4_COUNTS = (60, 100, 300, 600, 1000)
 
 
-def _run_fig4(scenario: Scenario, name: str, metric: str, index: int) -> ExperimentResult:
-    """One fig4 metric: `index` 0 is throughput and 1 outage in the sweep."""
+# the fig4 experiments: the metric each reports, and its index in a sweep value
+FIG4_METRICS = {"fig4-throughput": ("mean_throughput_bps", 0),
+                "fig4-outage": ("mean_outage", 1)}
+
+
+def _run_fig4(scenario: Scenario, names) -> list[ExperimentResult]:
+    """The named fig4 results, in order, all read from one radio sweep."""
     counts = _sweep_counts(scenario, "sweep.femto_counts", DEFAULT_FIG4_COUNTS)
     if scenario["trials"] == 0:
-        return _no_trials(name, scenario)
-    res = ExperimentResult(name, scenario.name, scenario.seed)
+        return [_no_trials(name, scenario) for name in names]
     sweep = _radio_sweep(scenario, counts, scenario["trials"])
-    for count, per_scheme in sweep.items():
-        for scheme, values in per_scheme.items():
-            res.add(scheme, count, metric, values[index])
-    return res
+    results = []
+    for name in names:
+        metric, index = FIG4_METRICS[name]
+        res = ExperimentResult(name, scenario.name, scenario.seed)
+        for count, per_scheme in sweep.items():
+            for scheme, values in per_scheme.items():
+                res.add(scheme, count, metric, values[index])
+        results.append(res)
+    return results
 
 
 def run_fig4_throughput(scenario: Scenario) -> ExperimentResult:
-    return _run_fig4(scenario, "fig4-throughput", "mean_throughput_bps", 0)
+    return _run_fig4(scenario, ["fig4-throughput"])[0]
 
 
 def run_fig4_outage(scenario: Scenario) -> ExperimentResult:
-    return _run_fig4(scenario, "fig4-outage", "mean_outage", 1)
+    return _run_fig4(scenario, ["fig4-outage"])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -420,12 +429,9 @@ DEFAULT_PRESET = {
 }
 
 
-def run_experiment(name: str, scenario: Scenario | None = None,
-                   seed: int | None = None) -> ExperimentResult:
-    """Run a named experiment; unknown names raise KeyError, a negative
-    trial count or a bad sweep count ValueError.  Zero trials give the
-    Monte-Carlo drivers (fig4, fig5-neighborlist, fig8) an empty result;
-    the analytic ones never read the trial count."""
+def _checked(name: str, scenario: Scenario | None, seed: int | None) -> Scenario:
+    """The scenario `name` runs on; KeyError for an unknown name,
+    ValueError for a negative trial count."""
     if name not in EXPERIMENTS:
         raise KeyError(f"unknown experiment {name!r} "
                        f"(known: {', '.join(sorted(EXPERIMENTS))})")
@@ -435,7 +441,29 @@ def run_experiment(name: str, scenario: Scenario | None = None,
         scenario = Scenario({**scenario.values, "seed": seed})
     if scenario["trials"] < 0:
         raise ValueError(f"trials must be >= 0, got {scenario['trials']}")
-    return EXPERIMENTS[name](scenario)
+    return scenario
+
+
+def run_experiment(name: str, scenario: Scenario | None = None,
+                   seed: int | None = None) -> ExperimentResult:
+    """Run a named experiment; unknown names raise KeyError, a negative
+    trial count or a bad sweep count ValueError.  Zero trials give the
+    Monte-Carlo drivers (fig4, fig5-neighborlist, fig8) an empty result;
+    the analytic ones never read the trial count."""
+    return EXPERIMENTS[name](_checked(name, scenario, seed))
+
+
+def run_experiments(scenarios: dict) -> list[ExperimentResult]:
+    """Run each named experiment on its scenario (a name -> Scenario dict),
+    in order.  Each result equals its run_experiment result, but when both
+    fig4 experiments run on equal scenarios one radio sweep serves both."""
+    scenarios = {name: _checked(name, sc, None) for name, sc in scenarios.items()}
+    fig4 = [name for name in scenarios if name in FIG4_METRICS]
+    shared = {}
+    if len(fig4) == 2 and scenarios[fig4[0]] == scenarios[fig4[1]]:
+        shared = dict(zip(fig4, _run_fig4(scenarios[fig4[0]], fig4)))
+    return [shared[name] if name in shared else EXPERIMENTS[name](sc)
+            for name, sc in scenarios.items()]
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from femtonet._despy import check_loss_chain
 from femtonet.spectrum import DEFAULT_TOTAL_HZ, Band, PlanConfigError
 
 
@@ -353,3 +355,87 @@ def two_tier_probs(params, solution):
         params.lambda_o_m + lam_hm, lam_hm, mu_m,
         params.macro_base_states, params.macro_adaptive_states)
     return femto_probs, macro_probs
+
+
+# -- the pure-Python DES kernel as it was before it drew its random stream in
+# blocks: one scalar splitmix64 call per draw.  Kept verbatim (with its
+# constants) as the bitwise reference for _despy.run_loss_chain.
+
+_MASK = 0xFFFFFFFFFFFFFFFF
+_TWO53 = 9007199254740992.0  # 2**53
+
+
+def _splitmix64(state: int) -> tuple[int, int]:
+    state = (state + 0x9E3779B97F4A7C15) & _MASK
+    z = state
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+    z = z ^ (z >> 31)
+    return state, z
+
+
+def scalar_loss_chain(
+    seed: int,
+    target_arrivals: int,
+    stream_rates,
+    stream_limits,
+    srv_rates,
+    start_state: int = 0,
+    min_state: int = 0,
+):
+    """Simulate a loss chain until `target_arrivals` calls have arrived.
+
+    State i holds i calls and departs at total rate srv_rates[i].  Each
+    arrival stream k is Poisson at stream_rates[k] and admitted only while
+    the state is below stream_limits[k].  Returns (seen per stream,
+    rejected per stream, time_in_state list, elapsed time, final chain
+    state, final RNG state) so a run can be resumed, e.g. after a warmup.
+    """
+    check_loss_chain(stream_rates, stream_limits, srv_rates, start_state, min_state)
+    n_streams = len(stream_rates)
+    n_states = len(srv_rates)
+    time_in_state = [0.0] * n_states
+    seen = [0] * n_streams
+    rejected = [0] * n_streams
+    lam_total = 0.0
+    for r in stream_rates:
+        lam_total += float(r)
+    if lam_total <= 0.0 or target_arrivals <= 0:
+        return seen, rejected, time_in_state, 0.0, start_state, seed & _MASK
+
+    rates = [float(r) for r in stream_rates]
+    limits = [int(x) for x in stream_limits]
+    srv = [float(s) for s in srv_rates]
+    state = seed & _MASK
+    i = start_state
+    elapsed = 0.0
+    arrivals = 0
+    log = math.log
+
+    while arrivals < target_arrivals:
+        rate = lam_total + srv[i]
+        state, z = _splitmix64(state)
+        u = (z >> 11) / _TWO53
+        dt = -log(1.0 - u) / rate
+        time_in_state[i] += dt
+        elapsed += dt
+
+        state, z = _splitmix64(state)
+        pick = ((z >> 11) / _TWO53) * rate
+        if pick < lam_total:
+            arrivals += 1
+            acc = 0.0
+            for k in range(n_streams):
+                acc += rates[k]
+                if pick < acc:
+                    seen[k] += 1
+                    if i < limits[k]:
+                        i += 1
+                    else:
+                        rejected[k] += 1
+                    break
+        else:
+            if i > min_state:
+                i -= 1
+
+    return seen, rejected, time_in_state, elapsed, i, state

@@ -6,7 +6,10 @@ import sys
 import pytest
 
 import femtonet
+from femtonet import experiments
 from femtonet.cli import EXIT_INPUT_ERROR, EXIT_OK, main
+from femtonet.experiments import DEFAULT_PRESET, result_to_csv, run_experiment, run_experiments
+from femtonet.scenario import Scenario, scenario_from_preset
 
 FIG8_SMALL = ["--trials", "3", "--set", "sweep.session_counts = 20"]
 
@@ -151,3 +154,50 @@ def test_emit_out_names_a_file_is_input_error(tmp_path):
     assert proc.returncode == EXIT_INPUT_ERROR
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
     assert "Traceback" not in proc.stderr
+
+
+def test_run_fig4_pair_sweeps_once(tmp_path, capsys, monkeypatch):
+    """Both fig4 names in one run read one radio sweep, and each CSV is
+    byte for byte the default preset's solo-run CSV."""
+    sweeps = []
+    real_sweep = experiments._radio_sweep
+    monkeypatch.setattr(experiments, "_radio_sweep",
+                        lambda *a: sweeps.append(a) or real_sweep(*a))
+    assert main(["run", "fig4-throughput", "fig4-outage", "--out", str(tmp_path)]) == EXIT_OK
+    assert len(sweeps) == 1
+    paths = capsys.readouterr().out.split()
+    assert [os.path.basename(p) for p in paths] == ["fig4-throughput.csv", "fig4-outage.csv"]
+    pins = os.path.join(os.path.dirname(__file__), "data", "default_csvs.sha256")
+    expected = dict(line.split()[::-1] for line in open(pins))
+    for path in paths:
+        data = open(path, "rb").read()
+        assert hashlib.sha256(data).hexdigest() == expected[os.path.basename(path)]
+
+
+def test_run_several_names_match_solo_runs(tmp_path):
+    small = ["--trials", "1", "--set", "sweep.femto_counts = 60",
+             "--set", "traffic.arrival_grid = 0.8"]
+    names = ["fig4-outage", "fig6-cac", "fig4-throughput"]
+    assert main(["run", *names, *small, "--out", str(tmp_path / "all")]) == EXIT_OK
+    for name in names:
+        assert main(["run", name, *small, "--out", str(tmp_path / name)]) == EXIT_OK
+        assert (open(tmp_path / "all" / f"{name}.csv", "rb").read()
+                == open(tmp_path / name / f"{name}.csv", "rb").read())
+
+
+def test_fig4_pair_on_unequal_scenarios_sweeps_each():
+    base = scenario_from_preset(DEFAULT_PRESET["fig4-outage"]).values
+    scenarios = {"fig4-outage": Scenario({**base, "trials": 1, "sweep.femto_counts": (60.0,)}),
+                 "fig4-throughput": Scenario({**base, "trials": 0})}
+    results = run_experiments(scenarios)
+    assert [r.experiment for r in results] == list(scenarios)
+    for result, (name, scenario) in zip(results, scenarios.items()):
+        assert result_to_csv(result) == result_to_csv(run_experiment(name, scenario))
+    assert not results[1].rows and results[0].rows
+
+
+def test_run_several_names_fails_before_any_write(tmp_path):
+    proc = _femtonet("run", "fig4-outage", "fig99", "--out", str(tmp_path))
+    assert proc.returncode == EXIT_INPUT_ERROR
+    assert "fig99" in proc.stderr
+    assert not os.listdir(tmp_path)

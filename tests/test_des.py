@@ -1,6 +1,7 @@
 import math
 import shutil
 import subprocess
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import balance_equation_solve
+from oracles import balance_equation_solve, scalar_loss_chain
 
 from femtonet import _despy, des
 from femtonet.admission import TrafficClass
@@ -102,6 +103,100 @@ def test_backends_agree_or_reject_alike(compiled, args):
         assert rejected
     else:
         assert not rejected
+
+
+def _bits(out):
+    """A kernel result with every float spelt out bit for bit."""
+    seen, rejected, tis, elapsed, chain, rng = out
+    return seen, rejected, [t.hex() for t in tis], elapsed.hex(), chain, rng
+
+
+ONE_BLOCK = _despy._BLOCK_EVENTS
+
+
+@st.composite
+def resumed_chains(draw):
+    """A valid chain and the arrival counts of consecutive resumed runs: a
+    warm-up, a run, then single-arrival steps.  Departure-dominated chains
+    (total arrival rate far below the service rates, which are positive
+    from min_state up) cross many draw blocks per arrival."""
+    n_states, n_streams = draw(st.integers(1, 8)), draw(st.integers(1, 4))
+    sparse = draw(st.booleans())
+    rate = st.floats(0.01, 0.05) if sparse else st.floats(0.05, 3.0)
+    rates = draw(st.lists(st.just(0.0) | rate, min_size=n_streams, max_size=n_streams))
+    limits = draw(st.lists(st.integers(-1, n_states - 1),
+                           min_size=n_streams, max_size=n_streams))
+    srv = draw(st.lists(st.floats(1.0, 10.0) if sparse else st.floats(0.0, 3.0),
+                        min_size=n_states, max_size=n_states))
+    min_state = draw(st.integers(0, n_states - 1))
+    start = draw(st.sampled_from([min_state, max(limits[0], min_state)])
+                 | st.integers(min_state, n_states - 1))
+    count = st.integers(0, 3) if sparse else (
+        st.sampled_from([0, 1, ONE_BLOCK // 2 - 32, ONE_BLOCK]) | st.integers(0, 3000))
+    steps = draw(st.integers(0, 2) if sparse else st.integers(0, 60))
+    return (draw(st.integers(0, 2**64 - 1)), [draw(count), draw(count)] + [1] * steps,
+            rates, limits, srv, start, min_state)
+
+
+@settings(max_examples=60, deadline=None)
+@given(args=resumed_chains())
+@example(args=(3, [0, ONE_BLOCK], [0.7], [0], [0.0], 0, 0))  # one full block
+@example(args=(3, [1, ONE_BLOCK + 1], [0.7, 0.0], [0, 0], [0.0], 0, 0))
+@example(args=(5, [2, 2], [0.0, 0.0], [1, 1], [0.0, 1.0], 1, 1))  # no arrival rate
+@example(args=(9, [5, 3], [0.01, 0.0], [3, 2], [2.0, 9.0, 7.5, 10.0], 3, 1))
+def test_block_draws_match_scalar_loop(args):
+    """The block-drawn kernel returns the scalar loop's tuple bit for bit on
+    each of several runs, each resumed from the previous one's chain and
+    RNG state.  A single-arrival step's clocks sum only a few time steps,
+    so they show a last-bit change of a single draw's time step."""
+    rng, counts, rates, limits, srv, chain, min_state = args
+    for count in counts:
+        out = _despy.run_loss_chain(rng, count, rates, limits, srv, chain, min_state)
+        ref = scalar_loss_chain(rng, count, rates, limits, srv, chain, min_state)
+        assert out == ref
+        assert _bits(out) == _bits(ref)
+        *_, chain, rng = out
+
+
+def test_block_buffer_is_bounded():
+    """A long run holds one capped block of draws, not one per event.  In
+    this one-state chain every event is a (rejected) arrival, so the call
+    spans 50k events in four blocks (traced peak 2.6 MB); drawn in one
+    block they would take 9.6 MB."""
+    tracemalloc.start()
+    try:
+        _despy.run_loss_chain(1, 50_000, [1.0], [0], [0.0])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000
+
+
+@pytest.mark.parametrize("arrivals", [1000.0, 2.5, math.nan, 1e5, 2**64 + 5])
+def test_arrival_count_must_be_an_int64(compiled, arrivals):
+    # ctypes would wrap 2**64 + 5 to 5 arrivals in the compiled kernel
+    for kernel in (compiled, _despy):
+        with pytest.raises(ValueError, match="arrival count"):
+            kernel.run_loss_chain(7, arrivals, [1.0], [2], [0.0, 1.0, 2.0])
+    with pytest.raises(ValueError, match="arrival count"):
+        simulate_des(spec_for_erlang(1.0, 1.0, 2), arrivals)
+
+
+def test_arrival_count_bounds_are_int64():
+    # below -2**63, ctypes would wrap to a huge positive count
+    assert _despy.check_arrivals(-2**63) == -2**63
+    assert _despy.check_arrivals(2**63 - 1) == 2**63 - 1
+    with pytest.raises(ValueError, match="does not fit in 64 bits"):
+        _despy.check_arrivals(-2**63 - 1)
+
+
+def test_numpy_integer_arrival_count_accepted(compiled):
+    for kernel in (_despy, compiled):
+        args = ([1.0], [2], [0.0, 1.0, 2.0])
+        assert (kernel.run_loss_chain(7, np.int64(500), *args)
+                == kernel.run_loss_chain(7, 500, *args))
+    spec = spec_for_erlang(1.0, 1.0, 2)
+    assert simulate_des(spec, np.int32(2000)).elapsed == simulate_des(spec, 2000).elapsed
 
 
 @pytest.mark.parametrize("streams", [{"hand_stream": 3},
