@@ -21,7 +21,7 @@ from .queueing import (
     Ch6QueueParams,
     LossChainSpec,
     TwoTierParams,
-    ch6_chain,
+    ch6_cell,
     ch7_chain,
     solve_two_tier,
     two_tier_femto_chain,
@@ -125,28 +125,29 @@ def _mean_ci(samples: np.ndarray, successes: int = 0,
     return (max(0.0, mean - half), min(1.0, mean + half))
 
 
-# simulate_des splits its calls over this many replications and discards
-# this leading fraction of each one
+# simulate_des splits its calls over at most this many replications; each
+# first simulates this fraction of its own call count as an uncounted warm-up
 REPLICATIONS = 20
 WARMUP = 0.05
 
 
 def simulate_des(spec: LossChainSpec, total_calls: int = 1_000_000,
                  seed: int = 0) -> DesResult:
-    """Simulate the chain with `total_calls` arrivals split over REPLICATIONS
-    independent replications (fewer when there are fewer calls).
+    """Simulate the chain until exactly `total_calls` arrivals are counted,
+    split over min(REPLICATIONS, total_calls) independent replications; the
+    first total_calls % replications of them count one call more than the
+    rest.
 
     Blocking/dropping fractions of consecutive arrivals are autocorrelated,
     so confidence intervals come from the replication means (Student t),
-    not from a binomial fit.  Each replication discards a WARMUP fraction
-    of its calls before counting.
+    not from a binomial fit.  Each replication first simulates a warm-up of
+    a WARMUP fraction of its own call count, which it does not count.
     """
     total_calls = _despy.check_arrivals(total_calls)
     if total_calls < 1:
         raise ValueError("total_calls must be >= 1")
-    replications = max(2, min(REPLICATIONS, total_calls))
-    per_rep = max(1, total_calls // replications)
-    warm_calls = int(WARMUP * per_rep)
+    replications = min(REPLICATIONS, total_calls)
+    per_rep, longer = divmod(total_calls, replications)
     rep_seeds = np.random.SeedSequence(seed).generate_state(replications, dtype=np.uint64)
 
     n_streams = len(spec.stream_rates)
@@ -162,6 +163,8 @@ def simulate_des(spec: LossChainSpec, total_calls: int = 1_000_000,
     stream_reps = [[] for _ in range(n_streams)]
 
     for r in range(replications):
+        calls = per_rep + (r < longer)
+        warm_calls = int(WARMUP * calls)
         rng_state = int(rep_seeds[r])
         chain_state = spec.start_state
         if warm_calls > 0:
@@ -169,7 +172,7 @@ def simulate_des(spec: LossChainSpec, total_calls: int = 1_000_000,
                 rng_state, warm_calls, rates, limits, srv,
                 chain_state, spec.min_state)
         seen, rejected, tis, elapsed, *_ = _kernel.run_loss_chain(
-            rng_state, per_rep, rates, limits, srv, chain_state, spec.min_state)
+            rng_state, calls, rates, limits, srv, chain_state, spec.min_state)
 
         seen = np.asarray(seen, dtype=np.int64)
         rejected = np.asarray(rejected, dtype=np.int64)
@@ -225,7 +228,7 @@ def spec_for_ch6(params: Ch6QueueParams, lam_hand: float,
                  scheme: str = "proposed") -> LossChainSpec:
     """Chain matching solve_ch6's converged model; the handover stream is
     exogenous Poisson at the converged rate."""
-    return ch6_chain(params, lam_hand, scheme)[0]
+    return ch6_cell(params, scheme).chain(params.lam_new, lam_hand)
 
 
 spec_for_ch7 = ch7_chain  # the MBS cell chain has no fixed point

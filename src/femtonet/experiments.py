@@ -10,7 +10,7 @@ depend on execution order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -240,11 +240,14 @@ def run_fig5_neighborlist(scenario: Scenario) -> ExperimentResult:
 def run_fig6_cac(scenario: Scenario) -> ExperimentResult:
     res = ExperimentResult("fig6-cac", scenario.name, scenario.seed)
     grid = list(scenario["traffic.arrival_grid"]) or [0.4, 0.7, 1.0, 1.3, 1.6, 2.0]
+    base = scenario.ch6_params(lam_new=grid[0])
+    # the cell does not depend on the new-call rate: one per scheme
+    cells = [q_mod.ch6_cell(base, scheme) for scheme in CAC_SCHEMES]
     for lam in grid:
-        params = scenario.ch6_params(lam_new=lam)
-        for scheme in CAC_SCHEMES:
-            sol = q_mod.solve_ch6(params, scheme)
-            label = "guard5" if scheme == "guard" else scheme
+        params = replace(base, lam_new=lam)  # Ch6QueueParams checks the rate
+        for cell in cells:
+            sol = cell.solve(params.lam_new)
+            label = "guard5" if cell.scheme == "guard" else cell.scheme
             res.add(label, lam, "p_block", sol.p_block)
             res.add(label, lam, "p_drop", sol.p_drop)
             res.add(label, lam, "utilization", sol.utilization)
@@ -252,7 +255,7 @@ def run_fig6_cac(scenario: Scenario) -> ExperimentResult:
             res.add(label, lam, "forced_termination",
                     q_mod.forced_termination_probability(
                         sol.extra["P_h"], sol.p_drop))
-    res.metadata["guard_channels"] = scenario.ch6_params(1.0).guard_channels
+    res.metadata["guard_channels"] = base.guard_channels
     return res
 
 

@@ -2,12 +2,12 @@
 single-cell bandwidth-adaptive chain, and the MBS cell chain.
 
 Each chain is described once, as a LossChainSpec built by its model's
-*_chain function; the solvers here evaluate that spec analytically and
-femtonet.des simulates the same spec.  The stationary distribution is
-computed in log space, so state counts in the hundreds stay numerically
-exact.  Handover arrival rates and blocking and dropping probabilities
-depend on each other; the solvers run damped successive substitution to the
-requested residual.
+*_chain function (Ch6Cell.chain for the adaptive cell); the solvers here
+evaluate that spec analytically and femtonet.des simulates the same spec.
+The stationary distribution is computed in log space, so state counts in
+the hundreds stay numerically exact.  Handover arrival rates and blocking
+and dropping probabilities depend on each other; the solvers run damped
+successive substitution to the requested residual.
 """
 
 from __future__ import annotations
@@ -36,6 +36,13 @@ class NonConvergenceError(RuntimeError):
 
 class CoverageError(ValueError):
     """Femtocell coverage fraction n*(r_f/r_m)^2 exceeds one."""
+
+
+def _check_damping(damping: float) -> None:
+    """Reject a damping factor outside (0, 1]: at 0 the iterate never moves,
+    and a negative or larger factor steps away from the fixed point."""
+    if not 0.0 < damping <= 1.0:
+        raise ValueError(f"damping must be finite and in (0, 1], got {damping!r}")
 
 
 @dataclass
@@ -241,8 +248,10 @@ def solve_two_tier(params: TwoTierParams,
     Handover arrival rates feed the two chains, whose blocking and dropping
     probabilities feed back into the rates; damped substitution iterates to
     a residual below FIXED_POINT_TOL on all four rates.  The converged
-    point is damping-independent (to the residual tolerance).
+    point is damping-independent (to the residual tolerance); damping must
+    be finite and in (0, 1].
     """
+    _check_damping(damping)
     probs = handover_probabilities(params)
     mu_m, mu_f = channel_release_rates(params)
     n, k_f = params.n, params.femto_capacity
@@ -335,6 +344,14 @@ class Ch6QueueParams:
     guard_channels: int = 0  # used by the guard scheme only
 
     def __post_init__(self):
+        if not 0.0 < self.capacity < math.inf:
+            raise ValueError(f"capacity must be finite and > 0, got {self.capacity!r}")
+        for name in ("eta", "lam_new"):
+            value = getattr(self, name)
+            if not 0.0 <= value < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+        if self.guard_channels < 0:
+            raise ValueError(f"guard_channels must be >= 0, got {self.guard_channels!r}")
         share = sum(c.arrival_share for c in self.classes)
         if abs(share - 1.0) > 1e-9:
             raise ValueError(f"arrival shares must sum to 1, got {share}")
@@ -413,17 +430,83 @@ def state_release_rates(classes, capacity: float, eta: float,
     return rates, occupied
 
 
-def ch6_chain(params: Ch6QueueParams, lam_hand: float,
-              scheme: str = "proposed") -> tuple[LossChainSpec, dict]:
-    """The cell under one scheme, with the handover stream exogenous Poisson
-    at lam_hand, and the facts of the cell that solve_ch6 reports: N, S, L,
-    P_h, the per-call release rates mu_rates and the bandwidth occupied in
-    each state.
+@dataclass(frozen=True)
+class Ch6Cell:
+    """The adaptive-CAC cell under one scheme: everything of the chain that
+    does not depend on the arrival rates, so a sweep over the new-call rate
+    builds it once.
 
-    New calls are admitted below N+L, or below N - guard_channels for the
-    guard scheme; handovers below N+S.  hard-qos and guard degrade no call,
-    so for them S = L = 0.
+    New calls are admitted below new_limit = N + L - guard (guard is
+    guard_channels for the guard scheme, else 0); handovers below N + S.
+    hard-qos and guard degrade no call, so for them S = L = 0.  mu_rates
+    holds the per-call release rates of states 1..N+S, srv the total
+    departure rate of states 0..N+S, occupancy the bandwidth occupied in
+    each state.  Both arrays are read-only, so solutions may share them.
     """
+
+    scheme: str
+    n: int
+    s: int
+    ell: int
+    guard: int
+    new_limit: int
+    p_h: float
+    mu_rates: np.ndarray
+    srv: tuple[float, ...]
+    occupancy: np.ndarray
+    capacity: float
+
+    def chain(self, lam_new: float, lam_hand: float) -> LossChainSpec:
+        """The cell fed by new calls at lam_new and handovers at lam_hand,
+        both exogenous Poisson."""
+        return LossChainSpec((lam_new, lam_hand), (self.new_limit, self.n + self.s),
+                             self.srv, new_streams=(0,), hand_stream=1)
+
+    def solve(self, lam_new: float,
+              damping: float = FIXED_POINT_DAMPING) -> ChainSolution:
+        """The cell at new-call rate lam_new, with the handover rate at its
+        fixed point.
+
+        The handover arrival rate and the chain couple through
+        lam_h = P_h (1 - P_B) lam_n / (1 - P_h (1 - P_D)); damped
+        substitution, lam_h += damping * (new - lam_h), iterates the pair to
+        FIXED_POINT_TOL.  damping must be finite and in (0, 1].
+        """
+        _check_damping(damping)
+        chain = self.chain(lam_new, 0.0)
+        p_h = self.p_h
+
+        lam_h = p_h * lam_new  # starting guess
+        residuals = []
+        for iteration in range(1, MAX_ITERATIONS + 1):
+            _, (p_b, p_d) = loss_chain_probs(_with_hand_rate(chain, lam_h))
+            new_h = p_h * (1.0 - p_b) * lam_new / (1.0 - p_h * (1.0 - p_d))
+            residual = abs(new_h - lam_h)
+            residuals.append(residual)
+            lam_h += damping * (new_h - lam_h)
+            if residual < FIXED_POINT_TOL:
+                break
+        else:
+            raise NonConvergenceError("ch6 fixed point did not converge", residuals)
+        probs, (p_b, p_d) = loss_chain_probs(_with_hand_rate(chain, lam_h))
+        utilization = float(np.dot(probs, self.occupancy)) / self.capacity
+
+        return ChainSolution(
+            probs, p_b, p_d, utilization, handover_rate=lam_h,
+            iterations=iteration, residual=residuals[-1],
+            extra={"N": self.n, "S": self.s, "L": self.ell, "P_h": p_h,
+                   "mu_rates": self.mu_rates, "scheme": self.scheme},
+        )
+
+
+def _read_only(values) -> np.ndarray:
+    out = np.array(values, dtype=float)
+    out.flags.writeable = False
+    return out
+
+
+def ch6_cell(params: Ch6QueueParams, scheme: str = "proposed") -> Ch6Cell:
+    """The cell of params under one scheme; params.lam_new is not read."""
     classes = _scheme_classes(params.classes, scheme)
     n, s, ell = chain_dimensions(classes, params.capacity)
     guard = params.guard_channels if scheme == "guard" else 0
@@ -431,47 +514,22 @@ def ch6_chain(params: Ch6QueueParams, lam_hand: float,
         raise ValueError("guard channels outside [0, N]")
     mu_rates, occupied = state_release_rates(classes, params.capacity, params.eta, n, s)
     srv = tuple(i * mu_rates[i - 1] if i else 0.0 for i in range(n + s + 1))
-    chain = LossChainSpec((params.lam_new, lam_hand), (n + ell - guard, n + s), srv,
-                          new_streams=(0,), hand_stream=1)
     mean_req = sum(c.arrival_share * c.requested_bw for c in classes)
     occupancy = [min(i * mean_req, params.capacity) for i in range(n + 1)] + occupied
     p_h = params.eta / (params.eta + 1.0 / mean_duration_at_full(classes))
-    return chain, {"N": n, "S": s, "L": ell, "P_h": p_h, "mu_rates": mu_rates,
-                   "occupancy": occupancy}
+    return Ch6Cell(scheme, n, s, ell, guard, n + ell - guard, p_h,
+                   _read_only(mu_rates), srv, _read_only(occupancy), params.capacity)
 
 
 def solve_ch6(params: Ch6QueueParams, scheme: str = "proposed",
               damping: float = FIXED_POINT_DAMPING) -> ChainSolution:
-    """Solve the adaptive-CAC cell for one scheme.
+    """Solve the adaptive-CAC cell for one scheme at params.lam_new: the
+    fixed point of Ch6Cell.solve.  damping must be finite and in (0, 1].
 
-    The handover arrival rate and the chain couple through
-    lam_h = P_h (1 - P_B) lam_n / (1 - P_h (1 - P_D)); damped substitution
-    iterates the pair to FIXED_POINT_TOL.
+    To sweep the new-call rate, build the cell once with ch6_cell and call
+    its solve for each rate; this builds a new cell on every call.
     """
-    chain, cell = ch6_chain(params, 0.0, scheme)
-    occupancy = cell.pop("occupancy")
-    p_h, lam_n = cell["P_h"], params.lam_new
-
-    lam_h = p_h * lam_n  # starting guess
-    residuals = []
-    for iteration in range(1, MAX_ITERATIONS + 1):
-        _, (p_b, p_d) = loss_chain_probs(_with_hand_rate(chain, lam_h))
-        new_h = p_h * (1.0 - p_b) * lam_n / (1.0 - p_h * (1.0 - p_d))
-        residual = abs(new_h - lam_h)
-        residuals.append(residual)
-        lam_h += damping * (new_h - lam_h)
-        if residual < FIXED_POINT_TOL:
-            break
-    else:
-        raise NonConvergenceError("ch6 fixed point did not converge", residuals)
-    probs, (p_b, p_d) = loss_chain_probs(_with_hand_rate(chain, lam_h))
-    utilization = float(np.dot(probs, occupancy)) / params.capacity
-
-    return ChainSolution(
-        probs, p_b, p_d, utilization, handover_rate=lam_h,
-        iterations=iteration, residual=residuals[-1],
-        extra={**cell, "scheme": scheme},
-    )
+    return ch6_cell(params, scheme).solve(params.lam_new, damping)
 
 
 # ---------------------------------------------------------------------------

@@ -274,6 +274,88 @@ def spec_for_two_tier_femto(params, solution):
     return LossChainSpec((lam,), (k,), srv, new_streams=(0,), hand_stream=0)
 
 
+# -- the ch6 chain and solver as they were before the cell split: every
+# ch6 solve rebuilt the arrival-rate-free cell.  Kept verbatim as the
+# bitwise reference for queueing.Ch6Cell.
+
+
+def ch6_chain(params, lam_hand: float,
+              scheme: str = "proposed"):
+    """The cell under one scheme, with the handover stream exogenous Poisson
+    at lam_hand, and the facts of the cell that solve_ch6 reports: N, S, L,
+    P_h, the per-call release rates mu_rates and the bandwidth occupied in
+    each state.
+
+    New calls are admitted below N+L, or below N - guard_channels for the
+    guard scheme; handovers below N+S.  hard-qos and guard degrade no call,
+    so for them S = L = 0.
+    """
+    from femtonet.queueing import (
+        LossChainSpec,
+        _scheme_classes,
+        chain_dimensions,
+        mean_duration_at_full,
+        state_release_rates,
+    )
+
+    classes = _scheme_classes(params.classes, scheme)
+    n, s, ell = chain_dimensions(classes, params.capacity)
+    guard = params.guard_channels if scheme == "guard" else 0
+    if not 0 <= guard <= n:
+        raise ValueError("guard channels outside [0, N]")
+    mu_rates, occupied = state_release_rates(classes, params.capacity, params.eta, n, s)
+    srv = tuple(i * mu_rates[i - 1] if i else 0.0 for i in range(n + s + 1))
+    chain = LossChainSpec((params.lam_new, lam_hand), (n + ell - guard, n + s), srv,
+                          new_streams=(0,), hand_stream=1)
+    mean_req = sum(c.arrival_share * c.requested_bw for c in classes)
+    occupancy = [min(i * mean_req, params.capacity) for i in range(n + 1)] + occupied
+    p_h = params.eta / (params.eta + 1.0 / mean_duration_at_full(classes))
+    return chain, {"N": n, "S": s, "L": ell, "P_h": p_h, "mu_rates": mu_rates,
+                   "occupancy": occupancy}
+
+
+def solve_ch6(params, scheme: str = "proposed", damping: float = 0.5):
+    """Solve the adaptive-CAC cell for one scheme.
+
+    The handover arrival rate and the chain couple through
+    lam_h = P_h (1 - P_B) lam_n / (1 - P_h (1 - P_D)); damped substitution
+    iterates the pair to FIXED_POINT_TOL.
+    """
+    from femtonet.queueing import (
+        FIXED_POINT_TOL,
+        MAX_ITERATIONS,
+        ChainSolution,
+        NonConvergenceError,
+        _with_hand_rate,
+        loss_chain_probs,
+    )
+
+    chain, cell = ch6_chain(params, 0.0, scheme)
+    occupancy = cell.pop("occupancy")
+    p_h, lam_n = cell["P_h"], params.lam_new
+
+    lam_h = p_h * lam_n  # starting guess
+    residuals = []
+    for iteration in range(1, MAX_ITERATIONS + 1):
+        _, (p_b, p_d) = loss_chain_probs(_with_hand_rate(chain, lam_h))
+        new_h = p_h * (1.0 - p_b) * lam_n / (1.0 - p_h * (1.0 - p_d))
+        residual = abs(new_h - lam_h)
+        residuals.append(residual)
+        lam_h += damping * (new_h - lam_h)
+        if residual < FIXED_POINT_TOL:
+            break
+    else:
+        raise NonConvergenceError("ch6 fixed point did not converge", residuals)
+    probs, (p_b, p_d) = loss_chain_probs(_with_hand_rate(chain, lam_h))
+    utilization = float(np.dot(probs, occupancy)) / params.capacity
+
+    return ChainSolution(
+        probs, p_b, p_d, utilization, handover_rate=lam_h,
+        iterations=iteration, residual=residuals[-1],
+        extra={**cell, "scheme": scheme},
+    )
+
+
 def ch6_probs(params, lam_h, scheme="proposed"):
     """(probs, P_B, P_D) of the ch6 chain at handover rate lam_h, from the
     birth/death lists of each scheme."""

@@ -215,6 +215,19 @@ def test_t95_never_below_true_quantile(df, true_quantile):
         assert des._t95(df) == true_quantile
 
 
+@pytest.mark.parametrize("total_calls", [1, 2, 19, 39, 20_019, 20_000])
+@pytest.mark.parametrize("backend", ["pure-python", "compiled"])
+def test_simulate_des_counts_exactly_total_calls(backend, total_calls, request,
+                                                 monkeypatch):
+    monkeypatch.setattr(des, "_kernel", request.getfixturevalue("compiled")
+                        if backend == "compiled" else _despy)
+    spec = LossChainSpec((0.7, 0.3), (2, 3), (0.0, 1.0, 2.0, 3.0),
+                         new_streams=(0,), hand_stream=1)
+    res = simulate_des(spec, total_calls, seed=1)
+    assert sum(s["seen"] for s in res.per_stream) == total_calls
+    assert res.replications == min(des.REPLICATIONS, total_calls)
+
+
 def test_zero_arrivals():
     spec = LossChainSpec((0.0,), (3,), (0.0, 1.0, 2.0, 3.0))
     res = simulate_des(spec, total_calls=1000, seed=1)

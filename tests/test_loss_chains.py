@@ -9,6 +9,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from femtonet import des
@@ -17,6 +19,7 @@ from femtonet.queueing import (
     Ch7QueueParams,
     LossChainSpec,
     _with_hand_rate,
+    ch6_cell,
     loss_chain_probs,
     solve_ch6,
     solve_ch7,
@@ -39,6 +42,29 @@ def test_ch6_chain_equals_old_spec_and_birth_lists(scheme, lam):
     probs, p_b, p_d = oracles.ch6_probs(params, lam_h, scheme)
     assert _same_bits(sol.probs, probs)
     assert (sol.p_block, sol.p_drop) == (p_b, p_d)
+
+
+@settings(max_examples=40, deadline=None)
+@given(scheme=st.sampled_from(CH6_SCHEMES),
+       lam=st.floats(min_value=0.05, max_value=3.0))
+def test_ch6_cell_equals_the_chain_it_split(scheme, lam):
+    params = Scenario({}).ch6_params(lam_new=lam)
+    cell = ch6_cell(replace(params, lam_new=1.0), scheme)  # built at another rate
+    sol = cell.solve(lam)
+    old = oracles.solve_ch6(params, scheme)
+    for name in ("p_block", "p_drop", "utilization", "handover_rate", "residual"):
+        assert getattr(sol, name).hex() == getattr(old, name).hex(), name
+    assert sol.iterations == old.iterations
+    assert _same_bits(sol.probs, old.probs)
+    assert sol.extra.keys() == old.extra.keys()
+    assert [float(x).hex() for x in sol.extra["mu_rates"]] == \
+        [float(x).hex() for x in old.extra["mu_rates"]]
+    assert {k: v for k, v in sol.extra.items() if k != "mu_rates"} == \
+        {k: v for k, v in old.extra.items() if k != "mu_rates"}
+    lam_h = sol.handover_rate
+    old_chain, _ = oracles.ch6_chain(params, lam_h, scheme)
+    assert cell.chain(lam, lam_h) == old_chain
+    assert des.spec_for_ch6(params, lam_h, scheme) == old_chain
 
 
 @pytest.mark.parametrize("lam_total", [2.0, 8.0, 20.0])

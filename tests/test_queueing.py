@@ -5,14 +5,17 @@ import pytest
 
 from oracles import balance_equation_solve, erlang_b_direct
 
+from femtonet import admission, experiments, queueing
 from femtonet.admission import TrafficClass
 from femtonet.queueing import (
+    CH6_SCHEMES,
     Ch6QueueParams,
     Ch7QueueParams,
     CoverageError,
     TwoTierParams,
     birth_death_probs,
     chain_dimensions,
+    ch6_cell,
     channel_release_rates,
     erlang_b,
     forced_termination_probability,
@@ -290,10 +293,65 @@ def test_ch6_hard_qos_and_guard_chains_match_balance_solve(scheme, guard, lam):
 @pytest.mark.parametrize("scheme", ["proposed", "guard"])
 @pytest.mark.parametrize("lam_new", [-0.5, math.nan])
 def test_ch6_rejects_bad_arrival_rate_when_the_chain_is_built(lam_new, scheme):
-    params = Ch6QueueParams(lam_new=lam_new, capacity=6000.0, classes=TABLE61,
-                            eta=1 / 240.0, guard_channels=5)
     with pytest.raises(ValueError, match="finite and >= 0"):
-        solve_ch6(params, scheme)
+        Ch6QueueParams(lam_new=lam_new, capacity=6000.0, classes=TABLE61,
+                       eta=1 / 240.0, guard_channels=5)
+    cell = ch6_cell(Ch6QueueParams(lam_new=1.0, capacity=6000.0, classes=TABLE61,
+                                   eta=1 / 240.0, guard_channels=5), scheme)
+    with pytest.raises(ValueError, match="finite and >= 0"):
+        cell.solve(lam_new)
+
+
+@pytest.mark.parametrize("kw, message", [
+    (dict(capacity=0.0), "capacity"), (dict(capacity=-5.0), "capacity"),
+    (dict(capacity=math.nan), "capacity"), (dict(capacity=math.inf), "capacity"),
+    (dict(eta=-1e-3), "eta"), (dict(eta=math.nan), "eta"), (dict(eta=math.inf), "eta"),
+    (dict(lam_new=math.inf), "lam_new"), (dict(guard_channels=-1), "guard_channels"),
+])
+def test_ch6_params_reject_bad_fields(kw, message):
+    fields = dict(lam_new=1.0, capacity=6000.0, classes=TABLE61, eta=1 / 240.0)
+    with pytest.raises(ValueError, match=message):
+        Ch6QueueParams(**{**fields, **kw})
+
+
+@pytest.mark.parametrize("damping", [0.0, -0.5, 1.5, math.nan, math.inf])
+def test_solvers_reject_damping_outside_unit_interval(damping):
+    params = Ch6QueueParams(lam_new=1.2, capacity=6000.0, classes=TABLE61, eta=1 / 240.0)
+    with pytest.raises(ValueError, match=r"damping must be finite and in \(0, 1\]"):
+        solve_ch6(params, "proposed", damping=damping)
+    with pytest.raises(ValueError, match=r"damping must be finite and in \(0, 1\]"):
+        ch6_cell(params, "hard-qos").solve(1.2, damping)
+    with pytest.raises(ValueError, match=r"damping must be finite and in \(0, 1\]"):
+        solve_two_tier(_two_tier(), damping=damping)
+
+
+def test_ch6_cell_arrays_are_read_only_and_not_shared():
+    params = Ch6QueueParams(lam_new=1.2, capacity=6000.0, classes=TABLE61, eta=1 / 240.0)
+    cell = ch6_cell(params, "proposed")
+    assert not cell.mu_rates.flags.writeable and not cell.occupancy.flags.writeable
+    with pytest.raises(ValueError):
+        cell.mu_rates[0] = 0.0
+    a, b = cell.solve(1.2), cell.solve(1.2)
+    assert not np.shares_memory(a.probs, b.probs)
+    for key, value in a.extra.items():
+        if isinstance(value, np.ndarray) and np.shares_memory(value, b.extra[key]):
+            assert not value.flags.writeable, key
+
+
+def test_fig6_cac_builds_one_cell_per_scheme(monkeypatch):
+    counts = {"rebalance": 0, "state_release_rates": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(queueing, "rebalance", counted("rebalance", admission.rebalance))
+    monkeypatch.setattr(queueing, "state_release_rates",
+                        counted("state_release_rates", queueing.state_release_rates))
+    experiments.run_experiment("fig6-cac")
+    assert counts == {"rebalance": 162, "state_release_rates": len(CH6_SCHEMES)}
 
 
 # ---------------------------------------------------------------------------
