@@ -20,7 +20,7 @@ from .presets import TABLE_7_1, TABLE_8_1, table61_classes, table71_mbs_sessions
 from .radio import db_to_linear, outage_probability_closed_form, shannon_throughput, sir
 from .scenario import Scenario, scenario_from_preset
 from .spectrum import build_plan
-from .topology import MacroGeometry, place_femtocells
+from .topology import neighbors_of, place_femtocells, reach_components
 from .videoalloc import (
     allocate_mbs_budget,
     allocate_popularity,
@@ -74,7 +74,16 @@ def _spawn_rng(seed: int, *key) -> np.random.Generator:
 def _radio_sweep(scenario: Scenario, counts, trials: int):
     """Per (count, scheme): mean throughput and outage of the measurement
     user held at the fixed range from the reference FAP, averaged over
-    random surrounding deployments (the femtocell count is the x axis)."""
+    random surrounding deployments (the femtocell count is the x axis).
+
+    The measurement reads only the bands of the reference FAP and of its
+    `neighbors_of` set, so every plan but static reuse is built on the
+    reach-graph components that hold them (`reach_components`), and `sir`
+    runs there too.  This is exact: dynamic reuse never couples FAPs in
+    different components, and the single-band schemes give every FAP the
+    same band.  Static reuse stays on the whole topology, because its coin
+    flips depend on every earlier FAP.  The `events` and `branch_counts` of
+    a dynamic-reuse plan so describe only the reference components."""
     params = scenario.propagation()
     gamma = db_to_linear(scenario["radio.sir_threshold_db"])
     ue_range = scenario["radio.ue_fap_distance_m"]
@@ -90,14 +99,15 @@ def _radio_sweep(scenario: Scenario, counts, trials: int):
             fx, fy = topo.site(ref).position
             ang = 2.0 * math.pi * rng.random()
             ue = (fx + ue_range * math.cos(ang), fy + ue_range * math.sin(ang))
+            local = reach_components(topo, {ref} | neighbors_of(topo, ref))
             for scheme in RADIO_SCHEMES:
-                plan = build_plan(scheme, topo,
+                plan = build_plan(scheme, topo if scheme == "static-reuse" else local,
                                   total_hz=scenario["spectrum.total_hz"],
                                   femto_fraction=scenario["spectrum.femto_fraction"],
                                   seed=scenario.seed,
                                   edge_fraction=scenario["spectrum.edge_fraction"])
-                rep = sir(topo, plan, ue, ref, params, macro_tiers="reference")
-                band = plan.band_for_link(ref, ue, topo)
+                rep = sir(local, plan, ue, ref, params, macro_tiers="reference")
+                band = plan.band_for_link(ref, ue, local)
                 thr = shannon_throughput(band.width, rep.capped_sir(params))
                 if rep.interference_free:
                     outage = 0.0

@@ -470,8 +470,11 @@ class Ch6Cell:
         The handover arrival rate and the chain couple through
         lam_h = P_h (1 - P_B) lam_n / (1 - P_h (1 - P_D)); damped
         substitution, lam_h += damping * (new - lam_h), iterates the pair to
-        FIXED_POINT_TOL.  damping must be finite and in (0, 1].
+        FIXED_POINT_TOL.  lam_new must be finite and >= 0, and damping
+        finite and in (0, 1].
         """
+        if not 0.0 <= lam_new < math.inf:
+            raise ValueError(f"lam_new must be finite and >= 0, got {lam_new!r}")
         _check_damping(damping)
         chain = self.chain(lam_new, 0.0)
         p_h = self.p_h

@@ -238,20 +238,32 @@ def build_plan(
 def _assign_static(plan: SpectrumPlan, topo: CellTopology, seed: int) -> None:
     """Static reuse: each femto takes Bm2 or Bm3, differing from femtocells
     whose coverage discs overlap where possible, random otherwise.  The
-    plan is fresh, so every cell has the nominal radius."""
+    plan is fresh, so every cell has the nominal radius.
+
+    The earlier overlapping FAPs of every FAP come from one pass over the
+    neighbor table, and the coin flips are drawn as one block that is read
+    in order; a block gives the same flips as one scalar draw each."""
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0x57A7)))
     reach = topo.femto_radius_m + topo.femto_radius_m
-    picks = []
+    n = len(topo.femtocells)
+    ptr, nbr, dist = topo.neighbor_table
+    rows = np.repeat(np.arange(n), np.diff(ptr))
+    keep = (nbr < rows) & (dist <= reach)
+    earlier = nbr[keep].tolist()
+    bounds = np.searchsorted(rows[keep], np.arange(n + 1)).tolist()
+    flips = rng.integers(2, size=n).tolist()
+    bands = ("Bm2", "Bm3")
+    picks = []  # index into bands, per FAP in femtocells order
+    drawn = 0
     for k, site in enumerate(topo.femtocells):
-        idx, _ = topo.near(site.id, reach)
-        used = {picks[j] for j in idx[idx < k].tolist()}
-        free = [b for b in ("Bm2", "Bm3") if b not in used]
-        if free:
-            pick = free[0] if len(free) == 1 else free[int(rng.integers(2))]
-        else:
-            pick = ("Bm2", "Bm3")[int(rng.integers(2))]
+        used = {picks[j] for j in earlier[bounds[k]:bounds[k + 1]]}
+        if len(used) == 1:
+            pick = 1 - used.pop()  # the one band left free
+        else:  # both free, or both taken: a coin flip
+            pick = flips[drawn]
+            drawn += 1
         picks.append(pick)
-        plan.femto_assignment[site.id] = FemtoBandAssignment(pick, None)
+        plan.femto_assignment[site.id] = FemtoBandAssignment(bands[pick], None)
 
 
 # ---------------------------------------------------------------------------

@@ -5,15 +5,17 @@ BSs form a hexagonal ring at distance 2*r_m*cos(30 deg).  Femto access points
 (FAPs) are dropped uniformly over the reference macrocell disc with a minimum
 pairwise separation, which makes local neighbor counts Poisson-like.
 
-Each topology builds one fixed-radius neighbor table when it is made, and
-`CellTopology.near` answers every FAP-to-FAP range query from it.  Queries
-from arbitrary points (UE positions) read a full `distances_to` row.
+Each topology builds one fixed-radius neighbor table when it is made.
+`CellTopology.near` answers every FAP-to-FAP range query from it, and
+`reach_components` cuts a topology down to the table's connected components
+that hold given FAPs.  Queries from arbitrary points (UE positions) read a
+full `distances_to` row.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -56,6 +58,10 @@ class MacroGeometry:
     def __post_init__(self):
         if not self.macro_radius_m > self.femto_radius_m > 0:
             raise ValueError("require macro_radius_m > femto_radius_m > 0")
+        for name in ("min_separation_m", "neighbor_threshold_m"):
+            value = getattr(self, name)
+            if not 0.0 <= value < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
 
 
 @dataclass
@@ -112,6 +118,13 @@ class CellTopology:
     @property
     def positions(self) -> np.ndarray:
         return self._pos
+
+    @property
+    def neighbor_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The read-only CSR table (ptr, nbr, dist): the neighbors within
+        the reach of the FAP at index k are nbr[ptr[k]:ptr[k + 1]], ascending,
+        at distances dist[ptr[k]:ptr[k + 1]]."""
+        return self._ptr, self._nbr, self._nbr_dist
 
     def distances_to(self, xy) -> np.ndarray:
         """Distance from a point to every FAP, in femtocells order."""
@@ -226,6 +239,32 @@ def neighbors_of(topo: CellTopology, fap_id: int) -> frozenset[int]:
     return frozenset(topo.femtocells[k].id for k in idx.tolist())
 
 
+def reach_components(topo: CellTopology, fap_ids) -> CellTopology:
+    """The topology of the FAPs in the reach-graph components that hold
+    `fap_ids`, with every other field kept and the FAPs in their order.
+
+    Two FAPs are joined when they lie within the neighbor table's reach, and
+    a breadth-first search over the table collects the components.  No FAP
+    is joined to a FAP outside its component, so any computation whose FAPs
+    only ever read partners within the reach gives the same answers on these
+    FAPs as on the whole topology.  Dynamic reuse is one: radii only shrink,
+    so `SpectrumPlan.interferers` searches within 3·(r + widest) <= reach.
+    """
+    ptr, nbr, _ = topo.neighbor_table
+    seen = np.zeros(len(topo.femtocells), dtype=bool)
+    frontier = np.array(sorted({topo._index_of(f) for f in fap_ids}), dtype=np.intp)
+    seen[frontier] = True
+    while frontier.size:
+        lo, counts = ptr[frontier], ptr[frontier + 1] - ptr[frontier]
+        fresh = np.zeros_like(seen)
+        fresh[nbr[np.repeat(lo - np.cumsum(counts) + counts, counts)
+                  + np.arange(counts.sum())]] = True
+        fresh &= ~seen
+        seen |= fresh
+        frontier = np.flatnonzero(fresh)
+    return replace(topo, femtocells=[topo.femtocells[k] for k in np.flatnonzero(seen)])
+
+
 def within(topo: CellTopology, xy, radius_m: float) -> list[int]:
     """Ids of the femtocells within radius_m of a position, in femtocells order."""
     close = np.flatnonzero(topo.distances_to(xy) <= radius_m)
@@ -254,6 +293,13 @@ def place_femtocells(
     topology.  Femtocell 0 is placed at the fixed reference range from the
     BS instead of being sampled.
 
+    The uniform draws come from the generator in blocks, which yields the
+    same doubles in the same order as one scalar draw each, and a candidate
+    is measured only against the placed FAPs in its own and the 8 adjacent
+    cells of a grid of side at least the separation (cell lists, Allen &
+    Tildesley).  So the positions are those of the scalar loop that tests
+    every placed FAP.
+
     Raises PlacementInfeasibleError when the disc cannot hold `count` sites
     at the requested separation.
     """
@@ -274,12 +320,18 @@ def place_femtocells(
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     buf = np.empty((count, 2)) if count else np.zeros((0, 2))
     placed = 0
+    # the side exceeds `sep` by more than x/side can round, so a FAP closer
+    # than `sep` never lands two cells away; at sep = 0 nothing is rejected
+    side = sep * (1.0 + 2.0**-40) + max(r, REFERENCE_FAP_DISTANCE) * 2.0**-40
+    cells: dict[tuple[int, int], list[int]] = {}
     if count > 0:
         buf[0] = (REFERENCE_FAP_DISTANCE, 0.0)
+        cells[(math.floor(REFERENCE_FAP_DISTANCE / side), 0)] = [0]
         placed = 1
 
     max_attempts = 200 * max(count, 1)
     attempts = 0
+    draws, at = [], 0
     while placed < count:
         attempts += 1
         if attempts > max_attempts:
@@ -287,12 +339,20 @@ def place_femtocells(
                 f"placed only {placed}/{count} FAPs "
                 f"after {max_attempts} attempts"
             )
+        if at == len(draws):
+            draws, at = rng.random(2 * (count - placed)).tolist(), 0
         # uniform over the disc via sqrt radius
-        rad = r * math.sqrt(rng.random())
-        ang = 2.0 * math.pi * rng.random()
+        rad = r * math.sqrt(draws[at])
+        ang = 2.0 * math.pi * draws[at + 1]
+        at += 2
         x, y = rad * math.cos(ang), rad * math.sin(ang)
-        if placed and np.min(np.hypot(buf[:placed, 0] - x, buf[:placed, 1] - y)) < sep:
-            continue
+        if sep > 0:
+            cx, cy = math.floor(x / side), math.floor(y / side)
+            near = [k for i in (cx - 1, cx, cx + 1) for j in (cy - 1, cy, cy + 1)
+                    for k in cells.get((i, j), ())]
+            if near and np.min(np.hypot(buf[near, 0] - x, buf[near, 1] - y)) < sep:
+                continue
+            cells.setdefault((cx, cy), []).append(placed)
         buf[placed] = (x, y)
         placed += 1
     femtos = [FemtoSite(id=i, position=tuple(row)) for i, row in enumerate(buf)]

@@ -521,3 +521,79 @@ def scalar_loss_chain(
                 i -= 1
 
     return seen, rejected, time_in_state, elapsed, i, state
+
+
+# -- placement and static reuse as they were before the grid rejection and
+# the block draws: one scalar draw each, every candidate measured against
+# every placed FAP, and one `near` call per FAP.  Kept verbatim as the
+# bitwise reference for topology.place_femtocells and spectrum._assign_static.
+
+
+def scalar_placement(seed: int, count: int, macro=None) -> np.ndarray:
+    """The FAP positions of place_femtocells, by the scalar loop."""
+    from femtonet.topology import (
+        REFERENCE_FAP_DISTANCE,
+        MacroGeometry,
+        PlacementInfeasibleError,
+    )
+
+    if count < 0:
+        raise ValueError("count must be >= 0")
+    macro = macro or MacroGeometry()
+
+    # packing bound: disc area over exclusion-disc area, with slack
+    r, sep = macro.macro_radius_m, macro.min_separation_m
+    if count > 0 and sep > 0:
+        capacity = 0.25 * (2.0 * r / sep + 1.0) ** 2
+        if count > capacity:
+            raise PlacementInfeasibleError(
+                f"cannot place {count} FAPs at {sep} m separation "
+                f"inside a {r} m disc"
+            )
+
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    buf = np.empty((count, 2)) if count else np.zeros((0, 2))
+    placed = 0
+    if count > 0:
+        buf[0] = (REFERENCE_FAP_DISTANCE, 0.0)
+        placed = 1
+
+    max_attempts = 200 * max(count, 1)
+    attempts = 0
+    while placed < count:
+        attempts += 1
+        if attempts > max_attempts:
+            raise PlacementInfeasibleError(
+                f"placed only {placed}/{count} FAPs "
+                f"after {max_attempts} attempts"
+            )
+        # uniform over the disc via sqrt radius
+        rad = r * math.sqrt(rng.random())
+        ang = 2.0 * math.pi * rng.random()
+        x, y = rad * math.cos(ang), rad * math.sin(ang)
+        if placed and np.min(np.hypot(buf[:placed, 0] - x, buf[:placed, 1] - y)) < sep:
+            continue
+        buf[placed] = (x, y)
+        placed += 1
+    return buf
+
+
+def scalar_assign_static(plan, topo, seed: int) -> None:
+    """Static reuse: each femto takes Bm2 or Bm3, differing from femtocells
+    whose coverage discs overlap where possible, random otherwise.  The
+    plan is fresh, so every cell has the nominal radius."""
+    from femtonet.spectrum import FemtoBandAssignment
+
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 0x57A7)))
+    reach = topo.femto_radius_m + topo.femto_radius_m
+    picks = []
+    for k, site in enumerate(topo.femtocells):
+        idx, _ = topo.near(site.id, reach)
+        used = {picks[j] for j in idx[idx < k].tolist()}
+        free = [b for b in ("Bm2", "Bm3") if b not in used]
+        if free:
+            pick = free[0] if len(free) == 1 else free[int(rng.integers(2))]
+        else:
+            pick = ("Bm2", "Bm3")[int(rng.integers(2))]
+        picks.append(pick)
+        plan.femto_assignment[site.id] = FemtoBandAssignment(pick, None)

@@ -174,6 +174,35 @@ def test_run_fig4_pair_sweeps_once(tmp_path, capsys, monkeypatch):
         assert hashlib.sha256(data).hexdigest() == expected[os.path.basename(path)]
 
 
+DENSE_PINS = os.path.join(os.path.dirname(__file__), "data", "fig4_dense_csvs.sha256")
+DENSE_SCENARIO = os.path.join(os.path.dirname(os.path.dirname(__file__)),
+                              "scenarios", "dense-frequency-reuse.scenario")
+
+
+def _dense_cases():
+    """The recorded cases: `seed-S` runs at seed S, and a `-threshold-T`
+    suffix adds topology.neighbor_threshold_m = T."""
+    cases = {}
+    for line in open(DENSE_PINS):
+        digest, path = line.split()
+        case, name = path.split("/")
+        cases.setdefault(case, {})[name] = digest
+    return sorted(cases.items())
+
+
+@pytest.mark.parametrize("case, expected", _dense_cases())
+def test_dense_fig4_pair_matches_its_recorded_sha256(case, expected, tmp_path, capsys):
+    seed, _, threshold = case.removeprefix("seed-").partition("-threshold-")
+    extra = ["--set", f"topology.neighbor_threshold_m = {threshold}"] if threshold else []
+    assert main(["run", "fig4-throughput", "fig4-outage", "--scenario", DENSE_SCENARIO,
+                 "--trials", "2", "--seed", seed, *extra, "--out", str(tmp_path)]) == EXIT_OK
+    paths = capsys.readouterr().out.split()
+    assert sorted(os.path.basename(p) for p in paths) == sorted(expected)
+    for path in paths:
+        data = open(path, "rb").read()
+        assert hashlib.sha256(data).hexdigest() == expected[os.path.basename(path)], case
+
+
 def test_run_several_names_match_solo_runs(tmp_path):
     small = ["--trials", "1", "--set", "sweep.femto_counts = 60",
              "--set", "traffic.arrival_grid = 0.8"]

@@ -7,8 +7,16 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import brute_interferers, brute_neighbors, pairwise_edge_conflicts, static_reuse_labels
+from oracles import (
+    brute_interferers,
+    brute_neighbors,
+    pairwise_edge_conflicts,
+    scalar_assign_static,
+    static_reuse_labels,
+)
 
 from femtonet.spectrum import build_plan, plan_from_text, plan_to_text
 from femtonet.topology import (
@@ -84,6 +92,18 @@ def test_static_reuse_matches_scalar_loop(seed):
     _scramble_edges(plan, seed)
     plan.scheme = "dynamic-reuse"  # edge_conflicts reads dynamic plans only
     _assert_matches_oracles(plan, topo)
+
+
+@given(seed=st.integers(0, 2**32 - 1), count=st.integers(0, 300),
+       side=st.floats(20.0, 600.0), plan_seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_static_reuse_matches_scalar_draws(seed, count, side, plan_seed):
+    topo = _random_topo(seed, count, side)
+    plan = build_plan("static-reuse", topo, seed=plan_seed)
+    expected = build_plan("dedicated", topo)  # a fresh plan to fill
+    expected.femto_assignment = {}
+    scalar_assign_static(expected, topo, plan_seed)
+    assert list(plan.femto_assignment.items()) == list(expected.femto_assignment.items())
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -302,6 +302,14 @@ def test_ch6_rejects_bad_arrival_rate_when_the_chain_is_built(lam_new, scheme):
         cell.solve(lam_new)
 
 
+@pytest.mark.parametrize("lam_new", [-0.5, math.nan, math.inf])
+def test_ch6_cell_solve_names_a_bad_arrival_rate(lam_new):
+    cell = ch6_cell(Ch6QueueParams(lam_new=1.0, capacity=6000.0, classes=TABLE61,
+                                   eta=1 / 240.0, guard_channels=5), "guard")
+    with pytest.raises(ValueError, match=r"lam_new must be finite and >= 0, got"):
+        cell.solve(lam_new)
+
+
 @pytest.mark.parametrize("kw, message", [
     (dict(capacity=0.0), "capacity"), (dict(capacity=-5.0), "capacity"),
     (dict(capacity=math.nan), "capacity"), (dict(capacity=math.inf), "capacity"),

@@ -1,0 +1,137 @@
+"""Plans restricted to the reference FAP's reach components against the plans
+of the whole topology: the fig4 sweep builds the former and must read the
+same bands, radii and SIR reports as the latter would give."""
+
+import math
+
+import numpy as np
+import pytest
+
+from femtonet.radio import sir
+from femtonet.spectrum import build_plan
+from femtonet.topology import (
+    CellTopology,
+    FemtoSite,
+    MacroGeometry,
+    UnknownSiteError,
+    neighbors_of,
+    place_femtocells,
+    reach_components,
+)
+
+REF = 0
+
+
+def _brute_components(topo):
+    """Component label per FAP index, by union-find over every pair."""
+    n = len(topo.femtocells)
+    parent = list(range(n))
+
+    def root(k):
+        while parent[k] != k:
+            parent[k] = parent[parent[k]]
+            k = parent[k]
+        return k
+
+    pos = topo.positions
+    reach = 3.0 * (topo.femto_radius_m + topo.femto_radius_m)
+    for a in range(n):
+        d = np.hypot(pos[a, 0] - pos[:, 0], pos[a, 1] - pos[:, 1])
+        for b in np.flatnonzero(d <= reach).tolist():
+            parent[root(a)] = root(b)
+    return [root(k) for k in range(n)]
+
+
+def _hex(report):
+    return ([x.hex() for x in (report.signal_w, report.femto_interf_w, report.macro_interf_w)],
+            [(name, p.hex()) for name, p in report.per_source], report.interference_free)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_reach_components_are_the_union_find_components(seed):
+    rng = np.random.default_rng(seed)
+    ids = rng.permutation(600)[:200].tolist()
+    xy = rng.uniform(0.0, 900.0, size=(200, 2))
+    topo = CellTopology(1000.0, 10.0, [(0.0, 0.0)],
+                        [FemtoSite(i, (float(x), float(y))) for i, (x, y) in zip(ids, xy)],
+                        neighbor_threshold_m=45.0, macro_ue_walls=2, inter_femto_walls=3)
+    label = _brute_components(topo)
+    seeds = {ids[0], ids[7], ids[50]}
+    held = {label[ids.index(f)] for f in seeds}
+    sub = reach_components(topo, seeds)
+    assert sub.femto_ids == [f for k, f in enumerate(ids) if label[k] in held]
+    assert all(a is b for a, b in zip(sub.femtocells, (topo.site(f) for f in sub.femto_ids)))
+    for name in ("macro_radius_m", "femto_radius_m", "macro_sites", "neighbor_threshold_m",
+                 "macro_ue_walls", "inter_femto_walls"):
+        assert getattr(sub, name) == getattr(topo, name), name
+    for f in sub.femto_ids:
+        got, want = sub.near(f, 60.0), topo.near(f, 60.0)
+        assert [sub.femtocells[k].id for k in got[0].tolist()] == \
+            [topo.femtocells[k].id for k in want[0].tolist()]
+        assert got[1].tolist() == want[1].tolist()
+
+
+def test_reach_components_of_nothing_and_of_an_unknown_id():
+    topo = place_femtocells(seed=1, count=20)
+    assert reach_components(topo, ()).femtocells == []
+    with pytest.raises(UnknownSiteError):
+        reach_components(topo, {0, 99})
+
+
+def _assert_restricted_plans_match(topo, rng):
+    """Every restricted plan and SIR report against the whole topology's,
+    for the reference FAP and a user at the fig4 measurement range."""
+    union = {REF} | neighbors_of(topo, REF)
+    local = reach_components(topo, union)
+    assert union <= set(local.femto_ids)
+    assert neighbors_of(local, REF) == neighbors_of(topo, REF)
+    fx, fy = topo.site(REF).position
+    ang = 2.0 * math.pi * rng.random()
+    ue = (fx + 5.0 * math.cos(ang), fy + 5.0 * math.sin(ang))
+    for scheme in ("dedicated", "shared", "static-reuse", "dynamic-reuse"):
+        full = build_plan(scheme, topo, seed=3)
+        # static reuse is built on the whole topology; sir still reads `local`
+        part = full if scheme == "static-reuse" else build_plan(scheme, local, seed=3)
+        if part is not full:
+            assert list(part.femto_assignment) == local.femto_ids
+        for f in local.femto_ids:
+            assert part.femto_assignment[f] == full.femto_assignment[f], (scheme, f)
+            assert part.radius_of.get(f) == full.radius_of.get(f), (scheme, f)
+        assert part.band_for_link(REF, ue, local) == full.band_for_link(REF, ue, topo)
+        for tiers in ("reference", "all"):
+            assert _hex(sir(local, part, ue, REF, macro_tiers=tiers)) == \
+                _hex(sir(topo, full, ue, REF, macro_tiers=tiers)), (scheme, tiers)
+    return local, part
+
+
+@pytest.mark.parametrize("count", [60, 100, 300, 600, 1000])
+@pytest.mark.parametrize("seed", [1, 7, 12])
+def test_restricted_plans_match_at_the_default_geometry(count, seed):
+    topo = place_femtocells(seed, count)
+    local, dynamic = _assert_restricted_plans_match(topo, np.random.default_rng(seed))
+    if count == 1000:
+        # the dense case: a strict subset whose dynamic plan shrinks cells,
+        # so shrunk radii are compared too
+        assert len(local.femtocells) < count and dynamic.radius_of
+
+
+def test_restricted_plans_match_with_a_threshold_above_the_reach():
+    macro = MacroGeometry(neighbor_threshold_m=90.0)
+    outside = 0
+    for seed in range(1, 6):
+        topo = place_femtocells(seed, 1000, macro=macro)
+        own = set(reach_components(topo, {REF}).femto_ids)
+        # sir reads neighbors beyond the reference FAP's own component, so
+        # only the union of components keeps them all
+        outside += len(neighbors_of(topo, REF) - own)
+        _assert_restricted_plans_match(topo, np.random.default_rng(seed))
+    assert outside > 0
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_restricted_plans_match_with_a_wider_femto_radius(seed):
+    macro = MacroGeometry(femto_radius_m=15.0)
+    for count in (300, 1000):
+        topo = place_femtocells(seed, count, macro=macro)
+        _, dynamic = _assert_restricted_plans_match(topo, np.random.default_rng(seed))
+    assert dynamic.radius_of  # at 1000 wide cells, so shrunk radii are compared

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import scalar_placement
 
 from femtonet.topology import (
     CellTopology,
@@ -148,3 +149,83 @@ def test_topology_rejects_a_bad_radius_or_position(radius, xy):
     with pytest.raises(ValueError):
         CellTopology(macro_radius_m=1000.0, femto_radius_m=radius, macro_sites=[(0.0, 0.0)],
                      femtocells=[FemtoSite(0, xy), FemtoSite(1, (5.0, 5.0))])
+
+
+@pytest.mark.parametrize("field", ["min_separation_m", "neighbor_threshold_m"])
+@pytest.mark.parametrize("value", [-1.0, -5.0, math.nan, math.inf, -math.inf])
+def test_macro_geometry_rejects_a_bad_separation_or_threshold(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be finite and >= 0, got"):
+        MacroGeometry(**{field: value})
+
+
+def test_macro_geometry_accepts_zero_separation_and_threshold():
+    macro = MacroGeometry(min_separation_m=0.0, neighbor_threshold_m=0.0)
+    assert len(place_femtocells(seed=3, count=50, macro=macro).femtocells) == 50
+
+
+def _assert_places_as_scalar_loop(seed, count, macro):
+    """Either the same positions, bit for bit, or the same error."""
+    try:
+        expected = scalar_placement(seed, count, macro)
+    except PlacementInfeasibleError as exc:
+        with pytest.raises(PlacementInfeasibleError) as got:
+            place_femtocells(seed, count, macro)
+        assert str(got.value) == str(exc)
+        return str(exc)
+    assert place_femtocells(seed, count, macro).positions.tolist() == expected.tolist()
+    return None
+
+
+@given(seed=st.integers(0, 2**32 - 1), count=st.integers(0, 300),
+       radius=st.floats(10.5, 3000.0))
+@settings(max_examples=60, deadline=None)
+def test_placement_without_separation_matches_scalar_loop(seed, count, radius):
+    macro = MacroGeometry(macro_radius_m=radius, min_separation_m=0.0)
+    assert _assert_places_as_scalar_loop(seed, count, macro) is None
+
+
+@given(seed=st.integers(0, 2**32 - 1), fill=st.floats(0.05, 1.0),
+       radius=st.floats(15.0, 60.0), sep=st.floats(1.5, 8.0))
+@settings(max_examples=60, deadline=None)
+def test_placement_in_a_tight_disc_matches_scalar_loop(seed, fill, radius, sep):
+    # up to the packing bound, so most candidates late in a run are rejected
+    capacity = 0.25 * (2.0 * radius / sep + 1.0) ** 2
+    macro = MacroGeometry(macro_radius_m=radius, femto_radius_m=1.0, min_separation_m=sep)
+    _assert_places_as_scalar_loop(seed, max(1, int(fill * capacity)), macro)
+
+
+class _PeriodicRng:
+    """A generator whose uniform stream repeats `values` forever."""
+
+    def __init__(self, values):
+        self._values = values
+        self._at = 0
+
+    def random(self, size=None):
+        out = []
+        for _ in range(1 if size is None else size):
+            out.append(self._values[self._at % len(self._values)])
+            self._at += 1
+        return out[0] if size is None else np.array(out)
+
+
+@given(seed=st.integers(0, 2**32 - 1), period=st.sampled_from([2, 6, 10, 22]),
+       count=st.integers(2, 40))
+@settings(max_examples=30, deadline=None)
+def test_placement_gives_up_after_max_attempts_as_scalar_loop(seed, period, count):
+    # The packing bound keeps every accepted count well below the jamming
+    # limit of random sequential placement, so real draws never run out of
+    # attempts.  A stream that repeats its candidates does: once every
+    # distinct candidate was tried, each further one is rejected.
+    macro = MacroGeometry(min_separation_m=2.0)
+    values = np.random.default_rng(seed).random(period).tolist()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np.random, "default_rng", lambda _: _PeriodicRng(values))
+        message = _assert_places_as_scalar_loop(seed, count, macro)
+    if count > period // 2 + 1:
+        assert message.endswith(f"/{count} FAPs after {200 * count} attempts")
+
+
+@pytest.mark.parametrize("seed", [7, 11])
+def test_default_placement_matches_scalar_loop(seed):
+    assert _assert_places_as_scalar_loop(seed, 1000, MacroGeometry()) is None
