@@ -199,10 +199,6 @@ class AdmissionDecision:
     degradations: tuple[tuple[int, float, float], ...] = ()
     state: CellLoadState | None = None
 
-    @property
-    def accepted(self) -> bool:
-        return self.outcome.startswith("accept")
-
 
 def _degradation_list(before: CellLoadState, after: CellLoadState):
     out = []

@@ -16,6 +16,7 @@ from .experiments import (
     EXPERIMENTS,
     DEFAULT_PRESET,
     ExperimentResult,
+    check_scenario,
     csv_to_rows,
     emit,
     result_to_plot_script,
@@ -125,6 +126,11 @@ def _cmd_validate(args) -> int:
         scenario = load_scenario(args.path)
     except ScenarioError as exc:
         print(f"invalid: {exc}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
+    try:
+        check_scenario(scenario)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     print(f"ok: scenario {scenario.name!r} "
           f"(seed {scenario.seed}, trials {scenario['trials']})")

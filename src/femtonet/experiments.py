@@ -31,7 +31,8 @@ from .videoalloc import (
 )
 
 RADIO_SCHEMES = ("dedicated", "shared", "static-reuse", "dynamic-reuse")
-CAC_SCHEMES = ("proposed", "non-prioritized", "aqos", "hard-qos", "guard")
+CAC_SCHEMES = q_mod.CH6_SCHEMES
+FIG6_ARRIVAL_GRID = (0.4, 0.7, 1.0, 1.3, 1.6, 2.0)  # when the scenario sets none
 
 CSV_COLUMNS = ("scenario", "scheme", "x", "metric", "value", "stderr", "seed")
 
@@ -249,7 +250,7 @@ def run_fig5_neighborlist(scenario: Scenario) -> ExperimentResult:
 
 def run_fig6_cac(scenario: Scenario) -> ExperimentResult:
     res = ExperimentResult("fig6-cac", scenario.name, scenario.seed)
-    grid = list(scenario["traffic.arrival_grid"]) or [0.4, 0.7, 1.0, 1.3, 1.6, 2.0]
+    grid = list(scenario["traffic.arrival_grid"] or FIG6_ARRIVAL_GRID)
     base = scenario.ch6_params(lam_new=grid[0])
     # the cell does not depend on the new-call rate: one per scheme
     cells = [q_mod.ch6_cell(base, scheme) for scheme in CAC_SCHEMES]
@@ -452,9 +453,27 @@ def _checked(name: str, scenario: Scenario | None, seed: int | None) -> Scenario
         scenario = scenario_from_preset(DEFAULT_PRESET[name])
     if seed is not None:
         scenario = Scenario({**scenario.values, "seed": seed})
+    _check_trials(scenario)
+    return scenario
+
+
+def _check_trials(scenario: Scenario) -> None:
     if scenario["trials"] < 0:
         raise ValueError(f"trials must be >= 0, got {scenario['trials']}")
-    return scenario
+
+
+def check_scenario(scenario: Scenario) -> None:
+    """Check the trial count and build the parameter objects that the
+    experiments build from `scenario`, running no experiment: a value that
+    one of these checks rejects raises the ValueError that `run_experiment`
+    raises for it.  The ch6 parameters are built at each rate of the arrival
+    grid, or at fig6-cac's first default rate when the grid is empty."""
+    _check_trials(scenario)
+    scenario.macro_geometry()
+    scenario.propagation()
+    scenario.two_tier_params()
+    for lam in scenario["traffic.arrival_grid"] or FIG6_ARRIVAL_GRID[:1]:
+        scenario.ch6_params(lam)
 
 
 def run_experiment(name: str, scenario: Scenario | None = None,

@@ -5,9 +5,11 @@ wall_loss_db per wall; every SIR report is on these mean paths.  Rayleigh
 fading enters only the outage probability, as a unit-mean exponential power
 factor Z on the serving link (closed form and Monte Carlo).  The
 macro-interference constants are anchored to a 900 MHz urban Hata evaluation
-at the 200 m reference range; the femto constants to free-space at 1 m.  All
-of them are scenario-overridable -- experiment checks assert scheme
-orderings, not absolute levels.
+at the 200 m reference range; the femto constants to free-space at 1 m.  A
+scenario overrides only the two tx powers and `sir_cap_db` of
+`PropagationParams`, plus the SIR threshold and UE-to-FAP range that the
+experiments read; the path-loss constants keep their defaults.  Experiment
+checks assert scheme orderings, not absolute levels.
 """
 
 from __future__ import annotations

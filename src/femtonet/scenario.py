@@ -125,6 +125,14 @@ class Scenario:
     def seed(self) -> int:
         return self.values["seed"]
 
+    def _duration(self, key: str) -> float:
+        """A mean time whose inverse is a rate: it must be > 0.  inf gives a
+        rate of 0; an infinite dwell time means no mobility."""
+        value = self[key]
+        if not value > 0:
+            raise ValueError(f"{key} must be > 0, got {value!r}")
+        return value
+
     def macro_geometry(self):
         from .topology import MacroGeometry
 
@@ -162,9 +170,9 @@ class Scenario:
         return TwoTierParams(
             lambda_o_f=lam_f,
             lambda_o_m=lam - lam_f,
-            mu=1.0 / self["traffic.mean_call_duration_s"],
-            eta_f=1.0 / self["traffic.femto_dwell_s"],
-            eta_m=1.0 / self["traffic.macro_dwell_s"],
+            mu=1.0 / self._duration("traffic.mean_call_duration_s"),
+            eta_f=1.0 / self._duration("traffic.femto_dwell_s"),
+            eta_m=1.0 / self._duration("traffic.macro_dwell_s"),
             n=n,
             r_f=self["topology.femto_radius_m"],
             r_m=self["topology.macro_radius_m"],
@@ -185,7 +193,7 @@ class Scenario:
         guard = max(1, int(self["traffic.guard_fraction"] * n))
         return Ch6QueueParams(
             lam_new=lam_new, capacity=capacity, classes=classes,
-            eta=1.0 / self["traffic.macro_dwell_s"], guard_channels=guard)
+            eta=1.0 / self._duration("traffic.macro_dwell_s"), guard_channels=guard)
 
 
 def _apply_preset(values: dict, preset_name: str, line: int, path) -> None:
@@ -244,14 +252,10 @@ def load_scenario(path) -> Scenario:
     return Scenario(values)
 
 
-def scenario_from_preset(preset_name: str, **overrides) -> Scenario:
+def scenario_from_preset(preset_name: str) -> Scenario:
     values: dict = {}
     if preset_name:
         _apply_preset(values, preset_name, 0, None)
-    for key, value in overrides.items():
-        if key not in SCENARIO_KEYS:
-            raise ScenarioError(f"unknown key {key!r}")
-        values[key] = value
     return Scenario(values)
 
 

@@ -99,11 +99,11 @@ class SpectrumPlan:
     Mutation (configure/remove under dynamic reuse) is single-writer; reads
     may be concurrent between mutations.
 
-    The constructor also records the widest radius it was given.  No cell
-    is ever wider than that or the nominal radius: `_shrink_one` is the only
-    code that sets a radius, and it only lowers one (`remove_femto` only
-    deletes), so `interferers` bounds its search by the two without
-    scanning `radius_of`.
+    Plans come only from `build_plan`, so no cell is ever wider than the
+    nominal radius: `_shrink_one` is the only writer of `radius_of` and it
+    only lowers a radius (`remove_femto` only deletes).  `interferers`
+    therefore bounds its search by the nominal radius, which keeps it inside
+    the neighbor table's reach, so it never reads a distance row.
     """
 
     scheme: str
@@ -112,9 +112,9 @@ class SpectrumPlan:
     femto_assignment: dict[int, FemtoBandAssignment]
     femto_fraction: float = DEFAULT_FEMTO_FRACTION
     edge_fraction: float = DEFAULT_EDGE_FRACTION
-    radius_of: dict[int, float] = field(default_factory=dict)
-    events: list[tuple] = field(default_factory=list)
-    branch_counts: dict[str, int] = field(default_factory=dict)
+    radius_of: dict[int, float] = field(default_factory=dict, init=False)
+    events: list[tuple] = field(default_factory=list, init=False)
+    branch_counts: dict[str, int] = field(default_factory=dict, init=False)
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:
@@ -124,7 +124,6 @@ class SpectrumPlan:
         if not 0.0 < self.femto_fraction < 1.0:
             raise PlanConfigError("femto fraction must lie in (0, 1)")
         self._bands = _band_table(self.total_hz, self.femto_fraction)
-        self._widest = max(self.radius_of.values(), default=0.0)
 
     def band(self, label: str) -> Band:
         try:
@@ -173,9 +172,8 @@ class SpectrumPlan:
         """Femtocells within mutual interference range of `fap_id`: the one
         interference relation, read once per FAP by each configuration step."""
         r = self.femto_radius(fap_id, topo)
-        # no radius exceeds the widest one, so this keeps every interferer
-        widest = max(topo.femto_radius_m, self._widest)
-        idx, dist = topo.near(fap_id, INTERFERENCE_RADIUS_SCALE * (r + widest))
+        # no radius exceeds the nominal one, so this keeps every interferer
+        idx, dist = topo.near(fap_id, INTERFERENCE_RADIUS_SCALE * (r + topo.femto_radius_m))
         hits = []
         for k, d in zip(idx.tolist(), dist.tolist()):
             other = topo.femtocells[k].id
@@ -496,62 +494,6 @@ def remove_femto(plan: SpectrumPlan, topo: CellTopology, fap_id: int) -> Spectru
     if former:
         _repair_conflicts(plan, topo, {f: plan.interferers(topo, f) for f in former})
     return plan
-
-
-# ---------------------------------------------------------------------------
-# structured-text snapshots for scenario replay
-
-
-def plan_to_text(plan: SpectrumPlan) -> str:
-    """Serialize a plan as line-oriented key = value text."""
-    lines = [
-        f"scheme = {plan.scheme}",
-        f"total_hz = {plan.total_hz!r}",
-        f"femto_fraction = {plan.femto_fraction!r}",
-        f"edge_fraction = {plan.edge_fraction!r}",
-    ]
-    for j in sorted(plan.macro_assignment):
-        lines.append(f"macro.{j} = {plan.macro_assignment[j]}")
-    for f in sorted(plan.femto_assignment):
-        a = plan.femto_assignment[f]
-        lines.append(f"femto.{f} = {a.center_label},{a.edge_label or '-'}")
-    for f in sorted(plan.radius_of):
-        lines.append(f"radius.{f} = {plan.radius_of[f]!r}")
-    return "\n".join(lines) + "\n"
-
-
-def plan_from_text(text: str) -> SpectrumPlan:
-    """Rebuild a plan from its snapshot; inverse of plan_to_text."""
-    fields: dict[str, str] = {}
-    macro: dict[int, str] = {}
-    femto: dict[int, FemtoBandAssignment] = {}
-    radius: dict[int, float] = {}
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ValueError(f"line {line_no}: expected 'key = value'")
-        key, _, value = line.partition("=")
-        key, value = key.strip(), value.strip()
-        if key.startswith("macro."):
-            macro[int(key[6:])] = value
-        elif key.startswith("femto."):
-            center, _, edge = value.partition(",")
-            femto[int(key[6:])] = FemtoBandAssignment(center, None if edge == "-" else edge)
-        elif key.startswith("radius."):
-            radius[int(key[7:])] = float(value)
-        else:
-            fields[key] = value
-    return SpectrumPlan(
-        scheme=fields["scheme"],
-        total_hz=float(fields["total_hz"]),
-        macro_assignment=macro,
-        femto_assignment=femto,
-        femto_fraction=float(fields.get("femto_fraction", DEFAULT_FEMTO_FRACTION)),
-        edge_fraction=float(fields.get("edge_fraction", DEFAULT_EDGE_FRACTION)),
-        radius_of=radius,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -248,7 +248,8 @@ def reach_components(topo: CellTopology, fap_ids) -> CellTopology:
     is joined to a FAP outside its component, so any computation whose FAPs
     only ever read partners within the reach gives the same answers on these
     FAPs as on the whole topology.  Dynamic reuse is one: radii only shrink,
-    so `SpectrumPlan.interferers` searches within 3·(r + widest) <= reach.
+    which holds because only `spectrum.build_plan` makes a plan, so
+    `SpectrumPlan.interferers` searches within 3·(r + r_f) <= reach.
     """
     ptr, nbr, _ = topo.neighbor_table
     seen = np.zeros(len(topo.femtocells), dtype=bool)

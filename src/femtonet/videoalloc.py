@@ -26,15 +26,12 @@ class MbsSession:
     max_layers: int
     min_layers: int = 0
     popularity: int = 0  # viewer count; rank 1 = most viewers
-    current_layers: int | None = None
 
     def __post_init__(self):
         if not 0 <= self.min_layers <= self.max_layers:
             raise ValueError("need 0 <= min_layers <= max_layers")
         if self.base_bw <= 0 or self.layer_bw < 0:
             raise ValueError("bad session bandwidths")
-        if self.current_layers is None:
-            self.current_layers = self.max_layers
 
     def bw_at(self, layers: int) -> float:
         return self.base_bw + self.layer_bw * layers

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from femtonet._despy import check_loss_chain
-from femtonet.spectrum import DEFAULT_TOTAL_HZ, Band, PlanConfigError
+from femtonet.spectrum import DEFAULT_TOTAL_HZ, Band, PlanConfigError, SpectrumPlan
 
 
 def balance_equation_solve(birth_rates, death_rates) -> np.ndarray:
@@ -597,3 +597,21 @@ def scalar_assign_static(plan, topo, seed: int) -> None:
             pick = ("Bm2", "Bm3")[int(rng.integers(2))]
         picks.append(pick)
         plan.femto_assignment[site.id] = FemtoBandAssignment(pick, None)
+
+
+def plan_to_text(plan: SpectrumPlan) -> str:
+    """Serialize a plan as line-oriented key = value text."""
+    lines = [
+        f"scheme = {plan.scheme}",
+        f"total_hz = {plan.total_hz!r}",
+        f"femto_fraction = {plan.femto_fraction!r}",
+        f"edge_fraction = {plan.edge_fraction!r}",
+    ]
+    for j in sorted(plan.macro_assignment):
+        lines.append(f"macro.{j} = {plan.macro_assignment[j]}")
+    for f in sorted(plan.femto_assignment):
+        a = plan.femto_assignment[f]
+        lines.append(f"femto.{f} = {a.center_label},{a.edge_label or '-'}")
+    for f in sorted(plan.radius_of):
+        lines.append(f"radius.{f} = {plan.radius_of[f]!r}")
+    return "\n".join(lines) + "\n"

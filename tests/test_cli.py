@@ -112,6 +112,38 @@ def test_validate_missing_file():
     assert main(["validate", "/nonexistent/path.scenario"]) == EXIT_INPUT_ERROR
 
 
+@pytest.mark.parametrize("line, experiment", [
+    ("topology.min_separation_m = -1", "fig4-outage"),
+    ("trials = -1", "fig4-outage"),
+    ("traffic.arrival_grid = 0.4, -0.5", "fig6-cac"),
+    ("traffic.mean_call_duration_s = 0", "fig5-mobility"),
+])
+def test_validate_rejects_what_run_rejects(tmp_path, line, experiment):
+    path = tmp_path / "bad.scenario"
+    path.write_text(f"name = bad\n{line}\n")
+    validate = _femtonet("validate", str(path))
+    run = _femtonet("run", experiment, "--scenario", str(path), "--out", str(tmp_path / "out"))
+    assert validate.returncode == run.returncode == EXIT_INPUT_ERROR
+    assert validate.stderr.startswith("error: ") and validate.stderr == run.stderr
+
+
+@pytest.mark.parametrize("experiment, key", [
+    ("fig5-mobility", "traffic.mean_call_duration_s"),
+    ("fig5-mobility", "traffic.femto_dwell_s"),
+    ("fig6-cac", "traffic.macro_dwell_s"),
+])
+def test_zero_duration_is_input_error(tmp_path, experiment, key):
+    proc = _femtonet("run", experiment, "--set", f"{key}=0", "--out", str(tmp_path))
+    assert proc.returncode == EXIT_INPUT_ERROR
+    assert proc.stderr == f"error: {key} must be > 0, got 0.0\n"
+    assert not os.listdir(tmp_path)
+
+
+def test_infinite_dwell_means_no_mobility():
+    scenario = Scenario({"traffic.macro_dwell_s": float("inf")})
+    assert scenario.ch6_params(1.0).eta == 0.0
+
+
 def test_emit_round_trip(tmp_path, capsys):
     main(["run", "fig8-popularity", "--seed", "5", "--trials", "3",
           "--out", str(tmp_path), "--set", "sweep.session_counts = 25"])

@@ -160,6 +160,11 @@ def test_dedicated_fraction_validation():
                 build_plan(scheme, topo, total_hz=total_hz)
 
 
+def test_unknown_scheme_is_rejected():
+    with pytest.raises(PlanConfigError, match="unknown scheme 'dedicted'"):
+        build_plan("dedicted", place_femtocells(seed=5, count=3))
+
+
 # ---------------------------------------------------------------------------
 # dynamic reuse configuration algorithm
 
@@ -316,42 +321,6 @@ def test_idempotent_for_non_neighbors():
     # re-configuring femto 2 must not touch the distant femto 0
     configure_new_femto(plan, topo, 2)
     assert plan.femto_assignment[0].edge_label == far_before
-
-
-def test_plan_snapshot_round_trip():
-    from femtonet.spectrum import plan_from_text, plan_to_text
-
-    topo = place_femtocells(seed=9, count=40)
-    for scheme in ("dedicated", "shared", "sub", "static-reuse", "dynamic-reuse"):
-        plan = build_plan(scheme, topo, seed=9)
-        text = plan_to_text(plan)
-        back = plan_from_text(text)
-        assert back.scheme == plan.scheme
-        assert back.macro_assignment == plan.macro_assignment
-        assert {f: (a.center_label, a.edge_label)
-                for f, a in back.femto_assignment.items()} == \
-               {f: (a.center_label, a.edge_label)
-                for f, a in plan.femto_assignment.items()}
-        assert back.radius_of == plan.radius_of
-        assert plan_to_text(back) == text  # snapshot is stable
-
-
-def test_plan_snapshot_bad_line():
-    from femtonet.spectrum import plan_from_text, plan_to_text
-
-    with pytest.raises(ValueError):
-        plan_from_text("scheme dedicated\n")
-    # a snapshot passes the same constructor checks as build_plan
-    text = plan_to_text(build_plan("dedicated", place_femtocells(seed=5, count=3)))
-    assert f"femto_fraction = {1 / 3!r}" in text
-    for fraction in ("0.0", "1.0"):
-        bad = text.replace(f"femto_fraction = {1 / 3!r}", f"femto_fraction = {fraction}")
-        with pytest.raises(PlanConfigError, match="femto fraction"):
-            plan_from_text(bad)
-    with pytest.raises(PlanConfigError, match="unknown scheme 'dedicted'"):
-        plan_from_text(text.replace("scheme = dedicated", "scheme = dedicted"))
-    with pytest.raises(PlanConfigError, match="total bandwidth"):
-        plan_from_text(text.replace("total_hz = 18000000.0", "total_hz = 0.0"))
 
 
 def test_reuse_band_statistics():
