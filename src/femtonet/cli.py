@@ -12,14 +12,12 @@ import argparse
 import sys
 
 from .experiments import (
-    CSV_COLUMNS,
     EXPERIMENTS,
     DEFAULT_PRESET,
     ExperimentResult,
     check_scenario,
     csv_to_rows,
     emit,
-    result_to_plot_script,
     run_experiments,
 )
 from .presets import PRESETS

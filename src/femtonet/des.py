@@ -21,9 +21,9 @@ from .queueing import (
     Ch6QueueParams,
     LossChainSpec,
     TwoTierParams,
+    TwoTierSolution,
     ch6_cell,
     ch7_chain,
-    solve_two_tier,
     two_tier_femto_chain,
     two_tier_macro_chain,
 )
@@ -101,8 +101,8 @@ def _t95(df: int) -> float:
     return _T95[max(key for key in _T95 if key <= df)]
 
 
-def _mean_ci(samples: np.ndarray, successes: int = 0,
-             trials: int = 0) -> tuple[float, float]:
+def _mean_ci(samples: np.ndarray, successes: int,
+             trials: int) -> tuple[float, float]:
     """95% CI of the mean from independent replications (Student t).
 
     Degenerate replication sets (every replication saw no event, or only
@@ -112,7 +112,7 @@ def _mean_ci(samples: np.ndarray, successes: int = 0,
     if b < 2:
         return (0.0, 1.0)
     std = float(samples.std(ddof=1))
-    if std == 0.0 and trials > 0:
+    if std == 0.0:
         if successes == 0:
             return (0.0, 1.0 - 0.025 ** (1.0 / trials))
         if successes == trials:
@@ -155,13 +155,11 @@ def simulate_des(spec: LossChainSpec, total_calls: int = 1_000_000,
     rates, limits = list(spec.stream_rates), list(spec.stream_limits)
     srv = list(spec.srv_rates)
 
-    seen_tot = np.zeros(n_streams, dtype=np.int64)
-    rej_tot = np.zeros(n_streams, dtype=np.int64)
+    # row r holds replication r's counted arrivals and rejections per stream
+    seen = np.zeros((replications, n_streams), dtype=np.int64)
+    rejected = np.zeros((replications, n_streams), dtype=np.int64)
     tis_tot = np.zeros(len(srv))
     elapsed_tot = 0.0
-    p_block_reps, p_drop_reps = [], []
-    stream_reps = [[] for _ in range(n_streams)]
-
     for r in range(replications):
         calls = per_rep + (r < longer)
         warm_calls = int(WARMUP * calls)
@@ -171,47 +169,30 @@ def simulate_des(spec: LossChainSpec, total_calls: int = 1_000_000,
             *_, chain_state, rng_state = _kernel.run_loss_chain(
                 rng_state, warm_calls, rates, limits, srv,
                 chain_state, spec.min_state)
-        seen, rejected, tis, elapsed, *_ = _kernel.run_loss_chain(
+        seen[r], rejected[r], tis, elapsed, *_ = _kernel.run_loss_chain(
             rng_state, calls, rates, limits, srv, chain_state, spec.min_state)
-
-        seen = np.asarray(seen, dtype=np.int64)
-        rejected = np.asarray(rejected, dtype=np.int64)
-        seen_tot += seen
-        rej_tot += rejected
         tis_tot += np.asarray(tis)
         elapsed_tot += elapsed
 
-        new_seen = int(seen[list(spec.new_streams)].sum())
-        new_rej = int(rejected[list(spec.new_streams)].sum())
-        if new_seen:
-            p_block_reps.append(new_rej / new_seen)
-        if seen[hand]:
-            p_drop_reps.append(rejected[hand] / seen[hand])
-        for k in range(n_streams):
-            if seen[k]:
-                stream_reps[k].append(rejected[k] / seen[k])
+    def pooled(streams):
+        """(seen, rejected, rejected fraction, CI) of the calls of `streams`,
+        pooled over the replications; the CI is over the replications that
+        saw at least one of those calls."""
+        rep_seen = seen[:, streams].sum(axis=1)
+        rep_rej = rejected[:, streams].sum(axis=1)
+        n_seen, n_rej = int(rep_seen.sum()), int(rep_rej.sum())
+        saw = rep_seen > 0
+        return (n_seen, n_rej, n_rej / n_seen if n_seen else 0.0,
+                _mean_ci(rep_rej[saw] / rep_seen[saw], n_rej, n_seen))
 
-    new_seen_all = int(seen_tot[list(spec.new_streams)].sum())
-    new_rej_all = int(rej_tot[list(spec.new_streams)].sum())
-    per_stream = [
-        {"seen": int(seen_tot[k]), "rejected": int(rej_tot[k]),
-         "p_reject": float(rej_tot[k] / seen_tot[k]) if seen_tot[k] else 0.0,
-         "ci": _mean_ci(np.asarray(stream_reps[k]), int(rej_tot[k]), int(seen_tot[k]))
-               if stream_reps[k] else (0.0, 1.0)}
-        for k in range(n_streams)
-    ]
+    *_, p_block, block_ci = pooled(list(spec.new_streams))
+    *_, p_drop, drop_ci = pooled([hand])
+    per_stream = [dict(zip(("seen", "rejected", "p_reject", "ci"), pooled([k])))
+                  for k in range(n_streams)]
     return DesResult(
-        p_block=new_rej_all / new_seen_all if new_seen_all else 0.0,
-        p_drop=float(rej_tot[hand] / seen_tot[hand]) if seen_tot[hand] else 0.0,
-        block_ci=_mean_ci(np.asarray(p_block_reps), new_rej_all, new_seen_all)
-                 if p_block_reps else (0.0, 1.0),
-        drop_ci=_mean_ci(np.asarray(p_drop_reps), int(rej_tot[hand]), int(seen_tot[hand]))
-                if p_drop_reps else (0.0, 1.0),
+        p_block=p_block, p_drop=p_drop, block_ci=block_ci, drop_ci=drop_ci,
         state_time=tis_tot / elapsed_tot if elapsed_tot > 0 else tis_tot,
-        per_stream=per_stream,
-        elapsed=elapsed_tot,
-        replications=replications,
-    )
+        per_stream=per_stream, elapsed=elapsed_tot, replications=replications)
 
 
 # -- model-specific chain specs ----------------------------------------------
@@ -235,13 +216,11 @@ spec_for_ch7 = ch7_chain  # the MBS cell chain has no fixed point
 
 
 def spec_for_two_tier_macro(params: TwoTierParams,
-                            solution=None) -> LossChainSpec:
-    solution = solution or solve_two_tier(params)
+                            solution: TwoTierSolution) -> LossChainSpec:
     return two_tier_macro_chain(params, solution.rates["lambda_h_m"])
 
 
 def spec_for_two_tier_femto(params: TwoTierParams,
-                            solution=None) -> LossChainSpec:
+                            solution: TwoTierSolution) -> LossChainSpec:
     """One femtocell of the layer: K servers, no handover priority."""
-    solution = solution or solve_two_tier(params)
     return two_tier_femto_chain(params, solution.rates["lambda_T_f"])

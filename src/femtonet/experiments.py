@@ -10,7 +10,7 @@ depend on execution order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -19,7 +19,7 @@ from . import queueing as q_mod
 from .presets import TABLE_7_1, TABLE_8_1, table61_classes, table71_mbs_sessions
 from .radio import db_to_linear, outage_probability_closed_form, shannon_throughput, sir
 from .scenario import Scenario, scenario_from_preset
-from .spectrum import build_plan
+from .spectrum import SpectrumPlan, build_plan
 from .topology import neighbors_of, place_femtocells, reach_components
 from .videoalloc import (
     allocate_mbs_budget,
@@ -255,9 +255,8 @@ def run_fig6_cac(scenario: Scenario) -> ExperimentResult:
     # the cell does not depend on the new-call rate: one per scheme
     cells = [q_mod.ch6_cell(base, scheme) for scheme in CAC_SCHEMES]
     for lam in grid:
-        params = replace(base, lam_new=lam)  # Ch6QueueParams checks the rate
         for cell in cells:
-            sol = cell.solve(params.lam_new)
+            sol = cell.solve(lam)
             label = "guard5" if cell.scheme == "guard" else cell.scheme
             res.add(label, lam, "p_block", sol.p_block)
             res.add(label, lam, "p_drop", sol.p_drop)
@@ -467,10 +466,17 @@ def check_scenario(scenario: Scenario) -> None:
     experiments build from `scenario`, running no experiment: a value that
     one of these checks rejects raises the ValueError that `run_experiment`
     raises for it.  The ch6 parameters are built at each rate of the arrival
-    grid, or at fig6-cac's first default rate when the grid is empty."""
+    grid, or at fig6-cac's first default rate when the grid is empty.  Sweep
+    counts are checked at the lowest minimum that any experiment allows."""
     _check_trials(scenario)
+    _sweep_counts(scenario, "sweep.femto_counts", (), minimum=0)
+    _sweep_counts(scenario, "sweep.session_counts", (), minimum=1)
     scenario.macro_geometry()
     scenario.propagation()
+    SpectrumPlan("shared", scenario["spectrum.total_hz"], {}, {},
+                 scenario["spectrum.femto_fraction"], scenario["spectrum.edge_fraction"])
+    nl_mod.RssiScan({}, "macro", scenario["neighborlist.s_t0_dbm"],
+                    scenario["neighborlist.s_t1_dbm"])
     scenario.two_tier_params()
     for lam in scenario["traffic.arrival_grid"] or FIG6_ARRIVAL_GRID[:1]:
         scenario.ch6_params(lam)

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-ACTORS = ("UE", "S-FAP", "T-FAP", "FGW", "CN", "RNC", "macro-BS")
-
 OUTCOME_COMPLETED = "completed"
 OUTCOME_REJECTED_CAC = "rejected-at-CAC"
 OUTCOME_REJECTED_AUTH = "rejected-at-authorization"

@@ -38,13 +38,6 @@ class CoverageError(ValueError):
     """Femtocell coverage fraction n*(r_f/r_m)^2 exceeds one."""
 
 
-def _check_damping(damping: float) -> None:
-    """Reject a damping factor outside (0, 1]: at 0 the iterate never moves,
-    and a negative or larger factor steps away from the fixed point."""
-    if not 0.0 < damping <= 1.0:
-        raise ValueError(f"damping must be finite and in (0, 1], got {damping!r}")
-
-
 @dataclass
 class ChainSolution:
     probs: np.ndarray
@@ -56,8 +49,8 @@ class ChainSolution:
     residual: float = 0.0
     extra: dict = field(default_factory=dict)
 
-    def check_normalized(self, tol: float = 1e-9) -> None:
-        assert abs(self.probs.sum() - 1.0) < tol
+    def check_normalized(self) -> None:
+        assert abs(self.probs.sum() - 1.0) < 1e-9
 
 
 def erlang_b(servers: int, offered: float) -> float:
@@ -170,8 +163,11 @@ class TwoTierParams:
     def __post_init__(self):
         if self.alpha + self.beta_prob > 1.0 + 1e-12:
             raise ValueError("alpha + beta must be <= 1")
-        if min(self.mu, self.eta_f, self.eta_m) <= 0:
-            raise ValueError("rates must be positive")
+        if not self.mu > 0:
+            raise ValueError(f"mu must be > 0, got {self.mu!r}")
+        for name in ("eta_f", "eta_m"):  # 0: infinite dwell time, no mobility
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)!r}")
         if self.n < 0:
             raise ValueError("deployed femtocell count n must be >= 0")
         if self.lambda_o_f < 0 or self.lambda_o_m < 0:
@@ -241,17 +237,14 @@ class TwoTierSolution:
     residuals: list[float]
 
 
-def solve_two_tier(params: TwoTierParams,
-                   damping: float = FIXED_POINT_DAMPING) -> TwoTierSolution:
+def solve_two_tier(params: TwoTierParams) -> TwoTierSolution:
     """Fixed point of the coupled femto/macro chains.
 
     Handover arrival rates feed the two chains, whose blocking and dropping
     probabilities feed back into the rates; damped substitution iterates to
     a residual below FIXED_POINT_TOL on all four rates.  The converged
-    point is damping-independent (to the residual tolerance); damping must
-    be finite and in (0, 1].
+    point is independent of FIXED_POINT_DAMPING (to the residual tolerance).
     """
-    _check_damping(damping)
     probs = handover_probabilities(params)
     mu_m, mu_f = channel_release_rates(params)
     n, k_f = params.n, params.femto_capacity
@@ -289,11 +282,10 @@ def solve_two_tier(params: TwoTierParams,
         residual = max(abs(new_mm - l_mm), abs(new_mf - l_mf),
                        abs(new_ff - l_ff), abs(new_fm - l_fm))
         residuals.append(residual)
-        d = damping
-        l_mm += d * (new_mm - l_mm)
-        l_mf += d * (new_mf - l_mf)
-        l_ff += d * (new_ff - l_ff)
-        l_fm += d * (new_fm - l_fm)
+        l_mm += FIXED_POINT_DAMPING * (new_mm - l_mm)
+        l_mf += FIXED_POINT_DAMPING * (new_mf - l_mf)
+        l_ff += FIXED_POINT_DAMPING * (new_ff - l_ff)
+        l_fm += FIXED_POINT_DAMPING * (new_fm - l_fm)
         if residual < FIXED_POINT_TOL:
             break
     else:
@@ -462,20 +454,17 @@ class Ch6Cell:
         return LossChainSpec((lam_new, lam_hand), (self.new_limit, self.n + self.s),
                              self.srv, new_streams=(0,), hand_stream=1)
 
-    def solve(self, lam_new: float,
-              damping: float = FIXED_POINT_DAMPING) -> ChainSolution:
+    def solve(self, lam_new: float) -> ChainSolution:
         """The cell at new-call rate lam_new, with the handover rate at its
         fixed point.
 
         The handover arrival rate and the chain couple through
         lam_h = P_h (1 - P_B) lam_n / (1 - P_h (1 - P_D)); damped
-        substitution, lam_h += damping * (new - lam_h), iterates the pair to
-        FIXED_POINT_TOL.  lam_new must be finite and >= 0, and damping
-        finite and in (0, 1].
+        substitution, lam_h += FIXED_POINT_DAMPING * (new - lam_h), iterates
+        the pair to FIXED_POINT_TOL.  lam_new must be finite and >= 0.
         """
         if not 0.0 <= lam_new < math.inf:
             raise ValueError(f"lam_new must be finite and >= 0, got {lam_new!r}")
-        _check_damping(damping)
         chain = self.chain(lam_new, 0.0)
         p_h = self.p_h
 
@@ -486,7 +475,7 @@ class Ch6Cell:
             new_h = p_h * (1.0 - p_b) * lam_new / (1.0 - p_h * (1.0 - p_d))
             residual = abs(new_h - lam_h)
             residuals.append(residual)
-            lam_h += damping * (new_h - lam_h)
+            lam_h += FIXED_POINT_DAMPING * (new_h - lam_h)
             if residual < FIXED_POINT_TOL:
                 break
         else:
@@ -524,15 +513,14 @@ def ch6_cell(params: Ch6QueueParams, scheme: str = "proposed") -> Ch6Cell:
                    _read_only(mu_rates), srv, _read_only(occupancy), params.capacity)
 
 
-def solve_ch6(params: Ch6QueueParams, scheme: str = "proposed",
-              damping: float = FIXED_POINT_DAMPING) -> ChainSolution:
+def solve_ch6(params: Ch6QueueParams, scheme: str = "proposed") -> ChainSolution:
     """Solve the adaptive-CAC cell for one scheme at params.lam_new: the
-    fixed point of Ch6Cell.solve.  damping must be finite and in (0, 1].
+    fixed point of Ch6Cell.solve.
 
     To sweep the new-call rate, build the cell once with ch6_cell and call
     its solve for each rate; this builds a new cell on every call.
     """
-    return ch6_cell(params, scheme).solve(params.lam_new, damping)
+    return ch6_cell(params, scheme).solve(params.lam_new)
 
 
 # ---------------------------------------------------------------------------

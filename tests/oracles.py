@@ -615,3 +615,105 @@ def plan_to_text(plan: SpectrumPlan) -> str:
     for f in sorted(plan.radius_of):
         lines.append(f"radius.{f} = {plan.radius_of[f]!r}")
     return "\n".join(lines) + "\n"
+
+
+# -- simulate_des as it was before its counts went into one per-replication
+# matrix: three parallel per-replication lists and repeated pooled-count
+# code.  Kept verbatim, with _mean_ci as it was then, as the bitwise
+# reference for des.simulate_des; it runs whichever kernel des._kernel holds.
+
+
+def _mean_ci(samples: np.ndarray, successes: int = 0,
+             trials: int = 0) -> tuple[float, float]:
+    from femtonet.des import _t95
+
+    b = len(samples)
+    if b < 2:
+        return (0.0, 1.0)
+    std = float(samples.std(ddof=1))
+    if std == 0.0 and trials > 0:
+        if successes == 0:
+            return (0.0, 1.0 - 0.025 ** (1.0 / trials))
+        if successes == trials:
+            return (0.025 ** (1.0 / trials), 1.0)
+        p = successes / trials
+        slop = 3.7 / trials
+        return (max(0.0, p - slop), min(1.0, p + slop))
+    mean = float(samples.mean())
+    half = _t95(b - 1) * std / math.sqrt(b)
+    return (max(0.0, mean - half), min(1.0, mean + half))
+
+
+def simulate_des(spec, total_calls: int = 1_000_000, seed: int = 0):
+    from femtonet import _despy, des
+    from femtonet.des import REPLICATIONS, WARMUP, DesResult
+
+    total_calls = _despy.check_arrivals(total_calls)
+    if total_calls < 1:
+        raise ValueError("total_calls must be >= 1")
+    replications = min(REPLICATIONS, total_calls)
+    per_rep, longer = divmod(total_calls, replications)
+    rep_seeds = np.random.SeedSequence(seed).generate_state(replications, dtype=np.uint64)
+
+    n_streams = len(spec.stream_rates)
+    hand = spec.hand_stream if spec.hand_stream is not None else n_streams - 1
+    rates, limits = list(spec.stream_rates), list(spec.stream_limits)
+    srv = list(spec.srv_rates)
+
+    seen_tot = np.zeros(n_streams, dtype=np.int64)
+    rej_tot = np.zeros(n_streams, dtype=np.int64)
+    tis_tot = np.zeros(len(srv))
+    elapsed_tot = 0.0
+    p_block_reps, p_drop_reps = [], []
+    stream_reps = [[] for _ in range(n_streams)]
+
+    for r in range(replications):
+        calls = per_rep + (r < longer)
+        warm_calls = int(WARMUP * calls)
+        rng_state = int(rep_seeds[r])
+        chain_state = spec.start_state
+        if warm_calls > 0:
+            *_, chain_state, rng_state = des._kernel.run_loss_chain(
+                rng_state, warm_calls, rates, limits, srv,
+                chain_state, spec.min_state)
+        seen, rejected, tis, elapsed, *_ = des._kernel.run_loss_chain(
+            rng_state, calls, rates, limits, srv, chain_state, spec.min_state)
+
+        seen = np.asarray(seen, dtype=np.int64)
+        rejected = np.asarray(rejected, dtype=np.int64)
+        seen_tot += seen
+        rej_tot += rejected
+        tis_tot += np.asarray(tis)
+        elapsed_tot += elapsed
+
+        new_seen = int(seen[list(spec.new_streams)].sum())
+        new_rej = int(rejected[list(spec.new_streams)].sum())
+        if new_seen:
+            p_block_reps.append(new_rej / new_seen)
+        if seen[hand]:
+            p_drop_reps.append(rejected[hand] / seen[hand])
+        for k in range(n_streams):
+            if seen[k]:
+                stream_reps[k].append(rejected[k] / seen[k])
+
+    new_seen_all = int(seen_tot[list(spec.new_streams)].sum())
+    new_rej_all = int(rej_tot[list(spec.new_streams)].sum())
+    per_stream = [
+        {"seen": int(seen_tot[k]), "rejected": int(rej_tot[k]),
+         "p_reject": float(rej_tot[k] / seen_tot[k]) if seen_tot[k] else 0.0,
+         "ci": _mean_ci(np.asarray(stream_reps[k]), int(rej_tot[k]), int(seen_tot[k]))
+               if stream_reps[k] else (0.0, 1.0)}
+        for k in range(n_streams)
+    ]
+    return DesResult(
+        p_block=new_rej_all / new_seen_all if new_seen_all else 0.0,
+        p_drop=float(rej_tot[hand] / seen_tot[hand]) if seen_tot[hand] else 0.0,
+        block_ci=_mean_ci(np.asarray(p_block_reps), new_rej_all, new_seen_all)
+                 if p_block_reps else (0.0, 1.0),
+        drop_ci=_mean_ci(np.asarray(p_drop_reps), int(rej_tot[hand]), int(seen_tot[hand]))
+                if p_drop_reps else (0.0, 1.0),
+        state_time=tis_tot / elapsed_tot if elapsed_tot > 0 else tis_tot,
+        per_stream=per_stream,
+        elapsed=elapsed_tot,
+        replications=replications,
+    )

@@ -117,6 +117,12 @@ def test_validate_missing_file():
     ("trials = -1", "fig4-outage"),
     ("traffic.arrival_grid = 0.4, -0.5", "fig6-cac"),
     ("traffic.mean_call_duration_s = 0", "fig5-mobility"),
+    ("sweep.femto_counts = 2.5", "fig5-mobility"),
+    ("sweep.femto_counts = -1", "fig5-mobility"),
+    ("sweep.session_counts = 0", "fig8-popularity"),
+    ("spectrum.femto_fraction = 1.5", "fig4-outage"),
+    ("spectrum.total_hz = 0", "fig4-outage"),
+    ("neighborlist.s_t1_dbm = -95", "fig5-neighborlist"),
 ])
 def test_validate_rejects_what_run_rejects(tmp_path, line, experiment):
     path = tmp_path / "bad.scenario"
@@ -142,6 +148,20 @@ def test_zero_duration_is_input_error(tmp_path, experiment, key):
 def test_infinite_dwell_means_no_mobility():
     scenario = Scenario({"traffic.macro_dwell_s": float("inf")})
     assert scenario.ch6_params(1.0).eta == 0.0
+
+
+def test_infinite_dwell_scenario_validates(tmp_path):
+    path = tmp_path / "still.scenario"
+    path.write_text("name = still\npreset = table-6.1\ntraffic.macro_dwell_s = inf\n")
+    proc = _femtonet("validate", str(path))
+    assert proc.returncode == EXIT_OK, proc.stderr
+
+
+@pytest.mark.parametrize("key", ["traffic.macro_dwell_s", "traffic.femto_dwell_s"])
+def test_fig5_mobility_runs_with_infinite_dwell(tmp_path, key):
+    proc = _femtonet("run", "fig5-mobility", "--set", f"{key}=inf", "--out", str(tmp_path))
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert os.listdir(tmp_path) == ["fig5-mobility.csv"]
 
 
 def test_emit_round_trip(tmp_path, capsys):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from oracles import balance_equation_solve, scalar_loss_chain
 
 from femtonet import _despy, des
@@ -23,7 +24,16 @@ from femtonet.des import (
     spec_for_two_tier_femto,
     spec_for_two_tier_macro,
 )
-from femtonet.queueing import Ch6QueueParams, Ch7QueueParams, TwoTierParams, solve_ch6, solve_ch7, solve_two_tier
+from femtonet.queueing import (
+    CH6_SCHEMES,
+    Ch6QueueParams,
+    Ch7QueueParams,
+    TwoTierParams,
+    ch6_cell,
+    solve_ch6,
+    solve_ch7,
+    solve_two_tier,
+)
 
 
 def test_backend_reported():
@@ -307,3 +317,46 @@ def test_des_deterministic_per_seed():
     assert a.p_block == b.p_block and a.elapsed == b.elapsed
     c = simulate_des(spec, 50_000, seed=124)
     assert a.elapsed != c.elapsed
+
+
+def _reference_chains():
+    """name -> chain: Erlang cells that never and almost always reject, the
+    five ch6 schemes at their fixed points, a ch7 cell and both two-tier
+    chains."""
+    chains = {"erlang-never": spec_for_erlang(0.01, 1.0, 8),
+              "erlang-always": spec_for_erlang(1000.0, 1.0, 1)}
+    ch6 = Ch6QueueParams(lam_new=1.3, capacity=6000.0, classes=TABLE61,
+                         eta=1 / 240.0, guard_channels=5)
+    for scheme in CH6_SCHEMES:
+        cell = ch6_cell(ch6, scheme)
+        chains[f"ch6-{scheme}"] = cell.chain(1.3, cell.solve(1.3).handover_rate)
+    chains["ch7"] = spec_for_ch7(Ch7QueueParams(
+        sessions=12, n_states=40, s_states=8, l_states=4, lam_new_voice=1.5,
+        lam_new_unicast=0.3, lam_new_background=1.2, lam_hand=0.9, mu=1 / 120.0))
+    two_tier = TwoTierParams(lambda_o_f=2.0, lambda_o_m=1.0, mu=1 / 120.0,
+                             eta_f=1 / 360.0, eta_m=1 / 240.0, n=1000,
+                             alpha=0.8, beta_prob=0.2)
+    sol = solve_two_tier(two_tier)
+    chains["two-tier-macro"] = spec_for_two_tier_macro(two_tier, sol)
+    chains["two-tier-femto"] = spec_for_two_tier_femto(two_tier, sol)
+    return chains
+
+
+REFERENCE_CHAINS = _reference_chains()
+
+
+@pytest.mark.parametrize("total_calls", [1, 7, 19, 20, 21, 20_000])
+@pytest.mark.parametrize("chain", sorted(REFERENCE_CHAINS))
+@pytest.mark.parametrize("backend", ["pure-python", "compiled"])
+def test_simulate_des_matches_per_replication_list_bookkeeping(
+        backend, chain, total_calls, request, monkeypatch):
+    # fewer calls than REPLICATIONS, an even split and uneven ones
+    monkeypatch.setattr(des, "_kernel", request.getfixturevalue("compiled")
+                        if backend == "compiled" else _despy)
+    spec = REFERENCE_CHAINS[chain]
+    got = simulate_des(spec, total_calls, seed=3)
+    want = oracles.simulate_des(spec, total_calls, seed=3)
+    for name in ("p_block", "p_drop", "block_ci", "drop_ci", "per_stream",
+                 "elapsed", "replications"):
+        assert repr(getattr(got, name)) == repr(getattr(want, name)), name
+    assert repr(got.state_time.tolist()) == repr(want.state_time.tolist())

@@ -76,6 +76,21 @@ def test_two_tier_params_reject_negative_rate_or_count(kw):
         _two_tier(**kw)
 
 
+@pytest.mark.parametrize("name, value", [
+    ("mu", 0.0), ("mu", math.nan), ("eta_f", -1e-3), ("eta_f", math.nan),
+    ("eta_m", -1e-3), ("eta_m", math.nan),
+])
+def test_two_tier_params_name_a_bad_service_or_dwell_rate(name, value):
+    with pytest.raises(ValueError, match=rf"^{name} must be (> 0|>= 0), got"):
+        _two_tier(**{name: value})
+
+
+def test_two_tier_zero_dwell_rates_mean_no_mobility():
+    sol = solve_two_tier(_two_tier(eta_f=0.0, eta_m=0.0))
+    assert sol.probabilities.mm == sol.probabilities.fm == sol.probabilities.mf == 0.0
+    assert sol.rates["lambda_h_m"] == 0.0 and sol.macro.p_drop == 0.0
+
+
 def test_handover_prob_coverage_error():
     with pytest.raises(CoverageError):
         handover_probabilities(_two_tier(n=20000))
@@ -322,17 +337,6 @@ def test_ch6_params_reject_bad_fields(kw, message):
         Ch6QueueParams(**{**fields, **kw})
 
 
-@pytest.mark.parametrize("damping", [0.0, -0.5, 1.5, math.nan, math.inf])
-def test_solvers_reject_damping_outside_unit_interval(damping):
-    params = Ch6QueueParams(lam_new=1.2, capacity=6000.0, classes=TABLE61, eta=1 / 240.0)
-    with pytest.raises(ValueError, match=r"damping must be finite and in \(0, 1\]"):
-        solve_ch6(params, "proposed", damping=damping)
-    with pytest.raises(ValueError, match=r"damping must be finite and in \(0, 1\]"):
-        ch6_cell(params, "hard-qos").solve(1.2, damping)
-    with pytest.raises(ValueError, match=r"damping must be finite and in \(0, 1\]"):
-        solve_two_tier(_two_tier(), damping=damping)
-
-
 def test_ch6_cell_arrays_are_read_only_and_not_shared():
     params = Ch6QueueParams(lam_new=1.2, capacity=6000.0, classes=TABLE61, eta=1 / 240.0)
     cell = ch6_cell(params, "proposed")
@@ -445,17 +449,22 @@ def test_forced_termination_probability():
     assert low < high
 
 
-def test_fixed_point_damping_invariance():
+def _damped(monkeypatch, damping, solve, *args):
+    monkeypatch.setattr(queueing, "FIXED_POINT_DAMPING", damping)
+    return solve(*args)
+
+
+def test_fixed_point_damping_invariance(monkeypatch):
     params = _two_tier()
-    a = solve_two_tier(params, damping=0.3)
-    b = solve_two_tier(params, damping=0.7)
+    a = _damped(monkeypatch, 0.3, solve_two_tier, params)
+    b = _damped(monkeypatch, 0.7, solve_two_tier, params)
     for key in ("lambda_h_mm", "lambda_h_mf", "lambda_h_ff", "lambda_h_fm"):
         assert a.rates[key] == pytest.approx(b.rates[key], abs=1e-7)
     assert a.macro.p_block == pytest.approx(b.macro.p_block, abs=1e-8)
 
     ch6 = Ch6QueueParams(lam_new=1.2, capacity=6000.0, classes=TABLE61,
                          eta=1 / 240.0)
-    x = solve_ch6(ch6, "proposed", damping=0.35)
-    y = solve_ch6(ch6, "proposed", damping=0.8)
+    x = _damped(monkeypatch, 0.35, solve_ch6, ch6, "proposed")
+    y = _damped(monkeypatch, 0.8, solve_ch6, ch6, "proposed")
     assert x.handover_rate == pytest.approx(y.handover_rate, abs=1e-7)
     assert x.p_block == pytest.approx(y.p_block, abs=1e-8)
