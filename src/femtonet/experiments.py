@@ -16,7 +16,7 @@ import numpy as np
 
 from . import neighborlist as nl_mod
 from . import queueing as q_mod
-from .presets import TABLE_7_1, TABLE_8_1, table61_classes, table71_mbs_sessions
+from .presets import TABLE_7_1, TABLE_8_1, table71_mbs_sessions
 from .radio import db_to_linear, outage_probability_closed_form, shannon_throughput, sir
 from .scenario import Scenario, scenario_from_preset
 from .spectrum import SpectrumPlan, build_plan
@@ -237,8 +237,7 @@ def run_fig5_neighborlist(scenario: Scenario) -> ExperimentResult:
                 scan, plan, topo, serving,
                 d_max_m=scenario["neighborlist.d_max_m"], ue_xy=ue)
             sizes_prop.append(built.n_f)
-            sizes_rssi.append(len([v for f, v in scan.levels_dbm.items()
-                                   if f != serving and v >= scan.s_t0_dbm]))
+            sizes_rssi.append(built.n_detected)
         res.add("proposed", count, "mean_list_size", float(np.mean(sizes_prop)))
         res.add("rssi-only", count, "mean_list_size", float(np.mean(sizes_rssi)))
     return res
@@ -314,7 +313,7 @@ def run_fig7_mbs(scenario: Scenario) -> ExperimentResult:
     classes, shares, c_nb_max, n_extra, s, ell = _ch7_dimensions()
     sessions = table71_mbs_sessions()
     capacity = t["capacity_mbps"] * 1e6
-    mu = 1.0 / t["mean_call_duration_s"]
+    mu = 1.0 / scenario._call_duration()
     eta = 1.0 / t["cell_dwell_s"]
     p_h = eta / (eta + mu)
     m = t["mbs_sessions"]
@@ -412,7 +411,7 @@ def run_fig8_popularity(scenario: Scenario) -> ExperimentResult:
                      reverse=True)
     alloc = allocate_popularity(capacity, t["beta_max_mbps"],
                                 t["beta_min_mbps"], viewers)
-    for rank, k_m, bw, _, s_l in allocation_rows(alloc):
+    for rank, k_m, bw, s_l in allocation_rows(alloc):
         res.add("proposed", rank, "session_bandwidth_mbps", bw)
         res.add("proposed", rank, "session_viewers", k_m)
         res.add("proposed", rank, "session_satisfaction", s_l)

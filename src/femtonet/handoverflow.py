@@ -48,15 +48,6 @@ class FlowTrace:
                 return s.number
         return -1
 
-    def to_csv_rows(self):
-        return [(s.number, s.sender, s.receiver, s.kind) for s in self.steps]
-
-    def to_log(self) -> str:
-        lines = [f"# {self.flow}: {self.outcome}"]
-        for s in self.steps:
-            lines.append(f"{s.number:3d}  {s.sender:9s} -> {s.receiver:9s}  {s.kind}")
-        return "\n".join(lines)
-
 
 def _steps(rows):
     return tuple(FlowStep(*row) for row in rows)

@@ -10,14 +10,14 @@ links.  The final list satisfies  N_f = N1 - N2 + M_hidden  by construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import topology as topo_mod
 from .radio import PropagationParams, link_power, linear_to_db, wall_attenuation
-from .spectrum import SpectrumPlan, bands_overlap
-from .topology import CellTopology, UnknownSiteError
+from .spectrum import SpectrumPlan
+from .topology import CellTopology
 
 DEFAULT_S_T0_DBM = -90.0
 DEFAULT_S_T1_DBM = -75.0
@@ -51,7 +51,6 @@ class RssiScan:
 class NeighborList:
     entries: list[int]  # ordered femto ids
     provenance: dict[int, str]  # "strong-signal" | "hidden-by-location"
-    include_macro: bool
     n_detected: int  # N  (>= S_T0)
     n_strong: int  # N1 (>= S_T1)
     n_same_freq: int  # N2 (pruned from the strong set)
@@ -148,7 +147,7 @@ def build_list_from_femto(
     prov = {f: "strong-signal" for f in kept_strong}
     prov.update({f: "hidden-by-location" for f in hidden})
     out = NeighborList(
-        entries=entries, provenance=prov, include_macro=True,
+        entries=entries, provenance=prov,
         n_detected=len(detected), n_strong=len(strong),
         n_same_freq=len(same_freq), m_hidden=len(hidden), serving=serving)
     out.check_count_identity()
@@ -167,8 +166,8 @@ def build_list_from_macro(
 
     No serving frequency to prune against; the macro BS knows every
     registered FAP's location, so any accessible FAP within d_max joins the
-    hidden set when its signal is weak.  The macrocell itself stays in the
-    candidate set as the fallback target.
+    hidden set when its signal is weak.  The macrocell itself is always the
+    fallback target, so the list holds FAPs only.
     """
     if d_max_m <= 0:
         raise ValueError("d_max must be positive")
@@ -191,7 +190,7 @@ def build_list_from_macro(
     prov = {f: "strong-signal" for f in strong}
     prov.update({f: "hidden-by-location" for f in hidden})
     out = NeighborList(
-        entries=entries, provenance=prov, include_macro=True,
+        entries=entries, provenance=prov,
         n_detected=len(detected), n_strong=len(strong),
         n_same_freq=0, m_hidden=len(hidden), serving="macro")
     out.check_count_identity()
@@ -294,11 +293,9 @@ def p_target_missing(
         observed = scan_from_geometry(topo, ue, serving, params, obstructed,
                                       s_t0_dbm, s_t1_dbm)
 
-        baseline = {f for f, v in observed.levels_dbm.items()
-                    if f != serving and v >= observed.s_t1_dbm}
         proposed = build_list_from_femto(observed, plan, topo, serving,
                                          d_max_m=d_max_m, ue_xy=ue)
-        if best not in baseline:
+        if observed.levels_dbm[best] < observed.s_t1_dbm:
             miss_base += 1
         if best not in proposed.entries:
             miss_prop += 1

@@ -168,6 +168,9 @@ class TwoTierParams:
         for name in ("eta_f", "eta_m"):  # 0: infinite dwell time, no mobility
             if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)!r}")
+        for name in ("mu", "eta_f", "eta_m"):
+            if getattr(self, name) == math.inf:
+                raise ValueError(f"{name} must be finite, got inf")
         if self.n < 0:
             raise ValueError("deployed femtocell count n must be >= 0")
         if self.lambda_o_f < 0 or self.lambda_o_m < 0:
@@ -440,7 +443,6 @@ class Ch6Cell:
     n: int
     s: int
     ell: int
-    guard: int
     new_limit: int
     p_h: float
     mu_rates: np.ndarray
@@ -509,7 +511,7 @@ def ch6_cell(params: Ch6QueueParams, scheme: str = "proposed") -> Ch6Cell:
     mean_req = sum(c.arrival_share * c.requested_bw for c in classes)
     occupancy = [min(i * mean_req, params.capacity) for i in range(n + 1)] + occupied
     p_h = params.eta / (params.eta + 1.0 / mean_duration_at_full(classes))
-    return Ch6Cell(scheme, n, s, ell, guard, n + ell - guard, p_h,
+    return Ch6Cell(scheme, n, s, ell, n + ell - guard, p_h,
                    _read_only(mu_rates), srv, _read_only(occupancy), params.capacity)
 
 
@@ -577,6 +579,6 @@ def solve_ch7(params: Ch7QueueParams) -> ChainSolution:
     utilization = float(np.dot(probs, occupancy)) / (n + s)
     return ChainSolution(
         probs, p_b_v, p_d, utilization, handover_rate=params.lam_hand,
-        extra={"P_B_voice": p_b_v, "P_B_unicast": p_b_v, "P_B_background": p_b_back,
+        extra={"P_B_voice": p_b_v, "P_B_background": p_b_back,
                "M": m, "N": n, "S": s, "L": params.l_states},
     )

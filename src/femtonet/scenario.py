@@ -8,7 +8,8 @@ rejected with the offending line and column.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, replace
 
 from .presets import PRESETS
 
@@ -126,11 +127,20 @@ class Scenario:
         return self.values["seed"]
 
     def _duration(self, key: str) -> float:
-        """A mean time whose inverse is a rate: it must be > 0.  inf gives a
-        rate of 0; an infinite dwell time means no mobility."""
+        """A mean time whose inverse is a rate: it must be > 0 with a finite
+        inverse.  inf gives a rate of 0; an infinite dwell means no mobility."""
         value = self[key]
         if not value > 0:
             raise ValueError(f"{key} must be > 0, got {value!r}")
+        if 1.0 / value == math.inf:
+            raise ValueError(f"{key} must have a finite inverse, got {value!r}")
+        return value
+
+    def _call_duration(self) -> float:
+        """A call must end: unlike a dwell time, its mean must be finite."""
+        value = self._duration("traffic.mean_call_duration_s")
+        if value == math.inf:
+            raise ValueError(f"traffic.mean_call_duration_s must be finite, got {value!r}")
         return value
 
     def macro_geometry(self):
@@ -170,7 +180,7 @@ class Scenario:
         return TwoTierParams(
             lambda_o_f=lam_f,
             lambda_o_m=lam - lam_f,
-            mu=1.0 / self._duration("traffic.mean_call_duration_s"),
+            mu=1.0 / self._call_duration(),
             eta_f=1.0 / self._duration("traffic.femto_dwell_s"),
             eta_m=1.0 / self._duration("traffic.macro_dwell_s"),
             n=n,
@@ -184,10 +194,11 @@ class Scenario:
         )
 
     def ch6_params(self, lam_new: float):
-        from .presets import TABLE_6_1, table61_classes
+        from .presets import table61_classes
         from .queueing import Ch6QueueParams, chain_dimensions
 
-        classes = table61_classes()
+        duration = self._call_duration()
+        classes = tuple(replace(c, duration_s=duration) for c in table61_classes())
         capacity = self["traffic.capacity_kbps"]
         n, _, _ = chain_dimensions(classes, capacity)
         guard = max(1, int(self["traffic.guard_fraction"] * n))

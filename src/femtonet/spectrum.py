@@ -386,27 +386,14 @@ def _configure_one(plan, near, new_id, other) -> None:
 def _configure_two(plan, near, new_id, mutual: bool) -> None:
     a, b = near[new_id]
     ea, eb = _edge_of(plan, a), _edge_of(plan, b)
-    if mutual:
-        pair = {ea, eb}
-        if pair == {"B4", "B5"}:
-            # pseudocode lines 23-26: move the incumbents onto thirds
-            _set_edge(plan, a if ea == "B4" else b, "B1")
-            _set_edge(plan, a if ea == "B5" else b, "B2")
-            _set_edge(plan, new_id, "B3")
-        elif pair == {"B1", "B2"}:
-            _set_edge(plan, new_id, "B3")
-        elif pair == {"B2", "B3"}:
-            _set_edge(plan, new_id, "B1")
-        elif pair == {"B3", "B1"}:
-            _set_edge(plan, new_id, "B2")
-        else:
-            # mixed/whole-band pairs are not in the published table: move any
-            # whole-band incumbent onto a free third, then take one ourselves
-            for fid in (a, b):
-                if _edge_of(plan, fid) == "Bm3":
-                    _set_edge(plan, fid, _free_label(plan, near[fid]))
-            used = {_edge_of(plan, a), _edge_of(plan, b)}
-            _set_edge(plan, new_id, _free_third(used) or _free_label(plan, near[new_id]))
+    if mutual and {ea, eb} == {"B4", "B5"}:
+        # pseudocode lines 23-26: move the incumbents onto thirds
+        _set_edge(plan, a if ea == "B4" else b, "B1")
+        _set_edge(plan, a if ea == "B5" else b, "B2")
+        _set_edge(plan, new_id, "B3")
+    elif mutual:
+        # the many-interferer rule; it maps {B1,B2} -> B3 as the table does
+        _configure_many(plan, near, new_id)
     else:
         # interferers not in range of each other: single-interferer rule
         # against the first, then verify against the second

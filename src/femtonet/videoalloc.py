@@ -8,8 +8,7 @@ Layer counts are integers; a receiver cannot take a fraction of a layer.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 BW_TOL = 1e-9
 
@@ -86,7 +85,6 @@ class LayerAllocation:
     total_bw: float
     reduced_layers: int | None = None  # P (two-level)
     split_index: int | None = None  # M_I or M_2
-    extra: dict = field(default_factory=dict)
 
 
 def _check_budget(budget: float, sessions) -> None:
@@ -190,11 +188,8 @@ class PopularityAllocation:
     viewers: list[int]
     capacity: float
     beta_max: float
-    beta_min: float
     congested: bool
-    overflow: list[float] = field(default_factory=list)  # X_m carries
     scale: float = 0.0  # a
-    layers: list[int] | None = None
 
     @property
     def total(self) -> float:
@@ -202,8 +197,7 @@ class PopularityAllocation:
 
 
 def allocate_popularity(capacity: float, beta_max: float, beta_min: float,
-                        viewers, layer_bw: float | None = None,
-                        base_bw: float = 0.0) -> PopularityAllocation:
+                        viewers) -> PopularityAllocation:
     """Popularity-proportional bandwidth for M always-on video sessions.
 
     viewers must be sorted non-increasing (rank order).  Uncongested
@@ -226,22 +220,15 @@ def allocate_popularity(capacity: float, beta_max: float, beta_min: float,
         raise InfeasibleAllocationError(
             f"{m_total} sessions need {m_total * beta_min} > capacity {capacity}")
 
-    def quantize(bws):
-        if layer_bw is None:
-            return None
-        return [int((b - base_bw + BW_TOL) / layer_bw) for b in bws]
-
     if m_total * beta_max <= capacity + BW_TOL:
         bws = [beta_max] * m_total
-        return PopularityAllocation(bws, viewers, capacity, beta_max, beta_min,
-                                    congested=False, layers=quantize(bws))
+        return PopularityAllocation(bws, viewers, capacity, beta_max, congested=False)
 
     k_total = sum(viewers)
     scale = (m_total / k_total) * (capacity / m_total - beta_min) if k_total else 0.0
     beta_diff = beta_max - beta_min
 
     bws = []
-    overflow = []
     carry = 0.0
     for rank, k_m in enumerate(viewers):
         provisional = scale * k_m + carry
@@ -253,12 +240,10 @@ def allocate_popularity(capacity: float, beta_max: float, beta_min: float,
         else:
             x_m = 0.0
             bws.append(beta_min + provisional)
-        overflow.append(x_m)
         carry += x_m
 
-    return PopularityAllocation(bws, viewers, capacity, beta_max, beta_min,
-                                congested=True, overflow=overflow, scale=scale,
-                                layers=quantize(bws))
+    return PopularityAllocation(bws, viewers, capacity, beta_max,
+                                congested=True, scale=scale)
 
 
 @dataclass
@@ -290,12 +275,9 @@ def counts_hq_lq(capacity: float, beta_max: float, beta_min: float) -> tuple[int
 
 
 def allocation_rows(alloc: PopularityAllocation):
-    """Per-session export rows: (session rank, viewers, bandwidth, layers,
-    satisfaction)."""
+    """Per-session export rows: (rank, viewers, bandwidth, satisfaction)."""
     rep = satisfaction(alloc)
-    layers = alloc.layers or [None] * len(alloc.bandwidths)
     return [
-        (rank + 1, alloc.viewers[rank], alloc.bandwidths[rank],
-         layers[rank], rep.per_rank[rank])
+        (rank + 1, alloc.viewers[rank], alloc.bandwidths[rank], rep.per_rank[rank])
         for rank in range(len(alloc.bandwidths))
     ]

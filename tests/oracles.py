@@ -8,7 +8,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from femtonet._despy import check_loss_chain
-from femtonet.spectrum import DEFAULT_TOTAL_HZ, Band, PlanConfigError, SpectrumPlan
+from femtonet.spectrum import (
+    DEFAULT_TOTAL_HZ,
+    Band,
+    PlanConfigError,
+    SpectrumPlan,
+    _configure_one,
+    _edge_of,
+    _free_label,
+    _free_third,
+    _set_edge,
+)
 
 
 def balance_equation_solve(birth_rates, death_rates) -> np.ndarray:
@@ -717,3 +727,42 @@ def simulate_des(spec, total_calls: int = 1_000_000, seed: int = 0):
         elapsed=elapsed_tot,
         replications=replications,
     )
+
+
+# ---------------------------------------------------------------------------
+# dynamic reuse: the two-interferer step with the full mutual-pair table
+
+
+def configure_two_table(plan, near, new_id, mutual: bool) -> None:
+    """`spectrum._configure_two` with its pair table written out: each of
+    {B4,B5}, {B1,B2}, {B2,B3}, {B3,B1} has its own branch, and the other
+    mutual pairs move any whole-band incumbent before taking a free third."""
+    a, b = near[new_id]
+    ea, eb = _edge_of(plan, a), _edge_of(plan, b)
+    if mutual:
+        pair = {ea, eb}
+        if pair == {"B4", "B5"}:
+            # pseudocode lines 23-26: move the incumbents onto thirds
+            _set_edge(plan, a if ea == "B4" else b, "B1")
+            _set_edge(plan, a if ea == "B5" else b, "B2")
+            _set_edge(plan, new_id, "B3")
+        elif pair == {"B1", "B2"}:
+            _set_edge(plan, new_id, "B3")
+        elif pair == {"B2", "B3"}:
+            _set_edge(plan, new_id, "B1")
+        elif pair == {"B3", "B1"}:
+            _set_edge(plan, new_id, "B2")
+        else:
+            # mixed/whole-band pairs are not in the published table: move any
+            # whole-band incumbent onto a free third, then take one ourselves
+            for fid in (a, b):
+                if _edge_of(plan, fid) == "Bm3":
+                    _set_edge(plan, fid, _free_label(plan, near[fid]))
+            used = {_edge_of(plan, a), _edge_of(plan, b)}
+            _set_edge(plan, new_id, _free_third(used) or _free_label(plan, near[new_id]))
+    else:
+        # interferers not in range of each other: single-interferer rule
+        # against the first, then verify against the second
+        _configure_one(plan, near, new_id, a)
+        if _edge_of(plan, new_id) in (_edge_of(plan, a), _edge_of(plan, b)):
+            _set_edge(plan, new_id, _free_label(plan, near[new_id]))

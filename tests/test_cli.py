@@ -117,6 +117,9 @@ def test_validate_missing_file():
     ("trials = -1", "fig4-outage"),
     ("traffic.arrival_grid = 0.4, -0.5", "fig6-cac"),
     ("traffic.mean_call_duration_s = 0", "fig5-mobility"),
+    ("traffic.femto_dwell_s = 1e-320", "fig5-mobility"),
+    ("traffic.mean_call_duration_s = inf", "fig6-cac"),
+    ("traffic.mean_call_duration_s = inf", "fig7-mbs"),
     ("sweep.femto_counts = 2.5", "fig5-mobility"),
     ("sweep.femto_counts = -1", "fig5-mobility"),
     ("sweep.session_counts = 0", "fig8-popularity"),

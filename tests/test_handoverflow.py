@@ -133,11 +133,3 @@ def test_exhaustive_branch_enumeration_invariants():
     assert OUTCOME_COMPLETED in outcomes
     assert OUTCOME_REJECTED_CAC in outcomes
     assert OUTCOME_REJECTED_AUTH in outcomes
-
-
-def test_trace_exports():
-    trace = run_flow("femto-to-femto")
-    rows = trace.to_csv_rows()
-    assert rows[0] == (1, "UE", "S-FAP", "measurement-report")
-    log = trace.to_log()
-    assert "femto-to-femto" in log and "delete-old-link-confirm" in log

@@ -4,6 +4,7 @@ import os
 import pytest
 
 from femtonet.experiments import (
+    DEFAULT_PRESET,
     csv_to_rows,
     emit,
     result_to_csv,
@@ -201,6 +202,14 @@ def test_fig5_neighborlist_p_target_missing_follows_scenario(override):
         return [r for r in res.rows if r[3] == "p_target_missing"]
 
     assert missing(apply_overrides(sc, [override])) != missing(sc)
+
+
+@pytest.mark.parametrize("name", ["fig6-cac", "fig7-mbs"])
+def test_call_duration_reaches_the_loss_chains(name):
+    sc = scenario_from_preset(DEFAULT_PRESET[name])
+    shorter = apply_overrides(sc, ["traffic.mean_call_duration_s = 60"])
+    assert result_to_csv(run_experiment(name, shorter)) != \
+        result_to_csv(run_experiment(name, sc))
 
 
 def test_fig7_mbs_allocation_trend():

@@ -1,0 +1,31 @@
+"""Every name that a femtonet module imports is used in that module."""
+
+import ast
+import pathlib
+
+import pytest
+
+import femtonet
+
+MODULES = sorted(pathlib.Path(femtonet.__file__).parent.glob("*.py"))
+
+
+def _unused_imports(path) -> list[str]:
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                # `import a.b` binds `a`
+                name = alias.asname or alias.name.split(".")[0]
+                bound[name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{path.name}:{line}: {name}" for name, line in sorted(bound.items())
+            if name not in used]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    assert _unused_imports(path) == []

@@ -107,7 +107,6 @@ def test_macro_flow_single_fap():
     scan = RssiScan({0: -70.0}, serving="macro")
     out = build_list_from_macro(scan, plan, topo, ue_xy=(5.0, 0.0))
     assert out.entries == [0]
-    assert out.include_macro
 
 
 def test_macro_flow_all_below_s_t0():
@@ -115,7 +114,7 @@ def test_macro_flow_all_below_s_t0():
     plan = build_plan("dynamic-reuse", topo)
     scan = RssiScan({0: -95.0, 1: -99.0}, serving="macro")
     out = build_list_from_macro(scan, plan, topo, ue_xy=(200.0, 0.0))
-    assert out.entries == [] and out.include_macro
+    assert out.entries == []
 
 
 def test_macro_flow_geometry_oracle():

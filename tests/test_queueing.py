@@ -85,6 +85,12 @@ def test_two_tier_params_name_a_bad_service_or_dwell_rate(name, value):
         _two_tier(**{name: value})
 
 
+@pytest.mark.parametrize("name", ["mu", "eta_f", "eta_m"])
+def test_two_tier_params_reject_an_infinite_rate(name):
+    with pytest.raises(ValueError, match=rf"^{name} must be finite, got inf"):
+        _two_tier(**{name: math.inf})
+
+
 def test_two_tier_zero_dwell_rates_mean_no_mobility():
     sol = solve_two_tier(_two_tier(eta_f=0.0, eta_m=0.0))
     assert sol.probabilities.mm == sol.probabilities.fm == sol.probabilities.mf == 0.0

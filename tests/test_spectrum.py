@@ -3,8 +3,15 @@ import math
 
 import numpy as np
 import pytest
-from oracles import BAND_LABELS, BandPartition, interfering, partition_band
+from oracles import (
+    BAND_LABELS,
+    BandPartition,
+    configure_two_table,
+    interfering,
+    partition_band,
+)
 
+from femtonet import spectrum
 from femtonet.spectrum import (
     SCHEMES,
     Band,
@@ -17,7 +24,7 @@ from femtonet.spectrum import (
     remove_femto,
     verify_plan_relations,
 )
-from femtonet.topology import CellTopology, FemtoSite, place_femtocells
+from femtonet.topology import CellTopology, FemtoSite, MacroGeometry, place_femtocells
 
 
 def _manual_topo(positions, r_f=10.0):
@@ -256,6 +263,39 @@ def test_dense_dynamic_plan_branches_and_query_count(monkeypatch):
     assert plan.branch_counts == {"0": 283, "1": 272, "2": 160, "2-independent": 96,
                                   "3": 189, "shrink": 107}
     assert len(calls) <= 3.5 * 1000
+
+
+def test_mutual_pairs_follow_the_pair_table(monkeypatch):
+    # two mutually interfering incumbents: the many-interferer rule gives
+    # what the written-out pair table gives, on dense plans that reach
+    # every kind of pair
+    pairs = set()
+
+    def table(plan, near, new_id, mutual):
+        if mutual:
+            a, b = near[new_id]
+            pairs.add(frozenset((plan.femto_assignment[a].edge_label,
+                                 plan.femto_assignment[b].edge_label)))
+        configure_two_table(plan, near, new_id, mutual)
+
+    def state(plan):
+        return (plan.femto_assignment, plan.radius_of, plan.events, plan.branch_counts)
+
+    for count, radius in ((300, 300.0), (200, 200.0)):
+        macro = MacroGeometry(macro_radius_m=radius, min_separation_m=1.0)
+        for seed in range(20):
+            topo = place_femtocells(seed, count, macro=macro)
+            plan = build_plan("dynamic-reuse", topo)
+            with monkeypatch.context() as patch:
+                patch.setattr(spectrum, "_configure_two", table)
+                expected = build_plan("dynamic-reuse", topo)
+            assert state(plan) == state(expected), (count, seed)
+
+    thirds = {"B1", "B2", "B3"}
+    assert frozenset(("B4", "B5")) in pairs
+    assert {frozenset(p) for p in itertools.combinations(sorted(thirds), 2)} <= pairs
+    assert any(len(p) == 2 and len(p & thirds) == 1 and "Bm3" not in p for p in pairs)
+    assert any("Bm3" in p for p in pairs)
 
 
 def test_interferers_of_an_unassigned_fap_next_to_the_only_assigned_one():

@@ -237,12 +237,6 @@ def test_rank_sessions_deterministic_ties():
     assert [s.id for s in rank_sessions(sessions)] == [1, 3, 4]
 
 
-def test_layer_quantization():
-    alloc = allocate_popularity(2.0, 2.0, 0.6, [150, 50],
-                                layer_bw=0.1, base_bw=0.5)
-    assert alloc.layers == [7, 3]  # floor((1.2-0.5)/0.1), floor((0.8-0.5)/0.1)
-
-
 # ---------------------------------------------------------------------------
 # satisfaction
 
@@ -272,11 +266,10 @@ def test_satisfaction_uniform_popularity_equals_baseline():
 def test_allocation_rows_export():
     from femtonet.videoalloc import allocation_rows
 
-    alloc = allocate_popularity(2.0, 2.0, 0.6, [150, 50],
-                                layer_bw=0.1, base_bw=0.5)
+    alloc = allocate_popularity(2.0, 2.0, 0.6, [150, 50])
     rows = allocation_rows(alloc)
-    assert rows[0] == (1, 150, pytest.approx(1.2), 7, pytest.approx(0.6))
-    assert rows[1] == (2, 50, pytest.approx(0.8), 3, pytest.approx(0.4))
+    assert rows[0] == (1, 150, pytest.approx(1.2), pytest.approx(0.6))
+    assert rows[1] == (2, 50, pytest.approx(0.8), pytest.approx(0.4))
 
 
 @given(st.lists(st.integers(1, 400), min_size=2, max_size=30))
