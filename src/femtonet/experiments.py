@@ -272,8 +272,9 @@ def run_fig6_cac(scenario: Scenario) -> ExperimentResult:
 # Ch. 7: MBS bandwidth adaptation
 
 
-def _ch7_dimensions():
-    """Non-MBS admission region of the Table 7.1 cell.
+def _ch7_dimensions(duration_s: float):
+    """Non-MBS admission region of the Table 7.1 cell, every class holding
+    calls of the scenario's mean duration.
 
     The non-MBS traffic can claim at most C - C_min_B; class mix voice,
     unicast (degradable to the base layer for handovers only), background
@@ -289,16 +290,16 @@ def _ch7_dimensions():
     uni_min = uni_max - t["unicast_max_layers"] * t["unicast_layer_kbps"]
     classes = (
         TrafficClass(1, "rt", t["voice_bw_kbps"], arrival_share=float(shares[0]),
-                     duration_s=t["mean_call_duration_s"]),
+                     duration_s=duration_s),
         TrafficClass(2, "nrt", uni_max, degrade_new=0.0,
                      degrade_hand=1.0 - uni_min / uni_max,
                      arrival_share=float(shares[1]),
-                     duration_s=t["mean_call_duration_s"]),
+                     duration_s=duration_s),
         TrafficClass(3, "nrt", t["background_max_kbps"],
                      degrade_new=t["background_degrade_new"],
                      degrade_hand=t["background_degrade_hand"],
                      arrival_share=float(shares[2]),
-                     duration_s=t["mean_call_duration_s"]),
+                     duration_s=duration_s),
     )
     sessions = table71_mbs_sessions()
     c_nb_max = t["capacity_mbps"] * 1e3 - total_min_bw(sessions) / 1e3
@@ -310,10 +311,11 @@ def run_fig7_mbs(scenario: Scenario) -> ExperimentResult:
     res = ExperimentResult("fig7-mbs", scenario.name, scenario.seed)
     t = TABLE_7_1
     grid = list(scenario["traffic.arrival_grid"]) or [0.2, 0.5, 0.8, 1.1, 1.4, 1.7]
-    classes, shares, c_nb_max, n_extra, s, ell = _ch7_dimensions()
+    duration = scenario._call_duration()
+    classes, shares, c_nb_max, n_extra, s, ell = _ch7_dimensions(duration)
     sessions = table71_mbs_sessions()
     capacity = t["capacity_mbps"] * 1e6
-    mu = 1.0 / scenario._call_duration()
+    mu = 1.0 / duration
     eta = 1.0 / t["cell_dwell_s"]
     p_h = eta / (eta + mu)
     m = t["mbs_sessions"]

@@ -32,7 +32,12 @@ TRIALS_PER_TOPOLOGY = 50
 
 @dataclass(frozen=True)
 class RssiScan:
-    """Received levels per FAP at one UE position, in dBm."""
+    """Received levels per FAP at one UE position, in dBm.
+
+    A FAP absent from levels_dbm was not heard: the list builders read it
+    as -inf, below both thresholds.  scan_from_geometry reports only the
+    FAPs within the clear-link S_T0 reach, so every FAP it omits is below
+    S_T0; a FAP it reports may still be below S_T0 (an obstructed link)."""
 
     levels_dbm: dict[int, float]
     serving: int | str  # femto id, or "macro"
@@ -201,6 +206,23 @@ def build_list_from_macro(
 # geometry-driven scans
 
 
+def detection_reach_m(params: PropagationParams, s_t0_dbm: float) -> float:
+    """Largest UE-FAP distance at which a clear femto link still reaches
+    S_T0, widened so that no FAP in range falls outside it.
+
+    link_power inverted in the log domain, so that a threshold whose linear
+    power underflows (S_T0 = -4000 dBm) still gives a finite reach, and
+    S_T0 = -inf an infinite one.  The 0.1 m floor is the scan's own
+    distance clamp; the relative 1e-9 covers float rounding and numpy's
+    hypot."""
+    clear = wall_attenuation(params.wall_loss_db, 0)
+    log_power_w = (math.log10(params.tx_power_femto_w) + math.log10(params.p0_femto)
+                   + math.log10(clear))
+    log_reach = (10.0 * log_power_w + 30.0 - s_t0_dbm) / (10.0 * params.path_loss_exp_femto_interf)
+    reach = math.inf if log_reach > 308.0 else 10.0 ** log_reach
+    return max(reach, 0.1) * (1.0 + 1e-9)
+
+
 def scan_from_geometry(
     topo: CellTopology,
     ue_xy,
@@ -213,20 +235,26 @@ def scan_from_geometry(
     """Deterministic scan: free-space-style femto links (no inter-home wall
     for a user in the open femto zone); obstructed links carry extra walls.
 
-    One scalar pass in math-module arithmetic: numpy's hypot, pow and log10
-    differ from it in the last bit, and the levels are reported values."""
+    Reports only the FAPs within detection_reach_m, in femtocells order: a
+    FAP beyond it is below S_T0 even on a clear link, so it changes no
+    count or list.  An obstructed FAP within it keeps its real level, which
+    may be below S_T0.  The levels come from one scalar pass in math-module
+    arithmetic: numpy's hypot, pow and log10 differ from it in the last
+    bit, and the levels are reported values."""
     params = params or PropagationParams()
     obstructed = obstructed or set()
     ue = tuple(ue_xy)
     ux, uy = ue[0], ue[1]
-    if not (math.isfinite(ux) and math.isfinite(uy)):
-        raise ValueError("positions must be finite")
+    reach = detection_reach_m(params, s_t0_dbm)
+    close = np.flatnonzero(topo.distances_to((ux, uy)) <= reach).tolist()
     tx, p0 = params.tx_power_femto_w, params.p0_femto
     eta = params.path_loss_exp_femto_interf
     clear = wall_attenuation(params.wall_loss_db, 0)
     walled = wall_attenuation(params.wall_loss_db, OBSTRUCTION_WALLS)
+    femtos = topo.femtocells
     levels = {}
-    for fap, (px, py) in zip(topo.femto_ids, topo.positions.tolist()):
+    for k, (px, py) in zip(close, topo.positions[close].tolist()):
+        fap = femtos[k].id
         d = max(math.hypot(px - ux, py - uy), 0.1)
         p = link_power(tx, p0, d, eta, walled if fap in obstructed else clear)
         levels[fap] = linear_to_db(p) + 30.0  # W -> dBm
@@ -278,7 +306,8 @@ def p_target_missing(
         clear = scan_from_geometry(topo, ue, serving, params,
                                    s_t0_dbm=s_t0_dbm, s_t1_dbm=s_t1_dbm)
         candidates = {f: v for f, v in clear.levels_dbm.items() if f != serving}
-        best, best_level = max(candidates.items(), key=lambda kv: (kv[1], -kv[0]))
+        best, best_level = max(candidates.items(), key=lambda kv: (kv[1], -kv[0]),
+                               default=(None, -math.inf))
         if best_level < clear.s_t1_dbm:
             continue  # no valid handover target in this topology
         if (shares_frequency(plan, best, serving)

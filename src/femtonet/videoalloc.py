@@ -81,9 +81,7 @@ def allocate_mbs_budget(capacity: float, non_mbs_bw: float, sessions):
 @dataclass
 class LayerAllocation:
     layers: list[int]
-    per_session_bw: list[float]
     total_bw: float
-    reduced_layers: int | None = None  # P (two-level)
     split_index: int | None = None  # M_I or M_2
 
 
@@ -108,8 +106,7 @@ def technique_two_level(budget: float, sessions) -> LayerAllocation:
     full = level_total(0)
     if budget >= full - BW_TOL:
         layers = [s.max_layers for s in sessions]
-        return LayerAllocation(layers, [s.max_bw for s in sessions], full,
-                               reduced_layers=0, split_index=len(sessions))
+        return LayerAllocation(layers, full, split_index=len(sessions))
 
     max_p = max(s.max_layers - s.min_layers for s in sessions)
     p_star = next(q for q in range(max_p + 1) if level_total(q) <= budget + BW_TOL)
@@ -134,13 +131,7 @@ def technique_two_level(budget: float, sessions) -> LayerAllocation:
             else:
                 break
 
-    return LayerAllocation(
-        layers=layers,
-        per_session_bw=[s.bw_at(l) for s, l in zip(sessions, layers)],
-        total_bw=spent,
-        reduced_layers=p,
-        split_index=m_i,
-    )
+    return LayerAllocation(layers=layers, total_bw=spent, split_index=m_i)
 
 
 def technique_multi_level(budget: float, sessions) -> LayerAllocation:
@@ -170,12 +161,7 @@ def technique_multi_level(budget: float, sessions) -> LayerAllocation:
             layers[m2] = s.min_layers + extra
             spent += extra * s.layer_bw
 
-    return LayerAllocation(
-        layers=layers,
-        per_session_bw=[s.bw_at(l) for s, l in zip(sessions, layers)],
-        total_bw=spent,
-        split_index=m2,
-    )
+    return LayerAllocation(layers=layers, total_bw=spent, split_index=m2)
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +175,6 @@ class PopularityAllocation:
     capacity: float
     beta_max: float
     congested: bool
-    scale: float = 0.0  # a
 
     @property
     def total(self) -> float:
@@ -242,8 +227,7 @@ def allocate_popularity(capacity: float, beta_max: float, beta_min: float,
             bws.append(beta_min + provisional)
         carry += x_m
 
-    return PopularityAllocation(bws, viewers, capacity, beta_max,
-                                congested=True, scale=scale)
+    return PopularityAllocation(bws, viewers, capacity, beta_max, congested=True)
 
 
 @dataclass

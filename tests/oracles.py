@@ -222,6 +222,16 @@ def scalar_scan_levels(topo, ue_xy, params=None, obstructed=None):
     return levels
 
 
+def full_scan(topo, ue_xy, serving, params=None, obstructed=None,
+              s_t0_dbm=-90.0, s_t1_dbm=-75.0):
+    """The scan as it was before it was cut to the detection reach: a level
+    for every FAP, however far below S_T0."""
+    from femtonet.neighborlist import RssiScan
+
+    levels = scalar_scan_levels(topo, ue_xy, params=params, obstructed=obstructed)
+    return RssiScan(levels, serving, s_t0_dbm, s_t1_dbm)
+
+
 # -- the loss chains as written twice before each model became one spec
 # builder: des.spec_for_* built the simulated chain and queueing built its
 # own birth/death lists.  Kept as the bitwise reference for the one spec.

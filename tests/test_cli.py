@@ -258,6 +258,18 @@ def test_dense_fig4_pair_matches_its_recorded_sha256(case, expected, tmp_path, c
         assert hashlib.sha256(data).hexdigest() == expected[os.path.basename(path)], case
 
 
+def test_fig5_neighborlist_with_d_max_beyond_the_reach_matches_its_sha256(tmp_path, capsys):
+    """At S_T0 = -65 dBm the clear-link detection reach is 28 m, below the
+    40 m d_max, so hidden entries beyond the reach are listed unheard."""
+    assert main(["run", "fig5-neighborlist", "--trials", "30",
+                 "--set", "neighborlist.s_t0_dbm = -65", "--set", "neighborlist.s_t1_dbm = -55",
+                 "--out", str(tmp_path)]) == EXIT_OK
+    data = open(capsys.readouterr().out.strip(), "rb").read()
+    pins = os.path.join(os.path.dirname(__file__), "data", "fig5_short_reach_csvs.sha256")
+    expected = dict(line.split()[::-1] for line in open(pins))["fig5-neighborlist.csv"]
+    assert hashlib.sha256(data).hexdigest() == expected
+
+
 def test_run_several_names_match_solo_runs(tmp_path):
     small = ["--trials", "1", "--set", "sweep.femto_counts = 60",
              "--set", "traffic.arrival_grid = 0.8"]

@@ -212,6 +212,15 @@ def test_call_duration_reaches_the_loss_chains(name):
         result_to_csv(run_experiment(name, sc))
 
 
+def test_ch7_classes_hold_the_scenario_call_duration():
+    from femtonet.experiments import _ch7_dimensions
+
+    classes, *_ = _ch7_dimensions(60.0)
+    assert [c.duration_s for c in classes] == [60.0] * 3
+    # the admission region depends only on shares and bandwidths
+    assert _ch7_dimensions(60.0)[2:] == _ch7_dimensions(120.0)[2:]
+
+
 def test_fig7_mbs_allocation_trend():
     sc = _small(scenario_from_preset("table-7.1"))
     sc.values["traffic.arrival_grid"] = (0.2, 1.0, 1.8)

@@ -1,14 +1,18 @@
+import functools
 import math
 
 import numpy as np
 import pytest
-from oracles import scalar_scan_levels
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import full_scan, scalar_scan_levels
 
 from femtonet.neighborlist import (
     NeighborList,
     RssiScan,
     build_list_from_femto,
     build_list_from_macro,
+    detection_reach_m,
     hidden_fap_fixture,
     p_target_missing,
     scan_from_geometry,
@@ -235,10 +239,18 @@ def _shuffled_topo(seed, count, side_m=400.0):
 
 
 def _assert_scan_matches_oracle(topo, ue, serving, params=None, obstructed=None):
+    """The scan reports only the FAPs within the clear-link S_T0 reach: each
+    one it reports equals the oracle to the last bit, in the oracle's order,
+    and each one it omits is below S_T0 on the oracle's clear link, so on
+    its observed link too."""
     scan = scan_from_geometry(topo, ue, serving, params=params, obstructed=obstructed)
     oracle = scalar_scan_levels(topo, ue, params=params, obstructed=obstructed)
+    clear = scalar_scan_levels(topo, ue, params=params)
+    reported = [(f, v) for f, v in oracle.items() if f in scan.levels_dbm]
     # list equality of float items compares keys, their order and the float bits
-    assert list(scan.levels_dbm.items()) == list(oracle.items())
+    assert list(scan.levels_dbm.items()) == reported
+    omitted = [f for f in oracle if f not in scan.levels_dbm]
+    assert all(clear[f] < scan.s_t0_dbm and oracle[f] < scan.s_t0_dbm for f in omitted)
     assert scan.serving == serving
 
 
@@ -289,3 +301,104 @@ def test_scan_empty_topology():
 def test_scan_rejects_non_finite_ue(positions, ue):
     with pytest.raises(ValueError, match="finite"):
         scan_from_geometry(_grid_topo(positions), ue, "macro")
+
+
+# ---------------------------------------------------------------------------
+# the detection reach: the scan against the full scan of every FAP
+
+
+def test_detection_reach_at_the_defaults():
+    reach = detection_reach_m(PropagationParams(), -90.0)
+    assert reach == pytest.approx(192.01, abs=0.005)
+    # a clear FAP just inside the reach is heard at S_T0, one just beyond is not
+    grid = _grid_topo([(reach / (1 + 1e-9), 0.0), (reach * (1 + 1e-6), 0.0)])
+    scan = scan_from_geometry(grid, (0.0, 0.0), "macro")
+    assert list(scan.levels_dbm) == [0]
+    assert scan.levels_dbm[0] == pytest.approx(-90.0, abs=1e-9)
+    assert scalar_scan_levels(grid, (0.0, 0.0))[1] < -90.0
+
+
+def test_scan_beyond_every_fap_reports_nothing():
+    # S_T0 above the level of a FAP 0.1 m away: the reach is the 0.1 m floor
+    grid = _grid_topo([(0.0, 0.0), (0.05, 0.0), (0.2, 0.0)])
+    assert detection_reach_m(PropagationParams(), 10.0) == pytest.approx(0.1)
+    scan = scan_from_geometry(grid, (0.0, 0.0), "macro", s_t0_dbm=10.0, s_t1_dbm=20.0)
+    assert list(scan.levels_dbm) == [0, 1]
+    assert scan.detected() == {}
+
+
+@pytest.mark.parametrize("s_t0", [-math.inf, -4000.0, -1e300])
+def test_scan_at_an_unreachable_low_s_t0_hears_every_fap(s_t0):
+    # 10**(S_T0 / 10) underflows at -4000 dBm, and the reach at -1e300 dBm
+    # overflows a float: both, like -inf, must scan every FAP
+    topo = _shuffled_topo(4, count=60, side_m=5000.0)
+    ue = (2500.0, 2500.0)
+    assert detection_reach_m(PropagationParams(), s_t0) > 1e100
+    scan = scan_from_geometry(topo, ue, "macro", s_t0_dbm=s_t0)
+    assert list(scan.levels_dbm.items()) == list(scalar_scan_levels(topo, ue).items())
+    assert scan.detected() == scan.levels_dbm
+
+
+@pytest.mark.parametrize("positions", [[], [(0.0, 0.0), (30.0, 0.0)]], ids=["empty", "two"])
+def test_scan_nan_s_t0_is_rejected_by_rssi_scan(positions):
+    with pytest.raises(ValueError, match="need S_T1 > S_T0"):
+        scan_from_geometry(_grid_topo(positions), (1.0, 1.0), "macro", s_t0_dbm=math.nan)
+
+
+@functools.cache
+def _reach_case():
+    """A 600-FAP deployment with its dynamic-reuse plan, built once."""
+    topo = place_femtocells(seed=41, count=600)
+    return topo, build_plan("dynamic-reuse", topo)
+
+
+def _assert_lists_agree(cut, full, scan, d_max, reach):
+    assert (cut.n_detected, cut.n_strong, cut.n_same_freq, cut.m_hidden) == \
+        (full.n_detected, full.n_strong, full.n_same_freq, full.m_hidden)
+    assert set(cut.entries) == set(full.entries)
+    assert cut.provenance == full.provenance
+    if d_max <= reach:
+        assert cut.entries == full.entries
+        return
+    # a hidden entry beyond the reach is unheard: it ranks after every heard
+    # entry, by id, and the heard ones keep the full scan's order
+    heard = [f for f in cut.entries if f in scan.levels_dbm]
+    assert cut.entries[:len(heard)] == heard
+    assert heard == [f for f in full.entries if f in scan.levels_dbm]
+    unheard = cut.entries[len(heard):]
+    assert unheard == sorted(unheard)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    s_t0=st.floats(-110.0, -50.0),
+    gap=st.floats(0.5, 30.0),
+    tx=st.floats(0.001, 0.2),
+    eta=st.floats(2.0, 4.5),
+    wall=st.floats(0.0, 30.0),
+    obstruction=st.floats(0.0, 0.6),
+    d_max=st.floats(1.0, 250.0),
+    serving=st.integers(0, 599),
+    angle=st.floats(0.0, 2 * math.pi),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_scan_lists_match_the_full_scan(s_t0, gap, tx, eta, wall, obstruction,
+                                        d_max, serving, angle, seed):
+    topo, plan = _reach_case()
+    params = PropagationParams(tx_power_femto_w=tx, path_loss_exp_femto_interf=eta,
+                               wall_loss_db=wall)
+    x, y = topo.site(serving).position
+    ue = (x + topo.femto_radius_m * math.cos(angle), y + topo.femto_radius_m * math.sin(angle))
+    draw = np.random.default_rng(seed).random(len(topo.femtocells))
+    obstructed = set(np.flatnonzero(draw < obstruction).tolist()) - {serving}
+    s_t1 = s_t0 + gap
+    reach = detection_reach_m(params, s_t0)
+
+    cut = scan_from_geometry(topo, ue, serving, params, obstructed, s_t0, s_t1)
+    full = full_scan(topo, ue, serving, params, obstructed, s_t0, s_t1)
+    assert cut.detected() == full.detected()
+    assert all(full.levels_dbm[f] == v for f, v in cut.levels_dbm.items())
+    for build, server in ((build_list_from_femto, (serving,)), (build_list_from_macro, ())):
+        lists = [build(scan, plan, topo, *server, d_max_m=d_max, ue_xy=ue)
+                 for scan in (cut, full)]
+        _assert_lists_agree(*lists, cut, d_max, reach)
