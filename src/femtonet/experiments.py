@@ -478,6 +478,8 @@ def check_scenario(scenario: Scenario) -> None:
                  scenario["spectrum.femto_fraction"], scenario["spectrum.edge_fraction"])
     nl_mod.RssiScan({}, "macro", scenario["neighborlist.s_t0_dbm"],
                     scenario["neighborlist.s_t1_dbm"])
+    nl_mod.check_params(scenario["neighborlist.d_max_m"],
+                        scenario["neighborlist.obstruction_prob"])
     scenario.two_tier_params()
     for lam in scenario["traffic.arrival_grid"] or FIG6_ARRIVAL_GRID[:1]:
         scenario.ch6_params(lam)

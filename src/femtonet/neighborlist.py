@@ -16,8 +16,8 @@ import numpy as np
 
 from . import topology as topo_mod
 from .radio import PropagationParams, link_power, linear_to_db, wall_attenuation
-from .spectrum import SpectrumPlan
-from .topology import CellTopology
+from .spectrum import SpectrumPlan, build_plan
+from .topology import CellTopology, FemtoSite
 
 DEFAULT_S_T0_DBM = -90.0
 DEFAULT_S_T1_DBM = -75.0
@@ -87,26 +87,45 @@ def shares_frequency(plan: SpectrumPlan, fap: int, serving: int) -> bool:
 
 
 def _coordinated(topo: CellTopology, via: int, candidate: int) -> bool:
-    if candidate == via:
-        return False
     if candidate not in topo_mod.neighbors_of(topo, via):
         return False
     return topo.walls_between(via, candidate) <= COORDINATION_WALL_LIMIT
 
 
 def _accessible(topo: CellTopology, access: dict[int, bool], fap: int) -> bool:
-    if topo.site(fap).access_mode == "open":
-        return True
-    return access.get(fap, False)
+    """An open FAP, or a closed one that `access` admits; UnknownSiteError
+    for an id the topology does not hold."""
+    topo.index_of(fap)
+    return fap not in topo.closed_access or access.get(fap, False)
 
 
-def _order_entries(strong, hidden, scan: RssiScan) -> list[int]:
+def check_params(d_max_m: float, obstruction_prob: float = 0.0) -> None:
+    """Raise a ValueError naming the scenario key for a NaN or non-positive
+    d_max, or for an obstruction probability outside [0, 1]."""
+    if not d_max_m > 0:
+        raise ValueError(f"neighborlist.d_max_m must be > 0, got {d_max_m!r}")
+    if not 0.0 <= obstruction_prob <= 1.0:
+        raise ValueError(f"neighborlist.obstruction_prob must be in [0, 1], "
+                         f"got {obstruction_prob!r}")
+
+
+def _neighbor_list(scan: RssiScan, serving, detected, strong, same_freq,
+                   hidden) -> NeighborList:
+    """The list of the kept strong and the hidden entries, strongest first,
+    a hidden entry after a strong one of equal level, then by id."""
+    kept = strong - same_freq
+
     def key(fap):
-        level = scan.levels_dbm.get(fap, -math.inf)
-        is_hidden = 1 if fap in hidden else 0
-        return (-level, is_hidden, fap)
+        return (-scan.levels_dbm.get(fap, -math.inf), fap in hidden, fap)
 
-    return sorted(set(strong) | set(hidden), key=key)
+    prov = {f: "strong-signal" for f in kept}
+    prov.update({f: "hidden-by-location" for f in hidden})
+    out = NeighborList(
+        entries=sorted(kept | hidden, key=key), provenance=prov,
+        n_detected=len(detected), n_strong=len(strong),
+        n_same_freq=len(same_freq), m_hidden=len(hidden), serving=serving)
+    out.check_count_identity()
+    return out
 
 
 def build_list_from_femto(
@@ -126,8 +145,7 @@ def build_list_from_femto(
     hop from the serving FAP or a strong member.
     """
     serving_site = topo.site(serving)
-    if d_max_m <= 0:
-        raise ValueError("d_max must be positive")
+    check_params(d_max_m)
     ue = tuple(ue_xy) if ue_xy is not None else serving_site.position
     access = access or {}
 
@@ -147,16 +165,7 @@ def build_list_from_femto(
             continue
         if any(_coordinated(topo, via, fap) for via in coordinators):
             hidden.add(fap)
-
-    entries = _order_entries(kept_strong, hidden, scan)
-    prov = {f: "strong-signal" for f in kept_strong}
-    prov.update({f: "hidden-by-location" for f in hidden})
-    out = NeighborList(
-        entries=entries, provenance=prov,
-        n_detected=len(detected), n_strong=len(strong),
-        n_same_freq=len(same_freq), m_hidden=len(hidden), serving=serving)
-    out.check_count_identity()
-    return out
+    return _neighbor_list(scan, serving, detected, strong, same_freq, hidden)
 
 
 def build_list_from_macro(
@@ -174,8 +183,7 @@ def build_list_from_macro(
     hidden set when its signal is weak.  The macrocell itself is always the
     fallback target, so the list holds FAPs only.
     """
-    if d_max_m <= 0:
-        raise ValueError("d_max must be positive")
+    check_params(d_max_m)
     if ue_xy is None:
         raise ValueError("the macro flow needs the UE position")
     access = access or {}
@@ -190,16 +198,7 @@ def build_list_from_macro(
             continue
         if scan.levels_dbm.get(fap, -math.inf) < scan.s_t1_dbm:
             hidden.add(fap)
-
-    entries = _order_entries(strong, hidden, scan)
-    prov = {f: "strong-signal" for f in strong}
-    prov.update({f: "hidden-by-location" for f in hidden})
-    out = NeighborList(
-        entries=entries, provenance=prov,
-        n_detected=len(detected), n_strong=len(strong),
-        n_same_freq=0, m_hidden=len(hidden), serving="macro")
-    out.check_count_identity()
-    return out
+    return _neighbor_list(scan, "macro", detected, strong, set(), hidden)
 
 
 # ---------------------------------------------------------------------------
@@ -283,10 +282,9 @@ def p_target_missing(
     TRIALS_PER_TOPOLOGY trials; the serving cell, user position, and
     obstructions are redrawn every trial.
     """
-    from .spectrum import build_plan
-
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    check_params(d_max_m, obstruction_prob)
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0x5CA)))
     miss_base = miss_prop = valid = 0
 
@@ -344,9 +342,6 @@ def hidden_fap_fixture():
     walled off from both the user and the serving FAP but coordinated via
     FAP 2; FAP 8's link to the user is obstructed.  The optimal list must
     come out as exactly {1, 2, 3, 8}."""
-    from .spectrum import build_plan
-    from .topology import CellTopology, FemtoSite
-
     positions = {
         0: (0.0, 0.0),     # serving
         1: (10.0, 0.0),    # hidden behind a wall, known to FAP 2
@@ -358,16 +353,12 @@ def hidden_fap_fixture():
         7: (60.0, -60.0),  # far
         8: (20.0, 5.0),    # obstructed toward the user, clear to the serving FAP
     }
-    femtos = [FemtoSite(i, p) for i, p in sorted(positions.items())]
-    # double wall between the serving FAP and FAP 1 blocks their coordination
-    femtos[0].walls_to[1] = 2
-    femtos[1].walls_to[0] = 2
-    # FAP 2 and FAP 1 share a clear coordination link
-    femtos[1].walls_to[2] = 0
-    femtos[2].walls_to[1] = 0
+    # a double wall between the serving FAP and FAP 1 blocks their
+    # coordination; FAP 2 and FAP 1 share a clear coordination link
     topo = CellTopology(
-        macro_radius_m=1000.0, femto_radius_m=10.0,
-        macro_sites=[(0.0, 0.0)], femtocells=femtos)
+        macro_radius_m=1000.0, femto_radius_m=10.0, macro_sites=[(0.0, 0.0)],
+        femtocells=[FemtoSite(i, p) for i, p in sorted(positions.items())],
+        walls={(0, 1): 2, (1, 2): 0})
     plan = build_plan("dynamic-reuse", topo)
     ue = (3.0, 0.0)
     obstructed = {1, 8}

@@ -5,6 +5,9 @@ BSs form a hexagonal ring at distance 2*r_m*cos(30 deg).  Femto access points
 (FAPs) are dropped uniformly over the reference macrocell disc with a minimum
 pairwise separation, which makes local neighbor counts Poisson-like.
 
+A FAP is an immutable `FemtoSite` record (id, position); access modes and
+wall counts live in the `CellTopology`.
+
 Each topology builds one fixed-radius neighbor table when it is made.
 `CellTopology.near` answers every FAP-to-FAP range query from it, and
 `reach_components` cuts a topology down to the table's connected components
@@ -15,7 +18,10 @@ full `distances_to` row.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
+from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 
@@ -64,23 +70,20 @@ class MacroGeometry:
                 raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
 
 
-@dataclass
-class FemtoSite:
+class FemtoSite(NamedTuple):
     id: int
     position: tuple[float, float]
-    access_mode: str = "open"  # "open" | "closed"
-    walls_to: dict[int, int] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.access_mode not in ("open", "closed"):
-            raise ValueError(f"bad access_mode {self.access_mode!r}")
-        if any(w < 0 for w in self.walls_to.values()):
-            raise ValueError("wall counts must be >= 0")
 
 
 @dataclass
 class CellTopology:
-    """Immutable after construction; safe for concurrent read-only use.
+    """Read-only after construction: the sites are immutable records and
+    the neighbor table is read-only arrays; safe for concurrent read-only use.
+
+    `closed_access` holds the closed-access FAP ids (every other FAP is open),
+    and `walls` maps an ascending id pair (a, b) to a whole wall count >= 0
+    where it is not inter_femto_walls.  Both may name FAPs outside the
+    topology, so `reach_components` passes them on unchanged.
 
     The constructor builds the neighbor table: every pair of FAPs within
     the reach INTERFERENCE_RADIUS_SCALE * 2 * femto_radius_m (60 m by
@@ -94,18 +97,22 @@ class CellTopology:
     neighbor_threshold_m: float = DEFAULT_NEIGHBOR_THRESHOLD
     macro_ue_walls: int = 1
     inter_femto_walls: int = 1
+    closed_access: frozenset[int] = frozenset()
+    walls: Mapping[tuple[int, int], int] = field(default_factory=dict)
 
     def __post_init__(self):
+        self.closed_access = frozenset(self.closed_access)
+        for (a, b), count in self.walls.items():
+            if not (a < b and float(count).is_integer() and count >= 0):
+                raise ValueError(f"walls: need a pair a < b and a whole count >= 0, "
+                                 f"got {(a, b)!r}: {count!r}")
+        self.walls = MappingProxyType({pair: int(count) for pair, count in self.walls.items()})
         self._index = {f.id: k for k, f in enumerate(self.femtocells)}
         if len(self._index) != len(self.femtocells):
             raise ValueError("femtocell ids must be unique")
         if not self.femto_radius_m > 0:
             raise ValueError("femto_radius_m must be > 0")
-        self._pos = (
-            np.array([f.position for f in self.femtocells], dtype=float)
-            if self.femtocells
-            else np.zeros((0, 2))
-        )
+        self._pos = np.array([f.position for f in self.femtocells], dtype=float).reshape(-1, 2)
         if not np.isfinite(self._pos).all():
             raise ValueError("positions must be finite")
         self._reach = INTERFERENCE_RADIUS_SCALE * (self.femto_radius_m + self.femto_radius_m)
@@ -138,7 +145,7 @@ class CellTopology:
         indices in femtocells order, ascending, and their distances.  A
         radius up to the table's reach reads the table; a wider one reads
         the FAP's distance row."""
-        k = self._index_of(fap_id)
+        k = self.index_of(fap_id)
         if radius_m <= self._reach:
             span = slice(self._ptr[k], self._ptr[k + 1])
             idx, dist = self._nbr[span], self._nbr_dist[span]
@@ -148,22 +155,23 @@ class CellTopology:
         keep = dist <= radius_m
         return idx[keep], dist[keep]
 
-    def _index_of(self, fap_id: int) -> int:
+    def index_of(self, fap_id: int) -> int:
+        """The FAP's index in femtocells order."""
         try:
             return self._index[fap_id]
         except KeyError:
             raise UnknownSiteError(f"unknown femtocell id {fap_id}") from None
 
     def site(self, fap_id: int) -> FemtoSite:
-        return self.femtocells[self._index_of(fap_id)]
+        return self.femtocells[self.index_of(fap_id)]
 
     def walls_between(self, a: int, b: int) -> int:
-        """Wall count on the inter-femtocell path (default one wall)."""
+        """Wall count on the inter-femtocell path, the same both ways."""
         if a == b:
             return 0
-        site = self.site(a)
-        self.site(b)
-        return site.walls_to.get(b, self.inter_femto_walls)
+        self.index_of(a)
+        self.index_of(b)
+        return self.walls.get((min(a, b), max(a, b)), self.inter_femto_walls)
 
 
 def _neighbor_table(pos: np.ndarray, reach: float):
@@ -216,20 +224,18 @@ def _neighbor_table(pos: np.ndarray, reach: float):
     return table
 
 
+def _point(topo: CellTopology, p) -> tuple[float, float]:
+    """The position of a femto id (int or numpy integer), or a finite (x, y)."""
+    if isinstance(p, (int, np.integer)):
+        return topo.site(p).position
+    if not (math.isfinite(p[0]) and math.isfinite(p[1])):
+        raise ValueError("positions must be finite")
+    return p
+
+
 def distance(topo: CellTopology, a, b) -> float:
     """Euclidean distance; endpoints may be femto ids or (x, y) positions."""
-    if isinstance(a, int):
-        pa = topo.site(a).position
-    else:
-        pa = a
-        if not (math.isfinite(a[0]) and math.isfinite(a[1])):
-            raise ValueError("positions must be finite")
-    if isinstance(b, int):
-        pb = topo.site(b).position
-    else:
-        pb = b
-        if not (math.isfinite(b[0]) and math.isfinite(b[1])):
-            raise ValueError("positions must be finite")
+    pa, pb = _point(topo, a), _point(topo, b)
     return math.hypot(pa[0] - pb[0], pa[1] - pb[1])
 
 
@@ -253,7 +259,7 @@ def reach_components(topo: CellTopology, fap_ids) -> CellTopology:
     """
     ptr, nbr, _ = topo.neighbor_table
     seen = np.zeros(len(topo.femtocells), dtype=bool)
-    frontier = np.array(sorted({topo._index_of(f) for f in fap_ids}), dtype=np.intp)
+    frontier = np.array(sorted({topo.index_of(f) for f in fap_ids}), dtype=np.intp)
     seen[frontier] = True
     while frontier.size:
         lo, counts = ptr[frontier], ptr[frontier + 1] - ptr[frontier]
@@ -319,7 +325,7 @@ def place_femtocells(
             )
 
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    buf = np.empty((count, 2)) if count else np.zeros((0, 2))
+    buf = np.empty((count, 2))
     placed = 0
     # the side exceeds `sep` by more than x/side can round, so a FAP closer
     # than `sep` never lands two cells away; at sep = 0 nothing is rejected
@@ -356,7 +362,7 @@ def place_femtocells(
             cells.setdefault((cx, cy), []).append(placed)
         buf[placed] = (x, y)
         placed += 1
-    femtos = [FemtoSite(id=i, position=tuple(row)) for i, row in enumerate(buf)]
+    femtos = [FemtoSite(i, (x, y)) for i, (x, y) in enumerate(buf.tolist())]
 
     return CellTopology(
         macro_radius_m=macro.macro_radius_m,

@@ -126,6 +126,9 @@ def test_validate_missing_file():
     ("spectrum.femto_fraction = 1.5", "fig4-outage"),
     ("spectrum.total_hz = 0", "fig4-outage"),
     ("neighborlist.s_t1_dbm = -95", "fig5-neighborlist"),
+    ("neighborlist.d_max_m = nan", "fig5-neighborlist"),
+    ("neighborlist.d_max_m = 0", "fig5-neighborlist"),
+    ("neighborlist.obstruction_prob = 1.5", "fig5-neighborlist"),
 ])
 def test_validate_rejects_what_run_rejects(tmp_path, line, experiment):
     path = tmp_path / "bad.scenario"

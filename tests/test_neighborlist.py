@@ -20,14 +20,15 @@ from femtonet.neighborlist import (
 )
 from femtonet.radio import PropagationParams
 from femtonet.spectrum import FemtoBandAssignment, build_plan
-from femtonet.topology import CellTopology, FemtoSite, place_femtocells, distance
+from femtonet.topology import CellTopology, FemtoSite, UnknownSiteError, place_femtocells, distance
 
 
 def _grid_topo(positions, access=None):
-    femtos = [FemtoSite(i, p, access_mode=(access or {}).get(i, "open"))
-              for i, p in enumerate(positions)]
     return CellTopology(macro_radius_m=1000.0, femto_radius_m=10.0,
-                        macro_sites=[(0.0, 0.0)], femtocells=femtos)
+                        macro_sites=[(0.0, 0.0)],
+                        femtocells=[FemtoSite(i, p) for i, p in enumerate(positions)],
+                        closed_access={i for i, mode in (access or {}).items()
+                                       if mode == "closed"})
 
 
 def test_scan_threshold_order_validated():
@@ -103,6 +104,34 @@ def test_closed_access_excluded():
     allowed = build_list_from_femto(scan, plan, topo, 0, ue_xy=(5.0, 0.0),
                                     access={1: True})
     assert set(allowed.entries) == {1, 2}
+
+
+def test_a_scan_naming_an_unknown_fap_is_rejected_by_both_builders():
+    topo = _grid_topo([(0.0, 0.0), (15.0, 0.0)])
+    plan = build_plan("dynamic-reuse", topo)
+    with pytest.raises(UnknownSiteError):
+        build_list_from_femto(RssiScan({1: -60.0, 7: -60.0}, serving=0), plan, topo, 0,
+                              ue_xy=(5.0, 0.0))
+    with pytest.raises(UnknownSiteError):
+        build_list_from_macro(RssiScan({1: -60.0, 7: -60.0}, serving="macro"), plan, topo,
+                              ue_xy=(5.0, 0.0))
+
+
+@pytest.mark.parametrize("d_max", [math.nan, 0.0, -5.0])
+def test_builders_reject_a_nan_or_non_positive_d_max(d_max):
+    topo = _grid_topo([(0.0, 0.0), (15.0, 0.0)])
+    plan = build_plan("dynamic-reuse", topo)
+    with pytest.raises(ValueError, match="neighborlist.d_max_m must be > 0"):
+        build_list_from_femto(RssiScan({}, serving=0), plan, topo, 0, d_max_m=d_max)
+    with pytest.raises(ValueError, match="neighborlist.d_max_m must be > 0"):
+        build_list_from_macro(RssiScan({}, serving="macro"), plan, topo, d_max_m=d_max,
+                              ue_xy=(5.0, 0.0))
+
+
+@pytest.mark.parametrize("prob", [1.5, -0.1, math.nan])
+def test_p_target_missing_rejects_a_probability_outside_0_1(prob):
+    with pytest.raises(ValueError, match=r"neighborlist.obstruction_prob must be in \[0, 1\]"):
+        p_target_missing(count=20, trials=1, seed=0, obstruction_prob=prob)
 
 
 def test_macro_flow_single_fap():

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from femtonet.neighborlist import RssiScan, build_list_from_femto
 from femtonet.radio import sir
 from femtonet.spectrum import build_plan
 from femtonet.topology import (
@@ -76,6 +77,22 @@ def test_reach_components_of_nothing_and_of_an_unknown_id():
     assert reach_components(topo, ()).femtocells == []
     with pytest.raises(UnknownSiteError):
         reach_components(topo, {0, 99})
+
+
+def test_a_closed_fap_stays_out_of_a_list_built_on_a_reach_component():
+    # FAPs 0-2 form one component and FAP 3 another; FAP 1 is closed
+    topo = CellTopology(1000.0, 10.0, [(0.0, 0.0)],
+                        [FemtoSite(0, (0.0, 0.0)), FemtoSite(1, (15.0, 0.0)),
+                         FemtoSite(2, (0.0, 15.0)), FemtoSite(3, (500.0, 0.0))],
+                        closed_access={1, 3})
+    child = reach_components(topo, {0})
+    assert child.femto_ids == [0, 1, 2]
+    assert 1 in child.closed_access
+    plan = build_plan("dynamic-reuse", child)
+    scan = RssiScan({1: -60.0, 2: -60.0}, serving=0)
+    assert build_list_from_femto(scan, plan, child, 0, ue_xy=(5.0, 0.0)).entries == [2]
+    assert build_list_from_femto(scan, plan, child, 0, ue_xy=(5.0, 0.0),
+                                 access={1: True}).entries != [2]
 
 
 def _assert_restricted_plans_match(topo, rng):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import scalar_placement
 
+from femtonet.neighborlist import hidden_fap_fixture
 from femtonet.topology import (
     CellTopology,
     FemtoSite,
@@ -131,6 +132,51 @@ def test_walls_default_one_between_femtos():
     topo = _two_fap_topo(10.0)
     assert topo.walls_between(0, 1) == 1
     assert topo.walls_between(0, 0) == 0
+
+
+def test_walls_are_symmetric_for_every_pair_of_the_fixture():
+    topo = hidden_fap_fixture()[0]
+    ids = topo.femto_ids
+    for a in ids:
+        for b in ids:
+            assert topo.walls_between(a, b) == topo.walls_between(b, a)
+    assert topo.walls_between(1, 0) == 2 and topo.walls_between(2, 1) == 0
+    assert topo.walls_between(3, 0) == topo.inter_femto_walls
+
+
+@pytest.mark.parametrize("walls", [{(1, 0): 2}, {(1, 1): 0}, {(0, 1): -1}, {(0, 1): 1.5}])
+def test_walls_reject_a_descending_or_self_pair_and_a_bad_count(walls):
+    with pytest.raises(ValueError, match="walls"):
+        CellTopology(macro_radius_m=1000.0, femto_radius_m=10.0, macro_sites=[(0.0, 0.0)],
+                     femtocells=[FemtoSite(0, (0.0, 0.0)), FemtoSite(1, (5.0, 5.0))],
+                     walls=walls)
+
+
+def test_walls_and_closed_access_are_read_only():
+    topo = CellTopology(macro_radius_m=1000.0, femto_radius_m=10.0, macro_sites=[(0.0, 0.0)],
+                        femtocells=[FemtoSite(0, (0.0, 0.0)), FemtoSite(1, (5.0, 5.0))],
+                        closed_access={1}, walls={(0, 1): 3})
+    with pytest.raises(TypeError):
+        topo.walls[(0, 1)] = 0
+    assert topo.walls_between(1, 0) == 3
+    assert topo.closed_access == frozenset({1})
+    with pytest.raises(AttributeError):
+        topo.femtocells[0].position = (1.0, 1.0)
+    with pytest.raises(UnknownSiteError):
+        topo.walls_between(0, 2)
+
+
+@pytest.mark.parametrize("as_id", [np.int64, np.intp])
+def test_distance_and_lookups_take_numpy_integer_ids(as_id):
+    topo = _two_fap_topo(30.0)
+    assert distance(topo, as_id(0), (0.0, 40.0)) == 40.0
+    assert distance(topo, as_id(0), as_id(1)) == distance(topo, 0, 1) == 30.0
+    assert topo.site(as_id(1)) == topo.site(1)
+    assert topo.walls_between(as_id(0), as_id(1)) == topo.walls_between(0, 1)
+    with pytest.raises(UnknownSiteError):
+        distance(topo, as_id(5), (0.0, 0.0))
+    with pytest.raises(ValueError, match="finite"):
+        distance(topo, as_id(0), (math.nan, 0.0))
 
 
 def test_first_tier_ring_distance():
