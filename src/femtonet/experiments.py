@@ -205,14 +205,24 @@ def run_fig5_mobility(scenario: Scenario) -> ExperimentResult:
     return res
 
 
+def _check_neighborlist(scenario: Scenario) -> None:
+    """The checks of the scan thresholds, d_max and the obstruction
+    probability that the fig5-neighborlist trials make."""
+    nl_mod.RssiScan({}, "macro", scenario["neighborlist.s_t0_dbm"],
+                    scenario["neighborlist.s_t1_dbm"])
+    nl_mod.check_params(scenario["neighborlist.d_max_m"],
+                        scenario["neighborlist.obstruction_prob"])
+
+
 def run_fig5_neighborlist(scenario: Scenario) -> ExperimentResult:
     counts = _sweep_counts(scenario, "sweep.femto_counts", (100, 200, 400, 700, 1000))
+    macro = scenario.macro_geometry()
+    radio = scenario.propagation()
+    _check_neighborlist(scenario)  # zero trials reject what the trials reject
     trials = scenario["trials"]
     if trials == 0:
         return _no_trials("fig5-neighborlist", scenario)
     res = ExperimentResult("fig5-neighborlist", scenario.name, scenario.seed)
-    macro = scenario.macro_geometry()
-    radio = scenario.propagation()
     s_t0, s_t1 = scenario["neighborlist.s_t0_dbm"], scenario["neighborlist.s_t1_dbm"]
     for count in counts:
         miss = nl_mod.p_target_missing(
@@ -476,10 +486,7 @@ def check_scenario(scenario: Scenario) -> None:
     scenario.propagation()
     SpectrumPlan("shared", scenario["spectrum.total_hz"], {}, {},
                  scenario["spectrum.femto_fraction"], scenario["spectrum.edge_fraction"])
-    nl_mod.RssiScan({}, "macro", scenario["neighborlist.s_t0_dbm"],
-                    scenario["neighborlist.s_t1_dbm"])
-    nl_mod.check_params(scenario["neighborlist.d_max_m"],
-                        scenario["neighborlist.obstruction_prob"])
+    _check_neighborlist(scenario)
     scenario.two_tier_params()
     for lam in scenario["traffic.arrival_grid"] or FIG6_ARRIVAL_GRID[:1]:
         scenario.ch6_params(lam)

@@ -240,28 +240,39 @@ def _assign_static(plan: SpectrumPlan, topo: CellTopology, seed: int) -> None:
 
     The earlier overlapping FAPs of every FAP come from one pass over the
     neighbor table, and the coin flips are drawn as one block that is read
-    in order; a block gives the same flips as one scalar draw each."""
+    in order; a block gives the same flips as one scalar draw each.  A FAP
+    with no earlier overlapping FAP has both bands free and takes the next
+    flip, so the Python loop visits only the FAPs that have one, and each
+    run of FAPs between two of them takes its flips as one slice."""
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0x57A7)))
     reach = topo.femto_radius_m + topo.femto_radius_m
     n = len(topo.femtocells)
     ptr, nbr, dist = topo.neighbor_table
     rows = np.repeat(np.arange(n), np.diff(ptr))
     keep = (nbr < rows) & (dist <= reach)
+    rows = rows[keep]
     earlier = nbr[keep].tolist()
-    bounds = np.searchsorted(rows[keep], np.arange(n + 1)).tolist()
+    bounds = np.searchsorted(rows, np.arange(n + 1))
+    visit = np.flatnonzero(np.diff(bounds)).tolist()
+    bounds = bounds.tolist()
     flips = rng.integers(2, size=n).tolist()
     bands = ("Bm2", "Bm3")
     picks = []  # index into bands, per FAP in femtocells order
     drawn = 0
-    for k, site in enumerate(topo.femtocells):
+    for k in visit:
+        run = k - len(picks)
+        picks += flips[drawn:drawn + run]
+        drawn += run
         used = {picks[j] for j in earlier[bounds[k]:bounds[k + 1]]}
         if len(used) == 1:
-            pick = 1 - used.pop()  # the one band left free
-        else:  # both free, or both taken: a coin flip
-            pick = flips[drawn]
+            picks.append(1 - used.pop())  # the one band left free
+        else:  # both taken: a coin flip
+            picks.append(flips[drawn])
             drawn += 1
-        picks.append(pick)
-        plan.femto_assignment[site.id] = FemtoBandAssignment(bands[pick], None)
+    picks += flips[drawn:drawn + n - len(picks)]
+    plan.femto_assignment.update(
+        (site.id, FemtoBandAssignment(bands[pick], None))
+        for site, pick in zip(topo.femtocells, picks))
 
 
 # ---------------------------------------------------------------------------

@@ -102,10 +102,11 @@ class CellTopology:
 
     def __post_init__(self):
         self.closed_access = frozenset(self.closed_access)
-        for (a, b), count in self.walls.items():
-            if not (a < b and float(count).is_integer() and count >= 0):
+        for pair, count in self.walls.items():
+            if not (isinstance(pair, tuple) and len(pair) == 2 and pair[0] < pair[1]
+                    and float(count).is_integer() and count >= 0):
                 raise ValueError(f"walls: need a pair a < b and a whole count >= 0, "
-                                 f"got {(a, b)!r}: {count!r}")
+                                 f"got {pair!r}: {count!r}")
         self.walls = MappingProxyType({pair: int(count) for pair, count in self.walls.items()})
         self._index = {f.id: k for k, f in enumerate(self.femtocells)}
         if len(self._index) != len(self.femtocells):
@@ -287,6 +288,37 @@ def first_tier_ring(macro_radius_m: float) -> list[tuple[float, float]]:
     ]
 
 
+def _first_come(placed: np.ndarray, block: np.ndarray, sep: float) -> np.ndarray:
+    """Which candidates of `block` the scalar loop accepts, taking them in
+    order: a candidate closer than `sep` to a placed FAP or to an accepted
+    earlier candidate is rejected.
+
+    One `_neighbor_table` pass at reach `sep` finds every close pair.  A
+    candidate close to a placed FAP is rejected outright; any other is
+    accepted unless an earlier close candidate was.  So a Python pass in
+    draw order visits only the candidates that have an earlier close one.
+    """
+    # candidate k is point n + k, so a placed FAP has a negative block index
+    n = len(placed)
+    ptr, nbr, dist = _neighbor_table(np.concatenate([placed, block]), sep)
+    rows = np.repeat(np.arange(-n, len(block)), np.diff(ptr))
+    close = (dist < sep) & (rows >= 0)
+    rows, nbr = rows[close], nbr[close] - n
+    accepted = np.ones(len(block), dtype=bool)
+    accepted[rows[nbr < 0]] = False
+    accepted = accepted.tolist()
+    # the table lists each row's partners ascending, rows in order
+    pair = (nbr >= 0) & (nbr < rows)
+    rows, earlier = rows[pair], nbr[pair].tolist()
+    bounds = np.searchsorted(rows, np.arange(len(block) + 1))
+    visit = np.flatnonzero(np.diff(bounds)).tolist()
+    bounds = bounds.tolist()
+    for c in visit:
+        if accepted[c] and any(accepted[e] for e in earlier[bounds[c]:bounds[c + 1]]):
+            accepted[c] = False
+    return np.array(accepted, dtype=bool)
+
+
 def place_femtocells(
     seed: int,
     count: int,
@@ -295,20 +327,19 @@ def place_femtocells(
     """Drop `count` open-access FAPs uniformly inside the reference macrocell
     disc.
 
-    Positions closer than the minimum separation to an existing FAP are
-    rejected and redrawn, so the same (seed, params) always yields the same
-    topology.  Femtocell 0 is placed at the fixed reference range from the
-    BS instead of being sampled.
+    Candidates are drawn in order, and one closer than the minimum
+    separation to an already placed FAP is rejected, so the same (seed,
+    params) always yields the same topology.  Femtocell 0 is placed at the
+    fixed reference range from the BS instead of being sampled.
 
-    The uniform draws come from the generator in blocks, which yields the
-    same doubles in the same order as one scalar draw each, and a candidate
-    is measured only against the placed FAPs in its own and the 8 adjacent
-    cells of a grid of side at least the separation (cell lists, Allen &
-    Tildesley).  So the positions are those of the scalar loop that tests
-    every placed FAP.
+    The uniform draws come from the generator in blocks of two per missing
+    FAP, which yields the same doubles in the same order as one scalar draw
+    each, and a block of candidates is settled at once (`_first_come`).  So
+    the positions are those of the scalar loop that tests each candidate
+    against every placed FAP.
 
     Raises PlacementInfeasibleError when the disc cannot hold `count` sites
-    at the requested separation.
+    at the requested separation, or when 200 candidates per FAP were tried.
     """
     if count < 0:
         raise ValueError("count must be >= 0")
@@ -327,41 +358,33 @@ def place_femtocells(
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     buf = np.empty((count, 2))
     placed = 0
-    # the side exceeds `sep` by more than x/side can round, so a FAP closer
-    # than `sep` never lands two cells away; at sep = 0 nothing is rejected
-    side = sep * (1.0 + 2.0**-40) + max(r, REFERENCE_FAP_DISTANCE) * 2.0**-40
-    cells: dict[tuple[int, int], list[int]] = {}
     if count > 0:
         buf[0] = (REFERENCE_FAP_DISTANCE, 0.0)
-        cells[(math.floor(REFERENCE_FAP_DISTANCE / side), 0)] = [0]
         placed = 1
 
     max_attempts = 200 * max(count, 1)
     attempts = 0
-    draws, at = [], 0
     while placed < count:
-        attempts += 1
-        if attempts > max_attempts:
+        if attempts >= max_attempts:
             raise PlacementInfeasibleError(
                 f"placed only {placed}/{count} FAPs "
                 f"after {max_attempts} attempts"
             )
-        if at == len(draws):
-            draws, at = rng.random(2 * (count - placed)).tolist(), 0
-        # uniform over the disc via sqrt radius
-        rad = r * math.sqrt(draws[at])
-        ang = 2.0 * math.pi * draws[at + 1]
-        at += 2
-        x, y = rad * math.cos(ang), rad * math.sin(ang)
+        draws = rng.random(2 * (count - placed))
+        # the scalar loop stops after max_attempts candidates, so the rest
+        # of a block past that budget is never tried
+        tried = min(count - placed, max_attempts - attempts)
+        # uniform over the disc via sqrt radius; the scalar math functions
+        # keep every bit of the scalar loop, numpy only multiplies
+        rad = r * np.array(list(map(math.sqrt, draws[0:2 * tried:2].tolist())))
+        ang = (2.0 * math.pi * draws[1:2 * tried:2]).tolist()
+        block = np.column_stack([rad * np.array(list(map(math.cos, ang))),
+                                 rad * np.array(list(map(math.sin, ang)))])
         if sep > 0:
-            cx, cy = math.floor(x / side), math.floor(y / side)
-            near = [k for i in (cx - 1, cx, cx + 1) for j in (cy - 1, cy, cy + 1)
-                    for k in cells.get((i, j), ())]
-            if near and np.min(np.hypot(buf[near, 0] - x, buf[near, 1] - y)) < sep:
-                continue
-            cells.setdefault((cx, cy), []).append(placed)
-        buf[placed] = (x, y)
-        placed += 1
+            block = block[_first_come(buf[:placed], block, sep)]
+        buf[placed:placed + len(block)] = block
+        placed += len(block)
+        attempts += tried
     femtos = [FemtoSite(i, (x, y)) for i, (x, y) in enumerate(buf.tolist())]
 
     return CellTopology(

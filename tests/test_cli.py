@@ -129,6 +129,11 @@ def test_validate_missing_file():
     ("neighborlist.d_max_m = nan", "fig5-neighborlist"),
     ("neighborlist.d_max_m = 0", "fig5-neighborlist"),
     ("neighborlist.obstruction_prob = 1.5", "fig5-neighborlist"),
+    # zero trials must not skip fig5-neighborlist's checks
+    ("trials = 0\nneighborlist.s_t1_dbm = -95", "fig5-neighborlist"),
+    ("trials = 0\nneighborlist.d_max_m = nan", "fig5-neighborlist"),
+    ("trials = 0\nneighborlist.d_max_m = 0", "fig5-neighborlist"),
+    ("trials = 0\nneighborlist.obstruction_prob = 1.5", "fig5-neighborlist"),
 ])
 def test_validate_rejects_what_run_rejects(tmp_path, line, experiment):
     path = tmp_path / "bad.scenario"

@@ -107,6 +107,36 @@ def test_static_reuse_matches_scalar_draws(seed, count, side, plan_seed):
     assert list(plan.femto_assignment.items()) == list(expected.femto_assignment.items())
 
 
+def _line(step_m, moved=None, count=12):
+    """FAPs on a line, `step_m` apart, with descending ids; `moved` maps an
+    index to the index of the FAP that it is put 5 m beside."""
+    xy = [(step_m * k, 0.0) for k in range(count)]
+    for k, beside in (moved or {}).items():
+        xy[k] = (xy[beside][0] + 5.0, 0.0)
+    return _topo_at(xy, ids=range(100, 100 - count, -1))
+
+
+@pytest.mark.parametrize("topo, overlapping", [
+    (_line(100.0), 0),  # no two coverage discs overlap
+    (_line(1.5), 11),  # every disc overlaps every other
+    (_line(15.0), 11),  # each disc overlaps the next, a chain
+    (_line(100.0, {1: 0}), 1),  # only the second FAP has an earlier overlap
+    (_line(100.0, {11: 0}), 1),  # the last FAP overlaps the first
+    (_line(100.0, {11: 10}), 1),  # the last FAP overlaps the one before it
+])
+def test_static_reuse_runs_match_scalar_draws(topo, overlapping):
+    reach = 2 * topo.femto_radius_m
+    has_earlier = [k for k, f in enumerate(topo.femtocells)
+                   if (topo.near(f.id, reach)[0] < k).any()]
+    assert len(has_earlier) == overlapping
+    for plan_seed in range(6):
+        plan = build_plan("static-reuse", topo, seed=plan_seed)
+        expected = build_plan("dedicated", topo)  # a fresh plan to fill
+        expected.femto_assignment = {}
+        scalar_assign_static(expected, topo, plan_seed)
+        assert list(plan.femto_assignment.items()) == list(expected.femto_assignment.items())
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_dynamic_plan_with_shrunk_radii_matches_oracles(seed):
     topo = _random_topo(seed, 100, 500.0)

@@ -144,7 +144,9 @@ def test_walls_are_symmetric_for_every_pair_of_the_fixture():
     assert topo.walls_between(3, 0) == topo.inter_femto_walls
 
 
-@pytest.mark.parametrize("walls", [{(1, 0): 2}, {(1, 1): 0}, {(0, 1): -1}, {(0, 1): 1.5}])
+@pytest.mark.parametrize("walls", [{(1, 0): 2}, {(1, 1): 0}, {(0, 1): -1}, {(0, 1): 1.5},
+                                   # keys that are not pairs
+                                   {5: 1}, {(0,): 1}, {(0, 1, 2): 1}, {"01": 1}])
 def test_walls_reject_a_descending_or_self_pair_and_a_bad_count(walls):
     with pytest.raises(ValueError, match="walls"):
         CellTopology(macro_radius_m=1000.0, femto_radius_m=10.0, macro_sites=[(0.0, 0.0)],
@@ -270,6 +272,76 @@ def test_placement_gives_up_after_max_attempts_as_scalar_loop(seed, period, coun
         message = _assert_places_as_scalar_loop(seed, count, macro)
     if count > period // 2 + 1:
         assert message.endswith(f"/{count} FAPs after {200 * count} attempts")
+
+
+def _at(x):
+    """The (u, v) draw pair of a candidate at (x, 0) in the default 1000 m
+    disc; v = 0.5 puts it at (-x, ~0)."""
+    return ((abs(x) / 1000.0) ** 2, 0.0 if x >= 0 else 0.5)
+
+
+def _place_from(candidates, count):
+    """Place `count` FAPs at the default geometry (2 m separation) from a
+    stream of the given candidates, checked against the scalar loop; the
+    positions, or the error message, and the number of uniforms drawn."""
+    values = [u for pair in candidates for u in pair]
+    made = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np.random, "default_rng",
+                   lambda _: made.append(_PeriodicRng(values)) or made[-1])
+        message = _assert_places_as_scalar_loop(0, count, MacroGeometry())
+        if message is None:
+            return place_femtocells(0, count).positions, made[-1]._at
+    return message, made[-1]._at
+
+
+@pytest.mark.parametrize("seed", [0, 7, 11])
+@pytest.mark.parametrize("count", [0, 1, 2])
+def test_smallest_placements_match_scalar_loop(seed, count):
+    assert _assert_places_as_scalar_loop(seed, count, MacroGeometry()) is None
+
+
+@pytest.mark.parametrize("block, kept", [
+    # A-B-C in one block: B is close to A, C only to B, so C stays
+    ((500.0, 501.5, 503.0), (500.0, 503.0)),
+    # B is close to the placed reference FAP, so it rejects nothing
+    ((500.0, 201.5, 203.0), (500.0, 203.0)),
+    # C is close to both A and B: the accepted A rejects it
+    ((500.0, 501.5, 500.75), (500.0,)),
+    # nothing is close: the whole block stays
+    ((500.0, 600.0, -700.0), (500.0, 600.0, -700.0)),
+])
+def test_placement_settles_a_block_in_draw_order(block, kept):
+    # the first block holds count - 1 = 3 candidates; the far ones after it
+    # fill the FAPs that the block left
+    fill = (-600.0, -800.0, 900.0)[:3 - len(kept)]
+    positions, _ = _place_from([_at(x) for x in (*block, *fill)], 4)
+    assert positions[:, 0].round(6).tolist() == [200.0, *kept, *fill]
+
+
+@pytest.mark.parametrize("f2, message", [
+    # the budget of 800 ends after the first candidate of the block
+    # (800, 801), which is tried and accepted ...
+    (800, "placed only 3/4 FAPs after 800 attempts"),
+    # ... while the second is drawn but never tried
+    (801, "placed only 2/4 FAPs after 800 attempts"),
+])
+def test_placement_budget_ends_inside_a_block(f2, message):
+    # Attempts 1-3 are the first block, whose far F1 is the only FAP it
+    # places; every later block holds two candidates.  Every candidate but
+    # F1 and F2 repeats the reference FAP and is rejected.
+    far = {1: _at(500.0), f2: _at(-600.0)}
+    got, drawn = _place_from([far.get(k, _at(200.0)) for k in range(1, 802)], 4)
+    assert got == message
+    assert drawn == 2 * 801  # the last block was drawn whole, then cut
+
+
+def test_placement_fills_on_the_last_attempt():
+    # F2 at attempt 798 leaves one FAP to place, so the last blocks hold one
+    # candidate each and the far F3 is tried as attempt 800 of 800
+    far = {1: _at(500.0), 798: _at(-600.0), 800: _at(900.0)}
+    positions, _ = _place_from([far.get(k, _at(200.0)) for k in range(1, 801)], 4)
+    assert positions[:, 0].round(6).tolist() == [200.0, 500.0, -600.0, 900.0]
 
 
 @pytest.mark.parametrize("seed", [7, 11])
