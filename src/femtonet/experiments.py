@@ -92,7 +92,7 @@ def _radio_sweep(scenario: Scenario, counts, trials: int):
 
     out = {}
     for count in counts:
-        sums = {s: [0.0, 0.0, 0] for s in RADIO_SCHEMES}  # thr, outage, n
+        sums = {s: [0.0, 0.0] for s in RADIO_SCHEMES}  # thr, outage
         for trial in range(trials):
             topo = place_femtocells(scenario.seed + 1009 * trial, count, macro=macro)
             rng = _spawn_rng(scenario.seed, count, trial)
@@ -109,17 +109,12 @@ def _radio_sweep(scenario: Scenario, counts, trials: int):
                                   edge_fraction=scenario["spectrum.edge_fraction"])
                 rep = sir(local, plan, ue, ref, params, macro_tiers="reference")
                 band = plan.band_for_link(ref, ue, local)
-                thr = shannon_throughput(band.width, rep.capped_sir(params))
-                if rep.interference_free:
-                    outage = 0.0
-                else:
-                    outage = outage_probability_closed_form(
-                        rep.signal_w, gamma, rep.total_interference_w)
                 acc = sums[scheme]
-                acc[0] += thr
-                acc[1] += outage
-                acc[2] += 1
-        out[count] = {s: (v[0] / v[2], v[1] / v[2]) for s, v in sums.items()}
+                acc[0] += shannon_throughput(band.width, rep.capped_sir(params))
+                # zero interference gives an outage of exactly 0.0
+                acc[1] += outage_probability_closed_form(
+                    rep.signal_w, gamma, rep.total_interference_w)
+        out[count] = {s: (thr / trials, outage / trials) for s, (thr, outage) in sums.items()}
     return out
 
 
@@ -149,6 +144,7 @@ FIG4_METRICS = {"fig4-throughput": ("mean_throughput_bps", 0),
 def _run_fig4(scenario: Scenario, names) -> list[ExperimentResult]:
     """The named fig4 results, in order, all read from one radio sweep."""
     counts = _sweep_counts(scenario, "sweep.femto_counts", DEFAULT_FIG4_COUNTS)
+    _check_radio(scenario)  # zero trials reject what the trials reject
     if scenario["trials"] == 0:
         return [_no_trials(name, scenario) for name in names]
     sweep = _radio_sweep(scenario, counts, scenario["trials"])
@@ -203,6 +199,15 @@ def run_fig5_mobility(scenario: Scenario) -> ExperimentResult:
                     baseline.probabilities.mm, baseline.macro.p_drop))
     res.metadata["iterations"] = baseline.iterations
     return res
+
+
+def _check_radio(scenario: Scenario) -> None:
+    """The checks of the macro geometry, the propagation parameters and the
+    plan parameters that the fig4 trials make."""
+    scenario.macro_geometry()
+    scenario.propagation()
+    SpectrumPlan("shared", scenario["spectrum.total_hz"], scenario["spectrum.femto_fraction"],
+                 scenario["spectrum.edge_fraction"])
 
 
 def _check_neighborlist(scenario: Scenario) -> None:
@@ -482,10 +487,7 @@ def check_scenario(scenario: Scenario) -> None:
     _check_trials(scenario)
     _sweep_counts(scenario, "sweep.femto_counts", (), minimum=0)
     _sweep_counts(scenario, "sweep.session_counts", (), minimum=1)
-    scenario.macro_geometry()
-    scenario.propagation()
-    SpectrumPlan("shared", scenario["spectrum.total_hz"], {}, {},
-                 scenario["spectrum.femto_fraction"], scenario["spectrum.edge_fraction"])
+    _check_radio(scenario)
     _check_neighborlist(scenario)
     scenario.two_tier_params()
     for lam in scenario["traffic.arrival_grid"] or FIG6_ARRIVAL_GRID[:1]:

@@ -11,7 +11,8 @@ Each plan computes this label -> Band table once, when it is made.
 
 `SpectrumPlan.interferers` is the one interference relation; each dynamic-reuse
 configuration step reads a FAP's list once and hands it to the helpers.  It
-and static reuse read the topology's neighbor table, not distance rows.
+reads `CellTopology.near` and static reuse reads `CellTopology.earlier_within`,
+so neither makes a distance row.
 """
 
 from __future__ import annotations
@@ -108,10 +109,10 @@ class SpectrumPlan:
 
     scheme: str
     total_hz: float
-    macro_assignment: dict[int, str]
-    femto_assignment: dict[int, FemtoBandAssignment]
     femto_fraction: float = DEFAULT_FEMTO_FRACTION
     edge_fraction: float = DEFAULT_EDGE_FRACTION
+    macro_assignment: dict[int, str] = field(default_factory=dict, init=False)
+    femto_assignment: dict[int, FemtoBandAssignment] = field(default_factory=dict, init=False)
     radius_of: dict[int, float] = field(default_factory=dict, init=False)
     events: list[tuple] = field(default_factory=list, init=False)
     branch_counts: dict[str, int] = field(default_factory=dict, init=False)
@@ -205,14 +206,7 @@ def build_plan(
 ) -> SpectrumPlan:
     """Construct a SpectrumPlan satisfying the scheme's set relations.
     The plan's constructor checks the scheme and the band parameters."""
-    plan = SpectrumPlan(
-        scheme=scheme,
-        total_hz=total_hz,
-        macro_assignment={},
-        femto_assignment={},
-        femto_fraction=femto_fraction,
-        edge_fraction=edge_fraction,
-    )
+    plan = SpectrumPlan(scheme, total_hz, femto_fraction, edge_fraction)
 
     n_macro = len(topo.macro_sites)
     if scheme in _SINGLE_BAND:
@@ -238,32 +232,24 @@ def _assign_static(plan: SpectrumPlan, topo: CellTopology, seed: int) -> None:
     whose coverage discs overlap where possible, random otherwise.  The
     plan is fresh, so every cell has the nominal radius.
 
-    The earlier overlapping FAPs of every FAP come from one pass over the
-    neighbor table, and the coin flips are drawn as one block that is read
-    in order; a block gives the same flips as one scalar draw each.  A FAP
-    with no earlier overlapping FAP has both bands free and takes the next
-    flip, so the Python loop visits only the FAPs that have one, and each
-    run of FAPs between two of them takes its flips as one slice."""
+    The earlier overlapping FAPs of every FAP come from
+    `CellTopology.earlier_within`, and the coin flips are drawn as one block
+    that is read in order; a block gives the same flips as one scalar draw
+    each.  A FAP with no earlier overlapping FAP has both bands free and
+    takes the next flip, so the Python loop visits only the FAPs that have
+    one, and each run of FAPs between two of them takes its flips as one
+    slice."""
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0x57A7)))
-    reach = topo.femto_radius_m + topo.femto_radius_m
     n = len(topo.femtocells)
-    ptr, nbr, dist = topo.neighbor_table
-    rows = np.repeat(np.arange(n), np.diff(ptr))
-    keep = (nbr < rows) & (dist <= reach)
-    rows = rows[keep]
-    earlier = nbr[keep].tolist()
-    bounds = np.searchsorted(rows, np.arange(n + 1))
-    visit = np.flatnonzero(np.diff(bounds)).tolist()
-    bounds = bounds.tolist()
     flips = rng.integers(2, size=n).tolist()
     bands = ("Bm2", "Bm3")
     picks = []  # index into bands, per FAP in femtocells order
     drawn = 0
-    for k in visit:
+    for k, earlier in topo.earlier_within(topo.femto_radius_m + topo.femto_radius_m):
         run = k - len(picks)
         picks += flips[drawn:drawn + run]
         drawn += run
-        used = {picks[j] for j in earlier[bounds[k]:bounds[k + 1]]}
+        used = {picks[j] for j in earlier}
         if len(used) == 1:
             picks.append(1 - used.pop())  # the one band left free
         else:  # both taken: a coin flip

@@ -8,11 +8,13 @@ pairwise separation, which makes local neighbor counts Poisson-like.
 A FAP is an immutable `FemtoSite` record (id, position); access modes and
 wall counts live in the `CellTopology`.
 
-Each topology builds one fixed-radius neighbor table when it is made.
-`CellTopology.near` answers every FAP-to-FAP range query from it, and
-`reach_components` cuts a topology down to the table's connected components
-that hold given FAPs.  Queries from arbitrary points (UE positions) read a
-full `distances_to` row.
+Each topology builds one fixed-radius neighbor table when it is made; its
+CSR layout is private to this module.  `CellTopology.near` answers every
+FAP-to-FAP range query from it, `CellTopology.earlier_within` gives each
+FAP's earlier partners for the first-come pair rules, and `reach_components`
+cuts a topology down to the table's connected components that hold given
+FAPs.  Queries from arbitrary points (UE positions) read a full
+`distances_to` row.
 """
 
 from __future__ import annotations
@@ -127,13 +129,6 @@ class CellTopology:
     def positions(self) -> np.ndarray:
         return self._pos
 
-    @property
-    def neighbor_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The read-only CSR table (ptr, nbr, dist): the neighbors within
-        the reach of the FAP at index k are nbr[ptr[k]:ptr[k + 1]], ascending,
-        at distances dist[ptr[k]:ptr[k + 1]]."""
-        return self._ptr, self._nbr, self._nbr_dist
-
     def distances_to(self, xy) -> np.ndarray:
         """Distance from a point to every FAP, in femtocells order."""
         x, y = xy
@@ -155,6 +150,15 @@ class CellTopology:
             idx = np.delete(np.arange(len(self.femtocells)), k)
         keep = dist <= radius_m
         return idx[keep], dist[keep]
+
+    def earlier_within(self, radius_m: float) -> list[tuple[int, list[int]]]:
+        """`[(k, earlier), ...]` for each FAP k, in femtocells order, that
+        has an earlier FAP within radius_m: `earlier` are their indices,
+        ascending.  The radius may not exceed the table's reach."""
+        if radius_m > self._reach:
+            raise ValueError(f"radius {radius_m!r} m exceeds the neighbor table's "
+                             f"reach of {self._reach!r} m")
+        return _earlier(self._ptr, self._nbr, self._nbr_dist <= radius_m)
 
     def index_of(self, fap_id: int) -> int:
         """The FAP's index in femtocells order."""
@@ -211,7 +215,7 @@ def _neighbor_table(pos: np.ndarray, reach: float):
     hi = np.concatenate([np.searchsorted(key, a, "right") for a in (key, *ahead)])
     counts = hi - lo
     a = order[np.repeat(np.tile(np.arange(n), 5), counts)]
-    b = order[np.repeat(lo - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())]
+    b = order[_ranges(lo, counts)]
     d = np.hypot(x[a] - x[b], y[a] - y[b])
     keep = d <= reach
     a, b, d = a[keep], b[keep], d[keep]
@@ -223,6 +227,24 @@ def _neighbor_table(pos: np.ndarray, reach: float):
     for arr in table:
         arr.flags.writeable = False
     return table
+
+
+def _ranges(lo: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The ranges lo[i], lo[i] + 1, ..., lo[i] + counts[i] - 1, concatenated."""
+    return np.repeat(lo - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
+
+
+def _earlier(ptr: np.ndarray, nbr: np.ndarray, keep: np.ndarray) -> list[tuple[int, list[int]]]:
+    """`[(row, earlier), ...]` for each row of a CSR neighbor table, in
+    order, that has kept partners below it: `earlier` are those partners,
+    ascending.  `keep` masks the table's entries."""
+    rows = np.repeat(np.arange(len(ptr) - 1), np.diff(ptr))
+    keep = keep & (nbr < rows)
+    rows, earlier = rows[keep], nbr[keep].tolist()
+    bounds = np.searchsorted(rows, np.arange(len(ptr)))
+    visit = np.flatnonzero(np.diff(bounds)).tolist()
+    bounds = bounds.tolist()
+    return [(k, earlier[bounds[k]:bounds[k + 1]]) for k in visit]
 
 
 def _point(topo: CellTopology, p) -> tuple[float, float]:
@@ -258,15 +280,14 @@ def reach_components(topo: CellTopology, fap_ids) -> CellTopology:
     which holds because only `spectrum.build_plan` makes a plan, so
     `SpectrumPlan.interferers` searches within 3·(r + r_f) <= reach.
     """
-    ptr, nbr, _ = topo.neighbor_table
+    ptr, nbr = topo._ptr, topo._nbr
     seen = np.zeros(len(topo.femtocells), dtype=bool)
     frontier = np.array(sorted({topo.index_of(f) for f in fap_ids}), dtype=np.intp)
     seen[frontier] = True
     while frontier.size:
         lo, counts = ptr[frontier], ptr[frontier + 1] - ptr[frontier]
         fresh = np.zeros_like(seen)
-        fresh[nbr[np.repeat(lo - np.cumsum(counts) + counts, counts)
-                  + np.arange(counts.sum())]] = True
+        fresh[nbr[_ranges(lo, counts)]] = True
         fresh &= ~seen
         seen |= fresh
         frontier = np.flatnonzero(fresh)
@@ -293,30 +314,17 @@ def _first_come(placed: np.ndarray, block: np.ndarray, sep: float) -> np.ndarray
     order: a candidate closer than `sep` to a placed FAP or to an accepted
     earlier candidate is rejected.
 
-    One `_neighbor_table` pass at reach `sep` finds every close pair.  A
-    candidate close to a placed FAP is rejected outright; any other is
-    accepted unless an earlier close candidate was.  So a Python pass in
-    draw order visits only the candidates that have an earlier close one.
+    One `_neighbor_table` pass at reach `sep` over the placed FAPs followed
+    by the block finds every close pair.  No two placed FAPs are that
+    close, so the rule visits only the candidates with an earlier close
+    point.
     """
-    # candidate k is point n + k, so a placed FAP has a negative block index
-    n = len(placed)
-    ptr, nbr, dist = _neighbor_table(np.concatenate([placed, block]), sep)
-    rows = np.repeat(np.arange(-n, len(block)), np.diff(ptr))
-    close = (dist < sep) & (rows >= 0)
-    rows, nbr = rows[close], nbr[close] - n
-    accepted = np.ones(len(block), dtype=bool)
-    accepted[rows[nbr < 0]] = False
-    accepted = accepted.tolist()
-    # the table lists each row's partners ascending, rows in order
-    pair = (nbr >= 0) & (nbr < rows)
-    rows, earlier = rows[pair], nbr[pair].tolist()
-    bounds = np.searchsorted(rows, np.arange(len(block) + 1))
-    visit = np.flatnonzero(np.diff(bounds)).tolist()
-    bounds = bounds.tolist()
-    for c in visit:
-        if accepted[c] and any(accepted[e] for e in earlier[bounds[c]:bounds[c + 1]]):
-            accepted[c] = False
-    return np.array(accepted, dtype=bool)
+    points = np.concatenate([placed, block])
+    ptr, nbr, dist = _neighbor_table(points, sep)
+    accepted = [True] * len(points)
+    for k, earlier in _earlier(ptr, nbr, dist < sep):
+        accepted[k] = not any(accepted[e] for e in earlier)
+    return np.array(accepted[len(placed):], dtype=bool)
 
 
 def place_femtocells(

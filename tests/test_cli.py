@@ -134,6 +134,10 @@ def test_validate_missing_file():
     ("trials = 0\nneighborlist.d_max_m = nan", "fig5-neighborlist"),
     ("trials = 0\nneighborlist.d_max_m = 0", "fig5-neighborlist"),
     ("trials = 0\nneighborlist.obstruction_prob = 1.5", "fig5-neighborlist"),
+    # nor fig4's
+    ("trials = 0\ntopology.min_separation_m = -1", "fig4-outage"),
+    ("trials = 0\nspectrum.femto_fraction = 1.5", "fig4-outage"),
+    ("trials = 0\nspectrum.total_hz = 0", "fig4-outage"),
 ])
 def test_validate_rejects_what_run_rejects(tmp_path, line, experiment):
     path = tmp_path / "bad.scenario"

@@ -168,6 +168,43 @@ def test_neighbor_table_on_cell_boundaries():
     assert idx.tolist() == [7, 11, 13, 17] and dist.tolist() == [REACH] * 4
 
 
+def _assert_earlier_matches_near(topo, radii=(0.0, 20.0, REACH)):
+    """`earlier_within` against `near`: each FAP that has an earlier FAP
+    within the radius, in order, with the indices of those FAPs."""
+    for radius in radii:
+        expected = []
+        for k, f in enumerate(topo.femtocells):
+            idx, _ = topo.near(f.id, radius)
+            if (idx < k).any():
+                expected.append((k, idx[idx < k].tolist()))
+        assert topo.earlier_within(radius) == expected, radius
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_earlier_within_matches_near(seed):
+    _assert_earlier_matches_near(_random_topo(seed, 150, 250.0, low_m=-50.0))
+
+
+def test_earlier_within_on_cell_boundaries():
+    # the lattice at the reach: the boundary is inclusive
+    topo = _topo_at([(REACH * i, REACH * j) for i in range(-2, 3) for j in range(-2, 3)])
+    _assert_earlier_matches_near(topo)
+    assert topo.earlier_within(np.nextafter(REACH, 0.0)) == []
+    assert dict(topo.earlier_within(REACH))[12] == [7, 11]
+
+
+def test_earlier_within_in_empty_and_single_fap_topologies():
+    for topo in (_topo_at([]), _topo_at([(3.0, -4.0)], ids=[7])):
+        _assert_earlier_matches_near(topo)
+        assert topo.earlier_within(REACH) == []
+
+
+def test_earlier_within_stops_at_the_reach():
+    topo = _random_topo(1, 20, 100.0)
+    with pytest.raises(ValueError, match="reach"):
+        topo.earlier_within(np.nextafter(REACH, np.inf))
+
+
 def test_pair_exactly_the_reach_apart():
     # a 3-4-5 triangle scaled to the reach, so the distance is exact
     topo = _topo_at([(-0.6 * REACH / 2, 0.0), (0.6 * REACH / 2, 0.8 * REACH)], ids=[9, 4])

@@ -48,7 +48,7 @@ def _empty_dynamic_plan(topo):
 
 def _table(total_hz=18e6, femto_fraction=1 / 3):
     """A plan with no cells: only its band table is read."""
-    return SpectrumPlan("shared", total_hz, {}, {}, femto_fraction)
+    return SpectrumPlan("shared", total_hz, femto_fraction)
 
 
 def test_partition_tilings_exact():
@@ -87,7 +87,7 @@ def test_band_table_bit_identical_to_partition(total_hz):
     for fraction in (1 / 3, 0.25, 0.5, 0.1, 0.9, 1e-6, 1 - 1e-9, 0.123456789, 2 / 3):
         old = BandPartition(total_hz)
         for scheme in SCHEMES:
-            plan = SpectrumPlan(scheme, total_hz, {}, {}, fraction)
+            plan = SpectrumPlan(scheme, total_hz, fraction)
             for label in BAND_LABELS:
                 band, ref = plan.band(label), partition_band(old, fraction, label)
                 assert band.label == label

@@ -22,9 +22,11 @@ from femtonet.topology import (
 def test_empty_placement():
     topo = place_femtocells(seed=7, count=0)
     assert topo.femtocells == []
-    assert neighbors_of(topo, 0) if False else True
+    with pytest.raises(UnknownSiteError):
+        neighbors_of(topo, 0)
     with pytest.raises(UnknownSiteError):
         topo.site(0)
+    assert topo.earlier_within(20.0) == []
 
 
 def test_dense_placement_within_macro_radius():
