@@ -282,6 +282,33 @@ def test_fig5_neighborlist_with_d_max_beyond_the_reach_matches_its_sha256(tmp_pa
     assert hashlib.sha256(data).hexdigest() == expected
 
 
+ANALYTIC_PINS = os.path.join(os.path.dirname(__file__), "data", "analytic_csvs.sha256")
+# each recorded case of the analytic figures away from their default preset,
+# so other (N, S, L) values and chain sizes are checked byte for byte too
+ANALYTIC_CASES = {
+    "capacity-4500": ("fig6-cac", ["traffic.capacity_kbps = 4500", "traffic.guard_fraction = 0.1",
+                                   "traffic.arrival_grid = 0.05, 0.33, 0.97, 1.61, 2.4"]),
+    "adaptive-12": ("fig5-mobility", ["traffic.macro_adaptive_states = 12",
+                                      "sweep.femto_counts = 1, 137, 999"]),
+    "duration-90": ("fig7-mbs", ["traffic.mean_call_duration_s = 90"]),
+}
+
+
+def test_analytic_cases_are_the_recorded_ones():
+    assert sorted(line.split()[1].split("/")[0] for line in open(ANALYTIC_PINS)) \
+        == sorted(ANALYTIC_CASES)
+
+
+@pytest.mark.parametrize("case", sorted(ANALYTIC_CASES))
+def test_analytic_figure_off_its_preset_matches_its_recorded_sha256(case, tmp_path, capsys):
+    name, lines = ANALYTIC_CASES[case]
+    sets = [arg for line in lines for arg in ("--set", line)]
+    assert main(["run", name, *sets, "--out", str(tmp_path)]) == EXIT_OK
+    data = open(capsys.readouterr().out.strip(), "rb").read()
+    expected = dict(line.split()[::-1] for line in open(ANALYTIC_PINS))[f"{case}/{name}.csv"]
+    assert hashlib.sha256(data).hexdigest() == expected, case
+
+
 def test_run_several_names_match_solo_runs(tmp_path):
     small = ["--trials", "1", "--set", "sweep.femto_counts = 60",
              "--set", "traffic.arrival_grid = 0.8"]
