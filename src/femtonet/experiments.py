@@ -267,7 +267,7 @@ def run_fig6_cac(scenario: Scenario) -> ExperimentResult:
     grid = list(scenario["traffic.arrival_grid"] or FIG6_ARRIVAL_GRID)
     base = scenario.ch6_params(lam_new=grid[0])
     # the cell does not depend on the new-call rate: one per scheme
-    cells = [q_mod.ch6_cell(base, scheme) for scheme in CAC_SCHEMES]
+    cells = q_mod.ch6_cells(base, CAC_SCHEMES)
     for lam in grid:
         for cell in cells:
             sol = cell.solve(lam)

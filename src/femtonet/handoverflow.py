@@ -213,38 +213,50 @@ def run_flow(flow: str, hooks: dict | None = None) -> FlowTrace:
     return trace
 
 
+def _require(ok: bool, message: str) -> None:
+    """Raise AssertionError(message) unless ok; unlike assert, this also
+    checks under python -O."""
+    if not ok:
+        raise AssertionError(message)
+
+
 def validate_trace(trace: FlowTrace) -> None:
     """Template-prefix and ordering invariants; raises AssertionError."""
     template = TEMPLATES[trace.flow]
-    assert len(trace.steps) <= len(template)
+    _require(len(trace.steps) <= len(template), "trace is longer than its template")
     for got, want in zip(trace.steps, template):
-        assert got == want, f"step {got.number} deviates from the template"
+        _require(got == want, f"step {got.number} deviates from the template")
     numbers = trace.numbers()
-    assert numbers == sorted(numbers) and len(set(numbers)) == len(numbers)
+    _require(numbers == sorted(numbers) and len(set(numbers)) == len(numbers),
+             "step numbers must be strictly increasing")
 
     if trace.outcome == OUTCOME_COMPLETED:
         fwd = trace.first("data-forwarding")
         detach = trace.first("detach")
         complete = trace.first("handover-complete")
         delete = trace.first("delete-old-link")
-        assert 0 < fwd < detach, "forwarding must precede detach"
-        assert complete < delete, "old link removed only after completion"
-        assert all(s.kind != "delete-old-link" or s.number > complete
-                   for s in trace.steps)
+        _require(0 < fwd < detach, "forwarding must precede detach")
+        _require(complete < delete, "old link removed only after completion")
+        _require(all(s.kind != "delete-old-link" or s.number > complete
+                     for s in trace.steps),
+                 "every old-link deletion must follow completion")
     if trace.outcome == OUTCOME_REJECTED_CAC:
-        assert trace.first("link-setup-request") == -1
-        assert trace.first("data-forwarding") == -1
+        _require(trace.first("link-setup-request") == -1,
+                 "no link setup after an admission refusal")
+        _require(trace.first("data-forwarding") == -1,
+                 "no data forwarding after an admission refusal")
     if trace.outcome == OUTCOME_REJECTED_AUTH:
-        assert all(s.gate != "cac" for s in trace.steps)
+        _require(all(s.gate != "cac" for s in trace.steps),
+                 "no admission check after an authorization refusal")
 
     auth = trace.first("authorization-response")
     cac = next((s.number for s in trace.steps if s.gate == "cac"), -1)
     if trace.flow == "femto-to-macro":
-        assert auth == -1, "no authorization check toward the macrocell"
+        _require(auth == -1, "no authorization check toward the macrocell")
     elif auth != -1 and cac != -1:
-        assert auth < cac, "authorization must precede admission"
+        _require(auth < cac, "authorization must precede admission")
 
     if trace.flow == "femto-to-femto":
         for s in trace.steps:
-            assert {s.sender, s.receiver} != {"S-FAP", "T-FAP"}, \
-                "FAP-to-FAP messages must ride through the FGW"
+            _require({s.sender, s.receiver} != {"S-FAP", "T-FAP"},
+                     "FAP-to-FAP messages must ride through the FGW")

@@ -50,7 +50,10 @@ class ChainSolution:
     extra: dict = field(default_factory=dict)
 
     def check_normalized(self) -> None:
-        assert abs(self.probs.sum() - 1.0) < 1e-9
+        """Raise AssertionError unless the probabilities sum to one."""
+        total = self.probs.sum()
+        if not abs(total - 1.0) < 1e-9:
+            raise AssertionError(f"state probabilities sum to {total}, not 1")
 
 
 def erlang_b(servers: int, offered: float) -> float:
@@ -77,9 +80,15 @@ def birth_death_probs(birth_rates, death_rates) -> np.ndarray:
         raise ValueError("birth/death rate shape mismatch")
     if np.any(deaths <= 0):
         raise ValueError("death rates must be positive")
+    return _stationary(births, np.log(deaths))
+
+
+def _stationary(births: np.ndarray, log_deaths: np.ndarray) -> np.ndarray:
+    """The product-form distribution of birth_death_probs, from the births
+    and the logs of the (positive) death rates."""
     with np.errstate(divide="ignore"):
         # zero birth rates mark unreachable upper states (log 0 -> -inf -> p 0)
-        logp = np.concatenate([[0.0], np.cumsum(np.log(births) - np.log(deaths))])
+        logp = np.concatenate([[0.0], np.cumsum(np.log(births) - log_deaths)])
     logp -= logp.max()
     p = np.exp(logp)
     return p / p.sum()
@@ -102,6 +111,11 @@ class LossChainSpec:
     new_streams: tuple[int, ...] = (0,)
     hand_stream: int | None = None
 
+    # the logs of the death rates srv_rates[min_state+1:], or None when one
+    # of them is not positive: loss_chain_probs then raises, while the DES
+    # still simulates the chain
+    log_deaths: np.ndarray | None = field(init=False, repr=False, compare=False)
+
     def __post_init__(self):
         _despy.check_loss_chain(self.stream_rates, self.stream_limits,
                                 self.srv_rates, self.start_state, self.min_state)
@@ -109,6 +123,9 @@ class LossChainSpec:
         hand = () if self.hand_stream is None else (self.hand_stream,)
         if not all(0 <= k < n_streams for k in (*self.new_streams, *hand)):
             raise ValueError(f"new_streams and hand_stream must lie in [0, {n_streams})")
+        deaths = np.asarray(self.srv_rates[self.min_state + 1:], dtype=float)
+        object.__setattr__(self, "log_deaths",
+                           np.log(deaths) if np.all(deaths > 0) else None)
 
 
 def loss_chain_probs(spec: LossChainSpec) -> tuple[np.ndarray, list[float]]:
@@ -119,11 +136,13 @@ def loss_chain_probs(spec: LossChainSpec) -> tuple[np.ndarray, list[float]]:
     The birth rate out of state i sums, in stream order from 0.0, the rates
     of the streams whose limit exceeds i; the death rate down into state i
     is srv_rates[i+1]."""
+    if spec.log_deaths is None:
+        raise ValueError("death rates must be positive")
     lo = spec.min_state
     births = np.zeros(len(spec.srv_rates) - 1 - lo)
     for rate, limit in zip(spec.stream_rates, spec.stream_limits):
         births[:max(limit - lo, 0)] += rate
-    probs = birth_death_probs(births, spec.srv_rates[lo + 1:])
+    probs = _stationary(births, spec.log_deaths)
     return probs, [float(probs[max(limit - lo, 0):].sum())
                    for limit in spec.stream_limits]
 
@@ -131,7 +150,7 @@ def loss_chain_probs(spec: LossChainSpec) -> tuple[np.ndarray, list[float]]:
 def _with_hand_rate(spec: LossChainSpec, lam_hand: float) -> LossChainSpec:
     """The same chain with its handover stream at lam_hand.  The rest of
     the spec was checked when it was made, so only the new rate is checked
-    here and the copy skips __post_init__."""
+    here and the copy skips __post_init__, sharing the spec's log_deaths."""
     _despy.check_rates((lam_hand,))
     rates = list(spec.stream_rates)
     rates[spec.hand_stream] = lam_hand
@@ -359,23 +378,22 @@ def _frac(x: float) -> Fraction:
 def chain_dimensions(classes, capacity: float) -> tuple[int, int, int]:
     """(N, S, L) state counts, computed on exact rationals before flooring."""
     cap = _frac(capacity)
-    mean_req = sum(_frac(c.arrival_share) * _frac(c.requested_bw) for c in classes)
+    # per class: a_m * beta_m, gamma_h and gamma_n
+    rows = [(_frac(c.arrival_share) * _frac(c.requested_bw),
+             _frac(c.degrade_hand), _frac(c.degrade_new)) for c in classes]
+    mean_req = sum(w for w, _, _ in rows)
     if mean_req <= 0:
         raise ValueError("mean requested bandwidth must be positive")
     n = int(cap / mean_req)
 
-    def extra(select_gamma) -> int:
-        g = sum(_frac(c.arrival_share) * select_gamma(c) * _frac(c.requested_bw)
-                for c in classes)
-        kept = sum(_frac(c.arrival_share) * (1 - select_gamma(c))
-                   * _frac(c.requested_bw) for c in classes)
+    def extra(k: int) -> int:
+        g = sum(row[0] * row[k] for row in rows)
+        kept = mean_req - g
         if kept <= 0:
             raise ValueError("degradation factors leave no guaranteed bandwidth")
         return int(cap * g / (kept * mean_req))
 
-    s = extra(lambda c: _frac(c.degrade_hand))
-    ell = extra(lambda c: _frac(c.degrade_new))
-    return n, s, ell
+    return n, extra(1), extra(2)
 
 
 def _scheme_classes(classes, scheme: str):
@@ -499,20 +517,39 @@ def _read_only(values) -> np.ndarray:
     return out
 
 
+def ch6_cells(params: Ch6QueueParams, schemes) -> list[Ch6Cell]:
+    """The cells of params under each of schemes; params.lam_new is not read.
+
+    state_release_rates reads of each class only its kind, request, gamma_h,
+    share and duration, never gamma_n, so schemes whose classes agree on
+    those share one release-rate pass (N and S follow from the same fields).
+    """
+    cells = []
+    passes = {}
+    for scheme in schemes:
+        classes = _scheme_classes(params.classes, scheme)
+        n, s, ell = chain_dimensions(classes, params.capacity)
+        guard = params.guard_channels if scheme == "guard" else 0
+        if not 0 <= guard <= n:
+            raise ValueError("guard channels outside [0, N]")
+        key = tuple((c.kind, c.requested_bw, c.degrade_hand, c.arrival_share,
+                     c.duration_s) for c in classes)
+        if key not in passes:
+            passes[key] = state_release_rates(classes, params.capacity, params.eta, n, s)
+        mu_rates, occupied = passes[key]
+        srv = tuple(i * mu_rates[i - 1] if i else 0.0 for i in range(n + s + 1))
+        mean_req = sum(c.arrival_share * c.requested_bw for c in classes)
+        occupancy = [min(i * mean_req, params.capacity) for i in range(n + 1)] + occupied
+        p_h = params.eta / (params.eta + 1.0 / mean_duration_at_full(classes))
+        cells.append(Ch6Cell(scheme, n, s, ell, n + ell - guard, p_h,
+                             _read_only(mu_rates), srv, _read_only(occupancy),
+                             params.capacity))
+    return cells
+
+
 def ch6_cell(params: Ch6QueueParams, scheme: str = "proposed") -> Ch6Cell:
     """The cell of params under one scheme; params.lam_new is not read."""
-    classes = _scheme_classes(params.classes, scheme)
-    n, s, ell = chain_dimensions(classes, params.capacity)
-    guard = params.guard_channels if scheme == "guard" else 0
-    if not 0 <= guard <= n:
-        raise ValueError("guard channels outside [0, N]")
-    mu_rates, occupied = state_release_rates(classes, params.capacity, params.eta, n, s)
-    srv = tuple(i * mu_rates[i - 1] if i else 0.0 for i in range(n + s + 1))
-    mean_req = sum(c.arrival_share * c.requested_bw for c in classes)
-    occupancy = [min(i * mean_req, params.capacity) for i in range(n + 1)] + occupied
-    p_h = params.eta / (params.eta + 1.0 / mean_duration_at_full(classes))
-    return Ch6Cell(scheme, n, s, ell, n + ell - guard, p_h,
-                   _read_only(mu_rates), srv, _read_only(occupancy), params.capacity)
+    return ch6_cells(params, (scheme,))[0]
 
 
 def solve_ch6(params: Ch6QueueParams, scheme: str = "proposed") -> ChainSolution:

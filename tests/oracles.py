@@ -232,18 +232,137 @@ def full_scan(topo, ue_xy, serving, params=None, obstructed=None,
     return RssiScan(levels, serving, s_t0_dbm, s_t1_dbm)
 
 
+# -- the stationary distribution, the chain dimensions and the ch6 cell as
+# they were before LossChainSpec kept its death-rate logs, chain_dimensions
+# built each class's rationals once and the schemes' cells shared their
+# release-rate passes.  Kept verbatim as the bitwise reference for queueing.
+
+
+def birth_death_probs(birth_rates, death_rates) -> np.ndarray:
+    """Stationary distribution of a finite birth-death chain.
+
+    birth_rates[i] is the rate out of state i upward (len n-1); death_rates[i]
+    the rate from state i+1 downward (len n-1).  Computed in log space.
+    """
+    births = np.asarray(birth_rates, dtype=float)
+    deaths = np.asarray(death_rates, dtype=float)
+    if births.shape != deaths.shape:
+        raise ValueError("birth/death rate shape mismatch")
+    if np.any(deaths <= 0):
+        raise ValueError("death rates must be positive")
+    with np.errstate(divide="ignore"):
+        # zero birth rates mark unreachable upper states (log 0 -> -inf -> p 0)
+        logp = np.concatenate([[0.0], np.cumsum(np.log(births) - np.log(deaths))])
+    logp -= logp.max()
+    p = np.exp(logp)
+    return p / p.sum()
+
+
+def loss_chain_probs(spec) -> tuple[np.ndarray, list[float]]:
+    """Stationary probabilities of states min_state..len(srv_rates)-1, and
+    for each stream the probability that it finds the cell at or above its
+    limit, i.e. that it rejects a call.
+
+    The birth rate out of state i sums, in stream order from 0.0, the rates
+    of the streams whose limit exceeds i; the death rate down into state i
+    is srv_rates[i+1]."""
+    lo = spec.min_state
+    births = np.zeros(len(spec.srv_rates) - 1 - lo)
+    for rate, limit in zip(spec.stream_rates, spec.stream_limits):
+        births[:max(limit - lo, 0)] += rate
+    probs = birth_death_probs(births, spec.srv_rates[lo + 1:])
+    return probs, [float(probs[max(limit - lo, 0):].sum())
+                   for limit in spec.stream_limits]
+
+
+def _frac(x: float):
+    from fractions import Fraction
+
+    return Fraction(str(x))
+
+
+def chain_dimensions(classes, capacity: float) -> tuple[int, int, int]:
+    """(N, S, L) state counts, computed on exact rationals before flooring."""
+    cap = _frac(capacity)
+    mean_req = sum(_frac(c.arrival_share) * _frac(c.requested_bw) for c in classes)
+    if mean_req <= 0:
+        raise ValueError("mean requested bandwidth must be positive")
+    n = int(cap / mean_req)
+
+    def extra(select_gamma) -> int:
+        g = sum(_frac(c.arrival_share) * select_gamma(c) * _frac(c.requested_bw)
+                for c in classes)
+        kept = sum(_frac(c.arrival_share) * (1 - select_gamma(c))
+                   * _frac(c.requested_bw) for c in classes)
+        if kept <= 0:
+            raise ValueError("degradation factors leave no guaranteed bandwidth")
+        return int(cap * g / (kept * mean_req))
+
+    s = extra(lambda c: _frac(c.degrade_hand))
+    ell = extra(lambda c: _frac(c.degrade_new))
+    return n, s, ell
+
+
+def state_release_rates(classes, capacity: float, eta: float,
+                        n: int, s: int) -> tuple[np.ndarray, list[float]]:
+    """Per-call channel release rate mu_i for states 1..N+S, and the
+    bandwidth occupied in each state N+1..N+S.
+
+    Up to N every class holds its request, so mu_i = eta + 1/T(full).  Above
+    N the expected class mix a_m * i is rebalanced; degraded non-real-time
+    calls stretch in proportion to the bandwidth they lost, which lowers the
+    release rate with the state.
+    """
+    from femtonet.admission import CellLoadState, rebalance
+    from femtonet.queueing import mean_duration_at_full
+
+    t_full = mean_duration_at_full(classes)
+    mu1 = eta + 1.0 / t_full
+    rates = np.full(n + s, mu1)
+    occupied = []
+    for i in range(n + 1, n + s + 1):
+        mix = CellLoadState(capacity, tuple(classes),
+                            counts=[c.arrival_share * i for c in classes])
+        balanced = rebalance(mix)
+        occupied.append(balanced.occupied)
+        t = 0.0
+        for c, b in zip(classes, balanced.allocs):
+            stretch = 1.0 if c.kind == "rt" else c.requested_bw / b
+            t += c.arrival_share * c.duration_s * stretch
+        rates[i - 1] = eta + 1.0 / t
+    return rates, occupied
+
+
+def ch6_cell(params, scheme: str = "proposed"):
+    """The cell of params under one scheme; params.lam_new is not read."""
+    from femtonet.queueing import (
+        Ch6Cell,
+        _read_only,
+        _scheme_classes,
+        mean_duration_at_full,
+    )
+
+    classes = _scheme_classes(params.classes, scheme)
+    n, s, ell = chain_dimensions(classes, params.capacity)
+    guard = params.guard_channels if scheme == "guard" else 0
+    if not 0 <= guard <= n:
+        raise ValueError("guard channels outside [0, N]")
+    mu_rates, occupied = state_release_rates(classes, params.capacity, params.eta, n, s)
+    srv = tuple(i * mu_rates[i - 1] if i else 0.0 for i in range(n + s + 1))
+    mean_req = sum(c.arrival_share * c.requested_bw for c in classes)
+    occupancy = [min(i * mean_req, params.capacity) for i in range(n + 1)] + occupied
+    p_h = params.eta / (params.eta + 1.0 / mean_duration_at_full(classes))
+    return Ch6Cell(scheme, n, s, ell, n + ell - guard, p_h,
+                   _read_only(mu_rates), srv, _read_only(occupancy), params.capacity)
+
+
 # -- the loss chains as written twice before each model became one spec
 # builder: des.spec_for_* built the simulated chain and queueing built its
 # own birth/death lists.  Kept as the bitwise reference for the one spec.
 
 
 def spec_for_ch6(params, lam_hand, scheme="proposed"):
-    from femtonet.queueing import (
-        LossChainSpec,
-        _scheme_classes,
-        chain_dimensions,
-        state_release_rates,
-    )
+    from femtonet.queueing import LossChainSpec, _scheme_classes
 
     classes = _scheme_classes(params.classes, scheme)
     n, s, ell = chain_dimensions(classes, params.capacity)
@@ -313,9 +432,7 @@ def ch6_chain(params, lam_hand: float,
     from femtonet.queueing import (
         LossChainSpec,
         _scheme_classes,
-        chain_dimensions,
         mean_duration_at_full,
-        state_release_rates,
     )
 
     classes = _scheme_classes(params.classes, scheme)
@@ -347,7 +464,6 @@ def solve_ch6(params, scheme: str = "proposed", damping: float = 0.5):
         ChainSolution,
         NonConvergenceError,
         _with_hand_rate,
-        loss_chain_probs,
     )
 
     chain, cell = ch6_chain(params, 0.0, scheme)
@@ -379,12 +495,7 @@ def solve_ch6(params, scheme: str = "proposed", damping: float = 0.5):
 def ch6_probs(params, lam_h, scheme="proposed"):
     """(probs, P_B, P_D) of the ch6 chain at handover rate lam_h, from the
     birth/death lists of each scheme."""
-    from femtonet.queueing import (
-        _scheme_classes,
-        birth_death_probs,
-        chain_dimensions,
-        state_release_rates,
-    )
+    from femtonet.queueing import _scheme_classes
 
     def ch6_chain_probs(lam_new, lam_hand, mu_rates, n, s, ell):
         births = [lam_new + lam_hand] * (n + ell) + [lam_hand] * (s - ell)
@@ -412,8 +523,6 @@ def ch6_probs(params, lam_h, scheme="proposed"):
 
 def ch7_probs(params):
     """(probs, P_B voice/unicast, P_B background, P_D) of the MBS cell."""
-    from femtonet.queueing import birth_death_probs
-
     m, n, s, ell = params.sessions, params.n_states, params.s_states, params.l_states
     lam_t = (params.lam_new_voice + params.lam_new_unicast
              + params.lam_new_background + params.lam_hand)
@@ -438,7 +547,6 @@ def ch7_probs(params):
 
 def two_tier_probs(params, solution):
     """(femto probs, macro probs) at the solution's converged rates."""
-    from femtonet.queueing import birth_death_probs
 
     def macro_adaptive_chain(lam_total, lam_hand, mu_m, n_states, s_states):
         births = [lam_total] * n_states + [lam_hand] * s_states

@@ -1,7 +1,12 @@
 import itertools
+import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
+import femtonet
 from femtonet.handoverflow import (
     FEMTO_TO_FEMTO,
     FEMTO_TO_MACRO,
@@ -133,3 +138,31 @@ def test_exhaustive_branch_enumeration_invariants():
     assert OUTCOME_COMPLETED in outcomes
     assert OUTCOME_REJECTED_CAC in outcomes
     assert OUTCOME_REJECTED_AUTH in outcomes
+
+
+def test_checks_raise_under_python_optimize():
+    """validate_trace and ChainSolution.check_normalized reject a bad input
+    even under python -O, which strips assert statements."""
+    script = textwrap.dedent("""
+        import numpy as np
+        from femtonet.handoverflow import run_flow, validate_trace
+        from femtonet.queueing import ChainSolution
+
+        assert False, "not reached: -O strips this"
+        trace = run_flow("femto-to-macro")
+        trace.steps.reverse()
+        unnormalized = ChainSolution(np.array([0.5, 0.2]), 0.0, 0.0)
+        for check in (lambda: validate_trace(trace), unnormalized.check_normalized):
+            try:
+                check()
+            except AssertionError as exc:
+                print(exc)
+            else:
+                raise SystemExit("a bad input passed its check")
+    """)
+    src = os.path.dirname(os.path.dirname(femtonet.__file__))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["step 33 deviates from the template",
+                                        "state probabilities sum to 0.7, not 1"]

@@ -5,21 +5,26 @@ lists (kept verbatim in oracles.py): specs and probabilities must be equal
 to the last bit, not merely close."""
 
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from femtonet import des
+from femtonet import des, queueing
+from femtonet.admission import TrafficClass
 from femtonet.queueing import (
     CH6_SCHEMES,
+    Ch6Cell,
     Ch7QueueParams,
     LossChainSpec,
     _with_hand_rate,
+    birth_death_probs,
     ch6_cell,
+    ch6_cells,
+    chain_dimensions,
     loss_chain_probs,
     solve_ch6,
     solve_ch7,
@@ -133,3 +138,146 @@ def test_bad_new_hand_rate_is_rejected(lam_h):
     spec = LossChainSpec((0.5, 0.2), (3, 5), (0.0, 1.0, 2.0, 3.0, 3.5, 4.0), hand_stream=1)
     with pytest.raises(ValueError, match="finite and >= 0"):
         _with_hand_rate(spec, lam_h)
+
+
+def _outcome(fn, *args):
+    """fn's result, or the message of the ValueError it raised."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+@st.composite
+def chain_specs(draw):
+    """A loss chain whose death rates may include a zero, whose streams may
+    have rate 0, and whose limits may sit at or below min_state or leave
+    the upper states without births."""
+    n_states, n_streams = draw(st.integers(1, 12)), draw(st.integers(1, 3))
+    min_state = draw(st.integers(0, n_states - 1))
+    rates = draw(st.lists(st.sampled_from([0.0, 0.4, 2.5]) | st.floats(0.05, 3.0),
+                          min_size=n_streams, max_size=n_streams))
+    limits = draw(st.lists(st.integers(0, n_states - 1),
+                           min_size=n_streams, max_size=n_streams))
+    srv = draw(st.lists(st.floats(0.01, 5.0), min_size=n_states, max_size=n_states))
+    zero_at = draw(st.none() | st.integers(0, n_states - 1))
+    if zero_at is not None:
+        srv[zero_at] = 0.0
+    return LossChainSpec(tuple(rates), tuple(limits), tuple(srv),
+                         start_state=min_state, min_state=min_state)
+
+
+@settings(max_examples=300, deadline=None)
+@given(spec=chain_specs())
+# min_state 2, a limit at min_state, a zero-rate stream, no births above state 3
+@example(spec=LossChainSpec((0.5, 0.0, 0.7), (2, 5, 4), (0.0, 1.0, 2.0, 3.0, 4.0, 5.0),
+                            start_state=2, min_state=2))
+@example(spec=LossChainSpec((1.0,), (2,), (0.0, 0.0, 2.0)))
+def test_chain_probabilities_equal_the_reference_bit_for_bit(spec):
+    got, want = _outcome(loss_chain_probs, spec), _outcome(oracles.loss_chain_probs, spec)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert _same_bits(got[0], want[0])
+        assert [p.hex() for p in got[1]] == [p.hex() for p in want[1]]
+    lo = spec.min_state
+    births = np.zeros(len(spec.srv_rates) - 1 - lo)
+    for rate, limit in zip(spec.stream_rates, spec.stream_limits):
+        births[:max(limit - lo, 0)] += rate
+    deaths = spec.srv_rates[lo + 1:]
+    got = _outcome(birth_death_probs, births, deaths)
+    want = _outcome(oracles.birth_death_probs, births, deaths)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert _same_bits(got, want)
+
+
+_cents = st.integers(-100, 200).map(lambda k: k / 100)
+
+
+@st.composite
+def class_tables(draw):
+    """(classes, capacity) with decimal shares (negative ones too),
+    requests, degradation factors and capacity."""
+    classes = []
+    for index in range(1, draw(st.integers(1, 7)) + 1):
+        request = draw(st.integers(1, 20_000)) / 100
+        if draw(st.booleans()):
+            classes.append(TrafficClass(index, "rt", request, arrival_share=draw(_cents)))
+            continue
+        hand = draw(st.integers(0, 99))
+        classes.append(TrafficClass(index, "nrt", request, draw(st.integers(0, hand)) / 100,
+                                    hand / 100, draw(_cents)))
+    return tuple(classes), draw(st.integers(1, 1_000_000)) / 10
+
+
+@settings(max_examples=300, deadline=None)
+@given(table=class_tables())
+# gamma_h = 0.9 on the only positive share: no guaranteed bandwidth is left
+@example(table=((TrafficClass(1, "nrt", 1.0, 0.1, 0.9, 1.0),
+                 TrafficClass(2, "rt", 1.0, arrival_share=-0.5)), 6000.0))
+@example(table=((TrafficClass(1, "rt", 25.0, arrival_share=0.0),), 6000.0))
+def test_chain_dimensions_equal_the_reference(table):
+    classes, capacity = table
+    assert _outcome(chain_dimensions, classes, capacity) \
+        == _outcome(oracles.chain_dimensions, classes, capacity)
+
+
+@settings(max_examples=30, deadline=None)
+@given(capacity=st.integers(5_000, 90_000).map(lambda k: k / 10),
+       eta=st.integers(0, 500).map(lambda k: k / 10_000),
+       guard=st.integers(0, 120),
+       durations=st.lists(st.sampled_from([60.0, 120.0, 300.0]), min_size=7, max_size=7),
+       shift=st.integers(0, 2))
+def test_shared_cells_equal_the_reference_cells(capacity, eta, guard, durations, shift):
+    """Every scheme's cell from one ch6_cells call equals the cell the
+    reference builds alone, field by field; the classes' durations and
+    new-call degradation vary, so schemes share a release-rate pass only
+    where its inputs agree."""
+    base = Scenario({}).ch6_params(lam_new=1.0)
+    classes = tuple(replace(c, duration_s=t, degrade_new=max(c.degrade_new - shift / 10, 0.0))
+                    for c, t in zip(base.classes, durations))
+    params = replace(base, capacity=capacity, eta=eta, guard_channels=guard, classes=classes)
+    want = [_outcome(oracles.ch6_cell, params, scheme) for scheme in CH6_SCHEMES]
+    errors = [w for w in want if isinstance(w, str)]
+    if errors:
+        assert _outcome(ch6_cells, params, CH6_SCHEMES) == errors[0]
+        return
+    for got, ref in zip(ch6_cells(params, CH6_SCHEMES), want, strict=True):
+        for f in fields(Ch6Cell):
+            a, b = getattr(got, f.name), getattr(ref, f.name)
+            if isinstance(b, np.ndarray):
+                assert _same_bits(a, b) and not a.flags.writeable, f.name
+            else:
+                assert a == b, f.name
+
+
+def test_a_zero_death_rate_constructs_but_has_no_stationary_distribution():
+    spec = LossChainSpec((1.0,), (2,), (0.0, 0.0, 2.0))
+    assert des.simulate_des(spec, 100, seed=1).per_stream[0]["seen"] == 100
+    with pytest.raises(ValueError, match="^death rates must be positive$"):
+        loss_chain_probs(spec)
+    with pytest.raises(ValueError, match="^death rates must be positive$"):
+        loss_chain_probs(_with_hand_rate(replace(spec, hand_stream=0), 0.5))
+
+
+@pytest.mark.parametrize("solve", [
+    lambda: ch6_cell(Scenario({}).ch6_params(lam_new=1.3)).solve(1.3),
+    lambda: solve_two_tier(scenario_from_preset("table-5.1").two_tier_params(n=400, lam_total=8.0)),
+], ids=["ch6", "two-tier"])
+def test_a_nan_handover_rate_raises_at_a_later_iteration(solve, monkeypatch):
+    """The handover rate is checked on every iteration, not only on the
+    spec the iterations start from."""
+    solved = []
+
+    def nan_on_the_third(spec):
+        probs, rejects = real(spec)
+        solved.append(spec)
+        return probs, [math.nan] * len(rejects) if len(solved) == 3 else rejects
+
+    real = queueing.loss_chain_probs
+    monkeypatch.setattr(queueing, "loss_chain_probs", nan_on_the_third)
+    with pytest.raises(ValueError, match="finite and >= 0"):
+        solve()
+    assert len(solved) == 3

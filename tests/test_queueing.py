@@ -8,7 +8,6 @@ from oracles import balance_equation_solve, erlang_b_direct
 from femtonet import admission, experiments, queueing
 from femtonet.admission import TrafficClass
 from femtonet.queueing import (
-    CH6_SCHEMES,
     Ch6QueueParams,
     Ch7QueueParams,
     CoverageError,
@@ -369,7 +368,9 @@ def test_fig6_cac_builds_one_cell_per_scheme(monkeypatch):
     monkeypatch.setattr(queueing, "state_release_rates",
                         counted("state_release_rates", queueing.state_release_rates))
     experiments.run_experiment("fig6-cac")
-    assert counts == {"rebalance": 162, "state_release_rates": len(CH6_SCHEMES)}
+    # proposed, non-prioritized and aqos share one pass over the S = 54
+    # adaptive states; hard-qos and guard share one with S = 0
+    assert counts == {"rebalance": 54, "state_release_rates": 2}
 
 
 # ---------------------------------------------------------------------------
