@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -275,9 +276,7 @@ def loss_chain_probs(spec) -> tuple[np.ndarray, list[float]]:
                    for limit in spec.stream_limits]
 
 
-def _frac(x: float):
-    from fractions import Fraction
-
+def _frac(x: float) -> Fraction:
     return Fraction(str(x))
 
 

@@ -169,10 +169,10 @@ def chain_specs(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(spec=chain_specs())
-# min_state 2, a limit at min_state, a zero-rate stream, no births above state 3
+# min_state 2, a limit at min_state, a zero-rate stream, and no birth out of
+# state 4, so state 5 is unreachable
 @example(spec=LossChainSpec((0.5, 0.0, 0.7), (2, 5, 4), (0.0, 1.0, 2.0, 3.0, 4.0, 5.0),
                             start_state=2, min_state=2))
-@example(spec=LossChainSpec((1.0,), (2,), (0.0, 0.0, 2.0)))
 def test_chain_probabilities_equal_the_reference_bit_for_bit(spec):
     got, want = _outcome(loss_chain_probs, spec), _outcome(oracles.loss_chain_probs, spec)
     if isinstance(want, str):
