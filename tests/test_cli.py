@@ -291,6 +291,11 @@ ANALYTIC_CASES = {
     "adaptive-12": ("fig5-mobility", ["traffic.macro_adaptive_states = 12",
                                       "sweep.femto_counts = 1, 137, 999"]),
     "duration-90": ("fig7-mbs", ["traffic.mean_call_duration_s = 90"]),
+    # one session, the uncongested counts, and the congestion edge at m = 16
+    "popularity-trials-1": ("fig8-popularity", ["seed = 5", "trials = 1",
+                                                "sweep.session_counts = 1, 2, 16, 17, 31, 44, 50"]),
+    "popularity-trials-7": ("fig8-popularity", ["seed = 5", "trials = 7",
+                                                "sweep.session_counts = 1, 2, 16, 17, 31, 44, 50"]),
 }
 
 
