@@ -44,6 +44,8 @@ class TrafficClass:
             raise ValueError("real-time classes cannot degrade")
         if self.requested_bw <= 0:
             raise ValueError("requested bandwidth must be positive")
+        if not 0.0 <= self.arrival_share <= 1.0:
+            raise ValueError(f"arrival_share must lie in [0, 1], got {self.arrival_share}")
 
     @property
     def floor_hand(self) -> float:

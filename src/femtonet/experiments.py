@@ -24,7 +24,7 @@ from .topology import neighbors_of, place_femtocells, reach_components
 from .videoalloc import (
     allocate_mbs_budget,
     allocate_popularity,
-    satisfaction,
+    allocate_popularity_rows,
     technique_multi_level,
     technique_two_level,
     total_min_bw,
@@ -396,28 +396,24 @@ def run_fig8_popularity(scenario: Scenario) -> ExperimentResult:
     capacity = t["capacity_mbps"]
     viewers_total = t["total_viewers"]
 
+    trials = scenario["trials"]
     for label, concentrated in (("scenario-1", False), ("scenario-2", True)):
         for m in counts:
+            # all trials of a point in one draw, each row sorted into rank order
             rng = _spawn_rng(scenario.seed, label, m)
-            reps_prop, reps_base = [], []
-            for _ in range(scenario["trials"]):
-                if concentrated:
-                    head = viewers_total // 2
-                    rest = rng.multinomial(viewers_total - head, [1.0 / m] * m)
-                    viewers = sorted((int(v) for v in rest), reverse=True)
-                    viewers[0] += head
-                    viewers.sort(reverse=True)
-                else:
-                    draw = rng.multinomial(viewers_total, [1.0 / m] * m)
-                    viewers = sorted((int(v) for v in draw), reverse=True)
-                alloc = allocate_popularity(capacity, t["beta_max_mbps"],
+            head = viewers_total // 2 if concentrated else 0
+            draws = rng.multinomial(viewers_total - head, [1.0 / m] * m, size=trials)
+            viewers = np.sort(draws, axis=1)[:, ::-1]
+            viewers[:, 0] += head  # the head session stays rank 1
+            rows = allocate_popularity_rows(capacity, t["beta_max_mbps"],
                                             t["beta_min_mbps"], viewers)
-                rep = satisfaction(alloc)
-                reps_prop.append(rep.average)
-                reps_base.append(rep.baseline)
+            _, reps_prop, baseline = rows.satisfaction()
             res.add("proposed", m, "satisfaction_avg", float(np.mean(reps_prop)),
-                    float(np.std(reps_prop) / max(len(reps_prop), 1) ** 0.5))
-            res.add("equal-share", m, "satisfaction_avg", float(np.mean(reps_base)))
+                    float(np.std(reps_prop) / trials ** 0.5))
+            # the mean of one float per trial, as the equal-share scheme scores
+            # each trial alike; it need not round back to that float
+            res.add("equal-share", m, "satisfaction_avg",
+                    float(np.mean(np.full(trials, baseline))))
 
     # per-session allocation profile at the largest session count (one draw)
     from .videoalloc import allocation_rows

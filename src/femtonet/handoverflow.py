@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from ._checks import require
+
 OUTCOME_COMPLETED = "completed"
 OUTCOME_REJECTED_CAC = "rejected-at-CAC"
 OUTCOME_REJECTED_AUTH = "rejected-at-authorization"
@@ -213,50 +215,43 @@ def run_flow(flow: str, hooks: dict | None = None) -> FlowTrace:
     return trace
 
 
-def _require(ok: bool, message: str) -> None:
-    """Raise AssertionError(message) unless ok; unlike assert, this also
-    checks under python -O."""
-    if not ok:
-        raise AssertionError(message)
-
-
 def validate_trace(trace: FlowTrace) -> None:
     """Template-prefix and ordering invariants; raises AssertionError."""
     template = TEMPLATES[trace.flow]
-    _require(len(trace.steps) <= len(template), "trace is longer than its template")
+    require(len(trace.steps) <= len(template), "trace is longer than its template")
     for got, want in zip(trace.steps, template):
-        _require(got == want, f"step {got.number} deviates from the template")
+        require(got == want, "step %s deviates from the template", got.number)
     numbers = trace.numbers()
-    _require(numbers == sorted(numbers) and len(set(numbers)) == len(numbers),
-             "step numbers must be strictly increasing")
+    require(numbers == sorted(numbers) and len(set(numbers)) == len(numbers),
+            "step numbers must be strictly increasing")
 
     if trace.outcome == OUTCOME_COMPLETED:
         fwd = trace.first("data-forwarding")
         detach = trace.first("detach")
         complete = trace.first("handover-complete")
         delete = trace.first("delete-old-link")
-        _require(0 < fwd < detach, "forwarding must precede detach")
-        _require(complete < delete, "old link removed only after completion")
-        _require(all(s.kind != "delete-old-link" or s.number > complete
-                     for s in trace.steps),
-                 "every old-link deletion must follow completion")
+        require(0 < fwd < detach, "forwarding must precede detach")
+        require(complete < delete, "old link removed only after completion")
+        require(all(s.kind != "delete-old-link" or s.number > complete
+                    for s in trace.steps),
+                "every old-link deletion must follow completion")
     if trace.outcome == OUTCOME_REJECTED_CAC:
-        _require(trace.first("link-setup-request") == -1,
-                 "no link setup after an admission refusal")
-        _require(trace.first("data-forwarding") == -1,
-                 "no data forwarding after an admission refusal")
+        require(trace.first("link-setup-request") == -1,
+                "no link setup after an admission refusal")
+        require(trace.first("data-forwarding") == -1,
+                "no data forwarding after an admission refusal")
     if trace.outcome == OUTCOME_REJECTED_AUTH:
-        _require(all(s.gate != "cac" for s in trace.steps),
-                 "no admission check after an authorization refusal")
+        require(all(s.gate != "cac" for s in trace.steps),
+                "no admission check after an authorization refusal")
 
     auth = trace.first("authorization-response")
     cac = next((s.number for s in trace.steps if s.gate == "cac"), -1)
     if trace.flow == "femto-to-macro":
-        _require(auth == -1, "no authorization check toward the macrocell")
+        require(auth == -1, "no authorization check toward the macrocell")
     elif auth != -1 and cac != -1:
-        _require(auth < cac, "authorization must precede admission")
+        require(auth < cac, "authorization must precede admission")
 
     if trace.flow == "femto-to-femto":
         for s in trace.steps:
-            _require({s.sender, s.receiver} != {"S-FAP", "T-FAP"},
-                     "FAP-to-FAP messages must ride through the FGW")
+            require({s.sender, s.receiver} != {"S-FAP", "T-FAP"},
+                    "FAP-to-FAP messages must ride through the FGW")

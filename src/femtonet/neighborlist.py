@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import topology as topo_mod
+from ._checks import require
 from .radio import PropagationParams, link_power, linear_to_db, wall_attenuation
 from .spectrum import SpectrumPlan, build_plan
 from .topology import CellTopology, FemtoSite
@@ -67,7 +68,10 @@ class NeighborList:
         return len(self.entries)
 
     def check_count_identity(self) -> None:
-        assert self.n_f == self.n_strong - self.n_same_freq + self.m_hidden
+        """Raise AssertionError unless N_f = N1 - N2 + M."""
+        require(self.n_f == self.n_strong - self.n_same_freq + self.m_hidden,
+                "list holds %d entries, not N1 - N2 + M = %d - %d + %d",
+                self.n_f, self.n_strong, self.n_same_freq, self.m_hidden)
 
 
 def shares_frequency(plan: SpectrumPlan, fap: int, serving: int) -> bool:

@@ -86,12 +86,18 @@ def birth_death_probs(birth_rates, death_rates) -> np.ndarray:
 def _stationary(births: np.ndarray, log_deaths: np.ndarray) -> np.ndarray:
     """The product-form distribution of birth_death_probs, from the births
     and the logs of the (positive) death rates."""
+    logp = np.empty(len(births) + 1)
+    logp[0] = 0.0
+    steps = logp[1:]
     with np.errstate(divide="ignore"):
         # zero birth rates mark unreachable upper states (log 0 -> -inf -> p 0)
-        logp = np.concatenate([[0.0], np.cumsum(np.log(births) - log_deaths)])
+        np.log(births, out=steps)
+    steps -= log_deaths
+    np.add.accumulate(steps, out=steps)
     logp -= logp.max()
-    p = np.exp(logp)
-    return p / p.sum()
+    np.exp(logp, out=logp)
+    logp /= logp.sum()
+    return logp
 
 
 @dataclass(frozen=True)

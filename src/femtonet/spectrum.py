@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import topology as topo_mod
+from ._checks import require
 from .topology import INTERFERENCE_RADIUS_SCALE, CellTopology, UnknownSiteError
 
 SCHEMES = ("dedicated", "shared", "sub", "static-reuse", "dynamic-reuse")
@@ -485,26 +486,33 @@ def remove_femto(plan: SpectrumPlan, topo: CellTopology, fap_id: int) -> Spectru
 
 
 def verify_plan_relations(plan: SpectrumPlan) -> None:
-    """Assert the scheme's band-set identities; raises AssertionError."""
+    """Check the scheme's band-set identities; raises AssertionError."""
     bt = plan.band("BT")
     if plan.scheme == "dedicated":
         bm, bf = plan.band("Bm"), plan.band("Bf")
-        assert not bands_overlap(bm, bf)
-        assert math.isclose(bm.width + bf.width, bt.width)
-        assert min(bm.lo, bf.lo) == bt.lo and max(bm.hi, bf.hi) == bt.hi
+        require(not bands_overlap(bm, bf), "dedicated: Bm and Bf overlap")
+        require(math.isclose(bm.width + bf.width, bt.width),
+                "dedicated: Bm and Bf widths do not add up to BT")
+        require(min(bm.lo, bf.lo) == bt.lo and max(bm.hi, bf.hi) == bt.hi,
+                "dedicated: Bm and Bf do not span BT")
     elif plan.scheme == "shared":
         for lab in plan.macro_assignment.values():
-            assert plan.band(lab) == bt
+            require(plan.band(lab) == bt, "shared: a macro BS uses %s, not BT", lab)
         for a in plan.femto_assignment.values():
-            assert plan.band(a.center_label) == bt
+            require(plan.band(a.center_label) == bt,
+                    "shared: a femtocell uses %s, not BT", a.center_label)
     elif plan.scheme == "sub":
         bf = plan.band("Bf")
-        assert bt.lo <= bf.lo and bf.hi <= bt.hi and bf.width < bt.width
+        require(bt.lo <= bf.lo and bf.hi <= bt.hi and bf.width < bt.width,
+                "sub: Bf is not a proper sub-band of BT")
     else:
         m1, m2, m3 = (plan.band(lab) for lab in ("Bm1", "Bm2", "Bm3"))
-        assert math.isclose(m1.width, m2.width) and math.isclose(m2.width, m3.width)
-        assert math.isclose(m1.width + m2.width + m3.width, bt.width)
-        for a in plan.femto_assignment.values():
+        require(math.isclose(m1.width, m2.width) and math.isclose(m2.width, m3.width),
+                "%s: Bm1, Bm2 and Bm3 differ in width", plan.scheme)
+        require(math.isclose(m1.width + m2.width + m3.width, bt.width),
+                "%s: Bm1, Bm2 and Bm3 do not add up to BT", plan.scheme)
+        for fap, a in plan.femto_assignment.items():
             for lab in (a.center_label, a.edge_label):
                 if lab is not None:
-                    assert not bands_overlap(plan.band(lab), m1)
+                    require(not bands_overlap(plan.band(lab), m1),
+                            "%s: femtocell %s band %s overlaps Bm1", plan.scheme, fap, lab)

@@ -10,6 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
+from ._checks import require
+
 BW_TOL = 1e-9
 
 
@@ -42,11 +46,6 @@ class MbsSession:
     @property
     def max_bw(self) -> float:
         return self.bw_at(self.max_layers)
-
-
-def rank_sessions(sessions) -> list[MbsSession]:
-    """Priority order: descending popularity, ties broken by ascending id."""
-    return sorted(sessions, key=lambda s: (-s.popularity, s.id))
 
 
 def total_min_bw(sessions) -> float:
@@ -181,6 +180,84 @@ class PopularityAllocation:
         return sum(self.bandwidths)
 
 
+@dataclass
+class PopularityRows:
+    """Popularity allocations of M sessions for several viewer draws at once:
+    row t of bandwidths is the allocation of viewer row t."""
+
+    bandwidths: np.ndarray  # (rows, M)
+    viewers: np.ndarray  # (rows, M)
+    capacity: float
+    beta_max: float
+    congested: bool
+
+    def satisfaction(self) -> tuple[np.ndarray, np.ndarray, float]:
+        """(per-rank satisfaction, viewer-weighted average per row, the
+        equal-share baseline) as satisfaction() defines them."""
+        rows, m_total = self.bandwidths.shape
+        if not self.congested:
+            return np.ones((rows, m_total)), np.ones(rows), 1.0
+        per_rank = self.bandwidths / self.beta_max
+        k_total = self.viewers.sum(axis=1)
+        # a running sum in rank order from the first term, as sum() adds
+        weighted = np.add.accumulate(per_rank * self.viewers, axis=1)[:, -1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            average = np.where(k_total > 0, weighted / k_total, per_rank[:, 0])
+        return per_rank, average, self.capacity / (self.beta_max * m_total)
+
+
+def allocate_popularity_rows(capacity: float, beta_max: float, beta_min: float,
+                             viewers) -> PopularityRows:
+    """allocate_popularity for every row of a 2-D viewer array, each row
+    sorted non-increasing.  Row t of the result equals
+    allocate_popularity(capacity, beta_max, beta_min, viewers[t]) exactly."""
+    # whole counts are exact as floats, so every product and sum below
+    # equals its integer counterpart
+    viewers = np.asarray(viewers, dtype=float)
+    rows, m_total = viewers.shape
+    if m_total == 0:
+        raise ValueError("no sessions")
+    if viewers.min() < 0:
+        raise ValueError("viewer counts must be >= 0")
+    if (viewers[:, :-1] - viewers[:, 1:]).min(initial=0) < 0:
+        raise ValueError("viewer counts must be sorted non-increasing")
+    if not beta_max >= beta_min > 0:
+        raise ValueError("need beta_max >= beta_min > 0")
+    if m_total * beta_min > capacity + BW_TOL:
+        raise InfeasibleAllocationError(
+            f"{m_total} sessions need {m_total * beta_min} > capacity {capacity}")
+
+    if m_total * beta_max <= capacity + BW_TOL:
+        return PopularityRows(np.full((rows, m_total), beta_max), viewers,
+                              capacity, beta_max, congested=False)
+
+    k_total = viewers.sum(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scale = np.where(k_total > 0, (m_total / k_total) * (capacity / m_total - beta_min),
+                         0.0)
+    beta_diff = beta_max - beta_min
+
+    # Session m is offered beta_min + a*K_m plus the overflow carried from
+    # higher ranks; what exceeds beta_max is spread over the sessions left.
+    # Once no row overflows at a rank, none overflows later: its carry stops
+    # growing while a*K_m does not rise down a non-increasing row.  (a < 0
+    # only within BW_TOL of the M*beta_min floor, where nothing overflows.)
+    bws = np.empty((rows, m_total))
+    carry = np.zeros(rows)
+    for rank in range(m_total):
+        provisional = scale * viewers[:, rank] + carry
+        if provisional.max() <= beta_diff + BW_TOL:
+            bws[:, rank:] = beta_min + (scale[:, None] * viewers[:, rank:] + carry[:, None])
+            break
+        over = provisional > beta_diff + BW_TOL
+        left = m_total - (rank + 1)
+        require(left > 0, "top-rank overflow cannot land on the last session")
+        bws[:, rank] = np.where(over, beta_max, beta_min + provisional)
+        carry = carry + np.where(over, (provisional - beta_diff) / left, 0.0)
+
+    return PopularityRows(bws, viewers, capacity, beta_max, congested=True)
+
+
 def allocate_popularity(capacity: float, beta_max: float, beta_min: float,
                         viewers) -> PopularityAllocation:
     """Popularity-proportional bandwidth for M always-on video sessions.
@@ -190,44 +267,12 @@ def allocate_popularity(capacity: float, beta_max: float, beta_min: float,
     m is provisionally offered beta_min + a*K_m plus the overflow carried
     from higher ranks; whatever exceeds beta_max is spread over the
     remaining sessions.  The congested allocation conserves C exactly.
+    This is the one-row case of allocate_popularity_rows.
     """
     viewers = list(viewers)
-    m_total = len(viewers)
-    if m_total == 0:
-        raise ValueError("no sessions")
-    if any(k < 0 for k in viewers):
-        raise ValueError("viewer counts must be >= 0")
-    if any(a < b for a, b in zip(viewers, viewers[1:])):
-        raise ValueError("viewer counts must be sorted non-increasing")
-    if not beta_max >= beta_min > 0:
-        raise ValueError("need beta_max >= beta_min > 0")
-    if m_total * beta_min > capacity + BW_TOL:
-        raise InfeasibleAllocationError(
-            f"{m_total} sessions need {m_total * beta_min} > capacity {capacity}")
-
-    if m_total * beta_max <= capacity + BW_TOL:
-        bws = [beta_max] * m_total
-        return PopularityAllocation(bws, viewers, capacity, beta_max, congested=False)
-
-    k_total = sum(viewers)
-    scale = (m_total / k_total) * (capacity / m_total - beta_min) if k_total else 0.0
-    beta_diff = beta_max - beta_min
-
-    bws = []
-    carry = 0.0
-    for rank, k_m in enumerate(viewers):
-        provisional = scale * k_m + carry
-        left = m_total - (rank + 1)
-        if provisional > beta_diff + BW_TOL:
-            assert left > 0, "top-rank overflow cannot land on the last session"
-            x_m = (provisional - beta_diff) / left
-            bws.append(beta_max)
-        else:
-            x_m = 0.0
-            bws.append(beta_min + provisional)
-        carry += x_m
-
-    return PopularityAllocation(bws, viewers, capacity, beta_max, congested=True)
+    rows = allocate_popularity_rows(capacity, beta_max, beta_min, [viewers])
+    return PopularityAllocation(rows.bandwidths[0].tolist(), viewers, capacity,
+                                beta_max, rows.congested)
 
 
 @dataclass
@@ -240,22 +285,11 @@ class SatisfactionReport:
 def satisfaction(alloc: PopularityAllocation) -> SatisfactionReport:
     """User satisfaction = allocated / maximum bandwidth, per rank and
     averaged over viewers, against the equal-share baseline."""
-    if not alloc.congested:
-        m = len(alloc.bandwidths)
-        return SatisfactionReport([1.0] * m, 1.0, 1.0)
-    per_rank = [b / alloc.beta_max for b in alloc.bandwidths]
-    k_total = sum(alloc.viewers)
-    average = (sum(s * k for s, k in zip(per_rank, alloc.viewers)) / k_total
-               if k_total else per_rank[0])
-    baseline = alloc.capacity / (alloc.beta_max * len(alloc.bandwidths))
-    return SatisfactionReport(per_rank, average, baseline)
-
-
-def counts_hq_lq(capacity: float, beta_max: float, beta_min: float) -> tuple[int, int]:
-    """(sessions servable at full quality, sessions servable at minimum)."""
-    if not beta_max >= beta_min > 0:
-        raise ValueError("need beta_max >= beta_min > 0")
-    return int(capacity / beta_max), int(capacity / beta_min)
+    rows = PopularityRows(np.array([alloc.bandwidths], dtype=float),
+                          np.array([alloc.viewers], dtype=float), alloc.capacity,
+                          alloc.beta_max, alloc.congested)
+    per_rank, average, baseline = rows.satisfaction()
+    return SatisfactionReport(per_rank[0].tolist(), float(average[0]), baseline)
 
 
 def allocation_rows(alloc: PopularityAllocation):

@@ -78,6 +78,31 @@ def greedy_layer_packing(budget, sessions):
     return layers
 
 
+def popularity_allocation(capacity, beta_max, beta_min, viewers):
+    """The Ch. 8 popularity allocation rank by rank in plain Python, with
+    its satisfaction: (congested, bandwidths, per-rank satisfaction,
+    viewer-weighted average, equal-share baseline).  viewers is one sorted
+    row on a feasible capacity."""
+    m_total = len(viewers)
+    if m_total * beta_max <= capacity + 1e-9:
+        return False, [beta_max] * m_total, [1.0] * m_total, 1.0, 1.0
+    k_total = sum(viewers)
+    scale = (m_total / k_total) * (capacity / m_total - beta_min) if k_total else 0.0
+    beta_diff = beta_max - beta_min
+    bws, carry = [], 0.0
+    for rank, k_m in enumerate(viewers):
+        provisional = scale * k_m + carry
+        if provisional > beta_diff + 1e-9:
+            carry += (provisional - beta_diff) / (m_total - (rank + 1))
+            bws.append(beta_max)
+        else:
+            bws.append(beta_min + provisional)
+    per_rank = [b / beta_max for b in bws]
+    average = (sum(s * k for s, k in zip(per_rank, viewers)) / k_total
+               if k_total else per_rank[0])
+    return True, bws, per_rank, average, capacity / (beta_max * m_total)
+
+
 # The band layout as it was computed before plans held a band table: a
 # partition whose properties rebuild every Band on each read, and a plan-level
 # branch for the dedicated/sub-band split.  Kept verbatim, so the table can be

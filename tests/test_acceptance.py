@@ -19,7 +19,7 @@ from femtonet import queueing as q
 from femtonet.admission import TrafficClass
 from femtonet.des import simulate_des, spec_for_ch6, spec_for_erlang, spec_for_two_tier_femto, spec_for_two_tier_macro
 from femtonet.experiments import _radio_sweep, run_experiment, result_to_csv
-from femtonet.presets import table51_macro_classes, table61_classes
+from femtonet.presets import table61_classes
 from femtonet.radio import db_to_linear, outage_probability_closed_form, outage_probability_mc, sir
 from femtonet.scenario import Scenario, scenario_from_preset
 from femtonet.spectrum import build_plan, configure_new_femto, remove_femto

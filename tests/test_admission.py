@@ -35,6 +35,13 @@ def test_traffic_class_validation():
         TrafficClass(2, "nrt", 56.0, degrade_new=0.7, degrade_hand=0.5)
 
 
+# shares of 1.5 and -0.5 sum to 1, and used to reach ch6_cell as (N, S, L) = (33, -1, 0)
+@pytest.mark.parametrize("share", [1.5, -0.5, float("nan")])
+def test_traffic_class_rejects_a_share_outside_unit_interval_by_name(share):
+    with pytest.raises(ValueError, match="arrival_share"):
+        TrafficClass(1, "rt", 25.0, arrival_share=share)
+
+
 # ---------------------------------------------------------------------------
 # residual fraction / rebalance
 

@@ -1,24 +1,36 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import greedy_layer_packing
+from oracles import greedy_layer_packing, popularity_allocation
 
 from femtonet.videoalloc import (
+    BW_TOL,
     InfeasibleAllocationError,
     MbsSession,
     PopularityAllocation,
     allocate_mbs_budget,
     allocate_popularity,
-    counts_hq_lq,
-    rank_sessions,
+    allocate_popularity_rows,
     satisfaction,
     technique_multi_level,
     technique_two_level,
     total_max_bw,
     total_min_bw,
 )
+
+
+def rank_sessions(sessions) -> list[MbsSession]:
+    """Priority order: descending popularity, ties broken by ascending id."""
+    return sorted(sessions, key=lambda s: (-s.popularity, s.id))
+
+
+def counts_hq_lq(capacity: float, beta_max: float, beta_min: float) -> tuple[int, int]:
+    """(sessions servable at full quality, sessions servable at minimum)."""
+    if not beta_max >= beta_min > 0:
+        raise ValueError("need beta_max >= beta_min > 0")
+    return int(capacity / beta_max), int(capacity / beta_min)
 
 
 def table71_sessions(m=12):
@@ -282,3 +294,73 @@ def test_satisfaction_dominance_property(viewers):
     assert all(a >= b - 1e-12 for a, b in zip(chain, chain[1:]))
     if viewers[0] == viewers[-1]:
         assert rep.average == pytest.approx(rep.baseline)
+
+
+# ---------------------------------------------------------------------------
+# batch allocation: rows of viewer draws at once
+
+
+@st.composite
+def popularity_batches(draw):
+    """(capacity, beta_max, beta_min, viewer rows): one to 12 sessions, rows
+    that may be all zero or concentrated on the top ranks, beta_max possibly
+    equal to beta_min, and capacities at, just below or just above the
+    M*beta_min floor as well as across the congested range."""
+    m = draw(st.integers(1, 12))
+    beta_min = draw(st.sampled_from([0.6, 0.25, 1.0]))
+    beta_max = draw(st.sampled_from([beta_min, 2.0, 3.7]))
+    floor = m * beta_min
+    capacity = draw(st.sampled_from([floor, floor - BW_TOL / 2, floor + BW_TOL / 2,
+                                     m * beta_max])
+                    | st.floats(floor, 1.2 * m * beta_max))
+    row = st.lists(st.integers(0, 300), min_size=m, max_size=m) \
+        | st.lists(st.sampled_from([0, 1, 2, 5000]), min_size=m, max_size=m)
+    rows = draw(st.lists(row, min_size=1, max_size=6))
+    return capacity, beta_max, beta_min, [sorted(r, reverse=True) for r in rows]
+
+
+def _bits(values) -> list[str]:
+    return [repr(float(v)) for v in values]
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=popularity_batches())
+# two sessions of 5000 viewers overflow at ranks 1 and 2; an all-zero row
+@example(case=(8.0, 2.0, 0.6, [[5000, 5000, 3, 2, 1, 0], [0] * 6, [9, 9, 9, 9, 9, 9]]))
+@example(case=(0.6, 0.6, 0.6, [[7]]))
+def test_popularity_rows_equal_the_scalar_allocator_bit_for_bit(case):
+    capacity, beta_max, beta_min, viewers = case
+    batch = allocate_popularity_rows(capacity, beta_max, beta_min, np.array(viewers))
+    per_rank, average, baseline = batch.satisfaction()
+    for t, row in enumerate(viewers):
+        alloc = allocate_popularity(capacity, beta_max, beta_min, row)
+        rep = satisfaction(alloc)
+        assert batch.congested == alloc.congested
+        assert _bits(batch.bandwidths[t]) == _bits(alloc.bandwidths)
+        assert _bits(per_rank[t]) == _bits(rep.per_rank)
+        assert _bits([average[t], baseline]) == _bits([rep.average, rep.baseline])
+        congested, bws, ranks, avg, base = popularity_allocation(
+            capacity, beta_max, beta_min, row)
+        assert congested == alloc.congested
+        assert _bits(alloc.bandwidths) == _bits(bws)
+        assert _bits(rep.per_rank) == _bits(ranks)
+        assert _bits([rep.average, rep.baseline]) == _bits([avg, base])
+
+
+def test_popularity_rows_overflow_at_several_top_ranks():
+    viewers = [5000, 5000, 3, 2, 1, 0]
+    alloc = allocate_popularity(8.0, 2.0, 0.6, viewers)
+    assert alloc.bandwidths[:2] == [2.0, 2.0] and alloc.bandwidths[2] < 2.0
+    assert alloc.total == pytest.approx(8.0)
+    assert _bits(alloc.bandwidths) == _bits(popularity_allocation(8.0, 2.0, 0.6, viewers)[1])
+
+
+def test_popularity_rows_keep_the_scalar_errors():
+    with pytest.raises(ValueError, match="sorted"):
+        allocate_popularity_rows(10.0, 2.0, 0.6, np.array([[5, 4], [4, 5]]))
+    with pytest.raises(ValueError, match=">= 0"):
+        allocate_popularity_rows(10.0, 2.0, 0.6, np.array([[5, 4], [4, -1]]))
+    with pytest.raises(InfeasibleAllocationError):
+        allocate_popularity_rows(1.0, 2.0, 0.6, np.array([[5, 5], [3, 1]]))
+    with pytest.raises(ValueError, match="no sessions"):
+        allocate_popularity(10.0, 2.0, 0.6, [])
