@@ -194,9 +194,9 @@ class PopularityRows:
     def satisfaction(self) -> tuple[np.ndarray, np.ndarray, float]:
         """(per-rank satisfaction, viewer-weighted average per row, the
         equal-share baseline) as satisfaction() defines them."""
-        rows, m_total = self.bandwidths.shape
+        n_rows, m_total = self.bandwidths.shape
         if not self.congested:
-            return np.ones((rows, m_total)), np.ones(rows), 1.0
+            return np.ones((n_rows, m_total)), np.ones(n_rows), 1.0
         per_rank = self.bandwidths / self.beta_max
         k_total = self.viewers.sum(axis=1)
         # a running sum in rank order from the first term, as sum() adds
@@ -214,7 +214,7 @@ def allocate_popularity_rows(capacity: float, beta_max: float, beta_min: float,
     # whole counts are exact as floats, so every product and sum below
     # equals its integer counterpart
     viewers = np.asarray(viewers, dtype=float)
-    rows, m_total = viewers.shape
+    n_rows, m_total = viewers.shape
     if m_total == 0:
         raise ValueError("no sessions")
     if viewers.min() < 0:
@@ -228,7 +228,7 @@ def allocate_popularity_rows(capacity: float, beta_max: float, beta_min: float,
             f"{m_total} sessions need {m_total * beta_min} > capacity {capacity}")
 
     if m_total * beta_max <= capacity + BW_TOL:
-        return PopularityRows(np.full((rows, m_total), beta_max), viewers,
+        return PopularityRows(np.full((n_rows, m_total), beta_max), viewers,
                               capacity, beta_max, congested=False)
 
     k_total = viewers.sum(axis=1)
@@ -242,8 +242,8 @@ def allocate_popularity_rows(capacity: float, beta_max: float, beta_min: float,
     # Once no row overflows at a rank, none overflows later: its carry stops
     # growing while a*K_m does not rise down a non-increasing row.  (a < 0
     # only within BW_TOL of the M*beta_min floor, where nothing overflows.)
-    bws = np.empty((rows, m_total))
-    carry = np.zeros(rows)
+    bws = np.empty((n_rows, m_total))
+    carry = np.zeros(n_rows)
     for rank in range(m_total):
         provisional = scale * viewers[:, rank] + carry
         if provisional.max() <= beta_diff + BW_TOL:

@@ -28,7 +28,8 @@ OPTIMIZED_SCRIPT = textwrap.dedent("""
     from femtonet.spectrum import build_plan, verify_plan_relations
     from femtonet.topology import place_femtocells
 
-    assert sys.flags.optimize, "not running under python -O"
+    if not sys.flags.optimize:
+        sys.exit("not running under python -O")
     plan = build_plan("dedicated", place_femtocells(seed=5, count=20))
     plan._bands["Bf"] = plan.band("Bm")
     bad_list = NeighborList(entries=[3, 4], provenance={}, n_detected=2, n_strong=2,
