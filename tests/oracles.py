@@ -591,6 +591,103 @@ def two_tier_probs(params, solution):
     return femto_probs, macro_probs
 
 
+# -- solve_two_tier as it was when it wrote out its own damped loop, before
+# the analytic solvers shared one fixed-point driver.  Kept verbatim as the
+# bitwise reference; it reads the damping, tolerance and iteration bound of
+# femtonet.queueing at call time, as the live solver does.
+
+
+def solve_two_tier(params):
+    from femtonet import queueing
+    from femtonet.queueing import (
+        ChainSolution,
+        NonConvergenceError,
+        TwoTierSolution,
+        _with_hand_rate,
+        channel_release_rates,
+        erlang_b,
+        handover_probabilities,
+        two_tier_femto_chain,
+        two_tier_macro_chain,
+    )
+
+    FIXED_POINT_TOL = queueing.FIXED_POINT_TOL
+    FIXED_POINT_DAMPING = queueing.FIXED_POINT_DAMPING
+    MAX_ITERATIONS = queueing.MAX_ITERATIONS
+
+    probs = handover_probabilities(params)
+    mu_m, mu_f = channel_release_rates(params)
+    n, k_f = params.n, params.femto_capacity
+    alpha, beta = params.alpha, params.beta_prob
+    lam_of, lam_om = params.lambda_o_f, params.lambda_o_m
+
+    l_mm = l_mf = l_ff = l_fm = 0.0
+    p_bf = p_df = p_bm = p_dm = 0.0
+    residuals: list[float] = []
+    macro_chain = two_tier_macro_chain(params, 0.0)
+
+    for iteration in range(1, MAX_ITERATIONS + 1):
+        lam_tf = lam_of + l_mf + alpha * l_ff + p_dm * beta * l_ff
+        if n > 0:
+            offered = lam_tf / n / mu_f
+            p_bf = p_df = erlang_b(k_f, offered)
+        else:
+            p_bf = p_df = 0.0
+
+        lam_hm = l_mm + l_fm + alpha * p_df * l_ff + (1.0 - alpha) * l_ff
+        macro_chain = _with_hand_rate(macro_chain, lam_hm)
+        _, (p_bm, p_dm) = loss_chain_probs(macro_chain)
+
+        num_m = (1.0 - p_bm) * (lam_om + lam_of * p_bf) + (1.0 - p_dm) * (
+            l_fm + l_ff * (1.0 - alpha + alpha * p_df))
+        den_m = 1.0 - probs.mm * (1.0 - p_dm)
+        new_mm = probs.mm * num_m / den_m
+        new_mf = probs.mf * num_m / den_m
+
+        num_f = lam_of * (1.0 - p_bf) + l_mf * (1.0 - p_df)
+        den_f = 1.0 - probs.ff * (1.0 - p_df) * (alpha + (1.0 - alpha) * p_dm)
+        new_ff = probs.ff * num_f / den_f
+        new_fm = probs.fm * num_f / den_f
+
+        residual = max(abs(new_mm - l_mm), abs(new_mf - l_mf),
+                       abs(new_ff - l_ff), abs(new_fm - l_fm))
+        residuals.append(residual)
+        l_mm += FIXED_POINT_DAMPING * (new_mm - l_mm)
+        l_mf += FIXED_POINT_DAMPING * (new_mf - l_mf)
+        l_ff += FIXED_POINT_DAMPING * (new_ff - l_ff)
+        l_fm += FIXED_POINT_DAMPING * (new_fm - l_fm)
+        if residual < FIXED_POINT_TOL:
+            break
+    else:
+        raise NonConvergenceError("two-tier fixed point did not converge", residuals)
+
+    lam_tf = lam_of + l_mf + alpha * l_ff + p_dm * beta * l_ff
+    lam_hm = l_mm + l_fm + alpha * p_df * l_ff + (1.0 - alpha) * l_ff
+    if n > 0:
+        femto_probs, _ = loss_chain_probs(two_tier_femto_chain(params, lam_tf))
+    else:
+        femto_probs = np.array([1.0])
+    macro_probs, _ = loss_chain_probs(_with_hand_rate(macro_chain, lam_hm))
+
+    femto_util = float(np.dot(np.arange(len(femto_probs)), femto_probs)) / max(k_f, 1)
+    macro_occ = np.minimum(np.arange(len(macro_probs)), params.macro_base_states)
+    macro_util = float(np.dot(macro_occ, macro_probs)) / max(params.macro_base_states, 1)
+
+    femto = ChainSolution(femto_probs, p_bf, p_df, femto_util,
+                          handover_rate=alpha * l_ff + l_mf,
+                          iterations=iteration, residual=residuals[-1])
+    macro = ChainSolution(macro_probs, p_bm, p_dm, macro_util,
+                          handover_rate=lam_hm,
+                          iterations=iteration, residual=residuals[-1])
+    rates = {
+        "lambda_h_mm": l_mm, "lambda_h_mf": l_mf,
+        "lambda_h_ff": l_ff, "lambda_h_fm": l_fm,
+        "lambda_T_f": lam_tf, "lambda_h_m": lam_hm,
+        "mu_m": mu_m, "mu_f": mu_f,
+    }
+    return TwoTierSolution(femto, macro, rates, probs, iteration, residuals)
+
+
 # -- the pure-Python DES kernel as it was before it drew its random stream in
 # blocks: one scalar splitmix64 call per draw.  Kept verbatim (with its
 # constants) as the bitwise reference for _despy.run_loss_chain.

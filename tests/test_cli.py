@@ -290,6 +290,10 @@ ANALYTIC_CASES = {
                                    "traffic.arrival_grid = 0.05, 0.33, 0.97, 1.61, 2.4"]),
     "adaptive-12": ("fig5-mobility", ["traffic.macro_adaptive_states = 12",
                                       "sweep.femto_counts = 1, 137, 999"]),
+    # weights the (1 - alpha) and beta * P_D,m terms of the two-tier rates
+    # more than the default preset does, from n = 0 up to 1000 FAPs
+    "alpha-beta": ("fig5-mobility", ["traffic.alpha = 0.5", "traffic.beta = 0.4",
+                                     "sweep.femto_counts = 0, 3, 250, 1000"]),
     "duration-90": ("fig7-mbs", ["traffic.mean_call_duration_s = 90"]),
     # one session, the uncongested counts, and the congestion edge at m = 16
     "popularity-trials-1": ("fig8-popularity", ["seed = 5", "trials = 1",

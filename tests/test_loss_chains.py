@@ -86,6 +86,30 @@ def test_two_tier_chains_equal_old_specs_and_birth_lists(n, lam_total):
     assert _same_bits(sol.macro.probs, macro)
 
 
+def _hex_fields(sol) -> dict:
+    return {name: getattr(sol, name).hex() for name in
+            ("p_block", "p_drop", "utilization", "handover_rate", "residual")}
+
+
+@pytest.mark.parametrize("alpha, beta, adaptive", [
+    (0.8, 0.2, 30), (0.5, 0.4, 30), (0.2, 0.0, 30), (1.0, 0.0, 30), (0.6, 0.3, 0)])
+@pytest.mark.parametrize("lam_total", [0.5, 4.0, 20.0])
+@pytest.mark.parametrize("n", [0, 1, 100, 400, 1000])
+def test_two_tier_solution_equals_its_written_out_loop(n, lam_total, alpha, beta, adaptive):
+    params = replace(scenario_from_preset("table-5.1").two_tier_params(n=n, lam_total=lam_total),
+                     alpha=alpha, beta_prob=beta, macro_adaptive_states=adaptive)
+    sol, old = solve_two_tier(params), oracles.solve_two_tier(params)
+    assert {k: v.hex() for k, v in sol.rates.items()} == {k: v.hex() for k, v in old.rates.items()}
+    assert sol.probabilities == old.probabilities
+    assert sol.iterations == old.iterations
+    assert [r.hex() for r in sol.residuals] == [r.hex() for r in old.residuals]
+    for layer in ("femto", "macro"):
+        new_layer, old_layer = getattr(sol, layer), getattr(old, layer)
+        assert _hex_fields(new_layer) == _hex_fields(old_layer), layer
+        assert new_layer.iterations == old_layer.iterations
+        assert _same_bits(new_layer.probs, old_layer.probs), layer
+
+
 def _ch7_grid():
     rng = np.random.default_rng(20)
     for _ in range(120):
