@@ -382,11 +382,3 @@ def admit_from_femto(
 
     d = _macro_handover_admit(macro_state, pos)
     return d or AdmissionDecision("drop", "below-t1-macro-exhausted", (), macro_state)
-
-
-def make_state(capacity: float, classes, counts=None) -> CellLoadState:
-    state = CellLoadState(capacity, tuple(classes))
-    if counts is not None:
-        state.counts = list(counts)
-        state = rebalance(state)
-    return state

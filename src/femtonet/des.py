@@ -24,8 +24,6 @@ from .queueing import (
     TwoTierSolution,
     ch6_cell,
     ch7_chain,
-    two_tier_femto_chain,
-    two_tier_macro_chain,
 )
 
 
@@ -208,7 +206,8 @@ def spec_for_erlang(lam: float, mu: float, servers: int) -> LossChainSpec:
 def spec_for_ch6(params: Ch6QueueParams, lam_hand: float,
                  scheme: str = "proposed") -> LossChainSpec:
     """Chain matching solve_ch6's converged model; the handover stream is
-    exogenous Poisson at the converged rate."""
+    exogenous Poisson at the converged rate.  A solution's own spec is the
+    same chain, without building the cell a second time."""
     return ch6_cell(params, scheme).chain(params.lam_new, lam_hand)
 
 
@@ -217,10 +216,12 @@ spec_for_ch7 = ch7_chain  # the MBS cell chain has no fixed point
 
 def spec_for_two_tier_macro(params: TwoTierParams,
                             solution: TwoTierSolution) -> LossChainSpec:
-    return two_tier_macro_chain(params, solution.rates["lambda_h_m"])
+    """The macrocell chain that solve_two_tier(params) evaluated last."""
+    return solution.macro.spec
 
 
 def spec_for_two_tier_femto(params: TwoTierParams,
                             solution: TwoTierSolution) -> LossChainSpec:
-    """One femtocell of the layer: K servers, no handover priority."""
-    return two_tier_femto_chain(params, solution.rates["lambda_T_f"])
+    """One femtocell of the layer (K servers, no handover priority), as
+    solve_two_tier(params) built it last."""
+    return solution.femto.spec

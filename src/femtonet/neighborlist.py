@@ -18,7 +18,7 @@ from . import topology as topo_mod
 from ._checks import require
 from .radio import PropagationParams, link_power, linear_to_db, wall_attenuation
 from .spectrum import SpectrumPlan, build_plan
-from .topology import CellTopology, FemtoSite
+from .topology import CellTopology
 
 DEFAULT_S_T0_DBM = -90.0
 DEFAULT_S_T1_DBM = -75.0
@@ -335,36 +335,3 @@ def p_target_missing(
         return {"rssi-only": 0.0, "proposed": 0.0, "trials": 0}
     return {"rssi-only": miss_base / valid, "proposed": miss_prop / valid,
             "trials": valid}
-
-
-# ---------------------------------------------------------------------------
-# the dense-deployment scenario of the worked neighbor-list example
-
-
-def hidden_fap_fixture():
-    """Nine-FAP fixture: user at position A near the serving FAP; FAP 1 is
-    walled off from both the user and the serving FAP but coordinated via
-    FAP 2; FAP 8's link to the user is obstructed.  The optimal list must
-    come out as exactly {1, 2, 3, 8}."""
-    positions = {
-        0: (0.0, 0.0),     # serving
-        1: (10.0, 0.0),    # hidden behind a wall, known to FAP 2
-        2: (0.0, 12.0),    # strong, clear
-        3: (9.0, 9.0),     # strong, clear
-        4: (50.0, 50.0),   # beyond the strong horizon and outside d_max
-        5: (0.0, -65.0),   # weak, outside d_max
-        6: (-80.0, 30.0),  # far
-        7: (60.0, -60.0),  # far
-        8: (20.0, 5.0),    # obstructed toward the user, clear to the serving FAP
-    }
-    # a double wall between the serving FAP and FAP 1 blocks their
-    # coordination; FAP 2 and FAP 1 share a clear coordination link
-    topo = CellTopology(
-        macro_radius_m=1000.0, femto_radius_m=10.0, macro_sites=[(0.0, 0.0)],
-        femtocells=[FemtoSite(i, p) for i, p in sorted(positions.items())],
-        walls={(0, 1): 2, (1, 2): 0})
-    plan = build_plan("dynamic-reuse", topo)
-    ue = (3.0, 0.0)
-    obstructed = {1, 8}
-    scan = scan_from_geometry(topo, ue, 0, obstructed=obstructed)
-    return topo, plan, scan, ue

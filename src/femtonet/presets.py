@@ -129,22 +129,6 @@ def table61_classes() -> tuple[TrafficClass, ...]:
     )
 
 
-def table51_macro_classes() -> tuple[TrafficClass, ...]:
-    """Two-class macro mix of the Ch. 5 analysis: rigid 64 kbps calls and
-    adaptive 56 kbps calls that may fall to 28 kbps for handovers only."""
-    t = TABLE_5_1
-    gamma_h = 1.0 - t["adaptive_min_kbps"] / t["adaptive_max_kbps"]
-    return (
-        TrafficClass(1, "rt", t["rigid_bw_kbps"],
-                     arrival_share=t["arrival_ratio_rigid"],
-                     duration_s=t["mean_call_duration_s"]),
-        TrafficClass(2, "nrt", t["adaptive_max_kbps"], degrade_new=0.0,
-                     degrade_hand=gamma_h,
-                     arrival_share=t["arrival_ratio_adaptive"],
-                     duration_s=t["mean_call_duration_s"]),
-    )
-
-
 def table71_mbs_sessions():
     from .videoalloc import MbsSession
 

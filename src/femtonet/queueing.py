@@ -6,8 +6,8 @@ Each chain is described once, as a LossChainSpec built by its model's
 evaluate that spec analytically and femtonet.des simulates the same spec.
 The stationary distribution is computed in log space, so state counts in
 the hundreds stay numerically exact.  Handover arrival rates and blocking
-and dropping probabilities depend on each other; the solvers run damped
-successive substitution to the requested residual.
+and dropping probabilities depend on each other; both fixed points run one
+damped successive substitution, _fixed_point, to the requested residual.
 """
 
 from __future__ import annotations
@@ -48,12 +48,33 @@ class ChainSolution:
     iterations: int = 0
     residual: float = 0.0
     extra: dict = field(default_factory=dict)
+    spec: LossChainSpec | None = None  # the chain the solver evaluated last
 
     def check_normalized(self) -> None:
         """Raise AssertionError unless the probabilities sum to one."""
         total = self.probs.sum()
         if not abs(total - 1.0) < 1e-9:
             raise AssertionError(f"state probabilities sum to {total}, not 1")
+
+
+def _fixed_point(step, rates: list[float], what: str):
+    """Damped successive substitution on a list of rates.
+
+    Each iteration calls step(rates) once for the new rates, records the
+    residual max |new - old| and moves every rate by FIXED_POINT_DAMPING of
+    its change, until a residual falls below FIXED_POINT_TOL.  Returns the
+    damped rates, the iteration count and the residuals; after
+    MAX_ITERATIONS it raises NonConvergenceError naming `what`.
+    """
+    residuals = []
+    for iteration in range(1, MAX_ITERATIONS + 1):
+        new = step(rates)
+        residual = max([abs(b - a) for a, b in zip(rates, new)])
+        residuals.append(residual)
+        rates = [a + FIXED_POINT_DAMPING * (b - a) for a, b in zip(rates, new)]
+        if residual < FIXED_POINT_TOL:
+            return rates, iteration, residuals
+    raise NonConvergenceError(f"{what} fixed point did not converge", residuals)
 
 
 def erlang_b(servers: int, offered: float) -> float:
@@ -196,8 +217,9 @@ class TwoTierParams:
         for name in ("mu", "eta_f", "eta_m"):
             if getattr(self, name) == math.inf:
                 raise ValueError(f"{name} must be finite, got inf")
-        if self.n < 0:
-            raise ValueError("deployed femtocell count n must be >= 0")
+        for name in ("n", "femto_capacity", "macro_base_states", "macro_adaptive_states"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)!r}")
         if self.lambda_o_f < 0 or self.lambda_o_m < 0:
             raise ValueError("arrival rates must be >= 0")
 
@@ -279,12 +301,14 @@ def solve_two_tier(params: TwoTierParams) -> TwoTierSolution:
     alpha, beta = params.alpha, params.beta_prob
     lam_of, lam_om = params.lambda_o_f, params.lambda_o_m
 
-    l_mm = l_mf = l_ff = l_fm = 0.0
+    # the last step's chain probabilities; lambda_T,f reads the P_D,m of the
+    # step before
     p_bf = p_df = p_bm = p_dm = 0.0
-    residuals: list[float] = []
     macro_chain = two_tier_macro_chain(params, 0.0)
 
-    for iteration in range(1, MAX_ITERATIONS + 1):
+    def step(rates):
+        nonlocal p_bf, p_df, p_bm, p_dm, macro_chain
+        l_mm, l_mf, l_ff, l_fm = rates
         lam_tf = lam_of + l_mf + alpha * l_ff + p_dm * beta * l_ff
         if n > 0:
             offered = lam_tf / n / mu_f
@@ -299,51 +323,38 @@ def solve_two_tier(params: TwoTierParams) -> TwoTierSolution:
         num_m = (1.0 - p_bm) * (lam_om + lam_of * p_bf) + (1.0 - p_dm) * (
             l_fm + l_ff * (1.0 - alpha + alpha * p_df))
         den_m = 1.0 - probs.mm * (1.0 - p_dm)
-        new_mm = probs.mm * num_m / den_m
-        new_mf = probs.mf * num_m / den_m
-
         num_f = lam_of * (1.0 - p_bf) + l_mf * (1.0 - p_df)
         den_f = 1.0 - probs.ff * (1.0 - p_df) * (alpha + (1.0 - alpha) * p_dm)
-        new_ff = probs.ff * num_f / den_f
-        new_fm = probs.fm * num_f / den_f
+        return (probs.mm * num_m / den_m, probs.mf * num_m / den_m,
+                probs.ff * num_f / den_f, probs.fm * num_f / den_f)
 
-        residual = max(abs(new_mm - l_mm), abs(new_mf - l_mf),
-                       abs(new_ff - l_ff), abs(new_fm - l_fm))
-        residuals.append(residual)
-        l_mm += FIXED_POINT_DAMPING * (new_mm - l_mm)
-        l_mf += FIXED_POINT_DAMPING * (new_mf - l_mf)
-        l_ff += FIXED_POINT_DAMPING * (new_ff - l_ff)
-        l_fm += FIXED_POINT_DAMPING * (new_fm - l_fm)
-        if residual < FIXED_POINT_TOL:
-            break
-    else:
-        raise NonConvergenceError("two-tier fixed point did not converge", residuals)
+    (l_mm, l_mf, l_ff, l_fm), iterations, residuals = _fixed_point(
+        step, [0.0, 0.0, 0.0, 0.0], "two-tier")
 
     lam_tf = lam_of + l_mf + alpha * l_ff + p_dm * beta * l_ff
     lam_hm = l_mm + l_fm + alpha * p_df * l_ff + (1.0 - alpha) * l_ff
-    if n > 0:
-        femto_probs, _ = loss_chain_probs(two_tier_femto_chain(params, lam_tf))
-    else:
-        femto_probs = np.array([1.0])
-    macro_probs, _ = loss_chain_probs(_with_hand_rate(macro_chain, lam_hm))
+    femto_chain = two_tier_femto_chain(params, lam_tf)
+    femto_probs = loss_chain_probs(femto_chain)[0] if n > 0 else np.array([1.0])
+    macro_chain = _with_hand_rate(macro_chain, lam_hm)
+    macro_probs, _ = loss_chain_probs(macro_chain)
 
     femto_util = float(np.dot(np.arange(len(femto_probs)), femto_probs)) / max(k_f, 1)
     macro_occ = np.minimum(np.arange(len(macro_probs)), params.macro_base_states)
     macro_util = float(np.dot(macro_occ, macro_probs)) / max(params.macro_base_states, 1)
 
     femto = ChainSolution(femto_probs, p_bf, p_df, femto_util,
-                          handover_rate=alpha * l_ff + l_mf,
-                          iterations=iteration, residual=residuals[-1])
+                          handover_rate=alpha * l_ff + l_mf, iterations=iterations,
+                          residual=residuals[-1], spec=femto_chain)
     macro = ChainSolution(macro_probs, p_bm, p_dm, macro_util,
-                          handover_rate=lam_hm,
-                          iterations=iteration, residual=residuals[-1])
+                          handover_rate=lam_hm, iterations=iterations,
+                          residual=residuals[-1], spec=macro_chain)
     rates = {
         "lambda_h_mm": l_mm, "lambda_h_mf": l_mf,
         "lambda_h_ff": l_ff, "lambda_h_fm": l_fm,
         "lambda_T_f": lam_tf, "lambda_h_m": lam_hm,
         "mu_m": mu_m, "mu_f": mu_f,
     }
-    return TwoTierSolution(femto, macro, rates, probs, iteration, residuals)
+    return TwoTierSolution(femto, macro, rates, probs, iterations, residuals)
 
 
 def forced_termination_probability(p_h: float, p_drop: float) -> float:
@@ -494,26 +505,22 @@ class Ch6Cell:
         chain = self.chain(lam_new, 0.0)
         p_h = self.p_h
 
-        lam_h = p_h * lam_new  # starting guess
-        residuals = []
-        for iteration in range(1, MAX_ITERATIONS + 1):
-            _, (p_b, p_d) = loss_chain_probs(_with_hand_rate(chain, lam_h))
-            new_h = p_h * (1.0 - p_b) * lam_new / (1.0 - p_h * (1.0 - p_d))
-            residual = abs(new_h - lam_h)
-            residuals.append(residual)
-            lam_h += FIXED_POINT_DAMPING * (new_h - lam_h)
-            if residual < FIXED_POINT_TOL:
-                break
-        else:
-            raise NonConvergenceError("ch6 fixed point did not converge", residuals)
-        probs, (p_b, p_d) = loss_chain_probs(_with_hand_rate(chain, lam_h))
+        def step(rates):
+            _, (p_b, p_d) = loss_chain_probs(_with_hand_rate(chain, rates[0]))
+            return [p_h * (1.0 - p_b) * lam_new / (1.0 - p_h * (1.0 - p_d))]
+
+        # starting guess p_h * lam_new
+        (lam_h,), iterations, residuals = _fixed_point(step, [p_h * lam_new], "ch6")
+        chain = _with_hand_rate(chain, lam_h)
+        probs, (p_b, p_d) = loss_chain_probs(chain)
         utilization = float(np.dot(probs, self.occupancy)) / self.capacity
 
         return ChainSolution(
             probs, p_b, p_d, utilization, handover_rate=lam_h,
-            iterations=iteration, residual=residuals[-1],
+            iterations=iterations, residual=residuals[-1],
             extra={"N": self.n, "S": self.s, "L": self.ell, "P_h": p_h,
                    "mu_rates": self.mu_rates, "scheme": self.scheme},
+            spec=chain,
         )
 
 
@@ -617,11 +624,13 @@ def ch7_chain(params: Ch7QueueParams) -> LossChainSpec:
 def solve_ch7(params: Ch7QueueParams) -> ChainSolution:
     """MBS cell: the chain of ch7_chain over states M..N+S."""
     m, n, s = params.sessions, params.n_states, params.s_states
-    probs, (p_b_back, p_b_v, p_d) = loss_chain_probs(ch7_chain(params))
+    chain = ch7_chain(params)
+    probs, (p_b_back, p_b_v, p_d) = loss_chain_probs(chain)
     occupancy = np.arange(m, n + s + 1)
     utilization = float(np.dot(probs, occupancy)) / (n + s)
     return ChainSolution(
         probs, p_b_v, p_d, utilization, handover_rate=params.lam_hand,
         extra={"P_B_voice": p_b_v, "P_B_background": p_b_back,
                "M": m, "N": n, "S": s, "L": params.l_states},
+        spec=chain,
     )

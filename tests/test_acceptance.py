@@ -11,6 +11,7 @@ import time
 import numpy as np
 import pytest
 
+from fixtures import hidden_fap_fixture
 from oracles import balance_equation_solve, erlang_b_direct, greedy_layer_packing
 
 from femtonet import handoverflow as hf
@@ -331,7 +332,7 @@ def test_criterion_08_two_tier_fixed_point():
 def test_criterion_09_neighbor_list():
     budget = Budget(9, "hidden-FAP fixture, count identity, missing-target "
                        "trends", 30)
-    topo, plan, scan, ue = nl.hidden_fap_fixture()
+    topo, plan, scan, ue = hidden_fap_fixture()
     out = nl.build_list_from_femto(scan, plan, topo, 0, ue_xy=ue)
     assert set(out.entries) == {1, 2, 3, 8}
 

@@ -3,7 +3,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from femtonet.admission import (
-    AdmissionDecision,
     CellLoadState,
     FemtoCellState,
     InvariantViolation,
@@ -14,7 +13,6 @@ from femtonet.admission import (
     admit_from_femto,
     admit_macro_to_femto,
     admit_new_call,
-    make_state,
     rebalance,
     releasable,
     required_bw,
@@ -26,6 +24,14 @@ VIDEO = TrafficClass(4, "nrt", 128.0, degrade_new=0.4, degrade_hand=0.6,
                      arrival_share=0.15)
 BACKGROUND = TrafficClass(7, "nrt", 56.0, degrade_new=0.5, degrade_hand=0.8,
                           arrival_share=0.1)
+
+
+def make_state(capacity: float, classes, counts=None) -> CellLoadState:
+    state = CellLoadState(capacity, tuple(classes))
+    if counts is not None:
+        state.counts = list(counts)
+        state = rebalance(state)
+    return state
 
 
 def test_traffic_class_validation():

@@ -4,8 +4,6 @@ import subprocess
 import sys
 import textwrap
 
-import pytest
-
 import femtonet
 from femtonet.handoverflow import (
     FEMTO_TO_FEMTO,

@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from femtonet.admission import TrafficClass
 from femtonet.experiments import (
     DEFAULT_PRESET,
     csv_to_rows,
@@ -10,7 +11,7 @@ from femtonet.experiments import (
     result_to_csv,
     run_experiment,
 )
-from femtonet.presets import PRESETS, table51_macro_classes, table61_classes
+from femtonet.presets import PRESETS, TABLE_5_1, table61_classes
 from femtonet.scenario import (
     Scenario,
     ScenarioError,
@@ -35,6 +36,22 @@ def test_table61_classes_sum_to_one():
     classes = table61_classes()
     assert sum(c.arrival_share for c in classes) == pytest.approx(1.0)
     assert [c.requested_bw for c in classes] == [25, 128, 56, 128, 13, 56, 56]
+
+
+def table51_macro_classes() -> tuple[TrafficClass, ...]:
+    """Two-class macro mix of the Ch. 5 analysis: rigid 64 kbps calls and
+    adaptive 56 kbps calls that may fall to 28 kbps for handovers only."""
+    t = TABLE_5_1
+    gamma_h = 1.0 - t["adaptive_min_kbps"] / t["adaptive_max_kbps"]
+    return (
+        TrafficClass(1, "rt", t["rigid_bw_kbps"],
+                     arrival_share=t["arrival_ratio_rigid"],
+                     duration_s=t["mean_call_duration_s"]),
+        TrafficClass(2, "nrt", t["adaptive_max_kbps"], degrade_new=0.0,
+                     degrade_hand=gamma_h,
+                     arrival_share=t["arrival_ratio_adaptive"],
+                     duration_s=t["mean_call_duration_s"]),
+    )
 
 
 def test_table51_macro_classes():

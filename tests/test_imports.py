@@ -1,4 +1,5 @@
-"""Every name that a femtonet module imports is used in that module."""
+"""Every name that a femtonet module or a test module imports is used in
+that module."""
 
 import ast
 import pathlib
@@ -7,7 +8,8 @@ import pytest
 
 import femtonet
 
-MODULES = sorted(pathlib.Path(femtonet.__file__).parent.glob("*.py"))
+MODULES = sorted(pathlib.Path(femtonet.__file__).parent.glob("*.py")) \
+    + sorted(pathlib.Path(__file__).parent.glob("*.py"))
 
 
 def _unused_imports(path) -> list[str]:

@@ -140,6 +140,33 @@ def test_ch7_chain_equals_old_spec_and_birth_lists():
             == (p_b_v, p_b_back, p_d), params
 
 
+@pytest.mark.parametrize("lam", [0.05, 1.3])
+@pytest.mark.parametrize("scheme", CH6_SCHEMES)
+def test_a_ch6_solution_carries_the_chain_it_solved(scheme, lam):
+    params = Scenario({}).ch6_params(lam_new=lam)
+    sol = solve_ch6(params, scheme)
+    assert sol.spec == des.spec_for_ch6(params, sol.handover_rate, scheme)
+    assert _same_bits(loss_chain_probs(sol.spec)[0], sol.probs)
+
+
+def test_a_ch7_solution_carries_its_chain():
+    for params in _ch7_grid():
+        assert solve_ch7(params).spec == des.spec_for_ch7(params), params
+
+
+@pytest.mark.parametrize("n", [0, 1, 400])
+def test_two_tier_layers_carry_the_chains_they_solved(n):
+    params = scenario_from_preset("table-5.1").two_tier_params(n=n, lam_total=8.0)
+    sol = solve_two_tier(params)
+    assert sol.macro.spec == oracles.spec_for_two_tier_macro(params, sol)
+    assert sol.femto.spec == oracles.spec_for_two_tier_femto(params, sol)
+    assert _same_bits(loss_chain_probs(sol.macro.spec)[0], sol.macro.probs)
+    if n == 0:
+        assert sol.femto.probs.tolist() == [1.0]
+    else:
+        assert _same_bits(loss_chain_probs(sol.femto.spec)[0], sol.femto.probs)
+
+
 def test_stream_limited_at_or_below_the_floor_is_always_rejected():
     # stream 0 may enter only below state 1, but the chain never leaves 2..3
     spec = LossChainSpec((0.5, 1.0), (1, 3), (0.0, 1.0, 2.0, 3.0),

@@ -5,15 +5,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from fixtures import hidden_fap_fixture
 from oracles import full_scan, scalar_scan_levels
 
 from femtonet.neighborlist import (
-    NeighborList,
     RssiScan,
     build_list_from_femto,
     build_list_from_macro,
     detection_reach_m,
-    hidden_fap_fixture,
     p_target_missing,
     scan_from_geometry,
     shares_frequency,

@@ -11,6 +11,7 @@ from femtonet.queueing import (
     Ch6QueueParams,
     Ch7QueueParams,
     CoverageError,
+    NonConvergenceError,
     TwoTierParams,
     birth_death_probs,
     chain_dimensions,
@@ -73,6 +74,14 @@ def test_handover_prob_no_femtos():
 def test_two_tier_params_reject_negative_rate_or_count(kw):
     with pytest.raises(ValueError):
         _two_tier(**kw)
+
+
+@pytest.mark.parametrize("name", ["n", "femto_capacity", "macro_base_states",
+                                  "macro_adaptive_states"])
+def test_two_tier_params_name_a_negative_count(name):
+    # the femto chain is built at n = 0 too, so a negative K fails here, by name
+    with pytest.raises(ValueError, match=rf"^{name} must be >= 0, got -1$"):
+        _two_tier(**{"n": 0, "lam_f": 0.0, name: -1})
 
 
 @pytest.mark.parametrize("name, value", [
@@ -475,3 +484,13 @@ def test_fixed_point_damping_invariance(monkeypatch):
     y = _damped(monkeypatch, 0.8, solve_ch6, ch6, "proposed")
     assert x.handover_rate == pytest.approx(y.handover_rate, abs=1e-7)
     assert x.p_block == pytest.approx(y.p_block, abs=1e-8)
+
+
+def test_both_fixed_points_raise_after_max_iterations(monkeypatch):
+    monkeypatch.setattr(queueing, "MAX_ITERATIONS", 3)
+    ch6 = Ch6QueueParams(lam_new=1.2, capacity=6000.0, classes=TABLE61, eta=1 / 240.0)
+    for what, solve in [("two-tier", lambda: solve_two_tier(_two_tier())),
+                        ("ch6", lambda: solve_ch6(ch6, "proposed"))]:
+        with pytest.raises(NonConvergenceError, match=f"^{what} fixed point did not converge") as err:
+            solve()
+        assert len(err.value.residuals) == 3

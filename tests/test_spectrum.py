@@ -14,7 +14,6 @@ from oracles import (
 from femtonet import spectrum
 from femtonet.spectrum import (
     SCHEMES,
-    Band,
     FemtoBandAssignment,
     PlanConfigError,
     SpectrumPlan,

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from fixtures import hidden_fap_fixture
 from oracles import scalar_placement
 
-from femtonet.neighborlist import hidden_fap_fixture
 from femtonet.topology import (
     CellTopology,
     FemtoSite,

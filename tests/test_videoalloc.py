@@ -9,7 +9,6 @@ from femtonet.videoalloc import (
     BW_TOL,
     InfeasibleAllocationError,
     MbsSession,
-    PopularityAllocation,
     allocate_mbs_budget,
     allocate_popularity,
     allocate_popularity_rows,
