@@ -58,8 +58,9 @@ def check_arrivals(target_arrivals) -> int:
 
 def check_rates(rates) -> None:
     """Reject a rate that is negative or not finite."""
-    if not all(0.0 <= r < math.inf for r in rates):
-        raise ValueError("stream and service rates must be finite and >= 0")
+    for r in rates:  # a plain loop: every fixed-point iteration checks one rate
+        if not 0.0 <= r < math.inf:
+            raise ValueError("stream and service rates must be finite and >= 0")
 
 
 def _draws(state: int, n_events: int) -> tuple[list[float], list[float]]:
