@@ -291,9 +291,9 @@ def solve_two_tier(params: TwoTierParams) -> TwoTierSolution:
     """Fixed point of the coupled femto/macro chains.
 
     Handover arrival rates feed the two chains, whose blocking and dropping
-    probabilities feed back into the rates; damped substitution iterates to
-    a residual below FIXED_POINT_TOL on all four rates.  The converged
-    point is independent of FIXED_POINT_DAMPING (to the residual tolerance).
+    probabilities feed back into the rates; _fixed_point iterates the four
+    rates to a residual below FIXED_POINT_TOL.  The converged point is
+    independent of FIXED_POINT_DAMPING (to the residual tolerance).
     """
     probs = handover_probabilities(params)
     mu_m, mu_f = channel_release_rates(params)
@@ -496,9 +496,9 @@ class Ch6Cell:
         fixed point.
 
         The handover arrival rate and the chain couple through
-        lam_h = P_h (1 - P_B) lam_n / (1 - P_h (1 - P_D)); damped
-        substitution, lam_h += FIXED_POINT_DAMPING * (new - lam_h), iterates
-        the pair to FIXED_POINT_TOL.  lam_new must be finite and >= 0.
+        lam_h = P_h (1 - P_B) lam_n / (1 - P_h (1 - P_D)); _fixed_point
+        iterates lam_h from P_h lam_n to FIXED_POINT_TOL.  lam_new must be
+        finite and >= 0.
         """
         if not 0.0 <= lam_new < math.inf:
             raise ValueError(f"lam_new must be finite and >= 0, got {lam_new!r}")
@@ -509,7 +509,6 @@ class Ch6Cell:
             _, (p_b, p_d) = loss_chain_probs(_with_hand_rate(chain, rates[0]))
             return [p_h * (1.0 - p_b) * lam_new / (1.0 - p_h * (1.0 - p_d))]
 
-        # starting guess p_h * lam_new
         (lam_h,), iterations, residuals = _fixed_point(step, [p_h * lam_new], "ch6")
         chain = _with_hand_rate(chain, lam_h)
         probs, (p_b, p_d) = loss_chain_probs(chain)

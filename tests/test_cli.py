@@ -122,6 +122,7 @@ def test_validate_missing_file():
     ("traffic.mean_call_duration_s = inf", "fig7-mbs"),
     ("sweep.femto_counts = 2.5", "fig5-mobility"),
     ("sweep.femto_counts = -1", "fig5-mobility"),
+    ("traffic.femto_capacity_calls = -1", "fig5-mobility"),
     ("sweep.session_counts = 0", "fig8-popularity"),
     ("spectrum.femto_fraction = 1.5", "fig4-outage"),
     ("spectrum.total_hz = 0", "fig4-outage"),
