@@ -43,7 +43,8 @@ def test_ch6_chain_equals_old_spec_and_birth_lists(scheme, lam):
     params = Scenario({}).ch6_params(lam_new=lam)
     sol = solve_ch6(params, scheme)
     lam_h = sol.handover_rate
-    assert des.spec_for_ch6(params, lam_h, scheme) == oracles.spec_for_ch6(params, lam_h, scheme)
+    assert sol.spec == des.spec_for_ch6(params, lam_h, scheme) \
+        == oracles.spec_for_ch6(params, lam_h, scheme)
     probs, p_b, p_d = oracles.ch6_probs(params, lam_h, scheme)
     assert _same_bits(sol.probs, probs)
     assert (sol.p_block, sol.p_drop) == (p_b, p_d)
@@ -68,7 +69,7 @@ def test_ch6_cell_equals_the_chain_it_split(scheme, lam):
         {k: v for k, v in old.extra.items() if k != "mu_rates"}
     lam_h = sol.handover_rate
     old_chain, _ = oracles.ch6_chain(params, lam_h, scheme)
-    assert cell.chain(lam, lam_h) == old_chain
+    assert sol.spec == cell.chain(lam, lam_h) == old_chain
     assert des.spec_for_ch6(params, lam_h, scheme) == old_chain
 
 
@@ -77,9 +78,9 @@ def test_ch6_cell_equals_the_chain_it_split(scheme, lam):
 def test_two_tier_chains_equal_old_specs_and_birth_lists(n, lam_total):
     params = scenario_from_preset("table-5.1").two_tier_params(n=n, lam_total=lam_total)
     sol = solve_two_tier(params)
-    assert (des.spec_for_two_tier_macro(params, sol)
+    assert (sol.macro.spec == des.spec_for_two_tier_macro(params, sol)
             == oracles.spec_for_two_tier_macro(params, sol))
-    assert (des.spec_for_two_tier_femto(params, sol)
+    assert (sol.femto.spec == des.spec_for_two_tier_femto(params, sol)
             == oracles.spec_for_two_tier_femto(params, sol))
     femto, macro = oracles.two_tier_probs(params, sol)
     assert _same_bits(sol.femto.probs, femto)
@@ -132,39 +133,12 @@ def _ch7_grid():
 
 def test_ch7_chain_equals_old_spec_and_birth_lists():
     for params in _ch7_grid():
-        assert des.spec_for_ch7(params) == oracles.spec_for_ch7(params), params
         sol = solve_ch7(params)
+        assert sol.spec == des.spec_for_ch7(params) == oracles.spec_for_ch7(params), params
         probs, p_b_v, p_b_back, p_d = oracles.ch7_probs(params)
         assert _same_bits(sol.probs, probs), params
         assert (sol.extra["P_B_voice"], sol.extra["P_B_background"], sol.p_drop) \
             == (p_b_v, p_b_back, p_d), params
-
-
-@pytest.mark.parametrize("lam", [0.05, 1.3])
-@pytest.mark.parametrize("scheme", CH6_SCHEMES)
-def test_a_ch6_solution_carries_the_chain_it_solved(scheme, lam):
-    params = Scenario({}).ch6_params(lam_new=lam)
-    sol = solve_ch6(params, scheme)
-    assert sol.spec == des.spec_for_ch6(params, sol.handover_rate, scheme)
-    assert _same_bits(loss_chain_probs(sol.spec)[0], sol.probs)
-
-
-def test_a_ch7_solution_carries_its_chain():
-    for params in _ch7_grid():
-        assert solve_ch7(params).spec == des.spec_for_ch7(params), params
-
-
-@pytest.mark.parametrize("n", [0, 1, 400])
-def test_two_tier_layers_carry_the_chains_they_solved(n):
-    params = scenario_from_preset("table-5.1").two_tier_params(n=n, lam_total=8.0)
-    sol = solve_two_tier(params)
-    assert sol.macro.spec == oracles.spec_for_two_tier_macro(params, sol)
-    assert sol.femto.spec == oracles.spec_for_two_tier_femto(params, sol)
-    assert _same_bits(loss_chain_probs(sol.macro.spec)[0], sol.macro.probs)
-    if n == 0:
-        assert sol.femto.probs.tolist() == [1.0]
-    else:
-        assert _same_bits(loss_chain_probs(sol.femto.spec)[0], sol.femto.probs)
 
 
 def test_stream_limited_at_or_below_the_floor_is_always_rejected():
