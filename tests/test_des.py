@@ -154,6 +154,17 @@ def resumed_chains(draw):
 @example(args=(3, [1, ONE_BLOCK + 1], [0.7, 0.0], [0, 0], [0.0], 0, 0))
 @example(args=(5, [2, 2], [0.0, 0.0], [1, 1], [0.0, 1.0], 1, 1))  # no arrival rate
 @example(args=(9, [5, 3], [0.01, 0.0], [3, 2], [2.0, 9.0, 7.5, 10.0], 3, 1))
+# non-monotone limits: at states 1 and 2 the picked stream decides the move
+@example(args=(11, [200, 500], [0.5, 1.0, 0.7], [3, 1, 3], [0.0, 1.0, 2.0, 3.0], 0, 0))
+# a zero-rate stream whose limit lies between the other two
+@example(args=(12, [300, 300], [0.6, 0.0, 0.9], [1, 2, 4],
+               [0.0, 0.5, 1.0, 1.5, 2.0], 2, 0))
+# the chain starts and stays above every limit, so every arrival is rejected
+@example(args=(13, [50, 100], [0.8, 0.4], [1, 0], [0.0, 1.0, 2.0, 3.0], 3, 2))
+# a departure at min_state = 2 leaves the chain where it is
+@example(args=(14, [100, 400], [0.3], [3], [0.0, 0.0, 2.0, 4.0], 2, 2))
+# the 12494th arrival is the last event of a full first block
+@example(args=(1, [12_494, 3], [1.5, 0.4], [2, 3], [0.0, 0.3, 0.6, 0.9], 0, 0))
 def test_block_draws_match_scalar_loop(args):
     """The block-drawn kernel returns the scalar loop's tuple bit for bit on
     each of several runs, each resumed from the previous one's chain and
@@ -179,6 +190,22 @@ def test_block_buffer_is_bounded():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    assert peak < 4_000_000
+
+
+def test_block_buffer_is_bounded_above_small_ints():
+    """The same bound on a chain that walks states 300 to 399, whose
+    numbers are not CPython's cached small ints: each move makes a new int
+    object.  Half the events are arrivals, so the call spans about 100k
+    events in seven blocks."""
+    srv = [0.0] * 300 + [1.0] * 100
+    tracemalloc.start()
+    try:
+        out = _despy.run_loss_chain(1, 50_000, [1.0], [399], srv, 300, 300)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out[4] > 300
     assert peak < 4_000_000
 
 
