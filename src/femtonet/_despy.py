@@ -1,13 +1,18 @@
 """Pure-Python discrete-event kernel for birth-death loss chains.
 
 The twin of the compiled loop in _lossloop.c: both draw the same splitmix64
-stream (Steele, Lea & Flood, OOPSLA 2014) and do the same per-event
-arithmetic in the same order, so both backends return bit-identical results
-and the compiled kernel is a drop-in speedup.  This twin draws the stream
-ahead in numpy blocks.  Every event consumes exactly two outputs, whatever
-the chain state, so the k-th output after `state` is a pure function of k:
-the splitmix64 mix of (state + k * GAMMA) mod 2**64.  Only the event loop
-runs in Python, reading the numbers drawn ahead.
+stream (Steele, Lea & Flood, OOPSLA 2014) and do the same float operations
+on the same operands in the same order, so both backends return
+bit-identical results and the compiled kernel is a drop-in speedup.  This
+twin draws the stream ahead in numpy blocks.  Every event consumes exactly
+two outputs, whatever the chain state, so the k-th output after `state` is
+a pure function of k: the splitmix64 mix of (state + k * GAMMA) mod 2**64.
+
+Each block then takes two passes.  The first, in Python, follows only the
+chain state: it records the state at each event, tests whether the event
+is an arrival, and picks the stream only at states where the stream limits
+disagree on the move.  The second, in numpy, computes the time steps, the
+clocks and the per-stream counts from the recorded path.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ _MASK = 0xFFFFFFFFFFFFFFFF
 _TWO53 = 9007199254740992.0  # 2**53
 _GAMMA = 0x9E3779B97F4A7C15  # the splitmix64 state increment
 # a block holds at most this many events' draws, so a long run keeps about
-# 2.6 MB of draws at a time (traced peak), not two floats per event
+# 2.5 MB of draws and path at a time (traced peak), not two floats per event
 _BLOCK_EVENTS = 16_384
 
 
@@ -63,15 +68,13 @@ def check_rates(rates) -> None:
             raise ValueError("stream and service rates must be finite and >= 0")
 
 
-def _draws(state: int, n_events: int) -> tuple[list[float], list[float]]:
+def _uniforms(state: int, n_events: int) -> np.ndarray:
     """The 2 * n_events splitmix64 outputs after `state`, as uniforms in
-    [0, 1): per event, log(1 - u) of its first output and the second
-    output itself.
+    [0, 1): an event's first output times its step, its second picks its
+    move.
 
-    numpy uint64 arithmetic wraps mod 2**64 like the C kernel's, (z >> 11)
-    / 2**53 is exact in float64, and 1 - u is one IEEE operation.  The log
-    is math.log, element by element: np.log differs from libm's log in the
-    last bit on some inputs."""
+    numpy uint64 arithmetic wraps mod 2**64 like the C kernel's, and
+    (z >> 11) / 2**53 is exact in float64."""
     z = np.arange(1, 2 * n_events + 1, dtype=np.uint64)
     z *= np.uint64(_GAMMA)
     z += np.uint64(state)
@@ -82,7 +85,7 @@ def _draws(state: int, n_events: int) -> tuple[list[float], list[float]]:
     z ^= z >> np.uint64(31)
     u = (z >> np.uint64(11)).astype(np.float64)
     u /= _TWO53
-    return list(map(math.log, (1.0 - u[0::2]).tolist())), u[1::2].tolist()
+    return u
 
 
 def run_loss_chain(
@@ -105,9 +108,6 @@ def run_loss_chain(
     check_loss_chain(stream_rates, stream_limits, srv_rates, start_state, min_state)
     remaining = check_arrivals(target_arrivals)
     n_streams = len(stream_rates)
-    time_in_state = [0.0] * len(srv_rates)
-    seen = [0] * n_streams
-    rejected = [0] * n_streams
     # the running sums by which an arrival picks its stream; the last is
     # the total arrival rate
     cum_rates = []
@@ -116,10 +116,20 @@ def run_loss_chain(
         lam_total += float(r)
         cum_rates.append(lam_total)
     if lam_total <= 0.0 or remaining <= 0:
-        return seen, rejected, time_in_state, 0.0, start_state, seed & _MASK
+        return ([0] * n_streams, [0] * n_streams, [0.0] * len(srv_rates), 0.0,
+                start_state, seed & _MASK)
 
     limits = [int(x) for x in stream_limits]
+    # below every limit an arrival is admitted, at or above all it is
+    # rejected; only in between does the picked stream decide
+    admit_all, reject_all = min(limits), max(limits)
     event_rates = [lam_total + float(s) for s in srv_rates]
+    rate_of = np.array(event_rates)
+    cum_of = np.array(cum_rates)
+    limit_of = np.array(limits)
+    time_in_state = np.zeros(len(event_rates))
+    seen = np.zeros(n_streams, dtype=np.int64)
+    rejected = np.zeros(n_streams, dtype=np.int64)
     state = seed & _MASK
     i = start_state
     elapsed = 0.0
@@ -127,26 +137,46 @@ def run_loss_chain(
     while remaining:
         # a chain in balance takes about two events per arrival
         n_events = min(2 * remaining + 64, _BLOCK_EVENTS)
-        logs, picks = _draws(state, n_events)
-        for used, (log_v, u) in enumerate(zip(logs, picks), 1):
+        u = _uniforms(state, n_events)
+        # pass 1: the chain state at each event, in Python
+        path = []
+        append = path.append
+        for v in u[1::2].tolist():
+            append(i)
             rate = event_rates[i]
-            dt = -log_v / rate
-            time_in_state[i] += dt
-            elapsed += dt
-
-            pick = u * rate
-            if pick < lam_total:
-                k = bisect_right(cum_rates, pick)  # first k with pick < sum
-                seen[k] += 1
-                if i < limits[k]:
+            if v * rate < lam_total:
+                if i < admit_all:
                     i += 1
-                else:
-                    rejected[k] += 1
+                elif i < reject_all and i < limits[bisect_right(cum_rates, v * rate)]:
+                    i += 1
                 remaining -= 1
                 if not remaining:
                     break
             elif i > min_state:
                 i -= 1
+        used = len(path)
         state = (state + 2 * used * _GAMMA) & _MASK
 
-    return seen, rejected, time_in_state, elapsed, i, state
+        # pass 2: clocks and counts from the path, in numpy, with the same
+        # float operations in the same order.  The log is math.log, element
+        # by element: np.log differs from libm's in the last bit on some
+        # inputs.  np.add.at and np.add.accumulate add in event order.
+        at = np.fromiter(path, np.intp, used)
+        rates = rate_of[at]
+        steps = np.empty(used + 1)
+        steps[0] = elapsed
+        logs = np.fromiter(map(math.log, (1.0 - u[0:2 * used:2]).tolist()),
+                           np.float64, used)
+        np.divide(np.negative(logs, out=logs), rates, out=steps[1:])
+        np.add.at(time_in_state, at, steps[1:])
+        elapsed = float(np.add.accumulate(steps)[-1])
+        picks = u[1:2 * used:2] * rates
+        arrived = picks < lam_total
+        # each arrival's stream, as bisect_right finds it, and whether the
+        # chain stood at or above that stream's limit
+        k = cum_of.searchsorted(picks[arrived], side="right")
+        seen += np.bincount(k, minlength=n_streams)
+        rejected += np.bincount(k[at[arrived] >= limit_of[k]], minlength=n_streams)
+
+    return (seen.tolist(), rejected.tolist(), time_in_state.tolist(), elapsed, i,
+            state)

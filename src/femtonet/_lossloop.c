@@ -1,14 +1,17 @@
 /* Compiled event loop for birth-death loss chains, called through ctypes.
 
    Keep in lockstep with _despy.run_loss_chain: the same splitmix64 stream
-   (Steele, Lea & Flood, OOPSLA 2014) and the same per-event arithmetic in
-   the same order, so both backends return bit-identical results.  The
-   Python twin draws that stream ahead in numpy blocks, two outputs per
-   event, where this loop draws one output at a time.  Build with
-   -ffp-contract=off so no multiply-add is fused.  The caller validates
-   every index first (_despy.check_loss_chain): 0 <= min_state <= *chain <
-   n_states and every limit < n_states, so the chain state never leaves
-   [0, n_states). */
+   (Steele, Lea & Flood, OOPSLA 2014) and the same float operations on the
+   same operands in the same order, so both backends return bit-identical
+   results.  The Python twin draws that stream ahead in numpy blocks, two
+   outputs per event, and takes each block in two passes: a Python loop
+   that follows only the chain state and records it per event, then numpy
+   passes that compute the time steps, the clocks (adding in event order)
+   and the per-stream counts from that path.  This loop does all of it per
+   event, drawing one output at a time.  Build with -ffp-contract=off so no
+   multiply-add is fused.  The caller validates every index first
+   (_despy.check_loss_chain): 0 <= min_state <= *chain < n_states and every
+   limit < n_states, so the chain state never leaves [0, n_states). */
 #include <math.h>
 #include <stdint.h>
 
