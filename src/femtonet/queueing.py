@@ -220,8 +220,15 @@ class TwoTierParams:
         for name in ("n", "femto_capacity", "macro_base_states", "macro_adaptive_states"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)!r}")
-        if self.lambda_o_f < 0 or self.lambda_o_m < 0:
-            raise ValueError("arrival rates must be >= 0")
+        for name in ("lambda_o_f", "lambda_o_m"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, "
+                                 f"got {getattr(self, name)!r}")
+        if self.n == 0 and self.lambda_o_f > 0:
+            # no femtocell would take these calls, and the femto layer
+            # would report them unblocked
+            raise ValueError(f"lambda_o_f must be 0 with no femtocells (n = 0), "
+                             f"got {self.lambda_o_f!r}")
 
 
 @dataclass(frozen=True)

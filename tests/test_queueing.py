@@ -76,6 +76,25 @@ def test_two_tier_params_reject_negative_rate_or_count(kw):
         _two_tier(**kw)
 
 
+@pytest.mark.parametrize("name", ["lambda_o_f", "lambda_o_m"])
+@pytest.mark.parametrize("value", [-1.0, math.nan, math.inf])
+def test_two_tier_params_name_a_bad_arrival_rate(name, value):
+    # NaN and inf used to pass here and fail in solve_two_tier, unnamed
+    kw = {"lam_f" if name == "lambda_o_f" else "lam_m": value}
+    with pytest.raises(ValueError, match=rf"^{name} must be finite and >= 0, got"):
+        _two_tier(**kw)
+
+
+def test_two_tier_params_reject_femto_arrivals_without_femtocells():
+    # solve_two_tier would report femto p_block 0 while its own femto chain,
+    # offered these calls, blocks 0.978 of them
+    with pytest.raises(ValueError, match=r"^lambda_o_f must be 0 with no femtocells "
+                                         r"\(n = 0\), got 2\.0$"):
+        TwoTierParams(lambda_o_f=2.0, lambda_o_m=1.0, mu=1 / 120, eta_f=1 / 360,
+                      eta_m=1 / 240, n=0)
+    assert solve_two_tier(_two_tier(n=0, lam_f=0.0)).femto.p_block == 0.0
+
+
 @pytest.mark.parametrize("name", ["n", "femto_capacity", "macro_base_states",
                                   "macro_adaptive_states"])
 def test_two_tier_params_name_a_negative_count(name):
