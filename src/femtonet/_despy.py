@@ -70,8 +70,8 @@ def check_rates(rates) -> None:
 
 def _uniforms(state: int, n_events: int) -> np.ndarray:
     """The 2 * n_events splitmix64 outputs after `state`, as uniforms in
-    [0, 1): an event's first output times its step, its second picks its
-    move.
+    [0, 1): an event's first output sets its time step, its second picks
+    its move.
 
     numpy uint64 arithmetic wraps mod 2**64 like the C kernel's, and
     (z >> 11) / 2**53 is exact in float64."""
@@ -163,7 +163,7 @@ def run_loss_chain(
         # inputs.  np.add.at and np.add.accumulate add in event order.
         at = np.fromiter(path, np.intp, used)
         rates = rate_of[at]
-        steps = np.empty(used + 1)
+        steps = np.empty(used + 1)  # the clock so far, then each time step
         steps[0] = elapsed
         logs = np.fromiter(map(math.log, (1.0 - u[0:2 * used:2]).tolist()),
                            np.float64, used)
