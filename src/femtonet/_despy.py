@@ -124,6 +124,7 @@ def run_loss_chain(
     # rejected; only in between does the picked stream decide
     admit_all, reject_all = min(limits), max(limits)
     event_rates = [lam_total + float(s) for s in srv_rates]
+    # the Python pass indexes the lists, the numpy pass these arrays
     rate_of = np.array(event_rates)
     cum_of = np.array(cum_rates)
     limit_of = np.array(limits)
