@@ -32,7 +32,9 @@ from .videoalloc import (
 
 RADIO_SCHEMES = ("dedicated", "shared", "static-reuse", "dynamic-reuse")
 CAC_SCHEMES = q_mod.CH6_SCHEMES
-FIG6_ARRIVAL_GRID = (0.4, 0.7, 1.0, 1.3, 1.6, 2.0)  # when the scenario sets none
+# the arrival grids when the scenario sets none
+FIG6_ARRIVAL_GRID = (0.4, 0.7, 1.0, 1.3, 1.6, 2.0)
+FIG7_ARRIVAL_GRID = (0.2, 0.5, 0.8, 1.1, 1.4, 1.7)
 
 CSV_COLUMNS = ("scenario", "scheme", "x", "metric", "value", "stderr", "seed")
 
@@ -127,6 +129,15 @@ def _sweep_counts(scenario: Scenario, key: str, default, minimum: int = 1) -> li
     return [int(c) for c in scenario[key]] or list(default)
 
 
+def _arrival_grid(scenario: Scenario, default) -> list[float]:
+    """The rates listed under traffic.arrival_grid, or `default` when it is
+    empty; each must be finite and >= 0."""
+    for lam in scenario["traffic.arrival_grid"]:
+        if not 0.0 <= lam < math.inf:
+            raise ValueError(f"traffic.arrival_grid: rate {lam!r} is not finite and >= 0")
+    return list(scenario["traffic.arrival_grid"] or default)
+
+
 def _no_trials(name: str, scenario: Scenario) -> ExperimentResult:
     """The empty result of a Monte-Carlo driver asked for zero trials."""
     return ExperimentResult(name, scenario.name, scenario.seed,
@@ -202,8 +213,15 @@ def run_fig5_mobility(scenario: Scenario) -> ExperimentResult:
 
 
 def _check_radio(scenario: Scenario) -> None:
-    """The checks of the macro geometry, the propagation parameters and the
-    plan parameters that the fig4 trials make."""
+    """The checks of the macro geometry, the propagation parameters, the
+    plan parameters, the SIR threshold and the UE range that the fig4
+    trials make."""
+    threshold = scenario["radio.sir_threshold_db"]
+    if not math.isfinite(threshold):
+        raise ValueError(f"radio.sir_threshold_db must be finite, got {threshold!r}")
+    ue_range = scenario["radio.ue_fap_distance_m"]
+    if not 0.0 < ue_range < math.inf:
+        raise ValueError(f"radio.ue_fap_distance_m must be finite and > 0, got {ue_range!r}")
     scenario.macro_geometry()
     scenario.propagation()
     SpectrumPlan("shared", scenario["spectrum.total_hz"], scenario["spectrum.femto_fraction"],
@@ -264,7 +282,7 @@ def run_fig5_neighborlist(scenario: Scenario) -> ExperimentResult:
 
 def run_fig6_cac(scenario: Scenario) -> ExperimentResult:
     res = ExperimentResult("fig6-cac", scenario.name, scenario.seed)
-    grid = list(scenario["traffic.arrival_grid"] or FIG6_ARRIVAL_GRID)
+    grid = _arrival_grid(scenario, FIG6_ARRIVAL_GRID)
     base = scenario.ch6_params(lam_new=grid[0])
     # the cell does not depend on the new-call rate: one per scheme
     cells = q_mod.ch6_cells(base, CAC_SCHEMES)
@@ -325,7 +343,7 @@ def _ch7_dimensions(duration_s: float):
 def run_fig7_mbs(scenario: Scenario) -> ExperimentResult:
     res = ExperimentResult("fig7-mbs", scenario.name, scenario.seed)
     t = TABLE_7_1
-    grid = list(scenario["traffic.arrival_grid"]) or [0.2, 0.5, 0.8, 1.1, 1.4, 1.7]
+    grid = _arrival_grid(scenario, FIG7_ARRIVAL_GRID)
     duration = scenario._call_duration()
     classes, shares, c_nb_max, n_extra, s, ell = _ch7_dimensions(duration)
     sessions = table71_mbs_sessions()
@@ -486,7 +504,7 @@ def check_scenario(scenario: Scenario) -> None:
     _check_radio(scenario)
     _check_neighborlist(scenario)
     scenario.two_tier_params()
-    for lam in scenario["traffic.arrival_grid"] or FIG6_ARRIVAL_GRID[:1]:
+    for lam in _arrival_grid(scenario, FIG6_ARRIVAL_GRID[:1]):
         scenario.ch6_params(lam)
 
 

@@ -207,6 +207,10 @@ class TwoTierParams:
     beta_prob: float = 0.0  # P[T1 <= SNIR_Tf < T2]
 
     def __post_init__(self):
+        for name in ("alpha", "beta_prob"):
+            value = getattr(self, name)
+            if not 0.0 <= value <= 1.0:
+                raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
         if self.alpha + self.beta_prob > 1.0 + 1e-12:
             raise ValueError("alpha + beta must be <= 1")
         if not self.mu > 0:
@@ -604,11 +608,12 @@ class Ch7QueueParams:
             raise ValueError("require 0 <= L <= S")
         if self.n_states + self.s_states < 1:
             raise ValueError("require N + S >= 1")
-        if min(self.lam_new_voice, self.lam_new_unicast,
-               self.lam_new_background, self.lam_hand) < 0:
-            raise ValueError("arrival rates must be >= 0")
-        if self.mu <= 0:
-            raise ValueError("service rate must be positive")
+        for name in ("lam_new_voice", "lam_new_unicast", "lam_new_background", "lam_hand"):
+            value = getattr(self, name)
+            if not 0.0 <= value < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+        if not 0.0 < self.mu < math.inf:
+            raise ValueError(f"mu must be finite and > 0, got {self.mu!r}")
 
 
 def ch7_chain(params: Ch7QueueParams) -> LossChainSpec:

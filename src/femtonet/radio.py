@@ -55,13 +55,20 @@ class PropagationParams:
     sir_cap_db: float = 30.0
 
     def __post_init__(self):
-        if min(self.path_loss_exp_serving, self.path_loss_exp_femto_interf,
-               self.path_loss_exp_macro_interf) < 2.0:
-            raise ValueError("path loss exponents must be >= 2")
-        if self.wall_loss_db < 0:
-            raise ValueError("wall loss must be >= 0")
-        if min(self.tx_power_macro_w, self.tx_power_femto_w) <= 0:
-            raise ValueError("tx powers must be positive")
+        # each check is written so that NaN fails it
+        for name in ("path_loss_exp_serving", "path_loss_exp_femto_interf",
+                     "path_loss_exp_macro_interf"):
+            value = getattr(self, name)
+            if not 2.0 <= value < math.inf:
+                raise ValueError(f"{name} must be finite and >= 2, got {value!r}")
+        if not 0.0 <= self.wall_loss_db < math.inf:
+            raise ValueError(f"wall_loss_db must be finite and >= 0, got {self.wall_loss_db!r}")
+        for name in ("tx_power_macro_w", "tx_power_femto_w"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+        if not math.isfinite(self.sir_cap_db):
+            raise ValueError(f"sir_cap_db must be finite, got {self.sir_cap_db!r}")
 
 
 @dataclass(frozen=True)

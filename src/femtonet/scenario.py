@@ -201,7 +201,10 @@ class Scenario:
         classes = tuple(replace(c, duration_s=duration) for c in table61_classes())
         capacity = self["traffic.capacity_kbps"]
         n, _, _ = chain_dimensions(classes, capacity)
-        guard = max(1, int(self["traffic.guard_fraction"] * n))
+        fraction = self["traffic.guard_fraction"]
+        if not 0.0 <= fraction <= 1.0:
+            raise ValueError(f"traffic.guard_fraction must lie in [0, 1], got {fraction!r}")
+        guard = max(1, int(fraction * n))
         return Ch6QueueParams(
             lam_new=lam_new, capacity=capacity, classes=classes,
             eta=1.0 / self._duration("traffic.macro_dwell_s"), guard_channels=guard)

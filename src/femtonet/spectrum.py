@@ -125,6 +125,8 @@ class SpectrumPlan:
             raise PlanConfigError("total bandwidth must be positive")
         if not 0.0 < self.femto_fraction < 1.0:
             raise PlanConfigError("femto fraction must lie in (0, 1)")
+        if not 0.0 <= self.edge_fraction <= 1.0:
+            raise PlanConfigError(f"edge_fraction must lie in [0, 1], got {self.edge_fraction!r}")
         self._bands = _band_table(self.total_hz, self.femto_fraction)
 
     def band(self, label: str) -> Band:

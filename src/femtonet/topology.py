@@ -70,6 +70,10 @@ class MacroGeometry:
             value = getattr(self, name)
             if not 0.0 <= value < math.inf:
                 raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+        for name in ("macro_ue_walls", "inter_femto_walls"):
+            value = getattr(self, name)
+            if not (float(value).is_integer() and value >= 0):
+                raise ValueError(f"{name} must be a whole number >= 0, got {value!r}")
 
 
 class FemtoSite(NamedTuple):

@@ -8,6 +8,7 @@ Layer counts are integers; a receiver cannot take a fraction of a layer.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,6 +86,8 @@ class LayerAllocation:
 
 
 def _check_budget(budget: float, sessions) -> None:
+    if math.isnan(budget):
+        raise ValueError("budget must not be NaN")
     if budget < total_min_bw(sessions) - BW_TOL:
         raise InfeasibleAllocationError(
             f"budget {budget} below minimum demand {total_min_bw(sessions)}")

@@ -1,3 +1,4 @@
+import glob
 import hashlib
 import os
 import subprocess
@@ -12,6 +13,25 @@ from femtonet.experiments import DEFAULT_PRESET, result_to_csv, run_experiment, 
 from femtonet.scenario import Scenario, scenario_from_preset
 
 FIG8_SMALL = ["--trials", "3", "--set", "sweep.session_counts = 20"]
+ROOT = os.path.dirname(os.path.dirname(__file__))
+
+
+def _read_pins() -> dict[str, dict[str, str]]:
+    """The rows of every tests/data/*.sha256 file, as case -> {CSV name:
+    sha256}.  A case is the pin file's stem, then `/<dir>` for a CSV that
+    is recorded under a directory."""
+    pins = {}
+    for pin_file in glob.glob(os.path.join(ROOT, "tests", "data", "*.sha256")):
+        stem = os.path.basename(pin_file).removesuffix(".sha256")
+        with open(pin_file, encoding="utf-8") as fh:
+            for line in fh:
+                digest, path = line.split()
+                directory, _, name = path.rpartition("/")
+                pins.setdefault(f"{stem}/{directory}" if directory else stem, {})[name] = digest
+    return pins
+
+
+PINS = _read_pins()
 
 
 def _femtonet(*argv):
@@ -92,9 +112,7 @@ def test_zero_trials_leaves_an_analytic_figure_unchanged(tmp_path, capsys):
     # fig5-mobility never reads the trial count, so it writes its default CSV
     assert main(["run", "fig5-mobility", "--trials", "0", "--out", str(tmp_path)]) == EXIT_OK
     data = open(capsys.readouterr().out.strip(), "rb").read()
-    pins = os.path.join(os.path.dirname(__file__), "data", "default_csvs.sha256")
-    expected = dict(line.split()[::-1] for line in open(pins))["fig5-mobility.csv"]
-    assert hashlib.sha256(data).hexdigest() == expected
+    assert hashlib.sha256(data).hexdigest() == PINS["default_csvs"]["fig5-mobility.csv"]
 
 
 def test_validate_ok_and_bad(tmp_path, capsys):
@@ -139,6 +157,23 @@ def test_validate_missing_file():
     ("trials = 0\ntopology.min_separation_m = -1", "fig4-outage"),
     ("trials = 0\nspectrum.femto_fraction = 1.5", "fig4-outage"),
     ("trials = 0\nspectrum.total_hz = 0", "fig4-outage"),
+    # fig7-mbs checks its grid as fig6-cac and validate do
+    ("traffic.arrival_grid = nan", "fig7-mbs"),
+    ("traffic.arrival_grid = -1", "fig7-mbs"),
+    ("traffic.arrival_grid = inf", "fig6-cac"),
+    ("radio.sir_threshold_db = nan", "fig4-outage"),
+    ("radio.sir_threshold_db = inf", "fig4-outage"),
+    ("radio.sir_cap_db = nan", "fig4-outage"),
+    ("radio.tx_power_macro_w = inf", "fig4-outage"),
+    ("radio.tx_power_femto_w = nan", "fig5-neighborlist"),
+    ("radio.ue_fap_distance_m = 0", "fig4-outage"),
+    ("topology.macro_ue_walls = -3", "fig4-outage"),
+    ("topology.inter_femto_walls = -1", "fig5-neighborlist"),
+    ("spectrum.edge_fraction = nan", "fig4-outage"),
+    ("spectrum.edge_fraction = -1", "fig4-outage"),
+    ("traffic.alpha = nan", "fig5-mobility"),
+    ("traffic.alpha = -0.5", "fig5-mobility"),
+    ("traffic.guard_fraction = 2", "fig6-cac"),
 ])
 def test_validate_rejects_what_run_rejects(tmp_path, line, experiment):
     path = tmp_path / "bad.scenario"
@@ -146,7 +181,8 @@ def test_validate_rejects_what_run_rejects(tmp_path, line, experiment):
     validate = _femtonet("validate", str(path))
     run = _femtonet("run", experiment, "--scenario", str(path), "--out", str(tmp_path / "out"))
     assert validate.returncode == run.returncode == EXIT_INPUT_ERROR
-    assert validate.stderr.startswith("error: ") and validate.stderr == run.stderr
+    assert validate.stderr.startswith("error: ") and validate.stderr.count("\n") == 1
+    assert validate.stderr == run.stderr
 
 
 @pytest.mark.parametrize("experiment, key", [
@@ -225,8 +261,8 @@ def test_emit_out_names_a_file_is_input_error(tmp_path):
 
 
 def test_run_fig4_pair_sweeps_once(tmp_path, capsys, monkeypatch):
-    """Both fig4 names in one run read one radio sweep, and each CSV is
-    byte for byte the default preset's solo-run CSV."""
+    """Both fig4 names in one run read one radio sweep; the pinned default
+    run checks the bytes of both CSVs."""
     sweeps = []
     real_sweep = experiments._radio_sweep
     monkeypatch.setattr(experiments, "_radio_sweep",
@@ -235,88 +271,71 @@ def test_run_fig4_pair_sweeps_once(tmp_path, capsys, monkeypatch):
     assert len(sweeps) == 1
     paths = capsys.readouterr().out.split()
     assert [os.path.basename(p) for p in paths] == ["fig4-throughput.csv", "fig4-outage.csv"]
-    pins = os.path.join(os.path.dirname(__file__), "data", "default_csvs.sha256")
-    expected = dict(line.split()[::-1] for line in open(pins))
-    for path in paths:
-        data = open(path, "rb").read()
-        assert hashlib.sha256(data).hexdigest() == expected[os.path.basename(path)]
 
 
-DENSE_PINS = os.path.join(os.path.dirname(__file__), "data", "fig4_dense_csvs.sha256")
-DENSE_SCENARIO = os.path.join(os.path.dirname(os.path.dirname(__file__)),
-                              "scenarios", "dense-frequency-reuse.scenario")
+def _sets(*lines):
+    return [arg for line in lines for arg in ("--set", line)]
 
 
-def _dense_cases():
-    """The recorded cases: `seed-S` runs at seed S, and a `-threshold-T`
-    suffix adds topology.neighbor_threshold_m = T."""
-    cases = {}
-    for line in open(DENSE_PINS):
-        digest, path = line.split()
-        case, name = path.split("/")
-        cases.setdefault(case, {})[name] = digest
-    return sorted(cases.items())
+def _dense(seed, *lines):
+    return ["fig4-throughput", "fig4-outage", "--scenario",
+            os.path.join(ROOT, "scenarios", "dense-frequency-reuse.scenario"),
+            "--trials", "2", "--seed", str(seed), *_sets(*lines)]
 
 
-@pytest.mark.parametrize("case, expected", _dense_cases())
-def test_dense_fig4_pair_matches_its_recorded_sha256(case, expected, tmp_path, capsys):
-    seed, _, threshold = case.removeprefix("seed-").partition("-threshold-")
-    extra = ["--set", f"topology.neighbor_threshold_m = {threshold}"] if threshold else []
-    assert main(["run", "fig4-throughput", "fig4-outage", "--scenario", DENSE_SCENARIO,
-                 "--trials", "2", "--seed", seed, *extra, "--out", str(tmp_path)]) == EXIT_OK
-    paths = capsys.readouterr().out.split()
-    assert sorted(os.path.basename(p) for p in paths) == sorted(expected)
-    for path in paths:
-        data = open(path, "rb").read()
-        assert hashlib.sha256(data).hexdigest() == expected[os.path.basename(path)], case
+FIG8_COUNTS = "sweep.session_counts = 1, 2, 16, 17, 31, 44, 50"
 
-
-def test_fig5_neighborlist_with_d_max_beyond_the_reach_matches_its_sha256(tmp_path, capsys):
-    """At S_T0 = -65 dBm the clear-link detection reach is 28 m, below the
-    40 m d_max, so hidden entries beyond the reach are listed unheard."""
-    assert main(["run", "fig5-neighborlist", "--trials", "30",
-                 "--set", "neighborlist.s_t0_dbm = -65", "--set", "neighborlist.s_t1_dbm = -55",
-                 "--out", str(tmp_path)]) == EXIT_OK
-    data = open(capsys.readouterr().out.strip(), "rb").read()
-    pins = os.path.join(os.path.dirname(__file__), "data", "fig5_short_reach_csvs.sha256")
-    expected = dict(line.split()[::-1] for line in open(pins))["fig5-neighborlist.csv"]
-    assert hashlib.sha256(data).hexdigest() == expected
-
-
-ANALYTIC_PINS = os.path.join(os.path.dirname(__file__), "data", "analytic_csvs.sha256")
-# each recorded case of the analytic figures away from their default preset,
-# so other (N, S, L) values and chain sizes are checked byte for byte too
-ANALYTIC_CASES = {
-    "capacity-4500": ("fig6-cac", ["traffic.capacity_kbps = 4500", "traffic.guard_fraction = 0.1",
-                                   "traffic.arrival_grid = 0.05, 0.33, 0.97, 1.61, 2.4"]),
-    "adaptive-12": ("fig5-mobility", ["traffic.macro_adaptive_states = 12",
-                                      "sweep.femto_counts = 1, 137, 999"]),
+# the `femtonet run` arguments of every recorded case, keyed as in PINS
+PINNED_RUNS = {
+    # every experiment at its default preset; the fig4 pair shares one sweep
+    "default_csvs": list(DEFAULT_PRESET),
+    # at S_T0 = -65 dBm the clear-link detection reach is 28 m, below the
+    # 40 m d_max, so hidden entries beyond the reach are listed unheard
+    "fig5_short_reach_csvs": ["fig5-neighborlist", "--trials", "30",
+                              *_sets("neighborlist.s_t0_dbm = -65",
+                                     "neighborlist.s_t1_dbm = -55")],
+    # the analytic figures away from their default preset, so other
+    # (N, S, L) values and chain sizes are checked byte for byte too
+    "analytic_csvs/capacity-4500": [
+        "fig6-cac", *_sets("traffic.capacity_kbps = 4500", "traffic.guard_fraction = 0.1",
+                           "traffic.arrival_grid = 0.05, 0.33, 0.97, 1.61, 2.4")],
+    "analytic_csvs/adaptive-12": [
+        "fig5-mobility", *_sets("traffic.macro_adaptive_states = 12",
+                                "sweep.femto_counts = 1, 137, 999")],
     # weights the (1 - alpha) and beta * P_D,m terms of the two-tier rates
     # more than the default preset does, from n = 0 up to 1000 FAPs
-    "alpha-beta": ("fig5-mobility", ["traffic.alpha = 0.5", "traffic.beta = 0.4",
-                                     "sweep.femto_counts = 0, 3, 250, 1000"]),
-    "duration-90": ("fig7-mbs", ["traffic.mean_call_duration_s = 90"]),
+    "analytic_csvs/alpha-beta": [
+        "fig5-mobility", *_sets("traffic.alpha = 0.5", "traffic.beta = 0.4",
+                                "sweep.femto_counts = 0, 3, 250, 1000")],
+    "analytic_csvs/duration-90": ["fig7-mbs", *_sets("traffic.mean_call_duration_s = 90")],
     # one session, the uncongested counts, and the congestion edge at m = 16
-    "popularity-trials-1": ("fig8-popularity", ["seed = 5", "trials = 1",
-                                                "sweep.session_counts = 1, 2, 16, 17, 31, 44, 50"]),
-    "popularity-trials-7": ("fig8-popularity", ["seed = 5", "trials = 7",
-                                                "sweep.session_counts = 1, 2, 16, 17, 31, 44, 50"]),
+    "analytic_csvs/popularity-trials-1": [
+        "fig8-popularity", *_sets("seed = 5", "trials = 1", FIG8_COUNTS)],
+    "analytic_csvs/popularity-trials-7": [
+        "fig8-popularity", *_sets("seed = 5", "trials = 7", FIG8_COUNTS)],
+    # seeds beyond the default, and a neighbor threshold above the neighbor
+    # table's reach, so the planned FAP subset is checked too
+    **{f"fig4_dense_csvs/seed-{seed}": _dense(seed) for seed in (1, 2, 3, 11, 12)},
+    "fig4_dense_csvs/seed-1-threshold-90": _dense(1, "topology.neighbor_threshold_m = 90"),
 }
 
 
-def test_analytic_cases_are_the_recorded_ones():
-    assert sorted(line.split()[1].split("/")[0] for line in open(ANALYTIC_PINS)) \
-        == sorted(ANALYTIC_CASES)
+@pytest.mark.parametrize("case", sorted(PINS.keys() | PINNED_RUNS.keys()))
+def test_pinned_run_matches_its_recorded_sha256(case, tmp_path, capsys):
+    assert case in PINS, f"{case} runs in PINNED_RUNS, but no pin file records it"
+    assert case in PINNED_RUNS, f"{case} is recorded, but PINNED_RUNS has no run for it"
+    assert main(["run", *PINNED_RUNS[case], "--out", str(tmp_path)]) == EXIT_OK
+    written = {os.path.basename(path): path for path in capsys.readouterr().out.split()}
+    assert sorted(written) == sorted(PINS[case])
+    for name, path in written.items():
+        with open(path, "rb") as fh:
+            assert hashlib.sha256(fh.read()).hexdigest() == PINS[case][name], f"{case}: {name}"
 
 
-@pytest.mark.parametrize("case", sorted(ANALYTIC_CASES))
-def test_analytic_figure_off_its_preset_matches_its_recorded_sha256(case, tmp_path, capsys):
-    name, lines = ANALYTIC_CASES[case]
-    sets = [arg for line in lines for arg in ("--set", line)]
-    assert main(["run", name, *sets, "--out", str(tmp_path)]) == EXIT_OK
-    data = open(capsys.readouterr().out.strip(), "rb").read()
-    expected = dict(line.split()[::-1] for line in open(ANALYTIC_PINS))[f"{case}/{name}.csv"]
-    assert hashlib.sha256(data).hexdigest() == expected, case
+@pytest.mark.parametrize("path", sorted(glob.glob(os.path.join(ROOT, "scenarios", "*.scenario"))),
+                         ids=os.path.basename)
+def test_scenario_file_validates(path, capsys):
+    assert main(["validate", path]) == EXIT_OK, capsys.readouterr().err
 
 
 def test_run_several_names_match_solo_runs(tmp_path):

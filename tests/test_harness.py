@@ -162,6 +162,14 @@ def _small(sc: Scenario, **kw) -> Scenario:
     return Scenario(values)
 
 
+@pytest.mark.parametrize("fraction", [2.0, -0.1, float("nan")])
+def test_ch6_params_take_a_guard_fraction_only_in_the_unit_interval(fraction):
+    scenario = Scenario({"traffic.guard_fraction": fraction})
+    with pytest.raises(ValueError, match=r"^traffic.guard_fraction must lie in \[0, 1\], got"):
+        scenario.ch6_params(1.0)
+    assert Scenario({"traffic.guard_fraction": 1.0}).ch6_params(1.0).guard_channels > 0
+
+
 def test_unknown_experiment():
     with pytest.raises(KeyError):
         run_experiment("fig9-nope")

@@ -118,6 +118,14 @@ def test_two_tier_params_reject_an_infinite_rate(name):
         _two_tier(**{name: math.inf})
 
 
+@pytest.mark.parametrize("name", ["alpha", "beta_prob"])
+@pytest.mark.parametrize("value", [math.nan, -0.5, 1.5])
+def test_two_tier_params_take_alpha_and_beta_only_in_the_unit_interval(name, value):
+    # NaN passed the alpha + beta <= 1 check, and a negative alpha ran
+    with pytest.raises(ValueError, match=rf"^{name} must lie in \[0, 1\], got"):
+        _two_tier(**{"alpha": 0.0, name: value})
+
+
 def test_two_tier_zero_dwell_rates_mean_no_mobility():
     sol = solve_two_tier(_two_tier(eta_f=0.0, eta_m=0.0))
     assert sol.probabilities.mm == sol.probabilities.fm == sol.probabilities.mf == 0.0
@@ -468,6 +476,16 @@ def test_ch7_random_small_instances_match_balance_solve():
 def test_ch7_rejects_negative_rate(kw):
     with pytest.raises(ValueError):
         solve_ch7(_ch7(**kw))
+
+
+@pytest.mark.parametrize("name, value", [
+    ("lam_new_voice", math.nan), ("lam_new_unicast", math.inf), ("lam_new_background", -1.0),
+    ("lam_hand", math.nan), ("mu", math.nan), ("mu", math.inf), ("mu", 0.0),
+])
+def test_ch7_params_name_a_bad_rate(name, value):
+    bound = "> 0" if name == "mu" else ">= 0"
+    with pytest.raises(ValueError, match=rf"^{name} must be finite and {bound}, got"):
+        _ch7(**{name: value})
 
 
 def test_ch7_rejects_empty_chain():

@@ -73,11 +73,24 @@ def test_received_power_zero_distance():
 
 
 @pytest.mark.parametrize("field", ["tx_power_femto_w", "tx_power_macro_w"])
-@pytest.mark.parametrize("value", [0.0, -0.01])
-def test_params_reject_non_positive_tx_power(field, value):
+@pytest.mark.parametrize("value", [0.0, -0.01, math.nan, math.inf])
+def test_params_reject_a_bad_tx_power(field, value):
     # the RSSI scan reads the femto tx power directly, so no LinkBudget
-    # check stands behind it
-    with pytest.raises(ValueError, match="tx powers"):
+    # check stands behind it; an infinite macro power used to divide by zero
+    with pytest.raises(ValueError, match=rf"^{field} must be finite and > 0, got"):
+        PropagationParams(**{field: value})
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("sir_cap_db", math.nan, "must be finite"),
+    ("sir_cap_db", -math.inf, "must be finite"),
+    ("path_loss_exp_serving", math.nan, "must be finite and >= 2"),
+    ("path_loss_exp_femto_interf", 1.5, "must be finite and >= 2"),
+    ("wall_loss_db", math.nan, "must be finite and >= 0"),
+])
+def test_params_name_a_bad_cap_exponent_or_wall_loss(field, value, message):
+    # NaN used to pass each of these checks
+    with pytest.raises(ValueError, match=rf"^{field} {message}, got"):
         PropagationParams(**{field: value})
 
 

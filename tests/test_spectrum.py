@@ -166,6 +166,16 @@ def test_dedicated_fraction_validation():
                 build_plan(scheme, topo, total_hz=total_hz)
 
 
+@pytest.mark.parametrize("fraction", [math.nan, -1.0, 1.5])
+def test_edge_fraction_outside_the_unit_interval_is_rejected(fraction):
+    topo = place_femtocells(seed=5, count=1)
+    for scheme in SCHEMES:
+        with pytest.raises(PlanConfigError, match=r"^edge_fraction must lie in \[0, 1\], got"):
+            build_plan(scheme, topo, edge_fraction=fraction)
+        for edge in (0.0, 1.0):
+            build_plan(scheme, topo, edge_fraction=edge)
+
+
 def test_unknown_scheme_is_rejected():
     with pytest.raises(PlanConfigError, match="unknown scheme 'dedicted'"):
         build_plan("dedicted", place_femtocells(seed=5, count=3))

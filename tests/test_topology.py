@@ -208,6 +208,15 @@ def test_macro_geometry_rejects_a_bad_separation_or_threshold(field, value):
         MacroGeometry(**{field: value})
 
 
+@pytest.mark.parametrize("field", ["macro_ue_walls", "inter_femto_walls"])
+@pytest.mark.parametrize("value", [-1, -3, 1.5, math.nan])
+def test_macro_geometry_rejects_a_bad_wall_count(field, value):
+    # -3 walls would be a 60 dB gain on every path through them
+    with pytest.raises(ValueError, match=f"^{field} must be a whole number >= 0, got"):
+        MacroGeometry(**{field: value})
+    MacroGeometry(**{field: 0})
+
+
 def test_macro_geometry_accepts_zero_separation_and_threshold():
     macro = MacroGeometry(min_separation_m=0.0, neighbor_threshold_m=0.0)
     assert len(place_femtocells(seed=3, count=50, macro=macro).femtocells) == 50

@@ -95,6 +95,14 @@ def test_two_level_near_full_boundary():
     assert out.split_index == 2
 
 
+def test_layer_techniques_reject_a_nan_budget():
+    # technique_two_level used to stop with an uncaught StopIteration
+    sessions = table71_sessions()
+    for technique in (technique_two_level, technique_multi_level):
+        with pytest.raises(ValueError, match="^budget must not be NaN$"):
+            technique(float("nan"), sessions)
+
+
 def test_two_level_minimum_budget():
     sessions = [MbsSession(id=i, base_bw=0.5e6, layer_bw=50e3, max_layers=10,
                            min_layers=2) for i in range(4)]
