@@ -74,6 +74,22 @@ def _spawn_rng(seed: int, *key) -> np.random.Generator:
 # Ch. 4: throughput / outage across frequency schemes
 
 
+def _read_fig4(scenario: Scenario):
+    """The fig4 sweep's checked inputs: propagation parameters, linear SIR
+    threshold, UE range, macro geometry and `build_plan` band arguments."""
+    threshold = scenario["radio.sir_threshold_db"]
+    if not math.isfinite(threshold):
+        raise ValueError(f"radio.sir_threshold_db must be finite, got {threshold!r}")
+    ue_range = scenario["radio.ue_fap_distance_m"]
+    if not 0.0 < ue_range < math.inf:
+        raise ValueError(f"radio.ue_fap_distance_m must be finite and > 0, got {ue_range!r}")
+    macro = scenario.macro_geometry()
+    params = scenario.propagation()
+    bands = {k: scenario[f"spectrum.{k}"] for k in ("total_hz", "femto_fraction", "edge_fraction")}
+    SpectrumPlan("shared", **bands)  # the plan's constructor checks them
+    return params, db_to_linear(threshold), ue_range, macro, bands
+
+
 def _radio_sweep(scenario: Scenario, counts, trials: int):
     """Per (count, scheme): mean throughput and outage of the measurement
     user held at the fixed range from the reference FAP, averaged over
@@ -87,11 +103,7 @@ def _radio_sweep(scenario: Scenario, counts, trials: int):
     same band.  Static reuse stays on the whole topology, because its coin
     flips depend on every earlier FAP.  The `events` and `branch_counts` of
     a dynamic-reuse plan so describe only the reference components."""
-    params = scenario.propagation()
-    gamma = db_to_linear(scenario["radio.sir_threshold_db"])
-    ue_range = scenario["radio.ue_fap_distance_m"]
-    macro = scenario.macro_geometry()
-
+    params, gamma, ue_range, macro, bands = _read_fig4(scenario)
     out = {}
     for count in counts:
         sums = {s: [0.0, 0.0] for s in RADIO_SCHEMES}  # thr, outage
@@ -105,10 +117,7 @@ def _radio_sweep(scenario: Scenario, counts, trials: int):
             local = reach_components(topo, {ref} | neighbors_of(topo, ref))
             for scheme in RADIO_SCHEMES:
                 plan = build_plan(scheme, topo if scheme == "static-reuse" else local,
-                                  total_hz=scenario["spectrum.total_hz"],
-                                  femto_fraction=scenario["spectrum.femto_fraction"],
-                                  seed=scenario.seed,
-                                  edge_fraction=scenario["spectrum.edge_fraction"])
+                                  seed=scenario.seed, **bands)
                 rep = sir(local, plan, ue, ref, params, macro_tiers="reference")
                 band = plan.band_for_link(ref, ue, local)
                 acc = sums[scheme]
@@ -155,8 +164,8 @@ FIG4_METRICS = {"fig4-throughput": ("mean_throughput_bps", 0),
 def _run_fig4(scenario: Scenario, names) -> list[ExperimentResult]:
     """The named fig4 results, in order, all read from one radio sweep."""
     counts = _sweep_counts(scenario, "sweep.femto_counts", DEFAULT_FIG4_COUNTS)
-    _check_radio(scenario)  # zero trials reject what the trials reject
     if scenario["trials"] == 0:
+        _read_fig4(scenario)  # zero trials reject what the trials reject
         return [_no_trials(name, scenario) for name in names]
     sweep = _radio_sweep(scenario, counts, scenario["trials"])
     results = []
@@ -182,17 +191,22 @@ def run_fig4_outage(scenario: Scenario) -> ExperimentResult:
 # Ch. 5: two-tier mobility and the neighbor list
 
 
+def _read_fig5_mobility(scenario: Scenario):
+    """The two-tier parameters of the macro-only baseline, and a (count,
+    parameters) pair per swept femtocell count."""
+    counts = _sweep_counts(scenario, "sweep.femto_counts", (0, 200, 400, 600, 800, 1000),
+                           minimum=0)
+    return scenario.two_tier_params(n=0), [(n, scenario.two_tier_params(n=n)) for n in counts]
+
+
 def run_fig5_mobility(scenario: Scenario) -> ExperimentResult:
     """Macro-layer blocking/forced termination and handover rates as the
     femtocell count grows, against the macro-only baseline."""
     res = ExperimentResult("fig5-mobility", scenario.name, scenario.seed)
-    counts = _sweep_counts(scenario, "sweep.femto_counts", (0, 200, 400, 600, 800, 1000),
-                           minimum=0)
-    lam = scenario["traffic.total_arrival_per_s"]
-
-    baseline = q_mod.solve_two_tier(scenario.two_tier_params(n=0, lam_total=lam))
-    for n in counts:
-        sol = q_mod.solve_two_tier(scenario.two_tier_params(n=n, lam_total=lam))
+    baseline_params, swept = _read_fig5_mobility(scenario)
+    baseline = q_mod.solve_two_tier(baseline_params)
+    for n, params in swept:
+        sol = q_mod.solve_two_tier(params)
         probs = sol.probabilities
         p_ft = q_mod.forced_termination_probability(probs.mm, sol.macro.p_drop)
         res.add("integrated", n, "macro_new_call_blocking", sol.macro.p_block)
@@ -212,47 +226,30 @@ def run_fig5_mobility(scenario: Scenario) -> ExperimentResult:
     return res
 
 
-def _check_radio(scenario: Scenario) -> None:
-    """The checks of the macro geometry, the propagation parameters, the
-    plan parameters, the SIR threshold and the UE range that the fig4
-    trials make."""
-    threshold = scenario["radio.sir_threshold_db"]
-    if not math.isfinite(threshold):
-        raise ValueError(f"radio.sir_threshold_db must be finite, got {threshold!r}")
-    ue_range = scenario["radio.ue_fap_distance_m"]
-    if not 0.0 < ue_range < math.inf:
-        raise ValueError(f"radio.ue_fap_distance_m must be finite and > 0, got {ue_range!r}")
-    scenario.macro_geometry()
-    scenario.propagation()
-    SpectrumPlan("shared", scenario["spectrum.total_hz"], scenario["spectrum.femto_fraction"],
-                 scenario["spectrum.edge_fraction"])
-
-
-def _check_neighborlist(scenario: Scenario) -> None:
-    """The checks of the scan thresholds, d_max and the obstruction
-    probability that the fig5-neighborlist trials make."""
-    nl_mod.RssiScan({}, "macro", scenario["neighborlist.s_t0_dbm"],
-                    scenario["neighborlist.s_t1_dbm"])
-    nl_mod.check_params(scenario["neighborlist.d_max_m"],
-                        scenario["neighborlist.obstruction_prob"])
+def _read_fig5_neighborlist(scenario: Scenario):
+    """The fig5-neighborlist trials' checked inputs: macro geometry,
+    propagation parameters, S_T0, S_T1, d_max and obstruction probability."""
+    macro = scenario.macro_geometry()
+    radio = scenario.propagation()
+    s_t0, s_t1 = scenario["neighborlist.s_t0_dbm"], scenario["neighborlist.s_t1_dbm"]
+    nl_mod.RssiScan({}, "macro", s_t0, s_t1)  # checks S_T1 > S_T0
+    d_max = scenario["neighborlist.d_max_m"]
+    obstruction = scenario["neighborlist.obstruction_prob"]
+    nl_mod.check_params(d_max, obstruction)
+    return macro, radio, s_t0, s_t1, d_max, obstruction
 
 
 def run_fig5_neighborlist(scenario: Scenario) -> ExperimentResult:
     counts = _sweep_counts(scenario, "sweep.femto_counts", (100, 200, 400, 700, 1000))
-    macro = scenario.macro_geometry()
-    radio = scenario.propagation()
-    _check_neighborlist(scenario)  # zero trials reject what the trials reject
+    macro, radio, s_t0, s_t1, d_max, obstruction = _read_fig5_neighborlist(scenario)
     trials = scenario["trials"]
     if trials == 0:
         return _no_trials("fig5-neighborlist", scenario)
     res = ExperimentResult("fig5-neighborlist", scenario.name, scenario.seed)
-    s_t0, s_t1 = scenario["neighborlist.s_t0_dbm"], scenario["neighborlist.s_t1_dbm"]
     for count in counts:
         miss = nl_mod.p_target_missing(
-            count=count, trials=trials, seed=scenario.seed,
-            obstruction_prob=scenario["neighborlist.obstruction_prob"],
-            d_max_m=scenario["neighborlist.d_max_m"], macro=macro,
-            params=radio, s_t0_dbm=s_t0, s_t1_dbm=s_t1)
+            count=count, trials=trials, seed=scenario.seed, obstruction_prob=obstruction,
+            d_max_m=d_max, macro=macro, params=radio, s_t0_dbm=s_t0, s_t1_dbm=s_t1)
         res.add("proposed", count, "p_target_missing", miss["proposed"])
         res.add("rssi-only", count, "p_target_missing", miss["rssi-only"])
 
@@ -266,9 +263,8 @@ def run_fig5_neighborlist(scenario: Scenario) -> ExperimentResult:
             ue = topo.site(serving).position
             scan = nl_mod.scan_from_geometry(
                 topo, ue, serving, radio, s_t0_dbm=s_t0, s_t1_dbm=s_t1)
-            built = nl_mod.build_list_from_femto(
-                scan, plan, topo, serving,
-                d_max_m=scenario["neighborlist.d_max_m"], ue_xy=ue)
+            built = nl_mod.build_list_from_femto(scan, plan, topo, serving,
+                                                 d_max_m=d_max, ue_xy=ue)
             sizes_prop.append(built.n_f)
             sizes_rssi.append(built.n_detected)
         res.add("proposed", count, "mean_list_size", float(np.mean(sizes_prop)))
@@ -280,12 +276,17 @@ def run_fig5_neighborlist(scenario: Scenario) -> ExperimentResult:
 # Ch. 6: adaptive CAC comparison
 
 
-def run_fig6_cac(scenario: Scenario) -> ExperimentResult:
-    res = ExperimentResult("fig6-cac", scenario.name, scenario.seed)
+def _read_fig6(scenario: Scenario):
+    """The arrival grid, the ch6 parameters at its first rate, and their
+    cell per CAC scheme: the cell does not depend on the new-call rate."""
     grid = _arrival_grid(scenario, FIG6_ARRIVAL_GRID)
     base = scenario.ch6_params(lam_new=grid[0])
-    # the cell does not depend on the new-call rate: one per scheme
-    cells = q_mod.ch6_cells(base, CAC_SCHEMES)
+    return grid, base, q_mod.ch6_cells(base, CAC_SCHEMES)
+
+
+def run_fig6_cac(scenario: Scenario) -> ExperimentResult:
+    res = ExperimentResult("fig6-cac", scenario.name, scenario.seed)
+    grid, base, cells = _read_fig6(scenario)
     for lam in grid:
         for cell in cells:
             sol = cell.solve(lam)
@@ -340,12 +341,17 @@ def _ch7_dimensions(duration_s: float):
     return classes, shares, c_nb_max, n_extra, s, ell
 
 
+def _read_fig7(scenario: Scenario):
+    """The arrival grid, the mean call duration and its `_ch7_dimensions`."""
+    grid = _arrival_grid(scenario, FIG7_ARRIVAL_GRID)
+    duration = scenario._call_duration()
+    return grid, duration, _ch7_dimensions(duration)
+
+
 def run_fig7_mbs(scenario: Scenario) -> ExperimentResult:
     res = ExperimentResult("fig7-mbs", scenario.name, scenario.seed)
     t = TABLE_7_1
-    grid = _arrival_grid(scenario, FIG7_ARRIVAL_GRID)
-    duration = scenario._call_duration()
-    classes, shares, c_nb_max, n_extra, s, ell = _ch7_dimensions(duration)
+    grid, duration, (classes, shares, c_nb_max, n_extra, s, ell) = _read_fig7(scenario)
     sessions = table71_mbs_sessions()
     capacity = t["capacity_mbps"] * 1e6
     mu = 1.0 / duration
@@ -492,20 +498,14 @@ def _check_trials(scenario: Scenario) -> None:
 
 
 def check_scenario(scenario: Scenario) -> None:
-    """Check the trial count and build the parameter objects that the
-    experiments build from `scenario`, running no experiment: a value that
-    one of these checks rejects raises the ValueError that `run_experiment`
-    raises for it.  The ch6 parameters are built at each rate of the arrival
-    grid, or at fig6-cac's first default rate when the grid is empty.  Sweep
-    counts are checked at the lowest minimum that any experiment allows."""
+    """Check `scenario` as every experiment reads it, running none: the trial
+    count, fig8's session counts and each family's reader.  A value that any
+    experiment rejects raises its `run_experiment` ValueError, except a
+    femtocell count of 0, which only fig4 and fig5-neighborlist reject."""
     _check_trials(scenario)
-    _sweep_counts(scenario, "sweep.femto_counts", (), minimum=0)
     _sweep_counts(scenario, "sweep.session_counts", (), minimum=1)
-    _check_radio(scenario)
-    _check_neighborlist(scenario)
-    scenario.two_tier_params()
-    for lam in _arrival_grid(scenario, FIG6_ARRIVAL_GRID[:1]):
-        scenario.ch6_params(lam)
+    for read in (_read_fig4, _read_fig5_mobility, _read_fig5_neighborlist, _read_fig6, _read_fig7):
+        read(scenario)
 
 
 def run_experiment(name: str, scenario: Scenario | None = None,

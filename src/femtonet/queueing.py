@@ -233,6 +233,17 @@ class TwoTierParams:
             # would report them unblocked
             raise ValueError(f"lambda_o_f must be 0 with no femtocells (n = 0), "
                              f"got {self.lambda_o_f!r}")
+        if not 0.0 < self.r_f < self.r_m < math.inf:
+            raise ValueError(f"require a finite r_m > r_f > 0, got r_f={self.r_f!r}, "
+                             f"r_m={self.r_m!r}")
+        if self.coverage > 1.0:
+            raise CoverageError(f"n = {self.n} femtocells cover a fraction "
+                                f"{self.coverage:.3f} > 1 of the macrocell")
+
+    @property
+    def coverage(self) -> float:
+        """The fraction n*(r_f/r_m)^2 of the macrocell that femtocells cover."""
+        return self.n * (self.r_f / self.r_m) ** 2
 
 
 @dataclass(frozen=True)
@@ -246,9 +257,7 @@ class HandoverProbabilities:
 def handover_probabilities(params: TwoTierParams) -> HandoverProbabilities:
     """Closed-form handover probabilities of the four movement types."""
     n = params.n
-    cov = n * (params.r_f / params.r_m) ** 2
-    if cov > 1.0:
-        raise CoverageError(f"femtocell coverage fraction {cov:.3f} exceeds 1")
+    cov = params.coverage
     f_dwell = params.eta_f / (params.eta_f + params.mu)
     p_mm = params.eta_m / (params.eta_m + params.mu)
     p_fm = (1.0 - cov) * f_dwell

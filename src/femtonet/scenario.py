@@ -164,19 +164,24 @@ class Scenario:
             sir_cap_db=self["radio.sir_cap_db"],
         )
 
+    def _rate(self, key: str) -> float:
+        """A rate or ratio the two-tier split derives from: finite and >= 0."""
+        value = self[key]
+        if not 0.0 <= value < math.inf:
+            raise ValueError(f"{key} must be finite and >= 0, got {value!r}")
+        return value
+
     def two_tier_params(self, n: int | None = None,
                         lam_total: float | None = None):
         from .queueing import TwoTierParams
 
+        macro = self.macro_geometry()
         n = int(self["topology.count"]) if n is None else n
-        lam = (self["traffic.total_arrival_per_s"]
-               if lam_total is None else lam_total)
-        frac = n * (self["topology.femto_radius_m"]
-                    / self["topology.macro_radius_m"]) ** 2
-        density = self["traffic.arrival_density_ratio"]
-        weight_f = density * frac
+        lam = self._rate("traffic.total_arrival_per_s") if lam_total is None else lam_total
+        frac = n * (macro.femto_radius_m / macro.macro_radius_m) ** 2
+        weight_f = self._rate("traffic.arrival_density_ratio") * frac
         weight_m = max(1.0 - frac, 0.0)
-        lam_f = lam * weight_f / (weight_f + weight_m) if n else 0.0
+        lam_f = lam * weight_f / (weight_f + weight_m) if weight_f else 0.0
         return TwoTierParams(
             lambda_o_f=lam_f,
             lambda_o_m=lam - lam_f,
@@ -184,8 +189,8 @@ class Scenario:
             eta_f=1.0 / self._duration("traffic.femto_dwell_s"),
             eta_m=1.0 / self._duration("traffic.macro_dwell_s"),
             n=n,
-            r_f=self["topology.femto_radius_m"],
-            r_m=self["topology.macro_radius_m"],
+            r_f=macro.femto_radius_m,
+            r_m=macro.macro_radius_m,
             femto_capacity=self["traffic.femto_capacity_calls"],
             macro_base_states=self["traffic.macro_base_states"],
             macro_adaptive_states=self["traffic.macro_adaptive_states"],
@@ -200,7 +205,11 @@ class Scenario:
         duration = self._call_duration()
         classes = tuple(replace(c, duration_s=duration) for c in table61_classes())
         capacity = self["traffic.capacity_kbps"]
-        n, _, _ = chain_dimensions(classes, capacity)
+        # N >= 1, so that the guard scheme's one guard channel fits
+        n = chain_dimensions(classes, capacity)[0] if 0.0 < capacity < math.inf else 0
+        if n < 1:
+            raise ValueError(f"traffic.capacity_kbps must be finite and hold at least "
+                             f"one call, got {capacity!r}")
         fraction = self["traffic.guard_fraction"]
         if not 0.0 <= fraction <= 1.0:
             raise ValueError(f"traffic.guard_fraction must lie in [0, 1], got {fraction!r}")

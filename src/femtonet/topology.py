@@ -64,8 +64,8 @@ class MacroGeometry:
     inter_femto_walls: int = 1
 
     def __post_init__(self):
-        if not self.macro_radius_m > self.femto_radius_m > 0:
-            raise ValueError("require macro_radius_m > femto_radius_m > 0")
+        if not math.inf > self.macro_radius_m > self.femto_radius_m > 0:
+            raise ValueError("require a finite macro_radius_m > femto_radius_m > 0")
         for name in ("min_separation_m", "neighbor_threshold_m"):
             value = getattr(self, name)
             if not 0.0 <= value < math.inf:

@@ -1,5 +1,6 @@
 import glob
 import hashlib
+import math
 import os
 import subprocess
 import sys
@@ -9,8 +10,14 @@ import pytest
 import femtonet
 from femtonet import experiments
 from femtonet.cli import EXIT_INPUT_ERROR, EXIT_OK, main
-from femtonet.experiments import DEFAULT_PRESET, result_to_csv, run_experiment, run_experiments
-from femtonet.scenario import Scenario, scenario_from_preset
+from femtonet.experiments import (
+    DEFAULT_PRESET,
+    check_scenario,
+    result_to_csv,
+    run_experiment,
+    run_experiments,
+)
+from femtonet.scenario import SCENARIO_KEYS, Scenario, scenario_from_preset
 
 FIG8_SMALL = ["--trials", "3", "--set", "sweep.session_counts = 20"]
 ROOT = os.path.dirname(os.path.dirname(__file__))
@@ -174,15 +181,65 @@ def test_validate_missing_file():
     ("traffic.alpha = nan", "fig5-mobility"),
     ("traffic.alpha = -0.5", "fig5-mobility"),
     ("traffic.guard_fraction = 2", "fig6-cac"),
+    # keys that used to be named by the field derived from them, or not at all
+    ("traffic.capacity_kbps = nan", "fig6-cac"),
+    ("traffic.capacity_kbps = inf", "fig6-cac"),
+    ("traffic.capacity_kbps = 1", "fig6-cac"),
+    ("traffic.total_arrival_per_s = -1", "fig5-mobility"),
+    ("traffic.arrival_density_ratio = -1", "fig5-mobility"),
+    # the two-tier radii are read through the macro geometry
+    ("topology.macro_radius_m = 0", "fig5-mobility"),
+    ("topology.femto_radius_m = nan", "fig5-mobility"),
+    ("topology.macro_radius_m = inf", "fig4-outage"),
+    # every swept count's coverage fraction is checked before any solve
+    ("preset = table-5.1\nsweep.femto_counts = 20000", "fig5-mobility"),
 ])
-def test_validate_rejects_what_run_rejects(tmp_path, line, experiment):
+@pytest.mark.filterwarnings("error")  # a warning would have reached stderr
+def test_validate_rejects_what_run_rejects(tmp_path, capsys, line, experiment):
+    # in process, an uncaught exception fails the test instead of printing
     path = tmp_path / "bad.scenario"
     path.write_text(f"name = bad\n{line}\n")
-    validate = _femtonet("validate", str(path))
-    run = _femtonet("run", experiment, "--scenario", str(path), "--out", str(tmp_path / "out"))
-    assert validate.returncode == run.returncode == EXIT_INPUT_ERROR
-    assert validate.stderr.startswith("error: ") and validate.stderr.count("\n") == 1
-    assert validate.stderr == run.stderr
+    validate = main(["validate", str(path)])
+    validate_err = capsys.readouterr().err
+    run = main(["run", experiment, "--scenario", str(path), "--out", str(tmp_path / "out")])
+    run_err = capsys.readouterr().err
+    assert validate == run == EXIT_INPUT_ERROR
+    assert validate_err.startswith("error: ") and validate_err.count("\n") == 1
+    assert validate_err == run_err
+
+
+def _drift_cases():
+    """Every key but the name, the preset, the trial count and the sweep
+    counts, at values outside what some reader accepts."""
+    bad = {float: (math.nan, math.inf, -1.0, 0.0), int: (-1,)}
+    for key, (kind, _) in SCENARIO_KEYS.items():
+        if key not in ("name", "preset", "trials") and not key.startswith("sweep."):
+            for value in bad.get(kind, ((math.nan,), (math.inf,), (-1.0,))):
+                yield key, value
+
+
+def _rejection(call):
+    try:
+        call()
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def test_validate_and_every_experiment_agree_on_each_key():
+    # validate either accepts a value that every experiment runs, or rejects
+    # it with the message of each experiment that rejects it (one at least)
+    drift = []
+    for key, value in _drift_cases():
+        scenario = Scenario({key: value, "trials": 0})
+        message = _rejection(lambda: check_scenario(scenario))
+        runs = {name: _rejection(lambda: run_experiment(name, scenario))
+                for name in experiments.EXPERIMENTS}
+        rejected = {name: m for name, m in runs.items() if m is not None}
+        if (message is None and rejected) or (message is not None and (
+                not rejected or set(rejected.values()) != {message})):
+            drift.append((key, value, message, rejected))
+    assert drift == []
 
 
 @pytest.mark.parametrize("experiment, key", [

@@ -6,6 +6,7 @@ import pytest
 from femtonet.admission import TrafficClass
 from femtonet.experiments import (
     DEFAULT_PRESET,
+    check_scenario,
     csv_to_rows,
     emit,
     result_to_csv,
@@ -168,6 +169,18 @@ def test_ch6_params_take_a_guard_fraction_only_in_the_unit_interval(fraction):
     with pytest.raises(ValueError, match=r"^traffic.guard_fraction must lie in \[0, 1\], got"):
         scenario.ch6_params(1.0)
     assert Scenario({"traffic.guard_fraction": 1.0}).ch6_params(1.0).guard_channels > 0
+
+
+@pytest.mark.parametrize("key, value", [
+    ("traffic.capacity_kbps", float("nan")), ("traffic.capacity_kbps", float("inf")),
+    ("traffic.capacity_kbps", 1.0), ("traffic.total_arrival_per_s", -1.0),
+    ("traffic.arrival_density_ratio", -1.0), ("traffic.arrival_density_ratio", float("nan")),
+])
+def test_check_scenario_names_a_traffic_key_before_deriving_from_it(key, value):
+    # these once surfaced as "Invalid literal for Fraction", "guard channels
+    # outside [0, N]" or a bad lambda_o_f
+    with pytest.raises(ValueError, match=rf"^{key} must be finite and "):
+        check_scenario(Scenario({key: value}))
 
 
 def test_unknown_experiment():

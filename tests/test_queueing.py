@@ -132,6 +132,19 @@ def test_two_tier_zero_dwell_rates_mean_no_mobility():
     assert sol.rates["lambda_h_m"] == 0.0 and sol.macro.p_drop == 0.0
 
 
+def test_two_tier_params_reject_coverage_above_one_by_count():
+    with pytest.raises(CoverageError, match=r"^n = 20000 femtocells cover a fraction 2\.000 > 1"):
+        _two_tier(n=20000)
+    assert _two_tier(n=10000).coverage == 1.0
+
+
+@pytest.mark.parametrize("kw", [dict(r_m=0.0), dict(r_m=math.inf), dict(r_f=math.nan),
+                                dict(r_f=0.0), dict(r_f=1000.0)])
+def test_two_tier_params_reject_bad_radii(kw):
+    with pytest.raises(ValueError, match=r"^require a finite r_m > r_f > 0, got"):
+        _two_tier(**kw)
+
+
 def test_handover_prob_coverage_error():
     with pytest.raises(CoverageError):
         handover_probabilities(_two_tier(n=20000))

@@ -217,6 +217,15 @@ def test_macro_geometry_rejects_a_bad_wall_count(field, value):
     MacroGeometry(**{field: 0})
 
 
+@pytest.mark.parametrize("kw", [dict(macro_radius_m=math.inf), dict(macro_radius_m=0.0),
+                                dict(femto_radius_m=math.nan), dict(femto_radius_m=2000.0)])
+def test_macro_geometry_rejects_bad_radii(kw):
+    # an infinite macro radius used to pass here and fail in placement
+    message = r"^require a finite macro_radius_m > femto_radius_m > 0$"
+    with pytest.raises(ValueError, match=message):
+        MacroGeometry(**kw)
+
+
 def test_macro_geometry_accepts_zero_separation_and_threshold():
     macro = MacroGeometry(min_separation_m=0.0, neighbor_threshold_m=0.0)
     assert len(place_femtocells(seed=3, count=50, macro=macro).femtocells) == 50
