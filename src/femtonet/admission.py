@@ -220,8 +220,10 @@ def _class_position(state: CellLoadState, class_index: int) -> int:
 def admit_ch6(state: CellLoadState, class_index: int, kind: str) -> AdmissionDecision:
     """Bandwidth-adaptive CAC for one cell.
 
-    New calls are refused outright once any present non-real-time class sits
-    at or below its new-call floor (that regime is reserved for handovers).
+    New calls are refused outright once any present non-real-time class is
+    degraded to its new-call floor or below (that regime is reserved for
+    handovers).  A class at its full request is not degraded, even at
+    gamma_n = 0, where the floor equals the request.
     Otherwise the call is accepted if its minimum requirement fits in the
     free bandwidth, or in free plus releasable bandwidth after degradation.
     """
@@ -232,7 +234,8 @@ def admit_ch6(state: CellLoadState, class_index: int, kind: str) -> AdmissionDec
 
     if kind == "new":
         for n, b, c in zip(state.counts, state.allocs, state.classes):
-            if c.kind == "nrt" and n > 0 and b <= c.floor_new + CONSERVATION_TOL:
+            if (c.kind == "nrt" and n > 0 and b <= c.floor_new + CONSERVATION_TOL
+                    and b < c.requested_bw - CONSERVATION_TOL):
                 return AdmissionDecision("block", "new-call-floor-reached", (), state)
 
     req = required_bw(cls, kind)

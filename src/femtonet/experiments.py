@@ -480,7 +480,7 @@ DEFAULT_PRESET = {
 
 def _checked(name: str, scenario: Scenario | None, seed: int | None) -> Scenario:
     """The scenario `name` runs on; KeyError for an unknown name,
-    ValueError for a negative trial count."""
+    ValueError for a negative trial count or seed."""
     if name not in EXPERIMENTS:
         raise KeyError(f"unknown experiment {name!r} "
                        f"(known: {', '.join(sorted(EXPERIMENTS))})")
@@ -493,15 +493,18 @@ def _checked(name: str, scenario: Scenario | None, seed: int | None) -> Scenario
 
 
 def _check_trials(scenario: Scenario) -> None:
-    if scenario["trials"] < 0:
-        raise ValueError(f"trials must be >= 0, got {scenario['trials']}")
+    """Reject a negative trial count or seed; numpy seeds only from n >= 0."""
+    for key in ("trials", "seed"):
+        if scenario[key] < 0:
+            raise ValueError(f"{key} must be >= 0, got {scenario[key]}")
 
 
 def check_scenario(scenario: Scenario) -> None:
     """Check `scenario` as every experiment reads it, running none: the trial
-    count, fig8's session counts and each family's reader.  A value that any
-    experiment rejects raises its `run_experiment` ValueError, except a
-    femtocell count of 0, which only fig4 and fig5-neighborlist reject."""
+    count and seed, fig8's session counts and each family's reader.  A value
+    that any experiment rejects raises its `run_experiment` ValueError,
+    except a femtocell count of 0, which only fig4 and fig5-neighborlist
+    reject."""
     _check_trials(scenario)
     _sweep_counts(scenario, "sweep.session_counts", (), minimum=1)
     for read in (_read_fig4, _read_fig5_mobility, _read_fig5_neighborlist, _read_fig6, _read_fig7):
@@ -511,8 +514,8 @@ def check_scenario(scenario: Scenario) -> None:
 def run_experiment(name: str, scenario: Scenario | None = None,
                    seed: int | None = None) -> ExperimentResult:
     """Run a named experiment; unknown names raise KeyError, a negative
-    trial count or a bad sweep count ValueError.  Zero trials give the
-    Monte-Carlo drivers (fig4, fig5-neighborlist, fig8) an empty result;
+    trial count or seed or a bad sweep count ValueError.  Zero trials give
+    the Monte-Carlo drivers (fig4, fig5-neighborlist, fig8) an empty result;
     the analytic ones never read the trial count."""
     return EXPERIMENTS[name](_checked(name, scenario, seed))
 

@@ -90,12 +90,6 @@ def shares_frequency(plan: SpectrumPlan, fap: int, serving: int) -> bool:
     return True
 
 
-def _coordinated(topo: CellTopology, via: int, candidate: int) -> bool:
-    if candidate not in topo_mod.neighbors_of(topo, via):
-        return False
-    return topo.walls_between(via, candidate) <= COORDINATION_WALL_LIMIT
-
-
 def _accessible(topo: CellTopology, access: dict[int, bool], fap: int) -> bool:
     """An open FAP, or a closed one that `access` admits; UnknownSiteError
     for an id the topology does not hold."""
@@ -146,29 +140,33 @@ def build_list_from_femto(
     Strong entries are the accessible FAPs at or above S_T1 minus those on
     the serving frequency; hidden entries are accessible FAPs within d_max
     of the user that are weak or frequency-pruned, known via a coordination
-    hop from the serving FAP or a strong member.
+    hop from the serving FAP or a strong member: a `neighbors_of` pair with
+    at most COORDINATION_WALL_LIMIT walls.  Within the neighbor table's
+    reach the hops come from the table, so the list reads no distance row.
     """
     serving_site = topo.site(serving)
     check_params(d_max_m)
     ue = tuple(ue_xy) if ue_xy is not None else serving_site.position
+    if not (math.isfinite(ue[0]) and math.isfinite(ue[1])):
+        raise ValueError("positions must be finite")
     access = access or {}
 
     detected = {i: v for i, v in scan.detected().items()
                 if i != serving and _accessible(topo, access, i)}
     strong = {i for i, v in detected.items() if v >= scan.s_t1_dbm}
     same_freq = {i for i in strong if shares_frequency(plan, i, serving)}
-    kept_strong = strong - same_freq
+    coordinators = {serving, *(strong - same_freq)}
 
-    coordinators = {serving, *kept_strong}
-    hidden = set()
-    for fap in topo_mod.within(topo, ue, d_max_m):
-        if fap == serving or fap in kept_strong or not _accessible(topo, access, fap):
-            continue
-        weak = scan.levels_dbm.get(fap, -math.inf) < scan.s_t1_dbm
-        if not (weak or shares_frequency(plan, fap, serving)):
-            continue
-        if any(_coordinated(topo, via, fap) for via in coordinators):
-            hidden.add(fap)
+    pairs = [(via, fap) for via in coordinators for fap in topo_mod.neighbors_of(topo, via)
+             if fap not in coordinators]
+    # the d_max cut in the arithmetic of CellTopology.distances_to
+    xy = topo.positions[[topo.index_of(fap) for _, fap in pairs]]
+    close = (np.hypot(ue[0] - xy[:, 0], ue[1] - xy[:, 1]) <= d_max_m).tolist()
+    hops = {fap for (via, fap), near in zip(pairs, close)
+            if near and topo.walls_between(via, fap) <= COORDINATION_WALL_LIMIT}
+    hidden = {fap for fap in hops if _accessible(topo, access, fap)
+              and (scan.levels_dbm.get(fap, -math.inf) < scan.s_t1_dbm
+                   or shares_frequency(plan, fap, serving))}
     return _neighbor_list(scan, serving, detected, strong, same_freq, hidden)
 
 
@@ -191,13 +189,13 @@ def build_list_from_macro(
     if ue_xy is None:
         raise ValueError("the macro flow needs the UE position")
     access = access or {}
-    ue = tuple(ue_xy)
 
     detected = {i: v for i, v in scan.detected().items() if _accessible(topo, access, i)}
     strong = {i for i, v in detected.items() if v >= scan.s_t1_dbm}
 
+    close = np.flatnonzero(topo.distances_to(tuple(ue_xy)) <= d_max_m).tolist()
     hidden = set()
-    for fap in topo_mod.within(topo, ue, d_max_m):
+    for fap in (topo.femtocells[k].id for k in close):
         if fap in strong or not _accessible(topo, access, fap):
             continue
         if scan.levels_dbm.get(fap, -math.inf) < scan.s_t1_dbm:

@@ -121,8 +121,9 @@ class SpectrumPlan:
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise PlanConfigError(f"unknown scheme {self.scheme!r}")
-        if not self.total_hz > 0:
-            raise PlanConfigError("total bandwidth must be positive")
+        if not math.inf > self.total_hz > 0:
+            raise PlanConfigError(f"total_hz (the total bandwidth) must be finite and > 0, "
+                                  f"got {self.total_hz!r}")
         if not 0.0 < self.femto_fraction < 1.0:
             raise PlanConfigError("femto fraction must lie in (0, 1)")
         if not 0.0 <= self.edge_fraction <= 1.0:

@@ -298,12 +298,6 @@ def reach_components(topo: CellTopology, fap_ids) -> CellTopology:
     return replace(topo, femtocells=[topo.femtocells[k] for k in np.flatnonzero(seen)])
 
 
-def within(topo: CellTopology, xy, radius_m: float) -> list[int]:
-    """Ids of the femtocells within radius_m of a position, in femtocells order."""
-    close = np.flatnonzero(topo.distances_to(xy) <= radius_m)
-    return [topo.femtocells[k].id for k in close]
-
-
 def first_tier_ring(macro_radius_m: float) -> list[tuple[float, float]]:
     ring_distance = 2.0 * macro_radius_m * math.cos(math.pi / 6.0)
     return [

@@ -258,6 +258,46 @@ def full_scan(topo, ue_xy, serving, params=None, obstructed=None,
     return RssiScan(levels, serving, s_t0_dbm, s_t1_dbm)
 
 
+def femto_list_by_distance_row(scan, plan, topo, serving, d_max_m=40.0, access=None,
+                               ue_xy=None):
+    """build_list_from_femto as it was before its hidden candidates came
+    from the neighbor table: every FAP within d_max of the user, from one
+    full distance row, tested for a coordination hop from the serving FAP
+    or a kept strong entry against a fresh `neighbors_of` set each."""
+    from femtonet.neighborlist import (
+        COORDINATION_WALL_LIMIT,
+        _accessible,
+        _neighbor_list,
+        shares_frequency,
+    )
+    from femtonet.topology import neighbors_of
+
+    ue = tuple(ue_xy) if ue_xy is not None else topo.site(serving).position
+    access = access or {}
+    detected = {i: v for i, v in scan.detected().items()
+                if i != serving and _accessible(topo, access, i)}
+    strong = {i for i, v in detected.items() if v >= scan.s_t1_dbm}
+    same_freq = {i for i in strong if shares_frequency(plan, i, serving)}
+    kept_strong = strong - same_freq
+
+    def coordinated(via, fap):
+        return (fap in neighbors_of(topo, via)
+                and topo.walls_between(via, fap) <= COORDINATION_WALL_LIMIT)
+
+    coordinators = {serving, *kept_strong}
+    hidden = set()
+    for k in np.flatnonzero(topo.distances_to(ue) <= d_max_m).tolist():
+        fap = topo.femtocells[k].id
+        if fap == serving or fap in kept_strong or not _accessible(topo, access, fap):
+            continue
+        weak = scan.levels_dbm.get(fap, -math.inf) < scan.s_t1_dbm
+        if not (weak or shares_frequency(plan, fap, serving)):
+            continue
+        if any(coordinated(via, fap) for via in coordinators):
+            hidden.add(fap)
+    return _neighbor_list(scan, serving, detected, strong, same_freq, hidden)
+
+
 # -- the stationary distribution, the chain dimensions and the ch6 cell as
 # they were before LossChainSpec kept its death-rate logs, chain_dimensions
 # built each class's rationals once and the schemes' cells shared their

@@ -18,6 +18,8 @@ from femtonet.admission import (
     required_bw,
     residual_fraction,
 )
+from femtonet.presets import table61_classes
+from femtonet.queueing import _scheme_classes
 
 VOICE = TrafficClass(1, "rt", 25.0, arrival_share=0.35)
 VIDEO = TrafficClass(4, "nrt", 128.0, degrade_new=0.4, degrade_hand=0.6,
@@ -181,6 +183,19 @@ def test_admit_new_blocked_at_new_floor():
     d = admit_ch6(state, 2, "new")
     assert d.outcome == "block" and d.reason == "new-call-floor-reached"
     assert admit_ch6(state, 2, "handover").outcome == "accept"
+
+
+@pytest.mark.parametrize("scheme", ["aqos", "hard-qos", "guard"])
+def test_undegraded_call_does_not_block_new_calls_at_zero_gamma_n(scheme):
+    # gamma_n = 0 puts the new-call floor at the request: one class-4 call
+    # at its full 128 kbps in a 6000 kbps cell is not degraded, so every
+    # class's new call is admitted
+    classes = _scheme_classes(table61_classes(), scheme)
+    state = make_state(6000.0, classes, counts=[0, 0, 0, 1, 0, 0, 0])
+    assert state.allocs[3] == classes[3].requested_bw == classes[3].floor_new
+    for cls in classes:
+        d = admit_ch6(state, cls.index, "new")
+        assert (d.outcome, d.reason, d.degradations) == ("accept", "fits-free", ())
 
 
 def test_handover_dominance_enumerated():

@@ -100,6 +100,8 @@ def test_run_negative_arrival_rate_is_input_error(tmp_path, capsys):
 @pytest.mark.parametrize("argv, named", [
     (["fig4-outage", "--trials", "-1"], "trials"),
     (["fig8-popularity", "--trials", "-2"], "trials"),
+    (["fig8-popularity", "--seed", "-1", "--trials", "2",
+      "--set", "sweep.session_counts = 5"], "seed"),
     (["fig8-popularity", "--set", "sweep.session_counts=0"], "sweep.session_counts"),
     (["fig4-outage", "--set", "sweep.femto_counts=0"], "sweep.femto_counts"),
     (["fig5-mobility", "--set", "sweep.femto_counts=100.5"], "sweep.femto_counts"),
@@ -151,6 +153,9 @@ def test_validate_missing_file():
     ("sweep.session_counts = 0", "fig8-popularity"),
     ("spectrum.femto_fraction = 1.5", "fig4-outage"),
     ("spectrum.total_hz = 0", "fig4-outage"),
+    ("spectrum.total_hz = inf", "fig4-outage"),
+    ("spectrum.total_hz = inf", "fig4-throughput"),
+    ("seed = -1", "fig8-popularity"),
     ("neighborlist.s_t1_dbm = -95", "fig5-neighborlist"),
     ("neighborlist.d_max_m = nan", "fig5-neighborlist"),
     ("neighborlist.d_max_m = 0", "fig5-neighborlist"),

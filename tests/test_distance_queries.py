@@ -19,6 +19,7 @@ from oracles import (
     static_reuse_labels,
 )
 
+from femtonet.neighborlist import build_list_from_femto, scan_from_geometry
 from femtonet.spectrum import build_plan
 from femtonet.topology import (
     INTERFERENCE_RADIUS_SCALE,
@@ -264,3 +265,17 @@ def test_building_reuse_plans_makes_no_distance_row(rows):
         "static": "d9187bb899a5e6a3c8c0dbe665c8c1a295a55cc01e9f940d475811e6a579b33d",
         "dynamic": "ee6ad9ef2bf91ec53195cf97f45be3e8107164d83dfb5678246613e03a28a3a0",
     }
+
+
+def test_a_scan_and_a_femto_list_read_one_distance_row(rows):
+    # the scan reads the UE's row; the list's hidden candidates are the
+    # serving FAP's and the strong entries' coordination hops, from the table
+    topo = place_femtocells(7, 1000)
+    plan = build_plan("dynamic-reuse", topo)
+    rows.clear()
+    x, y = topo.site(0).position
+    ue = (x + 10.0, y)
+    scan = scan_from_geometry(topo, ue, 0, obstructed=set(topo.femto_ids[1:]))
+    out = build_list_from_femto(scan, plan, topo, 0, ue_xy=ue)
+    assert rows == [ue]
+    assert out.m_hidden > 0

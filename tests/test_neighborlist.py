@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from fixtures import hidden_fap_fixture
-from oracles import full_scan, scalar_scan_levels
+from oracles import femto_list_by_distance_row, full_scan, scalar_scan_levels
 
 from femtonet.neighborlist import (
     RssiScan,
@@ -18,8 +18,15 @@ from femtonet.neighborlist import (
     shares_frequency,
 )
 from femtonet.radio import PropagationParams
-from femtonet.spectrum import FemtoBandAssignment, build_plan
-from femtonet.topology import CellTopology, FemtoSite, UnknownSiteError, place_femtocells, distance
+from femtonet.spectrum import SCHEMES, FemtoBandAssignment, build_plan
+from femtonet.topology import (
+    INTERFERENCE_RADIUS_SCALE,
+    CellTopology,
+    FemtoSite,
+    UnknownSiteError,
+    distance,
+    place_femtocells,
+)
 
 
 def _grid_topo(positions, access=None):
@@ -325,6 +332,13 @@ def test_scan_empty_topology():
 
 
 @pytest.mark.parametrize("ue", [(math.nan, 0.0), (0.0, math.inf), (-math.inf, math.nan)])
+def test_femto_list_rejects_non_finite_ue(ue):
+    topo, plan, scan, _ = hidden_fap_fixture()
+    with pytest.raises(ValueError, match="finite"):
+        build_list_from_femto(scan, plan, topo, 0, ue_xy=ue)
+
+
+@pytest.mark.parametrize("ue", [(math.nan, 0.0), (0.0, math.inf), (-math.inf, math.nan)])
 @pytest.mark.parametrize("positions", [[], [(0.0, 0.0), (30.0, 0.0)]], ids=["empty", "two"])
 def test_scan_rejects_non_finite_ue(positions, ue):
     with pytest.raises(ValueError, match="finite"):
@@ -430,3 +444,42 @@ def test_scan_lists_match_the_full_scan(s_t0, gap, tx, eta, wall, obstruction,
         lists = [build(scan, plan, topo, *server, d_max_m=d_max, ue_xy=ue)
                  for scan in (cut, full)]
         _assert_lists_agree(*lists, cut, d_max, reach)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    count=st.integers(2, 60),
+    side=st.floats(5.0, 200.0),
+    threshold=st.sampled_from([0.0, 25.0, INTERFERENCE_RADIUS_SCALE * 20.0, 90.0, 150.0]),
+    scheme=st.sampled_from(SCHEMES),
+    d_max=st.floats(5.0, 120.0),
+    at_a_fap=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_femto_list_matches_the_distance_row_loop(count, side, threshold, scheme, d_max,
+                                                  at_a_fap, seed):
+    # shuffled, non-contiguous ids; walls of 0 to 3 on random pairs; some
+    # FAPs closed, some of those admitted; neighbor thresholds on both sides
+    # of the table's 60 m reach
+    rng = np.random.default_rng(seed)
+    ids = rng.permutation(3 * count)[:count].tolist()
+    xy = rng.uniform(0.0, side, size=(count, 2)).tolist()
+    pairs = {tuple(sorted(rng.choice(ids, 2, replace=False).tolist())) for _ in range(count)}
+    topo = CellTopology(
+        macro_radius_m=1000.0, femto_radius_m=10.0, macro_sites=[(0.0, 0.0)],
+        femtocells=[FemtoSite(i, tuple(p)) for i, p in zip(ids, xy)],
+        neighbor_threshold_m=threshold,
+        closed_access={i for i in ids if rng.random() < 0.3},
+        walls={pair: int(rng.integers(4)) for pair in pairs})
+    access = {i: bool(rng.random() < 0.5) for i in topo.closed_access}
+    plan = build_plan(scheme, topo)
+    serving = ids[int(rng.integers(count))]
+    ue = tuple(rng.uniform(0.0, side, size=2).tolist())
+    scan = RssiScan({i: float(rng.uniform(-110.0, -50.0)) for i in ids
+                     if rng.random() < 0.6}, serving)
+    if at_a_fap:
+        # d_max exactly at some FAP's distance: the cut's boundary case
+        d_max = float(topo.distances_to(ue)[int(rng.integers(count))]) or d_max
+    out = build_list_from_femto(scan, plan, topo, serving, d_max_m=d_max, access=access,
+                                ue_xy=ue)
+    assert out == femto_list_by_distance_row(scan, plan, topo, serving, d_max, access, ue)
