@@ -42,8 +42,10 @@ class TrafficClass:
             raise ValueError("need 0 <= gamma_n <= gamma_h < 1")
         if self.kind == "rt" and (self.degrade_new or self.degrade_hand):
             raise ValueError("real-time classes cannot degrade")
-        if self.requested_bw <= 0:
-            raise ValueError("requested bandwidth must be positive")
+        if not 0 < self.requested_bw < math.inf:
+            raise ValueError(f"requested_bw must be finite and > 0, got {self.requested_bw}")
+        if not 0 < self.duration_s < math.inf:
+            raise ValueError(f"duration_s must be finite and > 0, got {self.duration_s}")
         if not 0.0 <= self.arrival_share <= 1.0:
             raise ValueError(f"arrival_share must lie in [0, 1], got {self.arrival_share}")
 

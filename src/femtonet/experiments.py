@@ -24,7 +24,6 @@ from .topology import neighbors_of, place_femtocells, reach_components
 from .videoalloc import (
     allocate_mbs_budget,
     allocate_popularity,
-    allocate_popularity_rows,
     technique_multi_level,
     technique_two_level,
     total_min_bw,
@@ -429,9 +428,9 @@ def run_fig8_popularity(scenario: Scenario) -> ExperimentResult:
             draws = rng.multinomial(viewers_total - head, [1.0 / m] * m, size=trials)
             viewers = np.sort(draws, axis=1)[:, ::-1]
             viewers[:, 0] += head  # the head session stays rank 1
-            rows = allocate_popularity_rows(capacity, t["beta_max_mbps"],
-                                            t["beta_min_mbps"], viewers)
-            _, reps_prop, baseline = rows.satisfaction()
+            alloc = allocate_popularity(capacity, t["beta_max_mbps"],
+                                        t["beta_min_mbps"], viewers)
+            _, reps_prop, baseline = alloc.satisfaction()
             res.add("proposed", m, "satisfaction_avg", float(np.mean(reps_prop)),
                     float(np.std(reps_prop) / trials ** 0.5))
             # the mean of one float per trial, as the equal-share scheme scores
@@ -440,15 +439,15 @@ def run_fig8_popularity(scenario: Scenario) -> ExperimentResult:
                     float(np.mean(np.full(trials, baseline))))
 
     # per-session allocation profile at the largest session count (one draw)
-    from .videoalloc import allocation_rows
-
     m = max(counts)
     rng = _spawn_rng(scenario.seed, "profile", m)
     viewers = sorted((int(v) for v in rng.multinomial(viewers_total, [1.0 / m] * m)),
                      reverse=True)
     alloc = allocate_popularity(capacity, t["beta_max_mbps"],
-                                t["beta_min_mbps"], viewers)
-    for rank, k_m, bw, s_l in allocation_rows(alloc):
+                                t["beta_min_mbps"], [viewers])
+    per_rank = alloc.satisfaction()[0][0]
+    for rank, (k_m, bw, s_l) in enumerate(zip(viewers, alloc.bandwidths[0], per_rank),
+                                          start=1):
         res.add("proposed", rank, "session_bandwidth_mbps", bw)
         res.add("proposed", rank, "session_viewers", k_m)
         res.add("proposed", rank, "session_satisfaction", s_l)

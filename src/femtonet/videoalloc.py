@@ -2,7 +2,8 @@
 
 Two sides: the MBS/non-MBS budget split with its two layer-degradation
 techniques (equal two-level reduction vs strict priority multi-level), and
-the popularity-proportional allocator with per-user satisfaction analytics.
+the popularity-proportional allocator, which allocates one row of viewer
+counts per draw and scores each row's user satisfaction.
 Layer counts are integers; a receiver cannot take a fraction of a layer.
 """
 
@@ -34,8 +35,10 @@ class MbsSession:
     def __post_init__(self):
         if not 0 <= self.min_layers <= self.max_layers:
             raise ValueError("need 0 <= min_layers <= max_layers")
-        if self.base_bw <= 0 or self.layer_bw < 0:
-            raise ValueError("bad session bandwidths")
+        if not 0 < self.base_bw < math.inf:
+            raise ValueError(f"base_bw must be finite and > 0, got {self.base_bw!r}")
+        if not 0 <= self.layer_bw < math.inf:
+            raise ValueError(f"layer_bw must be finite and >= 0, got {self.layer_bw!r}")
 
     def bw_at(self, layers: int) -> float:
         return self.base_bw + self.layer_bw * layers
@@ -67,6 +70,9 @@ def allocate_mbs_budget(capacity: float, non_mbs_bw: float, sessions):
     """
     if not sessions:
         raise ValueError("no MBS sessions")
+    for name, value in (("capacity", capacity), ("non_mbs_bw", non_mbs_bw)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
     if capacity < non_mbs_bw:
         raise ValueError("non-MBS load exceeds capacity")
     remaining = capacity - non_mbs_bw
@@ -172,19 +178,6 @@ def technique_multi_level(budget: float, sessions) -> LayerAllocation:
 
 @dataclass
 class PopularityAllocation:
-    bandwidths: list[float]
-    viewers: list[int]
-    capacity: float
-    beta_max: float
-    congested: bool
-
-    @property
-    def total(self) -> float:
-        return sum(self.bandwidths)
-
-
-@dataclass
-class PopularityRows:
     """Popularity allocations of M sessions for several viewer draws at once:
     row t of bandwidths is the allocation of viewer row t."""
 
@@ -195,8 +188,9 @@ class PopularityRows:
     congested: bool
 
     def satisfaction(self) -> tuple[np.ndarray, np.ndarray, float]:
-        """(per-rank satisfaction, viewer-weighted average per row, the
-        equal-share baseline) as satisfaction() defines them."""
+        """User satisfaction = allocated / maximum bandwidth: (per rank, one
+        row per draw; its viewer-weighted average per row, which scores the
+        proposed scheme; the equal-share baseline C / (M * beta_max))."""
         n_rows, m_total = self.bandwidths.shape
         if not self.congested:
             return np.ones((n_rows, m_total)), np.ones(n_rows), 1.0
@@ -209,30 +203,39 @@ class PopularityRows:
         return per_rank, average, self.capacity / (self.beta_max * m_total)
 
 
-def allocate_popularity_rows(capacity: float, beta_max: float, beta_min: float,
-                             viewers) -> PopularityRows:
-    """allocate_popularity for every row of a 2-D viewer array, each row
-    sorted non-increasing.  Row t of the result equals
-    allocate_popularity(capacity, beta_max, beta_min, viewers[t]) exactly."""
+def allocate_popularity(capacity: float, beta_max: float, beta_min: float,
+                        viewers) -> PopularityAllocation:
+    """Popularity-proportional bandwidth for M always-on video sessions.
+
+    viewers is a 2-D array of counts, one row per draw, each row sorted
+    non-increasing (rank order); row t of the result is the allocation of
+    row t alone.  Uncongested (M*beta_max <= C) every session gets beta_max.
+    Congested, each session m is provisionally offered beta_min + a*K_m plus
+    the overflow carried from higher ranks; whatever exceeds beta_max is
+    spread over the remaining sessions.  The congested allocation conserves
+    C exactly.
+    """
     # whole counts are exact as floats, so every product and sum below
     # equals its integer counterpart
     viewers = np.asarray(viewers, dtype=float)
+    if viewers.ndim != 2 or viewers.size == 0:
+        raise ValueError(f"viewers must be a non-empty 2-D array, got shape {viewers.shape}")
     n_rows, m_total = viewers.shape
-    if m_total == 0:
-        raise ValueError("no sessions")
-    if viewers.min() < 0:
-        raise ValueError("viewer counts must be >= 0")
+    if not (np.isfinite(viewers) & (viewers >= 0)).all():
+        raise ValueError("viewers must be finite and >= 0")
     if (viewers[:, :-1] - viewers[:, 1:]).min(initial=0) < 0:
-        raise ValueError("viewer counts must be sorted non-increasing")
-    if not beta_max >= beta_min > 0:
-        raise ValueError("need beta_max >= beta_min > 0")
+        raise ValueError("viewers must be sorted non-increasing in each row")
+    if not math.isfinite(capacity):
+        raise ValueError(f"capacity must be finite, got {capacity!r}")
+    if not math.inf > beta_max >= beta_min > 0:
+        raise ValueError("need a finite beta_max >= beta_min > 0")
     if m_total * beta_min > capacity + BW_TOL:
         raise InfeasibleAllocationError(
             f"{m_total} sessions need {m_total * beta_min} > capacity {capacity}")
 
     if m_total * beta_max <= capacity + BW_TOL:
-        return PopularityRows(np.full((n_rows, m_total), beta_max), viewers,
-                              capacity, beta_max, congested=False)
+        return PopularityAllocation(np.full((n_rows, m_total), beta_max), viewers,
+                                    capacity, beta_max, congested=False)
 
     k_total = viewers.sum(axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -258,47 +261,4 @@ def allocate_popularity_rows(capacity: float, beta_max: float, beta_min: float,
         bws[:, rank] = np.where(over, beta_max, beta_min + provisional)
         carry = carry + np.where(over, (provisional - beta_diff) / left, 0.0)
 
-    return PopularityRows(bws, viewers, capacity, beta_max, congested=True)
-
-
-def allocate_popularity(capacity: float, beta_max: float, beta_min: float,
-                        viewers) -> PopularityAllocation:
-    """Popularity-proportional bandwidth for M always-on video sessions.
-
-    viewers must be sorted non-increasing (rank order).  Uncongested
-    (M*beta_max <= C) every session gets beta_max.  Congested, each session
-    m is provisionally offered beta_min + a*K_m plus the overflow carried
-    from higher ranks; whatever exceeds beta_max is spread over the
-    remaining sessions.  The congested allocation conserves C exactly.
-    This is the one-row case of allocate_popularity_rows.
-    """
-    viewers = list(viewers)
-    rows = allocate_popularity_rows(capacity, beta_max, beta_min, [viewers])
-    return PopularityAllocation(rows.bandwidths[0].tolist(), viewers, capacity,
-                                beta_max, rows.congested)
-
-
-@dataclass
-class SatisfactionReport:
-    per_rank: list[float]
-    average: float  # viewer-weighted, proposed scheme
-    baseline: float  # equally-shared scheme
-
-
-def satisfaction(alloc: PopularityAllocation) -> SatisfactionReport:
-    """User satisfaction = allocated / maximum bandwidth, per rank and
-    averaged over viewers, against the equal-share baseline."""
-    rows = PopularityRows(np.array([alloc.bandwidths], dtype=float),
-                          np.array([alloc.viewers], dtype=float), alloc.capacity,
-                          alloc.beta_max, alloc.congested)
-    per_rank, average, baseline = rows.satisfaction()
-    return SatisfactionReport(per_rank[0].tolist(), float(average[0]), baseline)
-
-
-def allocation_rows(alloc: PopularityAllocation):
-    """Per-session export rows: (rank, viewers, bandwidth, satisfaction)."""
-    rep = satisfaction(alloc)
-    return [
-        (rank + 1, alloc.viewers[rank], alloc.bandwidths[rank], rep.per_rank[rank])
-        for rank in range(len(alloc.bandwidths))
-    ]
+    return PopularityAllocation(bws, viewers, capacity, beta_max, congested=True)

@@ -29,7 +29,6 @@ from femtonet.videoalloc import (
     MbsSession,
     allocate_mbs_budget,
     allocate_popularity,
-    satisfaction,
     technique_multi_level,
     technique_two_level,
     total_max_bw,
@@ -413,8 +412,8 @@ def test_criterion_10_ch7_allocator():
 def test_criterion_11_ch8_allocator():
     budget = Budget(11, "popularity allocation conservation, bounds, "
                         "satisfaction dominance", 5)
-    alloc = allocate_popularity(2.0, 2.0, 0.6, [150, 50])
-    assert alloc.bandwidths == pytest.approx([1.2, 0.8])
+    alloc = allocate_popularity(2.0, 2.0, 0.6, [[150, 50]])
+    assert alloc.bandwidths[0] == pytest.approx([1.2, 0.8])
 
     rng = np.random.default_rng(SEED)
     for _ in range(1000):
@@ -422,19 +421,19 @@ def test_criterion_11_ch8_allocator():
         viewers = sorted((int(v) for v in rng.integers(1, 300, size=m)),
                          reverse=True)
         c = float(rng.uniform(m * 0.6, m * 2.5))
-        alloc = allocate_popularity(c, 2.0, 0.6, viewers)
+        alloc = allocate_popularity(c, 2.0, 0.6, [viewers])
+        bws = alloc.bandwidths[0].tolist()
         if alloc.congested:
-            assert abs(alloc.total - c) < 1e-9
-        for b in alloc.bandwidths:
+            assert abs(sum(bws) - c) < 1e-9
+        for b in bws:
             assert 0.6 - 1e-9 <= b <= 2.0 + 1e-9
-        assert all(x >= y - 1e-9 for x, y in
-                   zip(alloc.bandwidths, alloc.bandwidths[1:]))
-        rep = satisfaction(alloc)
-        assert rep.average >= rep.baseline - 1e-12
+        assert all(x >= y - 1e-9 for x, y in zip(bws, bws[1:]))
+        _, (average,), baseline = alloc.satisfaction()
+        assert average >= baseline - 1e-12
         if alloc.congested and viewers[0] == viewers[-1]:
-            assert rep.average == pytest.approx(rep.baseline)
+            assert average == pytest.approx(baseline)
         if alloc.congested and viewers[0] != viewers[-1]:
-            assert rep.average > rep.baseline
+            assert average > baseline
     budget.done()
 
 

@@ -50,6 +50,18 @@ def test_traffic_class_rejects_a_share_outside_unit_interval_by_name(share):
         TrafficClass(1, "rt", 25.0, arrival_share=share)
 
 
+# a duration of 0 used to reach solve_ch6 as a ZeroDivisionError, an infinite
+# request as "Invalid literal for Fraction: 'inf'"
+@pytest.mark.parametrize("field, value", [
+    ("requested_bw", float("nan")), ("requested_bw", float("inf")), ("requested_bw", 0.0),
+    ("duration_s", 0.0), ("duration_s", -120.0), ("duration_s", float("nan")),
+    ("duration_s", float("inf")),
+])
+def test_traffic_class_names_a_bad_request_or_duration(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be finite and > 0, got "):
+        TrafficClass(**{"index": 1, "kind": "rt", "requested_bw": 25.0, field: value})
+
+
 # ---------------------------------------------------------------------------
 # residual fraction / rebalance
 

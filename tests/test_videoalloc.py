@@ -11,8 +11,6 @@ from femtonet.videoalloc import (
     MbsSession,
     allocate_mbs_budget,
     allocate_popularity,
-    allocate_popularity_rows,
-    satisfaction,
     technique_multi_level,
     technique_two_level,
     total_max_bw,
@@ -60,6 +58,27 @@ def test_budget_exact_boundary_full_allocation():
     regime, budget = allocate_mbs_budget(20e6, 8e6, sessions)
     assert regime == "lower-traffic"
     assert budget == pytest.approx(12e6)
+
+
+@pytest.mark.parametrize("capacity, non_mbs_bw, name", [
+    (float("nan"), 1e6, "capacity"), (float("inf"), 1e6, "capacity"),
+    (20e6, float("nan"), "non_mbs_bw"), (20e6, -float("inf"), "non_mbs_bw"),
+])
+def test_budget_names_a_non_finite_input(capacity, non_mbs_bw, name):
+    # a NaN capacity used to come back as ("congested", nan)
+    with pytest.raises(ValueError, match=f"^{name} must be finite, got "):
+        allocate_mbs_budget(capacity, non_mbs_bw, table71_sessions())
+
+
+@pytest.mark.parametrize("field, value", [
+    ("base_bw", float("nan")), ("base_bw", float("inf")), ("base_bw", 0.0),
+    ("layer_bw", float("nan")), ("layer_bw", float("inf")), ("layer_bw", -1.0),
+])
+def test_mbs_session_names_a_bad_bandwidth(field, value):
+    # a NaN base_bw was accepted, and technique_two_level then raised StopIteration
+    kwargs = {"id": 0, "base_bw": 0.5e6, "layer_bw": 50e3, "max_layers": 10, field: value}
+    with pytest.raises(ValueError, match=f"^{field} must be finite and >=? 0, got "):
+        MbsSession(**kwargs)
 
 
 def test_budget_congested_and_floor():
@@ -197,9 +216,9 @@ def test_budget_monotonicity():
 
 def test_table81_uncongested():
     # C=30 Mbps, beta_max=2: N_HQ = 15, so 15 sessions all run at 2 Mbps
-    alloc = allocate_popularity(30e6, 2e6, 0.6e6, [10] * 15)
+    alloc = allocate_popularity(30e6, 2e6, 0.6e6, [[10] * 15])
     assert not alloc.congested
-    assert alloc.bandwidths == [2e6] * 15
+    assert alloc.bandwidths.tolist() == [[2e6] * 15]
 
 
 def test_counts_hq_lq_table81():
@@ -210,15 +229,15 @@ def test_counts_hq_lq_table81():
 
 def test_popularity_worked_fixture():
     # M=2, K=(150,50), C=2 Mbps, beta in [0.6, 2]: a = 0.004 -> (1.2, 0.8)
-    alloc = allocate_popularity(2.0, 2.0, 0.6, [150, 50])
+    alloc = allocate_popularity(2.0, 2.0, 0.6, [[150, 50]])
     assert alloc.congested
-    assert alloc.bandwidths == pytest.approx([1.2, 0.8])
-    assert alloc.total == pytest.approx(2.0)
+    assert alloc.bandwidths[0] == pytest.approx([1.2, 0.8])
+    assert alloc.bandwidths.sum() == pytest.approx(2.0)
 
 
 def test_popularity_uniform_equals_equal_share():
-    alloc = allocate_popularity(10.0, 2.0, 0.5, [25] * 8)
-    assert alloc.bandwidths == pytest.approx([10.0 / 8] * 8)
+    alloc = allocate_popularity(10.0, 2.0, 0.5, [[25] * 8])
+    assert alloc.bandwidths[0] == pytest.approx([10.0 / 8] * 8)
 
 
 def test_popularity_conservation_bounds_ordering():
@@ -228,23 +247,23 @@ def test_popularity_conservation_bounds_ordering():
         viewers = sorted((int(v) for v in rng.integers(1, 500, size=m)),
                          reverse=True)
         c = float(rng.uniform(m * 0.6, m * 2.0))
-        alloc = allocate_popularity(c, 2.0, 0.6, viewers)
+        alloc = allocate_popularity(c, 2.0, 0.6, [viewers])
+        bws = alloc.bandwidths[0].tolist()
         if alloc.congested:
-            assert alloc.total == pytest.approx(c, abs=1e-9)
-        for b in alloc.bandwidths:
+            assert sum(bws) == pytest.approx(c, abs=1e-9)
+        for b in bws:
             assert 0.6 - 1e-9 <= b <= 2.0 + 1e-9
-        assert all(a >= b - 1e-9 for a, b in
-                   zip(alloc.bandwidths, alloc.bandwidths[1:]))
+        assert all(a >= b - 1e-9 for a, b in zip(bws, bws[1:]))
 
 
 def test_popularity_infeasible():
     with pytest.raises(InfeasibleAllocationError):
-        allocate_popularity(1.0, 2.0, 0.6, [5, 5])
+        allocate_popularity(1.0, 2.0, 0.6, [[5, 5]])
 
 
 def test_popularity_validates_order():
     with pytest.raises(ValueError):
-        allocate_popularity(10.0, 2.0, 0.6, [5, 10])
+        allocate_popularity(10.0, 2.0, 0.6, [[5, 10]])
 
 
 def test_rank_sessions_deterministic_ties():
@@ -258,34 +277,24 @@ def test_rank_sessions_deterministic_ties():
 
 
 def test_satisfaction_uncongested():
-    alloc = allocate_popularity(30e6, 2e6, 0.6e6, [10] * 5)
-    rep = satisfaction(alloc)
-    assert rep.per_rank == [1.0] * 5
-    assert rep.average == rep.baseline == 1.0
+    per_rank, average, baseline = allocate_popularity(30e6, 2e6, 0.6e6,
+                                                      [[10] * 5]).satisfaction()
+    assert per_rank.tolist() == [[1.0] * 5]
+    assert average.tolist() == [1.0] and baseline == 1.0
 
 
 def test_satisfaction_worked_fixture():
-    alloc = allocate_popularity(2.0, 2.0, 0.6, [150, 50])
-    rep = satisfaction(alloc)
-    assert rep.per_rank == pytest.approx([0.6, 0.4])
-    assert rep.average == pytest.approx(0.55)
-    assert rep.baseline == pytest.approx(0.5)
-    assert rep.average > rep.baseline
+    per_rank, average, baseline = allocate_popularity(2.0, 2.0, 0.6,
+                                                      [[150, 50]]).satisfaction()
+    assert per_rank[0] == pytest.approx([0.6, 0.4])
+    assert average[0] == pytest.approx(0.55)
+    assert baseline == pytest.approx(0.5)
+    assert average[0] > baseline
 
 
 def test_satisfaction_uniform_popularity_equals_baseline():
-    alloc = allocate_popularity(10.0, 2.0, 0.6, [40] * 8)
-    rep = satisfaction(alloc)
-    assert rep.average == pytest.approx(rep.baseline)
-
-
-def test_allocation_rows_export():
-    from femtonet.videoalloc import allocation_rows
-
-    alloc = allocate_popularity(2.0, 2.0, 0.6, [150, 50])
-    rows = allocation_rows(alloc)
-    assert rows[0] == (1, 150, pytest.approx(1.2), pytest.approx(0.6))
-    assert rows[1] == (2, 50, pytest.approx(0.8), pytest.approx(0.4))
+    _, average, baseline = allocate_popularity(10.0, 2.0, 0.6, [[40] * 8]).satisfaction()
+    assert average[0] == pytest.approx(baseline)
 
 
 @given(st.lists(st.integers(1, 400), min_size=2, max_size=30))
@@ -294,13 +303,13 @@ def test_satisfaction_dominance_property(viewers):
     viewers = sorted(viewers, reverse=True)
     m = len(viewers)
     capacity = m * 1.1  # congested whenever beta_max = 2 > 1.1
-    alloc = allocate_popularity(capacity, 2.0, 0.6, viewers)
-    rep = satisfaction(alloc)
-    assert rep.average >= rep.baseline - 1e-12
-    chain = [1.0] + rep.per_rank + [0.3]
+    per_rank, average, baseline = allocate_popularity(capacity, 2.0, 0.6,
+                                                      [viewers]).satisfaction()
+    assert average[0] >= baseline - 1e-12
+    chain = [1.0] + per_rank[0].tolist() + [0.3]
     assert all(a >= b - 1e-12 for a, b in zip(chain, chain[1:]))
     if viewers[0] == viewers[-1]:
-        assert rep.average == pytest.approx(rep.baseline)
+        assert average[0] == pytest.approx(baseline)
 
 
 # ---------------------------------------------------------------------------
@@ -337,37 +346,52 @@ def _bits(values) -> list[str]:
 @example(case=(0.6, 0.6, 0.6, [[7]]))
 def test_popularity_rows_equal_the_scalar_allocator_bit_for_bit(case):
     capacity, beta_max, beta_min, viewers = case
-    batch = allocate_popularity_rows(capacity, beta_max, beta_min, np.array(viewers))
+    batch = allocate_popularity(capacity, beta_max, beta_min, np.array(viewers))
     per_rank, average, baseline = batch.satisfaction()
     for t, row in enumerate(viewers):
-        alloc = allocate_popularity(capacity, beta_max, beta_min, row)
-        rep = satisfaction(alloc)
+        alloc = allocate_popularity(capacity, beta_max, beta_min, [row])
+        row_ranks, row_average, row_baseline = alloc.satisfaction()
         assert batch.congested == alloc.congested
-        assert _bits(batch.bandwidths[t]) == _bits(alloc.bandwidths)
-        assert _bits(per_rank[t]) == _bits(rep.per_rank)
-        assert _bits([average[t], baseline]) == _bits([rep.average, rep.baseline])
+        assert _bits(batch.bandwidths[t]) == _bits(alloc.bandwidths[0])
+        assert _bits(per_rank[t]) == _bits(row_ranks[0])
+        assert _bits([average[t], baseline]) == _bits([row_average[0], row_baseline])
         congested, bws, ranks, avg, base = popularity_allocation(
             capacity, beta_max, beta_min, row)
         assert congested == alloc.congested
-        assert _bits(alloc.bandwidths) == _bits(bws)
-        assert _bits(rep.per_rank) == _bits(ranks)
-        assert _bits([rep.average, rep.baseline]) == _bits([avg, base])
+        assert _bits(alloc.bandwidths[0]) == _bits(bws)
+        assert _bits(row_ranks[0]) == _bits(ranks)
+        assert _bits([row_average[0], row_baseline]) == _bits([avg, base])
 
 
 def test_popularity_rows_overflow_at_several_top_ranks():
     viewers = [5000, 5000, 3, 2, 1, 0]
-    alloc = allocate_popularity(8.0, 2.0, 0.6, viewers)
-    assert alloc.bandwidths[:2] == [2.0, 2.0] and alloc.bandwidths[2] < 2.0
-    assert alloc.total == pytest.approx(8.0)
-    assert _bits(alloc.bandwidths) == _bits(popularity_allocation(8.0, 2.0, 0.6, viewers)[1])
+    bws = allocate_popularity(8.0, 2.0, 0.6, [viewers]).bandwidths[0].tolist()
+    assert bws[:2] == [2.0, 2.0] and bws[2] < 2.0
+    assert sum(bws) == pytest.approx(8.0)
+    assert _bits(bws) == _bits(popularity_allocation(8.0, 2.0, 0.6, viewers)[1])
 
 
 def test_popularity_rows_keep_the_scalar_errors():
     with pytest.raises(ValueError, match="sorted"):
-        allocate_popularity_rows(10.0, 2.0, 0.6, np.array([[5, 4], [4, 5]]))
+        allocate_popularity(10.0, 2.0, 0.6, np.array([[5, 4], [4, 5]]))
     with pytest.raises(ValueError, match=">= 0"):
-        allocate_popularity_rows(10.0, 2.0, 0.6, np.array([[5, 4], [4, -1]]))
+        allocate_popularity(10.0, 2.0, 0.6, np.array([[5, 4], [4, -1]]))
     with pytest.raises(InfeasibleAllocationError):
-        allocate_popularity_rows(1.0, 2.0, 0.6, np.array([[5, 5], [3, 1]]))
-    with pytest.raises(ValueError, match="no sessions"):
-        allocate_popularity(10.0, 2.0, 0.6, [])
+        allocate_popularity(1.0, 2.0, 0.6, np.array([[5, 5], [3, 1]]))
+    with pytest.raises(ValueError, match="non-empty 2-D"):
+        allocate_popularity(10.0, 2.0, 0.6, [[]])
+
+
+@pytest.mark.parametrize("capacity, beta_max, viewers, name", [
+    (float("nan"), 2.0, [[150, 50]], "capacity"),
+    (float("inf"), 2.0, [[150, 50]], "capacity"),
+    (2.0, 2.0, [[float("inf"), 50]], "viewers"),
+    (2.0, 2.0, [[150, float("nan")]], "viewers"),
+    (2.0, float("inf"), [[150, 50]], "beta_max"),
+    (2.0, 2.0, [150, 50], "viewers"),  # one row must still be a 2-D array
+])
+def test_popularity_names_a_bad_input(capacity, beta_max, viewers, name):
+    # a NaN capacity used to fail the internal "top-rank overflow" check,
+    # and an infinite viewer count to give a NaN bandwidth
+    with pytest.raises(ValueError, match=name):
+        allocate_popularity(capacity, beta_max, 0.6, viewers)
