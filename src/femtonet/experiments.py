@@ -203,9 +203,9 @@ def run_fig5_mobility(scenario: Scenario) -> ExperimentResult:
     femtocell count grows, against the macro-only baseline."""
     res = ExperimentResult("fig5-mobility", scenario.name, scenario.seed)
     baseline_params, swept = _read_fig5_mobility(scenario)
-    baseline = q_mod.solve_two_tier(baseline_params)
-    for n, params in swept:
-        sol = q_mod.solve_two_tier(params)
+    baseline, *solved = q_mod.solve_two_tier_sweep(
+        [baseline_params, *(params for _, params in swept)])
+    for (n, _), sol in zip(swept, solved):
         probs = sol.probabilities
         p_ft = q_mod.forced_termination_probability(probs.mm, sol.macro.p_drop)
         res.add("integrated", n, "macro_new_call_blocking", sol.macro.p_block)
@@ -286,9 +286,10 @@ def _read_fig6(scenario: Scenario):
 def run_fig6_cac(scenario: Scenario) -> ExperimentResult:
     res = ExperimentResult("fig6-cac", scenario.name, scenario.seed)
     grid, base, cells = _read_fig6(scenario)
-    for lam in grid:
-        for cell in cells:
-            sol = cell.solve(lam)
+    solved = [cell.solve_grid(grid) for cell in cells]
+    for j, lam in enumerate(grid):
+        for cell, sols in zip(cells, solved):
+            sol = sols[j]
             label = "guard5" if cell.scheme == "guard" else cell.scheme
             res.add(label, lam, "p_block", sol.p_block)
             res.add(label, lam, "p_drop", sol.p_drop)

@@ -8,6 +8,8 @@ The stationary distribution is computed in log space, so state counts in
 the hundreds stay numerically exact.  Handover arrival rates and blocking
 and dropping probabilities depend on each other; both fixed points run one
 damped successive substitution, _fixed_point, to the requested residual.
+A sweep iterates all its points together, and each iteration solves the
+chains of its points in one product-form pass (loss_chain_rows).
 """
 
 from __future__ import annotations
@@ -57,24 +59,40 @@ class ChainSolution:
             raise AssertionError(f"state probabilities sum to {total}, not 1")
 
 
-def _fixed_point(step, rates: list[float], what: str):
-    """Damped successive substitution on a list of rates.
+def _fixed_point(step, rates: list[list[float]], what: str):
+    """Damped successive substitution on one list of rates per point.
 
-    Each iteration calls step(rates) once for the new rates, records the
-    residual max |new - old| and moves every rate by FIXED_POINT_DAMPING of
-    its change, until a residual falls below FIXED_POINT_TOL.  Returns the
-    damped rates, the iteration count and the residuals; after
-    MAX_ITERATIONS it raises NonConvergenceError naming `what`.
+    Each iteration calls step(points, rates) once, with the indices of the
+    points still iterating and their rates, for their new rates.  Per point
+    it records the residual max |new - old| and moves every rate by
+    FIXED_POINT_DAMPING of its change; once a residual falls below
+    FIXED_POINT_TOL the point stops, and neither its rates nor step's state
+    for it change again.  Returns per point the damped rates, the iteration
+    count and the residuals; when a point reaches MAX_ITERATIONS it raises
+    NonConvergenceError naming `what`, with that point's residuals.
     """
-    residuals = []
-    for iteration in range(1, MAX_ITERATIONS + 1):
-        new = step(rates)
-        residual = max([abs(b - a) for a, b in zip(rates, new)])
-        residuals.append(residual)
-        rates = [a + FIXED_POINT_DAMPING * (b - a) for a, b in zip(rates, new)]
-        if residual < FIXED_POINT_TOL:
-            return rates, iteration, residuals
-    raise NonConvergenceError(f"{what} fixed point did not converge", residuals)
+    rates = list(rates)
+    iterations = [0] * len(rates)
+    residuals = [[] for _ in rates]
+    active = list(range(len(rates)))
+    iteration = 0
+    while active:
+        iteration += 1
+        if iteration > MAX_ITERATIONS:
+            raise NonConvergenceError(f"{what} fixed point did not converge",
+                                      residuals[active[0]])
+        running = []
+        for i, new in zip(active, step(active, [rates[i] for i in active])):
+            old = rates[i]
+            residual = max([abs(b - a) for a, b in zip(old, new)])
+            residuals[i].append(residual)
+            rates[i] = [a + FIXED_POINT_DAMPING * (b - a) for a, b in zip(old, new)]
+            if residual < FIXED_POINT_TOL:
+                iterations[i] = iteration
+            else:
+                running.append(i)
+        active = running
+    return rates, iterations, residuals
 
 
 def erlang_b(servers: int, offered: float) -> float:
@@ -106,18 +124,19 @@ def birth_death_probs(birth_rates, death_rates) -> np.ndarray:
 
 def _stationary(births: np.ndarray, log_deaths: np.ndarray) -> np.ndarray:
     """The product-form distribution of birth_death_probs, from the births
-    and the logs of the (positive) death rates."""
-    logp = np.empty(len(births) + 1)
-    logp[0] = 0.0
-    steps = logp[1:]
+    and the logs of the (positive) death rates, along the last axis: a
+    (chains x states-1) array of births gives one distribution per row."""
+    logp = np.empty((*births.shape[:-1], births.shape[-1] + 1))
+    logp[..., 0] = 0.0
+    steps = logp[..., 1:]
     with np.errstate(divide="ignore"):
         # zero birth rates mark unreachable upper states (log 0 -> -inf -> p 0)
         np.log(births, out=steps)
     steps -= log_deaths
-    np.add.accumulate(steps, out=steps)
-    logp -= logp.max()
+    np.add.accumulate(steps, axis=-1, out=steps)
+    logp -= logp.max(axis=-1, keepdims=True)
     np.exp(logp, out=logp)
-    logp /= logp.sum()
+    logp /= logp.sum(axis=-1, keepdims=True)
     return logp
 
 
@@ -174,16 +193,56 @@ def loss_chain_probs(spec: LossChainSpec) -> tuple[np.ndarray, list[float]]:
                    for limit in spec.stream_limits]
 
 
+def loss_chain_rows(specs) -> list[tuple[np.ndarray, list[float]]]:
+    """loss_chain_probs of every chain in specs, to the last bit.
+
+    Chains that share their stream limits, min_state and state count are
+    solved together: one product-form pass over the C-contiguous
+    (chains x states) array of their births, so the probability rows of one
+    such group are views of one array.  A lone chain goes through
+    loss_chain_probs, whose 1-D arrays cost less per call than a one-row
+    batch: a one-point fixed point, or the last point of a sweep still
+    iterating, makes one such call per iteration."""
+    if len(specs) == 1:
+        return [loss_chain_probs(specs[0])]
+    groups = {}
+    for j, spec in enumerate(specs):
+        if spec.log_deaths is None:
+            raise ValueError("death rates must be positive")
+        key = (spec.stream_limits, spec.min_state, len(spec.srv_rates))
+        groups.setdefault(key, []).append(j)
+    out = [None] * len(specs)
+    for (limits, lo, n_states), rows in groups.items():
+        group = [specs[j] for j in rows]
+        log_deaths = group[0].log_deaths
+        if any(spec.log_deaths is not log_deaths for spec in group):
+            log_deaths = np.array([spec.log_deaths for spec in group])
+        rates = np.array([spec.stream_rates for spec in group])
+        births = np.zeros((len(group), n_states - 1 - lo))
+        for k, limit in enumerate(limits):
+            births[:, :max(limit - lo, 0)] += rates[:, k, None]
+        probs = _stationary(births, log_deaths)
+        rejects = [probs[:, max(limit - lo, 0):].sum(axis=1).tolist() for limit in limits]
+        for r, j in enumerate(rows):
+            out[j] = probs[r], [column[r] for column in rejects]
+    return out
+
+
+def _with_stream_rates(spec: LossChainSpec, rates: tuple[float, ...]) -> LossChainSpec:
+    """The same chain with its streams at `rates`.  The rest of the spec
+    was checked when it was made, so only the rates are checked here and
+    the copy skips __post_init__, sharing the spec's log_deaths."""
+    _despy.check_rates(rates)
+    out = object.__new__(LossChainSpec)
+    out.__dict__.update(spec.__dict__, stream_rates=rates)
+    return out
+
+
 def _with_hand_rate(spec: LossChainSpec, lam_hand: float) -> LossChainSpec:
-    """The same chain with its handover stream at lam_hand.  The rest of
-    the spec was checked when it was made, so only the new rate is checked
-    here and the copy skips __post_init__, sharing the spec's log_deaths."""
-    _despy.check_rates((lam_hand,))
+    """The same chain with its handover stream at lam_hand."""
     rates = list(spec.stream_rates)
     rates[spec.hand_stream] = lam_hand
-    out = object.__new__(LossChainSpec)
-    out.__dict__.update(spec.__dict__, stream_rates=tuple(rates))
-    return out
+    return _with_stream_rates(spec, tuple(rates))
 
 
 # ---------------------------------------------------------------------------
@@ -307,74 +366,127 @@ class TwoTierSolution:
     residuals: list[float]
 
 
-def solve_two_tier(params: TwoTierParams) -> TwoTierSolution:
-    """Fixed point of the coupled femto/macro chains.
+class _TwoTierPoint:
+    """One point of a two-tier sweep: the constants its step reads, and the
+    chain probabilities of its last step.  The next step's lambda_T,f, and
+    the converged one, read the P_D,m of the step before."""
 
-    Handover arrival rates feed the two chains, whose blocking and dropping
-    probabilities feed back into the rates; _fixed_point iterates the four
-    rates to a residual below FIXED_POINT_TOL.  The converged point is
-    independent of FIXED_POINT_DAMPING (to the residual tolerance).
-    """
-    probs = handover_probabilities(params)
-    mu_m, mu_f = channel_release_rates(params)
-    n, k_f = params.n, params.femto_capacity
-    alpha, beta = params.alpha, params.beta_prob
-    lam_of, lam_om = params.lambda_o_f, params.lambda_o_m
+    def __init__(self, params: TwoTierParams):
+        self.params = params
+        self.probs = handover_probabilities(params)
+        self.mu_m, self.mu_f = channel_release_rates(params)
+        self.macro_chain = two_tier_macro_chain(params, 0.0)
+        self.p_bf = self.p_df = self.p_bm = self.p_dm = 0.0
 
-    # the last step's chain probabilities; lambda_T,f reads the P_D,m of the
-    # step before
-    p_bf = p_df = p_bm = p_dm = 0.0
-    macro_chain = two_tier_macro_chain(params, 0.0)
+    def lam_tf(self, l_mf: float, l_ff: float) -> float:
+        params = self.params
+        return (params.lambda_o_f + l_mf + params.alpha * l_ff
+                + self.p_dm * params.beta_prob * l_ff)
 
-    def step(rates):
-        nonlocal p_bf, p_df, p_bm, p_dm, macro_chain
+    def lam_hm(self, l_mm: float, l_ff: float, l_fm: float) -> float:
+        alpha = self.params.alpha
+        return l_mm + l_fm + alpha * self.p_df * l_ff + (1.0 - alpha) * l_ff
+
+    def macro_step_chain(self, rates) -> LossChainSpec:
+        """The first half of a step: the femto layer's Erlang-B blocking at
+        these rates, and the macro chain at the handover rate it gives."""
         l_mm, l_mf, l_ff, l_fm = rates
-        lam_tf = lam_of + l_mf + alpha * l_ff + p_dm * beta * l_ff
+        n = self.params.n
         if n > 0:
-            offered = lam_tf / n / mu_f
-            p_bf = p_df = erlang_b(k_f, offered)
+            offered = self.lam_tf(l_mf, l_ff) / n / self.mu_f
+            self.p_bf = self.p_df = erlang_b(self.params.femto_capacity, offered)
         else:
-            p_bf = p_df = 0.0
+            self.p_bf = self.p_df = 0.0
+        self.macro_chain = _with_hand_rate(self.macro_chain, self.lam_hm(l_mm, l_ff, l_fm))
+        return self.macro_chain
 
-        lam_hm = l_mm + l_fm + alpha * p_df * l_ff + (1.0 - alpha) * l_ff
-        macro_chain = _with_hand_rate(macro_chain, lam_hm)
-        _, (p_bm, p_dm) = loss_chain_probs(macro_chain)
-
-        num_m = (1.0 - p_bm) * (lam_om + lam_of * p_bf) + (1.0 - p_dm) * (
+    def new_rates(self, rates, p_bm: float, p_dm: float) -> list[float]:
+        """The second half: the handover rates from that chain's P_B,m and
+        P_D,m."""
+        self.p_bm, self.p_dm = p_bm, p_dm
+        l_mm, l_mf, l_ff, l_fm = rates
+        params, probs, p_bf, p_df = self.params, self.probs, self.p_bf, self.p_df
+        alpha, lam_of = params.alpha, params.lambda_o_f
+        num_m = (1.0 - p_bm) * (params.lambda_o_m + lam_of * p_bf) + (1.0 - p_dm) * (
             l_fm + l_ff * (1.0 - alpha + alpha * p_df))
         den_m = 1.0 - probs.mm * (1.0 - p_dm)
         num_f = lam_of * (1.0 - p_bf) + l_mf * (1.0 - p_df)
         den_f = 1.0 - probs.ff * (1.0 - p_df) * (alpha + (1.0 - alpha) * p_dm)
-        return (probs.mm * num_m / den_m, probs.mf * num_m / den_m,
-                probs.ff * num_f / den_f, probs.fm * num_f / den_f)
+        return [probs.mm * num_m / den_m, probs.mf * num_m / den_m,
+                probs.ff * num_f / den_f, probs.fm * num_f / den_f]
 
-    (l_mm, l_mf, l_ff, l_fm), iterations, residuals = _fixed_point(
-        step, [0.0, 0.0, 0.0, 0.0], "two-tier")
+    def solution(self, rates, iterations: int, residuals: list[float],
+                 femto_chain: LossChainSpec, femto_probs: np.ndarray,
+                 macro_chain: LossChainSpec, macro_probs: np.ndarray) -> TwoTierSolution:
+        """The point's solution at its converged rates, from its last
+        step's chain probabilities and its chains solved at those rates."""
+        l_mm, l_mf, l_ff, l_fm = rates
+        params = self.params
+        k_f, base = params.femto_capacity, params.macro_base_states
+        femto_util = float(np.dot(np.arange(len(femto_probs)), femto_probs)) / max(k_f, 1)
+        macro_occ = np.minimum(np.arange(len(macro_probs)), base)
+        macro_util = float(np.dot(macro_occ, macro_probs)) / max(base, 1)
+        lam_tf, lam_hm = self.lam_tf(l_mf, l_ff), self.lam_hm(l_mm, l_ff, l_fm)
+        femto = ChainSolution(femto_probs, self.p_bf, self.p_df, femto_util,
+                              handover_rate=params.alpha * l_ff + l_mf,
+                              iterations=iterations, residual=residuals[-1],
+                              spec=femto_chain)
+        macro = ChainSolution(macro_probs, self.p_bm, self.p_dm, macro_util,
+                              handover_rate=lam_hm, iterations=iterations,
+                              residual=residuals[-1], spec=macro_chain)
+        rates = {
+            "lambda_h_mm": l_mm, "lambda_h_mf": l_mf,
+            "lambda_h_ff": l_ff, "lambda_h_fm": l_fm,
+            "lambda_T_f": lam_tf, "lambda_h_m": lam_hm,
+            "mu_m": self.mu_m, "mu_f": self.mu_f,
+        }
+        return TwoTierSolution(femto, macro, rates, self.probs, iterations, residuals)
 
-    lam_tf = lam_of + l_mf + alpha * l_ff + p_dm * beta * l_ff
-    lam_hm = l_mm + l_fm + alpha * p_df * l_ff + (1.0 - alpha) * l_ff
-    femto_chain = two_tier_femto_chain(params, lam_tf)
-    femto_probs = loss_chain_probs(femto_chain)[0] if n > 0 else np.array([1.0])
-    macro_chain = _with_hand_rate(macro_chain, lam_hm)
-    macro_probs, _ = loss_chain_probs(macro_chain)
 
-    femto_util = float(np.dot(np.arange(len(femto_probs)), femto_probs)) / max(k_f, 1)
-    macro_occ = np.minimum(np.arange(len(macro_probs)), params.macro_base_states)
-    macro_util = float(np.dot(macro_occ, macro_probs)) / max(params.macro_base_states, 1)
+def solve_two_tier_sweep(sweep) -> list[TwoTierSolution]:
+    """The fixed point of the coupled femto/macro chains at every point of
+    sweep, a sequence of TwoTierParams.
 
-    femto = ChainSolution(femto_probs, p_bf, p_df, femto_util,
-                          handover_rate=alpha * l_ff + l_mf, iterations=iterations,
-                          residual=residuals[-1], spec=femto_chain)
-    macro = ChainSolution(macro_probs, p_bm, p_dm, macro_util,
-                          handover_rate=lam_hm, iterations=iterations,
-                          residual=residuals[-1], spec=macro_chain)
-    rates = {
-        "lambda_h_mm": l_mm, "lambda_h_mf": l_mf,
-        "lambda_h_ff": l_ff, "lambda_h_fm": l_fm,
-        "lambda_T_f": lam_tf, "lambda_h_m": lam_hm,
-        "mu_m": mu_m, "mu_f": mu_f,
-    }
-    return TwoTierSolution(femto, macro, rates, probs, iterations, residuals)
+    Handover arrival rates feed the two chains, whose blocking and dropping
+    probabilities feed back into the rates.  _fixed_point iterates the four
+    rates of every point together, each to a residual below
+    FIXED_POINT_TOL, and each iteration solves the macro chains of the
+    points still iterating in one loss_chain_rows call.  A point's result
+    does not depend on the other points, and the converged point is
+    independent of FIXED_POINT_DAMPING (to the residual tolerance).
+    """
+    points = [_TwoTierPoint(params) for params in sweep]
+
+    def step(active, rates):
+        chains = [points[i].macro_step_chain(r) for i, r in zip(active, rates)]
+        return [points[i].new_rates(r, p_bm, p_dm) for i, r, (_, (p_bm, p_dm))
+                in zip(active, rates, loss_chain_rows(chains))]
+
+    rates, iterations, residuals = _fixed_point(
+        step, [[0.0, 0.0, 0.0, 0.0] for _ in points], "two-tier")
+
+    femto_chains, macro_chains = [], []
+    for point, (l_mm, l_mf, l_ff, l_fm) in zip(points, rates):
+        femto_chains.append(two_tier_femto_chain(point.params, point.lam_tf(l_mf, l_ff)))
+        macro_chains.append(_with_hand_rate(point.macro_chain,
+                                            point.lam_hm(l_mm, l_ff, l_fm)))
+    # a layer of no femtocells has no femto chain to solve
+    has_femto = [point.params.n > 0 for point in points]
+    rows = loss_chain_rows(macro_chains + [c for c, f in zip(femto_chains, has_femto) if f])
+    femto_rows = iter(rows[len(points):])
+    solutions = []
+    for j, point in enumerate(points):
+        femto_probs = next(femto_rows)[0].copy() if has_femto[j] else np.array([1.0])
+        solutions.append(point.solution(
+            rates[j], iterations[j], residuals[j],
+            femto_chains[j], femto_probs, macro_chains[j], rows[j][0].copy()))
+    return solutions
+
+
+def solve_two_tier(params: TwoTierParams) -> TwoTierSolution:
+    """The fixed point of the coupled femto/macro chains at params: the
+    one-point case of solve_two_tier_sweep."""
+    return solve_two_tier_sweep((params,))[0]
 
 
 def forced_termination_probability(p_h: float, p_drop: float) -> float:
@@ -511,36 +623,45 @@ class Ch6Cell:
         return LossChainSpec((lam_new, lam_hand), (self.new_limit, self.n + self.s),
                              self.srv, new_streams=(0,), hand_stream=1)
 
-    def solve(self, lam_new: float) -> ChainSolution:
-        """The cell at new-call rate lam_new, with the handover rate at its
-        fixed point.
+    def solve_grid(self, lam_news) -> list[ChainSolution]:
+        """The cell at each new-call rate of lam_news, with the handover
+        rate at its fixed point.
 
         The handover arrival rate and the chain couple through
         lam_h = P_h (1 - P_B) lam_n / (1 - P_h (1 - P_D)); _fixed_point
-        iterates lam_h from P_h lam_n to FIXED_POINT_TOL.  lam_new must be
-        finite and >= 0.
+        iterates lam_h from P_h lam_n to FIXED_POINT_TOL at every rate
+        together, and each iteration solves the chains of the rates still
+        iterating in one loss_chain_rows call.  Every rate must be finite
+        and >= 0; a bad one is named before any iteration.
         """
-        if not 0.0 <= lam_new < math.inf:
-            raise ValueError(f"lam_new must be finite and >= 0, got {lam_new!r}")
-        chain = self.chain(lam_new, 0.0)
+        lam_news = list(lam_news)
+        for lam_new in lam_news:
+            if not 0.0 <= lam_new < math.inf:
+                raise ValueError(f"lam_new must be finite and >= 0, got {lam_new!r}")
+        chain = self.chain(0.0, 0.0)
         p_h = self.p_h
 
-        def step(rates):
-            _, (p_b, p_d) = loss_chain_probs(_with_hand_rate(chain, rates[0]))
-            return [p_h * (1.0 - p_b) * lam_new / (1.0 - p_h * (1.0 - p_d))]
+        def step(points, rates):
+            chains = [_with_stream_rates(chain, (lam_news[i], lam_h))
+                      for i, (lam_h,) in zip(points, rates)]
+            return [[p_h * (1.0 - p_b) * lam_news[i] / (1.0 - p_h * (1.0 - p_d))]
+                    for i, (_, (p_b, p_d)) in zip(points, loss_chain_rows(chains))]
 
-        (lam_h,), iterations, residuals = _fixed_point(step, [p_h * lam_new], "ch6")
-        chain = _with_hand_rate(chain, lam_h)
-        probs, (p_b, p_d) = loss_chain_probs(chain)
-        utilization = float(np.dot(probs, self.occupancy)) / self.capacity
-
-        return ChainSolution(
-            probs, p_b, p_d, utilization, handover_rate=lam_h,
-            iterations=iterations, residual=residuals[-1],
-            extra={"N": self.n, "S": self.s, "L": self.ell, "P_h": p_h,
-                   "mu_rates": self.mu_rates, "scheme": self.scheme},
-            spec=chain,
-        )
+        rates, iterations, residuals = _fixed_point(
+            step, [[p_h * lam_new] for lam_new in lam_news], "ch6")
+        chains = [_with_stream_rates(chain, (lam_new, lam_h))
+                  for lam_new, (lam_h,) in zip(lam_news, rates)]
+        extra = {"N": self.n, "S": self.s, "L": self.ell, "P_h": p_h,
+                 "mu_rates": self.mu_rates, "scheme": self.scheme}
+        solutions = []
+        for spec, (lam_h,), (probs, (p_b, p_d)), n_iter, res in zip(
+                chains, rates, loss_chain_rows(chains), iterations, residuals):
+            probs = probs.copy()
+            utilization = float(np.dot(probs, self.occupancy)) / self.capacity
+            solutions.append(ChainSolution(
+                probs, p_b, p_d, utilization, handover_rate=lam_h,
+                iterations=n_iter, residual=res[-1], extra=dict(extra), spec=spec))
+        return solutions
 
 
 def _read_only(values) -> np.ndarray:
@@ -586,12 +707,12 @@ def ch6_cell(params: Ch6QueueParams, scheme: str = "proposed") -> Ch6Cell:
 
 def solve_ch6(params: Ch6QueueParams, scheme: str = "proposed") -> ChainSolution:
     """Solve the adaptive-CAC cell for one scheme at params.lam_new: the
-    fixed point of Ch6Cell.solve.
+    one-point case of Ch6Cell.solve_grid.
 
     To sweep the new-call rate, build the cell once with ch6_cell and call
-    its solve for each rate; this builds a new cell on every call.
+    its solve_grid on every rate; this builds a new cell on every call.
     """
-    return ch6_cell(params, scheme).solve(params.lam_new)
+    return ch6_cell(params, scheme).solve_grid((params.lam_new,))[0]
 
 
 # ---------------------------------------------------------------------------

@@ -73,6 +73,10 @@ def allocate_mbs_budget(capacity: float, non_mbs_bw: float, sessions):
     for name, value in (("capacity", capacity), ("non_mbs_bw", non_mbs_bw)):
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value!r}")
+    if not capacity > 0:
+        raise ValueError(f"capacity must be > 0, got {capacity!r}")
+    if not non_mbs_bw >= 0:
+        raise ValueError(f"non_mbs_bw must be >= 0, got {non_mbs_bw!r}")
     if capacity < non_mbs_bw:
         raise ValueError("non-MBS load exceeds capacity")
     remaining = capacity - non_mbs_bw

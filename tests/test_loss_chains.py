@@ -26,9 +26,11 @@ from femtonet.queueing import (
     ch6_cells,
     chain_dimensions,
     loss_chain_probs,
+    loss_chain_rows,
     solve_ch6,
     solve_ch7,
     solve_two_tier,
+    solve_two_tier_sweep,
 )
 from femtonet.scenario import Scenario, scenario_from_preset
 
@@ -56,7 +58,7 @@ def test_ch6_chain_equals_old_spec_and_birth_lists(scheme, lam):
 def test_ch6_cell_equals_the_chain_it_split(scheme, lam):
     params = Scenario({}).ch6_params(lam_new=lam)
     cell = ch6_cell(replace(params, lam_new=1.0), scheme)  # built at another rate
-    sol = cell.solve(lam)
+    (sol,) = cell.solve_grid([lam])
     old = oracles.solve_ch6(params, scheme)
     for name in ("p_block", "p_drop", "utilization", "handover_rate", "residual"):
         assert getattr(sol, name).hex() == getattr(old, name).hex(), name
@@ -92,14 +94,12 @@ def _hex_fields(sol) -> dict:
             ("p_block", "p_drop", "utilization", "handover_rate", "residual")}
 
 
-@pytest.mark.parametrize("alpha, beta, adaptive", [
-    (0.8, 0.2, 30), (0.5, 0.4, 30), (0.2, 0.0, 30), (1.0, 0.0, 30), (0.6, 0.3, 0)])
-@pytest.mark.parametrize("lam_total", [0.5, 4.0, 20.0])
-@pytest.mark.parametrize("n", [0, 1, 100, 400, 1000])
-def test_two_tier_solution_equals_its_written_out_loop(n, lam_total, alpha, beta, adaptive):
-    params = replace(scenario_from_preset("table-5.1").two_tier_params(n=n, lam_total=lam_total),
-                     alpha=alpha, beta_prob=beta, macro_adaptive_states=adaptive)
-    sol, old = solve_two_tier(params), oracles.solve_two_tier(params)
+def _two_tier_point(n, lam_total, alpha, beta, adaptive):
+    return replace(scenario_from_preset("table-5.1").two_tier_params(n=n, lam_total=lam_total),
+                   alpha=alpha, beta_prob=beta, macro_adaptive_states=adaptive)
+
+
+def _assert_two_tier_equal(sol, old):
     assert {k: v.hex() for k, v in sol.rates.items()} == {k: v.hex() for k, v in old.rates.items()}
     assert sol.probabilities == old.probabilities
     assert sol.iterations == old.iterations
@@ -109,6 +109,98 @@ def test_two_tier_solution_equals_its_written_out_loop(n, lam_total, alpha, beta
         assert _hex_fields(new_layer) == _hex_fields(old_layer), layer
         assert new_layer.iterations == old_layer.iterations
         assert _same_bits(new_layer.probs, old_layer.probs), layer
+
+
+@pytest.mark.parametrize("alpha, beta, adaptive", [
+    (0.8, 0.2, 30), (0.5, 0.4, 30), (0.2, 0.0, 30), (1.0, 0.0, 30), (0.6, 0.3, 0)])
+@pytest.mark.parametrize("lam_total", [0.5, 4.0, 20.0])
+@pytest.mark.parametrize("n", [0, 1, 100, 400, 1000])
+def test_two_tier_solution_equals_its_written_out_loop(n, lam_total, alpha, beta, adaptive):
+    params = _two_tier_point(n, lam_total, alpha, beta, adaptive)
+    _assert_two_tier_equal(solve_two_tier(params), oracles.solve_two_tier(params))
+
+
+_TWO_TIER_POINTS = st.tuples(
+    st.sampled_from([0, 1, 100, 400, 1000]), st.sampled_from([0.0, 0.5, 4.0, 20.0]),
+    st.sampled_from([(0.8, 0.2), (0.5, 0.4), (0.2, 0.0), (1.0, 0.0), (0.6, 0.3)]),
+    st.sampled_from([30, 0, 7]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(sweep=st.lists(_TWO_TIER_POINTS, min_size=1, max_size=6))
+# lam_total 0 converges at iteration 1, beside points that take tens; the
+# macro chains come in two shapes, and one point repeats
+@example(sweep=[(400, 4.0, (0.8, 0.2), 30), (0, 0.0, (0.8, 0.2), 30),
+                (1000, 20.0, (0.6, 0.3), 0), (400, 4.0, (0.8, 0.2), 30)])
+def test_two_tier_sweep_equals_each_point_solved_alone(sweep):
+    """Every point of a sweep equals the written-out loop solved at that
+    point alone, residual lists and probabilities to the last bit, and its
+    chains equal the specs the DES builds for it."""
+    params = [_two_tier_point(n, lam, alpha, beta, adaptive)
+              for n, lam, (alpha, beta), adaptive in sweep]
+    solved = solve_two_tier_sweep(params)
+    assert len(solved) == len(params)
+    for p, sol in zip(params, solved, strict=True):
+        _assert_two_tier_equal(sol, oracles.solve_two_tier(p))
+        assert sol.macro.spec == oracles.spec_for_two_tier_macro(p, sol)
+        assert sol.femto.spec == oracles.spec_for_two_tier_femto(p, sol)
+    arrays = [layer.probs for sol in solved for layer in (sol.femto, sol.macro)]
+    assert all(a.base is None for a in arrays)
+
+
+def _assert_ch6_equal(sol, params, scheme, lam):
+    old = oracles.solve_ch6(params, scheme)
+    for name in ("p_block", "p_drop", "utilization", "handover_rate", "residual"):
+        assert getattr(sol, name).hex() == getattr(old, name).hex(), (name, lam)
+    assert sol.iterations == old.iterations
+    assert _same_bits(sol.probs, old.probs)
+    assert sol.spec == oracles.ch6_chain(params, sol.handover_rate, scheme)[0]
+    return old.iterations
+
+
+@settings(max_examples=30, deadline=None)
+@given(scheme=st.sampled_from(CH6_SCHEMES),
+       grid=st.lists(st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=3.0)),
+                     min_size=1, max_size=8))
+@example(scheme="proposed", grid=[1.3, 0.0, 2.5, 1.3, 0.0])
+def test_ch6_grid_equals_each_rate_solved_alone(scheme, grid):
+    """Every rate of a grid solve equals the reference solver at that rate
+    alone, to the last bit, and owns its probabilities."""
+    cell = ch6_cell(Scenario({}).ch6_params(lam_new=1.0), scheme)
+    solved = cell.solve_grid(grid)
+    assert len(solved) == len(grid)
+    for lam, sol in zip(grid, solved, strict=True):
+        _assert_ch6_equal(sol, Scenario({}).ch6_params(lam_new=lam), scheme, lam)
+    assert all(sol.probs.base is None for sol in solved)
+
+
+@pytest.mark.parametrize("scheme", CH6_SCHEMES)
+def test_a_grid_whose_rates_converge_at_different_iterations(scheme):
+    """lam_new = 0 converges at the first iteration and stops there, while
+    the other rates iterate on; each still equals its lone solve."""
+    grid = [0.0, 0.4, 2.0, 0.0]
+    cell = ch6_cell(Scenario({}).ch6_params(lam_new=1.0), scheme)
+    iterations = [_assert_ch6_equal(sol, Scenario({}).ch6_params(lam_new=lam), scheme, lam)
+                  for lam, sol in zip(grid, cell.solve_grid(grid), strict=True)]
+    assert iterations[0] == iterations[3] == 1
+    assert min(iterations[1:3]) > 1 and iterations[1] != iterations[2]
+
+
+@settings(max_examples=100, deadline=None)
+@given(specs=st.lists(st.sampled_from([
+    LossChainSpec((0.5, 0.7), (2, 4), (0.0, 1.0, 2.0, 3.0, 4.0)),
+    LossChainSpec((0.0, 0.3), (2, 4), (0.0, 1.0, 2.0, 3.0, 4.5)),
+    LossChainSpec((1.5, 0.2), (3, 4), (0.0, 1.0, 2.0, 3.0, 4.0)),
+    LossChainSpec((0.5, 0.0, 0.7), (2, 5, 4), (0.0, 1.0, 2.0, 3.0, 4.0, 5.0),
+                  start_state=2, min_state=2),
+    LossChainSpec((0.0,), (1,), (0.0, 2.0))]), min_size=1, max_size=7))
+def test_chain_rows_equal_each_chain_solved_alone(specs):
+    """loss_chain_rows groups chains by shape; each row equals the
+    reference for its own chain, whatever the other chains are."""
+    for spec, (probs, rejects) in zip(specs, loss_chain_rows(specs), strict=True):
+        want_probs, want_rejects = oracles.loss_chain_probs(spec)
+        assert _same_bits(probs, want_probs)
+        assert [p.hex() for p in rejects] == [p.hex() for p in want_rejects]
 
 
 def _ch7_grid():
@@ -288,7 +380,7 @@ def test_a_zero_death_rate_constructs_but_has_no_stationary_distribution():
 
 
 @pytest.mark.parametrize("solve", [
-    lambda: ch6_cell(Scenario({}).ch6_params(lam_new=1.3)).solve(1.3),
+    lambda: ch6_cell(Scenario({}).ch6_params(lam_new=1.3)).solve_grid([1.3]),
     lambda: solve_two_tier(scenario_from_preset("table-5.1").two_tier_params(n=400, lam_total=8.0)),
 ], ids=["ch6", "two-tier"])
 def test_a_nan_handover_rate_raises_at_a_later_iteration(solve, monkeypatch):
@@ -296,13 +388,15 @@ def test_a_nan_handover_rate_raises_at_a_later_iteration(solve, monkeypatch):
     spec the iterations start from."""
     solved = []
 
-    def nan_on_the_third(spec):
-        probs, rejects = real(spec)
-        solved.append(spec)
-        return probs, [math.nan] * len(rejects) if len(solved) == 3 else rejects
+    def nan_on_the_third(specs):
+        rows = real(specs)
+        solved.append(specs)
+        if len(solved) == 3:
+            rows = [(probs, [math.nan] * len(rejects)) for probs, rejects in rows]
+        return rows
 
-    real = queueing.loss_chain_probs
-    monkeypatch.setattr(queueing, "loss_chain_probs", nan_on_the_third)
+    real = queueing.loss_chain_rows
+    monkeypatch.setattr(queueing, "loss_chain_rows", nan_on_the_third)
     with pytest.raises(ValueError, match="finite and >= 0"):
         solve()
     assert len(solved) == 3

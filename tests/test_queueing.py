@@ -1,8 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import oracles
 from oracles import balance_equation_solve, erlang_b_direct
 
 from femtonet import admission, experiments, queueing
@@ -23,7 +25,9 @@ from femtonet.queueing import (
     solve_ch6,
     solve_ch7,
     solve_two_tier,
+    solve_two_tier_sweep,
 )
+from femtonet.scenario import scenario_from_preset
 
 # Table 6.1 traffic classes
 TABLE61 = (
@@ -368,7 +372,7 @@ def test_ch6_rejects_bad_arrival_rate_when_the_chain_is_built(lam_new, scheme):
     cell = ch6_cell(Ch6QueueParams(lam_new=1.0, capacity=6000.0, classes=TABLE61,
                                    eta=1 / 240.0, guard_channels=5), scheme)
     with pytest.raises(ValueError, match="finite and >= 0"):
-        cell.solve(lam_new)
+        cell.solve_grid([lam_new])
 
 
 @pytest.mark.parametrize("lam_new", [-0.5, math.nan, math.inf])
@@ -376,7 +380,7 @@ def test_ch6_cell_solve_names_a_bad_arrival_rate(lam_new):
     cell = ch6_cell(Ch6QueueParams(lam_new=1.0, capacity=6000.0, classes=TABLE61,
                                    eta=1 / 240.0, guard_channels=5), "guard")
     with pytest.raises(ValueError, match=r"lam_new must be finite and >= 0, got"):
-        cell.solve(lam_new)
+        cell.solve_grid([lam_new])
 
 
 @pytest.mark.parametrize("kw, message", [
@@ -397,7 +401,7 @@ def test_ch6_cell_arrays_are_read_only_and_not_shared():
     assert not cell.mu_rates.flags.writeable and not cell.occupancy.flags.writeable
     with pytest.raises(ValueError):
         cell.mu_rates[0] = 0.0
-    a, b = cell.solve(1.2), cell.solve(1.2)
+    a, b = cell.solve_grid([1.2, 1.2])
     assert not np.shares_memory(a.probs, b.probs)
     for key, value in a.extra.items():
         if isinstance(value, np.ndarray) and np.shares_memory(value, b.extra[key]):
@@ -420,6 +424,48 @@ def test_fig6_cac_builds_one_cell_per_scheme(monkeypatch):
     # proposed, non-prioritized and aqos share one pass over the S = 54
     # adaptive states; hard-qos and guard share one with S = 0
     assert counts == {"rebalance": 54, "state_release_rates": 2}
+
+
+def _count_product_form_passes(monkeypatch, name):
+    """How many times the default run of experiment `name` evaluates the
+    product form."""
+    calls = 0
+    real = queueing._stationary
+
+    def counted(births, log_deaths):
+        nonlocal calls
+        calls += 1
+        return real(births, log_deaths)
+
+    monkeypatch.setattr(queueing, "_stationary", counted)
+    experiments.run_experiment(name)
+    monkeypatch.undo()
+    return calls
+
+
+def test_fig6_cac_solves_each_cell_grid_in_one_pass_per_iteration(monkeypatch):
+    """One product-form pass per cell per iteration of its slowest rate,
+    plus one for the converged rates, not one per rate per iteration."""
+    scenario = scenario_from_preset(experiments.DEFAULT_PRESET["fig6-cac"])
+    grid, base, cells = experiments._read_fig6(scenario)
+    iterations = {cell.scheme: [oracles.solve_ch6(replace(base, lam_new=lam), cell.scheme)
+                                .iterations for lam in grid] for cell in cells}
+    passes = _count_product_form_passes(monkeypatch, "fig6-cac")
+    assert passes == sum(max(its) + 1 for its in iterations.values())
+    # the per-rate count the lone solves make
+    assert sum(i + 1 for its in iterations.values() for i in its) > 3 * passes
+
+
+def test_fig5_mobility_solves_its_sweep_in_one_pass_per_iteration(monkeypatch):
+    """The baseline and every femtocell count share one macro pass per
+    iteration of the slowest point, then one macro and one femto pass."""
+    baseline, swept = experiments._read_fig5_mobility(
+        scenario_from_preset(experiments.DEFAULT_PRESET["fig5-mobility"]))
+    iterations = [oracles.solve_two_tier(params).iterations
+                  for params in (baseline, *(params for _, params in swept))]
+    passes = _count_product_form_passes(monkeypatch, "fig5-mobility")
+    assert passes == max(iterations) + 2
+    assert sum(i + 1 for i in iterations) > 3 * passes
 
 
 # ---------------------------------------------------------------------------
@@ -544,3 +590,29 @@ def test_both_fixed_points_raise_after_max_iterations(monkeypatch):
         with pytest.raises(NonConvergenceError, match=f"^{what} fixed point did not converge") as err:
             solve()
         assert len(err.value.residuals) == 3
+
+
+def test_sweeps_raise_after_max_iterations(monkeypatch):
+    """A sweep stops at MAX_ITERATIONS with the residuals of a point that
+    did not converge, even beside a point that converged at once."""
+    monkeypatch.setattr(queueing, "MAX_ITERATIONS", 3)
+    cell = ch6_cell(Ch6QueueParams(lam_new=1.2, capacity=6000.0, classes=TABLE61,
+                                   eta=1 / 240.0), "proposed")
+    for what, solve in [
+            ("ch6", lambda: cell.solve_grid([0.0, 1.2, 2.0])),
+            ("two-tier", lambda: solve_two_tier_sweep(
+                [_two_tier(n=0, lam_f=0.0, lam_m=0.0), _two_tier(), _two_tier(n=400)]))]:
+        with pytest.raises(NonConvergenceError, match=f"^{what} fixed point did not converge") as err:
+            solve()
+        assert len(err.value.residuals) == 3 and err.value.residuals[-1] > 0.0
+
+
+@pytest.mark.parametrize("bad", [-0.5, math.nan, math.inf])
+def test_a_grid_names_a_bad_rate_before_iterating(bad, monkeypatch):
+    cell = ch6_cell(Ch6QueueParams(lam_new=1.0, capacity=6000.0, classes=TABLE61,
+                                   eta=1 / 240.0, guard_channels=5), "guard")
+    calls = []
+    monkeypatch.setattr(queueing, "loss_chain_rows", lambda specs: calls.append(specs))
+    with pytest.raises(ValueError, match=f"^lam_new must be finite and >= 0, got {bad!r}$"):
+        cell.solve_grid([0.4, 1.0, bad, 1.6])
+    assert calls == []

@@ -70,6 +70,23 @@ def test_budget_names_a_non_finite_input(capacity, non_mbs_bw, name):
         allocate_mbs_budget(capacity, non_mbs_bw, table71_sessions())
 
 
+@pytest.mark.parametrize("capacity, non_mbs_bw, message", [
+    (5e6, -8e6, "non_mbs_bw must be >= 0, got -8000000.0"),
+    (20e6, -0.5, "non_mbs_bw must be >= 0, got -0.5"),
+    (-1e6, -9e6, "capacity must be > 0, got -1000000.0"),
+    (0.0, 0.0, "capacity must be > 0, got 0.0"),
+    (-1e6, 0.0, "capacity must be > 0, got -1000000.0"),
+])
+def test_budget_names_a_negative_load_or_a_capacity_of_at_most_zero(capacity, non_mbs_bw,
+                                                                    message):
+    # (5e6, -8e6) and (-1e6, -9e6) used to return ("lower-traffic", 6e6): a
+    # 6 Mbps budget in a 5 Mbps cell, and in a cell of -1 Mbps
+    sessions = [MbsSession(id=i, base_bw=0.5e6, layer_bw=50e3, max_layers=10)
+                for i in range(6)]
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        allocate_mbs_budget(capacity, non_mbs_bw, sessions)
+
+
 @pytest.mark.parametrize("field, value", [
     ("base_bw", float("nan")), ("base_bw", float("inf")), ("base_bw", 0.0),
     ("layer_bw", float("nan")), ("layer_bw", float("inf")), ("layer_bw", -1.0),
