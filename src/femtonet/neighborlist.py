@@ -77,17 +77,16 @@ class NeighborList:
 def shares_frequency(plan: SpectrumPlan, fap: int, serving: int) -> bool:
     """True when the candidate's band lies inside the serving FAP's band.
 
-    Under dynamic reuse the distinguishing allocation is the edge band;
-    static reuse compares the chosen band; the single-band schemes always
-    share."""
-    a = plan.femto_assignment[fap]
-    s = plan.femto_assignment[serving]
-    if plan.scheme == "dynamic-reuse":
-        ba, bs = plan.band(a.edge_label), plan.band(s.edge_label)
-        return ba.lo >= bs.lo - 1e-9 and ba.hi <= bs.hi + 1e-9
-    if plan.scheme == "static-reuse":
-        return a.center_label == s.center_label
-    return True
+    Each FAP holds one label, the same one under the single-band schemes;
+    under dynamic reuse it is the edge band, and an edge band inside the
+    serving one (a third inside the whole edge Bm3) shares too."""
+    la, ls = plan.femto_label(fap), plan.femto_label(serving)
+    if la == ls:
+        return True
+    if plan.scheme != "dynamic-reuse":
+        return False
+    ba, bs = plan.band(la), plan.band(ls)
+    return ba.lo >= bs.lo - 1e-9 and ba.hi <= bs.hi + 1e-9
 
 
 def _accessible(topo: CellTopology, access: dict[int, bool], fap: int) -> bool:
@@ -195,7 +194,7 @@ def build_list_from_macro(
 
     close = np.flatnonzero(topo.distances_to(tuple(ue_xy)) <= d_max_m).tolist()
     hidden = set()
-    for fap in (topo.femtocells[k].id for k in close):
+    for fap in (topo.femtocells[k] for k in close):
         if fap in strong or not _accessible(topo, access, fap):
             continue
         if scan.levels_dbm.get(fap, -math.inf) < scan.s_t1_dbm:
@@ -252,10 +251,9 @@ def scan_from_geometry(
     eta = params.path_loss_exp_femto_interf
     clear = wall_attenuation(params.wall_loss_db, 0)
     walled = wall_attenuation(params.wall_loss_db, OBSTRUCTION_WALLS)
-    femtos = topo.femtocells
     levels = {}
     for k, (px, py) in zip(close, topo.positions[close].tolist()):
-        fap = femtos[k].id
+        fap = topo.femtocells[k]
         d = max(math.hypot(px - ux, py - uy), 0.1)
         p = link_power(tx, p0, d, eta, walled if fap in obstructed else clear)
         levels[fap] = linear_to_db(p) + 30.0  # W -> dBm
@@ -317,7 +315,7 @@ def p_target_missing(
             continue
         valid += 1
 
-        obstructed = {f for f in topo.femto_ids
+        obstructed = {f for f in topo.femtocells
                       if f != serving and rng.random() < obstruction_prob}
         observed = scan_from_geometry(topo, ue, serving, params, obstructed,
                                       s_t0_dbm, s_t1_dbm)

@@ -249,6 +249,15 @@ def _with_hand_rate(spec: LossChainSpec, lam_hand: float) -> LossChainSpec:
 # Ch. 5: two-tier femto/macro model
 
 
+def _whole_counts(params, names) -> None:
+    """Name the first field not a whole number >= 0; store each as an int."""
+    for name in names:
+        value = getattr(params, name)
+        if not (float(value).is_integer() and value >= 0):
+            raise ValueError(f"{name} must be a whole number >= 0, got {value!r}")
+        object.__setattr__(params, name, int(value))
+
+
 @dataclass(frozen=True)
 class TwoTierParams:
     lambda_o_f: float  # total originating rate over all femtocell coverage
@@ -280,9 +289,7 @@ class TwoTierParams:
         for name in ("mu", "eta_f", "eta_m"):
             if getattr(self, name) == math.inf:
                 raise ValueError(f"{name} must be finite, got inf")
-        for name in ("n", "femto_capacity", "macro_base_states", "macro_adaptive_states"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)!r}")
+        _whole_counts(self, ("n", "femto_capacity", "macro_base_states", "macro_adaptive_states"))
         for name in ("lambda_o_f", "lambda_o_m"):
             if not 0 <= getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and >= 0, "
@@ -732,6 +739,7 @@ class Ch7QueueParams:
     mu: float
 
     def __post_init__(self):
+        _whole_counts(self, ("sessions", "n_states", "s_states", "l_states"))
         if self.sessions > self.n_states:
             raise ValueError("require M <= N")
         if not 0 <= self.l_states <= self.s_states:

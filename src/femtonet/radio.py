@@ -170,7 +170,6 @@ def sir(
     if macro_tiers not in ("all", "reference"):
         raise ValueError(f"macro_tiers must be 'all' or 'reference', not {macro_tiers!r}")
     params = params or PropagationParams()
-    topo.site(serving)
     serving_band = plan.band_for_link(serving, ue_xy, topo)
     macro_sites = (topo.macro_sites if macro_tiers == "all"
                    else topo.macro_sites[:1])
@@ -182,7 +181,7 @@ def sir(
     per_source = []
     i_f = 0.0
     for nid in sorted(topo_mod.neighbors_of(topo, serving)):
-        if nid not in plan.femto_assignment:
+        if nid not in plan.femto_band:
             continue
         if not bands_overlap(serving_band, plan.interferer_band(nid)):
             continue

@@ -7,7 +7,8 @@ the edge spectrum Bm3 is subdivided two ways -- into halves B4/B5 and thirds
 B1/B2/B3 -- and edge bands are auto-assigned so that interfering femtocells
 never hold the same edge band.  The dedicated and sub-band schemes split the
 whole band BT at the femto fraction into Bf (femtocells) and Bm (macrocells).
-Each plan computes this label -> Band table once, when it is made.
+Each plan computes this label -> Band table once, when it is made.  It holds
+one label per femtocell: the edge band under dynamic reuse, else its only band.
 
 `SpectrumPlan.interferers` is the one interference relation; each dynamic-reuse
 configuration step reads a FAP's list once and hands it to the helpers.  It
@@ -31,6 +32,7 @@ SCHEMES = ("dedicated", "shared", "sub", "static-reuse", "dynamic-reuse")
 DEFAULT_TOTAL_HZ = 18e6
 DEFAULT_FEMTO_FRACTION = 1.0 / 3.0  # dedicated / sub-band femto share
 DEFAULT_EDGE_FRACTION = 0.6  # UE is "edge" beyond this fraction of r_f
+CENTER_BAND = "Bm2"  # shared by every dynamic-reuse femtocell
 SHRINK_FACTOR = 0.8
 MAX_SHRINK_STEPS = 3
 
@@ -87,14 +89,11 @@ def _band_table(total_hz: float, femto_fraction: float) -> dict[str, Band]:
 
 
 @dataclass
-class FemtoBandAssignment:
-    center_label: str
-    edge_label: str | None
-
-
-@dataclass
 class SpectrumPlan:
     """Band assignments for every macro BS and femtocell.
+
+    `femto_band` maps a femtocell id to its one band, or under dynamic reuse
+    to its edge band (None until `configure_new_femto` picks it).
 
     The constructor rejects an unknown scheme, a non-positive total band and
     a femto fraction outside (0, 1), then builds the band table once.
@@ -113,7 +112,7 @@ class SpectrumPlan:
     femto_fraction: float = DEFAULT_FEMTO_FRACTION
     edge_fraction: float = DEFAULT_EDGE_FRACTION
     macro_assignment: dict[int, str] = field(default_factory=dict, init=False)
-    femto_assignment: dict[int, FemtoBandAssignment] = field(default_factory=dict, init=False)
+    femto_band: dict[int, str | None] = field(default_factory=dict, init=False)
     radius_of: dict[int, float] = field(default_factory=dict, init=False)
     events: list[tuple] = field(default_factory=list, init=False)
     branch_counts: dict[str, int] = field(default_factory=dict, init=False)
@@ -139,6 +138,11 @@ class SpectrumPlan:
     def macro_band(self, macro_index: int) -> Band:
         return self.band(self.macro_assignment[macro_index])
 
+    def femto_label(self, fap_id: int) -> str | None:
+        if fap_id not in self.femto_band:
+            raise UnknownSiteError(f"femtocell {fap_id} not in plan")
+        return self.femto_band[fap_id]
+
     def femto_radius(self, fap_id: int, topo: CellTopology) -> float:
         return self.radius_of.get(fap_id, topo.femto_radius_m)
 
@@ -151,12 +155,12 @@ class SpectrumPlan:
         uses the nominal deployment radius: cell-size re-adjustment narrows
         the interference coordination reach, not the frequency regions.
         """
-        a = self.femto_assignment[fap_id]
-        if self.scheme != "dynamic-reuse":
-            return self.band(a.center_label)
-        d = topo_mod.distance(topo, fap_id, tuple(xy))
-        inner = self.edge_fraction * topo.femto_radius_m
-        return self.band(a.center_label if d <= inner else a.edge_label)
+        label = self.femto_label(fap_id)
+        if self.scheme == "dynamic-reuse":
+            d = topo_mod.distance(topo, fap_id, tuple(xy))
+            if d <= self.edge_fraction * topo.femto_radius_m:
+                label = CENTER_BAND
+        return self.band(label)
 
     def interferer_band(self, fap_id: int) -> Band:
         """Band a FAP's emission occupies beyond its own coverage.
@@ -166,10 +170,7 @@ class SpectrumPlan:
         users of other cells; the single-band schemes radiate their one
         band everywhere.
         """
-        a = self.femto_assignment[fap_id]
-        if self.scheme == "dynamic-reuse":
-            return self.band(a.edge_label)
-        return self.band(a.center_label)
+        return self.band(self.femto_label(fap_id))
 
     # -- interference relation -------------------------------------------
 
@@ -181,8 +182,8 @@ class SpectrumPlan:
         idx, dist = topo.near(fap_id, INTERFERENCE_RADIUS_SCALE * (r + topo.femto_radius_m))
         hits = []
         for k, d in zip(idx.tolist(), dist.tolist()):
-            other = topo.femtocells[k].id
-            if (other in self.femto_assignment
+            other = topo.femtocells[k]
+            if (other in self.femto_band
                     and d <= INTERFERENCE_RADIUS_SCALE * (r + self.femto_radius(other, topo))):
                 hits.append(other)
         return sorted(hits)
@@ -191,7 +192,7 @@ class SpectrumPlan:
         """Pairs of interfering femtocells sharing an edge band (should be [])."""
         if self.scheme != "dynamic-reuse":
             return []
-        edge = {f: a.edge_label for f, a in self.femto_assignment.items()}
+        edge = self.femto_band
         return sorted((a, b) for a in edge for b in self.interferers(topo, a)
                       if a < b and edge[a] == edge[b])
 
@@ -216,8 +217,7 @@ def build_plan(
     if scheme in _SINGLE_BAND:
         macro, femto = _SINGLE_BAND[scheme]
         plan.macro_assignment = {j: macro for j in range(n_macro)}
-        for f in topo.femto_ids:
-            plan.femto_assignment[f] = FemtoBandAssignment(femto, None)
+        plan.femto_band = dict.fromkeys(topo.femtocells, femto)
         return plan
     # reuse schemes: reference macro on Bm1, first tier alternating
     plan.macro_assignment = {0: "Bm1"}
@@ -226,7 +226,7 @@ def build_plan(
     if scheme == "static-reuse":
         _assign_static(plan, topo, seed)
     else:
-        for f in topo.femto_ids:
+        for f in topo.femtocells:
             configure_new_femto(plan, topo, f)
     return plan
 
@@ -260,21 +260,11 @@ def _assign_static(plan: SpectrumPlan, topo: CellTopology, seed: int) -> None:
             picks.append(flips[drawn])
             drawn += 1
     picks += flips[drawn:drawn + n - len(picks)]
-    plan.femto_assignment.update(
-        (site.id, FemtoBandAssignment(bands[pick], None))
-        for site, pick in zip(topo.femtocells, picks))
+    plan.femto_band.update(zip(topo.femtocells, (bands[pick] for pick in picks)))
 
 
 # ---------------------------------------------------------------------------
 # dynamic reuse auto-configuration
-
-
-def _edge_of(plan: SpectrumPlan, fid: int) -> str:
-    return plan.femto_assignment[fid].edge_label
-
-
-def _set_edge(plan: SpectrumPlan, fid: int, label: str) -> None:
-    plan.femto_assignment[fid].edge_label = label
 
 
 def _free_third(used: set[str]) -> str | None:
@@ -285,7 +275,7 @@ def _free_third(used: set[str]) -> str | None:
 
 
 def _used_edges(plan: SpectrumPlan, others: list[int]) -> list[str]:
-    return [_edge_of(plan, i) for i in others if _edge_of(plan, i) is not None]
+    return [plan.femto_band[i] for i in others if plan.femto_band[i] is not None]
 
 
 def _labels_exhausted(plan: SpectrumPlan, others: list[int]) -> bool:
@@ -308,10 +298,9 @@ def _near(plan: SpectrumPlan, topo: CellTopology, fid: int) -> dict[int, list[in
     return {fid: interf, **{i: plan.interferers(topo, i) for i in interf}}
 
 
-def configure_new_femto(
-    plan: SpectrumPlan, topo: CellTopology, new_id: int
-) -> FemtoBandAssignment:
-    """Select center/edge bands for a newly installed femtocell.
+def configure_new_femto(plan: SpectrumPlan, topo: CellTopology, new_id: int) -> str:
+    """Select the edge band of a newly installed femtocell and return it;
+    its center band is CENTER_BAND.
 
     Reproduces the 0/1/2-interferer case analysis of the dynamic-reuse
     configuration algorithm; three mutually interfering femtocells take the
@@ -320,9 +309,9 @@ def configure_new_femto(
     """
     if plan.scheme != "dynamic-reuse":
         raise PlanConfigError("configure_new_femto requires a dynamic-reuse plan")
-    topo.site(new_id)
+    topo.index_of(new_id)
 
-    plan.femto_assignment[new_id] = FemtoBandAssignment("Bm2", None)
+    plan.femto_band[new_id] = None
     near = _near(plan, topo, new_id)
 
     if (_mutual_overlap_count(near, new_id) > 3
@@ -333,7 +322,7 @@ def configure_new_femto(
     interf = near[new_id]
     if len(interf) == 0:
         _count_branch(plan, "0")
-        _set_edge(plan, new_id, "Bm3")
+        plan.femto_band[new_id] = "Bm3"
     elif len(interf) == 1:
         _count_branch(plan, "1")
         _configure_one(plan, near, new_id, interf[0])
@@ -347,7 +336,7 @@ def configure_new_femto(
         _configure_many(plan, near, new_id)
 
     _repair_conflicts(plan, topo, near)
-    return plan.femto_assignment[new_id]
+    return plan.femto_band[new_id]
 
 
 def _count_branch(plan, label: str) -> None:
@@ -375,23 +364,23 @@ def _mutual_overlap_count(near, new_id) -> int:
 
 
 def _configure_one(plan, near, new_id, other) -> None:
-    e = _edge_of(plan, other)
+    e = plan.femto_band[other]
     if e == "Bm3":
         # the incumbent held the whole edge spectrum; split into halves
-        _set_edge(plan, other, "B4")
-        _set_edge(plan, new_id, "B5")
+        plan.femto_band[other] = "B4"
+        plan.femto_band[new_id] = "B5"
     else:
-        _set_edge(plan, new_id, _CYCLIC_EDGE.get(e) or _free_label(plan, near[new_id]))
+        plan.femto_band[new_id] = _CYCLIC_EDGE.get(e) or _free_label(plan, near[new_id])
 
 
 def _configure_two(plan, near, new_id, mutual: bool) -> None:
     a, b = near[new_id]
-    ea, eb = _edge_of(plan, a), _edge_of(plan, b)
+    ea, eb = plan.femto_band[a], plan.femto_band[b]
     if mutual and {ea, eb} == {"B4", "B5"}:
         # pseudocode lines 23-26: move the incumbents onto thirds
-        _set_edge(plan, a if ea == "B4" else b, "B1")
-        _set_edge(plan, a if ea == "B5" else b, "B2")
-        _set_edge(plan, new_id, "B3")
+        plan.femto_band[a if ea == "B4" else b] = "B1"
+        plan.femto_band[a if ea == "B5" else b] = "B2"
+        plan.femto_band[new_id] = "B3"
     elif mutual:
         # the many-interferer rule; it maps {B1,B2} -> B3 as the table does
         _configure_many(plan, near, new_id)
@@ -399,17 +388,17 @@ def _configure_two(plan, near, new_id, mutual: bool) -> None:
         # interferers not in range of each other: single-interferer rule
         # against the first, then verify against the second
         _configure_one(plan, near, new_id, a)
-        if _edge_of(plan, new_id) in (_edge_of(plan, a), _edge_of(plan, b)):
-            _set_edge(plan, new_id, _free_label(plan, near[new_id]))
+        if plan.femto_band[new_id] in (plan.femto_band[a], plan.femto_band[b]):
+            plan.femto_band[new_id] = _free_label(plan, near[new_id])
 
 
 def _configure_many(plan, near, new_id) -> None:
     interf = near[new_id]
     for fid in interf:
-        if _edge_of(plan, fid) == "Bm3":
-            _set_edge(plan, fid, _free_label(plan, near[fid]))
-    used = {_edge_of(plan, i) for i in interf}
-    _set_edge(plan, new_id, _free_third(used) or _free_label(plan, near[new_id]))
+        if plan.femto_band[fid] == "Bm3":
+            plan.femto_band[fid] = _free_label(plan, near[fid])
+    used = {plan.femto_band[i] for i in interf}
+    plan.femto_band[new_id] = _free_third(used) or _free_label(plan, near[new_id])
 
 
 def _shrink_one(plan, topo, fid) -> bool:
@@ -448,7 +437,7 @@ def _repair_conflicts(plan, topo, near: dict[int, list[int]]) -> None:
     step, per the automatic cell-size re-adjustment; `near` is then re-taken."""
     for _ in range(8 * (MAX_SHRINK_STEPS + 1)):
         conflicts = [max(fid, other) for fid in sorted(near) for other in near[fid]
-                     if _edge_of(plan, other) == _edge_of(plan, fid)]
+                     if plan.femto_band[other] == plan.femto_band[fid]]
         if not conflicts:
             return
         loser = max(conflicts)
@@ -463,7 +452,7 @@ def _repair_conflicts(plan, topo, near: dict[int, list[int]]) -> None:
                 near = {f: plan.interferers(topo, f) for f in near}
             else:
                 plan.events.append(("repair-exhausted", (loser,)))
-        _set_edge(plan, loser, _free_label(plan, near[loser]))
+        plan.femto_band[loser] = _free_label(plan, near[loser])
     if plan.edge_conflicts(topo):
         plan.events.append(("repair-exhausted", tuple(sorted(near))))
 
@@ -474,10 +463,9 @@ def remove_femto(plan: SpectrumPlan, topo: CellTopology, fap_id: int) -> Spectru
     Removing a node cannot introduce a same-edge conflict between survivors,
     so reconfiguration is a defensive re-check limited to former interferers.
     """
-    if fap_id not in plan.femto_assignment:
-        raise UnknownSiteError(f"femtocell {fap_id} not in plan")
+    plan.femto_label(fap_id)
     former = plan.interferers(topo, fap_id) if plan.scheme == "dynamic-reuse" else []
-    del plan.femto_assignment[fap_id]
+    del plan.femto_band[fap_id]
     plan.radius_of.pop(fap_id, None)
     if former:
         _repair_conflicts(plan, topo, {f: plan.interferers(topo, f) for f in former})
@@ -501,9 +489,8 @@ def verify_plan_relations(plan: SpectrumPlan) -> None:
     elif plan.scheme == "shared":
         for lab in plan.macro_assignment.values():
             require(plan.band(lab) == bt, "shared: a macro BS uses %s, not BT", lab)
-        for a in plan.femto_assignment.values():
-            require(plan.band(a.center_label) == bt,
-                    "shared: a femtocell uses %s, not BT", a.center_label)
+        for lab in plan.femto_band.values():
+            require(plan.band(lab) == bt, "shared: a femtocell uses %s, not BT", lab)
     elif plan.scheme == "sub":
         bf = plan.band("Bf")
         require(bt.lo <= bf.lo and bf.hi <= bt.hi and bf.width < bt.width,
@@ -514,8 +501,7 @@ def verify_plan_relations(plan: SpectrumPlan) -> None:
                 "%s: Bm1, Bm2 and Bm3 differ in width", plan.scheme)
         require(math.isclose(m1.width + m2.width + m3.width, bt.width),
                 "%s: Bm1, Bm2 and Bm3 do not add up to BT", plan.scheme)
-        for fap, a in plan.femto_assignment.items():
-            for lab in (a.center_label, a.edge_label):
-                if lab is not None:
-                    require(not bands_overlap(plan.band(lab), m1),
-                            "%s: femtocell %s band %s overlaps Bm1", plan.scheme, fap, lab)
+        for fap, lab in plan.femto_band.items():
+            if lab is not None:
+                require(not bands_overlap(plan.band(lab), m1),
+                        "%s: femtocell %s band %s overlaps Bm1", plan.scheme, fap, lab)

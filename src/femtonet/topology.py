@@ -5,8 +5,8 @@ BSs form a hexagonal ring at distance 2*r_m*cos(30 deg).  Femto access points
 (FAPs) are dropped uniformly over the reference macrocell disc with a minimum
 pairwise separation, which makes local neighbor counts Poisson-like.
 
-A FAP is an immutable `FemtoSite` record (id, position); access modes and
-wall counts live in the `CellTopology`.
+A FAP is an id in `CellTopology.femtocells` and the same row of its
+`positions` array; access modes and wall counts live in the topology too.
 
 Each topology builds one fixed-radius neighbor table when it is made; its
 CSR layout is private to this module.  `CellTopology.near` answers every
@@ -20,6 +20,7 @@ FAPs.  Queries from arbitrary points (UE positions) read a full
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from types import MappingProxyType
@@ -81,10 +82,12 @@ class FemtoSite(NamedTuple):
     position: tuple[float, float]
 
 
-@dataclass
+@dataclass(eq=False)
 class CellTopology:
-    """Read-only after construction: the sites are immutable records and
-    the neighbor table is read-only arrays; safe for concurrent read-only use.
+    """Read-only after construction: `femtocells` lists the ids as ints,
+    row k of the n x 2 `positions` array (the constructor's own read-only
+    copy) is the position of femtocells[k], and the neighbor table is
+    read-only arrays; safe for concurrent read-only use.  Compared by identity.
 
     `closed_access` holds the closed-access FAP ids (every other FAP is open),
     and `walls` maps an ascending id pair (a, b) to a whole wall count >= 0
@@ -99,7 +102,8 @@ class CellTopology:
     macro_radius_m: float
     femto_radius_m: float
     macro_sites: list[tuple[float, float]]
-    femtocells: list[FemtoSite]
+    femtocells: list[int]
+    positions: np.ndarray
     neighbor_threshold_m: float = DEFAULT_NEIGHBOR_THRESHOLD
     macro_ue_walls: int = 1
     inter_femto_walls: int = 1
@@ -114,31 +118,29 @@ class CellTopology:
                 raise ValueError(f"walls: need a pair a < b and a whole count >= 0, "
                                  f"got {pair!r}: {count!r}")
         self.walls = MappingProxyType({pair: int(count) for pair, count in self.walls.items()})
-        self._index = {f.id: k for k, f in enumerate(self.femtocells)}
-        if len(self._index) != len(self.femtocells):
+        self.femtocells = list(map(operator.index, self.femtocells))
+        self._index = {f: k for k, f in enumerate(self.femtocells)}
+        n = len(self.femtocells)
+        if len(self._index) != n:
             raise ValueError("femtocell ids must be unique")
         if not self.femto_radius_m > 0:
             raise ValueError("femto_radius_m must be > 0")
-        self._pos = np.array([f.position for f in self.femtocells], dtype=float).reshape(-1, 2)
-        if not np.isfinite(self._pos).all():
+        pos = np.array(self.positions, dtype=float)
+        if pos.shape != (n, 2) and not (n == 0 and pos.size == 0):
+            raise ValueError(f"positions must be a {n} x 2 array, got shape {pos.shape}")
+        self.positions = pos.reshape(n, 2)
+        if not np.isfinite(self.positions).all():
             raise ValueError("positions must be finite")
+        self.positions.flags.writeable = False
         self._reach = INTERFERENCE_RADIUS_SCALE * (self.femto_radius_m + self.femto_radius_m)
-        self._ptr, self._nbr, self._nbr_dist = _neighbor_table(self._pos, self._reach)
-
-    @property
-    def femto_ids(self) -> list[int]:
-        return [f.id for f in self.femtocells]
-
-    @property
-    def positions(self) -> np.ndarray:
-        return self._pos
+        self._ptr, self._nbr, self._nbr_dist = _neighbor_table(self.positions, self._reach)
 
     def distances_to(self, xy) -> np.ndarray:
         """Distance from a point to every FAP, in femtocells order."""
         x, y = xy
         if not (math.isfinite(x) and math.isfinite(y)):
             raise ValueError("positions must be finite")
-        return np.hypot(x - self._pos[:, 0], y - self._pos[:, 1])
+        return np.hypot(x - self.positions[:, 0], y - self.positions[:, 1])
 
     def near(self, fap_id: int, radius_m: float) -> tuple[np.ndarray, np.ndarray]:
         """The femtocells within radius_m of a FAP, itself excluded: their
@@ -150,7 +152,7 @@ class CellTopology:
             span = slice(self._ptr[k], self._ptr[k + 1])
             idx, dist = self._nbr[span], self._nbr_dist[span]
         else:
-            dist = np.delete(self.distances_to(self.femtocells[k].position), k)
+            dist = np.delete(self.distances_to(self.positions[k]), k)
             idx = np.delete(np.arange(len(self.femtocells)), k)
         keep = dist <= radius_m
         return idx[keep], dist[keep]
@@ -172,7 +174,8 @@ class CellTopology:
             raise UnknownSiteError(f"unknown femtocell id {fap_id}") from None
 
     def site(self, fap_id: int) -> FemtoSite:
-        return self.femtocells[self.index_of(fap_id)]
+        k = self.index_of(fap_id)
+        return FemtoSite(self.femtocells[k], tuple(self.positions[k].tolist()))
 
     def walls_between(self, a: int, b: int) -> int:
         """Wall count on the inter-femtocell path, the same both ways."""
@@ -269,7 +272,7 @@ def distance(topo: CellTopology, a, b) -> float:
 def neighbors_of(topo: CellTopology, fap_id: int) -> frozenset[int]:
     """Ids of femtocells within neighbor_threshold_m of the given FAP."""
     idx, _ = topo.near(fap_id, topo.neighbor_threshold_m)
-    return frozenset(topo.femtocells[k].id for k in idx.tolist())
+    return frozenset(topo.femtocells[k] for k in idx.tolist())
 
 
 def reach_components(topo: CellTopology, fap_ids) -> CellTopology:
@@ -295,7 +298,9 @@ def reach_components(topo: CellTopology, fap_ids) -> CellTopology:
         fresh &= ~seen
         seen |= fresh
         frontier = np.flatnonzero(fresh)
-    return replace(topo, femtocells=[topo.femtocells[k] for k in np.flatnonzero(seen)])
+    keep = np.flatnonzero(seen)
+    return replace(topo, femtocells=[topo.femtocells[k] for k in keep.tolist()],
+                   positions=topo.positions[keep])
 
 
 def first_tier_ring(macro_radius_m: float) -> list[tuple[float, float]]:
@@ -391,13 +396,13 @@ def place_femtocells(
         buf[placed:placed + len(block)] = block
         placed += len(block)
         attempts += tried
-    femtos = [FemtoSite(i, (x, y)) for i, (x, y) in enumerate(buf.tolist())]
 
     return CellTopology(
         macro_radius_m=macro.macro_radius_m,
         femto_radius_m=macro.femto_radius_m,
         macro_sites=[(0.0, 0.0)] + first_tier_ring(macro.macro_radius_m),
-        femtocells=femtos,
+        femtocells=list(range(count)),
+        positions=buf,
         neighbor_threshold_m=macro.neighbor_threshold_m,
         macro_ue_walls=macro.macro_ue_walls,
         inter_femto_walls=macro.inter_femto_walls,

@@ -2,7 +2,7 @@
 
 from femtonet.neighborlist import scan_from_geometry
 from femtonet.spectrum import build_plan
-from femtonet.topology import CellTopology, FemtoSite
+from femtonet.topology import CellTopology
 
 
 # the dense-deployment scenario of the worked neighbor-list example
@@ -26,7 +26,7 @@ def hidden_fap_fixture():
     # coordination; FAP 2 and FAP 1 share a clear coordination link
     topo = CellTopology(
         macro_radius_m=1000.0, femto_radius_m=10.0, macro_sites=[(0.0, 0.0)],
-        femtocells=[FemtoSite(i, p) for i, p in sorted(positions.items())],
+        femtocells=sorted(positions), positions=[positions[i] for i in sorted(positions)],
         walls={(0, 1): 2, (1, 2): 0})
     plan = build_plan("dynamic-reuse", topo)
     ue = (3.0, 0.0)

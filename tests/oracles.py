@@ -15,10 +15,8 @@ from femtonet.spectrum import (
     PlanConfigError,
     SpectrumPlan,
     _configure_one,
-    _edge_of,
     _free_label,
     _free_third,
-    _set_edge,
 )
 
 
@@ -184,13 +182,13 @@ def interfering(plan, topo, a, b):
 
 def pairwise_edge_conflicts(plan, topo):
     """Exhaustive O(n^2) scan for interfering pairs sharing an edge band."""
-    ids = sorted(plan.femto_assignment)
+    ids = sorted(plan.femto_band)
     bad = []
     for i, a in enumerate(ids):
         for b in ids[i + 1:]:
             if interfering(plan, topo, a, b):
-                ea = plan.femto_assignment[a].edge_label
-                eb = plan.femto_assignment[b].edge_label
+                ea = plan.femto_band[a]
+                eb = plan.femto_band[b]
                 if ea == eb:
                     bad.append((a, b))
     return bad
@@ -204,7 +202,7 @@ def static_reuse_labels(topo, seed):
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0x57A7)))
     reach = topo.femto_radius_m + topo.femto_radius_m
     labels = {}
-    for f in topo.femto_ids:
+    for f in topo.femtocells:
         used = {lab for other, lab in labels.items()
                 if distance(topo, f, other) <= reach}
         free = [b for b in ("Bm2", "Bm3") if b not in used]
@@ -217,7 +215,7 @@ def static_reuse_labels(topo, seed):
 
 def brute_interferers(plan, topo, fap_id):
     """Assigned FAPs in interference range of fap_id, one scalar test each."""
-    return [f for f in sorted(plan.femto_assignment)
+    return [f for f in sorted(plan.femto_band)
             if f != fap_id and interfering(plan, topo, fap_id, f)]
 
 
@@ -225,7 +223,7 @@ def brute_neighbors(topo, fap_id):
     """FAPs within the neighbor threshold of fap_id, one scalar test each."""
     from femtonet.topology import distance
 
-    return frozenset(f for f in topo.femto_ids if f != fap_id
+    return frozenset(f for f in topo.femtocells if f != fap_id
                      and distance(topo, fap_id, f) <= topo.neighbor_threshold_m)
 
 
@@ -239,7 +237,7 @@ def scalar_scan_levels(topo, ue_xy, params=None, obstructed=None):
     params = params or PropagationParams()
     obstructed = obstructed or set()
     levels = {}
-    for fap in topo.femto_ids:
+    for fap in topo.femtocells:
         d = max(topo_mod.distance(topo, fap, tuple(ue_xy)), 0.1)
         walls = OBSTRUCTION_WALLS if fap in obstructed else 0
         p = received_power(params, LinkBudget(params.tx_power_femto_w, d, walls=walls),
@@ -287,7 +285,7 @@ def femto_list_by_distance_row(scan, plan, topo, serving, d_max_m=40.0, access=N
     coordinators = {serving, *kept_strong}
     hidden = set()
     for k in np.flatnonzero(topo.distances_to(ue) <= d_max_m).tolist():
-        fap = topo.femtocells[k].id
+        fap = topo.femtocells[k]
         if fap == serving or fap in kept_strong or not _accessible(topo, access, fap):
             continue
         weak = scan.levels_dbm.get(fap, -math.inf) < scan.s_t1_dbm
@@ -871,13 +869,11 @@ def scalar_assign_static(plan, topo, seed: int) -> None:
     """Static reuse: each femto takes Bm2 or Bm3, differing from femtocells
     whose coverage discs overlap where possible, random otherwise.  The
     plan is fresh, so every cell has the nominal radius."""
-    from femtonet.spectrum import FemtoBandAssignment
-
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0x57A7)))
     reach = topo.femto_radius_m + topo.femto_radius_m
     picks = []
-    for k, site in enumerate(topo.femtocells):
-        idx, _ = topo.near(site.id, reach)
+    for k, fid in enumerate(topo.femtocells):
+        idx, _ = topo.near(fid, reach)
         used = {picks[j] for j in idx[idx < k].tolist()}
         free = [b for b in ("Bm2", "Bm3") if b not in used]
         if free:
@@ -885,7 +881,59 @@ def scalar_assign_static(plan, topo, seed: int) -> None:
         else:
             pick = ("Bm2", "Bm3")[int(rng.integers(2))]
         picks.append(pick)
-        plan.femto_assignment[site.id] = FemtoBandAssignment(pick, None)
+        plan.femto_band[fid] = pick
+
+
+# ---------------------------------------------------------------------------
+# plan entries as per-FAP records, the format before one band label per FAP
+
+
+@dataclass
+class FemtoBandAssignment:
+    center_label: str
+    edge_label: str | None
+
+
+def band_records(plan: SpectrumPlan) -> dict[int, FemtoBandAssignment]:
+    """The plan's labels as records: center Bm2 and the label as the edge
+    band under dynamic reuse, the label as the only (center) band under
+    every other scheme."""
+    if plan.scheme == "dynamic-reuse":
+        return {f: FemtoBandAssignment("Bm2", lab) for f, lab in plan.femto_band.items()}
+    return {f: FemtoBandAssignment(lab, None) for f, lab in plan.femto_band.items()}
+
+
+def record_shares_frequency(plan, records, fap: int, serving: int) -> bool:
+    """`neighborlist.shares_frequency` as it was on records, verbatim but
+    for reading `records` where it read `plan.femto_assignment`."""
+    a = records[fap]
+    s = records[serving]
+    if plan.scheme == "dynamic-reuse":
+        ba, bs = plan.band(a.edge_label), plan.band(s.edge_label)
+        return ba.lo >= bs.lo - 1e-9 and ba.hi <= bs.hi + 1e-9
+    if plan.scheme == "static-reuse":
+        return a.center_label == s.center_label
+    return True
+
+
+def record_band_for_link(plan, records, fap_id: int, xy, topo) -> Band:
+    """`SpectrumPlan.band_for_link` as it was on records."""
+    from femtonet import topology as topo_mod
+
+    a = records[fap_id]
+    if plan.scheme != "dynamic-reuse":
+        return plan.band(a.center_label)
+    d = topo_mod.distance(topo, fap_id, tuple(xy))
+    inner = plan.edge_fraction * topo.femto_radius_m
+    return plan.band(a.center_label if d <= inner else a.edge_label)
+
+
+def record_interferer_band(plan, records, fap_id: int) -> Band:
+    """`SpectrumPlan.interferer_band` as it was on records."""
+    a = records[fap_id]
+    if plan.scheme == "dynamic-reuse":
+        return plan.band(a.edge_label)
+    return plan.band(a.center_label)
 
 
 def plan_to_text(plan: SpectrumPlan) -> str:
@@ -898,8 +946,9 @@ def plan_to_text(plan: SpectrumPlan) -> str:
     ]
     for j in sorted(plan.macro_assignment):
         lines.append(f"macro.{j} = {plan.macro_assignment[j]}")
-    for f in sorted(plan.femto_assignment):
-        a = plan.femto_assignment[f]
+    records = band_records(plan)
+    for f in sorted(records):
+        a = records[f]
         lines.append(f"femto.{f} = {a.center_label},{a.edge_label or '-'}")
     for f in sorted(plan.radius_of):
         lines.append(f"radius.{f} = {plan.radius_of[f]!r}")
@@ -1016,32 +1065,33 @@ def configure_two_table(plan, near, new_id, mutual: bool) -> None:
     """`spectrum._configure_two` with its pair table written out: each of
     {B4,B5}, {B1,B2}, {B2,B3}, {B3,B1} has its own branch, and the other
     mutual pairs move any whole-band incumbent before taking a free third."""
+    edge = plan.femto_band
     a, b = near[new_id]
-    ea, eb = _edge_of(plan, a), _edge_of(plan, b)
+    ea, eb = edge[a], edge[b]
     if mutual:
         pair = {ea, eb}
         if pair == {"B4", "B5"}:
             # pseudocode lines 23-26: move the incumbents onto thirds
-            _set_edge(plan, a if ea == "B4" else b, "B1")
-            _set_edge(plan, a if ea == "B5" else b, "B2")
-            _set_edge(plan, new_id, "B3")
+            edge[a if ea == "B4" else b] = "B1"
+            edge[a if ea == "B5" else b] = "B2"
+            edge[new_id] = "B3"
         elif pair == {"B1", "B2"}:
-            _set_edge(plan, new_id, "B3")
+            edge[new_id] = "B3"
         elif pair == {"B2", "B3"}:
-            _set_edge(plan, new_id, "B1")
+            edge[new_id] = "B1"
         elif pair == {"B3", "B1"}:
-            _set_edge(plan, new_id, "B2")
+            edge[new_id] = "B2"
         else:
             # mixed/whole-band pairs are not in the published table: move any
             # whole-band incumbent onto a free third, then take one ourselves
             for fid in (a, b):
-                if _edge_of(plan, fid) == "Bm3":
-                    _set_edge(plan, fid, _free_label(plan, near[fid]))
-            used = {_edge_of(plan, a), _edge_of(plan, b)}
-            _set_edge(plan, new_id, _free_third(used) or _free_label(plan, near[new_id]))
+                if edge[fid] == "Bm3":
+                    edge[fid] = _free_label(plan, near[fid])
+            used = {edge[a], edge[b]}
+            edge[new_id] = _free_third(used) or _free_label(plan, near[new_id])
     else:
         # interferers not in range of each other: single-interferer rule
         # against the first, then verify against the second
         _configure_one(plan, near, new_id, a)
-        if _edge_of(plan, new_id) in (_edge_of(plan, a), _edge_of(plan, b)):
-            _set_edge(plan, new_id, _free_label(plan, near[new_id]))
+        if edge[new_id] in (edge[a], edge[b]):
+            edge[new_id] = _free_label(plan, near[new_id])

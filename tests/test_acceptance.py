@@ -24,7 +24,7 @@ from femtonet.presets import table61_classes
 from femtonet.radio import db_to_linear, outage_probability_closed_form, outage_probability_mc, sir
 from femtonet.scenario import Scenario, scenario_from_preset
 from femtonet.spectrum import build_plan, configure_new_femto, remove_femto
-from femtonet.topology import CellTopology, FemtoSite, place_femtocells
+from femtonet.topology import CellTopology, place_femtocells
 from femtonet.videoalloc import (
     MbsSession,
     allocate_mbs_budget,
@@ -57,7 +57,7 @@ class Budget:
 def _manual_topo(positions, macro_ue_walls=0):
     return CellTopology(
         macro_radius_m=1000.0, femto_radius_m=10.0, macro_sites=[(0.0, 0.0)],
-        femtocells=[FemtoSite(i, p) for i, p in enumerate(positions)],
+        femtocells=list(range(len(positions))), positions=positions,
         macro_ue_walls=macro_ue_walls)
 
 
@@ -142,7 +142,7 @@ def test_criterion_04_dynamic_reuse_conflict_freedom():
                for _ in range(n)]
         topo = _manual_topo(pts)
         plan = build_plan("dynamic-reuse", _manual_topo([]))
-        plan.femto_assignment.clear()
+        plan.femto_band.clear()
         alive = []
         for i in range(n):
             configure_new_femto(plan, topo, i)

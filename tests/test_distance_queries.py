@@ -24,7 +24,6 @@ from femtonet.spectrum import build_plan
 from femtonet.topology import (
     INTERFERENCE_RADIUS_SCALE,
     CellTopology,
-    FemtoSite,
     UnknownSiteError,
     neighbors_of,
     place_femtocells,
@@ -44,7 +43,7 @@ def _topo_at(xy, ids=None):
     ids = range(len(xy)) if ids is None else ids
     return CellTopology(
         macro_radius_m=1000.0, femto_radius_m=10.0, macro_sites=[(0.0, 0.0)],
-        femtocells=[FemtoSite(int(i), (float(x), float(y))) for i, (x, y) in zip(ids, xy)])
+        femtocells=list(ids), positions=xy)
 
 
 REACH = INTERFERENCE_RADIUS_SCALE * (10.0 + 10.0)
@@ -55,24 +54,24 @@ def _assert_near_matches_rows(topo, radii=(0.0, 20.0, 45.5, REACH)):
     each of its neighbor distances up to the reach: the same indices in
     femtocells order, and the same distances to the last bit."""
     for k, f in enumerate(topo.femtocells):
-        row = topo.distances_to(f.position)
+        row = topo.distances_to(topo.positions[k])
         for radius in {*radii, *row[row <= REACH].tolist()}:
             expected = np.flatnonzero(row <= radius)
             expected = expected[expected != k]
-            idx, dist = topo.near(f.id, radius)
-            assert idx.tolist() == expected.tolist(), (f.id, radius)
+            idx, dist = topo.near(f, radius)
+            assert idx.tolist() == expected.tolist(), (f, radius)
             assert [d.hex() for d in dist.tolist()] == [d.hex() for d in row[expected].tolist()]
 
 
 def _scramble_edges(plan, seed):
     """Random edge labels, so that edge_conflicts has conflicts to find."""
     rng = np.random.default_rng(seed)
-    for a in plan.femto_assignment.values():
-        a.edge_label = EDGE_LABELS[int(rng.integers(len(EDGE_LABELS)))]
+    for f in plan.femto_band:
+        plan.femto_band[f] = EDGE_LABELS[int(rng.integers(len(EDGE_LABELS)))]
 
 
 def _assert_matches_oracles(plan, topo):
-    for f in topo.femto_ids:
+    for f in topo.femtocells:
         assert plan.interferers(topo, f) == brute_interferers(plan, topo, f), f
     assert plan.edge_conflicts(topo) == pairwise_edge_conflicts(plan, topo)
 
@@ -80,7 +79,7 @@ def _assert_matches_oracles(plan, topo):
 @pytest.mark.parametrize("seed", range(4))
 def test_neighbors_of_matches_scalar_scan(seed):
     topo = _random_topo(seed, 150, 300.0)
-    for f in topo.femto_ids:
+    for f in topo.femtocells:
         assert neighbors_of(topo, f) == brute_neighbors(topo, f)
 
 
@@ -89,8 +88,8 @@ def test_static_reuse_matches_scalar_loop(seed):
     topo = _random_topo(seed, 200, 250.0)
     plan = build_plan("static-reuse", topo, seed=seed)
     expected = static_reuse_labels(topo, seed)
-    assert {f: a.center_label for f, a in plan.femto_assignment.items()} == expected
-    assert list(plan.femto_assignment) == topo.femto_ids
+    assert plan.femto_band == expected
+    assert list(plan.femto_band) == topo.femtocells
     _scramble_edges(plan, seed)
     plan.scheme = "dynamic-reuse"  # edge_conflicts reads dynamic plans only
     _assert_matches_oracles(plan, topo)
@@ -103,9 +102,9 @@ def test_static_reuse_matches_scalar_draws(seed, count, side, plan_seed):
     topo = _random_topo(seed, count, side)
     plan = build_plan("static-reuse", topo, seed=plan_seed)
     expected = build_plan("dedicated", topo)  # a fresh plan to fill
-    expected.femto_assignment = {}
+    expected.femto_band = {}
     scalar_assign_static(expected, topo, plan_seed)
-    assert list(plan.femto_assignment.items()) == list(expected.femto_assignment.items())
+    assert list(plan.femto_band.items()) == list(expected.femto_band.items())
 
 
 def _line(step_m, moved=None, count=12):
@@ -128,14 +127,14 @@ def _line(step_m, moved=None, count=12):
 def test_static_reuse_runs_match_scalar_draws(topo, overlapping):
     reach = 2 * topo.femto_radius_m
     has_earlier = [k for k, f in enumerate(topo.femtocells)
-                   if (topo.near(f.id, reach)[0] < k).any()]
+                   if (topo.near(f, reach)[0] < k).any()]
     assert len(has_earlier) == overlapping
     for plan_seed in range(6):
         plan = build_plan("static-reuse", topo, seed=plan_seed)
         expected = build_plan("dedicated", topo)  # a fresh plan to fill
-        expected.femto_assignment = {}
+        expected.femto_band = {}
         scalar_assign_static(expected, topo, plan_seed)
-        assert list(plan.femto_assignment.items()) == list(expected.femto_assignment.items())
+        assert list(plan.femto_band.items()) == list(expected.femto_band.items())
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -175,7 +174,7 @@ def _assert_earlier_matches_near(topo, radii=(0.0, 20.0, REACH)):
     for radius in radii:
         expected = []
         for k, f in enumerate(topo.femtocells):
-            idx, _ = topo.near(f.id, radius)
+            idx, _ = topo.near(f, radius)
             if (idx < k).any():
                 expected.append((k, idx[idx < k].tolist()))
         assert topo.earlier_within(radius) == expected, radius
@@ -244,7 +243,7 @@ def rows(monkeypatch):
 
 def test_radius_above_the_reach_reads_the_distance_row(rows):
     topo = _random_topo(2, 150, 300.0)
-    for f in topo.femto_ids[:10]:
+    for f in topo.femtocells[:10]:
         topo.near(f, REACH)
     assert rows == []
     _assert_near_matches_rows(topo, radii=(REACH + 1e-9, 75.0, 140.0))
@@ -275,7 +274,7 @@ def test_a_scan_and_a_femto_list_read_one_distance_row(rows):
     rows.clear()
     x, y = topo.site(0).position
     ue = (x + 10.0, y)
-    scan = scan_from_geometry(topo, ue, 0, obstructed=set(topo.femto_ids[1:]))
+    scan = scan_from_geometry(topo, ue, 0, obstructed=set(topo.femtocells[1:]))
     out = build_list_from_femto(scan, plan, topo, 0, ue_xy=ue)
     assert rows == [ue]
     assert out.m_hidden > 0

@@ -1,5 +1,6 @@
 """Every name that a femtonet module or a test module imports is used in
-that module."""
+that module, and every private name that a femtonet module defines at
+module level is used in that module."""
 
 import ast
 import pathlib
@@ -8,8 +9,8 @@ import pytest
 
 import femtonet
 
-MODULES = sorted(pathlib.Path(femtonet.__file__).parent.glob("*.py")) \
-    + sorted(pathlib.Path(__file__).parent.glob("*.py"))
+SRC_MODULES = sorted(pathlib.Path(femtonet.__file__).parent.glob("*.py"))
+MODULES = SRC_MODULES + sorted(pathlib.Path(__file__).parent.glob("*.py"))
 
 
 def _unused_imports(path) -> list[str]:
@@ -31,3 +32,36 @@ def _unused_imports(path) -> list[str]:
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert _unused_imports(path) == []
+
+
+def _unused_private_names(path) -> list[str]:
+    """Module-level `_name` functions, classes and constants that nothing in
+    the module reads."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        defined[name.id] = node.lineno
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [f"{path.name}:{line}: {name}" for name, line in sorted(defined.items())
+            if name.startswith("_") and not name.startswith("__") and name not in read]
+
+
+@pytest.mark.parametrize("path", SRC_MODULES, ids=lambda p: p.name)
+def test_no_unused_private_names(path):
+    assert _unused_private_names(path) == []
+
+
+def test_an_unused_private_name_is_found(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text("_LIMIT = 3\n_USED = 4\n\n\ndef _helper():\n    return _USED\n\n\n"
+                    "class _Record:\n    pass\n\n\ndef public(_arg):\n    return _arg\n")
+    assert _unused_private_names(path) == ["mod.py:1: _LIMIT", "mod.py:9: _Record",
+                                           "mod.py:5: _helper"]

@@ -18,11 +18,10 @@ from femtonet.neighborlist import (
     shares_frequency,
 )
 from femtonet.radio import PropagationParams
-from femtonet.spectrum import SCHEMES, FemtoBandAssignment, build_plan
+from femtonet.spectrum import SCHEMES, build_plan
 from femtonet.topology import (
     INTERFERENCE_RADIUS_SCALE,
     CellTopology,
-    FemtoSite,
     UnknownSiteError,
     distance,
     place_femtocells,
@@ -32,7 +31,7 @@ from femtonet.topology import (
 def _grid_topo(positions, access=None):
     return CellTopology(macro_radius_m=1000.0, femto_radius_m=10.0,
                         macro_sites=[(0.0, 0.0)],
-                        femtocells=[FemtoSite(i, p) for i, p in enumerate(positions)],
+                        femtocells=list(range(len(positions))), positions=positions,
                         closed_access={i for i, mode in (access or {}).items()
                                        if mode == "closed"})
 
@@ -88,8 +87,8 @@ def test_same_frequency_pruning_dynamic():
     # sharing the serving band is pruned, then recovered only via location
     topo = _grid_topo([(0.0, 0.0), (15.0, 0.0), (200.0, 0.0)])
     plan = build_plan("dynamic-reuse", topo)
-    plan.femto_assignment[1] = FemtoBandAssignment("Bm2", "B4")
-    plan.femto_assignment[0] = FemtoBandAssignment("Bm2", "B4")
+    plan.femto_band[1] = "B4"
+    plan.femto_band[0] = "B4"
     assert shares_frequency(plan, 1, 0)
     scan = RssiScan({1: -60.0}, serving=0)
     out = build_list_from_femto(scan, plan, topo, 0, d_max_m=40.0, ue_xy=(5.0, 0.0))
@@ -167,8 +166,8 @@ def test_macro_flow_geometry_oracle():
         ue = topo.site(idx).position
         scan = scan_from_geometry(topo, ue, "macro")
         out = build_list_from_macro(scan, plan, topo, d_max_m=40.0, ue_xy=ue)
-        expected_close = {f.id for f in topo.femtocells
-                          if distance(topo, f.id, ue) <= 40.0}
+        expected_close = {f for f in topo.femtocells
+                          if distance(topo, f, ue) <= 40.0}
         assert expected_close <= set(out.entries)
         out.check_count_identity()
 
@@ -270,7 +269,7 @@ def _shuffled_topo(seed, count, side_m=400.0):
     xy = rng.uniform(0.0, side_m, size=(count, 2))
     return CellTopology(
         macro_radius_m=1000.0, femto_radius_m=10.0, macro_sites=[(0.0, 0.0)],
-        femtocells=[FemtoSite(int(i), (float(x), float(y))) for i, (x, y) in zip(ids, xy)])
+        femtocells=ids.tolist(), positions=xy)
 
 
 def _assert_scan_matches_oracle(topo, ue, serving, params=None, obstructed=None):
@@ -301,7 +300,7 @@ PARAM_CASES = {
 def test_scan_bitwise_equal_to_scalar_oracle(seed, params):
     rng = np.random.default_rng(1000 + seed)
     topo = _shuffled_topo(seed, count=int(rng.integers(1, 300)))
-    ids = topo.femto_ids
+    ids = topo.femtocells
     for k in range(20):
         if k % 5 == 0:
             ue = topo.site(ids[int(rng.integers(len(ids)))]).position  # on a FAP
@@ -316,7 +315,7 @@ def test_scan_bitwise_equal_to_scalar_oracle(seed, params):
 
 def test_scan_ue_on_a_fap_uses_the_clamped_distance():
     topo = _shuffled_topo(3, count=40)
-    fap = topo.femto_ids[7]
+    fap = topo.femtocells[7]
     ue = topo.site(fap).position
     _assert_scan_matches_oracle(topo, ue, fap)
     _assert_scan_matches_oracle(topo, ue, "macro", obstructed={fap})
@@ -467,7 +466,7 @@ def test_femto_list_matches_the_distance_row_loop(count, side, threshold, scheme
     pairs = {tuple(sorted(rng.choice(ids, 2, replace=False).tolist())) for _ in range(count)}
     topo = CellTopology(
         macro_radius_m=1000.0, femto_radius_m=10.0, macro_sites=[(0.0, 0.0)],
-        femtocells=[FemtoSite(i, tuple(p)) for i, p in zip(ids, xy)],
+        femtocells=ids, positions=xy,
         neighbor_threshold_m=threshold,
         closed_access={i for i in ids if rng.random() < 0.3},
         walls={pair: int(rng.integers(4)) for pair in pairs})

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -103,8 +104,26 @@ def test_two_tier_params_reject_femto_arrivals_without_femtocells():
                                   "macro_adaptive_states"])
 def test_two_tier_params_name_a_negative_count(name):
     # the femto chain is built at n = 0 too, so a negative K fails here, by name
-    with pytest.raises(ValueError, match=rf"^{name} must be >= 0, got -1$"):
+    with pytest.raises(ValueError, match=rf"^{name} must be a whole number >= 0, got -1$"):
         _two_tier(**{"n": 0, "lam_f": 0.0, name: -1})
+
+
+@pytest.mark.parametrize("name", ["n", "femto_capacity", "macro_base_states",
+                                  "macro_adaptive_states"])
+@pytest.mark.parametrize("value", [2.5, math.nan, math.inf])
+def test_two_tier_params_take_whole_counts_only(name, value):
+    # n = 2.5 solved with 2.5 femtocells, and a fractional chain size failed
+    # in range() with an unnamed TypeError
+    with pytest.raises(ValueError, match=rf"^{name} must be a whole number >= 0, "
+                                         rf"got {re.escape(repr(value))}$"):
+        _two_tier(**{"n": 0, "lam_f": 0.0, name: value})
+
+
+def test_two_tier_params_store_a_whole_float_count_as_an_int():
+    params = _two_tier(n=1000.0, femto_capacity=np.int64(4), macro_base_states=100.0)
+    assert [type(v) for v in (params.n, params.femto_capacity, params.macro_base_states)] \
+        == [int, int, int]
+    assert solve_two_tier(params).femto.p_block == solve_two_tier(_two_tier()).femto.p_block
 
 
 @pytest.mark.parametrize("name, value", [
@@ -481,6 +500,18 @@ def _ch7(lam_scale=1.0, **kw):
                     mu=1 / 120.0)
     defaults.update(kw)
     return Ch7QueueParams(**defaults)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("sessions", 12.5), ("n_states", 119.5), ("s_states", 8.5), ("l_states", 2.5),
+    *((name, bad) for name in ("sessions", "n_states", "s_states", "l_states")
+      for bad in (-1, math.nan)),
+])
+def test_ch7_params_take_whole_counts_only(name, value):
+    # 12.5 sessions or 119.5 states failed in range() with an unnamed TypeError
+    with pytest.raises(ValueError, match=rf"^{name} must be a whole number >= 0, "
+                                         rf"got {re.escape(repr(value))}$"):
+        _ch7(**{name: value})
 
 
 def test_ch7_normalization_and_indices():

@@ -14,7 +14,7 @@ from femtonet.radio import (
     sir,
 )
 from femtonet.spectrum import build_plan
-from femtonet.topology import CellTopology, DegenerateGeometryError, FemtoSite, place_femtocells
+from femtonet.topology import CellTopology, DegenerateGeometryError, place_femtocells
 
 
 def _manual_topo(positions, macro_ue_walls=0):
@@ -22,7 +22,8 @@ def _manual_topo(positions, macro_ue_walls=0):
         macro_radius_m=1000.0,
         femto_radius_m=10.0,
         macro_sites=[(0.0, 0.0)],
-        femtocells=[FemtoSite(i, p) for i, p in enumerate(positions)],
+        femtocells=list(range(len(positions))),
+        positions=positions,
         macro_ue_walls=macro_ue_walls,
     )
 

@@ -12,7 +12,6 @@ from femtonet.radio import sir
 from femtonet.spectrum import build_plan
 from femtonet.topology import (
     CellTopology,
-    FemtoSite,
     MacroGeometry,
     UnknownSiteError,
     neighbors_of,
@@ -53,22 +52,23 @@ def test_reach_components_are_the_union_find_components(seed):
     rng = np.random.default_rng(seed)
     ids = rng.permutation(600)[:200].tolist()
     xy = rng.uniform(0.0, 900.0, size=(200, 2))
-    topo = CellTopology(1000.0, 10.0, [(0.0, 0.0)],
-                        [FemtoSite(i, (float(x), float(y))) for i, (x, y) in zip(ids, xy)],
+    topo = CellTopology(1000.0, 10.0, [(0.0, 0.0)], ids, xy,
                         neighbor_threshold_m=45.0, macro_ue_walls=2, inter_femto_walls=3)
     label = _brute_components(topo)
     seeds = {ids[0], ids[7], ids[50]}
     held = {label[ids.index(f)] for f in seeds}
     sub = reach_components(topo, seeds)
-    assert sub.femto_ids == [f for k, f in enumerate(ids) if label[k] in held]
-    assert all(a is b for a, b in zip(sub.femtocells, (topo.site(f) for f in sub.femto_ids)))
+    assert sub.femtocells == [f for k, f in enumerate(ids) if label[k] in held]
+    assert all(type(f) is int for f in sub.femtocells)
+    rows = [topo.index_of(f) for f in sub.femtocells]
+    assert sub.positions.tolist() == topo.positions[rows].tolist()
     for name in ("macro_radius_m", "femto_radius_m", "macro_sites", "neighbor_threshold_m",
                  "macro_ue_walls", "inter_femto_walls"):
         assert getattr(sub, name) == getattr(topo, name), name
-    for f in sub.femto_ids:
+    for f in sub.femtocells:
         got, want = sub.near(f, 60.0), topo.near(f, 60.0)
-        assert [sub.femtocells[k].id for k in got[0].tolist()] == \
-            [topo.femtocells[k].id for k in want[0].tolist()]
+        assert [sub.femtocells[k] for k in got[0].tolist()] == \
+            [topo.femtocells[k] for k in want[0].tolist()]
         assert got[1].tolist() == want[1].tolist()
 
 
@@ -82,11 +82,10 @@ def test_reach_components_of_nothing_and_of_an_unknown_id():
 def test_a_closed_fap_stays_out_of_a_list_built_on_a_reach_component():
     # FAPs 0-2 form one component and FAP 3 another; FAP 1 is closed
     topo = CellTopology(1000.0, 10.0, [(0.0, 0.0)],
-                        [FemtoSite(0, (0.0, 0.0)), FemtoSite(1, (15.0, 0.0)),
-                         FemtoSite(2, (0.0, 15.0)), FemtoSite(3, (500.0, 0.0))],
+                        [0, 1, 2, 3], [(0.0, 0.0), (15.0, 0.0), (0.0, 15.0), (500.0, 0.0)],
                         closed_access={1, 3})
     child = reach_components(topo, {0})
-    assert child.femto_ids == [0, 1, 2]
+    assert child.femtocells == [0, 1, 2]
     assert 1 in child.closed_access
     plan = build_plan("dynamic-reuse", child)
     scan = RssiScan({1: -60.0, 2: -60.0}, serving=0)
@@ -100,7 +99,7 @@ def _assert_restricted_plans_match(topo, rng):
     for the reference FAP and a user at the fig4 measurement range."""
     union = {REF} | neighbors_of(topo, REF)
     local = reach_components(topo, union)
-    assert union <= set(local.femto_ids)
+    assert union <= set(local.femtocells)
     assert neighbors_of(local, REF) == neighbors_of(topo, REF)
     fx, fy = topo.site(REF).position
     ang = 2.0 * math.pi * rng.random()
@@ -110,9 +109,9 @@ def _assert_restricted_plans_match(topo, rng):
         # static reuse is built on the whole topology; sir still reads `local`
         part = full if scheme == "static-reuse" else build_plan(scheme, local, seed=3)
         if part is not full:
-            assert list(part.femto_assignment) == local.femto_ids
-        for f in local.femto_ids:
-            assert part.femto_assignment[f] == full.femto_assignment[f], (scheme, f)
+            assert list(part.femto_band) == local.femtocells
+        for f in local.femtocells:
+            assert part.femto_band[f] == full.femto_band[f], (scheme, f)
             assert part.radius_of.get(f) == full.radius_of.get(f), (scheme, f)
         assert part.band_for_link(REF, ue, local) == full.band_for_link(REF, ue, topo)
         for tiers in ("reference", "all"):
@@ -137,7 +136,7 @@ def test_restricted_plans_match_with_a_threshold_above_the_reach():
     outside = 0
     for seed in range(1, 6):
         topo = place_femtocells(seed, 1000, macro=macro)
-        own = set(reach_components(topo, {REF}).femto_ids)
+        own = set(reach_components(topo, {REF}).femtocells)
         # sir reads neighbors beyond the reference FAP's own component, so
         # only the union of components keeps them all
         outside += len(neighbors_of(topo, REF) - own)

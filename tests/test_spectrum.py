@@ -6,15 +6,18 @@ import pytest
 from oracles import (
     BAND_LABELS,
     BandPartition,
+    band_records,
     configure_two_table,
     interfering,
     partition_band,
+    record_band_for_link,
+    record_interferer_band,
+    record_shares_frequency,
 )
 
 from femtonet import spectrum
 from femtonet.spectrum import (
     SCHEMES,
-    FemtoBandAssignment,
     PlanConfigError,
     SpectrumPlan,
     bands_overlap,
@@ -23,7 +26,15 @@ from femtonet.spectrum import (
     remove_femto,
     verify_plan_relations,
 )
-from femtonet.topology import CellTopology, FemtoSite, MacroGeometry, place_femtocells
+from femtonet.neighborlist import shares_frequency
+from femtonet.radio import sir
+from femtonet.topology import (
+    CellTopology,
+    MacroGeometry,
+    UnknownSiteError,
+    place_femtocells,
+    reach_components,
+)
 
 
 def _manual_topo(positions, r_f=10.0):
@@ -31,13 +42,14 @@ def _manual_topo(positions, r_f=10.0):
         macro_radius_m=1000.0,
         femto_radius_m=r_f,
         macro_sites=[(0.0, 0.0)],
-        femtocells=[FemtoSite(i, p) for i, p in enumerate(positions)],
+        femtocells=list(range(len(positions))),
+        positions=positions,
     )
 
 
 def _empty_dynamic_plan(topo):
     plan = build_plan("dynamic-reuse", _manual_topo([]))
-    plan.femto_assignment.clear()
+    plan.femto_band.clear()
     return plan
 
 
@@ -97,8 +109,8 @@ def test_band_is_a_lookup_not_a_construction():
     plan = build_plan("dynamic-reuse", place_femtocells(seed=5, count=20))
     for label in BAND_LABELS:
         assert plan.band(label) is plan.band(label)
-    for f in plan.femto_assignment:
-        assert plan.interferer_band(f) is plan.band(plan.femto_assignment[f].edge_label)
+    for f in plan.femto_band:
+        assert plan.interferer_band(f) is plan.band(plan.femto_band[f])
     with pytest.raises(KeyError, match="unknown band label"):
         plan.band("B6")
 
@@ -121,7 +133,7 @@ def test_shared_plan_full_band_everywhere():
     verify_plan_relations(plan)
     for j in range(len(topo.macro_sites)):
         assert plan.macro_band(j).label == "BT"
-    for f in topo.femto_ids:
+    for f in topo.femtocells:
         assert plan.band_for_link(f, (0.0, 0.0), topo).label == "BT"
 
 
@@ -138,14 +150,14 @@ def test_static_reuse_uses_other_two_bands():
     plan = build_plan("static-reuse", topo, seed=5)
     verify_plan_relations(plan)
     assert plan.macro_assignment[0] == "Bm1"
-    for f in topo.femto_ids:
-        assert plan.femto_assignment[f].center_label in ("Bm2", "Bm3")
+    for f in topo.femtocells:
+        assert plan.femto_band[f] in ("Bm2", "Bm3")
 
 
 def test_static_reuse_overlapping_discs_differ():
     topo = _manual_topo([(0.0, 0.0), (15.0, 0.0)])  # discs overlap (< 20 m)
     plan = build_plan("static-reuse", topo, seed=1)
-    a, b = (plan.femto_assignment[i].center_label for i in (0, 1))
+    a, b = (plan.femto_band[i] for i in (0, 1))
     assert a != b
 
 
@@ -188,8 +200,8 @@ def test_unknown_scheme_is_rejected():
 def test_configure_no_interferer():
     topo = _manual_topo([(0.0, 0.0)])
     plan = build_plan("dynamic-reuse", topo)
-    a = plan.femto_assignment[0]
-    assert (a.center_label, a.edge_label) == ("Bm2", "Bm3")
+    assert plan.femto_band == {0: "Bm3"}
+    assert plan.band_for_link(0, (0.0, 0.0), topo).label == "Bm2"
 
 
 def test_configure_one_interferer_cyclic_table():
@@ -198,32 +210,32 @@ def test_configure_one_interferer_cyclic_table():
                                 ("B2", "B3"), ("B3", "B1")]:
         topo = _manual_topo([(0.0, 0.0), (30.0, 0.0)])
         plan = build_plan("dynamic-reuse", _manual_topo([]))
-        plan.femto_assignment.clear()
-        plan.femto_assignment[0] = FemtoBandAssignment("Bm2", incumbent)
+        plan.femto_band.clear()
+        plan.femto_band[0] = incumbent
         got = configure_new_femto(plan, topo, 1)
-        assert got.center_label == "Bm2"
-        assert got.edge_label == expected
+        assert plan.band_for_link(1, topo.site(1).position, topo).label == "Bm2"
+        assert got == plan.femto_band[1] == expected
 
 
 def test_configure_one_interferer_whole_band_split():
     topo = _manual_topo([(0.0, 0.0), (30.0, 0.0)])
     plan = build_plan("dynamic-reuse", topo)
     # femto 0 was alone and held Bm3; the arrival of femto 1 splits the edge
-    assert plan.femto_assignment[0].edge_label == "B4"
-    assert plan.femto_assignment[1].edge_label == "B5"
+    assert plan.femto_band[0] == "B4"
+    assert plan.femto_band[1] == "B5"
 
 
 def test_configure_two_interferers_b4_b5_reassignment():
     # pseudocode lines 23-26
     topo = _manual_topo([(0.0, 0.0), (30.0, 0.0), (15.0, 20.0)])
     plan = build_plan("dynamic-reuse", _manual_topo([]))
-    plan.femto_assignment.clear()
-    plan.femto_assignment[0] = FemtoBandAssignment("Bm2", "B4")
-    plan.femto_assignment[1] = FemtoBandAssignment("Bm2", "B5")
+    plan.femto_band.clear()
+    plan.femto_band[0] = "B4"
+    plan.femto_band[1] = "B5"
     got = configure_new_femto(plan, topo, 2)
-    assert got.edge_label == "B3"
-    assert plan.femto_assignment[0].edge_label == "B1"
-    assert plan.femto_assignment[1].edge_label == "B2"
+    assert got == "B3"
+    assert plan.femto_band[0] == "B1"
+    assert plan.femto_band[1] == "B2"
 
 
 def test_configure_two_interferers_third_pairs():
@@ -231,11 +243,11 @@ def test_configure_two_interferers_third_pairs():
                            (("B3", "B1"), "B2")]:
         topo = _manual_topo([(0.0, 0.0), (30.0, 0.0), (15.0, 20.0)])
         plan = build_plan("dynamic-reuse", _manual_topo([]))
-        plan.femto_assignment.clear()
-        plan.femto_assignment[0] = FemtoBandAssignment("Bm2", pair[0])
-        plan.femto_assignment[1] = FemtoBandAssignment("Bm2", pair[1])
+        plan.femto_band.clear()
+        plan.femto_band[0] = pair[0]
+        plan.femto_band[1] = pair[1]
         got = configure_new_femto(plan, topo, 2)
-        assert got.edge_label == expected
+        assert got == expected
         assert plan.edge_conflicts(topo) == []
 
 
@@ -244,7 +256,7 @@ def test_three_interferers_lowest_free_third():
     topo = _manual_topo(positions)
     plan = build_plan("dynamic-reuse", topo)
     assert plan.edge_conflicts(topo) == []
-    edges = {plan.femto_assignment[i].edge_label for i in range(4)}
+    edges = {plan.femto_band[i] for i in range(4)}
     assert len(edges) == 4
 
 
@@ -283,12 +295,11 @@ def test_mutual_pairs_follow_the_pair_table(monkeypatch):
     def table(plan, near, new_id, mutual):
         if mutual:
             a, b = near[new_id]
-            pairs.add(frozenset((plan.femto_assignment[a].edge_label,
-                                 plan.femto_assignment[b].edge_label)))
+            pairs.add(frozenset((plan.femto_band[a], plan.femto_band[b])))
         configure_two_table(plan, near, new_id, mutual)
 
     def state(plan):
-        return (plan.femto_assignment, plan.radius_of, plan.events, plan.branch_counts)
+        return (plan.femto_band, plan.radius_of, plan.events, plan.branch_counts)
 
     for count, radius in ((300, 300.0), (200, 200.0)):
         macro = MacroGeometry(macro_radius_m=radius, min_separation_m=1.0)
@@ -310,10 +321,10 @@ def test_mutual_pairs_follow_the_pair_table(monkeypatch):
 def test_interferers_of_an_unassigned_fap_next_to_the_only_assigned_one():
     topo = _manual_topo([(0.0, 0.0), (30.0, 0.0), (50.0, 0.0)])
     plan = _empty_dynamic_plan(topo)
-    plan.femto_assignment[0] = FemtoBandAssignment("Bm2", "Bm3")
+    plan.femto_band[0] = "Bm3"
     assert plan.interferers(topo, 1) == [0]
     assert plan.interferers(topo, 0) == []
-    plan.femto_assignment[2] = FemtoBandAssignment("Bm2", "B4")
+    plan.femto_band[2] = "B4"
     assert plan.interferers(topo, 1) == [0, 2]
 
 
@@ -321,15 +332,15 @@ def test_remove_only_femto():
     topo = _manual_topo([(0.0, 0.0)])
     plan = build_plan("dynamic-reuse", topo)
     remove_femto(plan, topo, 0)
-    assert plan.femto_assignment == {}
+    assert plan.femto_band == {}
 
 
 def test_remove_conflict_free_neighbor_leaves_survivor():
     topo = _manual_topo([(0.0, 0.0), (30.0, 0.0)])
     plan = build_plan("dynamic-reuse", topo)
-    survivor_before = plan.femto_assignment[0].edge_label
+    survivor_before = plan.femto_band[0]
     remove_femto(plan, topo, 1)
-    assert plan.femto_assignment[0].edge_label == survivor_before
+    assert plan.femto_band[0] == survivor_before
 
 
 def test_remove_middle_of_chain_keeps_pairwise_distinct():
@@ -339,10 +350,10 @@ def test_remove_middle_of_chain_keeps_pairwise_distinct():
     assert plan.edge_conflicts(topo) == []
     remove_femto(plan, topo, 1)
     # exhaustive pairwise re-check of the survivors
-    ids = sorted(plan.femto_assignment)
+    ids = sorted(plan.femto_band)
     for a, b in itertools.combinations(ids, 2):
         if interfering(plan, topo, a, b):
-            assert plan.femto_assignment[a].edge_label != plan.femto_assignment[b].edge_label
+            assert plan.femto_band[a] != plan.femto_band[b]
 
 
 def test_random_insert_remove_sequences_conflict_free():
@@ -352,7 +363,7 @@ def test_random_insert_remove_sequences_conflict_free():
         pts = [(float(rng.uniform(0, 160)), float(rng.uniform(0, 160))) for _ in range(n)]
         topo = _manual_topo(pts)
         plan = build_plan("dynamic-reuse", _manual_topo([]))
-        plan.femto_assignment.clear()
+        plan.femto_band.clear()
         alive = []
         for i in range(n):
             configure_new_femto(plan, topo, i)
@@ -366,10 +377,10 @@ def test_random_insert_remove_sequences_conflict_free():
 def test_idempotent_for_non_neighbors():
     topo = _manual_topo([(0.0, 0.0), (500.0, 0.0), (500.0, 30.0)])
     plan = build_plan("dynamic-reuse", topo)
-    far_before = plan.femto_assignment[0].edge_label
+    far_before = plan.femto_band[0]
     # re-configuring femto 2 must not touch the distant femto 0
     configure_new_femto(plan, topo, 2)
-    assert plan.femto_assignment[0].edge_label == far_before
+    assert plan.femto_band[0] == far_before
 
 
 def test_reuse_band_statistics():
@@ -378,20 +389,88 @@ def test_reuse_band_statistics():
     from femtonet.topology import neighbors_of
 
     topo = place_femtocells(seed=13, count=700)
-    pairs = {(a, b) for a in topo.femto_ids for b in neighbors_of(topo, a) if a < b}
+    pairs = {(a, b) for a in topo.femtocells for b in neighbors_of(topo, a) if a < b}
     assert len(pairs) > 200
 
     static = build_plan("static-reuse", topo, seed=13)
     share_static = np.mean([
-        static.femto_assignment[a].center_label == static.femto_assignment[b].center_label
+        static.femto_band[a] == static.femto_band[b]
         for a, b in pairs
     ])
     assert 0.35 < share_static < 0.65
 
     dynamic = build_plan("dynamic-reuse", topo)
     share_dynamic = np.mean([
-        dynamic.femto_assignment[a].edge_label == dynamic.femto_assignment[b].edge_label
+        dynamic.femto_band[a] == dynamic.femto_band[b]
         for a, b in pairs
     ])
     assert share_dynamic <= 1.0 / 3.0
     assert share_dynamic < share_static
+
+
+# ---------------------------------------------------------------------------
+# one band label per FAP against the per-FAP records it replaced
+
+
+def _assert_band_rules_match_records(plan, topo):
+    """The one-label `shares_frequency`, `interferer_band` and `band_for_link`
+    against the record-based versions: every ordered FAP pair, and a user
+    inside and outside each FAP's inner circle."""
+    records = band_records(plan)
+    ids = topo.femtocells
+    assert [shares_frequency(plan, a, b) for a in ids for b in ids] == \
+        [record_shares_frequency(plan, records, a, b) for a in ids for b in ids]
+    inner = plan.edge_fraction * topo.femto_radius_m
+    for f in ids:
+        assert plan.interferer_band(f) == record_interferer_band(plan, records, f)
+        x, y = topo.site(f).position
+        inside, outside = (plan.band_for_link(f, (x + d, y), topo) for d in (inner / 2, 2 * inner))
+        assert inside == record_band_for_link(plan, records, f, (x + inner / 2, y), topo)
+        assert outside == record_band_for_link(plan, records, f, (x + 2 * inner, y), topo)
+        if plan.scheme == "dynamic-reuse":
+            assert (inside.label, outside.label) == (spectrum.CENTER_BAND, plan.femto_band[f])
+
+
+@pytest.mark.parametrize("count", [300, 1000])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_one_label_band_rules_match_the_record_rules(count, seed):
+    topo = place_femtocells(seed, count)
+    for scheme in SCHEMES:
+        _assert_band_rules_match_records(build_plan(scheme, topo, seed=seed), topo)
+
+
+def test_one_label_band_rules_match_the_record_rules_on_a_tiny_band():
+    # at total_hz = 1e-9 every band lies within the 1e-9 slack of every
+    # other, so only the label comparison keeps static-reuse Bm3 apart from Bm2
+    topo = place_femtocells(4, 300)
+    for scheme in SCHEMES:
+        plan = build_plan(scheme, topo, total_hz=1e-9, seed=4)
+        _assert_band_rules_match_records(plan, topo)
+        if scheme == "static-reuse":
+            a, b = (next(f for f, lab in plan.femto_band.items() if lab == band)
+                    for band in ("Bm3", "Bm2"))
+            assert not shares_frequency(plan, a, b)
+
+
+def _missing_fap_calls():
+    topo = place_femtocells(1, 50)
+    missing = 7
+    ue = (topo.site(missing).position[0] + 3.0, topo.site(missing).position[1])
+    return topo, missing, {
+        "band_for_link": lambda plan: plan.band_for_link(missing, ue, topo),
+        "interferer_band": lambda plan: plan.interferer_band(missing),
+        "shares_frequency": lambda plan: shares_frequency(plan, missing, 0),
+        "sir": lambda plan: sir(topo, plan, ue, missing),
+    }
+
+
+@pytest.mark.parametrize("call", ["band_for_link", "interferer_band", "shares_frequency", "sir"])
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_a_fap_the_plan_does_not_hold_is_named(call, scheme):
+    # a plan built on the reference FAP's reach component lacks FAP 7 of the
+    # topology; each call raised a bare KeyError(7)
+    topo, missing, calls = _missing_fap_calls()
+    plan = build_plan(scheme, reach_components(topo, {0}))
+    assert missing not in plan.femto_band and missing in topo.femtocells
+    with pytest.raises(UnknownSiteError, match=r"^femtocell 7 not in plan$"):
+        calls[call](plan)

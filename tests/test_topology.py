@@ -33,16 +33,16 @@ def test_dense_placement_within_macro_radius():
     # Table 4.3 geometry: 1 km macrocell, dense threshold 1000 femtocells
     topo = place_femtocells(seed=7, count=1000)
     assert len(topo.femtocells) == 1000
-    for f in topo.femtocells:
-        assert distance(topo, (0.0, 0.0), f.position) <= 1000.0 + 1e-9
+    for xy in topo.positions.tolist():
+        assert distance(topo, (0.0, 0.0), tuple(xy)) <= 1000.0 + 1e-9
 
 
 def test_placement_deterministic():
     a = place_femtocells(seed=7, count=200)
     b = place_femtocells(seed=7, count=200)
-    assert [f.position for f in a.femtocells] == [f.position for f in b.femtocells]
+    assert a.positions.tolist() == b.positions.tolist()
     c = place_femtocells(seed=8, count=200)
-    assert [f.position for f in a.femtocells] != [f.position for f in c.femtocells]
+    assert a.positions.tolist() != c.positions.tolist()
 
 
 def test_reference_fap_pinned():
@@ -69,10 +69,8 @@ def _two_fap_topo(gap_m):
         macro_radius_m=1000.0,
         femto_radius_m=10.0,
         macro_sites=[(0.0, 0.0)],
-        femtocells=[
-            FemtoSite(0, (0.0, 0.0)),
-            FemtoSite(1, (gap_m, 0.0)),
-        ],
+        femtocells=[0, 1],
+        positions=[(0.0, 0.0), (gap_m, 0.0)],
     )
 
 
@@ -97,7 +95,7 @@ def test_neighbor_counts_match_brute_force():
     d = np.hypot(pos[:, None, 0] - pos[None, :, 0], pos[:, None, 1] - pos[None, :, 1])
     np.fill_diagonal(d, np.inf)
     brute = (d <= 60.0).sum(axis=1)
-    counts = np.array([len(neighbors_of(topo, f.id)) for f in topo.femtocells])
+    counts = np.array([len(neighbors_of(topo, f)) for f in topo.femtocells])
     assert np.array_equal(counts, brute)
     assert counts.mean() == pytest.approx(brute.mean())
 
@@ -105,10 +103,10 @@ def test_neighbor_counts_match_brute_force():
 def test_neighbor_symmetry_and_irreflexive():
     topo = place_femtocells(seed=21, count=300)
     for f in topo.femtocells:
-        ns = neighbors_of(topo, f.id)
-        assert f.id not in ns
+        ns = neighbors_of(topo, f)
+        assert f not in ns
         for other in ns:
-            assert f.id in neighbors_of(topo, other)
+            assert f in neighbors_of(topo, other)
 
 
 def test_distance_pythagorean():
@@ -138,7 +136,7 @@ def test_walls_default_one_between_femtos():
 
 def test_walls_are_symmetric_for_every_pair_of_the_fixture():
     topo = hidden_fap_fixture()[0]
-    ids = topo.femto_ids
+    ids = topo.femtocells
     for a in ids:
         for b in ids:
             assert topo.walls_between(a, b) == topo.walls_between(b, a)
@@ -152,20 +150,22 @@ def test_walls_are_symmetric_for_every_pair_of_the_fixture():
 def test_walls_reject_a_descending_or_self_pair_and_a_bad_count(walls):
     with pytest.raises(ValueError, match="walls"):
         CellTopology(macro_radius_m=1000.0, femto_radius_m=10.0, macro_sites=[(0.0, 0.0)],
-                     femtocells=[FemtoSite(0, (0.0, 0.0)), FemtoSite(1, (5.0, 5.0))],
-                     walls=walls)
+                     femtocells=[0, 1], positions=[(0.0, 0.0), (5.0, 5.0)], walls=walls)
 
 
-def test_walls_and_closed_access_are_read_only():
+def test_walls_closed_access_and_positions_are_read_only():
+    xy = np.array([(0.0, 0.0), (5.0, 5.0)])
     topo = CellTopology(macro_radius_m=1000.0, femto_radius_m=10.0, macro_sites=[(0.0, 0.0)],
-                        femtocells=[FemtoSite(0, (0.0, 0.0)), FemtoSite(1, (5.0, 5.0))],
-                        closed_access={1}, walls={(0, 1): 3})
+                        femtocells=[0, 1], positions=xy, closed_access={1}, walls={(0, 1): 3})
     with pytest.raises(TypeError):
         topo.walls[(0, 1)] = 0
     assert topo.walls_between(1, 0) == 3
     assert topo.closed_access == frozenset({1})
-    with pytest.raises(AttributeError):
-        topo.femtocells[0].position = (1.0, 1.0)
+    with pytest.raises(ValueError, match="read-only"):
+        topo.positions[0] = (1.0, 1.0)
+    # the topology holds its own copy: the caller's array stays writable
+    xy[0] = (1.0, 1.0)
+    assert topo.positions.tolist() == [[0.0, 0.0], [5.0, 5.0]]
     with pytest.raises(UnknownSiteError):
         topo.walls_between(0, 2)
 
@@ -198,7 +198,7 @@ def test_topology_rejects_a_bad_radius_or_position(radius, xy):
     # the neighbor table bins positions on a grid of side 6 * radius
     with pytest.raises(ValueError):
         CellTopology(macro_radius_m=1000.0, femto_radius_m=radius, macro_sites=[(0.0, 0.0)],
-                     femtocells=[FemtoSite(0, xy), FemtoSite(1, (5.0, 5.0))])
+                     femtocells=[0, 1], positions=[xy, (5.0, 5.0)])
 
 
 @pytest.mark.parametrize("field", ["min_separation_m", "neighbor_threshold_m"])
@@ -367,3 +367,23 @@ def test_placement_fills_on_the_last_attempt():
 @pytest.mark.parametrize("seed", [7, 11])
 def test_default_placement_matches_scalar_loop(seed):
     assert _assert_places_as_scalar_loop(seed, 1000, MacroGeometry()) is None
+
+
+@pytest.mark.parametrize("ids, xy", [
+    ([0, 1], [(0.0, 0.0)]),  # fewer rows than ids
+    ([0, 1], [(0.0, 0.0), (5.0, 5.0), (9.0, 9.0)]),  # more rows than ids
+    ([0, 1, 2], [(0.0, 5.0, 9.0), (0.0, 5.0, 9.0)]),  # 2 x n, not n x 2
+    ([], [(0.0, 0.0)]),
+])
+def test_topology_rejects_positions_of_the_wrong_shape(ids, xy):
+    with pytest.raises(ValueError, match="positions must be a"):
+        CellTopology(macro_radius_m=1000.0, femto_radius_m=10.0, macro_sites=[(0.0, 0.0)],
+                     femtocells=ids, positions=xy)
+
+
+def test_ids_are_python_ints_and_site_reads_the_columns():
+    topo = CellTopology(macro_radius_m=1000.0, femto_radius_m=10.0, macro_sites=[(0.0, 0.0)],
+                        femtocells=np.array([7, 3]), positions=[(1.0, 2.0), (3.0, 4.0)])
+    assert topo.femtocells == [7, 3] and all(type(f) is int for f in topo.femtocells)
+    assert topo.site(3) == FemtoSite(3, (3.0, 4.0))
+    assert type(topo.site(3).id) is int
