@@ -9,6 +9,7 @@ CSV as a plot script).  Exit codes: 0 success, 1 input error,
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .experiments import (
@@ -145,8 +146,6 @@ def _cmd_emit(args) -> int:
     if not rows:
         print("error: empty result", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    import os
-
     name = os.path.splitext(os.path.basename(args.csv_path))[0]
     result = ExperimentResult(name, rows[0][0], rows[0][6], rows=rows)
     return EXIT_OK if _write(result, "plot-script", args.out) else EXIT_INPUT_ERROR

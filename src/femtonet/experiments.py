@@ -9,18 +9,21 @@ depend on execution order.
 
 from __future__ import annotations
 
+import hashlib
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import neighborlist as nl_mod
 from . import queueing as q_mod
+from .admission import TrafficClass
 from .presets import TABLE_7_1, TABLE_8_1, table71_mbs_sessions
 from .radio import db_to_linear, outage_probability_closed_form, shannon_throughput, sir
 from .scenario import Scenario, scenario_from_preset
 from .spectrum import SpectrumPlan, build_plan
-from .topology import neighbors_of, place_femtocells, reach_components
+from .topology import place_femtocells, reach_components
 from .videoalloc import (
     allocate_mbs_budget,
     allocate_popularity,
@@ -57,8 +60,6 @@ class ExperimentResult:
 
 
 def _spawn_rng(seed: int, *key) -> np.random.Generator:
-    import hashlib
-
     parts = [seed]
     for k in key:
         if isinstance(k, str):
@@ -96,12 +97,13 @@ def _radio_sweep(scenario: Scenario, counts, trials: int):
 
     The measurement reads only the bands of the reference FAP and of its
     `neighbors_of` set, so every plan but static reuse is built on the
-    reach-graph components that hold them (`reach_components`), and `sir`
-    runs there too.  This is exact: dynamic reuse never couples FAPs in
-    different components, and the single-band schemes give every FAP the
-    same band.  Static reuse stays on the whole topology, because its coin
-    flips depend on every earlier FAP.  The `events` and `branch_counts` of
-    a dynamic-reuse plan so describe only the reference components."""
+    reference FAP's reach-graph component (`reach_components`), which holds
+    that set, and `sir` runs there too.  This is exact: dynamic reuse never
+    couples FAPs in different components, and the single-band schemes give
+    every FAP the same band.  Static reuse stays on the whole topology,
+    because its coin flips depend on every earlier FAP.  The `events` and
+    `branch_counts` of a dynamic-reuse plan so describe only the reference
+    component."""
     params, gamma, ue_range, macro, bands = _read_fig4(scenario)
     out = {}
     for count in counts:
@@ -113,7 +115,7 @@ def _radio_sweep(scenario: Scenario, counts, trials: int):
             fx, fy = topo.site(ref).position
             ang = 2.0 * math.pi * rng.random()
             ue = (fx + ue_range * math.cos(ang), fy + ue_range * math.sin(ang))
-            local = reach_components(topo, {ref} | neighbors_of(topo, ref))
+            local = reach_components(topo, {ref})
             for scheme in RADIO_SCHEMES:
                 plan = build_plan(scheme, topo if scheme == "static-reuse" else local,
                                   seed=scenario.seed, **bands)
@@ -313,9 +315,6 @@ def _ch7_dimensions(duration_s: float):
     The non-MBS traffic can claim at most C - C_min_B; class mix voice,
     unicast (degradable to the base layer for handovers only), background
     (two-level degradable)."""
-    from .admission import TrafficClass
-    from .queueing import chain_dimensions
-
     t = TABLE_7_1
     ratios = np.array([t["arrival_ratio_voice"], t["arrival_ratio_unicast"],
                        t["arrival_ratio_background"]])
@@ -337,7 +336,7 @@ def _ch7_dimensions(duration_s: float):
     )
     sessions = table71_mbs_sessions()
     c_nb_max = t["capacity_mbps"] * 1e3 - total_min_bw(sessions) / 1e3
-    n_extra, s, ell = chain_dimensions(classes, c_nb_max)
+    n_extra, s, ell = q_mod.chain_dimensions(classes, c_nb_max)
     return classes, shares, c_nb_max, n_extra, s, ell
 
 
@@ -583,8 +582,6 @@ def result_to_plot_script(result: ExperimentResult) -> str:
 
 def emit(result: ExperimentResult, fmt: str, out_dir) -> list[str]:
     """Write the result as CSV or a plot script; returns written paths."""
-    import os
-
     os.makedirs(out_dir, exist_ok=True)
     written = []
     if fmt == "csv":

@@ -140,8 +140,8 @@ def build_list_from_femto(
     the serving frequency; hidden entries are accessible FAPs within d_max
     of the user that are weak or frequency-pruned, known via a coordination
     hop from the serving FAP or a strong member: a `neighbors_of` pair with
-    at most COORDINATION_WALL_LIMIT walls.  Within the neighbor table's
-    reach the hops come from the table, so the list reads no distance row.
+    at most COORDINATION_WALL_LIMIT walls.  The hops come from the neighbor
+    table, so the list reads no distance row.
     """
     serving_site = topo.site(serving)
     check_params(d_max_m)

@@ -10,6 +10,7 @@ from __future__ import annotations
 from types import MappingProxyType
 
 from .admission import TrafficClass
+from .videoalloc import MbsSession
 
 # Ch. 4 evaluation geometry and radio constants
 TABLE_4_3 = MappingProxyType({
@@ -130,8 +131,6 @@ def table61_classes() -> tuple[TrafficClass, ...]:
 
 
 def table71_mbs_sessions():
-    from .videoalloc import MbsSession
-
     t = TABLE_7_1
     return [
         MbsSession(id=i, base_bw=t["mbs_min_mbps"] * 1e6,

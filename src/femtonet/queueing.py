@@ -97,12 +97,14 @@ def _fixed_point(step, rates: list[list[float]], what: str):
 
 def erlang_b(servers: int, offered: float) -> float:
     """Blocking probability of M/M/c/c via the stable recursion."""
-    if servers < 0 or offered < 0:
-        raise ValueError("servers and offered load must be >= 0")
+    if not (float(servers).is_integer() and servers >= 0):
+        raise ValueError(f"servers must be a whole number >= 0, got {servers!r}")
+    if not 0.0 <= offered < math.inf:
+        raise ValueError(f"offered must be finite and >= 0, got {offered!r}")
     if offered == 0.0:
         return 0.0
     b = 1.0
-    for k in range(1, servers + 1):
+    for k in range(1, int(servers) + 1):
         b = offered * b / (k + offered * b)
     return b
 
@@ -611,6 +613,20 @@ class Ch6Cell:
     holds the per-call release rates of states 1..N+S, srv the total
     departure rate of states 0..N+S, occupancy the bandwidth occupied in
     each state.  Both arrays are read-only, so solutions may share them.
+
+    The per-call policy, `admission.admit_ch6`, refuses calls at other
+    states.  Walked along the chain's mean mix (class counts round(a_m * i),
+    rebalanced) in the Table 6.1 cell, it first blocks a new call at
+    i = 106 under the proposed scheme, against new_limit = 128: the chain
+    lets new calls degrade the cell by the aggregate L, but the per-call
+    rule blocks once any one class (here class 7, whose gamma_h is largest)
+    is squeezed to its own new-call floor.  Under aqos, hard-qos and guard
+    it first blocks the two 128 kbps classes at i = 99 for lack of
+    bandwidth, against new_limit = 101 (96 for guard: the per-call rule has
+    no guard channels); under non-prioritized it blocks at new_limit = 155.
+    Handovers drop at N + S = 155 under the three adaptive schemes, and from
+    i = 99 (the 128 kbps classes) of N + S = 101 under hard-qos and guard.
+    tests/test_admission.py pins these steps.
     """
 
     scheme: str

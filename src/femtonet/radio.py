@@ -78,10 +78,13 @@ class LinkBudget:
     walls: int = 0
 
     def __post_init__(self):
-        if self.tx_power_w <= 0:
-            raise ValueError("tx power must be positive")
-        if self.distance_m < 0:
-            raise ValueError("bad link budget")
+        # each check is written so that NaN fails it
+        if not 0.0 < self.tx_power_w < math.inf:
+            raise ValueError(f"tx_power_w must be finite and > 0, got {self.tx_power_w!r}")
+        if not 0.0 <= self.distance_m < math.inf:
+            raise ValueError(f"distance_m must be finite and >= 0, got {self.distance_m!r}")
+        if not (float(self.walls).is_integer() and self.walls >= 0):
+            raise ValueError(f"walls must be a whole number >= 0, got {self.walls!r}")
 
 
 @dataclass(frozen=True)
@@ -181,8 +184,6 @@ def sir(
     per_source = []
     i_f = 0.0
     for nid in sorted(topo_mod.neighbors_of(topo, serving)):
-        if nid not in plan.femto_band:
-            continue
         if not bands_overlap(serving_band, plan.interferer_band(nid)):
             continue
         d = topo_mod.distance(topo, nid, tuple(ue_xy))
@@ -221,10 +222,11 @@ def outage_probability_closed_form(
 ) -> float:
     """P(S_bar * Z < gamma * I) for exponential unit-mean fast fading:
     1 - exp(-gamma * I / S_bar)."""
-    if mean_signal <= 0 or gamma_linear <= 0:
-        raise ValueError("mean signal and threshold must be positive")
-    if interference < 0:
-        raise ValueError("interference must be >= 0")
+    for name, value in (("mean_signal", mean_signal), ("gamma_linear", gamma_linear)):
+        if not 0.0 < value < math.inf:
+            raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+    if not 0.0 <= interference < math.inf:
+        raise ValueError(f"interference must be finite and >= 0, got {interference!r}")
     return -math.expm1(-gamma_linear * interference / mean_signal)
 
 
@@ -259,8 +261,10 @@ def outage_probability_mc(
 
 def shannon_throughput(bandwidth_hz: float, sir_linear: float) -> float:
     """W * log2(1 + SIR) in bit/s; zero bandwidth gives zero."""
-    if bandwidth_hz < 0 or sir_linear < 0:
-        raise ValueError("bandwidth and SIR must be >= 0")
+    if not 0.0 <= bandwidth_hz < math.inf:
+        raise ValueError(f"bandwidth_hz must be finite and >= 0, got {bandwidth_hz!r}")
+    if not sir_linear >= 0.0:
+        raise ValueError(f"sir_linear must be >= 0, got {sir_linear!r}")
     if bandwidth_hz == 0.0:
         return 0.0
     return bandwidth_hz * math.log2(1.0 + sir_linear)

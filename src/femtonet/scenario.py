@@ -11,7 +11,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 
-from .presets import PRESETS
+from .presets import PRESETS, table61_classes
+from .queueing import Ch6QueueParams, TwoTierParams, chain_dimensions
+from .radio import PropagationParams
+from .topology import MacroGeometry
 
 
 class ScenarioError(ValueError):
@@ -144,8 +147,6 @@ class Scenario:
         return value
 
     def macro_geometry(self):
-        from .topology import MacroGeometry
-
         return MacroGeometry(
             macro_radius_m=self["topology.macro_radius_m"],
             femto_radius_m=self["topology.femto_radius_m"],
@@ -156,8 +157,6 @@ class Scenario:
         )
 
     def propagation(self):
-        from .radio import PropagationParams
-
         return PropagationParams(
             tx_power_macro_w=self["radio.tx_power_macro_w"],
             tx_power_femto_w=self["radio.tx_power_femto_w"],
@@ -173,8 +172,6 @@ class Scenario:
 
     def two_tier_params(self, n: int | None = None,
                         lam_total: float | None = None):
-        from .queueing import TwoTierParams
-
         macro = self.macro_geometry()
         n = int(self["topology.count"]) if n is None else n
         lam = self._rate("traffic.total_arrival_per_s") if lam_total is None else lam_total
@@ -199,9 +196,6 @@ class Scenario:
         )
 
     def ch6_params(self, lam_new: float):
-        from .presets import table61_classes
-        from .queueing import Ch6QueueParams, chain_dimensions
-
         duration = self._call_duration()
         classes = tuple(replace(c, duration_s=duration) for c in table61_classes())
         capacity = self["traffic.capacity_kbps"]

@@ -104,7 +104,7 @@ class SpectrumPlan:
     nominal radius: `_shrink_one` is the only writer of `radius_of` and it
     only lowers a radius (`remove_femto` only deletes).  `interferers`
     therefore bounds its search by the nominal radius, which keeps it inside
-    the neighbor table's reach, so it never reads a distance row.
+    the neighbor table's reach; `CellTopology.near` raises if it ever left it.
     """
 
     scheme: str

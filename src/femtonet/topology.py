@@ -13,8 +13,9 @@ CSR layout is private to this module.  `CellTopology.near` answers every
 FAP-to-FAP range query from it, `CellTopology.earlier_within` gives each
 FAP's earlier partners for the first-come pair rules, and `reach_components`
 cuts a topology down to the table's connected components that hold given
-FAPs.  Queries from arbitrary points (UE positions) read a full
-`distances_to` row.
+FAPs.  The table's reach covers the interference range and the neighbor
+threshold, and a query beyond it raises.  Queries from arbitrary points (UE
+positions) read a full `distances_to` row.
 """
 
 from __future__ import annotations
@@ -84,7 +85,7 @@ class FemtoSite(NamedTuple):
 
 @dataclass(eq=False)
 class CellTopology:
-    """Read-only after construction: `femtocells` lists the ids as ints,
+    """Read-only after construction: `femtocells` is a tuple of the ids as ints,
     row k of the n x 2 `positions` array (the constructor's own read-only
     copy) is the position of femtocells[k], and the neighbor table is
     read-only arrays; safe for concurrent read-only use.  Compared by identity.
@@ -95,14 +96,15 @@ class CellTopology:
     topology, so `reach_components` passes them on unchanged.
 
     The constructor builds the neighbor table: every pair of FAPs within
-    the reach INTERFERENCE_RADIUS_SCALE * 2 * femto_radius_m (60 m by
-    default), which covers two cells of nominal radius.
+    the reach, the wider of INTERFERENCE_RADIUS_SCALE * 2 * femto_radius_m
+    (60 m by default), which covers two cells of nominal radius, and
+    neighbor_threshold_m.  So every FAP-pair query reads the table.
     """
 
     macro_radius_m: float
     femto_radius_m: float
     macro_sites: list[tuple[float, float]]
-    femtocells: list[int]
+    femtocells: tuple[int, ...]
     positions: np.ndarray
     neighbor_threshold_m: float = DEFAULT_NEIGHBOR_THRESHOLD
     macro_ue_walls: int = 1
@@ -118,13 +120,16 @@ class CellTopology:
                 raise ValueError(f"walls: need a pair a < b and a whole count >= 0, "
                                  f"got {pair!r}: {count!r}")
         self.walls = MappingProxyType({pair: int(count) for pair, count in self.walls.items()})
-        self.femtocells = list(map(operator.index, self.femtocells))
+        self.femtocells = tuple(map(operator.index, self.femtocells))
         self._index = {f: k for k, f in enumerate(self.femtocells)}
         n = len(self.femtocells)
         if len(self._index) != n:
             raise ValueError("femtocell ids must be unique")
         if not self.femto_radius_m > 0:
             raise ValueError("femto_radius_m must be > 0")
+        if not 0.0 <= self.neighbor_threshold_m < math.inf:
+            raise ValueError(f"neighbor_threshold_m must be finite and >= 0, "
+                             f"got {self.neighbor_threshold_m!r}")
         pos = np.array(self.positions, dtype=float)
         if pos.shape != (n, 2) and not (n == 0 and pos.size == 0):
             raise ValueError(f"positions must be a {n} x 2 array, got shape {pos.shape}")
@@ -132,7 +137,8 @@ class CellTopology:
         if not np.isfinite(self.positions).all():
             raise ValueError("positions must be finite")
         self.positions.flags.writeable = False
-        self._reach = INTERFERENCE_RADIUS_SCALE * (self.femto_radius_m + self.femto_radius_m)
+        self._reach = max(INTERFERENCE_RADIUS_SCALE * (self.femto_radius_m + self.femto_radius_m),
+                          self.neighbor_threshold_m)
         self._ptr, self._nbr, self._nbr_dist = _neighbor_table(self.positions, self._reach)
 
     def distances_to(self, xy) -> np.ndarray:
@@ -144,27 +150,26 @@ class CellTopology:
 
     def near(self, fap_id: int, radius_m: float) -> tuple[np.ndarray, np.ndarray]:
         """The femtocells within radius_m of a FAP, itself excluded: their
-        indices in femtocells order, ascending, and their distances.  A
-        radius up to the table's reach reads the table; a wider one reads
-        the FAP's distance row."""
+        indices in femtocells order, ascending, and their distances.  The
+        radius may not exceed the table's reach."""
         k = self.index_of(fap_id)
-        if radius_m <= self._reach:
-            span = slice(self._ptr[k], self._ptr[k + 1])
-            idx, dist = self._nbr[span], self._nbr_dist[span]
-        else:
-            dist = np.delete(self.distances_to(self.positions[k]), k)
-            idx = np.delete(np.arange(len(self.femtocells)), k)
-        keep = dist <= radius_m
-        return idx[keep], dist[keep]
+        span = slice(self._ptr[k], self._ptr[k + 1])
+        keep = self._within(self._nbr_dist[span], radius_m)
+        return self._nbr[span][keep], self._nbr_dist[span][keep]
 
     def earlier_within(self, radius_m: float) -> list[tuple[int, list[int]]]:
         """`[(k, earlier), ...]` for each FAP k, in femtocells order, that
         has an earlier FAP within radius_m: `earlier` are their indices,
         ascending.  The radius may not exceed the table's reach."""
+        return _earlier(self._ptr, self._nbr, self._within(self._nbr_dist, radius_m))
+
+    def _within(self, dist: np.ndarray, radius_m: float) -> np.ndarray:
+        """Which of the table distances `dist` are within radius_m; a
+        radius above the table's reach raises ValueError."""
         if radius_m > self._reach:
             raise ValueError(f"radius {radius_m!r} m exceeds the neighbor table's "
                              f"reach of {self._reach!r} m")
-        return _earlier(self._ptr, self._nbr, self._nbr_dist <= radius_m)
+        return dist <= radius_m
 
     def index_of(self, fap_id: int) -> int:
         """The FAP's index in femtocells order."""
@@ -285,7 +290,9 @@ def reach_components(topo: CellTopology, fap_ids) -> CellTopology:
     only ever read partners within the reach gives the same answers on these
     FAPs as on the whole topology.  Dynamic reuse is one: radii only shrink,
     which holds because only `spectrum.build_plan` makes a plan, so
-    `SpectrumPlan.interferers` searches within 3·(r + r_f) <= reach.
+    `SpectrumPlan.interferers` searches within 3·(r + r_f) <= reach.  The
+    reach covers neighbor_threshold_m too, so a FAP's component holds its
+    `neighbors_of` set.
     """
     ptr, nbr = topo._ptr, topo._nbr
     seen = np.zeros(len(topo.femtocells), dtype=bool)
@@ -352,8 +359,9 @@ def place_femtocells(
     Raises PlacementInfeasibleError when the disc cannot hold `count` sites
     at the requested separation, or when 200 candidates per FAP were tried.
     """
-    if count < 0:
-        raise ValueError("count must be >= 0")
+    if not (float(count).is_integer() and count >= 0):
+        raise ValueError(f"count must be a whole number >= 0, got {count!r}")
+    count = int(count)
     macro = macro or MacroGeometry()
 
     # packing bound: disc area over exclusion-disc area, with slack
@@ -401,7 +409,7 @@ def place_femtocells(
         macro_radius_m=macro.macro_radius_m,
         femto_radius_m=macro.femto_radius_m,
         macro_sites=[(0.0, 0.0)] + first_tier_ring(macro.macro_radius_m),
-        femtocells=list(range(count)),
+        femtocells=range(count),
         positions=buf,
         neighbor_threshold_m=macro.neighbor_threshold_m,
         macro_ue_walls=macro.macro_ue_walls,

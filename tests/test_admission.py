@@ -19,7 +19,8 @@ from femtonet.admission import (
     residual_fraction,
 )
 from femtonet.presets import table61_classes
-from femtonet.queueing import _scheme_classes
+from femtonet.queueing import CH6_SCHEMES, _scheme_classes, ch6_cell
+from femtonet.scenario import scenario_from_preset
 
 VOICE = TrafficClass(1, "rt", 25.0, arrival_share=0.35)
 VIDEO = TrafficClass(4, "nrt", 128.0, degrade_new=0.4, degrade_hand=0.6,
@@ -367,3 +368,42 @@ def test_admit_keeps_invariants(n1, n4, n7):
             if d.outcome == "accept":
                 state = d.state
     state.check_invariants()
+
+
+# Per scheme at the Table 6.1 cell: the chain's new_limit and N + S, and
+# the first step of the mean-mix walk at which admit_ch6 blocks a new call
+# and drops a handover, each with the classes it refuses there.
+ALL_CLASSES = (1, 2, 3, 4, 5, 6, 7)
+WIDE_CLASSES = (2, 4)  # the two 128 kbps classes
+CH6_WALK = {
+    "proposed": (128, 155, (106, ALL_CLASSES), (155, ALL_CLASSES)),
+    "non-prioritized": (155, 155, (155, ALL_CLASSES), (155, ALL_CLASSES)),
+    "aqos": (101, 155, (99, WIDE_CLASSES), (155, ALL_CLASSES)),
+    "hard-qos": (101, 101, (99, WIDE_CLASSES), (99, WIDE_CLASSES)),
+    "guard": (96, 101, (99, WIDE_CLASSES), (99, WIDE_CLASSES)),
+}
+
+
+@pytest.mark.parametrize("scheme", CH6_SCHEMES)
+def test_per_call_cac_along_the_chain_mean_mix(scheme):
+    """Walk the chain's states i = 0..N+S with class counts round(a_m * i),
+    rebalanced, and ask admit_ch6 for a new call and a handover of every
+    class.  The chain blocks new calls from new_limit and drops handovers
+    from N + S; the per-call policy's first refusals are pinned next to
+    them (see the Ch6Cell docstring)."""
+    params = scenario_from_preset("table-6.1").ch6_params(1.3)
+    cell = ch6_cell(params, scheme)
+    classes = _scheme_classes(params.classes, scheme)
+    first = {}
+    for i in range(cell.n + cell.s + 1):
+        counts = [round(c.arrival_share * i) for c in classes]
+        try:
+            state = rebalance(CellLoadState(params.capacity, classes, counts=counts))
+        except InvariantViolation:
+            break
+        for kind, refusal in (("new", "block"), ("handover", "drop")):
+            refused = tuple(c.index for c in classes
+                            if admit_ch6(state, c.index, kind).outcome == refusal)
+            if refused and kind not in first:
+                first[kind] = (i, refused)
+    assert (cell.new_limit, cell.n + cell.s, first["new"], first["handover"]) == CH6_WALK[scheme]

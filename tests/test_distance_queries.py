@@ -32,30 +32,30 @@ from femtonet.topology import (
 EDGE_LABELS = ("Bm3", "B4", "B5", "B1", "B2", "B3")
 
 
-def _random_topo(seed, count, side_m, low_m=0.0):
+def _random_topo(seed, count, side_m, low_m=0.0, **kw):
     rng = np.random.default_rng(seed)
     ids = rng.permutation(3 * count)[:count]
     xy = rng.uniform(low_m, side_m, size=(count, 2))
-    return _topo_at(xy, ids)
+    return _topo_at(xy, ids, **kw)
 
 
-def _topo_at(xy, ids=None):
+def _topo_at(xy, ids=None, **kw):
     ids = range(len(xy)) if ids is None else ids
     return CellTopology(
         macro_radius_m=1000.0, femto_radius_m=10.0, macro_sites=[(0.0, 0.0)],
-        femtocells=list(ids), positions=xy)
+        femtocells=list(ids), positions=xy, **kw)
 
 
 REACH = INTERFERENCE_RADIUS_SCALE * (10.0 + 10.0)
 
 
-def _assert_near_matches_rows(topo, radii=(0.0, 20.0, 45.5, REACH)):
+def _assert_near_matches_rows(topo, radii=(0.0, 20.0, 45.5, REACH), reach=REACH):
     """`near` against a distance row, for every FAP at each radius and at
     each of its neighbor distances up to the reach: the same indices in
     femtocells order, and the same distances to the last bit."""
     for k, f in enumerate(topo.femtocells):
         row = topo.distances_to(topo.positions[k])
-        for radius in {*radii, *row[row <= REACH].tolist()}:
+        for radius in {*radii, *row[row <= reach].tolist()}:
             expected = np.flatnonzero(row <= radius)
             expected = expected[expected != k]
             idx, dist = topo.near(f, radius)
@@ -89,7 +89,7 @@ def test_static_reuse_matches_scalar_loop(seed):
     plan = build_plan("static-reuse", topo, seed=seed)
     expected = static_reuse_labels(topo, seed)
     assert plan.femto_band == expected
-    assert list(plan.femto_band) == topo.femtocells
+    assert tuple(plan.femto_band) == topo.femtocells
     _scramble_edges(plan, seed)
     plan.scheme = "dynamic-reuse"  # edge_conflicts reads dynamic plans only
     _assert_matches_oracles(plan, topo)
@@ -220,9 +220,11 @@ def test_near_in_empty_and_single_fap_topologies():
     with pytest.raises(UnknownSiteError):
         empty.near(0, REACH)
     single = _topo_at([(3.0, -4.0)], ids=[7])
-    for radius in (0.0, REACH, 2 * REACH):
+    for radius in (0.0, REACH):
         idx, dist = single.near(7, radius)
         assert idx.size == 0 and dist.size == 0
+    with pytest.raises(ValueError, match="reach"):
+        single.near(7, 2 * REACH)
     with pytest.raises(UnknownSiteError):
         single.near(8, REACH)
 
@@ -241,13 +243,31 @@ def rows(monkeypatch):
     return seen
 
 
-def test_radius_above_the_reach_reads_the_distance_row(rows):
+def test_a_radius_above_the_reach_raises(rows):
     topo = _random_topo(2, 150, 300.0)
     for f in topo.femtocells[:10]:
         topo.near(f, REACH)
+        for radius in (np.nextafter(REACH, np.inf), REACH + 1e-9, 75.0, 140.0):
+            with pytest.raises(ValueError, match="exceeds the neighbor table's reach of 60.0 m"):
+                topo.near(f, radius)
     assert rows == []
-    _assert_near_matches_rows(topo, radii=(REACH + 1e-9, 75.0, 140.0))
-    assert len(rows) > 0
+
+
+@pytest.mark.parametrize("threshold", [90.0, 150.0])
+def test_a_neighbor_threshold_above_the_interference_range_widens_the_table(rows, threshold):
+    topo = _random_topo(2, 150, 300.0, neighbor_threshold_m=threshold)
+    for f in topo.femtocells:
+        topo.near(f, threshold)
+        neighbors_of(topo, f)
+    topo.earlier_within(threshold)
+    assert rows == []
+    _assert_near_matches_rows(topo, radii=(0.0, REACH, REACH + 1e-9, 75.0, threshold),
+                              reach=threshold)
+    _assert_earlier_matches_near(topo, radii=(0.0, REACH, threshold))
+    for f in topo.femtocells:
+        assert neighbors_of(topo, f) == brute_neighbors(topo, f)
+    with pytest.raises(ValueError, match=f"reach of {threshold!r} m"):
+        topo.near(topo.femtocells[0], np.nextafter(threshold, np.inf))
 
 
 def test_building_reuse_plans_makes_no_distance_row(rows):

@@ -1,6 +1,7 @@
 """Every name that a femtonet module or a test module imports is used in
-that module, and every private name that a femtonet module defines at
-module level is used in that module."""
+that module, every private name that a femtonet module defines at module
+level is used in that module, and a femtonet module imports only at its
+top level."""
 
 import ast
 import pathlib
@@ -65,3 +66,25 @@ def test_an_unused_private_name_is_found(tmp_path):
                     "class _Record:\n    pass\n\n\ndef public(_arg):\n    return _arg\n")
     assert _unused_private_names(path) == ["mod.py:1: _LIMIT", "mod.py:9: _Record",
                                            "mod.py:5: _helper"]
+
+
+def _nested_imports(path) -> list[str]:
+    """`import` statements inside a function or class body."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    lines = {node.lineno for scope in ast.walk(tree)
+             if isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+             for node in ast.walk(scope) if isinstance(node, (ast.Import, ast.ImportFrom))}
+    return [f"{path.name}:{line}" for line in sorted(lines)]
+
+
+@pytest.mark.parametrize("path", SRC_MODULES, ids=lambda p: p.name)
+def test_imports_are_at_module_level(path):
+    assert _nested_imports(path) == []
+
+
+def test_a_nested_import_is_found(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text("import os\ntry:\n    import json\nexcept ImportError:\n    json = None\n\n\n"
+                    "def f():\n    import math\n\n    def g():\n        from os import path\n"
+                    "    return g\n\n\nclass C:\n    import sys\n")
+    assert _nested_imports(path) == ["mod.py:9", "mod.py:12", "mod.py:17"]

@@ -307,7 +307,7 @@ def test_scan_bitwise_equal_to_scalar_oracle(seed, params):
         else:
             ue = tuple(float(v) for v in rng.uniform(-50.0, 450.0, size=2))
         # obstructed sets also name ids that are not in the topology
-        pool = ids + [-1, 3 * len(ids) + 7]
+        pool = ids + (-1, 3 * len(ids) + 7)
         obstructed = {f for f in pool if rng.random() < 0.3}
         serving = "macro" if k % 4 == 0 else ids[int(rng.integers(len(ids)))]
         _assert_scan_matches_oracle(topo, ue, serving, params, obstructed or None)

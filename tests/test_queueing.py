@@ -193,6 +193,25 @@ def test_erlang_b_k1_load1():
     assert erlang_b(1, 1.0) == pytest.approx(0.5)
 
 
+@pytest.mark.parametrize("servers, offered, name", [
+    (4, math.nan, "offered"),
+    (4, math.inf, "offered"),
+    (4, -1.0, "offered"),
+    (2.5, 1.0, "servers"),
+    (math.nan, 1.0, "servers"),
+    (-1, 1.0, "servers"),
+])
+def test_erlang_b_names_a_bad_argument(servers, offered, name):
+    # a NaN or infinite load returned nan; 2.5 servers an unnamed TypeError
+    value = {"servers": servers, "offered": offered}[name]
+    with pytest.raises(ValueError, match=rf"^{name} must be .* >= 0, got {value!r}$"):
+        erlang_b(servers, offered)
+
+
+def test_erlang_b_takes_a_whole_float_server_count():
+    assert erlang_b(4.0, 3.2) == erlang_b(4, 3.2)
+
+
 def test_birth_death_matches_balance_solve():
     rng = np.random.default_rng(7)
     for _ in range(200):

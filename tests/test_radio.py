@@ -13,8 +13,13 @@ from femtonet.radio import (
     shannon_throughput,
     sir,
 )
-from femtonet.spectrum import build_plan
-from femtonet.topology import CellTopology, DegenerateGeometryError, place_femtocells
+from femtonet.spectrum import SCHEMES, build_plan
+from femtonet.topology import (
+    CellTopology,
+    DegenerateGeometryError,
+    UnknownSiteError,
+    place_femtocells,
+)
 
 
 def _manual_topo(positions, macro_ue_walls=0):
@@ -236,3 +241,56 @@ def test_throughput_band_widths_match_plan():
         plan = build_plan(scheme, topo, total_hz=18e6, femto_fraction=1 / 3)
         band = plan.band_for_link(0, (205.0, 0.0), topo)
         assert band.width == pytest.approx(width)
+
+
+# ---------------------------------------------------------------------------
+# argument checks: each value below passed at an earlier version
+
+
+@pytest.mark.parametrize("kw, name", [
+    (dict(tx_power_w=math.nan, distance_m=1.0), "tx_power_w"),
+    (dict(tx_power_w=math.inf, distance_m=1.0), "tx_power_w"),
+    (dict(tx_power_w=1.0, distance_m=math.nan), "distance_m"),
+    (dict(tx_power_w=1.0, distance_m=math.inf), "distance_m"),
+    (dict(tx_power_w=1.0, distance_m=1.0, walls=-1), "walls"),
+    (dict(tx_power_w=1.0, distance_m=1.0, walls=1.5), "walls"),
+    (dict(tx_power_w=1.0, distance_m=1.0, walls=math.nan), "walls"),
+])
+def test_link_budget_names_a_bad_argument(kw, name):
+    # walls=-1 gave 100 times the power of 0 walls
+    with pytest.raises(ValueError, match=rf"^{name} must be .*, got {kw[name]!r}$"):
+        LinkBudget(**kw)
+
+
+@pytest.mark.parametrize("args, bad", [((math.nan, 1.0), 0), ((math.inf, 1.0), 0),
+                                       ((1.0, math.nan), 1)])
+def test_shannon_throughput_names_a_bad_argument(args, bad):
+    name = ("bandwidth_hz", "sir_linear")[bad]
+    with pytest.raises(ValueError, match=rf"^{name} must be .*, got {args[bad]!r}$"):
+        shannon_throughput(*args)
+
+
+def test_shannon_throughput_of_an_interference_free_link_is_infinite():
+    assert shannon_throughput(1.0, math.inf) == math.inf
+
+
+@pytest.mark.parametrize("args, bad", [
+    ((math.nan, 1.0, 1.0), 0), ((math.inf, 1.0, 1.0), 0),
+    ((1.0, math.nan, 1.0), 1), ((1.0, math.inf, 0.0), 1),
+    ((1.0, 1.0, math.nan), 2), ((1.0, 1.0, math.inf), 2),
+])
+def test_closed_form_outage_names_a_bad_argument(args, bad):
+    # each returned nan or an outage of 0 or 1
+    name = ("mean_signal", "gamma_linear", "interference")[bad]
+    with pytest.raises(ValueError, match=rf"^{name} must be finite and .*, got {args[bad]!r}$"):
+        outage_probability_closed_form(*args)
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_sir_names_a_neighbor_the_plan_lacks(scheme):
+    # FAP 1 lies 15 m from the serving FAP 0, but the plan holds only FAP 0;
+    # sir used to skip FAP 1 and report no interference from it
+    topo = _manual_topo([(200.0, 0.0), (215.0, 0.0)])
+    plan = build_plan(scheme, _manual_topo([(200.0, 0.0)]))
+    with pytest.raises(UnknownSiteError, match=r"^femtocell 1 not in plan$"):
+        sir(topo, plan, (205.0, 0.0), 0)

@@ -21,7 +21,7 @@ from femtonet.topology import (
 
 def test_empty_placement():
     topo = place_femtocells(seed=7, count=0)
-    assert topo.femtocells == []
+    assert topo.femtocells == ()
     with pytest.raises(UnknownSiteError):
         neighbors_of(topo, 0)
     with pytest.raises(UnknownSiteError):
@@ -384,6 +384,35 @@ def test_topology_rejects_positions_of_the_wrong_shape(ids, xy):
 def test_ids_are_python_ints_and_site_reads_the_columns():
     topo = CellTopology(macro_radius_m=1000.0, femto_radius_m=10.0, macro_sites=[(0.0, 0.0)],
                         femtocells=np.array([7, 3]), positions=[(1.0, 2.0), (3.0, 4.0)])
-    assert topo.femtocells == [7, 3] and all(type(f) is int for f in topo.femtocells)
+    assert topo.femtocells == (7, 3) and all(type(f) is int for f in topo.femtocells)
     assert topo.site(3) == FemtoSite(3, (3.0, 4.0))
     assert type(topo.site(3).id) is int
+
+
+@pytest.mark.parametrize("count", [2.5, math.nan, math.inf, -1, -1.0])
+def test_placement_names_a_count_that_is_not_whole(count):
+    # a fractional or NaN count failed with an unnamed TypeError from np.empty
+    with pytest.raises(ValueError, match=rf"^count must be a whole number >= 0, got {count!r}$"):
+        place_femtocells(1, count)
+
+
+def test_placement_takes_a_whole_float_count_as_an_int():
+    topo = place_femtocells(1, 4.0)
+    assert topo.femtocells == (0, 1, 2, 3) and all(type(f) is int for f in topo.femtocells)
+    assert topo.positions.tolist() == place_femtocells(1, 4).positions.tolist()
+
+
+def test_femtocells_cannot_grow_apart_from_the_positions():
+    topo = place_femtocells(1, 5)
+    with pytest.raises(AttributeError):
+        topo.femtocells.append(99)
+    assert len(topo.femtocells) == len(topo.positions) == 5
+
+
+@pytest.mark.parametrize("threshold", [-1.0, math.nan, math.inf])
+def test_topology_rejects_a_bad_neighbor_threshold(threshold):
+    # the threshold sets the neighbor table's reach when it exceeds 6 r_f
+    with pytest.raises(ValueError, match="^neighbor_threshold_m must be finite and >= 0, got"):
+        CellTopology(macro_radius_m=1000.0, femto_radius_m=10.0, macro_sites=[(0.0, 0.0)],
+                     femtocells=[0, 1], positions=[(0.0, 0.0), (5.0, 5.0)],
+                     neighbor_threshold_m=threshold)
