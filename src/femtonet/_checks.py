@@ -1,4 +1,4 @@
-"""The invariant check that femtonet modules share."""
+"""The checks that femtonet modules share."""
 
 
 def require(ok: bool, message: str, *args) -> None:
@@ -7,3 +7,13 @@ def require(ok: bool, message: str, *args) -> None:
     so a check inside a loop costs no string work."""
     if not ok:
         raise AssertionError(message % args if args else message)
+
+
+def whole_counts(obj, names) -> None:
+    """Name the first field of obj not a whole number >= 0 in a ValueError;
+    store each as an int (frozen dataclasses too)."""
+    for name in names:
+        value = getattr(obj, name)
+        if not (float(value).is_integer() and value >= 0):
+            raise ValueError(f"{name} must be a whole number >= 0, got {value!r}")
+        object.__setattr__(obj, name, int(value))

@@ -38,8 +38,8 @@ def check_loss_chain(stream_rates, stream_limits, srv_rates,
     if len(stream_limits) != len(stream_rates):
         raise ValueError("stream rate/limit length mismatch")
     n_states = len(srv_rates)
-    if min_state < 0:
-        raise ValueError("min_state must be >= 0")
+    if not 0 <= min_state < n_states:
+        raise ValueError(f"min_state must lie in [0, {n_states})")
     if not min_state <= start_state < n_states:
         raise ValueError(f"start_state must lie in [min_state, {n_states})")
     if stream_limits and max(stream_limits) >= n_states:

@@ -149,7 +149,6 @@ def simulate_des(spec: LossChainSpec, total_calls: int = 1_000_000,
     rep_seeds = np.random.SeedSequence(seed).generate_state(replications, dtype=np.uint64)
 
     n_streams = len(spec.stream_rates)
-    hand = spec.hand_stream if spec.hand_stream is not None else n_streams - 1
     rates, limits = list(spec.stream_rates), list(spec.stream_limits)
     srv = list(spec.srv_rates)
 
@@ -162,7 +161,7 @@ def simulate_des(spec: LossChainSpec, total_calls: int = 1_000_000,
         calls = per_rep + (r < longer)
         warm_calls = int(WARMUP * calls)
         rng_state = int(rep_seeds[r])
-        chain_state = spec.start_state
+        chain_state = spec.min_state
         if warm_calls > 0:
             *_, chain_state, rng_state = _kernel.run_loss_chain(
                 rng_state, warm_calls, rates, limits, srv,
@@ -184,7 +183,7 @@ def simulate_des(spec: LossChainSpec, total_calls: int = 1_000_000,
                 _mean_ci(rep_rej[saw] / rep_seen[saw], n_rej, n_seen))
 
     *_, p_block, block_ci = pooled(list(spec.new_streams))
-    *_, p_drop, drop_ci = pooled([hand])
+    *_, p_drop, drop_ci = pooled([spec.hand_stream])
     per_stream = [dict(zip(("seen", "rejected", "p_reject", "ci"), pooled([k])))
                   for k in range(n_streams)]
     return DesResult(

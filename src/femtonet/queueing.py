@@ -21,6 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import _despy
+from ._checks import whole_counts
 from .admission import CellLoadState, TrafficClass, rebalance
 
 FIXED_POINT_TOL = 1e-8
@@ -147,17 +148,18 @@ class LossChainSpec:
     """A loss cell fed by independent Poisson arrival streams.
 
     srv_rates[i] is the total departure rate in state i; stream k is
-    admitted while the state is below stream_limits[k].  By convention the
-    last stream is the handover stream when hand_stream is unset.
+    admitted while the state is below stream_limits[k].  The chain lives on
+    states min_state..len(srv_rates)-1 and a simulation starts at min_state.
+    The calls of new_streams are new calls and those of hand_stream
+    handovers.
     """
 
     stream_rates: tuple[float, ...]
     stream_limits: tuple[int, ...]
     srv_rates: tuple[float, ...]
-    start_state: int = 0
+    hand_stream: int
     min_state: int = 0
     new_streams: tuple[int, ...] = (0,)
-    hand_stream: int | None = None
 
     # the logs of the death rates srv_rates[min_state+1:], or None when one
     # of them is not positive: loss_chain_probs then raises, while the DES
@@ -166,10 +168,9 @@ class LossChainSpec:
 
     def __post_init__(self):
         _despy.check_loss_chain(self.stream_rates, self.stream_limits,
-                                self.srv_rates, self.start_state, self.min_state)
+                                self.srv_rates, self.min_state, self.min_state)
         n_streams = len(self.stream_rates)
-        hand = () if self.hand_stream is None else (self.hand_stream,)
-        if not all(0 <= k < n_streams for k in (*self.new_streams, *hand)):
+        if not all(0 <= k < n_streams for k in (*self.new_streams, self.hand_stream)):
             raise ValueError(f"new_streams and hand_stream must lie in [0, {n_streams})")
         deaths = np.asarray(self.srv_rates[self.min_state + 1:], dtype=float)
         object.__setattr__(self, "log_deaths",
@@ -251,15 +252,6 @@ def _with_hand_rate(spec: LossChainSpec, lam_hand: float) -> LossChainSpec:
 # Ch. 5: two-tier femto/macro model
 
 
-def _whole_counts(params, names) -> None:
-    """Name the first field not a whole number >= 0; store each as an int."""
-    for name in names:
-        value = getattr(params, name)
-        if not (float(value).is_integer() and value >= 0):
-            raise ValueError(f"{name} must be a whole number >= 0, got {value!r}")
-        object.__setattr__(params, name, int(value))
-
-
 @dataclass(frozen=True)
 class TwoTierParams:
     lambda_o_f: float  # total originating rate over all femtocell coverage
@@ -291,7 +283,7 @@ class TwoTierParams:
         for name in ("mu", "eta_f", "eta_m"):
             if getattr(self, name) == math.inf:
                 raise ValueError(f"{name} must be finite, got inf")
-        _whole_counts(self, ("n", "femto_capacity", "macro_base_states", "macro_adaptive_states"))
+        whole_counts(self, ("n", "femto_capacity", "macro_base_states", "macro_adaptive_states"))
         for name in ("lambda_o_f", "lambda_o_m"):
             if not 0 <= getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and >= 0, "
@@ -755,7 +747,7 @@ class Ch7QueueParams:
     mu: float
 
     def __post_init__(self):
-        _whole_counts(self, ("sessions", "n_states", "s_states", "l_states"))
+        whole_counts(self, ("sessions", "n_states", "s_states", "l_states"))
         if self.sessions > self.n_states:
             raise ValueError("require M <= N")
         if not 0 <= self.l_states <= self.s_states:
@@ -782,8 +774,7 @@ def ch7_chain(params: Ch7QueueParams) -> LossChainSpec:
                       params.lam_hand),
         stream_limits=(n, n + ell, n + s),
         srv_rates=srv,
-        start_state=m, min_state=m,
-        new_streams=(0, 1), hand_stream=2)
+        min_state=m, new_streams=(0, 1), hand_stream=2)
 
 
 def solve_ch7(params: Ch7QueueParams) -> ChainSolution:

@@ -72,22 +72,6 @@ class PropagationParams:
 
 
 @dataclass(frozen=True)
-class LinkBudget:
-    tx_power_w: float
-    distance_m: float
-    walls: int = 0
-
-    def __post_init__(self):
-        # each check is written so that NaN fails it
-        if not 0.0 < self.tx_power_w < math.inf:
-            raise ValueError(f"tx_power_w must be finite and > 0, got {self.tx_power_w!r}")
-        if not 0.0 <= self.distance_m < math.inf:
-            raise ValueError(f"distance_m must be finite and >= 0, got {self.distance_m!r}")
-        if not (float(self.walls).is_integer() and self.walls >= 0):
-            raise ValueError(f"walls must be a whole number >= 0, got {self.walls!r}")
-
-
-@dataclass(frozen=True)
 class SirReport:
     signal_w: float
     femto_interf_w: float
@@ -118,26 +102,6 @@ class SirReport:
         return 1.0 / (1.0 / self.sir_linear + 1.0 / cap)
 
 
-def received_power(
-    params: PropagationParams,
-    link: LinkBudget,
-    tier: str,
-    serving: bool = False,
-) -> float:
-    """P_T * P0 * d^-eta with wall attenuation, in watts."""
-    if link.distance_m == 0:
-        raise DegenerateGeometryError("zero-length link")
-    if tier == "macro":
-        p0, eta = params.p0_macro, params.path_loss_exp_macro_interf
-    elif tier == "femto":
-        p0 = params.p0_femto
-        eta = params.path_loss_exp_serving if serving else params.path_loss_exp_femto_interf
-    else:
-        raise ValueError(f"unknown tier {tier!r}")
-    return link_power(link.tx_power_w, p0, link.distance_m, eta,
-                      wall_attenuation(params.wall_loss_db, link.walls))
-
-
 def wall_attenuation(wall_loss_db: float, walls: int) -> float:
     """Linear power factor of `walls` walls at wall_loss_db each."""
     return db_to_linear(-wall_loss_db * walls)
@@ -147,8 +111,8 @@ def link_power(tx_power_w: float, p0: float, distance_m: float, eta: float,
                wall_att: float) -> float:
     """P_T * P0 * d^-eta * wall_att on plain floats, in watts.
 
-    The one place the link formula is written; callers that already hold
-    the tier constants (the RSSI scan) call it directly."""
+    The one place the link formula is written: `sir` computes every link
+    with it, and the RSSI scan every level."""
     return tx_power_w * p0 * distance_m ** (-eta) * wall_att
 
 
@@ -168,7 +132,8 @@ def sir(
     first-tier ring; "reference" keeps only the overlaid macro BS (used by
     the mid-cell measurement protocol, where the ring sits several cell
     radii away and its contribution is negligible next to any in-band
-    source).
+    source).  Each link's power is one `link_power` call, and a link of
+    zero length raises DegenerateGeometryError.
     """
     if macro_tiers not in ("all", "reference"):
         raise ValueError(f"macro_tiers must be 'all' or 'reference', not {macro_tiers!r}")
@@ -177,21 +142,24 @@ def sir(
     macro_sites = (topo.macro_sites if macro_tiers == "all"
                    else topo.macro_sites[:1])
 
-    d0 = topo_mod.distance(topo, serving, tuple(ue_xy))
-    signal = received_power(
-        params, LinkBudget(params.tx_power_femto_w, d0), "femto", serving=True)
+    ue = tuple(ue_xy)
+
+    def power(source, tx_power_w, p0, eta, walls):
+        d = topo_mod.distance(topo, source, ue)
+        if d == 0.0:
+            raise DegenerateGeometryError("zero-length link")
+        return link_power(tx_power_w, p0, d, eta, wall_attenuation(params.wall_loss_db, walls))
+
+    signal = power(serving, params.tx_power_femto_w, params.p0_femto,
+                   params.path_loss_exp_serving, 0)
 
     per_source = []
     i_f = 0.0
     for nid in sorted(topo_mod.neighbors_of(topo, serving)):
         if not bands_overlap(serving_band, plan.interferer_band(nid)):
             continue
-        d = topo_mod.distance(topo, nid, tuple(ue_xy))
-        p = received_power(
-            params,
-            LinkBudget(params.tx_power_femto_w, d, walls=topo.walls_between(serving, nid)),
-            "femto",
-        )
+        p = power(nid, params.tx_power_femto_w, params.p0_femto,
+                  params.path_loss_exp_femto_interf, topo.walls_between(serving, nid))
         i_f += p
         per_source.append((f"femto:{nid}", p))
 
@@ -199,12 +167,8 @@ def sir(
     for j, site in enumerate(macro_sites):
         if not bands_overlap(serving_band, plan.macro_band(j)):
             continue
-        d = topo_mod.distance(topo, site, tuple(ue_xy))
-        p = received_power(
-            params,
-            LinkBudget(params.tx_power_macro_w, d, walls=topo.macro_ue_walls),
-            "macro",
-        )
+        p = power(site, params.tx_power_macro_w, params.p0_macro,
+                  params.path_loss_exp_macro_interf, topo.macro_ue_walls)
         i_m += p
         per_source.append((f"macro:{j}", p))
 

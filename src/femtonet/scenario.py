@@ -42,7 +42,6 @@ SCENARIO_KEYS: dict[str, tuple] = {
     "seed": (int, 7),
     "trials": (int, 20),
     # topology
-    "topology.count": (int, 1000),
     "topology.macro_radius_m": (float, 1000.0),
     "topology.femto_radius_m": (float, 10.0),
     "topology.neighbor_threshold_m": (float, 60.0),
@@ -93,8 +92,6 @@ _PRESET_BINDINGS = {
     "tx_power_femto_w": "radio.tx_power_femto_w",
     "sir_threshold_db": "radio.sir_threshold_db",
     "ue_fap_distance_m": "radio.ue_fap_distance_m",
-    "dense_femtocells": "topology.count",
-    "femtocells": "topology.count",
     "s_t0_dbm": "neighborlist.s_t0_dbm",
     "s_t1_dbm": "neighborlist.s_t1_dbm",
     "mean_call_duration_s": "traffic.mean_call_duration_s",
@@ -170,10 +167,8 @@ class Scenario:
             raise ValueError(f"{key} must be finite and >= 0, got {value!r}")
         return value
 
-    def two_tier_params(self, n: int | None = None,
-                        lam_total: float | None = None):
+    def two_tier_params(self, n: int, lam_total: float | None = None):
         macro = self.macro_geometry()
-        n = int(self["topology.count"]) if n is None else n
         lam = self._rate("traffic.total_arrival_per_s") if lam_total is None else lam_total
         frac = n * (macro.femto_radius_m / macro.macro_radius_m) ** 2
         weight_f = self._rate("traffic.arrival_density_ratio") * frac

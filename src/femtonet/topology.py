@@ -29,6 +29,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ._checks import whole_counts
+
 # Fixed reference geometry (distances in meters)
 DEFAULT_MACRO_RADIUS = 1000.0
 DEFAULT_FEMTO_RADIUS = 10.0
@@ -72,10 +74,7 @@ class MacroGeometry:
             value = getattr(self, name)
             if not 0.0 <= value < math.inf:
                 raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
-        for name in ("macro_ue_walls", "inter_femto_walls"):
-            value = getattr(self, name)
-            if not (float(value).is_integer() and value >= 0):
-                raise ValueError(f"{name} must be a whole number >= 0, got {value!r}")
+        whole_counts(self, ("macro_ue_walls", "inter_femto_walls"))
 
 
 class FemtoSite(NamedTuple):
@@ -90,10 +89,13 @@ class CellTopology:
     copy) is the position of femtocells[k], and the neighbor table is
     read-only arrays; safe for concurrent read-only use.  Compared by identity.
 
-    `closed_access` holds the closed-access FAP ids (every other FAP is open),
-    and `walls` maps an ascending id pair (a, b) to a whole wall count >= 0
-    where it is not inter_femto_walls.  Both may name FAPs outside the
-    topology, so `reach_components` passes them on unchanged.
+    `macro_sites` is a tuple of the macro BS positions, the reference BS
+    first.  `closed_access` holds the closed-access FAP ids (every other FAP
+    is open), and `walls` maps an ascending id pair (a, b) to a whole wall
+    count >= 0 where it is not inter_femto_walls; macro_ue_walls and
+    inter_femto_walls are whole counts >= 0 too, stored as ints.
+    `closed_access` and `walls` may name FAPs outside the topology, so
+    `reach_components` passes them on unchanged.
 
     The constructor builds the neighbor table: every pair of FAPs within
     the reach, the wider of INTERFERENCE_RADIUS_SCALE * 2 * femto_radius_m
@@ -103,7 +105,7 @@ class CellTopology:
 
     macro_radius_m: float
     femto_radius_m: float
-    macro_sites: list[tuple[float, float]]
+    macro_sites: tuple[tuple[float, float], ...]
     femtocells: tuple[int, ...]
     positions: np.ndarray
     neighbor_threshold_m: float = DEFAULT_NEIGHBOR_THRESHOLD
@@ -113,6 +115,8 @@ class CellTopology:
     walls: Mapping[tuple[int, int], int] = field(default_factory=dict)
 
     def __post_init__(self):
+        self.macro_sites = tuple(map(tuple, self.macro_sites))
+        whole_counts(self, ("macro_ue_walls", "inter_femto_walls"))
         self.closed_access = frozenset(self.closed_access)
         for pair, count in self.walls.items():
             if not (isinstance(pair, tuple) and len(pair) == 2 and pair[0] < pair[1]

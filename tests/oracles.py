@@ -228,11 +228,11 @@ def brute_neighbors(topo, fap_id):
 
 
 def scalar_scan_levels(topo, ue_xy, params=None, obstructed=None):
-    """Scan levels by the original per-FAP loop: one `distance`, one
-    `LinkBudget` and one `received_power` call per FAP."""
+    """Scan levels by the original per-FAP loop: one `distance` per FAP,
+    clamped to 0.1 m, and P_T * P0 * d^-eta * 10^(-w * L / 10) written out."""
     from femtonet import topology as topo_mod
     from femtonet.neighborlist import OBSTRUCTION_WALLS
-    from femtonet.radio import LinkBudget, PropagationParams, linear_to_db, received_power
+    from femtonet.radio import PropagationParams, linear_to_db
 
     params = params or PropagationParams()
     obstructed = obstructed or set()
@@ -240,10 +240,45 @@ def scalar_scan_levels(topo, ue_xy, params=None, obstructed=None):
     for fap in topo.femtocells:
         d = max(topo_mod.distance(topo, fap, tuple(ue_xy)), 0.1)
         walls = OBSTRUCTION_WALLS if fap in obstructed else 0
-        p = received_power(params, LinkBudget(params.tx_power_femto_w, d, walls=walls),
-                           "femto", serving=False)
+        p = (params.tx_power_femto_w * params.p0_femto * d ** -params.path_loss_exp_femto_interf
+             * 10.0 ** (-(walls * params.wall_loss_db) / 10.0))
         levels[fap] = linear_to_db(p) + 30.0  # W -> dBm
     return levels
+
+
+def scalar_sir(topo, plan, ue_xy, serving, params=None, macro_tiers="all"):
+    """`radio.sir` with P_T * P0 * d^-eta * 10^(-w * L / 10) written out for
+    every link: the serving link through no wall, each in-band neighbor FAP
+    (found by `brute_neighbors`) through its pair's walls, and each in-band
+    macro BS through macro_ue_walls."""
+    from femtonet.radio import PropagationParams, SirReport
+    from femtonet.spectrum import bands_overlap
+
+    params = params or PropagationParams()
+    ue = tuple(ue_xy)
+    band = plan.band_for_link(serving, ue, topo)
+
+    def power(tx, p0, xy, eta, walls):
+        return tx * p0 * math.dist(xy, ue) ** -eta * 10.0 ** (-(walls * params.wall_loss_db) / 10.0)
+
+    signal = power(params.tx_power_femto_w, params.p0_femto, topo.site(serving).position,
+                   params.path_loss_exp_serving, 0)
+    sources, i_f, i_m = [], 0.0, 0.0
+    for f in sorted(brute_neighbors(topo, serving)):
+        if bands_overlap(band, plan.interferer_band(f)):
+            walls = topo.walls.get((min(f, serving), max(f, serving)), topo.inter_femto_walls)
+            p = power(params.tx_power_femto_w, params.p0_femto, topo.site(f).position,
+                      params.path_loss_exp_femto_interf, walls)
+            i_f += p
+            sources.append((f"femto:{f}", p))
+    sites = topo.macro_sites if macro_tiers == "all" else topo.macro_sites[:1]
+    for j, xy in enumerate(sites):
+        if bands_overlap(band, plan.macro_band(j)):
+            p = power(params.tx_power_macro_w, params.p0_macro, xy,
+                      params.path_loss_exp_macro_interf, topo.macro_ue_walls)
+            i_m += p
+            sources.append((f"macro:{j}", p))
+    return SirReport(signal, i_f, i_m, tuple(sources), i_f + i_m == 0.0)
 
 
 def full_scan(topo, ue_xy, serving, params=None, obstructed=None,
@@ -451,8 +486,7 @@ def spec_for_ch7(params):
                       params.lam_hand),
         stream_limits=(n, n + ell, n + s),
         srv_rates=srv,
-        start_state=m, min_state=m,
-        new_streams=(0, 1), hand_stream=2)
+        min_state=m, new_streams=(0, 1), hand_stream=2)
 
 
 def spec_for_two_tier_macro(params, solution):
@@ -994,7 +1028,7 @@ def simulate_des(spec, total_calls: int = 1_000_000, seed: int = 0):
     rep_seeds = np.random.SeedSequence(seed).generate_state(replications, dtype=np.uint64)
 
     n_streams = len(spec.stream_rates)
-    hand = spec.hand_stream if spec.hand_stream is not None else n_streams - 1
+    hand = spec.hand_stream
     rates, limits = list(spec.stream_rates), list(spec.stream_limits)
     srv = list(spec.srv_rates)
 
@@ -1009,7 +1043,7 @@ def simulate_des(spec, total_calls: int = 1_000_000, seed: int = 0):
         calls = per_rep + (r < longer)
         warm_calls = int(WARMUP * calls)
         rng_state = int(rep_seeds[r])
-        chain_state = spec.start_state
+        chain_state = spec.min_state
         if warm_calls > 0:
             *_, chain_state, rng_state = des._kernel.run_loss_chain(
                 rng_state, warm_calls, rates, limits, srv,

@@ -229,7 +229,7 @@ def test_criterion_06_des_agreement():
 
     # Table 5.1 two-tier preset: both layers
     scenario = scenario_from_preset("table-5.1")
-    tt = scenario.two_tier_params(lam_total=8.0)
+    tt = scenario.two_tier_params(n=1000, lam_total=8.0)
     sol2 = q.solve_two_tier(tt)
     macro = simulate_des(spec_for_two_tier_macro(tt, sol2), 1_000_000,
                          seed=SEED + 2)
@@ -292,7 +292,7 @@ def test_criterion_08_two_tier_fixed_point():
     budget = Budget(8, "two-tier fixed point: convergence, Erlang reduction, "
                        "density trends", 60)
     scenario = scenario_from_preset("table-5.1")
-    sol = q.solve_two_tier(scenario.two_tier_params(lam_total=8.0))
+    sol = q.solve_two_tier(scenario.two_tier_params(n=1000, lam_total=8.0))
     assert sol.residuals[-1] < 1e-8
     assert sol.iterations <= 10_000
 

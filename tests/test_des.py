@@ -108,16 +108,18 @@ def loss_chains(draw):
 @example(args=(1, 2000, [5.0], [6], [0.0, 1.0, 2.0], 0, 0))
 def test_backends_agree_or_reject_alike(compiled, args):
     """Both kernels raise the same ValueError or return the same tuple, and
-    LossChainSpec rejects exactly the chains the kernels reject."""
+    LossChainSpec rejects exactly the chains the kernels reject when started
+    at min_state, where simulate_des starts them."""
     out = _outcome(_despy, args)
     assert _outcome(compiled, args) == out
-    rejected = isinstance(out[0], str)
+    min_state = args[6]
+    from_floor = _outcome(_despy, (*args[:5], min_state, min_state))
     try:
-        LossChainSpec(*map(tuple, args[2:5]), *args[5:])
-    except ValueError:
-        assert rejected
+        LossChainSpec(*map(tuple, args[2:5]), hand_stream=len(args[2]) - 1, min_state=min_state)
+    except ValueError as exc:
+        assert from_floor == ("ValueError", str(exc))
     else:
-        assert not rejected
+        assert from_floor[0] != "ValueError"
 
 
 def _bits(out):
@@ -243,7 +245,7 @@ def test_numpy_integer_arrival_count_accepted(compiled):
 
 @pytest.mark.parametrize("streams", [{"hand_stream": 3},
                                      {"new_streams": (-1,), "hand_stream": -1},
-                                     {"new_streams": (0, 1)}])
+                                     {"new_streams": (0, 1), "hand_stream": 0}])
 def test_spec_rejects_stream_index_out_of_range(streams):
     with pytest.raises(ValueError, match="new_streams and hand_stream"):
         LossChainSpec((1.0,), (2,), (0.0, 1.0, 2.0), **streams)
@@ -271,7 +273,7 @@ def test_simulate_des_counts_exactly_total_calls(backend, total_calls, request,
 
 
 def test_zero_arrivals():
-    spec = LossChainSpec((0.0,), (3,), (0.0, 1.0, 2.0, 3.0))
+    spec = LossChainSpec((0.0,), (3,), (0.0, 1.0, 2.0, 3.0), hand_stream=0)
     res = simulate_des(spec, total_calls=1000, seed=1)
     assert res.p_block == 0.0 and res.p_drop == 0.0
     assert res.elapsed == 0.0

@@ -70,7 +70,7 @@ def test_scenario_preset_values():
     assert sc["neighborlist.s_t0_dbm"] == -90.0
     assert sc["neighborlist.s_t1_dbm"] == -75.0
     assert sc["traffic.capacity_kbps"] == 6000.0
-    assert sc["topology.count"] == 1000
+    assert sc["traffic.macro_dwell_s"] == 240.0
 
 
 def test_load_scenario_file(tmp_path):
@@ -80,13 +80,13 @@ def test_load_scenario_file(tmp_path):
         "name = my-run\n"
         "preset = table-4.3\n"
         "seed = 99\n"
-        "topology.count = 64   # plenty\n"
+        "neighborlist.d_max_m = 64   # plenty\n"
         "radio.sir_threshold_db = 9.0\n"
     )
     sc = load_scenario(path)
     assert sc.name == "my-run"
     assert sc.seed == 99
-    assert sc["topology.count"] == 64
+    assert sc["neighborlist.d_max_m"] == 64.0
     assert sc["topology.macro_ue_walls"] == 0  # from the table-4.3 preset
 
 
@@ -100,7 +100,8 @@ def test_load_scenario_unknown_key(tmp_path):
 
 
 @pytest.mark.parametrize("key", ["experiment", "topology.closed_access_fraction",
-                                 "spectrum.scheme", "mc.trials", "des.calls"])
+                                 "spectrum.scheme", "mc.trials", "des.calls",
+                                 "topology.count"])
 def test_load_scenario_rejects_removed_key(tmp_path, key):
     # these keys were once parsed and then ignored by every experiment
     path = tmp_path / "old.scenario"

@@ -1,7 +1,8 @@
 """Every name that a femtonet module or a test module imports is used in
 that module, every private name that a femtonet module defines at module
-level is used in that module, and a femtonet module imports only at its
-top level."""
+level is used in that module, a femtonet module imports only at its top
+level, and every public function and class of femtonet has a caller
+outside the tests."""
 
 import ast
 import pathlib
@@ -12,6 +13,7 @@ import femtonet
 
 SRC_MODULES = sorted(pathlib.Path(femtonet.__file__).parent.glob("*.py"))
 MODULES = SRC_MODULES + sorted(pathlib.Path(__file__).parent.glob("*.py"))
+REPO = pathlib.Path(__file__).resolve().parents[1]
 
 
 def _unused_imports(path) -> list[str]:
@@ -88,3 +90,78 @@ def test_a_nested_import_is_found(tmp_path):
                     "def f():\n    import math\n\n    def g():\n        from os import path\n"
                     "    return g\n\n\nclass C:\n    import sys\n")
     assert _nested_imports(path) == ["mod.py:9", "mod.py:12", "mod.py:17"]
+
+
+def _public_api(path) -> dict[str, int]:
+    """Module-level public functions and classes, by name, with their line."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return {node.name: node.lineno for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")}
+
+
+def _named(source: str) -> set[str]:
+    """Every identifier that Python source names: as a variable, an
+    attribute, an imported name, or a string (perfbench looks its traced
+    functions up by name)."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.rpartition(".")[2])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)
+    return names
+
+
+def _uncalled_api(paths, sources) -> list[tuple[str, int, str]]:
+    """(module, line, name) of each public function and class of `paths`
+    that no source names."""
+    named = set().union(*map(_named, sources))
+    return [(path.name, line, name) for path in paths
+            for name, line in sorted(_public_api(path).items()) if name not in named]
+
+
+def _library_example() -> str:
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
+    return readme.split("## Library example", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+
+
+# the paper's entry points that only the tests call: the Ch. 5 and Ch. 6
+# admission policies, the handover call flows and their trace check, the
+# macro-side neighbor list, the Monte-Carlo outage, FAP removal under
+# dynamic reuse, the birth-death solver and the Erlang chain of the DES
+TEST_ONLY_API = {
+    "admission.py": ("admit_new_call", "admit_macro_to_femto", "admit_from_femto",
+                     "admit_ch6"),
+    "handoverflow.py": ("run_flow", "validate_trace"),
+    "neighborlist.py": ("build_list_from_macro",),
+    "radio.py": ("outage_probability_mc",),
+    "spectrum.py": ("remove_femto",),
+    "queueing.py": ("birth_death_probs",),
+    "des.py": ("spec_for_erlang",),
+}
+
+
+def test_every_public_function_and_class_has_a_caller():
+    """Outside the listed test-only entry points, which must stay uncalled
+    so that the list does not go stale."""
+    users = [path.read_text(encoding="utf-8")
+             for path in SRC_MODULES + sorted((REPO / "perfbench").glob("*.py"))
+             + sorted((REPO / "benchmarks").glob("*.py"))]
+    uncalled = _uncalled_api(SRC_MODULES, [*users, _library_example()])
+    assert {(module, name) for module, _, name in uncalled} == \
+        {(module, name) for module, names in TEST_ONLY_API.items() for name in names}
+
+
+def test_an_uncalled_public_function_is_found(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text("def by_name():\n    pass\n\n\ndef by_attribute():\n    pass\n\n\n"
+                    "class Imported:\n    pass\n\n\ndef uncalled():\n    return by_attribute\n\n\n"
+                    "class Uncalled:\n    pass\n\n\ndef _private():\n    pass\n")
+    users = ["import mod\nfrom mod import Imported\nmod.by_attribute()\n",
+             "TRACED = ('by_name',)\n"]
+    assert _uncalled_api([path], users) == [("mod.py", 17, "Uncalled"), ("mod.py", 13, "uncalled")]

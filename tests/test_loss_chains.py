@@ -188,12 +188,12 @@ def test_a_grid_whose_rates_converge_at_different_iterations(scheme):
 
 @settings(max_examples=100, deadline=None)
 @given(specs=st.lists(st.sampled_from([
-    LossChainSpec((0.5, 0.7), (2, 4), (0.0, 1.0, 2.0, 3.0, 4.0)),
-    LossChainSpec((0.0, 0.3), (2, 4), (0.0, 1.0, 2.0, 3.0, 4.5)),
-    LossChainSpec((1.5, 0.2), (3, 4), (0.0, 1.0, 2.0, 3.0, 4.0)),
+    LossChainSpec((0.5, 0.7), (2, 4), (0.0, 1.0, 2.0, 3.0, 4.0), hand_stream=1),
+    LossChainSpec((0.0, 0.3), (2, 4), (0.0, 1.0, 2.0, 3.0, 4.5), hand_stream=1),
+    LossChainSpec((1.5, 0.2), (3, 4), (0.0, 1.0, 2.0, 3.0, 4.0), hand_stream=1),
     LossChainSpec((0.5, 0.0, 0.7), (2, 5, 4), (0.0, 1.0, 2.0, 3.0, 4.0, 5.0),
-                  start_state=2, min_state=2),
-    LossChainSpec((0.0,), (1,), (0.0, 2.0))]), min_size=1, max_size=7))
+                  hand_stream=2, min_state=2),
+    LossChainSpec((0.0,), (1,), (0.0, 2.0), hand_stream=0)]), min_size=1, max_size=7))
 def test_chain_rows_equal_each_chain_solved_alone(specs):
     """loss_chain_rows groups chains by shape; each row equals the
     reference for its own chain, whatever the other chains are."""
@@ -236,7 +236,7 @@ def test_ch7_chain_equals_old_spec_and_birth_lists():
 def test_stream_limited_at_or_below_the_floor_is_always_rejected():
     # stream 0 may enter only below state 1, but the chain never leaves 2..3
     spec = LossChainSpec((0.5, 1.0), (1, 3), (0.0, 1.0, 2.0, 3.0),
-                         start_state=2, min_state=2)
+                         hand_stream=1, min_state=2)
     probs, (reject_0, reject_1) = loss_chain_probs(spec)
     assert len(probs) == 2 and reject_0 == 1.0
     assert reject_1 == pytest.approx(probs[-1])
@@ -281,7 +281,7 @@ def chain_specs(draw):
     if zero_at is not None:
         srv[zero_at] = 0.0
     return LossChainSpec(tuple(rates), tuple(limits), tuple(srv),
-                         start_state=min_state, min_state=min_state)
+                         hand_stream=n_streams - 1, min_state=min_state)
 
 
 @settings(max_examples=300, deadline=None)
@@ -289,7 +289,7 @@ def chain_specs(draw):
 # min_state 2, a limit at min_state, a zero-rate stream, and no birth out of
 # state 4, so state 5 is unreachable
 @example(spec=LossChainSpec((0.5, 0.0, 0.7), (2, 5, 4), (0.0, 1.0, 2.0, 3.0, 4.0, 5.0),
-                            start_state=2, min_state=2))
+                            hand_stream=2, min_state=2))
 def test_chain_probabilities_equal_the_reference_bit_for_bit(spec):
     got, want = _outcome(loss_chain_probs, spec), _outcome(oracles.loss_chain_probs, spec)
     if isinstance(want, str):
@@ -371,12 +371,12 @@ def test_shared_cells_equal_the_reference_cells(capacity, eta, guard, durations,
 
 
 def test_a_zero_death_rate_constructs_but_has_no_stationary_distribution():
-    spec = LossChainSpec((1.0,), (2,), (0.0, 0.0, 2.0))
+    spec = LossChainSpec((1.0,), (2,), (0.0, 0.0, 2.0), hand_stream=0)
     assert des.simulate_des(spec, 100, seed=1).per_stream[0]["seen"] == 100
     with pytest.raises(ValueError, match="^death rates must be positive$"):
         loss_chain_probs(spec)
     with pytest.raises(ValueError, match="^death rates must be positive$"):
-        loss_chain_probs(_with_hand_rate(replace(spec, hand_stream=0), 0.5))
+        loss_chain_probs(_with_hand_rate(spec, 0.5))
 
 
 @pytest.mark.parametrize("solve", [

@@ -1,23 +1,29 @@
 import math
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import scalar_sir
 
 from femtonet.radio import (
-    LinkBudget,
     PropagationParams,
     db_to_linear,
+    link_power,
     outage_probability_closed_form,
     outage_probability_mc,
-    received_power,
     shannon_throughput,
     sir,
+    wall_attenuation,
 )
 from femtonet.spectrum import SCHEMES, build_plan
 from femtonet.topology import (
     CellTopology,
     DegenerateGeometryError,
+    MacroGeometry,
     UnknownSiteError,
+    neighbors_of,
     place_femtocells,
 )
 
@@ -34,55 +40,49 @@ def _manual_topo(positions, macro_ue_walls=0):
 
 
 # ---------------------------------------------------------------------------
-# received power
+# link power
 
 
-def _unit_params(**kw):
-    defaults = dict(p0_femto=1.0, p0_macro=1.0, wall_loss_db=20.0)
-    defaults.update(kw)
-    return PropagationParams(**defaults)
+def test_link_power_unit_constants():
+    assert link_power(1.0, 1.0, 10.0, 2.0, wall_attenuation(20.0, 0)) == pytest.approx(0.01)
 
 
-def test_received_power_unit_constants():
-    p = _unit_params()
-    link = LinkBudget(tx_power_w=1.0, distance_m=10.0)
-    assert received_power(p, link, "femto", serving=True) == pytest.approx(0.01)
-
-
-def test_received_power_power_law():
-    p = _unit_params(path_loss_exp_femto_interf=4.0)
-    near = received_power(p, LinkBudget(1.0, 5.0), "femto")
-    far = received_power(p, LinkBudget(1.0, 10.0), "femto")
+def test_link_power_power_law():
+    near = link_power(1.0, 1.0, 5.0, 4.0, 1.0)
+    far = link_power(1.0, 1.0, 10.0, 4.0, 1.0)
     assert near / far == pytest.approx(16.0)
 
 
-def test_received_power_monotone_in_walls():
-    p = _unit_params()
-    vals = [received_power(p, LinkBudget(1.0, 10.0, walls=w), "femto") for w in range(4)]
+def test_link_power_monotone_in_walls():
+    vals = [link_power(1.0, 1.0, 10.0, 3.0, wall_attenuation(20.0, w)) for w in range(4)]
     assert all(a > b for a, b in zip(vals, vals[1:]))
     assert vals[0] / vals[1] == pytest.approx(100.0)  # 20 dB per wall
 
 
-def test_received_power_table43_serving_link_oracle():
+def test_sir_table43_serving_link_oracle():
     # 10 mW FAP at the 5 m indoor range, xi = Z = 1: hand evaluation of the
     # chosen indoor formula P_T * P0 * d^-2
-    params = PropagationParams()
-    link = LinkBudget(tx_power_w=0.01, distance_m=5.0)
-    got = received_power(params, link, "femto", serving=True)
+    topo = _manual_topo([(200.0, 0.0)])
+    got = sir(topo, build_plan("shared", topo), (205.0, 0.0), 0).signal_w
     expected = 0.01 * 10 ** (-31.5 / 10.0) * 5.0 ** -2.0
     assert got == pytest.approx(expected, rel=1e-12)
 
 
-def test_received_power_zero_distance():
-    with pytest.raises(DegenerateGeometryError):
-        received_power(_unit_params(), LinkBudget(1.0, 0.0), "femto")
+@pytest.mark.parametrize("ue", [(5.0, 0.0), (20.0, 0.0), (0.0, 0.0)],
+                         ids=["serving", "femto-interferer", "macro-interferer"])
+def test_sir_rejects_a_zero_length_link(ue):
+    # the serving FAP sits 5 m from the macro BS, its neighbor 15 m beyond it
+    topo = _manual_topo([(5.0, 0.0), (20.0, 0.0)])
+    plan = build_plan("shared", topo)
+    with pytest.raises(DegenerateGeometryError, match="^zero-length link$"):
+        sir(topo, plan, ue, 0)
 
 
 @pytest.mark.parametrize("field", ["tx_power_femto_w", "tx_power_macro_w"])
 @pytest.mark.parametrize("value", [0.0, -0.01, math.nan, math.inf])
 def test_params_reject_a_bad_tx_power(field, value):
-    # the RSSI scan reads the femto tx power directly, so no LinkBudget
-    # check stands behind it; an infinite macro power used to divide by zero
+    # every link reads the tx powers directly, so no other check stands
+    # behind this one; an infinite macro power used to divide by zero
     with pytest.raises(ValueError, match=rf"^{field} must be finite and > 0, got"):
         PropagationParams(**{field: value})
 
@@ -161,6 +161,51 @@ def test_sir_unknown_serving():
 
     with pytest.raises(UnknownSiteError):
         sir(topo, plan, (0.0, 0.0), 7)
+
+
+@st.composite
+def sir_cases(draw, scheme):
+    """A placed topology, dense or sparse, with random wall counts and
+    random walls between the serving FAP and some of its neighbors, a plan
+    of the scheme, and a UE inside or outside the serving FAP's inner
+    circle, with either macro_tiers."""
+    macro = MacroGeometry(macro_radius_m=draw(st.sampled_from([40.0, 90.0, 400.0])),
+                          macro_ue_walls=draw(st.integers(0, 2)),
+                          inter_femto_walls=draw(st.integers(0, 2)))
+    topo = place_femtocells(draw(st.integers(0, 2**32 - 1)), draw(st.integers(1, 60)), macro)
+    serving = draw(st.sampled_from(topo.femtocells))
+    near = sorted(neighbors_of(topo, serving))
+    walled = draw(st.lists(st.sampled_from(near), unique=True)) if near else []
+    topo = replace(topo, walls={(min(f, serving), max(f, serving)): draw(st.integers(0, 3))
+                               for f in walled})
+    plan = build_plan(scheme, topo, seed=draw(st.integers(0, 3)))
+    # the inner circle has radius edge_fraction * r_f, 6 m by default
+    inner = plan.edge_fraction * topo.femto_radius_m
+    rho = inner * draw(st.one_of(st.floats(0.05, 1.0), st.floats(1.01, 3.0)))
+    theta = draw(st.floats(0.0, 2.0 * math.pi))
+    x, y = topo.site(serving).position
+    ue = (x + rho * math.cos(theta), y + rho * math.sin(theta))
+    return topo, plan, ue, serving, draw(st.sampled_from(["all", "reference"]))
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_sir_equals_the_written_out_link_formula(scheme, data):
+    """Every field of the report, each power to the last bit, equals the
+    oracle's P_T * P0 * d^-eta * 10^(-w * L / 10) for every link."""
+    topo, plan, ue, serving, tiers = data.draw(sir_cases(scheme))
+    got = sir(topo, plan, ue, serving, macro_tiers=tiers)
+    want = scalar_sir(topo, plan, ue, serving, macro_tiers=tiers)
+
+    def spelt(report):
+        return {f.name: getattr(report, f.name) for f in fields(report)} | {
+            "signal_w": report.signal_w.hex(),
+            "femto_interf_w": report.femto_interf_w.hex(),
+            "macro_interf_w": report.macro_interf_w.hex(),
+            "per_source": [(name, p.hex()) for name, p in report.per_source]}
+
+    assert spelt(got) == spelt(want)
 
 
 def test_dynamic_reuse_center_ue_sees_no_femto_interference():
@@ -245,21 +290,6 @@ def test_throughput_band_widths_match_plan():
 
 # ---------------------------------------------------------------------------
 # argument checks: each value below passed at an earlier version
-
-
-@pytest.mark.parametrize("kw, name", [
-    (dict(tx_power_w=math.nan, distance_m=1.0), "tx_power_w"),
-    (dict(tx_power_w=math.inf, distance_m=1.0), "tx_power_w"),
-    (dict(tx_power_w=1.0, distance_m=math.nan), "distance_m"),
-    (dict(tx_power_w=1.0, distance_m=math.inf), "distance_m"),
-    (dict(tx_power_w=1.0, distance_m=1.0, walls=-1), "walls"),
-    (dict(tx_power_w=1.0, distance_m=1.0, walls=1.5), "walls"),
-    (dict(tx_power_w=1.0, distance_m=1.0, walls=math.nan), "walls"),
-])
-def test_link_budget_names_a_bad_argument(kw, name):
-    # walls=-1 gave 100 times the power of 0 walls
-    with pytest.raises(ValueError, match=rf"^{name} must be .*, got {kw[name]!r}$"):
-        LinkBudget(**kw)
 
 
 @pytest.mark.parametrize("args, bad", [((math.nan, 1.0), 0), ((math.inf, 1.0), 0),

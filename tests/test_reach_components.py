@@ -72,6 +72,21 @@ def test_reach_components_are_the_union_find_components(seed):
         assert got[1].tolist() == want[1].tolist()
 
 
+def test_a_component_and_its_parent_cannot_grow_each_others_macro_ring():
+    # the child used to hold the parent's macro_sites list itself, so an
+    # appended site showed in both and in every sir(..., macro_tiers="all")
+    topo = place_femtocells(seed=1, count=20)
+    child = reach_components(topo, {REF})
+    plan = build_plan("shared", child)
+    ue = (topo.site(REF).position[0] + 2.0, topo.site(REF).position[1])
+    before = _hex(sir(child, plan, ue, REF, macro_tiers="all"))
+    for t in (topo, child):
+        with pytest.raises(AttributeError):
+            t.macro_sites.append((5.0, 5.0))
+        assert len(t.macro_sites) == 7
+    assert _hex(sir(child, plan, ue, REF, macro_tiers="all")) == before
+
+
 def test_reach_components_of_nothing_and_of_an_unknown_id():
     topo = place_femtocells(seed=1, count=20)
     assert reach_components(topo, ()).femtocells == ()

@@ -217,6 +217,19 @@ def test_macro_geometry_rejects_a_bad_wall_count(field, value):
     MacroGeometry(**{field: 0})
 
 
+@pytest.mark.parametrize("field", ["macro_ue_walls", "inter_femto_walls"])
+@pytest.mark.parametrize("value", [-1, 1.5, math.nan])
+def test_topology_names_a_bad_wall_count(field, value):
+    # only a later sir call used to refuse these, and walls_between handed a
+    # bad inter_femto_walls to the neighbor list unchecked
+    kw = dict(macro_radius_m=1000.0, femto_radius_m=10.0, macro_sites=[(0.0, 0.0)],
+              femtocells=[0, 1], positions=[(0.0, 0.0), (5.0, 5.0)])
+    with pytest.raises(ValueError, match=rf"^{field} must be a whole number >= 0, got {value!r}$"):
+        CellTopology(**kw, **{field: value})
+    whole = getattr(CellTopology(**kw, **{field: 2.0}), field)
+    assert whole == 2 and type(whole) is int
+
+
 @pytest.mark.parametrize("kw", [dict(macro_radius_m=math.inf), dict(macro_radius_m=0.0),
                                 dict(femto_radius_m=math.nan), dict(femto_radius_m=2000.0)])
 def test_macro_geometry_rejects_bad_radii(kw):
