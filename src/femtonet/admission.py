@@ -219,7 +219,8 @@ def _class_position(state: CellLoadState, class_index: int) -> int:
     raise ValueError(f"no traffic class with index {class_index!r} in this cell")
 
 
-def admit_ch6(state: CellLoadState, class_index: int, kind: str) -> AdmissionDecision:
+def admit_ch6(state: CellLoadState, class_index: int, kind: str,
+              guard_bw: float = 0.0) -> AdmissionDecision:
     """Bandwidth-adaptive CAC for one cell.
 
     New calls are refused outright once any present non-real-time class is
@@ -227,10 +228,16 @@ def admit_ch6(state: CellLoadState, class_index: int, kind: str) -> AdmissionDec
     handovers).  A class at its full request is not degraded, even at
     gamma_n = 0, where the floor equals the request.
     Otherwise the call is accepted if its minimum requirement fits in the
-    free bandwidth, or in free plus releasable bandwidth after degradation.
+    free bandwidth, or in free plus releasable bandwidth after degradation;
+    a new call must leave guard_bw of that bandwidth free for handovers.
+    The guard scheme's chain reserves G guard channels, which count calls;
+    per call they become guard_bw = G * sum_m a_m beta_m, G calls of the
+    mean request.
     """
     if kind not in ("new", "handover"):
         raise ValueError(f"bad call kind {kind!r}")
+    if not 0.0 <= guard_bw < math.inf:
+        raise ValueError(f"guard_bw must be finite and >= 0, got {guard_bw!r}")
     pos = _class_position(state, class_index)
     cls = state.classes[pos]
 
@@ -241,7 +248,7 @@ def admit_ch6(state: CellLoadState, class_index: int, kind: str) -> AdmissionDec
                 return AdmissionDecision("block", "new-call-floor-reached", (), state)
 
     req = required_bw(cls, kind)
-    free = state.capacity - state.occupied
+    free = state.capacity - state.occupied - (guard_bw if kind == "new" else 0.0)
     if req >= free - CONSERVATION_TOL and req > free + releasable(state, kind) + CONSERVATION_TOL:
         outcome = "block" if kind == "new" else "drop"
         return AdmissionDecision(outcome, "insufficient-bandwidth", (), state)

@@ -288,7 +288,7 @@ def _read_fig6(scenario: Scenario):
 def run_fig6_cac(scenario: Scenario) -> ExperimentResult:
     res = ExperimentResult("fig6-cac", scenario.name, scenario.seed)
     grid, base, cells = _read_fig6(scenario)
-    solved = [cell.solve_grid(grid) for cell in cells]
+    solved = q_mod.solve_ch6_sweep(cells, grid)
     for j, lam in enumerate(grid):
         for cell, sols in zip(cells, solved):
             sol = sols[j]

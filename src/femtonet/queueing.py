@@ -9,11 +9,13 @@ the hundreds stay numerically exact.  Handover arrival rates and blocking
 and dropping probabilities depend on each other; both fixed points run one
 damped successive substitution, _fixed_point, to the requested residual.
 A sweep iterates all its points together, and each iteration solves the
-chains of its points in one product-form pass (loss_chain_rows).
+chains of its points through one ChainBatch: one product-form pass per
+state count.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -60,7 +62,7 @@ class ChainSolution:
             raise AssertionError(f"state probabilities sum to {total}, not 1")
 
 
-def _fixed_point(step, rates: list[list[float]], what: str):
+def _fixed_point(step, rates: list[list[float]], what: str, names):
     """Damped successive substitution on one list of rates per point.
 
     Each iteration calls step(points, rates) once, with the indices of the
@@ -70,7 +72,8 @@ def _fixed_point(step, rates: list[list[float]], what: str):
     FIXED_POINT_TOL the point stops, and neither its rates nor step's state
     for it change again.  Returns per point the damped rates, the iteration
     count and the residuals; when a point reaches MAX_ITERATIONS it raises
-    NonConvergenceError naming `what`, with that point's residuals.
+    NonConvergenceError naming `what` and the point, names(i), with that
+    point's residuals.
     """
     rates = list(rates)
     iterations = [0] * len(rates)
@@ -80,8 +83,8 @@ def _fixed_point(step, rates: list[list[float]], what: str):
     while active:
         iteration += 1
         if iteration > MAX_ITERATIONS:
-            raise NonConvergenceError(f"{what} fixed point did not converge",
-                                      residuals[active[0]])
+            raise NonConvergenceError(f"{what} fixed point did not converge at "
+                                      f"{names(active[0])}", residuals[active[0]])
         running = []
         for i, new in zip(active, step(active, [rates[i] for i in active])):
             old = rates[i]
@@ -196,39 +199,91 @@ def loss_chain_probs(spec: LossChainSpec) -> tuple[np.ndarray, list[float]]:
                    for limit in spec.stream_limits]
 
 
-def loss_chain_rows(specs) -> list[tuple[np.ndarray, list[float]]]:
-    """loss_chain_probs of every chain in specs, to the last bit.
+class ChainBatch:
+    """The chains of a sweep, one per point, prepared once for solving them
+    again and again at new stream rates.
 
-    Chains that share their stream limits, min_state and state count are
-    solved together: one product-form pass over the C-contiguous
-    (chains x states) array of their births, so the probability rows of one
-    such group are views of one array.  A lone chain goes through
-    loss_chain_probs, whose 1-D arrays cost less per call than a one-row
-    batch: a one-point fixed point, or the last point of a sweep still
-    iterating, makes one such call per iteration."""
-    if len(specs) == 1:
-        return [loss_chain_probs(specs[0])]
-    groups = {}
-    for j, spec in enumerate(specs):
-        if spec.log_deaths is None:
-            raise ValueError("death rates must be positive")
-        key = (spec.stream_limits, spec.min_state, len(spec.srv_rates))
-        groups.setdefault(key, []).append(j)
-    out = [None] * len(specs)
-    for (limits, lo, n_states), rows in groups.items():
-        group = [specs[j] for j in rows]
-        log_deaths = group[0].log_deaths
-        if any(spec.log_deaths is not log_deaths for spec in group):
-            log_deaths = np.array([spec.log_deaths for spec in group])
-        rates = np.array([spec.stream_rates for spec in group])
-        births = np.zeros((len(group), n_states - 1 - lo))
-        for k, limit in enumerate(limits):
-            births[:, :max(limit - lo, 0)] += rates[:, k, None]
+    Chains that share min_state and state count form a group, which solve
+    evaluates in one product-form pass over the (chains x states) array of
+    its births.  The group stacks the logs of its death rates once, and
+    turns each stream limit into a 0/1 row mask of the states below it (a
+    chain with fewer streams gets all-zero masks).  The births of a row are
+    0.0 plus each masked rate, in stream order; adding the 0.0 of an
+    unmasked rate changes no bit of a sum of rates >= 0, so every row equals
+    loss_chain_probs of its chain to the last bit.  Each distinct limit of a
+    group costs one sum over its rows.
+    """
+
+    def __init__(self, specs):
+        self.specs = list(specs)
+        index = {}  # (min_state, state count) -> group
+        members = []
+        self._group_of, self._row_of = [], []  # per chain: its group and its row there
+        for spec in self.specs:
+            if spec.log_deaths is None:
+                raise ValueError("death rates must be positive")
+            group = index.setdefault((spec.min_state, len(spec.srv_rates)), len(members))
+            if group == len(members):
+                members.append([])
+            self._group_of.append(group)
+            self._row_of.append(len(members[group]))
+            members[group].append(spec)
+        self._groups = [_ChainGroup(group) for group in members]
+
+    def solve(self, points, rates) -> list[tuple[np.ndarray, list[float]]]:
+        """loss_chain_probs of chain i at stream rates r, for each i, r of
+        points (indices into specs) and rates.  The probability
+        rows of one group are views of one array.  A lone chain goes
+        through loss_chain_probs, whose 1-D arrays cost less per call than
+        a one-row batch: a one-point fixed point, or the last point of a
+        sweep still iterating, makes one such call per iteration."""
+        if len(points) == 1:
+            return [loss_chain_probs(_with_stream_rates(self.specs[points[0]],
+                                                        tuple(rates[0])))]
+        _despy.check_rates(itertools.chain.from_iterable(rates))
+        group_of, row_of = self._group_of, self._row_of
+        out = [None] * len(points)
+        for g, group in enumerate(self._groups):
+            asked = [j for j, i in enumerate(points) if group_of[i] == g]
+            if asked:
+                rows = group.solve([row_of[points[j]] for j in asked], [rates[j] for j in asked])
+                for j, row in zip(asked, rows):
+                    out[j] = row
+        return out
+
+
+class _ChainGroup:
+    """The chains of a ChainBatch that share min_state and state count."""
+
+    def __init__(self, specs):
+        lo = specs[0].min_state
+        self.n_streams = max(len(spec.stream_rates) for spec in specs)
+        self.ragged = any(len(spec.stream_rates) < self.n_streams for spec in specs)
+        self.log_deaths = np.array([spec.log_deaths for spec in specs])
+        self.all_rows = list(range(len(specs)))
+        self.cuts = [[max(limit - lo, 0) for limit in spec.stream_limits] for spec in specs]
+        states = np.arange(self.log_deaths.shape[1])
+        self.masks = np.zeros((self.n_streams, *self.log_deaths.shape))
+        for row, cuts in enumerate(self.cuts):
+            for k, cut in enumerate(cuts):
+                self.masks[k, row] = states < cut
+        self.distinct_cuts = sorted({cut for cuts in self.cuts for cut in cuts})
+
+    def solve(self, rows, rates) -> list[tuple[np.ndarray, list[float]]]:
+        """The rows' distributions and rejection probabilities at rates."""
+        masks, log_deaths = self.masks, self.log_deaths
+        if rows != self.all_rows:
+            masks, log_deaths = masks[:, rows], log_deaths[rows]
+        if self.ragged:
+            rates = [(*r, *(0.0,) * (self.n_streams - len(r))) for r in rates]
+        rates = np.array(rates, dtype=float)
+        births = np.zeros(log_deaths.shape)
+        for k in range(self.n_streams):
+            births += rates[:, k, None] * masks[k]
         probs = _stationary(births, log_deaths)
-        rejects = [probs[:, max(limit - lo, 0):].sum(axis=1).tolist() for limit in limits]
-        for r, j in enumerate(rows):
-            out[j] = probs[r], [column[r] for column in rejects]
-    return out
+        sums = {cut: probs[:, cut:].sum(axis=1).tolist() for cut in self.distinct_cuts}
+        return [(probs[r], [sums[cut][r] for cut in self.cuts[row]])
+                for r, row in enumerate(rows)]
 
 
 def _with_stream_rates(spec: LossChainSpec, rates: tuple[float, ...]) -> LossChainSpec:
@@ -376,7 +431,7 @@ class _TwoTierPoint:
         self.params = params
         self.probs = handover_probabilities(params)
         self.mu_m, self.mu_f = channel_release_rates(params)
-        self.macro_chain = two_tier_macro_chain(params, 0.0)
+        self.macro_chain = two_tier_macro_chain(params, 0.0)  # the sweep sets lam_hand
         self.p_bf = self.p_df = self.p_bm = self.p_dm = 0.0
 
     def lam_tf(self, l_mf: float, l_ff: float) -> float:
@@ -388,9 +443,10 @@ class _TwoTierPoint:
         alpha = self.params.alpha
         return l_mm + l_fm + alpha * self.p_df * l_ff + (1.0 - alpha) * l_ff
 
-    def macro_step_chain(self, rates) -> LossChainSpec:
+    def macro_step_rates(self, rates) -> tuple[float, float]:
         """The first half of a step: the femto layer's Erlang-B blocking at
-        these rates, and the macro chain at the handover rate it gives."""
+        these rates, and the macro chain's stream rates at the handover rate
+        it gives."""
         l_mm, l_mf, l_ff, l_fm = rates
         n = self.params.n
         if n > 0:
@@ -398,8 +454,7 @@ class _TwoTierPoint:
             self.p_bf = self.p_df = erlang_b(self.params.femto_capacity, offered)
         else:
             self.p_bf = self.p_df = 0.0
-        self.macro_chain = _with_hand_rate(self.macro_chain, self.lam_hm(l_mm, l_ff, l_fm))
-        return self.macro_chain
+        return self.params.lambda_o_m, self.lam_hm(l_mm, l_ff, l_fm)
 
     def new_rates(self, rates, p_bm: float, p_dm: float) -> list[float]:
         """The second half: the handover rates from that chain's P_B,m and
@@ -452,19 +507,21 @@ def solve_two_tier_sweep(sweep) -> list[TwoTierSolution]:
     probabilities feed back into the rates.  _fixed_point iterates the four
     rates of every point together, each to a residual below
     FIXED_POINT_TOL, and each iteration solves the macro chains of the
-    points still iterating in one loss_chain_rows call.  A point's result
-    does not depend on the other points, and the converged point is
+    points still iterating through one ChainBatch, built once.  A point's
+    result does not depend on the other points, and the converged point is
     independent of FIXED_POINT_DAMPING (to the residual tolerance).
     """
     points = [_TwoTierPoint(params) for params in sweep]
+    batch = ChainBatch(point.macro_chain for point in points)
 
     def step(active, rates):
-        chains = [points[i].macro_step_chain(r) for i, r in zip(active, rates)]
+        macro_rates = [points[i].macro_step_rates(r) for i, r in zip(active, rates)]
         return [points[i].new_rates(r, p_bm, p_dm) for i, r, (_, (p_bm, p_dm))
-                in zip(active, rates, loss_chain_rows(chains))]
+                in zip(active, rates, batch.solve(active, macro_rates))]
 
     rates, iterations, residuals = _fixed_point(
-        step, [[0.0, 0.0, 0.0, 0.0] for _ in points], "two-tier")
+        step, [[0.0, 0.0, 0.0, 0.0] for _ in points], "two-tier",
+        lambda i: f"n = {points[i].params.n}")
 
     femto_chains, macro_chains = [], []
     for point, (l_mm, l_mf, l_ff, l_fm) in zip(points, rates):
@@ -473,7 +530,8 @@ def solve_two_tier_sweep(sweep) -> list[TwoTierSolution]:
                                             point.lam_hm(l_mm, l_ff, l_fm)))
     # a layer of no femtocells has no femto chain to solve
     has_femto = [point.params.n > 0 for point in points]
-    rows = loss_chain_rows(macro_chains + [c for c, f in zip(femto_chains, has_femto) if f])
+    chains = macro_chains + [c for c, f in zip(femto_chains, has_femto) if f]
+    rows = ChainBatch(chains).solve(range(len(chains)), [c.stream_rates for c in chains])
     femto_rows = iter(rows[len(points):])
     solutions = []
     for j, point in enumerate(points):
@@ -525,40 +583,57 @@ def _frac(x: float) -> Fraction:
     return Fraction(str(x))
 
 
-def chain_dimensions(classes, capacity: float) -> tuple[int, int, int]:
-    """(N, S, L) state counts, computed on exact rationals before flooring."""
-    cap = _frac(capacity)
-    # per class: a_m * beta_m, gamma_h and gamma_n
+def _class_sums(classes) -> tuple[Fraction, Fraction, Fraction]:
+    """sum_m a_m beta_m, and the same sum weighted by gamma_h and by
+    gamma_n, as exact rationals."""
     rows = [(_frac(c.arrival_share) * _frac(c.requested_bw),
              _frac(c.degrade_hand), _frac(c.degrade_new)) for c in classes]
-    mean_req = sum(w for w, _, _ in rows)
+    return (sum(w for w, _, _ in rows), sum(w * hand for w, hand, _ in rows),
+            sum(w * new for w, _, new in rows))
+
+
+def _dimensions(cap: Fraction, mean_req: Fraction, g_hand: Fraction,
+                g_new: Fraction) -> tuple[int, int, int]:
+    """(N, S, L) from the capacity and the sums of _class_sums."""
     if mean_req <= 0:
         raise ValueError("mean requested bandwidth must be positive")
     n = int(cap / mean_req)
 
-    def extra(k: int) -> int:
-        g = sum(row[0] * row[k] for row in rows)
+    def extra(g: Fraction) -> int:
         kept = mean_req - g
         if kept <= 0:
             raise ValueError("degradation factors leave no guaranteed bandwidth")
         return int(cap * g / (kept * mean_req))
 
-    return n, extra(1), extra(2)
+    return n, extra(g_hand), extra(g_new)
+
+
+def chain_dimensions(classes, capacity: float) -> tuple[int, int, int]:
+    """(N, S, L) state counts, computed on exact rationals before flooring."""
+    return _dimensions(_frac(capacity), *_class_sums(classes))
+
+
+def _scheme_degradation(scheme: str, hand, new, zero):
+    """A class's (gamma_h, gamma_n) under scheme, from its own pair; zero
+    is the no-degradation value of the pair's type."""
+    if scheme == "proposed":
+        return hand, new
+    if scheme == "non-prioritized":
+        return hand, hand
+    if scheme == "aqos":
+        return hand, zero
+    if scheme in ("hard-qos", "guard"):
+        return zero, zero
+    raise ValueError(f"unknown scheme {scheme!r}")
 
 
 def _scheme_classes(classes, scheme: str):
-    if scheme in ("proposed",):
+    if scheme == "proposed":
         return classes
     out = []
     for c in classes:
-        if scheme == "non-prioritized":
-            out.append(replace(c, degrade_new=c.degrade_hand))
-        elif scheme == "aqos":
-            out.append(replace(c, degrade_new=0.0))
-        elif scheme in ("hard-qos", "guard"):
-            out.append(replace(c, degrade_new=0.0, degrade_hand=0.0))
-        else:
-            raise ValueError(f"unknown scheme {scheme!r}")
+        hand, new = _scheme_degradation(scheme, c.degrade_hand, c.degrade_new, 0.0)
+        out.append(replace(c, degrade_hand=hand, degrade_new=new))
     return tuple(out)
 
 
@@ -612,10 +687,13 @@ class Ch6Cell:
     i = 106 under the proposed scheme, against new_limit = 128: the chain
     lets new calls degrade the cell by the aggregate L, but the per-call
     rule blocks once any one class (here class 7, whose gamma_h is largest)
-    is squeezed to its own new-call floor.  Under aqos, hard-qos and guard
-    it first blocks the two 128 kbps classes at i = 99 for lack of
-    bandwidth, against new_limit = 101 (96 for guard: the per-call rule has
-    no guard channels); under non-prioritized it blocks at new_limit = 155.
+    is squeezed to its own new-call floor.  Under aqos and hard-qos it first
+    blocks the two 128 kbps classes at i = 99 for lack of bandwidth, against
+    new_limit = 101.  Under guard, whose 5 guard channels the per-call rule
+    reserves as 5 mean requests (294.25 kbps), it first blocks every class
+    but the two smallest at i = 95, against new_limit = 96: the mean mix
+    rounds to more than i mean requests there.  Under non-prioritized it
+    blocks at new_limit = 155.
     Handovers drop at N + S = 155 under the three adaptive schemes, and from
     i = 99 (the 128 kbps classes) of N + S = 101 under hard-qos and guard.
     tests/test_admission.py pins these steps.
@@ -640,43 +718,8 @@ class Ch6Cell:
 
     def solve_grid(self, lam_news) -> list[ChainSolution]:
         """The cell at each new-call rate of lam_news, with the handover
-        rate at its fixed point.
-
-        The handover arrival rate and the chain couple through
-        lam_h = P_h (1 - P_B) lam_n / (1 - P_h (1 - P_D)); _fixed_point
-        iterates lam_h from P_h lam_n to FIXED_POINT_TOL at every rate
-        together, and each iteration solves the chains of the rates still
-        iterating in one loss_chain_rows call.  Every rate must be finite
-        and >= 0; a bad one is named before any iteration.
-        """
-        lam_news = list(lam_news)
-        for lam_new in lam_news:
-            if not 0.0 <= lam_new < math.inf:
-                raise ValueError(f"lam_new must be finite and >= 0, got {lam_new!r}")
-        chain = self.chain(0.0, 0.0)
-        p_h = self.p_h
-
-        def step(points, rates):
-            chains = [_with_stream_rates(chain, (lam_news[i], lam_h))
-                      for i, (lam_h,) in zip(points, rates)]
-            return [[p_h * (1.0 - p_b) * lam_news[i] / (1.0 - p_h * (1.0 - p_d))]
-                    for i, (_, (p_b, p_d)) in zip(points, loss_chain_rows(chains))]
-
-        rates, iterations, residuals = _fixed_point(
-            step, [[p_h * lam_new] for lam_new in lam_news], "ch6")
-        chains = [_with_stream_rates(chain, (lam_new, lam_h))
-                  for lam_new, (lam_h,) in zip(lam_news, rates)]
-        extra = {"N": self.n, "S": self.s, "L": self.ell, "P_h": p_h,
-                 "mu_rates": self.mu_rates, "scheme": self.scheme}
-        solutions = []
-        for spec, (lam_h,), (probs, (p_b, p_d)), n_iter, res in zip(
-                chains, rates, loss_chain_rows(chains), iterations, residuals):
-            probs = probs.copy()
-            utilization = float(np.dot(probs, self.occupancy)) / self.capacity
-            solutions.append(ChainSolution(
-                probs, p_b, p_d, utilization, handover_rate=lam_h,
-                iterations=n_iter, residual=res[-1], extra=dict(extra), spec=spec))
-        return solutions
+        rate at its fixed point: the one-cell case of solve_ch6_sweep."""
+        return solve_ch6_sweep((self,), lam_news)[0]
 
 
 def _read_only(values) -> np.ndarray:
@@ -688,15 +731,21 @@ def _read_only(values) -> np.ndarray:
 def ch6_cells(params: Ch6QueueParams, schemes) -> list[Ch6Cell]:
     """The cells of params under each of schemes; params.lam_new is not read.
 
+    The class fields are turned into exact rationals, and summed, once for
+    all schemes: a scheme only swaps which of the sums weighted by gamma_h,
+    by gamma_n or by 0 sets S and L.
     state_release_rates reads of each class only its kind, request, gamma_h,
     share and duration, never gamma_n, so schemes whose classes agree on
     those share one release-rate pass (N and S follow from the same fields).
     """
     cells = []
     passes = {}
+    cap = _frac(params.capacity)
+    mean_req, g_hand, g_new = _class_sums(params.classes)
     for scheme in schemes:
         classes = _scheme_classes(params.classes, scheme)
-        n, s, ell = chain_dimensions(classes, params.capacity)
+        n, s, ell = _dimensions(cap, mean_req,
+                                *_scheme_degradation(scheme, g_hand, g_new, Fraction(0)))
         guard = params.guard_channels if scheme == "guard" else 0
         if not 0 <= guard <= n:
             raise ValueError("guard channels outside [0, N]")
@@ -720,14 +769,62 @@ def ch6_cell(params: Ch6QueueParams, scheme: str = "proposed") -> Ch6Cell:
     return ch6_cells(params, (scheme,))[0]
 
 
+def solve_ch6_sweep(cells, lam_news) -> list[list[ChainSolution]]:
+    """Every cell of cells at each new-call rate of lam_news, with the
+    handover rate at its fixed point: one list of solutions per cell.
+
+    The handover arrival rate and the chain couple through
+    lam_h = P_h (1 - P_B) lam_n / (1 - P_h (1 - P_D)); _fixed_point
+    iterates lam_h from P_h lam_n to FIXED_POINT_TOL at every (cell, rate)
+    point together, and each iteration solves the chains of the points
+    still iterating through one ChainBatch, built once, so the chains of
+    one state count share a product-form pass whatever their scheme.  Each
+    point equals its lone solve to the last bit.  Every rate must be finite
+    and >= 0; a bad one is named before any iteration.
+    """
+    cells, lam_news = list(cells), list(lam_news)
+    for lam_new in lam_news:
+        if not 0.0 <= lam_new < math.inf:
+            raise ValueError(f"lam_new must be finite and >= 0, got {lam_new!r}")
+    templates = [cell.chain(0.0, 0.0) for cell in cells]
+    points = [(c, lam_new) for c in range(len(cells)) for lam_new in lam_news]
+    batch = ChainBatch(templates[c] for c, _ in points)
+    p_h = [cells[c].p_h for c, _ in points]
+
+    def step(active, rates):
+        rows = batch.solve(active, [(points[i][1], lam_h) for i, (lam_h,) in zip(active, rates)])
+        return [[p_h[i] * (1.0 - p_b) * points[i][1] / (1.0 - p_h[i] * (1.0 - p_d))]
+                for i, (_, (p_b, p_d)) in zip(active, rows)]
+
+    rates, iterations, residuals = _fixed_point(
+        step, [[p_h[i] * lam_new] for i, (_, lam_new) in enumerate(points)], "ch6",
+        lambda i: f"scheme {cells[points[i][0]].scheme}, lam_new {points[i][1]!r}")
+    rows = batch.solve(range(len(points)), [(lam_new, lam_h) for (_, lam_new), (lam_h,)
+                                            in zip(points, rates)])
+    solutions = [[] for _ in cells]
+    for (c, lam_new), (lam_h,), (probs, (p_b, p_d)), n_iter, res in zip(
+            points, rates, rows, iterations, residuals):
+        cell = cells[c]
+        probs = probs.copy()
+        utilization = float(np.dot(probs, cell.occupancy)) / cell.capacity
+        extra = {"N": cell.n, "S": cell.s, "L": cell.ell, "P_h": cell.p_h,
+                 "mu_rates": cell.mu_rates, "scheme": cell.scheme}
+        solutions[c].append(ChainSolution(
+            probs, p_b, p_d, utilization, handover_rate=lam_h, iterations=n_iter,
+            residual=res[-1], extra=extra,
+            spec=_with_stream_rates(templates[c], (lam_new, lam_h))))
+    return solutions
+
+
 def solve_ch6(params: Ch6QueueParams, scheme: str = "proposed") -> ChainSolution:
     """Solve the adaptive-CAC cell for one scheme at params.lam_new: the
-    one-point case of Ch6Cell.solve_grid.
+    one-point case of solve_ch6_sweep.
 
-    To sweep the new-call rate, build the cell once with ch6_cell and call
-    its solve_grid on every rate; this builds a new cell on every call.
+    To sweep the new-call rate or the scheme, build the cells once with
+    ch6_cells and solve them together with solve_ch6_sweep; this builds a
+    new cell on every call.
     """
-    return ch6_cell(params, scheme).solve_grid((params.lam_new,))[0]
+    return solve_ch6_sweep((ch6_cell(params, scheme),), (params.lam_new,))[0][0]
 
 
 # ---------------------------------------------------------------------------

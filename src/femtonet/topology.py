@@ -360,13 +360,18 @@ def place_femtocells(
     the positions are those of the scalar loop that tests each candidate
     against every placed FAP.
 
-    Raises PlacementInfeasibleError when the disc cannot hold `count` sites
+    Raises PlacementInfeasibleError when the disc is too small to hold
+    femtocell 0 at the reference range, when it cannot hold `count` sites
     at the requested separation, or when 200 candidates per FAP were tried.
     """
     if not (float(count).is_integer() and count >= 0):
         raise ValueError(f"count must be a whole number >= 0, got {count!r}")
     count = int(count)
     macro = macro or MacroGeometry()
+    if count > 0 and macro.macro_radius_m < REFERENCE_FAP_DISTANCE:
+        raise PlacementInfeasibleError(
+            f"femtocell 0 sits {REFERENCE_FAP_DISTANCE} m from the BS, outside "
+            f"the {macro.macro_radius_m} m macro disc")
 
     # packing bound: disc area over exclusion-disc area, with slack
     r, sep = macro.macro_radius_m, macro.min_separation_m

@@ -861,6 +861,10 @@ def scalar_placement(seed: int, count: int, macro=None) -> np.ndarray:
     if count < 0:
         raise ValueError("count must be >= 0")
     macro = macro or MacroGeometry()
+    if count > 0 and macro.macro_radius_m < REFERENCE_FAP_DISTANCE:
+        raise PlacementInfeasibleError(
+            f"femtocell 0 sits {REFERENCE_FAP_DISTANCE} m from the BS, outside "
+            f"the {macro.macro_radius_m} m macro disc")
 
     # packing bound: disc area over exclusion-disc area, with slack
     r, sep = macro.macro_radius_m, macro.min_separation_m

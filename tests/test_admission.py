@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -198,6 +200,22 @@ def test_admit_new_blocked_at_new_floor():
     assert admit_ch6(state, 2, "handover").outcome == "accept"
 
 
+def test_guard_bandwidth_is_left_to_handovers():
+    # a 25 kbps voice call in an empty 100 kbps cell: a new call must leave
+    # guard_bw free, a handover may use it
+    state = make_state(100.0, [VOICE, VIDEO])
+    assert admit_ch6(state, 1, "new", guard_bw=70.0).outcome == "accept"
+    d = admit_ch6(state, 1, "new", guard_bw=80.0)
+    assert (d.outcome, d.reason) == ("block", "insufficient-bandwidth")
+    assert admit_ch6(state, 1, "handover", guard_bw=80.0).outcome == "accept"
+
+
+@pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
+def test_admit_ch6_names_a_bad_guard_bandwidth(bad):
+    with pytest.raises(ValueError, match="^guard_bw must be finite and >= 0"):
+        admit_ch6(make_state(100.0, [VOICE, VIDEO]), 1, "new", guard_bw=bad)
+
+
 @pytest.mark.parametrize("scheme", ["aqos", "hard-qos", "guard"])
 def test_undegraded_call_does_not_block_new_calls_at_zero_gamma_n(scheme):
     # gamma_n = 0 puts the new-call floor at the request: one class-4 call
@@ -380,7 +398,7 @@ CH6_WALK = {
     "non-prioritized": (155, 155, (155, ALL_CLASSES), (155, ALL_CLASSES)),
     "aqos": (101, 155, (99, WIDE_CLASSES), (155, ALL_CLASSES)),
     "hard-qos": (101, 101, (99, WIDE_CLASSES), (99, WIDE_CLASSES)),
-    "guard": (96, 101, (99, WIDE_CLASSES), (99, WIDE_CLASSES)),
+    "guard": (96, 101, (95, (2, 3, 4, 6, 7)), (99, WIDE_CLASSES)),
 }
 
 
@@ -388,12 +406,17 @@ CH6_WALK = {
 def test_per_call_cac_along_the_chain_mean_mix(scheme):
     """Walk the chain's states i = 0..N+S with class counts round(a_m * i),
     rebalanced, and ask admit_ch6 for a new call and a handover of every
-    class.  The chain blocks new calls from new_limit and drops handovers
-    from N + S; the per-call policy's first refusals are pinned next to
-    them (see the Ch6Cell docstring)."""
+    class; under the guard scheme new calls leave the guard channels' worth
+    of the mean request free.  The chain blocks new calls from new_limit
+    and drops handovers from N + S; the per-call policy's first refusals
+    are pinned next to them (see the Ch6Cell docstring)."""
     params = scenario_from_preset("table-6.1").ch6_params(1.3)
     cell = ch6_cell(params, scheme)
     classes = _scheme_classes(params.classes, scheme)
+    guard_bw = 0.0
+    if scheme == "guard":
+        guard_bw = params.guard_channels * sum(c.arrival_share * c.requested_bw
+                                               for c in classes)
     first = {}
     for i in range(cell.n + cell.s + 1):
         counts = [round(c.arrival_share * i) for c in classes]
@@ -403,7 +426,7 @@ def test_per_call_cac_along_the_chain_mean_mix(scheme):
             break
         for kind, refusal in (("new", "block"), ("handover", "drop")):
             refused = tuple(c.index for c in classes
-                            if admit_ch6(state, c.index, kind).outcome == refusal)
+                            if admit_ch6(state, c.index, kind, guard_bw).outcome == refusal)
             if refused and kind not in first:
                 first[kind] = (i, refused)
     assert (cell.new_limit, cell.n + cell.s, first["new"], first["handover"]) == CH6_WALK[scheme]

@@ -17,6 +17,7 @@ from femtonet import des, queueing
 from femtonet.admission import TrafficClass
 from femtonet.queueing import (
     CH6_SCHEMES,
+    ChainBatch,
     Ch6Cell,
     Ch7QueueParams,
     LossChainSpec,
@@ -26,8 +27,8 @@ from femtonet.queueing import (
     ch6_cells,
     chain_dimensions,
     loss_chain_probs,
-    loss_chain_rows,
     solve_ch6,
+    solve_ch6_sweep,
     solve_ch7,
     solve_two_tier,
     solve_two_tier_sweep,
@@ -186,21 +187,84 @@ def test_a_grid_whose_rates_converge_at_different_iterations(scheme):
     assert min(iterations[1:3]) > 1 and iterations[1] != iterations[2]
 
 
-@settings(max_examples=100, deadline=None)
-@given(specs=st.lists(st.sampled_from([
-    LossChainSpec((0.5, 0.7), (2, 4), (0.0, 1.0, 2.0, 3.0, 4.0), hand_stream=1),
-    LossChainSpec((0.0, 0.3), (2, 4), (0.0, 1.0, 2.0, 3.0, 4.5), hand_stream=1),
-    LossChainSpec((1.5, 0.2), (3, 4), (0.0, 1.0, 2.0, 3.0, 4.0), hand_stream=1),
-    LossChainSpec((0.5, 0.0, 0.7), (2, 5, 4), (0.0, 1.0, 2.0, 3.0, 4.0, 5.0),
-                  hand_stream=2, min_state=2),
-    LossChainSpec((0.0,), (1,), (0.0, 2.0), hand_stream=0)]), min_size=1, max_size=7))
-def test_chain_rows_equal_each_chain_solved_alone(specs):
-    """loss_chain_rows groups chains by shape; each row equals the
-    reference for its own chain, whatever the other chains are."""
-    for spec, (probs, rejects) in zip(specs, loss_chain_rows(specs), strict=True):
-        want_probs, want_rejects = oracles.loss_chain_probs(spec)
-        assert _same_bits(probs, want_probs)
-        assert [p.hex() for p in rejects] == [p.hex() for p in want_rejects]
+# the cells of the sweep test: the five schemes of the default cell (156 and
+# 102 states), and a guard cell of less capacity and more guard channels
+# (76 states), so the sweep's chains come in three state counts
+_SWEEP_CELLS = [(Scenario({}).ch6_params(lam_new=1.0), scheme) for scheme in CH6_SCHEMES] + [
+    (replace(Scenario({}).ch6_params(lam_new=1.0), capacity=4500.0, guard_channels=12),
+     "guard")]
+
+
+@settings(max_examples=25, deadline=None)
+@given(chosen=st.permutations(range(len(_SWEEP_CELLS))).flatmap(
+           lambda order: st.integers(1, len(order)).map(lambda k: order[:k])),
+       grid=st.lists(st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=3.0)),
+                     min_size=1, max_size=8))
+@example(chosen=[5, 0, 3, 1, 4, 2], grid=[1.3, 0.0, 2.5, 1.3, 0.0])
+def test_a_multi_cell_sweep_equals_each_point_solved_alone(chosen, grid):
+    """Every (cell, rate) point of one sweep over several schemes' cells
+    equals the reference solver at that point alone, to the last bit,
+    whatever the other cells and their state counts are."""
+    cells = [ch6_cell(*_SWEEP_CELLS[k]) for k in chosen]
+    solved = solve_ch6_sweep(cells, grid)
+    assert len(solved) == len(cells)
+    for k, cell, sols in zip(chosen, cells, solved, strict=True):
+        params, scheme = _SWEEP_CELLS[k]
+        assert len(sols) == len(grid)
+        for lam, sol in zip(grid, sols, strict=True):
+            _assert_ch6_equal(sol, replace(params, lam_new=lam), scheme, lam)
+            assert sol.extra["scheme"] == scheme and sol.extra["N"] == cell.n
+        assert all(sol.probs.base is None for sol in sols)
+
+
+@st.composite
+def _loss_chains(draw):
+    """A chain of one of six shapes (min_state 0 or 2, and 1, 3 or 4 states
+    above it), with 1 to 3 streams whose limits may lie below the floor."""
+    lo = draw(st.sampled_from([0, 2]))
+    above = draw(st.sampled_from([1, 3, 4]))
+    deaths = draw(st.lists(st.floats(0.1, 5.0), min_size=above - 1, max_size=above - 1))
+    streams = draw(st.integers(1, 3))
+    limits = draw(st.lists(st.integers(-1, lo + above - 1), min_size=streams, max_size=streams))
+    return LossChainSpec((0.0,) * streams, tuple(limits),
+                         (*map(float, range(lo + 1)), *deaths), hand_stream=streams - 1,
+                         min_state=lo)
+
+
+_RATES = st.one_of(st.just(0.0), st.floats(0.0, 4.0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(specs=st.lists(_loss_chains(), min_size=1, max_size=8), data=st.data())
+def test_a_chain_batch_row_equals_each_chain_solved_alone(specs, data):
+    """A batch built once and solved twice, at new rates and for any of its
+    chains, in any order and with repeats: each row equals loss_chain_probs
+    and the reference for its own chain, to the last bit, whatever the
+    other chains' limits, floors and state counts are."""
+    batch = ChainBatch(specs)
+    for _ in range(2):
+        points = data.draw(st.lists(st.integers(0, len(specs) - 1), min_size=1))
+        rates = [tuple(data.draw(st.lists(_RATES, min_size=len(specs[i].stream_rates),
+                                          max_size=len(specs[i].stream_rates))))
+                 for i in points]
+        rows = batch.solve(points, rates)
+        assert len(rows) == len(points)
+        for i, r, (probs, rejects) in zip(points, rates, rows, strict=True):
+            for want_probs, want_rejects in (
+                    loss_chain_probs(replace(specs[i], stream_rates=r)),
+                    oracles.loss_chain_probs(replace(specs[i], stream_rates=r))):
+                assert _same_bits(probs, want_probs)
+                assert [p.hex() for p in rejects] == [p.hex() for p in want_rejects]
+
+
+def test_a_chain_batch_names_a_bad_rate():
+    spec = LossChainSpec((0.5, 0.7), (2, 4), (0.0, 1.0, 2.0, 3.0, 4.0), hand_stream=1)
+    batch = ChainBatch([spec, spec])
+    for points in ([0], [0, 1]):
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            batch.solve(points, [(0.5, math.nan)] * len(points))
+    with pytest.raises(ValueError, match="^death rates must be positive$"):
+        ChainBatch([spec, LossChainSpec((1.0,), (2,), (0.0, 0.0, 2.0), hand_stream=0)])
 
 
 def _ch7_grid():
@@ -388,15 +452,15 @@ def test_a_nan_handover_rate_raises_at_a_later_iteration(solve, monkeypatch):
     spec the iterations start from."""
     solved = []
 
-    def nan_on_the_third(specs):
-        rows = real(specs)
-        solved.append(specs)
+    def nan_on_the_third(batch, points, rates):
+        rows = real(batch, points, rates)
+        solved.append(points)
         if len(solved) == 3:
             rows = [(probs, [math.nan] * len(rejects)) for probs, rejects in rows]
         return rows
 
-    real = queueing.loss_chain_rows
-    monkeypatch.setattr(queueing, "loss_chain_rows", nan_on_the_third)
+    real = queueing.ChainBatch.solve
+    monkeypatch.setattr(queueing.ChainBatch, "solve", nan_on_the_third)
     with pytest.raises(ValueError, match="finite and >= 0"):
         solve()
     assert len(solved) == 3

@@ -11,6 +11,7 @@ from oracles import balance_equation_solve, erlang_b_direct
 from femtonet import admission, experiments, queueing
 from femtonet.admission import TrafficClass
 from femtonet.queueing import (
+    CH6_SCHEMES,
     Ch6QueueParams,
     Ch7QueueParams,
     CoverageError,
@@ -19,11 +20,13 @@ from femtonet.queueing import (
     birth_death_probs,
     chain_dimensions,
     ch6_cell,
+    ch6_cells,
     channel_release_rates,
     erlang_b,
     forced_termination_probability,
     handover_probabilities,
     solve_ch6,
+    solve_ch6_sweep,
     solve_ch7,
     solve_two_tier,
     solve_two_tier_sweep,
@@ -482,16 +485,25 @@ def _count_product_form_passes(monkeypatch, name):
 
 
 def test_fig6_cac_solves_each_cell_grid_in_one_pass_per_iteration(monkeypatch):
-    """One product-form pass per cell per iteration of its slowest rate,
-    plus one for the converged rates, not one per rate per iteration."""
+    """One product-form pass per state count per iteration of its slowest
+    point, plus one per state count for the converged rates, not one per
+    cell or per rate: the five cells' chains have two state counts, 156
+    (slowest point 25 iterations) and 102 (24)."""
     scenario = scenario_from_preset(experiments.DEFAULT_PRESET["fig6-cac"])
     grid, base, cells = experiments._read_fig6(scenario)
     iterations = {cell.scheme: [oracles.solve_ch6(replace(base, lam_new=lam), cell.scheme)
                                 .iterations for lam in grid] for cell in cells}
+    slowest = {}  # per state count, the most iterations of its points
+    for cell in cells:
+        states = cell.n + cell.s + 1
+        slowest[states] = max(slowest.get(states, 0), *iterations[cell.scheme])
+    assert slowest == {156: 25, 102: 24}
     passes = _count_product_form_passes(monkeypatch, "fig6-cac")
-    assert passes == sum(max(its) + 1 for its in iterations.values())
-    # the per-rate count the lone solves make
-    assert sum(i + 1 for its in iterations.values() for i in its) > 3 * passes
+    assert passes == sum(its + 1 for its in slowest.values()) == 51
+    # the per-cell count of one sweep per scheme, and the per-rate count of
+    # the lone solves
+    assert sum(max(its) + 1 for its in iterations.values()) == 127
+    assert sum(i + 1 for its in iterations.values() for i in its) > 10 * passes
 
 
 def test_fig5_mobility_solves_its_sweep_in_one_pass_per_iteration(monkeypatch):
@@ -635,26 +647,37 @@ def test_fixed_point_damping_invariance(monkeypatch):
 def test_both_fixed_points_raise_after_max_iterations(monkeypatch):
     monkeypatch.setattr(queueing, "MAX_ITERATIONS", 3)
     ch6 = Ch6QueueParams(lam_new=1.2, capacity=6000.0, classes=TABLE61, eta=1 / 240.0)
-    for what, solve in [("two-tier", lambda: solve_two_tier(_two_tier())),
-                        ("ch6", lambda: solve_ch6(ch6, "proposed"))]:
-        with pytest.raises(NonConvergenceError, match=f"^{what} fixed point did not converge") as err:
+    for what, point, solve in [
+            ("two-tier", "n = 1000", lambda: solve_two_tier(_two_tier())),
+            ("ch6", "scheme proposed, lam_new 1.2", lambda: solve_ch6(ch6, "proposed"))]:
+        with pytest.raises(NonConvergenceError,
+                           match=f"^{what} fixed point did not converge at {point} ") as err:
             solve()
         assert len(err.value.residuals) == 3
 
 
 def test_sweeps_raise_after_max_iterations(monkeypatch):
-    """A sweep stops at MAX_ITERATIONS with the residuals of a point that
-    did not converge, even beside a point that converged at once."""
+    """A 30-point sweep stops at MAX_ITERATIONS beside points that converged
+    at once, and its error names the first point still iterating and
+    carries that point's own residuals, those of its lone solve."""
     monkeypatch.setattr(queueing, "MAX_ITERATIONS", 3)
-    cell = ch6_cell(Ch6QueueParams(lam_new=1.2, capacity=6000.0, classes=TABLE61,
-                                   eta=1 / 240.0), "proposed")
-    for what, solve in [
-            ("ch6", lambda: cell.solve_grid([0.0, 1.2, 2.0])),
-            ("two-tier", lambda: solve_two_tier_sweep(
-                [_two_tier(n=0, lam_f=0.0, lam_m=0.0), _two_tier(), _two_tier(n=400)]))]:
-        with pytest.raises(NonConvergenceError, match=f"^{what} fixed point did not converge") as err:
-            solve()
+    base = Ch6QueueParams(lam_new=0.4, capacity=6000.0, classes=TABLE61, eta=1 / 240.0,
+                          guard_channels=5)
+    cells = ch6_cells(base, CH6_SCHEMES)
+    two_tier = [_two_tier(n=0, lam_f=0.0, lam_m=0.0)] * 29 + [_two_tier(n=400)]
+    for what, point, sweep, alone in [
+            ("ch6", "scheme proposed, lam_new 0.4",
+             lambda: solve_ch6_sweep(cells, [0.0, 0.0, 0.0, 0.4, 0.8, 1.2]),
+             lambda: solve_ch6(base, "proposed")),
+            ("two-tier", "n = 400", lambda: solve_two_tier_sweep(two_tier),
+             lambda: solve_two_tier(two_tier[-1]))]:
+        with pytest.raises(NonConvergenceError,
+                           match=f"^{what} fixed point did not converge at {point} ") as err:
+            sweep()
+        with pytest.raises(NonConvergenceError) as lone:
+            alone()
         assert len(err.value.residuals) == 3 and err.value.residuals[-1] > 0.0
+        assert [r.hex() for r in err.value.residuals] == [r.hex() for r in lone.value.residuals]
 
 
 @pytest.mark.parametrize("bad", [-0.5, math.nan, math.inf])
@@ -662,7 +685,8 @@ def test_a_grid_names_a_bad_rate_before_iterating(bad, monkeypatch):
     cell = ch6_cell(Ch6QueueParams(lam_new=1.0, capacity=6000.0, classes=TABLE61,
                                    eta=1 / 240.0, guard_channels=5), "guard")
     calls = []
-    monkeypatch.setattr(queueing, "loss_chain_rows", lambda specs: calls.append(specs))
+    monkeypatch.setattr(queueing.ChainBatch, "solve",
+                        lambda batch, points, rates: calls.append(points))
     with pytest.raises(ValueError, match=f"^lam_new must be finite and >= 0, got {bad!r}$"):
         cell.solve_grid([0.4, 1.0, bad, 1.6])
     assert calls == []

@@ -169,10 +169,13 @@ def sir_cases(draw, scheme):
     random walls between the serving FAP and some of its neighbors, a plan
     of the scheme, and a UE inside or outside the serving FAP's inner
     circle, with either macro_tiers."""
-    macro = MacroGeometry(macro_radius_m=draw(st.sampled_from([40.0, 90.0, 400.0])),
+    # FAP 0 sits 200 m from the BS, so no disc is smaller; up to 400 FAPs
+    # in a 200 m or 250 m disc is as dense as 60 in a 90 m one or denser
+    radius, most = draw(st.sampled_from([(200.0, 400), (250.0, 400), (400.0, 60)]))
+    macro = MacroGeometry(macro_radius_m=radius,
                           macro_ue_walls=draw(st.integers(0, 2)),
                           inter_femto_walls=draw(st.integers(0, 2)))
-    topo = place_femtocells(draw(st.integers(0, 2**32 - 1)), draw(st.integers(1, 60)), macro)
+    topo = place_femtocells(draw(st.integers(0, 2**32 - 1)), draw(st.integers(1, most)), macro)
     serving = draw(st.sampled_from(topo.femtocells))
     near = sorted(neighbors_of(topo, serving))
     walled = draw(st.lists(st.sampled_from(near), unique=True)) if near else []

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from femtonet.topology import (
     CellTopology,
     FemtoSite,
     MacroGeometry,
+    REFERENCE_FAP_DISTANCE,
     PlacementInfeasibleError,
     UnknownSiteError,
     distance,
@@ -59,9 +61,21 @@ def test_min_separation_respected():
 
 
 def test_placement_infeasible():
-    with pytest.raises(PlacementInfeasibleError):
+    with pytest.raises(PlacementInfeasibleError, match="^cannot place 50 FAPs"):
         place_femtocells(seed=0, count=50, macro=MacroGeometry(
-            macro_radius_m=20.0, femto_radius_m=1.0, min_separation_m=10.0))
+            macro_radius_m=200.0, femto_radius_m=1.0, min_separation_m=100.0))
+
+
+@pytest.mark.parametrize("radius", [20.0, 199.9])
+def test_placement_names_a_disc_too_small_for_the_reference_fap(radius):
+    macro = MacroGeometry(macro_radius_m=radius, femto_radius_m=1.0)
+    with pytest.raises(PlacementInfeasibleError,
+                       match=f"^femtocell 0 sits 200.0 m from the BS, outside the {radius} m "
+                             "macro disc$"):
+        place_femtocells(seed=0, count=1, macro=macro)
+    assert place_femtocells(seed=0, count=0, macro=macro).femtocells == ()
+    edge = place_femtocells(seed=0, count=5, macro=replace(macro, macro_radius_m=200.0))
+    assert edge.positions[0].tolist() == [REFERENCE_FAP_DISTANCE, 0.0]
 
 
 def _two_fap_topo(gap_m):
@@ -258,7 +272,7 @@ def _assert_places_as_scalar_loop(seed, count, macro):
 
 
 @given(seed=st.integers(0, 2**32 - 1), count=st.integers(0, 300),
-       radius=st.floats(10.5, 3000.0))
+       radius=st.floats(REFERENCE_FAP_DISTANCE, 3000.0))
 @settings(max_examples=60, deadline=None)
 def test_placement_without_separation_matches_scalar_loop(seed, count, radius):
     macro = MacroGeometry(macro_radius_m=radius, min_separation_m=0.0)
@@ -266,7 +280,7 @@ def test_placement_without_separation_matches_scalar_loop(seed, count, radius):
 
 
 @given(seed=st.integers(0, 2**32 - 1), fill=st.floats(0.05, 1.0),
-       radius=st.floats(15.0, 60.0), sep=st.floats(1.5, 8.0))
+       radius=st.floats(200.0, 800.0), sep=st.floats(20.0, 107.0))
 @settings(max_examples=60, deadline=None)
 def test_placement_in_a_tight_disc_matches_scalar_loop(seed, fill, radius, sep):
     # up to the packing bound, so most candidates late in a run are rejected
