@@ -22,7 +22,7 @@ from .queueing import (
     LossChainSpec,
     TwoTierParams,
     TwoTierSolution,
-    ch6_cell,
+    ch6_cells,
     ch7_chain,
 )
 
@@ -207,7 +207,7 @@ def spec_for_ch6(params: Ch6QueueParams, lam_hand: float,
     """Chain matching solve_ch6's converged model; the handover stream is
     exogenous Poisson at the converged rate.  A solution's own spec is the
     same chain, without building the cell a second time."""
-    return ch6_cell(params, scheme).chain(params.lam_new, lam_hand)
+    return ch6_cells(params, (scheme,))[0].chain(params.lam_new, lam_hand)
 
 
 spec_for_ch7 = ch7_chain  # the MBS cell chain has no fixed point

@@ -23,7 +23,7 @@ from .presets import TABLE_7_1, TABLE_8_1, table71_mbs_sessions
 from .radio import db_to_linear, outage_probability_closed_form, shannon_throughput, sir
 from .scenario import Scenario, scenario_from_preset
 from .spectrum import SpectrumPlan, build_plan
-from .topology import place_femtocells, reach_components
+from .topology import check_reference_fap, place_femtocells, reach_components
 from .videoalloc import (
     allocate_mbs_budget,
     allocate_popularity,
@@ -84,6 +84,7 @@ def _read_fig4(scenario: Scenario):
     if not 0.0 < ue_range < math.inf:
         raise ValueError(f"radio.ue_fap_distance_m must be finite and > 0, got {ue_range!r}")
     macro = scenario.macro_geometry()
+    check_reference_fap(macro)
     params = scenario.propagation()
     bands = {k: scenario[f"spectrum.{k}"] for k in ("total_hz", "femto_fraction", "edge_fraction")}
     SpectrumPlan("shared", **bands)  # the plan's constructor checks them
@@ -231,6 +232,7 @@ def _read_fig5_neighborlist(scenario: Scenario):
     """The fig5-neighborlist trials' checked inputs: macro geometry,
     propagation parameters, S_T0, S_T1, d_max and obstruction probability."""
     macro = scenario.macro_geometry()
+    check_reference_fap(macro)
     radio = scenario.propagation()
     s_t0, s_t1 = scenario["neighborlist.s_t0_dbm"], scenario["neighborlist.s_t1_dbm"]
     nl_mod.RssiScan({}, "macro", s_t0, s_t1)  # checks S_T1 > S_T0

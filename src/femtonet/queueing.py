@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -203,26 +203,27 @@ class ChainBatch:
     """The chains of a sweep, one per point, prepared once for solving them
     again and again at new stream rates.
 
-    Chains that share min_state and state count form a group, which solve
-    evaluates in one product-form pass over the (chains x states) array of
-    its births.  The group stacks the logs of its death rates once, and
-    turns each stream limit into a 0/1 row mask of the states below it (a
-    chain with fewer streams gets all-zero masks).  The births of a row are
-    0.0 plus each masked rate, in stream order; adding the 0.0 of an
-    unmasked rate changes no bit of a sum of rates >= 0, so every row equals
-    loss_chain_probs of its chain to the last bit.  Each distinct limit of a
-    group costs one sum over its rows.
+    Chains that share min_state, state count and stream count form a
+    group, which solve evaluates in one product-form pass over the
+    (chains x states) array of its births.  The group stacks the logs of
+    its death rates once, and turns each stream limit into a 0/1 row mask
+    of the states below it.  The births of a row are 0.0 plus each masked
+    rate, in stream order; adding the 0.0 of an unmasked rate changes no
+    bit of a sum of rates >= 0, so every row equals loss_chain_probs of its
+    chain to the last bit.  Each distinct limit of a group costs one sum
+    over its rows.
     """
 
     def __init__(self, specs):
         self.specs = list(specs)
-        index = {}  # (min_state, state count) -> group
+        index = {}  # (min_state, state count, stream count) -> group
         members = []
         self._group_of, self._row_of = [], []  # per chain: its group and its row there
         for spec in self.specs:
             if spec.log_deaths is None:
                 raise ValueError("death rates must be positive")
-            group = index.setdefault((spec.min_state, len(spec.srv_rates)), len(members))
+            group = index.setdefault((spec.min_state, len(spec.srv_rates),
+                                      len(spec.stream_rates)), len(members))
             if group == len(members):
                 members.append([])
             self._group_of.append(group)
@@ -253,12 +254,12 @@ class ChainBatch:
 
 
 class _ChainGroup:
-    """The chains of a ChainBatch that share min_state and state count."""
+    """The chains of a ChainBatch that share min_state, state count and
+    stream count."""
 
     def __init__(self, specs):
         lo = specs[0].min_state
-        self.n_streams = max(len(spec.stream_rates) for spec in specs)
-        self.ragged = any(len(spec.stream_rates) < self.n_streams for spec in specs)
+        self.n_streams = len(specs[0].stream_rates)
         self.log_deaths = np.array([spec.log_deaths for spec in specs])
         self.all_rows = list(range(len(specs)))
         self.cuts = [[max(limit - lo, 0) for limit in spec.stream_limits] for spec in specs]
@@ -274,8 +275,6 @@ class _ChainGroup:
         masks, log_deaths = self.masks, self.log_deaths
         if rows != self.all_rows:
             masks, log_deaths = masks[:, rows], log_deaths[rows]
-        if self.ragged:
-            rates = [(*r, *(0.0,) * (self.n_streams - len(r))) for r in rates]
         rates = np.array(rates, dtype=float)
         births = np.zeros(log_deaths.shape)
         for k in range(self.n_streams):
@@ -294,13 +293,6 @@ def _with_stream_rates(spec: LossChainSpec, rates: tuple[float, ...]) -> LossCha
     out = object.__new__(LossChainSpec)
     out.__dict__.update(spec.__dict__, stream_rates=rates)
     return out
-
-
-def _with_hand_rate(spec: LossChainSpec, lam_hand: float) -> LossChainSpec:
-    """The same chain with its handover stream at lam_hand."""
-    rates = list(spec.stream_rates)
-    rates[spec.hand_stream] = lam_hand
-    return _with_stream_rates(spec, tuple(rates))
 
 
 # ---------------------------------------------------------------------------
@@ -507,9 +499,10 @@ def solve_two_tier_sweep(sweep) -> list[TwoTierSolution]:
     probabilities feed back into the rates.  _fixed_point iterates the four
     rates of every point together, each to a residual below
     FIXED_POINT_TOL, and each iteration solves the macro chains of the
-    points still iterating through one ChainBatch, built once.  A point's
-    result does not depend on the other points, and the converged point is
-    independent of FIXED_POINT_DAMPING (to the residual tolerance).
+    points still iterating through one ChainBatch, built once, which then
+    solves the converged macro chains too.  A point's result does not
+    depend on the other points, and the converged point is independent of
+    FIXED_POINT_DAMPING (to the residual tolerance).
     """
     points = [_TwoTierPoint(params) for params in sweep]
     batch = ChainBatch(point.macro_chain for point in points)
@@ -523,22 +516,22 @@ def solve_two_tier_sweep(sweep) -> list[TwoTierSolution]:
         step, [[0.0, 0.0, 0.0, 0.0] for _ in points], "two-tier",
         lambda i: f"n = {points[i].params.n}")
 
-    femto_chains, macro_chains = [], []
-    for point, (l_mm, l_mf, l_ff, l_fm) in zip(points, rates):
-        femto_chains.append(two_tier_femto_chain(point.params, point.lam_tf(l_mf, l_ff)))
-        macro_chains.append(_with_hand_rate(point.macro_chain,
-                                            point.lam_hm(l_mm, l_ff, l_fm)))
+    macro_rates = [(point.params.lambda_o_m, point.lam_hm(l_mm, l_ff, l_fm))
+                   for point, (l_mm, _, l_ff, l_fm) in zip(points, rates)]
+    macro_rows = batch.solve(range(len(points)), macro_rates)
+    femto_chains = [two_tier_femto_chain(point.params, point.lam_tf(l_mf, l_ff))
+                    for point, (_, l_mf, l_ff, _) in zip(points, rates)]
     # a layer of no femtocells has no femto chain to solve
     has_femto = [point.params.n > 0 for point in points]
-    chains = macro_chains + [c for c, f in zip(femto_chains, has_femto) if f]
-    rows = ChainBatch(chains).solve(range(len(chains)), [c.stream_rates for c in chains])
-    femto_rows = iter(rows[len(points):])
+    chains = [c for c, f in zip(femto_chains, has_femto) if f]
+    femto_rows = iter(ChainBatch(chains).solve(range(len(chains)),
+                                               [c.stream_rates for c in chains]))
     solutions = []
     for j, point in enumerate(points):
         femto_probs = next(femto_rows)[0].copy() if has_femto[j] else np.array([1.0])
         solutions.append(point.solution(
-            rates[j], iterations[j], residuals[j],
-            femto_chains[j], femto_probs, macro_chains[j], rows[j][0].copy()))
+            rates[j], iterations[j], residuals[j], femto_chains[j], femto_probs,
+            _with_stream_rates(point.macro_chain, macro_rates[j]), macro_rows[j][0].copy()))
     return solutions
 
 
@@ -572,8 +565,7 @@ class Ch6QueueParams:
             value = getattr(self, name)
             if not 0.0 <= value < math.inf:
                 raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
-        if self.guard_channels < 0:
-            raise ValueError(f"guard_channels must be >= 0, got {self.guard_channels!r}")
+        whole_counts(self, ("guard_channels",))
         share = sum(c.arrival_share for c in self.classes)
         if abs(share - 1.0) > 1e-9:
             raise ValueError(f"arrival shares must sum to 1, got {share}")
@@ -627,16 +619,6 @@ def _scheme_degradation(scheme: str, hand, new, zero):
     raise ValueError(f"unknown scheme {scheme!r}")
 
 
-def _scheme_classes(classes, scheme: str):
-    if scheme == "proposed":
-        return classes
-    out = []
-    for c in classes:
-        hand, new = _scheme_degradation(scheme, c.degrade_hand, c.degrade_new, 0.0)
-        out.append(replace(c, degrade_hand=hand, degrade_new=new))
-    return tuple(out)
-
-
 def mean_duration_at_full(classes) -> float:
     return sum(c.arrival_share * c.duration_s for c in classes)
 
@@ -679,7 +661,8 @@ class Ch6Cell:
     hard-qos and guard degrade no call, so for them S = L = 0.  mu_rates
     holds the per-call release rates of states 1..N+S, srv the total
     departure rate of states 0..N+S, occupancy the bandwidth occupied in
-    each state.  Both arrays are read-only, so solutions may share them.
+    each state.  Both arrays are read-only, so cells and solutions may
+    share them.
 
     The per-call policy, `admission.admit_ch6`, refuses calls at other
     states.  Walked along the chain's mean mix (class counts round(a_m * i),
@@ -716,11 +699,6 @@ class Ch6Cell:
         return LossChainSpec((lam_new, lam_hand), (self.new_limit, self.n + self.s),
                              self.srv, new_streams=(0,), hand_stream=1)
 
-    def solve_grid(self, lam_news) -> list[ChainSolution]:
-        """The cell at each new-call rate of lam_news, with the handover
-        rate at its fixed point: the one-cell case of solve_ch6_sweep."""
-        return solve_ch6_sweep((self,), lam_news)[0]
-
 
 def _read_only(values) -> np.ndarray:
     out = np.array(values, dtype=float)
@@ -731,42 +709,38 @@ def _read_only(values) -> np.ndarray:
 def ch6_cells(params: Ch6QueueParams, schemes) -> list[Ch6Cell]:
     """The cells of params under each of schemes; params.lam_new is not read.
 
-    The class fields are turned into exact rationals, and summed, once for
-    all schemes: a scheme only swaps which of the sums weighted by gamma_h,
-    by gamma_n or by 0 sets S and L.
-    state_release_rates reads of each class only its kind, request, gamma_h,
-    share and duration, never gamma_n, so schemes whose classes agree on
-    those share one release-rate pass (N and S follow from the same fields).
+    A scheme only swaps which of the class sums weighted by gamma_h, by
+    gamma_n or by 0 sets S and L, so the class fields become exact
+    rationals once for all schemes.  The release rates above N read gamma_h
+    but never gamma_n, and a scheme's S is either the one of the classes'
+    own gamma_h or 0, so one state_release_rates pass on the classes
+    themselves, at the widest S, serves every scheme: each cell's arrays
+    are read-only views of its first N+S rates and N+S+1 states.
     """
-    cells = []
-    passes = {}
     cap = _frac(params.capacity)
     mean_req, g_hand, g_new = _class_sums(params.classes)
+    dims = []
     for scheme in schemes:
-        classes = _scheme_classes(params.classes, scheme)
         n, s, ell = _dimensions(cap, mean_req,
                                 *_scheme_degradation(scheme, g_hand, g_new, Fraction(0)))
         guard = params.guard_channels if scheme == "guard" else 0
         if not 0 <= guard <= n:
             raise ValueError("guard channels outside [0, N]")
-        key = tuple((c.kind, c.requested_bw, c.degrade_hand, c.arrival_share,
-                     c.duration_s) for c in classes)
-        if key not in passes:
-            passes[key] = state_release_rates(classes, params.capacity, params.eta, n, s)
-        mu_rates, occupied = passes[key]
-        srv = tuple(i * mu_rates[i - 1] if i else 0.0 for i in range(n + s + 1))
-        mean_req = sum(c.arrival_share * c.requested_bw for c in classes)
-        occupancy = [min(i * mean_req, params.capacity) for i in range(n + 1)] + occupied
-        p_h = params.eta / (params.eta + 1.0 / mean_duration_at_full(classes))
-        cells.append(Ch6Cell(scheme, n, s, ell, n + ell - guard, p_h,
-                             _read_only(mu_rates), srv, _read_only(occupancy),
-                             params.capacity))
-    return cells
-
-
-def ch6_cell(params: Ch6QueueParams, scheme: str = "proposed") -> Ch6Cell:
-    """The cell of params under one scheme; params.lam_new is not read."""
-    return ch6_cells(params, (scheme,))[0]
+        dims.append((scheme, s, ell, n + ell - guard))
+    if not dims:
+        return []
+    # N = floor(C / mean request), the same under every scheme
+    mu_rates, occupied = state_release_rates(params.classes, params.capacity, params.eta,
+                                             n, max(s for _, s, _, _ in dims))
+    srv = tuple(i * mu_rates[i - 1] if i else 0.0 for i in range(len(mu_rates) + 1))
+    mean_bw = sum(c.arrival_share * c.requested_bw for c in params.classes)
+    occupancy = _read_only([min(i * mean_bw, params.capacity) for i in range(n + 1)]
+                           + occupied)
+    mu_rates = _read_only(mu_rates)
+    p_h = params.eta / (params.eta + 1.0 / mean_duration_at_full(params.classes))
+    return [Ch6Cell(scheme, n, s, ell, new_limit, p_h, mu_rates[:n + s], srv[:n + s + 1],
+                    occupancy[:n + s + 1], params.capacity)
+            for scheme, s, ell, new_limit in dims]
 
 
 def solve_ch6_sweep(cells, lam_news) -> list[list[ChainSolution]]:
@@ -824,7 +798,7 @@ def solve_ch6(params: Ch6QueueParams, scheme: str = "proposed") -> ChainSolution
     ch6_cells and solve them together with solve_ch6_sweep; this builds a
     new cell on every call.
     """
-    return solve_ch6_sweep((ch6_cell(params, scheme),), (params.lam_new,))[0][0]
+    return solve_ch6_sweep(ch6_cells(params, (scheme,)), (params.lam_new,))[0][0]
 
 
 # ---------------------------------------------------------------------------

@@ -341,6 +341,16 @@ def _first_come(placed: np.ndarray, block: np.ndarray, sep: float) -> np.ndarray
     return np.array(accepted[len(placed):], dtype=bool)
 
 
+def check_reference_fap(macro: MacroGeometry) -> None:
+    """Raise PlacementInfeasibleError unless the macro disc holds femtocell
+    0, which every placement of at least one FAP pins at
+    REFERENCE_FAP_DISTANCE from the BS."""
+    if macro.macro_radius_m < REFERENCE_FAP_DISTANCE:
+        raise PlacementInfeasibleError(
+            f"femtocell 0 sits {REFERENCE_FAP_DISTANCE} m from the BS, outside "
+            f"the {macro.macro_radius_m} m macro disc")
+
+
 def place_femtocells(
     seed: int,
     count: int,
@@ -368,10 +378,8 @@ def place_femtocells(
         raise ValueError(f"count must be a whole number >= 0, got {count!r}")
     count = int(count)
     macro = macro or MacroGeometry()
-    if count > 0 and macro.macro_radius_m < REFERENCE_FAP_DISTANCE:
-        raise PlacementInfeasibleError(
-            f"femtocell 0 sits {REFERENCE_FAP_DISTANCE} m from the BS, outside "
-            f"the {macro.macro_radius_m} m macro disc")
+    if count > 0:
+        check_reference_fap(macro)
 
     # packing bound: disc area over exclusion-disc area, with slack
     r, sep = macro.macro_radius_m, macro.min_separation_m

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -430,14 +430,25 @@ def state_release_rates(classes, capacity: float, eta: float,
     return rates, occupied
 
 
+def _scheme_classes(classes, scheme: str):
+    """The classes with each (gamma_h, gamma_n) as scheme sets it:
+    non-prioritized degrades new calls as far as handovers, aqos degrades
+    no new call, and hard-qos and guard degrade no call."""
+    if scheme == "proposed":
+        return classes
+    gammas = {"non-prioritized": lambda c: (c.degrade_hand, c.degrade_hand),
+              "aqos": lambda c: (c.degrade_hand, 0.0),
+              "hard-qos": lambda c: (0.0, 0.0), "guard": lambda c: (0.0, 0.0)}
+    if scheme not in gammas:
+        raise ValueError(f"unknown scheme {scheme!r}")
+    return tuple(replace(c, degrade_hand=hand, degrade_new=new)
+                 for c, (hand, new) in ((c, gammas[scheme](c)) for c in classes))
+
+
 def ch6_cell(params, scheme: str = "proposed"):
-    """The cell of params under one scheme; params.lam_new is not read."""
-    from femtonet.queueing import (
-        Ch6Cell,
-        _read_only,
-        _scheme_classes,
-        mean_duration_at_full,
-    )
+    """The cell of params under one scheme, each scheme with its own class
+    table and release-rate pass; params.lam_new is not read."""
+    from femtonet.queueing import Ch6Cell, _read_only, mean_duration_at_full
 
     classes = _scheme_classes(params.classes, scheme)
     n, s, ell = chain_dimensions(classes, params.capacity)
@@ -459,7 +470,7 @@ def ch6_cell(params, scheme: str = "proposed"):
 
 
 def spec_for_ch6(params, lam_hand, scheme="proposed"):
-    from femtonet.queueing import LossChainSpec, _scheme_classes
+    from femtonet.queueing import LossChainSpec
 
     classes = _scheme_classes(params.classes, scheme)
     n, s, ell = chain_dimensions(classes, params.capacity)
@@ -525,11 +536,7 @@ def ch6_chain(params, lam_hand: float,
     guard scheme; handovers below N+S.  hard-qos and guard degrade no call,
     so for them S = L = 0.
     """
-    from femtonet.queueing import (
-        LossChainSpec,
-        _scheme_classes,
-        mean_duration_at_full,
-    )
+    from femtonet.queueing import LossChainSpec, mean_duration_at_full
 
     classes = _scheme_classes(params.classes, scheme)
     n, s, ell = chain_dimensions(classes, params.capacity)
@@ -559,7 +566,6 @@ def solve_ch6(params, scheme: str = "proposed", damping: float = 0.5):
         MAX_ITERATIONS,
         ChainSolution,
         NonConvergenceError,
-        _with_hand_rate,
     )
 
     chain, cell = ch6_chain(params, 0.0, scheme)
@@ -569,7 +575,7 @@ def solve_ch6(params, scheme: str = "proposed", damping: float = 0.5):
     lam_h = p_h * lam_n  # starting guess
     residuals = []
     for iteration in range(1, MAX_ITERATIONS + 1):
-        _, (p_b, p_d) = loss_chain_probs(_with_hand_rate(chain, lam_h))
+        _, (p_b, p_d) = loss_chain_probs(replace(chain, stream_rates=(lam_n, lam_h)))
         new_h = p_h * (1.0 - p_b) * lam_n / (1.0 - p_h * (1.0 - p_d))
         residual = abs(new_h - lam_h)
         residuals.append(residual)
@@ -578,7 +584,7 @@ def solve_ch6(params, scheme: str = "proposed", damping: float = 0.5):
             break
     else:
         raise NonConvergenceError("ch6 fixed point did not converge", residuals)
-    probs, (p_b, p_d) = loss_chain_probs(_with_hand_rate(chain, lam_h))
+    probs, (p_b, p_d) = loss_chain_probs(replace(chain, stream_rates=(lam_n, lam_h)))
     utilization = float(np.dot(probs, occupancy)) / params.capacity
 
     return ChainSolution(
@@ -591,8 +597,6 @@ def solve_ch6(params, scheme: str = "proposed", damping: float = 0.5):
 def ch6_probs(params, lam_h, scheme="proposed"):
     """(probs, P_B, P_D) of the ch6 chain at handover rate lam_h, from the
     birth/death lists of each scheme."""
-    from femtonet.queueing import _scheme_classes
-
     def ch6_chain_probs(lam_new, lam_hand, mu_rates, n, s, ell):
         births = [lam_new + lam_hand] * (n + ell) + [lam_hand] * (s - ell)
         deaths = [(i + 1) * mu_rates[i] for i in range(n + s)]
@@ -675,7 +679,6 @@ def solve_two_tier(params):
         ChainSolution,
         NonConvergenceError,
         TwoTierSolution,
-        _with_hand_rate,
         channel_release_rates,
         erlang_b,
         handover_probabilities,
@@ -707,7 +710,7 @@ def solve_two_tier(params):
             p_bf = p_df = 0.0
 
         lam_hm = l_mm + l_fm + alpha * p_df * l_ff + (1.0 - alpha) * l_ff
-        macro_chain = _with_hand_rate(macro_chain, lam_hm)
+        macro_chain = replace(macro_chain, stream_rates=(lam_om, lam_hm))
         _, (p_bm, p_dm) = loss_chain_probs(macro_chain)
 
         num_m = (1.0 - p_bm) * (lam_om + lam_of * p_bf) + (1.0 - p_dm) * (
@@ -739,7 +742,7 @@ def solve_two_tier(params):
         femto_probs, _ = loss_chain_probs(two_tier_femto_chain(params, lam_tf))
     else:
         femto_probs = np.array([1.0])
-    macro_probs, _ = loss_chain_probs(_with_hand_rate(macro_chain, lam_hm))
+    macro_probs, _ = loss_chain_probs(replace(macro_chain, stream_rates=(lam_om, lam_hm)))
 
     femto_util = float(np.dot(np.arange(len(femto_probs)), femto_probs)) / max(k_f, 1)
     macro_occ = np.minimum(np.arange(len(macro_probs)), params.macro_base_states)

@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import _scheme_classes
+
 from femtonet.admission import (
     CellLoadState,
     FemtoCellState,
@@ -21,7 +23,7 @@ from femtonet.admission import (
     residual_fraction,
 )
 from femtonet.presets import table61_classes
-from femtonet.queueing import CH6_SCHEMES, _scheme_classes, ch6_cell
+from femtonet.queueing import CH6_SCHEMES, ch6_cells
 from femtonet.scenario import scenario_from_preset
 
 VOICE = TrafficClass(1, "rt", 25.0, arrival_share=0.35)
@@ -46,7 +48,7 @@ def test_traffic_class_validation():
         TrafficClass(2, "nrt", 56.0, degrade_new=0.7, degrade_hand=0.5)
 
 
-# shares of 1.5 and -0.5 sum to 1, and used to reach ch6_cell as (N, S, L) = (33, -1, 0)
+# shares of 1.5 and -0.5 sum to 1, and used to reach ch6_cells as (N, S, L) = (33, -1, 0)
 @pytest.mark.parametrize("share", [1.5, -0.5, float("nan")])
 def test_traffic_class_rejects_a_share_outside_unit_interval_by_name(share):
     with pytest.raises(ValueError, match="arrival_share"):
@@ -411,7 +413,7 @@ def test_per_call_cac_along_the_chain_mean_mix(scheme):
     and drops handovers from N + S; the per-call policy's first refusals
     are pinned next to them (see the Ch6Cell docstring)."""
     params = scenario_from_preset("table-6.1").ch6_params(1.3)
-    cell = ch6_cell(params, scheme)
+    (cell,) = ch6_cells(params, (scheme,))
     classes = _scheme_classes(params.classes, scheme)
     guard_bw = 0.0
     if scheme == "guard":

@@ -196,6 +196,9 @@ def test_validate_missing_file():
     ("topology.macro_radius_m = 0", "fig5-mobility"),
     ("topology.femto_radius_m = nan", "fig5-mobility"),
     ("topology.macro_radius_m = inf", "fig4-outage"),
+    # femtocell 0 sits at 200 m, outside a 150 m disc
+    ("topology.macro_radius_m = 150\nsweep.femto_counts = 100", "fig4-outage"),
+    ("topology.macro_radius_m = 150\nsweep.femto_counts = 100", "fig5-neighborlist"),
     # every swept count's coverage fraction is checked before any solve
     ("preset = table-5.1\nsweep.femto_counts = 20000", "fig5-mobility"),
 ])

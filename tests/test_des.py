@@ -30,8 +30,9 @@ from femtonet.queueing import (
     Ch6QueueParams,
     Ch7QueueParams,
     TwoTierParams,
-    ch6_cell,
+    ch6_cells,
     solve_ch6,
+    solve_ch6_sweep,
     solve_ch7,
     solve_two_tier,
 )
@@ -362,8 +363,9 @@ def _reference_chains():
     ch6 = Ch6QueueParams(lam_new=1.3, capacity=6000.0, classes=TABLE61,
                          eta=1 / 240.0, guard_channels=5)
     for scheme in CH6_SCHEMES:
-        cell = ch6_cell(ch6, scheme)
-        chains[f"ch6-{scheme}"] = cell.chain(1.3, cell.solve_grid([1.3])[0].handover_rate)
+        (cell,) = ch6_cells(ch6, (scheme,))
+        ((sol,),) = solve_ch6_sweep((cell,), [1.3])
+        chains[f"ch6-{scheme}"] = cell.chain(1.3, sol.handover_rate)
     chains["ch7"] = spec_for_ch7(Ch7QueueParams(
         sessions=12, n_states=40, s_states=8, l_states=4, lam_new_voice=1.5,
         lam_new_unicast=0.3, lam_new_background=1.2, lam_hand=0.9, mu=1 / 120.0))

@@ -1,8 +1,8 @@
 """Every name that a femtonet module or a test module imports is used in
 that module, every private name that a femtonet module defines at module
 level is used in that module, a femtonet module imports only at its top
-level, and every public function and class of femtonet has a caller
-outside the tests."""
+level, and every public function and class of femtonet, and every public
+method and property of such a class, has a caller outside the tests."""
 
 import ast
 import pathlib
@@ -100,6 +100,17 @@ def _public_api(path) -> dict[str, int]:
             and not node.name.startswith("_")}
 
 
+def _public_methods(path) -> dict[str, int]:
+    """Public methods and properties of the module-level public classes, by
+    `Class.name`, with their line."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return {f"{cls.name}.{node.name}": node.lineno for cls in tree.body
+            if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_")
+            for node in cls.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not node.name.startswith("_")}
+
+
 def _named(source: str) -> set[str]:
     """Every identifier that Python source names: as a variable, an
     attribute, an imported name, or a string (perfbench looks its traced
@@ -117,12 +128,14 @@ def _named(source: str) -> set[str]:
     return names
 
 
-def _uncalled_api(paths, sources) -> list[tuple[str, int, str]]:
-    """(module, line, name) of each public function and class of `paths`
-    that no source names."""
+def _uncalled_api(paths, sources, api=_public_api) -> list[tuple[str, int, str]]:
+    """(module, line, name) of each name of `paths` that `api` lists (the
+    public functions and classes, by default) and no source names; a
+    method counts as named when its own name is."""
     named = set().union(*map(_named, sources))
     return [(path.name, line, name) for path in paths
-            for name, line in sorted(_public_api(path).items()) if name not in named]
+            for name, line in sorted(api(path).items())
+            if name.rpartition(".")[2] not in named]
 
 
 def _library_example() -> str:
@@ -146,15 +159,24 @@ TEST_ONLY_API = {
 }
 
 
+def _api_users() -> list[str]:
+    """The sources whose names count as callers: femtonet, perfbench,
+    benchmarks and the README library example."""
+    return [*(path.read_text(encoding="utf-8")
+              for path in SRC_MODULES + sorted((REPO / "perfbench").glob("*.py"))
+              + sorted((REPO / "benchmarks").glob("*.py"))), _library_example()]
+
+
 def test_every_public_function_and_class_has_a_caller():
     """Outside the listed test-only entry points, which must stay uncalled
     so that the list does not go stale."""
-    users = [path.read_text(encoding="utf-8")
-             for path in SRC_MODULES + sorted((REPO / "perfbench").glob("*.py"))
-             + sorted((REPO / "benchmarks").glob("*.py"))]
-    uncalled = _uncalled_api(SRC_MODULES, [*users, _library_example()])
+    uncalled = _uncalled_api(SRC_MODULES, _api_users())
     assert {(module, name) for module, _, name in uncalled} == \
         {(module, name) for module, names in TEST_ONLY_API.items() for name in names}
+
+
+def test_every_public_method_and_property_has_a_caller():
+    assert _uncalled_api(SRC_MODULES, _api_users(), _public_methods) == []
 
 
 def test_an_uncalled_public_function_is_found(tmp_path):
@@ -165,3 +187,14 @@ def test_an_uncalled_public_function_is_found(tmp_path):
     users = ["import mod\nfrom mod import Imported\nmod.by_attribute()\n",
              "TRACED = ('by_name',)\n"]
     assert _uncalled_api([path], users) == [("mod.py", 17, "Uncalled"), ("mod.py", 13, "uncalled")]
+
+
+def test_an_uncalled_public_method_is_found(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text("class Cell:\n    def __init__(self):\n        pass\n\n"
+                    "    def solve(self):\n        pass\n\n    @property\n"
+                    "    def load(self):\n        pass\n\n    def solve_grid(self):\n"
+                    "        pass\n\n    def _helper(self):\n        pass\n\n\n"
+                    "class _Private:\n    def uncalled(self):\n        pass\n")
+    users = ["from mod import Cell\nCell().solve()\nprint(Cell().load)\n"]
+    assert _uncalled_api([path], users, _public_methods) == [("mod.py", 12, "Cell.solve_grid")]

@@ -21,9 +21,8 @@ from femtonet.queueing import (
     Ch6Cell,
     Ch7QueueParams,
     LossChainSpec,
-    _with_hand_rate,
+    _with_stream_rates,
     birth_death_probs,
-    ch6_cell,
     ch6_cells,
     chain_dimensions,
     loss_chain_probs,
@@ -58,8 +57,8 @@ def test_ch6_chain_equals_old_spec_and_birth_lists(scheme, lam):
        lam=st.floats(min_value=0.05, max_value=3.0))
 def test_ch6_cell_equals_the_chain_it_split(scheme, lam):
     params = Scenario({}).ch6_params(lam_new=lam)
-    cell = ch6_cell(replace(params, lam_new=1.0), scheme)  # built at another rate
-    (sol,) = cell.solve_grid([lam])
+    (cell,) = ch6_cells(replace(params, lam_new=1.0), (scheme,))  # built at another rate
+    ((sol,),) = solve_ch6_sweep((cell,), [lam])
     old = oracles.solve_ch6(params, scheme)
     for name in ("p_block", "p_drop", "utilization", "handover_rate", "residual"):
         assert getattr(sol, name).hex() == getattr(old, name).hex(), name
@@ -167,8 +166,8 @@ def _assert_ch6_equal(sol, params, scheme, lam):
 def test_ch6_grid_equals_each_rate_solved_alone(scheme, grid):
     """Every rate of a grid solve equals the reference solver at that rate
     alone, to the last bit, and owns its probabilities."""
-    cell = ch6_cell(Scenario({}).ch6_params(lam_new=1.0), scheme)
-    solved = cell.solve_grid(grid)
+    cells = ch6_cells(Scenario({}).ch6_params(lam_new=1.0), (scheme,))
+    (solved,) = solve_ch6_sweep(cells, grid)
     assert len(solved) == len(grid)
     for lam, sol in zip(grid, solved, strict=True):
         _assert_ch6_equal(sol, Scenario({}).ch6_params(lam_new=lam), scheme, lam)
@@ -180,9 +179,9 @@ def test_a_grid_whose_rates_converge_at_different_iterations(scheme):
     """lam_new = 0 converges at the first iteration and stops there, while
     the other rates iterate on; each still equals its lone solve."""
     grid = [0.0, 0.4, 2.0, 0.0]
-    cell = ch6_cell(Scenario({}).ch6_params(lam_new=1.0), scheme)
+    cells = ch6_cells(Scenario({}).ch6_params(lam_new=1.0), (scheme,))
     iterations = [_assert_ch6_equal(sol, Scenario({}).ch6_params(lam_new=lam), scheme, lam)
-                  for lam, sol in zip(grid, cell.solve_grid(grid), strict=True)]
+                  for lam, sol in zip(grid, solve_ch6_sweep(cells, grid)[0], strict=True)]
     assert iterations[0] == iterations[3] == 1
     assert min(iterations[1:3]) > 1 and iterations[1] != iterations[2]
 
@@ -205,7 +204,8 @@ def test_a_multi_cell_sweep_equals_each_point_solved_alone(chosen, grid):
     """Every (cell, rate) point of one sweep over several schemes' cells
     equals the reference solver at that point alone, to the last bit,
     whatever the other cells and their state counts are."""
-    cells = [ch6_cell(*_SWEEP_CELLS[k]) for k in chosen]
+    cells = [ch6_cells(params, (scheme,))[0]
+             for params, scheme in (_SWEEP_CELLS[k] for k in chosen)]
     solved = solve_ch6_sweep(cells, grid)
     assert len(solved) == len(cells)
     for k, cell, sols in zip(chosen, cells, solved, strict=True):
@@ -311,14 +311,14 @@ def test_stream_limited_at_or_below_the_floor_is_always_rejected():
 @pytest.mark.parametrize("lam_h", [0.0, 0.4, 7.5])
 def test_new_hand_rate_gives_the_spec_a_full_build_gives(lam_h):
     spec = LossChainSpec((0.5, 0.2), (3, 5), (0.0, 1.0, 2.0, 3.0, 3.5, 4.0), hand_stream=1)
-    assert _with_hand_rate(spec, lam_h) == replace(spec, stream_rates=(0.5, lam_h))
+    assert _with_stream_rates(spec, (0.5, lam_h)) == replace(spec, stream_rates=(0.5, lam_h))
 
 
 @pytest.mark.parametrize("lam_h", [-0.01, math.nan, math.inf])
 def test_bad_new_hand_rate_is_rejected(lam_h):
     spec = LossChainSpec((0.5, 0.2), (3, 5), (0.0, 1.0, 2.0, 3.0, 3.5, 4.0), hand_stream=1)
     with pytest.raises(ValueError, match="finite and >= 0"):
-        _with_hand_rate(spec, lam_h)
+        _with_stream_rates(spec, (0.5, lam_h))
 
 
 def _outcome(fn, *args):
@@ -410,22 +410,30 @@ def test_chain_dimensions_equal_the_reference(table):
        eta=st.integers(0, 500).map(lambda k: k / 10_000),
        guard=st.integers(0, 120),
        durations=st.lists(st.sampled_from([60.0, 120.0, 300.0]), min_size=7, max_size=7),
-       shift=st.integers(0, 2))
-def test_shared_cells_equal_the_reference_cells(capacity, eta, guard, durations, shift):
-    """Every scheme's cell from one ch6_cells call equals the cell the
-    reference builds alone, field by field; the classes' durations and
-    new-call degradation vary, so schemes share a release-rate pass only
-    where its inputs agree."""
+       shift=st.integers(0, 2),
+       schemes=st.permutations(CH6_SCHEMES).flatmap(
+           lambda order: st.integers(1, len(order)).map(lambda k: tuple(order[:k]))))
+# hard-qos alone (the widest S is 0), and guard before proposed
+@example(capacity=6000.0, eta=0.0042, guard=5, durations=[120.0] * 7, shift=0,
+         schemes=("hard-qos",))
+@example(capacity=6000.0, eta=0.0042, guard=5, durations=[60.0, 300.0] * 3 + [120.0],
+         shift=1, schemes=("guard", "aqos", "proposed"))
+def test_shared_cells_equal_the_reference_cells(capacity, eta, guard, durations, shift,
+                                                schemes):
+    """Every cell from one ch6_cells call, for any schemes in any order,
+    equals the cell the reference builds alone, field by field, though one
+    release-rate pass serves them all; the classes' durations and new-call
+    degradation vary."""
     base = Scenario({}).ch6_params(lam_new=1.0)
     classes = tuple(replace(c, duration_s=t, degrade_new=max(c.degrade_new - shift / 10, 0.0))
                     for c, t in zip(base.classes, durations))
     params = replace(base, capacity=capacity, eta=eta, guard_channels=guard, classes=classes)
-    want = [_outcome(oracles.ch6_cell, params, scheme) for scheme in CH6_SCHEMES]
+    want = [_outcome(oracles.ch6_cell, params, scheme) for scheme in schemes]
     errors = [w for w in want if isinstance(w, str)]
     if errors:
-        assert _outcome(ch6_cells, params, CH6_SCHEMES) == errors[0]
+        assert _outcome(ch6_cells, params, schemes) == errors[0]
         return
-    for got, ref in zip(ch6_cells(params, CH6_SCHEMES), want, strict=True):
+    for got, ref in zip(ch6_cells(params, schemes), want, strict=True):
         for f in fields(Ch6Cell):
             a, b = getattr(got, f.name), getattr(ref, f.name)
             if isinstance(b, np.ndarray):
@@ -440,11 +448,12 @@ def test_a_zero_death_rate_constructs_but_has_no_stationary_distribution():
     with pytest.raises(ValueError, match="^death rates must be positive$"):
         loss_chain_probs(spec)
     with pytest.raises(ValueError, match="^death rates must be positive$"):
-        loss_chain_probs(_with_hand_rate(spec, 0.5))
+        loss_chain_probs(_with_stream_rates(spec, (0.5,)))
 
 
 @pytest.mark.parametrize("solve", [
-    lambda: ch6_cell(Scenario({}).ch6_params(lam_new=1.3)).solve_grid([1.3]),
+    lambda: solve_ch6_sweep(ch6_cells(Scenario({}).ch6_params(lam_new=1.3), ("proposed",)),
+                            [1.3]),
     lambda: solve_two_tier(scenario_from_preset("table-5.1").two_tier_params(n=400, lam_total=8.0)),
 ], ids=["ch6", "two-tier"])
 def test_a_nan_handover_rate_raises_at_a_later_iteration(solve, monkeypatch):

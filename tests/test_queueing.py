@@ -19,7 +19,6 @@ from femtonet.queueing import (
     TwoTierParams,
     birth_death_probs,
     chain_dimensions,
-    ch6_cell,
     ch6_cells,
     channel_release_rates,
     erlang_b,
@@ -410,18 +409,18 @@ def test_ch6_rejects_bad_arrival_rate_when_the_chain_is_built(lam_new, scheme):
     with pytest.raises(ValueError, match="finite and >= 0"):
         Ch6QueueParams(lam_new=lam_new, capacity=6000.0, classes=TABLE61,
                        eta=1 / 240.0, guard_channels=5)
-    cell = ch6_cell(Ch6QueueParams(lam_new=1.0, capacity=6000.0, classes=TABLE61,
-                                   eta=1 / 240.0, guard_channels=5), scheme)
+    cells = ch6_cells(Ch6QueueParams(lam_new=1.0, capacity=6000.0, classes=TABLE61,
+                                     eta=1 / 240.0, guard_channels=5), (scheme,))
     with pytest.raises(ValueError, match="finite and >= 0"):
-        cell.solve_grid([lam_new])
+        solve_ch6_sweep(cells, [lam_new])
 
 
 @pytest.mark.parametrize("lam_new", [-0.5, math.nan, math.inf])
 def test_ch6_cell_solve_names_a_bad_arrival_rate(lam_new):
-    cell = ch6_cell(Ch6QueueParams(lam_new=1.0, capacity=6000.0, classes=TABLE61,
-                                   eta=1 / 240.0, guard_channels=5), "guard")
+    cells = ch6_cells(Ch6QueueParams(lam_new=1.0, capacity=6000.0, classes=TABLE61,
+                                     eta=1 / 240.0, guard_channels=5), ("guard",))
     with pytest.raises(ValueError, match=r"lam_new must be finite and >= 0, got"):
-        cell.solve_grid([lam_new])
+        solve_ch6_sweep(cells, [lam_new])
 
 
 @pytest.mark.parametrize("kw, message", [
@@ -429,6 +428,8 @@ def test_ch6_cell_solve_names_a_bad_arrival_rate(lam_new):
     (dict(capacity=math.nan), "capacity"), (dict(capacity=math.inf), "capacity"),
     (dict(eta=-1e-3), "eta"), (dict(eta=math.nan), "eta"), (dict(eta=math.inf), "eta"),
     (dict(lam_new=math.inf), "lam_new"), (dict(guard_channels=-1), "guard_channels"),
+    (dict(guard_channels=2.5), "guard_channels"), (dict(guard_channels=math.nan), "guard_channels"),
+    (dict(guard_channels=math.inf), "guard_channels"),
 ])
 def test_ch6_params_reject_bad_fields(kw, message):
     fields = dict(lam_new=1.0, capacity=6000.0, classes=TABLE61, eta=1 / 240.0)
@@ -436,13 +437,24 @@ def test_ch6_params_reject_bad_fields(kw, message):
         Ch6QueueParams(**{**fields, **kw})
 
 
+def test_a_whole_float_guard_count_is_stored_and_solved_as_an_int():
+    params = Ch6QueueParams(lam_new=1.2, capacity=6000.0, classes=TABLE61, eta=1 / 240.0,
+                            guard_channels=5.0)
+    assert type(params.guard_channels) is int and params.guard_channels == 5
+    got = solve_ch6(params, "guard")
+    want = solve_ch6(replace(params, guard_channels=5), "guard")
+    assert got.probs.tobytes() == want.probs.tobytes()
+    assert (got.p_block, got.p_drop, got.handover_rate) == (want.p_block, want.p_drop,
+                                                            want.handover_rate)
+
+
 def test_ch6_cell_arrays_are_read_only_and_not_shared():
     params = Ch6QueueParams(lam_new=1.2, capacity=6000.0, classes=TABLE61, eta=1 / 240.0)
-    cell = ch6_cell(params, "proposed")
+    (cell,) = ch6_cells(params, ("proposed",))
     assert not cell.mu_rates.flags.writeable and not cell.occupancy.flags.writeable
     with pytest.raises(ValueError):
         cell.mu_rates[0] = 0.0
-    a, b = cell.solve_grid([1.2, 1.2])
+    ((a, b),) = solve_ch6_sweep((cell,), [1.2, 1.2])
     assert not np.shares_memory(a.probs, b.probs)
     for key, value in a.extra.items():
         if isinstance(value, np.ndarray) and np.shares_memory(value, b.extra[key]):
@@ -462,9 +474,9 @@ def test_fig6_cac_builds_one_cell_per_scheme(monkeypatch):
     monkeypatch.setattr(queueing, "state_release_rates",
                         counted("state_release_rates", queueing.state_release_rates))
     experiments.run_experiment("fig6-cac")
-    # proposed, non-prioritized and aqos share one pass over the S = 54
-    # adaptive states; hard-qos and guard share one with S = 0
-    assert counts == {"rebalance": 54, "state_release_rates": 2}
+    # one pass over the S = 54 adaptive states of proposed, non-prioritized
+    # and aqos serves hard-qos and guard (S = 0) too
+    assert counts == {"rebalance": 54, "state_release_rates": 1}
 
 
 def _count_product_form_passes(monkeypatch, name):
@@ -682,11 +694,11 @@ def test_sweeps_raise_after_max_iterations(monkeypatch):
 
 @pytest.mark.parametrize("bad", [-0.5, math.nan, math.inf])
 def test_a_grid_names_a_bad_rate_before_iterating(bad, monkeypatch):
-    cell = ch6_cell(Ch6QueueParams(lam_new=1.0, capacity=6000.0, classes=TABLE61,
-                                   eta=1 / 240.0, guard_channels=5), "guard")
+    cells = ch6_cells(Ch6QueueParams(lam_new=1.0, capacity=6000.0, classes=TABLE61,
+                                     eta=1 / 240.0, guard_channels=5), ("guard",))
     calls = []
     monkeypatch.setattr(queueing.ChainBatch, "solve",
                         lambda batch, points, rates: calls.append(points))
     with pytest.raises(ValueError, match=f"^lam_new must be finite and >= 0, got {bad!r}$"):
-        cell.solve_grid([0.4, 1.0, bad, 1.6])
+        solve_ch6_sweep(cells, [0.4, 1.0, bad, 1.6])
     assert calls == []
