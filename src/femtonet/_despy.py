@@ -1,8 +1,8 @@
 """Pure-Python discrete-event kernel for birth-death loss chains.
 
 The twin of the compiled loop in _lossloop.c: both draw the same splitmix64
-stream (Steele, Lea & Flood, OOPSLA 2014) and do the same float operations
-on the same operands in the same order, so both backends return
+stream (Steele, Lea & Flood, OOPSLA 2014) and take the same decisions from
+the same float operations in the same order, so both backends return
 bit-identical results and the compiled kernel is a drop-in speedup.  This
 twin draws the stream ahead in numpy blocks.  Every event consumes exactly
 two outputs, whatever the chain state, so the k-th output after `state` is
@@ -11,14 +11,25 @@ a pure function of k: the splitmix64 mix of (state + k * GAMMA) mod 2**64.
 Each block then takes two passes.  The first, in Python, follows only the
 chain state: it records the state at each event, tests whether the event
 is an arrival, and picks the stream only at states where the stream limits
-disagree on the move.  The second, in numpy, computes the time steps, the
-clocks and the per-stream counts from the recorded path.
+disagree on the move.  Its arrival test is `v < thr[i]`, where thr[i] is
+the least double t with t * rate_i not below the total arrival rate
+(arrival_threshold): float rounding is monotone, so it holds exactly when
+the C loop's `v * rate_i < lam_total` does.  The second pass, in numpy,
+computes the time steps, the clocks and the per-stream counts from the
+recorded path.
+
+run_replications runs every replication of one estimate in one call: the
+chain is checked and its tables built once, and each replication walks its
+uncounted warm-up and its counted run in one pass over its stream.
+Warm-up events take pass 1 only, with no path and no clocks.
+run_loss_chain is the one-run entry, on the same walker.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+import struct
 from bisect import bisect_right
 
 import numpy as np
@@ -88,6 +99,167 @@ def _uniforms(state: int, n_events: int) -> np.ndarray:
     return u
 
 
+def check_replications(seeds, warmups, counts) -> tuple[list, list, list]:
+    """The RNG seeds (mod 2**64), warm-up and counted arrival counts of
+    run_replications as int lists, one entry per replication."""
+    if not len(seeds) == len(warmups) == len(counts):
+        raise ValueError("need one seed, warm-up and call count per replication")
+    return ([int(s) & _MASK for s in seeds], [check_arrivals(n) for n in warmups],
+            [check_arrivals(n) for n in counts])
+
+
+def arrival_threshold(lam_total: float, rate: float) -> float:
+    """The least double t for which t * rate < lam_total fails, given
+    0 < lam_total <= rate.
+
+    For any v, v < t then holds exactly when v * rate < lam_total: float
+    multiplication by rate is monotone in v.  lam_total / rate lies within
+    a few ulps of t, so a few nextafter steps find it, except when
+    lam_total is subnormal: its products round so coarsely that t can lie
+    up to 2**51 ulps away, and a bisection over the bit patterns of the
+    doubles >= 0 (which order as their values do) finds it instead.  An
+    infinite rate (lam_total + srv overflowing) gives 0.0: 0.0 * inf is
+    NaN, and no draw is an arrival."""
+    t = lam_total / rate
+    up = t * rate < lam_total  # the threshold lies above t
+    toward = math.inf if up else -math.inf
+    for _ in range(4):
+        step = math.nextafter(t, toward)
+        if (step * rate < lam_total) != up:
+            return step if up else t
+        t = step
+    # bisect between a draw that is an arrival (lo) and one that is not
+    # (hi); a draw of 0.0 is one, as rate is finite here
+    if up:
+        above = 2.0 * t + math.ulp(0.0)
+        while above * rate < lam_total:
+            above *= 2.0
+        lo, hi = _bits(t), _bits(above)
+    else:
+        lo, hi = 0, _bits(t)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _double(mid) * rate < lam_total:
+            lo = mid
+        else:
+            hi = mid
+    return _double(hi)
+
+
+def _bits(x: float) -> int:
+    return struct.unpack("<q", struct.pack("<d", x))[0]
+
+
+def _double(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<q", bits))[0]
+
+
+class _Tables:
+    """A chain's per-state and per-stream tables, built once per entry call.
+
+    cum_rates are the running sums by which an arrival picks its stream;
+    the last is the total arrival rate lam_total.  Below every limit an
+    arrival is admitted and at or above all it is rejected, so only in
+    between does the picked stream decide the move.  The Python pass
+    indexes the lists, the numpy pass the arrays."""
+
+    def __init__(self, stream_rates, stream_limits, srv_rates, min_state: int):
+        self.cum_rates = []
+        lam_total = 0.0
+        for r in stream_rates:
+            lam_total += float(r)
+            self.cum_rates.append(lam_total)
+        self.lam_total = lam_total
+        self.min_state = min_state
+        self.n_streams, self.n_states = len(stream_rates), len(srv_rates)
+        if lam_total <= 0.0:
+            return  # no event is ever drawn
+        self.limits = [int(x) for x in stream_limits]
+        self.admit_all, self.reject_all = min(self.limits), max(self.limits)
+        self.event_rates = [lam_total + float(s) for s in srv_rates]
+        self.thr = [arrival_threshold(lam_total, rate) for rate in self.event_rates]
+        self.rate_of = np.array(self.event_rates)
+        self.cum_of = np.array(self.cum_rates)
+        self.limit_of = np.array(self.limits)
+
+
+def _walk(c: _Tables, state: int, i: int, warm: int, remaining: int,
+          time_in_state, seen, rejected) -> tuple[float, int, int]:
+    """Run `warm` uncounted arrivals and then `remaining` counted ones from
+    RNG state `state` and chain state i, with c.lam_total > 0.  The counted
+    events add their time steps to time_in_state and their arrivals and
+    rejections per stream to seen and rejected, in place.  Returns (elapsed
+    time of the counted events, final chain state, final RNG state)."""
+    thr, event_rates = c.thr, c.event_rates
+    cum_rates, limits, min_state = c.cum_rates, c.limits, c.min_state
+    admit_all, reject_all = c.admit_all, c.reject_all
+    elapsed = 0.0
+    while warm or remaining:
+        # a chain in balance takes about two events per arrival
+        n_events = min(2 * (warm + remaining) + 64, _BLOCK_EVENTS)
+        u = _uniforms(state, n_events)
+        picks = iter(u[1::2].tolist())
+        # warm-up: pass 1 only, until the last uncounted arrival
+        if warm:
+            for v in picks:
+                if v < thr[i]:
+                    if i < admit_all:
+                        i += 1
+                    elif i < reject_all and i < limits[bisect_right(cum_rates, v * event_rates[i])]:
+                        i += 1
+                    warm -= 1
+                    if not warm:
+                        break
+                elif i > min_state:
+                    i -= 1
+        if not warm and remaining:
+            # pass 1: the chain state at each counted event, in Python
+            first = n_events - operator.length_hint(picks)
+            path = []
+            append = path.append
+            for v in picks:
+                append(i)
+                if v < thr[i]:
+                    if i < admit_all:
+                        i += 1
+                    elif i < reject_all and i < limits[bisect_right(cum_rates, v * event_rates[i])]:
+                        i += 1
+                    remaining -= 1
+                    if not remaining:
+                        break
+                elif i > min_state:
+                    i -= 1
+            if path:
+                elapsed = _clocks(c, u[2 * first:2 * (first + len(path))], path, elapsed,
+                                  time_in_state, seen, rejected)
+        state = (state + 2 * (n_events - operator.length_hint(picks)) * _GAMMA) & _MASK
+    return elapsed, i, state
+
+
+def _clocks(c: _Tables, u, path, elapsed: float, time_in_state, seen, rejected) -> float:
+    """Pass 2: the time steps, clocks and counts of the events of `path`,
+    whose draws are u, in numpy, with the C loop's float operations in its
+    order.  Returns the clock after them.  The log is math.log, element by
+    element: np.log differs from libm's in the last bit on some inputs.
+    np.add.at and np.add.accumulate add in event order."""
+    used = len(path)
+    at = np.fromiter(path, np.intp, used)
+    rates = c.rate_of[at]
+    steps = np.empty(used + 1)  # the clock so far, then each time step
+    steps[0] = elapsed
+    logs = np.fromiter(map(math.log, (1.0 - u[0::2]).tolist()), np.float64, used)
+    np.divide(np.negative(logs, out=logs), rates, out=steps[1:])
+    np.add.at(time_in_state, at, steps[1:])
+    picks = u[1::2] * rates
+    arrived = picks < c.lam_total
+    # each arrival's stream, as bisect_right finds it, and whether the
+    # chain stood at or above that stream's limit
+    k = c.cum_of.searchsorted(picks[arrived], side="right")
+    seen += np.bincount(k, minlength=c.n_streams)
+    rejected += np.bincount(k[at[arrived] >= c.limit_of[k]], minlength=c.n_streams)
+    return float(np.add.accumulate(steps)[-1])
+
+
 def run_loss_chain(
     seed: int,
     target_arrivals: int,
@@ -107,77 +279,43 @@ def run_loss_chain(
     """
     check_loss_chain(stream_rates, stream_limits, srv_rates, start_state, min_state)
     remaining = check_arrivals(target_arrivals)
-    n_streams = len(stream_rates)
-    # the running sums by which an arrival picks its stream; the last is
-    # the total arrival rate
-    cum_rates = []
-    lam_total = 0.0
-    for r in stream_rates:
-        lam_total += float(r)
-        cum_rates.append(lam_total)
-    if lam_total <= 0.0 or remaining <= 0:
-        return ([0] * n_streams, [0] * n_streams, [0.0] * len(srv_rates), 0.0,
+    c = _Tables(stream_rates, stream_limits, srv_rates, min_state)
+    if c.lam_total <= 0.0 or remaining <= 0:
+        return ([0] * c.n_streams, [0] * c.n_streams, [0.0] * c.n_states, 0.0,
                 start_state, seed & _MASK)
+    time_in_state = np.zeros(c.n_states)
+    seen = np.zeros(c.n_streams, dtype=np.int64)
+    rejected = np.zeros(c.n_streams, dtype=np.int64)
+    elapsed, i, state = _walk(c, seed & _MASK, start_state, 0, remaining,
+                              time_in_state, seen, rejected)
+    return (seen.tolist(), rejected.tolist(), time_in_state.tolist(), elapsed, i, state)
 
-    limits = [int(x) for x in stream_limits]
-    # below every limit an arrival is admitted, at or above all it is
-    # rejected; only in between does the picked stream decide
-    admit_all, reject_all = min(limits), max(limits)
-    event_rates = [lam_total + float(s) for s in srv_rates]
-    # the Python pass indexes the lists, the numpy pass these arrays
-    rate_of = np.array(event_rates)
-    cum_of = np.array(cum_rates)
-    limit_of = np.array(limits)
-    time_in_state = np.zeros(len(event_rates))
-    seen = np.zeros(n_streams, dtype=np.int64)
-    rejected = np.zeros(n_streams, dtype=np.int64)
-    state = seed & _MASK
-    i = start_state
-    elapsed = 0.0
 
-    while remaining:
-        # a chain in balance takes about two events per arrival
-        n_events = min(2 * remaining + 64, _BLOCK_EVENTS)
-        u = _uniforms(state, n_events)
-        # pass 1: the chain state at each event, in Python
-        path = []
-        append = path.append
-        for v in u[1::2].tolist():
-            append(i)
-            rate = event_rates[i]
-            if v * rate < lam_total:
-                if i < admit_all:
-                    i += 1
-                elif i < reject_all and i < limits[bisect_right(cum_rates, v * rate)]:
-                    i += 1
-                remaining -= 1
-                if not remaining:
-                    break
-            elif i > min_state:
-                i -= 1
-        used = len(path)
-        state = (state + 2 * used * _GAMMA) & _MASK
+def run_replications(seeds, warmups, counts, stream_rates, stream_limits, srv_rates,
+                     min_state: int = 0):
+    """Every replication of one estimate in one call.
 
-        # pass 2: clocks and counts from the path, in numpy, with the same
-        # float operations in the same order.  The log is math.log, element
-        # by element: np.log differs from libm's in the last bit on some
-        # inputs.  np.add.at and np.add.accumulate add in event order.
-        at = np.fromiter(path, np.intp, used)
-        rates = rate_of[at]
-        steps = np.empty(used + 1)  # the clock so far, then each time step
-        steps[0] = elapsed
-        logs = np.fromiter(map(math.log, (1.0 - u[0:2 * used:2]).tolist()),
-                           np.float64, used)
-        np.divide(np.negative(logs, out=logs), rates, out=steps[1:])
-        np.add.at(time_in_state, at, steps[1:])
-        elapsed = float(np.add.accumulate(steps)[-1])
-        picks = u[1:2 * used:2] * rates
-        arrived = picks < lam_total
-        # each arrival's stream, as bisect_right finds it, and whether the
-        # chain stood at or above that stream's limit
-        k = cum_of.searchsorted(picks[arrived], side="right")
-        seen += np.bincount(k, minlength=n_streams)
-        rejected += np.bincount(k[at[arrived] >= limit_of[k]], minlength=n_streams)
-
-    return (seen.tolist(), rejected.tolist(), time_in_state.tolist(), elapsed, i,
-            state)
+    Replication r starts at min_state from RNG state seeds[r], runs
+    warmups[r] uncounted arrivals and then counts[r] counted ones: the same
+    stream and result as a run_loss_chain warm-up resumed by a counted
+    run_loss_chain.  Returns (seen, rejected), (replications x streams)
+    int64 arrays of the counted arrivals and rejections, and the
+    time_in_state array and elapsed time of the counted events, each
+    replication's own sums added up in replication order."""
+    check_loss_chain(stream_rates, stream_limits, srv_rates, min_state, min_state)
+    seeds, warmups, counts = check_replications(seeds, warmups, counts)
+    c = _Tables(stream_rates, stream_limits, srv_rates, min_state)
+    seen = np.zeros((len(seeds), c.n_streams), dtype=np.int64)
+    rejected = np.zeros((len(seeds), c.n_streams), dtype=np.int64)
+    tis_tot = np.zeros(c.n_states)
+    elapsed_tot = 0.0
+    if c.lam_total <= 0.0:
+        return seen, rejected, tis_tot, elapsed_tot
+    for r, (seed, warm, calls) in enumerate(zip(seeds, warmups, counts)):
+        if calls > 0:
+            tis = np.zeros(c.n_states)
+            elapsed, _, _ = _walk(c, seed, min_state, max(warm, 0), calls,
+                                  tis, seen[r], rejected[r])
+            tis_tot += tis
+            elapsed_tot += elapsed
+    return seen, rejected, tis_tot, elapsed_tot

@@ -3,7 +3,8 @@
 The hot event loop is the C function in _lossloop.c, called through ctypes
 when `python setup.py build_ext --inplace` (or an install) has built it; the
 pure-Python twin in _despy, which draws the identical random stream in numpy
-blocks, runs otherwise.
+blocks, runs otherwise.  simulate_des makes one kernel call per estimate:
+run_replications runs every replication, its warm-up included.
 """
 
 from __future__ import annotations
@@ -28,16 +29,28 @@ from .queueing import (
 
 
 def load_compiled(path: str) -> SimpleNamespace:
-    """Bind the event loop of the shared library built from _lossloop.c.
+    """Bind the event loops of the shared library built from _lossloop.c.
 
-    The result's run_loss_chain has _despy.run_loss_chain's signature,
-    validation and return tuple."""
-    f64 = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
-    i64 = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
-    loop = ctypes.CDLL(path).run_loss_chain
-    loop.restype = ctypes.c_uint64
-    loop.argtypes = [ctypes.c_uint64, ctypes.c_int64, ctypes.c_int64, f64, i64,
-                     f64, ctypes.c_int64, i64, i64, i64, f64, f64]
+    The result's run_loss_chain and run_replications have the signatures,
+    validation and return values of _despy's.  The arguments go to C as
+    ctypes arrays filled from the Python values, with no numpy conversion
+    or per-argument array check."""
+    f64, i64, u64 = ctypes.c_double, ctypes.c_int64, ctypes.c_uint64
+    f64p, i64p = ctypes.POINTER(f64), ctypes.POINTER(i64)
+    lib = ctypes.CDLL(path)
+    one = lib.run_loss_chain
+    one.restype = u64
+    one.argtypes = [u64, i64, i64, f64p, i64p, f64p, i64, i64p, i64p, i64p, f64p, f64p]
+    many = lib.run_replications
+    many.restype = None
+    many.argtypes = [i64, ctypes.POINTER(u64), i64p, i64p, i64, f64p, i64p, i64, f64p,
+                     i64, i64p, f64p, f64p]
+
+    def chain_arrays(stream_rates, stream_limits, srv_rates):
+        n_streams = len(stream_rates)
+        return ((f64 * n_streams)(*stream_rates),
+                (i64 * n_streams)(*[int(x) for x in stream_limits]),
+                (f64 * len(srv_rates))(*srv_rates))
 
     def run_loss_chain(seed, target_arrivals, stream_rates, stream_limits,
                        srv_rates, start_state=0, min_state=0):
@@ -45,19 +58,30 @@ def load_compiled(path: str) -> SimpleNamespace:
                                 start_state, min_state)
         target_arrivals = _despy.check_arrivals(target_arrivals)
         n_streams = len(stream_rates)
-        seen = np.zeros(n_streams, dtype=np.int64)
-        rejected = np.zeros(n_streams, dtype=np.int64)
-        tis, elapsed = np.zeros(len(srv_rates)), np.zeros(1)
-        chain = np.array([start_state], dtype=np.int64)
-        state = loop(seed & _despy._MASK, target_arrivals, n_streams,
-                     np.asarray(stream_rates, dtype=np.float64),
-                     np.asarray(stream_limits, dtype=np.int64),
-                     np.asarray(srv_rates, dtype=np.float64), min_state, chain,
-                     seen, rejected, tis, elapsed)
-        return (seen.tolist(), rejected.tolist(), tis.tolist(),
-                float(elapsed[0]), int(chain[0]), state)
+        seen, rejected = (i64 * n_streams)(), (i64 * n_streams)()
+        tis, elapsed, chain = (f64 * len(srv_rates))(), f64(), i64(start_state)
+        state = one(seed & _despy._MASK, target_arrivals, n_streams,
+                    *chain_arrays(stream_rates, stream_limits, srv_rates), min_state,
+                    ctypes.byref(chain), seen, rejected, tis, ctypes.byref(elapsed))
+        return seen[:], rejected[:], tis[:], elapsed.value, chain.value, state
 
-    return SimpleNamespace(run_loss_chain=run_loss_chain)
+    def run_replications(seeds, warmups, counts, stream_rates, stream_limits,
+                         srv_rates, min_state=0):
+        _despy.check_loss_chain(stream_rates, stream_limits, srv_rates,
+                                min_state, min_state)
+        seeds, warmups, counts = _despy.check_replications(seeds, warmups, counts)
+        n_reps, n_streams, n_states = len(seeds), len(stream_rates), len(srv_rates)
+        rows = (i64 * (2 * n_reps * n_streams))()
+        tis, elapsed = (f64 * (2 * n_states))(), f64()
+        rates, limits, srv = chain_arrays(stream_rates, stream_limits, srv_rates)
+        many(n_reps, (u64 * n_reps)(*seeds), (i64 * n_reps)(*warmups),
+             (i64 * n_reps)(*counts), n_streams, rates, limits, n_states, srv,
+             min_state, rows, tis, ctypes.byref(elapsed))
+        seen, rejected = np.frombuffer(rows, np.int64).reshape(2, n_reps, n_streams)
+        return seen, rejected, np.frombuffer(tis, np.float64, n_states), elapsed.value
+
+    return SimpleNamespace(run_loss_chain=run_loss_chain,
+                           run_replications=run_replications)
 
 
 _compiled_spec = importlib.util.find_spec(f"{__package__}._lossloop")
@@ -139,7 +163,8 @@ def simulate_des(spec: LossChainSpec, total_calls: int = 1_000_000,
     Blocking/dropping fractions of consecutive arrivals are autocorrelated,
     so confidence intervals come from the replication means (Student t),
     not from a binomial fit.  Each replication first simulates a warm-up of
-    a WARMUP fraction of its own call count, which it does not count.
+    a WARMUP fraction of its own call count, which it does not count.  One
+    kernel call runs every replication.
     """
     total_calls = _despy.check_arrivals(total_calls)
     if total_calls < 1:
@@ -148,28 +173,13 @@ def simulate_des(spec: LossChainSpec, total_calls: int = 1_000_000,
     per_rep, longer = divmod(total_calls, replications)
     rep_seeds = np.random.SeedSequence(seed).generate_state(replications, dtype=np.uint64)
 
+    counts = [per_rep + (r < longer) for r in range(replications)]
+    # row r of seen and rejected holds replication r's counted arrivals and
+    # rejections per stream
+    seen, rejected, tis_tot, elapsed_tot = _kernel.run_replications(
+        rep_seeds.tolist(), [int(WARMUP * calls) for calls in counts], counts,
+        spec.stream_rates, spec.stream_limits, spec.srv_rates, spec.min_state)
     n_streams = len(spec.stream_rates)
-    rates, limits = list(spec.stream_rates), list(spec.stream_limits)
-    srv = list(spec.srv_rates)
-
-    # row r holds replication r's counted arrivals and rejections per stream
-    seen = np.zeros((replications, n_streams), dtype=np.int64)
-    rejected = np.zeros((replications, n_streams), dtype=np.int64)
-    tis_tot = np.zeros(len(srv))
-    elapsed_tot = 0.0
-    for r in range(replications):
-        calls = per_rep + (r < longer)
-        warm_calls = int(WARMUP * calls)
-        rng_state = int(rep_seeds[r])
-        chain_state = spec.min_state
-        if warm_calls > 0:
-            *_, chain_state, rng_state = _kernel.run_loss_chain(
-                rng_state, warm_calls, rates, limits, srv,
-                chain_state, spec.min_state)
-        seen[r], rejected[r], tis, elapsed, *_ = _kernel.run_loss_chain(
-            rng_state, calls, rates, limits, srv, chain_state, spec.min_state)
-        tis_tot += np.asarray(tis)
-        elapsed_tot += elapsed
 
     def pooled(streams):
         """(seen, rejected, rejected fraction, CI) of the calls of `streams`,

@@ -211,7 +211,8 @@ class ChainBatch:
     rate, in stream order; adding the 0.0 of an unmasked rate changes no
     bit of a sum of rates >= 0, so every row equals loss_chain_probs of its
     chain to the last bit.  Each distinct limit of a group costs one sum
-    over its rows.
+    over its rows.  The groups are built when a solve of several points
+    first needs them, so a batch solved one point at a time builds none.
     """
 
     def __init__(self, specs):
@@ -229,7 +230,8 @@ class ChainBatch:
             self._group_of.append(group)
             self._row_of.append(len(members[group]))
             members[group].append(spec)
-        self._groups = [_ChainGroup(group) for group in members]
+        self._members = members
+        self._groups = None  # built when a multi-point solve first needs them
 
     def solve(self, points, rates) -> list[tuple[np.ndarray, list[float]]]:
         """loss_chain_probs of chain i at stream rates r, for each i, r of
@@ -242,6 +244,8 @@ class ChainBatch:
             return [loss_chain_probs(_with_stream_rates(self.specs[points[0]],
                                                         tuple(rates[0])))]
         _despy.check_rates(itertools.chain.from_iterable(rates))
+        if self._groups is None:
+            self._groups = [_ChainGroup(group) for group in self._members]
         group_of, row_of = self._group_of, self._row_of
         out = [None] * len(points)
         for g, group in enumerate(self._groups):
@@ -575,21 +579,31 @@ def _frac(x: float) -> Fraction:
     return Fraction(str(x))
 
 
+def _request_terms(classes) -> list[Fraction]:
+    """a_m beta_m of each class as an exact rational; they sum to the mean
+    requested bandwidth."""
+    return [_frac(c.arrival_share) * _frac(c.requested_bw) for c in classes]
+
+
 def _class_sums(classes) -> tuple[Fraction, Fraction, Fraction]:
     """sum_m a_m beta_m, and the same sum weighted by gamma_h and by
     gamma_n, as exact rationals."""
-    rows = [(_frac(c.arrival_share) * _frac(c.requested_bw),
-             _frac(c.degrade_hand), _frac(c.degrade_new)) for c in classes]
-    return (sum(w for w, _, _ in rows), sum(w * hand for w, hand, _ in rows),
-            sum(w * new for w, _, new in rows))
+    terms = _request_terms(classes)
+    return (sum(terms), sum(w * _frac(c.degrade_hand) for w, c in zip(terms, classes)),
+            sum(w * _frac(c.degrade_new) for w, c in zip(terms, classes)))
+
+
+def _base_states(cap: Fraction, mean_req: Fraction) -> int:
+    """N = floor(capacity / mean requested bandwidth)."""
+    if mean_req <= 0:
+        raise ValueError("mean requested bandwidth must be positive")
+    return int(cap / mean_req)
 
 
 def _dimensions(cap: Fraction, mean_req: Fraction, g_hand: Fraction,
                 g_new: Fraction) -> tuple[int, int, int]:
     """(N, S, L) from the capacity and the sums of _class_sums."""
-    if mean_req <= 0:
-        raise ValueError("mean requested bandwidth must be positive")
-    n = int(cap / mean_req)
+    n = _base_states(cap, mean_req)
 
     def extra(g: Fraction) -> int:
         kept = mean_req - g
@@ -603,6 +617,12 @@ def _dimensions(cap: Fraction, mean_req: Fraction, g_hand: Fraction,
 def chain_dimensions(classes, capacity: float) -> tuple[int, int, int]:
     """(N, S, L) state counts, computed on exact rationals before flooring."""
     return _dimensions(_frac(capacity), *_class_sums(classes))
+
+
+def base_states(classes, capacity: float) -> int:
+    """N of chain_dimensions(classes, capacity) alone, without reading the
+    degradation factors."""
+    return _base_states(_frac(capacity), sum(_request_terms(classes)))
 
 
 def _scheme_degradation(scheme: str, hand, new, zero):

@@ -4,6 +4,7 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -104,17 +105,65 @@ def loss_chains(draw):
             rates, limits, srv, start, min_state)
 
 
+def _replication_plan(args):
+    """Three replications of the chain of loss_chains args, from its seed:
+    (seeds, warm-up counts, counted calls)."""
+    seed, count = args[:2]
+    return [seed, seed ^ 1, 2**64 - 1 - seed], [0, 3, 40], [count, count + 1, 2]
+
+
+def _replications_outcome(kernel, args):
+    """run_replications of the chain of args on _replication_plan: the
+    ValueError it raised, or its result with every float spelt out bit for
+    bit."""
+    rates, limits, srv, _, min_state = args[2:]
+    try:
+        seen, rejected, tis, elapsed = kernel.run_replications(
+            *_replication_plan(args), rates, limits, srv, min_state)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+    return seen.tolist(), rejected.tolist(), [t.hex() for t in tis.tolist()], elapsed.hex()
+
+
+def _chained_replications(args):
+    """_replications_outcome's result from run_loss_chain calls: each
+    replication's warm-up from min_state, then its counted run resumed from
+    the warm-up's chain and RNG state."""
+    rates, limits, srv, _, min_state = args[2:]
+    seen, rejected, tis_tot, elapsed_tot = [], [], np.zeros(len(srv)), 0.0
+    for seed, warm, calls in zip(*_replication_plan(args)):
+        *_, chain, rng = _despy.run_loss_chain(seed, warm, rates, limits, srv,
+                                               min_state, min_state)
+        rep_seen, rep_rejected, tis, elapsed, *_ = _despy.run_loss_chain(
+            rng, calls, rates, limits, srv, chain, min_state)
+        seen.append(rep_seen)
+        rejected.append(rep_rejected)
+        tis_tot += np.asarray(tis)
+        elapsed_tot += elapsed
+    return seen, rejected, [t.hex() for t in tis_tot.tolist()], elapsed_tot.hex()
+
+
 @settings(max_examples=150, deadline=None)
 @given(args=loss_chains())
 @example(args=(1, 2000, [5.0], [6], [0.0, 1.0, 2.0], 0, 0))
 def test_backends_agree_or_reject_alike(compiled, args):
-    """Both kernels raise the same ValueError or return the same tuple, and
-    LossChainSpec rejects exactly the chains the kernels reject when started
-    at min_state, where simulate_des starts them."""
+    """Both kernels raise the same ValueError or return the same tuple, from
+    run_loss_chain and from run_replications.  run_replications and
+    LossChainSpec reject exactly the chains that run_loss_chain rejects
+    when started at min_state, where simulate_des starts them, and
+    run_replications otherwise returns what chained run_loss_chain calls
+    return."""
     out = _outcome(_despy, args)
     assert _outcome(compiled, args) == out
     min_state = args[6]
     from_floor = _outcome(_despy, (*args[:5], min_state, min_state))
+    replications = _replications_outcome(_despy, args)
+    assert _replications_outcome(compiled, args) == replications
+    if from_floor[0] == "ValueError":
+        assert replications == from_floor
+    else:
+        # each warm-up, walked without clocks, ends where a counted run would
+        assert replications == _chained_replications(args)
     try:
         LossChainSpec(*map(tuple, args[2:5]), hand_stream=len(args[2]) - 1, min_state=min_state)
     except ValueError as exc:
@@ -127,6 +176,32 @@ def _bits(out):
     """A kernel result with every float spelt out bit for bit."""
     seen, rejected, tis, elapsed, chain, rng = out
     return seen, rejected, [t.hex() for t in tis], elapsed.hex(), chain, rng
+
+
+_TINY, _HUGE = math.ulp(0.0), sys.float_info.max  # the least and largest doubles > 0
+
+
+@settings(max_examples=400, deadline=None)
+@given(lam=st.sampled_from([_TINY, 1e-310, 2.2250738585072014e-308, 1e-300, 0.3, 1.0,
+                            1.75, 1e300, _HUGE])
+       | st.floats(_TINY, _HUGE),
+       srv=st.sampled_from([0.0, _TINY, 1e-310, 1e-300, 1e-17, 0.0125, 1e300, _HUGE])
+       | st.floats(0.0, _HUGE),
+       draws=st.lists(st.integers(0, 2**53 - 1), max_size=30))
+@example(lam=1.75, srv=0.0, draws=[2**53 - 1])
+@example(lam=_HUGE, srv=_HUGE, draws=[0, 1])  # the event rate overflows to inf
+def test_arrival_threshold_decides_as_the_product(lam, srv, draws):
+    """For the event rate r = lam + srv of a state, v < t holds exactly
+    when v * r < lam: at t, at its two neighbours, at the 53-bit grid draws
+    beside t and at random grid draws."""
+    rate = lam + srv
+    t = _despy.arrival_threshold(lam, rate)
+    assert not t * rate < lam
+    grid = math.floor(min(t, 1.0) * 2**53)
+    near = [k / 2**53 for k in range(grid - 2, grid + 3) if 0 <= k < 2**53]
+    for v in (t, math.nextafter(t, -math.inf), math.nextafter(t, math.inf), *near,
+              *(k / 2**53 for k in draws)):
+        assert (v < t) == (v * rate < lam), v
 
 
 ONE_BLOCK = _despy._BLOCK_EVENTS
@@ -375,14 +450,23 @@ def _reference_chains():
     sol = solve_two_tier(two_tier)
     chains["two-tier-macro"] = spec_for_two_tier_macro(two_tier, sol)
     chains["two-tier-femto"] = spec_for_two_tier_femto(two_tier, sol)
+    chains["zero-rate"] = LossChainSpec((0.0, 0.0), (2, 3), (0.0, 1.0, 2.0, 3.0),
+                                        hand_stream=1)
+    # the chain lives on states 2..6; the third stream's limit lies below
+    # that floor, so the chain always rejects it
+    chains["min-state-2"] = LossChainSpec(
+        (0.9, 0.4, 0.2), (5, 6, 1), (0.0, 0.0, 0.5, 1.0, 1.5, 2.0, 2.5),
+        new_streams=(0, 2), hand_stream=1, min_state=2)
     return chains
 
 
 REFERENCE_CHAINS = _reference_chains()
 
 
-@pytest.mark.parametrize("total_calls", [1, 7, 19, 20, 21, 20_000])
-@pytest.mark.parametrize("chain", sorted(REFERENCE_CHAINS))
+@pytest.mark.parametrize("chain, total_calls", [
+    *((chain, n) for chain in sorted(REFERENCE_CHAINS) for n in (1, 7, 19, 20, 21, 20_000)),
+    # 20k calls a replication: each spans several draw blocks
+    ("ch7", 400_000)])
 @pytest.mark.parametrize("backend", ["pure-python", "compiled"])
 def test_simulate_des_matches_per_replication_list_bookkeeping(
         backend, chain, total_calls, request, monkeypatch):
@@ -396,3 +480,23 @@ def test_simulate_des_matches_per_replication_list_bookkeeping(
                  "elapsed", "replications"):
         assert repr(getattr(got, name)) == repr(getattr(want, name)), name
     assert repr(got.state_time.tolist()) == repr(want.state_time.tolist())
+
+
+@pytest.mark.parametrize("backend", ["pure-python", "compiled"])
+def test_simulate_des_makes_one_kernel_call(backend, request, monkeypatch):
+    kernel = request.getfixturevalue("compiled") if backend == "compiled" else _despy
+    calls = []
+
+    def counting(name):
+        def call(*args):
+            calls.append(name)
+            return getattr(kernel, name)(*args)
+        return call
+
+    monkeypatch.setattr(des, "_kernel", SimpleNamespace(
+        run_loss_chain=counting("run_loss_chain"),
+        run_replications=counting("run_replications")))
+    for spec in (REFERENCE_CHAINS["ch7"], REFERENCE_CHAINS["zero-rate"]):
+        calls.clear()
+        simulate_des(spec, 20_000, seed=3)
+        assert calls == ["run_replications"]

@@ -6,6 +6,7 @@ to the last bit, not merely close."""
 
 import math
 from dataclasses import fields, replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from femtonet.queueing import (
     Ch7QueueParams,
     LossChainSpec,
     _with_stream_rates,
+    base_states,
     birth_death_probs,
     ch6_cells,
     chain_dimensions,
@@ -267,6 +269,27 @@ def test_a_chain_batch_names_a_bad_rate():
         ChainBatch([spec, LossChainSpec((1.0,), (2,), (0.0, 0.0, 2.0), hand_stream=0)])
 
 
+def test_a_chain_batch_builds_its_groups_for_the_first_multi_point_solve(monkeypatch):
+    """Solved one point at a time, as a one-point fixed point is, a batch
+    builds no group; its first solve of two points builds each group once."""
+    built = []
+    real = queueing._ChainGroup.__init__
+
+    def counted(group, specs):
+        built.append(len(specs))
+        real(group, specs)
+
+    monkeypatch.setattr(queueing._ChainGroup, "__init__", counted)
+    spec = LossChainSpec((0.5, 0.7), (2, 4), (0.0, 1.0, 2.0, 3.0, 4.0), hand_stream=1)
+    batch = ChainBatch([spec, spec])
+    for point in (0, 1, 0):
+        batch.solve([point], [(0.5, 0.7)])
+    assert built == []
+    for points in ([0, 1], [1, 0]):
+        batch.solve(points, [(0.5, 0.7)] * 2)
+    assert built == [2]
+
+
 def _ch7_grid():
     rng = np.random.default_rng(20)
     for _ in range(120):
@@ -401,8 +424,36 @@ def class_tables(draw):
 @example(table=((TrafficClass(1, "rt", 25.0, arrival_share=0.0),), 6000.0))
 def test_chain_dimensions_equal_the_reference(table):
     classes, capacity = table
-    assert _outcome(chain_dimensions, classes, capacity) \
-        == _outcome(oracles.chain_dimensions, classes, capacity)
+    want = _outcome(oracles.chain_dimensions, classes, capacity)
+    assert _outcome(chain_dimensions, classes, capacity) == want
+    # N alone fails only where the mean request is not positive
+    if isinstance(want, tuple):
+        assert base_states(classes, capacity) == want[0]
+    elif "mean requested" in want:
+        assert _outcome(base_states, classes, capacity) == want
+
+
+# the Table 6.1 mean request, sum a_m beta_m = 58.85 kbps
+TABLE61_MEAN_REQUEST = Fraction(5885, 100)
+
+
+@pytest.mark.parametrize("k", [1, 3, 13, 21, 100, 101, 102, 119, 250])
+def test_n_at_exact_multiples_of_the_mean_request(k):
+    """A capacity of exactly k mean requests holds N = k calls, and the
+    next double below it k - 1.  Float division floors 13, 21 and 119
+    mean requests to one call fewer, so N must come from exact rationals;
+    ch6_params, chain_dimensions and the cells read the same N."""
+    capacity = float(TABLE61_MEAN_REQUEST * k)
+    assert Fraction(repr(capacity)) == TABLE61_MEAN_REQUEST * k
+    params = Scenario({"traffic.capacity_kbps": capacity}).ch6_params(lam_new=1.0)
+    assert base_states(params.classes, capacity) == k
+    assert chain_dimensions(params.classes, capacity)[0] == k
+    assert oracles.chain_dimensions(params.classes, capacity)[0] == k
+    assert {cell.n for cell in ch6_cells(params, CH6_SCHEMES)} == {k}
+    below = math.nextafter(capacity, 0.0)
+    assert base_states(params.classes, below) == chain_dimensions(params.classes, below)[0] == k - 1
+    if k in (13, 21, 119):
+        assert int(capacity / float(TABLE61_MEAN_REQUEST)) == k - 1
 
 
 @settings(max_examples=30, deadline=None)
