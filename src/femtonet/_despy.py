@@ -44,8 +44,11 @@ _BLOCK_EVENTS = 16_384
 
 def check_loss_chain(stream_rates, stream_limits, srv_rates,
                      start_state: int = 0, min_state: int = 0) -> None:
-    """Reject a chain that would index outside srv_rates, or whose rates are
-    negative or not finite.  Both backends call this before simulating."""
+    """Reject a chain that would index outside srv_rates, whose rates are
+    negative or not finite, or whose total arrival rate, or that total plus
+    a service rate (a state's event rate), is not finite: no draw would be
+    an arrival there.  The sum grows with the service rate, so the largest
+    one covers every state.  Both backends call this before simulating."""
     if len(stream_limits) != len(stream_rates):
         raise ValueError("stream rate/limit length mismatch")
     n_states = len(srv_rates)
@@ -56,6 +59,15 @@ def check_loss_chain(stream_rates, stream_limits, srv_rates,
     if stream_limits and max(stream_limits) >= n_states:
         raise ValueError(f"stream limits must be < {n_states} (len(srv_rates))")
     check_rates((*stream_rates, *srv_rates))
+    lam_total = 0.0
+    for r in stream_rates:  # summed as _Tables and the C loop sum them
+        lam_total += float(r)
+    if lam_total == math.inf:
+        raise ValueError("the total arrival rate of the streams is not finite")
+    srv_max = float(max(srv_rates))
+    if lam_total + srv_max == math.inf:
+        raise ValueError(f"the total arrival rate {lam_total!r} plus the largest "
+                         f"service rate {srv_max!r} is not finite")
 
 
 def check_arrivals(target_arrivals) -> int:
@@ -119,7 +131,8 @@ def arrival_threshold(lam_total: float, rate: float) -> float:
     up to 2**51 ulps away, and a bisection over the bit patterns of the
     doubles >= 0 (which order as their values do) finds it instead.  An
     infinite rate (lam_total + srv overflowing) gives 0.0: 0.0 * inf is
-    NaN, and no draw is an arrival."""
+    NaN, and no draw is an arrival, so check_loss_chain rejects such a
+    chain."""
     t = lam_total / rate
     up = t * rate < lam_total  # the threshold lies above t
     toward = math.inf if up else -math.inf

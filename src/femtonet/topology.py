@@ -8,14 +8,17 @@ pairwise separation, which makes local neighbor counts Poisson-like.
 A FAP is an id in `CellTopology.femtocells` and the same row of its
 `positions` array; access modes and wall counts live in the topology too.
 
-Each topology builds one fixed-radius neighbor table when it is made; its
-CSR layout is private to this module.  `CellTopology.near` answers every
-FAP-to-FAP range query from it, `CellTopology.earlier_within` gives each
-FAP's earlier partners for the first-come pair rules, and `reach_components`
-cuts a topology down to the table's connected components that hold given
-FAPs.  The table's reach covers the interference range and the neighbor
-threshold, and a query beyond it raises.  Queries from arbitrary points (UE
-positions) read a full `distances_to` row.
+Each topology has one fixed-radius neighbor table; its CSR layout is
+private to this module.  `place_femtocells` hands over the table that its
+last draw round built, `reach_components` slices its parent's rows, and a
+topology made any other way builds its own on first read.
+`CellTopology.near` answers every FAP-to-FAP range query from it,
+`CellTopology.earlier_within` gives each FAP's earlier partners for the
+first-come pair rules, and `reach_components` cuts a topology down to the
+table's connected components that hold given FAPs.  The table's reach covers
+the interference range and the neighbor threshold, and a query beyond it
+raises.  Queries from arbitrary points (UE positions) read a full
+`distances_to` row.
 """
 
 from __future__ import annotations
@@ -41,6 +44,9 @@ FIRST_TIER_SIZE = 6
 # interference detection range as a multiple of the two cell radii; at the
 # default 10 m femto radius this reproduces the 60 m neighbor cutoff
 INTERFERENCE_RADIUS_SCALE = 3.0
+# a placement draw round takes this many candidates beyond the missing FAPs,
+# plus one per 64 FAPs, so that one round nearly always fills the placement
+_ROUND_SLACK = 8
 
 
 class UnknownSiteError(LookupError):
@@ -87,7 +93,8 @@ class CellTopology:
     """Read-only after construction: `femtocells` is a tuple of the ids as ints,
     row k of the n x 2 `positions` array (the constructor's own read-only
     copy) is the position of femtocells[k], and the neighbor table is
-    read-only arrays; safe for concurrent read-only use.  Compared by identity.
+    read-only arrays; safe for concurrent read-only use (two threads that
+    both make the first read build equal tables).  Compared by identity.
 
     `macro_sites` is a tuple of the macro BS positions, the reference BS
     first.  `closed_access` holds the closed-access FAP ids (every other FAP
@@ -97,10 +104,13 @@ class CellTopology:
     `closed_access` and `walls` may name FAPs outside the topology, so
     `reach_components` passes them on unchanged.
 
-    The constructor builds the neighbor table: every pair of FAPs within
-    the reach, the wider of INTERFERENCE_RADIUS_SCALE * 2 * femto_radius_m
-    (60 m by default), which covers two cells of nominal radius, and
-    neighbor_threshold_m.  So every FAP-pair query reads the table.
+    The neighbor table holds every pair of FAPs within the reach, the
+    wider of INTERFERENCE_RADIUS_SCALE * 2 * femto_radius_m (60 m by
+    default), which covers two cells of nominal radius, and
+    neighbor_threshold_m.  So every FAP-pair query reads the table.  The
+    first read builds it, unless `place_femtocells` or `reach_components`
+    made the topology: they store the table that they already hold, equal
+    to the one the read would build.
     """
 
     macro_radius_m: float
@@ -141,9 +151,15 @@ class CellTopology:
         if not np.isfinite(self.positions).all():
             raise ValueError("positions must be finite")
         self.positions.flags.writeable = False
-        self._reach = max(INTERFERENCE_RADIUS_SCALE * (self.femto_radius_m + self.femto_radius_m),
-                          self.neighbor_threshold_m)
-        self._ptr, self._nbr, self._nbr_dist = _neighbor_table(self.positions, self._reach)
+        self._reach = _table_reach(self.femto_radius_m, self.neighbor_threshold_m)
+        self._table = None
+
+    def _neighbors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The neighbor table (ptr, nbr, dist) in `_neighbor_table`'s CSR
+        form; the first read builds it unless it was handed over."""
+        if self._table is None:
+            self._table = _neighbor_table(self.positions, self._reach)
+        return self._table
 
     def distances_to(self, xy) -> np.ndarray:
         """Distance from a point to every FAP, in femtocells order."""
@@ -157,15 +173,17 @@ class CellTopology:
         indices in femtocells order, ascending, and their distances.  The
         radius may not exceed the table's reach."""
         k = self.index_of(fap_id)
-        span = slice(self._ptr[k], self._ptr[k + 1])
-        keep = self._within(self._nbr_dist[span], radius_m)
-        return self._nbr[span][keep], self._nbr_dist[span][keep]
+        ptr, nbr, dist = self._table or self._neighbors()  # the hot path skips a call
+        span = slice(ptr[k], ptr[k + 1])
+        keep = self._within(dist[span], radius_m)
+        return nbr[span][keep], dist[span][keep]
 
     def earlier_within(self, radius_m: float) -> list[tuple[int, list[int]]]:
         """`[(k, earlier), ...]` for each FAP k, in femtocells order, that
         has an earlier FAP within radius_m: `earlier` are their indices,
         ascending.  The radius may not exceed the table's reach."""
-        return _earlier(self._ptr, self._nbr, self._within(self._nbr_dist, radius_m))
+        ptr, nbr, dist = self._neighbors()
+        return _earlier(ptr, nbr, self._within(dist, radius_m))
 
     def _within(self, dist: np.ndarray, radius_m: float) -> np.ndarray:
         """Which of the table distances `dist` are within radius_m; a
@@ -195,6 +213,12 @@ class CellTopology:
         return self.walls.get((min(a, b), max(a, b)), self.inter_femto_walls)
 
 
+def _table_reach(femto_radius_m: float, neighbor_threshold_m: float) -> float:
+    """The reach of a topology's neighbor table."""
+    return max(INTERFERENCE_RADIUS_SCALE * (femto_radius_m + femto_radius_m),
+               neighbor_threshold_m)
+
+
 def _neighbor_table(pos: np.ndarray, reach: float):
     """Every pair of points within `reach`, in CSR form: the neighbors of
     point k are nbr[ptr[k]:ptr[k + 1]], ascending, at distances
@@ -204,11 +228,13 @@ def _neighbor_table(pos: np.ndarray, reach: float):
     side at least `reach`, so a pair within reach shares a cell or lies in
     two adjacent ones.  Each cell is paired with itself and with 4 of its 8
     neighbors, each pair is measured once with the same differences as
-    `CellTopology.distances_to`, and then mirrored.
+    `CellTopology.distances_to`, and then mirrored.  One sort by
+    row * n + col, whose keys are distinct, orders the mirrored pairs.
     """
     n = len(pos)
     if n < 2:
-        return np.zeros(n + 1, dtype=np.intp), np.zeros(0, dtype=np.intp), np.zeros(0)
+        return _readonly(np.zeros(n + 1, dtype=np.intp), np.zeros(0, dtype=np.intp),
+                         np.zeros(0))
     x, y = pos[:, 0], pos[:, 1]
     # the side exceeds `reach` by more than x/side can round, so a pair
     # within reach never lands two cells apart; at most 2**20 cells a side
@@ -226,9 +252,9 @@ def _neighbor_table(pos: np.ndarray, reach: float):
     key = key[order]
     # partners of sorted point p: the rest of its own cell, then the cells
     # above it, right-below, right and right-above
-    ahead = [key + off for off in (1, width - 1, width, width + 1)]
-    lo = np.concatenate([np.arange(1, n + 1), *(np.searchsorted(key, a, "left") for a in ahead)])
-    hi = np.concatenate([np.searchsorted(key, a, "right") for a in (key, *ahead)])
+    ahead = (key[None, :] + np.array([[1], [width - 1], [width], [width + 1]])).ravel()
+    lo = np.concatenate([np.arange(1, n + 1), np.searchsorted(key, ahead, "left")])
+    hi = np.searchsorted(key, np.concatenate([key, ahead]), "right")
     counts = hi - lo
     a = order[np.repeat(np.tile(np.arange(n), 5), counts)]
     b = order[_ranges(lo, counts)]
@@ -236,13 +262,30 @@ def _neighbor_table(pos: np.ndarray, reach: float):
     keep = d <= reach
     a, b, d = a[keep], b[keep], d[keep]
     rows, cols = np.concatenate([a, b]), np.concatenate([b, a])
-    sort = np.lexsort((cols, rows))
+    # the stable kind: numpy's default kind pages in a further sort kernel
+    sort = np.argsort(rows * n + cols, kind="stable")
     ptr = np.zeros(n + 1, dtype=np.intp)
     np.cumsum(np.bincount(rows, minlength=n), out=ptr[1:])
-    table = ptr, cols[sort], np.concatenate([d, d])[sort]
-    for arr in table:
+    return _readonly(ptr, cols[sort], np.concatenate([d, d])[sort])
+
+
+def _readonly(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for arr in arrays:
         arr.flags.writeable = False
-    return table
+    return arrays
+
+
+def _restrict(table, keep: np.ndarray, reach: float):
+    """The CSR table of the points `keep` (ascending indices) alone: the
+    entries between two kept points within `reach`, renumbered in order."""
+    ptr, nbr, dist = table
+    new = np.full(len(ptr) - 1, -1, dtype=np.intp)
+    new[keep] = np.arange(len(keep))
+    rows, cols = np.repeat(new, np.diff(ptr)), new[nbr]
+    sel = (rows >= 0) & (cols >= 0) & (dist <= reach)
+    sub_ptr = np.zeros(len(keep) + 1, dtype=np.intp)
+    np.cumsum(np.bincount(rows[sel], minlength=len(keep)), out=sub_ptr[1:])
+    return _readonly(sub_ptr, cols[sel], dist[sel])
 
 
 def _ranges(lo: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -289,29 +332,35 @@ def reach_components(topo: CellTopology, fap_ids) -> CellTopology:
     `fap_ids`, with every other field kept and the FAPs in their order.
 
     Two FAPs are joined when they lie within the neighbor table's reach, and
-    a breadth-first search over the table collects the components.  No FAP
-    is joined to a FAP outside its component, so any computation whose FAPs
-    only ever read partners within the reach gives the same answers on these
-    FAPs as on the whole topology.  Dynamic reuse is one: radii only shrink,
-    which holds because only `spectrum.build_plan` makes a plan, so
+    a search over the table collects the components.  No FAP is joined to a
+    FAP outside its component, so any computation whose FAPs only ever read
+    partners within the reach gives the same answers on these FAPs as on the
+    whole topology.  Dynamic reuse is one: radii only shrink, which holds
+    because only `spectrum.build_plan` makes a plan, so
     `SpectrumPlan.interferers` searches within 3·(r + r_f) <= reach.  The
     reach covers neighbor_threshold_m too, so a FAP's component holds its
-    `neighbors_of` set.
+    `neighbors_of` set.  For the same reason the new topology's table is
+    its parent's rows of these FAPs, renumbered.
     """
-    ptr, nbr = topo._ptr, topo._nbr
-    seen = np.zeros(len(topo.femtocells), dtype=bool)
-    frontier = np.array(sorted({topo.index_of(f) for f in fap_ids}), dtype=np.intp)
-    seen[frontier] = True
-    while frontier.size:
-        lo, counts = ptr[frontier], ptr[frontier + 1] - ptr[frontier]
-        fresh = np.zeros_like(seen)
-        fresh[nbr[_ranges(lo, counts)]] = True
-        fresh &= ~seen
-        seen |= fresh
-        frontier = np.flatnonzero(fresh)
-    keep = np.flatnonzero(seen)
-    return replace(topo, femtocells=[topo.femtocells[k] for k in keep.tolist()],
-                   positions=topo.positions[keep])
+    ptr, nbr, dist = topo._neighbors()
+    # a search over the table's rows as Python lists, one step per entry
+    # of the components, where a numpy pass per hop costs more
+    starts, partners = ptr.tolist(), nbr.tolist()
+    found = {topo.index_of(f) for f in fap_ids}
+    todo = list(found)
+    while todo:
+        k = todo.pop()
+        for j in partners[starts[k]:starts[k + 1]]:
+            if j not in found:
+                found.add(j)
+                todo.append(j)
+    keep = sorted(found)
+    sub = replace(topo, femtocells=[topo.femtocells[k] for k in keep],
+                  positions=topo.positions[keep])
+    # no entry of a kept row leaves the components, so the kept rows are
+    # whole and cutting them to the reach drops nothing
+    sub._table = _restrict((ptr, nbr, dist), np.array(keep, dtype=np.intp), topo._reach)
+    return sub
 
 
 def first_tier_ring(macro_radius_m: float) -> list[tuple[float, float]]:
@@ -321,24 +370,6 @@ def first_tier_ring(macro_radius_m: float) -> list[tuple[float, float]]:
          ring_distance * math.sin(k * math.pi / 3.0))
         for k in range(FIRST_TIER_SIZE)
     ]
-
-
-def _first_come(placed: np.ndarray, block: np.ndarray, sep: float) -> np.ndarray:
-    """Which candidates of `block` the scalar loop accepts, taking them in
-    order: a candidate closer than `sep` to a placed FAP or to an accepted
-    earlier candidate is rejected.
-
-    One `_neighbor_table` pass at reach `sep` over the placed FAPs followed
-    by the block finds every close pair.  No two placed FAPs are that
-    close, so the rule visits only the candidates with an earlier close
-    point.
-    """
-    points = np.concatenate([placed, block])
-    ptr, nbr, dist = _neighbor_table(points, sep)
-    accepted = [True] * len(points)
-    for k, earlier in _earlier(ptr, nbr, dist < sep):
-        accepted[k] = not any(accepted[e] for e in earlier)
-    return np.array(accepted[len(placed):], dtype=bool)
 
 
 def check_reference_fap(macro: MacroGeometry) -> None:
@@ -364,11 +395,17 @@ def place_femtocells(
     params) always yields the same topology.  Femtocell 0 is placed at the
     fixed reference range from the BS instead of being sampled.
 
-    The uniform draws come from the generator in blocks of two per missing
-    FAP, which yields the same doubles in the same order as one scalar draw
-    each, and a block of candidates is settled at once (`_first_come`).  So
-    the positions are those of the scalar loop that tests each candidate
-    against every placed FAP.
+    The candidates come in draw rounds: one block of uniforms, two per
+    candidate, for the missing FAPs plus a fixed slack, which yields the same
+    doubles in the same order as one scalar draw each.  One
+    `_neighbor_table` over the placed FAPs and the round's candidates, at
+    the wider of the separation and the topology's table reach, settles the
+    round: taken in order, a candidate closer than the separation to a
+    placed FAP or to an accepted earlier candidate is rejected, and the
+    candidates after the last FAP needed are never tried.  So the positions
+    are those of the scalar loop that tests each candidate against every
+    placed FAP, and the last round's table, cut to the placed FAPs and the
+    reach, is the topology's own.
 
     Raises PlacementInfeasibleError when the disc is too small to hold
     femtocell 0 at the reference range, when it cannot hold `count` sites
@@ -392,43 +429,54 @@ def place_femtocells(
             )
 
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    buf = np.empty((count, 2))
-    placed = 0
-    if count > 0:
-        buf[0] = (REFERENCE_FAP_DISTANCE, 0.0)
-        placed = 1
+    pos = np.array([(REFERENCE_FAP_DISTANCE, 0.0)]) if count > 0 else np.empty((0, 2))
+    reach = _table_reach(macro.femto_radius_m, macro.neighbor_threshold_m)
+    table = None
 
     max_attempts = 200 * max(count, 1)
     attempts = 0
-    while placed < count:
+    while len(pos) < count:
         if attempts >= max_attempts:
             raise PlacementInfeasibleError(
-                f"placed only {placed}/{count} FAPs "
+                f"placed only {len(pos)}/{count} FAPs "
                 f"after {max_attempts} attempts"
             )
-        draws = rng.random(2 * (count - placed))
-        # the scalar loop stops after max_attempts candidates, so the rest
-        # of a block past that budget is never tried
-        tried = min(count - placed, max_attempts - attempts)
+        placed, missing = len(pos), count - len(pos)
+        # the scalar loop stops after max_attempts candidates, so none past
+        # that budget is drawn
+        drawn = min(missing + _ROUND_SLACK + count // 64, max_attempts - attempts)
+        draws = rng.random(2 * drawn)
         # uniform over the disc via sqrt radius; the scalar math functions
-        # keep every bit of the scalar loop, numpy only multiplies
-        rad = r * np.array(list(map(math.sqrt, draws[0:2 * tried:2].tolist())))
-        ang = (2.0 * math.pi * draws[1:2 * tried:2]).tolist()
-        block = np.column_stack([rad * np.array(list(map(math.cos, ang))),
-                                 rad * np.array(list(map(math.sin, ang)))])
-        if sep > 0:
-            block = block[_first_come(buf[:placed], block, sep)]
-        buf[placed:placed + len(block)] = block
-        placed += len(block)
-        attempts += tried
+        # keep every bit of the scalar loop, numpy only multiplies and takes
+        # the square root, which IEEE 754 rounds correctly as math.sqrt does
+        rad = r * np.sqrt(draws[0::2])
+        ang = (2.0 * math.pi * draws[1::2]).tolist()
+        block = np.column_stack([rad * np.fromiter(map(math.cos, ang), float),
+                                 rad * np.fromiter(map(math.sin, ang), float)])
+        points = np.concatenate([pos, block])
+        table = _neighbor_table(points, max(sep, reach))
+        # first come, first placed: no two placed FAPs are that close, so
+        # only the candidates with an earlier close point are visited
+        ptr, nbr, dist = table
+        accepted = [True] * len(points)
+        for k, earlier in _earlier(ptr, nbr, dist < sep):
+            accepted[k] = not any(accepted[e] for e in earlier)
+        took = np.flatnonzero(accepted[placed:])[:missing]
+        # the scalar loop tries no candidate after the last FAP it needs
+        attempts += int(took[-1]) + 1 if len(took) == missing else drawn
+        keep = np.concatenate([np.arange(placed), placed + took])
+        pos = points[keep]
 
-    return CellTopology(
+    topo = CellTopology(
         macro_radius_m=macro.macro_radius_m,
         femto_radius_m=macro.femto_radius_m,
         macro_sites=[(0.0, 0.0)] + first_tier_ring(macro.macro_radius_m),
         femtocells=range(count),
-        positions=buf,
+        positions=pos,
         neighbor_threshold_m=macro.neighbor_threshold_m,
         macro_ue_walls=macro.macro_ue_walls,
         inter_femto_walls=macro.inter_femto_walls,
     )
+    if table is not None:
+        topo._table = _restrict(table, keep, reach)
+    return topo

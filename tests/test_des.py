@@ -327,6 +327,53 @@ def test_spec_rejects_stream_index_out_of_range(streams):
         LossChainSpec((1.0,), (2,), (0.0, 1.0, 2.0), **streams)
 
 
+_BIG_RATE = (st.sampled_from([0.0, _TINY, 1.0, 1e300, 1e308, _HUGE / 2, _HUGE])
+             | st.floats(0.0, _HUGE))
+
+
+@settings(max_examples=200, deadline=None)
+@given(rates=st.lists(_BIG_RATE, min_size=1, max_size=3),
+       srv=st.lists(_BIG_RATE, min_size=1, max_size=4))
+@example(rates=[1e308, 1e308], srv=[0.0, 1.0])  # the total arrival rate overflows
+@example(rates=[1e308, 0.5], srv=[0.0, 1e308])  # a state's event rate overflows
+@example(rates=[_HUGE], srv=[0.0])  # the largest finite total, with no service
+def test_a_chain_whose_total_rate_overflows_is_rejected(compiled, rates, srv):
+    """A chain whose total arrival rate, or that total plus a service rate,
+    overflows to inf would never see an arrival there, so the spec and both
+    kernels reject it alike, before anything runs.  Every other chain is
+    accepted, and runs a few calls where an arrival takes at most about 1000
+    events."""
+    lam = 0.0
+    for r in rates:
+        lam += r
+    limits = [len(srv) - 1] * len(rates)
+    args = (rates, limits, srv)
+    overflows = math.isinf(lam) or any(math.isinf(lam + s) for s in srv)
+    if overflows:
+        with pytest.raises(ValueError, match="total arrival rate") as spec_error:
+            LossChainSpec(tuple(rates), tuple(limits), tuple(srv), hand_stream=0)
+    else:
+        LossChainSpec(tuple(rates), tuple(limits), tuple(srv), hand_stream=0)
+    # below about 1e-300 the time steps overflow to inf (numpy warns)
+    calls = 5 if lam >= 1e-300 and (lam + max(srv)) / lam <= 1e3 else 0
+    plan = [3, 4], [min(calls, 2), 0], [calls, calls]
+    outs = []
+    for kernel in (_despy, compiled):
+        if overflows:
+            for run in (lambda: kernel.run_loss_chain(3, calls, *args),
+                        lambda: kernel.run_replications(*plan, *args)):
+                with pytest.raises(ValueError) as got:
+                    run()
+                assert str(got.value) == str(spec_error.value)
+        else:
+            seen, rejected, tis, elapsed = kernel.run_replications(*plan, *args)
+            outs.append((kernel.run_loss_chain(3, calls, *args), seen.tolist(),
+                         rejected.tolist(), tis.tolist(), elapsed))
+    if outs:
+        assert outs[0] == outs[1]
+        assert [sum(row) for row in outs[0][1]] == [calls, calls]
+
+
 @pytest.mark.parametrize("df, true_quantile", [(19, 2.093), (21, 2.080),
                                                (60, 2.000), (1000, 1.962)])
 def test_t95_never_below_true_quantile(df, true_quantile):

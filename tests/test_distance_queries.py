@@ -19,6 +19,7 @@ from oracles import (
     static_reuse_labels,
 )
 
+from femtonet import topology
 from femtonet.neighborlist import build_list_from_femto, scan_from_geometry
 from femtonet.spectrum import build_plan
 from femtonet.topology import (
@@ -166,6 +167,55 @@ def test_neighbor_table_on_cell_boundaries():
     _assert_near_matches_rows(topo)
     idx, dist = topo.near(12, REACH)  # the centre (0, 0)
     assert idx.tolist() == [7, 11, 13, 17] and dist.tolist() == [REACH] * 4
+
+
+def _brute_table(xy, reach):
+    """Every pair within `reach`, by measuring all pairs: each point's
+    partners ascending, with their distances, in _neighbor_table's CSR
+    form."""
+    ptr, nbr, dist = [0], [], []
+    for k in range(len(xy)):
+        row = np.hypot(xy[k, 0] - xy[:, 0], xy[k, 1] - xy[:, 1])
+        row[k] = np.inf
+        within = np.flatnonzero(row <= reach)
+        nbr += within.tolist()
+        dist += row[within].tolist()
+        ptr.append(len(nbr))
+    return ptr, nbr, dist
+
+
+@st.composite
+def clumped_points(draw):
+    """Points that stress the cell lists: coincident points, points on a
+    shared line, negative coordinates, points on the cell boundaries of a
+    grid of the reach, and at times one point 1e7 m out."""
+    reach = draw(st.sampled_from([2.0, 60.0]))
+    coord = (st.floats(-300.0, 300.0)
+             | st.integers(-6, 6).map(lambda i: i * reach)
+             | st.integers(-40, 40).map(lambda i: i * 0.25 * reach))
+    xy = draw(st.lists(st.tuples(coord, coord), max_size=40))
+    if xy:
+        # repeat some points and add some on the line through the first two
+        xy += draw(st.lists(st.sampled_from(xy), max_size=6))
+        (x0, y0), (x1, y1) = xy[0], xy[-1]
+        xy += [(x0 + t * (x1 - x0), y0 + t * (y1 - y0))
+               for t in draw(st.lists(st.floats(-2.0, 2.0), max_size=6))]
+    if draw(st.booleans()):
+        xy.insert(draw(st.integers(0, len(xy))),
+                  draw(st.sampled_from([(1e7, 0.0), (-1e7, 3.0), (5.0, -1e7)])))
+    return np.array(xy, dtype=float).reshape(-1, 2), reach
+
+
+@settings(max_examples=200, deadline=None)
+@given(points=clumped_points())
+def test_neighbor_table_matches_all_pairs(points):
+    xy, reach = points
+    table = topology._neighbor_table(xy, reach)
+    ptr, nbr, dist = _brute_table(xy, reach)
+    assert table[0].tolist() == ptr
+    assert table[1].tolist() == nbr
+    assert [d.hex() for d in table[2].tolist()] == [d.hex() for d in dist]
+    assert not any(arr.flags.writeable for arr in table)
 
 
 def _assert_earlier_matches_near(topo, radii=(0.0, 20.0, REACH)):

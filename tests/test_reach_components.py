@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from femtonet import topology
 from femtonet.neighborlist import RssiScan, build_list_from_femto
 from femtonet.radio import sir
 from femtonet.spectrum import build_plan
@@ -70,6 +71,11 @@ def test_reach_components_are_the_union_find_components(seed):
         assert [sub.femtocells[k] for k in got[0].tolist()] == \
             [topo.femtocells[k] for k in want[0].tolist()]
         assert got[1].tolist() == want[1].tolist()
+    # the rows sliced from the parent's table are those of a fresh build
+    fresh = topology._neighbor_table(sub.positions, sub._reach)
+    for a, b in zip(sub._neighbors(), fresh, strict=True):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+        assert not a.flags.writeable
 
 
 def test_a_component_and_its_parent_cannot_grow_each_others_macro_ring():

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from fixtures import hidden_fap_fixture
 from oracles import scalar_placement
 
+from femtonet import experiments, topology
+from femtonet.scenario import apply_overrides, scenario_from_preset
 from femtonet.topology import (
     CellTopology,
     FemtoSite,
@@ -367,20 +369,20 @@ def test_placement_settles_a_block_in_draw_order(block, kept):
 
 
 @pytest.mark.parametrize("f2, message", [
-    # the budget of 800 ends after the first candidate of the block
-    # (800, 801), which is tried and accepted ...
+    # the budget of 800 ends with candidate 800, which is tried and
+    # accepted ...
     (800, "placed only 3/4 FAPs after 800 attempts"),
-    # ... while the second is drawn but never tried
+    # ... while candidate 801 is never tried
     (801, "placed only 2/4 FAPs after 800 attempts"),
 ])
 def test_placement_budget_ends_inside_a_block(f2, message):
-    # Attempts 1-3 are the first block, whose far F1 is the only FAP it
-    # places; every later block holds two candidates.  Every candidate but
-    # F1 and F2 repeats the reference FAP and is rejected.
+    # Attempts 1-11 are the first draw round, whose far F1 is the only FAP
+    # it places; every later round holds two candidates plus the slack.
+    # Every candidate but F1 and F2 repeats the reference FAP and is rejected.
     far = {1: _at(500.0), f2: _at(-600.0)}
     got, drawn = _place_from([far.get(k, _at(200.0)) for k in range(1, 802)], 4)
     assert got == message
-    assert drawn == 2 * 801  # the last block was drawn whole, then cut
+    assert drawn == 2 * 800  # the last round was cut to the budget before drawing
 
 
 def test_placement_fills_on_the_last_attempt():
@@ -389,6 +391,102 @@ def test_placement_fills_on_the_last_attempt():
     far = {1: _at(500.0), 798: _at(-600.0), 800: _at(900.0)}
     positions, _ = _place_from([far.get(k, _at(200.0)) for k in range(1, 801)], 4)
     assert positions[:, 0].round(6).tolist() == [200.0, 500.0, -600.0, 900.0]
+
+
+def _assert_table_is_a_fresh_build(topo):
+    """The table that a placement handed over, bit for bit the one that
+    the topology would build from its positions, and read-only."""
+    got = topo._neighbors()
+    want = topology._neighbor_table(topo.positions, topo._reach)
+    for a, b in zip(got, want, strict=True):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+        assert not a.flags.writeable
+
+
+@pytest.mark.parametrize("macro", [
+    MacroGeometry(min_separation_m=0.0),
+    MacroGeometry(),
+    # rounds at the separation, cut to the 60 m reach: no pair is left
+    MacroGeometry(min_separation_m=70.0),
+    # rounds at the 90 m reach, with every pair at least 70 m apart
+    MacroGeometry(min_separation_m=70.0, neighbor_threshold_m=90.0),
+], ids=["sep0", "sep2", "sep70", "sep70-reach90"])
+@pytest.mark.parametrize("count", [0, 1, 2, 5, 60, 100, 200, 300, 600, 1000])
+def test_a_placement_hands_over_its_own_neighbor_table(macro, count):
+    for seed in (1, 2):
+        try:
+            topo = place_femtocells(seed, count, macro)
+        except PlacementInfeasibleError:
+            assert count > 0.25 * (2000.0 / macro.min_separation_m + 1.0) ** 2
+            return
+        _assert_table_is_a_fresh_build(topo)
+
+
+def test_a_placement_that_fills_on_its_last_attempt_hands_over_its_table():
+    # the last round is cut to the budget, and its last candidate places
+    # the last FAP
+    far = {1: _at(500.0), 798: _at(-600.0), 800: _at(900.0)}
+    values = [u for k in range(1, 801) for u in far.get(k, _at(200.0))]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np.random, "default_rng", lambda _: _PeriodicRng(values))
+        topo = place_femtocells(0, 4)
+    assert topo.positions[:, 0].round(6).tolist() == [200.0, 500.0, -600.0, 900.0]
+    _assert_table_is_a_fresh_build(topo)
+
+
+def test_a_pair_the_separation_apart_leaves_a_table_cut_to_the_reach():
+    # the candidate 70 m from the reference FAP is accepted (it is not
+    # closer than the separation), and the round's 70 m table holds the
+    # pair, but the topology's 60 m table does not
+    values = list(_at(270.0))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np.random, "default_rng", lambda _: _PeriodicRng(values))
+        topo = place_femtocells(0, 2, MacroGeometry(min_separation_m=70.0))
+    assert topo.positions.tolist() == [[200.0, 0.0], [270.0, 0.0]]
+    _assert_table_is_a_fresh_build(topo)
+    assert topo._neighbors()[1].size == 0
+
+
+class _CountingRng:
+    """A generator that records the size of each `random` draw."""
+
+    def __init__(self, gen, sizes):
+        self._gen, self._sizes = gen, sizes
+
+    def random(self, size=None):
+        self._sizes.append(size)
+        return self._gen.random(size)
+
+
+def test_a_fig4_trial_builds_one_table_per_placement_round(monkeypatch):
+    # every table is built by a placement, one per draw round: none by the
+    # topology itself, by reach_components or by the plans and sir
+    builds, rounds, placing = [], [], []
+    real_table, real_rng = topology._neighbor_table, np.random.default_rng
+    real_place = experiments.place_femtocells
+
+    def counting_table(pos, reach):
+        builds.append(bool(placing))
+        return real_table(pos, reach)
+
+    def counting_place(*args, **kwargs):
+        placing.append(True)
+        try:
+            return real_place(*args, **kwargs)
+        finally:
+            placing.pop()
+
+    monkeypatch.setattr(topology, "_neighbor_table", counting_table)
+    monkeypatch.setattr(experiments, "place_femtocells", counting_place)
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda seed: _CountingRng(real_rng(seed), rounds) if placing
+                        else real_rng(seed))
+    sc = apply_overrides(scenario_from_preset("table-4.3"),
+                         ["trials = 3", "sweep.femto_counts = 60, 300, 1000"])
+    for name in ("fig4-outage", "fig4-throughput"):
+        experiments.run_experiment(name, sc)
+    assert len(rounds) >= 2 * 3 * 3
+    assert builds == [True] * len(rounds)
 
 
 @pytest.mark.parametrize("seed", [7, 11])
