@@ -18,11 +18,13 @@ the C loop's `v * rate_i < lam_total` does.  The second pass, in numpy,
 computes the time steps, the clocks and the per-stream counts from the
 recorded path.
 
-run_replications runs every replication of one estimate in one call: the
-chain is checked and its tables built once, and each replication walks its
-uncounted warm-up and its counted run in one pass over its stream.
-Warm-up events take pass 1 only, with no path and no clocks.
-run_loss_chain is the one-run entry, on the same walker.
+The one entry, run_walks, is this kernel's walker, as run_walks in
+_lossloop.c is the compiled one's.  It builds the chain's tables once and
+runs every walk it is given, each its uncounted warm-up and its counted run
+in one pass over its stream; warm-up events take pass 1 only, with no path
+and no clocks.  It checks nothing: des.Kernel, the one front over both
+walkers, checks the arguments with check_loss_chain and check_arrivals and
+adds the walks up.
 """
 
 from __future__ import annotations
@@ -48,7 +50,8 @@ def check_loss_chain(stream_rates, stream_limits, srv_rates,
     negative or not finite, or whose total arrival rate, or that total plus
     a service rate (a state's event rate), is not finite: no draw would be
     an arrival there.  The sum grows with the service rate, so the largest
-    one covers every state.  Both backends call this before simulating."""
+    one covers every state.  Returns the total arrival rate, summed in
+    stream order as both walkers sum it."""
     if len(stream_limits) != len(stream_rates):
         raise ValueError("stream rate/limit length mismatch")
     n_states = len(srv_rates)
@@ -68,6 +71,7 @@ def check_loss_chain(stream_rates, stream_limits, srv_rates,
     if lam_total + srv_max == math.inf:
         raise ValueError(f"the total arrival rate {lam_total!r} plus the largest "
                          f"service rate {srv_max!r} is not finite")
+    return lam_total
 
 
 def check_arrivals(target_arrivals) -> int:
@@ -109,15 +113,6 @@ def _uniforms(state: int, n_events: int) -> np.ndarray:
     u = (z >> np.uint64(11)).astype(np.float64)
     u /= _TWO53
     return u
-
-
-def check_replications(seeds, warmups, counts) -> tuple[list, list, list]:
-    """The RNG seeds (mod 2**64), warm-up and counted arrival counts of
-    run_replications as int lists, one entry per replication."""
-    if not len(seeds) == len(warmups) == len(counts):
-        raise ValueError("need one seed, warm-up and call count per replication")
-    return ([int(s) & _MASK for s in seeds], [check_arrivals(n) for n in warmups],
-            [check_arrivals(n) for n in counts])
 
 
 def arrival_threshold(lam_total: float, rate: float) -> float:
@@ -168,7 +163,7 @@ def _double(bits: int) -> float:
 
 
 class _Tables:
-    """A chain's per-state and per-stream tables, built once per entry call.
+    """A chain's per-state and per-stream tables, built once per run_walks call.
 
     cum_rates are the running sums by which an arrival picks its stream;
     the last is the total arrival rate lam_total.  Below every limit an
@@ -199,15 +194,16 @@ class _Tables:
 def _walk(c: _Tables, state: int, i: int, warm: int, remaining: int,
           time_in_state, seen, rejected) -> tuple[float, int, int]:
     """Run `warm` uncounted arrivals and then `remaining` counted ones from
-    RNG state `state` and chain state i, with c.lam_total > 0.  The counted
+    RNG state `state` and chain state i; c.lam_total > 0 unless both counts
+    are 0, as the tables are read only once there is an event.  The counted
     events add their time steps to time_in_state and their arrivals and
     rejections per stream to seen and rejected, in place.  Returns (elapsed
     time of the counted events, final chain state, final RNG state)."""
-    thr, event_rates = c.thr, c.event_rates
-    cum_rates, limits, min_state = c.cum_rates, c.limits, c.min_state
-    admit_all, reject_all = c.admit_all, c.reject_all
     elapsed = 0.0
     while warm or remaining:
+        thr, event_rates = c.thr, c.event_rates
+        cum_rates, limits, min_state = c.cum_rates, c.limits, c.min_state
+        admit_all, reject_all = c.admit_all, c.reject_all
         # a chain in balance takes about two events per arrival
         n_events = min(2 * (warm + remaining) + 64, _BLOCK_EVENTS)
         u = _uniforms(state, n_events)
@@ -261,8 +257,10 @@ def _clocks(c: _Tables, u, path, elapsed: float, time_in_state, seen, rejected) 
     steps = np.empty(used + 1)  # the clock so far, then each time step
     steps[0] = elapsed
     logs = np.fromiter(map(math.log, (1.0 - u[0::2]).tolist()), np.float64, used)
-    np.divide(np.negative(logs, out=logs), rates, out=steps[1:])
-    np.add.at(time_in_state, at, steps[1:])
+    with np.errstate(over="ignore"):  # a clock past the largest double is inf, as in C
+        np.divide(np.negative(logs, out=logs), rates, out=steps[1:])
+        np.add.at(time_in_state, at, steps[1:])
+        clock = float(np.add.accumulate(steps)[-1])
     picks = u[1::2] * rates
     arrived = picks < c.lam_total
     # each arrival's stream, as bisect_right finds it, and whether the
@@ -270,65 +268,22 @@ def _clocks(c: _Tables, u, path, elapsed: float, time_in_state, seen, rejected) 
     k = c.cum_of.searchsorted(picks[arrived], side="right")
     seen += np.bincount(k, minlength=c.n_streams)
     rejected += np.bincount(k[at[arrived] >= c.limit_of[k]], minlength=c.n_streams)
-    return float(np.add.accumulate(steps)[-1])
+    return clock
 
 
-def run_loss_chain(
-    seed: int,
-    target_arrivals: int,
-    stream_rates,
-    stream_limits,
-    srv_rates,
-    start_state: int = 0,
-    min_state: int = 0,
-):
-    """Simulate a loss chain until `target_arrivals` calls have arrived.
-
-    State i holds i calls and departs at total rate srv_rates[i].  Each
-    arrival stream k is Poisson at stream_rates[k] and admitted only while
-    the state is below stream_limits[k].  Returns (seen per stream,
-    rejected per stream, time_in_state list, elapsed time, final chain
-    state, final RNG state) so a run can be resumed, e.g. after a warmup.
-    """
-    check_loss_chain(stream_rates, stream_limits, srv_rates, start_state, min_state)
-    remaining = check_arrivals(target_arrivals)
-    c = _Tables(stream_rates, stream_limits, srv_rates, min_state)
-    if c.lam_total <= 0.0 or remaining <= 0:
-        return ([0] * c.n_streams, [0] * c.n_streams, [0.0] * c.n_states, 0.0,
-                start_state, seed & _MASK)
-    time_in_state = np.zeros(c.n_states)
-    seen = np.zeros(c.n_streams, dtype=np.int64)
-    rejected = np.zeros(c.n_streams, dtype=np.int64)
-    elapsed, i, state = _walk(c, seed & _MASK, start_state, 0, remaining,
-                              time_in_state, seen, rejected)
-    return (seen.tolist(), rejected.tolist(), time_in_state.tolist(), elapsed, i, state)
-
-
-def run_replications(seeds, warmups, counts, stream_rates, stream_limits, srv_rates,
-                     min_state: int = 0):
-    """Every replication of one estimate in one call.
-
-    Replication r starts at min_state from RNG state seeds[r], runs
-    warmups[r] uncounted arrivals and then counts[r] counted ones: the same
-    stream and result as a run_loss_chain warm-up resumed by a counted
-    run_loss_chain.  Returns (seen, rejected), (replications x streams)
-    int64 arrays of the counted arrivals and rejections, and the
-    time_in_state array and elapsed time of the counted events, each
-    replication's own sums added up in replication order."""
-    check_loss_chain(stream_rates, stream_limits, srv_rates, min_state, min_state)
-    seeds, warmups, counts = check_replications(seeds, warmups, counts)
+def run_walks(seeds, starts, warmups, counts, stream_rates, stream_limits, srv_rates,
+              min_state: int):
+    """Walk r starts at chain state starts[r] from RNG state seeds[r], runs
+    warmups[r] uncounted arrivals and then counts[r] counted ones.  Returns
+    (seen, rejected, time_in_state, ends): the counted arrivals and
+    rejections, (walks x streams) int64 arrays; the counted events' clocks,
+    a (walks x states) array; and per walk, (elapsed time of the counted
+    events, final chain state, final RNG state).  Checks nothing: every
+    count is >= 0, and 0 unless the stream rates sum above 0."""
     c = _Tables(stream_rates, stream_limits, srv_rates, min_state)
     seen = np.zeros((len(seeds), c.n_streams), dtype=np.int64)
     rejected = np.zeros((len(seeds), c.n_streams), dtype=np.int64)
-    tis_tot = np.zeros(c.n_states)
-    elapsed_tot = 0.0
-    if c.lam_total <= 0.0:
-        return seen, rejected, tis_tot, elapsed_tot
-    for r, (seed, warm, calls) in enumerate(zip(seeds, warmups, counts)):
-        if calls > 0:
-            tis = np.zeros(c.n_states)
-            elapsed, _, _ = _walk(c, seed, min_state, max(warm, 0), calls,
-                                  tis, seen[r], rejected[r])
-            tis_tot += tis
-            elapsed_tot += elapsed
-    return seen, rejected, tis_tot, elapsed_tot
+    time_in_state = np.zeros((len(seeds), c.n_states))
+    ends = [_walk(c, *walk, time_in_state[r], seen[r], rejected[r])
+            for r, walk in enumerate(zip(seeds, starts, warmups, counts))]
+    return seen, rejected, time_in_state, ends

@@ -12,11 +12,13 @@
    `pick < lam_total` does.  This loop does all of it per event, drawing one
    output at a time.  Warm-up events skip the time-step draw's mix, the log
    and the clocks here, and pass 2 in the twin; only the move draw decides
-   them.  Build with
-   -ffp-contract=off so no multiply-add is fused.  The caller validates
-   every index first (_despy.check_loss_chain): 0 <= min_state <= the start
-   state < n_states and every limit < n_states, so the chain state never
-   leaves [0, n_states). */
+   them.  Build with -ffp-contract=off so no multiply-add is fused.
+
+   Like the twin, this file exports one walker, run_walks, which checks
+   nothing: des.Kernel, the one front over both walkers, validates every
+   argument first (_despy.check_loss_chain), so 0 <= min_state <= each start
+   state < n_states, every limit < n_states and the chain state never leaves
+   [0, n_states), and it adds the walks' clocks up itself. */
 #include <math.h>
 #include <stdint.h>
 
@@ -50,10 +52,10 @@ static int64_t stream_of(double pick, int64_t n_streams, const double *rates)
 }
 
 /* Runs `warm` uncounted arrivals, then `target` counted ones, from RNG state
-   `state` and chain state *chain; lam_total > 0 is the sum of the rates in
-   stream order.  The counted events add to seen, rejected, tis and
-   *elapsed.  Returns the final RNG state and leaves the final chain state
-   in *chain. */
+   `state` and chain state *chain; lam_total, the sum of the rates in stream
+   order, is > 0 unless both counts are 0.  The counted events add to seen,
+   rejected, tis and *elapsed.  Returns the final RNG state and leaves the
+   final chain state in *chain. */
 static uint64_t walk(uint64_t state, int64_t *chain, int64_t warm, int64_t target,
                      double lam_total, int64_t n_streams, const double *rates,
                      const int64_t *limits, const double *srv, int64_t min_state,
@@ -94,57 +96,23 @@ static uint64_t walk(uint64_t state, int64_t *chain, int64_t warm, int64_t targe
     return state;
 }
 
-static double total_rate(int64_t n_streams, const double *rates)
+/* Walk r starts at chain state chains[r] from RNG state states[r], runs
+   warm[r] uncounted arrivals and then target[r] counted ones, and leaves its
+   final chain and RNG state there.  Its counted events add to row r of seen
+   and rejected (n_streams counts each), of tis (n_states clocks) and to
+   elapsed[r]; rows, tis and elapsed start zeroed.  The caller asks for no
+   arrival from a chain whose rates sum to 0: no draw there is one. */
+void run_walks(int64_t n_walks, uint64_t *states, int64_t *chains, const int64_t *warm,
+               const int64_t *target, int64_t n_streams, const double *rates,
+               const int64_t *limits, int64_t n_states, const double *srv,
+               int64_t min_state, int64_t *seen, int64_t *rejected, double *tis,
+               double *elapsed)
 {
     double lam_total = 0.0;
     for (int64_t k = 0; k < n_streams; k++)
         lam_total += rates[k];
-    return lam_total;
-}
-
-/* One run of `target` counted arrivals.  Returns the final RNG state;
-   *chain holds the start state on entry and the final chain state on exit.
-   seen, rejected, tis and elapsed start zeroed. */
-uint64_t run_loss_chain(uint64_t state, int64_t target, int64_t n_streams,
-                        const double *rates, const int64_t *limits,
-                        const double *srv, int64_t min_state, int64_t *chain,
-                        int64_t *seen, int64_t *rejected, double *tis,
-                        double *elapsed)
-{
-    double lam_total = total_rate(n_streams, rates);
-    if (lam_total > 0.0)
-        state = walk(state, chain, 0, target, lam_total, n_streams, rates, limits,
-                     srv, min_state, seen, rejected, tis, elapsed);
-    return state;
-}
-
-/* Every replication of one estimate.  Replication r starts at min_state
-   from RNG state seeds[r] and runs warm[r] uncounted arrivals, then
-   target[r] counted ones.  rows holds the seen rows, then the rejected
-   rows, n_streams counts to a row, one row per replication.  tis holds
-   n_states time-in-state sums followed by n_states of scratch for one
-   replication's clocks; each replication's time in state and elapsed time
-   are added to tis and *elapsed in replication order.  rows, tis and
-   elapsed start zeroed. */
-void run_replications(int64_t n_reps, const uint64_t *seeds, const int64_t *warm,
-                      const int64_t *target, int64_t n_streams, const double *rates,
-                      const int64_t *limits, int64_t n_states, const double *srv,
-                      int64_t min_state, int64_t *rows, double *tis, double *elapsed)
-{
-    double lam_total = total_rate(n_streams, rates);
-    double *rep_tis = tis + n_states;
-    if (!(lam_total > 0.0))
-        return; /* no event is ever drawn */
-    for (int64_t r = 0; r < n_reps; r++) {
-        int64_t chain = min_state;
-        double rep_elapsed = 0.0;
-        for (int64_t j = 0; j < n_states; j++)
-            rep_tis[j] = 0.0;
-        walk(seeds[r], &chain, warm[r], target[r], lam_total, n_streams, rates,
-             limits, srv, min_state, rows + r * n_streams,
-             rows + (n_reps + r) * n_streams, rep_tis, &rep_elapsed);
-        for (int64_t j = 0; j < n_states; j++)
-            tis[j] += rep_tis[j];
-        *elapsed += rep_elapsed;
-    }
+    for (int64_t r = 0; r < n_walks; r++)
+        states[r] = walk(states[r], chains + r, warm[r], target[r], lam_total, n_streams,
+                         rates, limits, srv, min_state, seen + r * n_streams,
+                         rejected + r * n_streams, tis + r * n_states, elapsed + r);
 }

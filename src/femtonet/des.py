@@ -1,10 +1,15 @@
 """Discrete-event simulation oracle for the analytic chains.
 
-The hot event loop is the C function in _lossloop.c, called through ctypes
-when `python setup.py build_ext --inplace` (or an install) has built it; the
-pure-Python twin in _despy, which draws the identical random stream in numpy
-blocks, runs otherwise.  simulate_des makes one kernel call per estimate:
-run_replications runs every replication, its warm-up included.
+Each DES kernel exports one walker, run_walks: the C function in
+_lossloop.c, called through ctypes when `python setup.py build_ext
+--inplace` (or an install) has built it, or its pure-Python twin in _despy,
+which draws the identical random stream in numpy blocks and runs otherwise.
+A walker runs a list of walks, each from its own chain and RNG state, and
+checks nothing.  Kernel, the one front over either walker, checks the
+arguments and holds the two entries, run_loss_chain (one walk) and
+run_replications (one walk per replication, its clocks added up in
+replication order).  simulate_des makes one run_replications call per
+estimate.
 """
 
 from __future__ import annotations
@@ -12,8 +17,8 @@ from __future__ import annotations
 import ctypes
 import importlib.util
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -28,64 +33,103 @@ from .queueing import (
 )
 
 
-def load_compiled(path: str) -> SimpleNamespace:
-    """Bind the event loops of the shared library built from _lossloop.c.
+def _walked(count: int, lam_total: float) -> int:
+    """The counted arrivals a walk asks for: none below 1, and none on a
+    chain with no arrivals, where no draw is one."""
+    return count if count > 0 and lam_total > 0.0 else 0
 
-    The result's run_loss_chain and run_replications have the signatures,
-    validation and return values of _despy's.  The arguments go to C as
-    ctypes arrays filled from the Python values, with no numpy conversion
-    or per-argument array check."""
+
+@dataclass(frozen=True)
+class Kernel:
+    """The entries of one DES kernel over its walker, `walk`: _despy.run_walks
+    or the compiled run_walks that load_compiled binds.  Both kernels' input
+    checks, and the order in which run_replications adds the clocks, are
+    written here once."""
+
+    walk: Callable
+
+    def run_loss_chain(self, seed, target_arrivals, stream_rates, stream_limits,
+                       srv_rates, start_state=0, min_state=0):
+        """Simulate a loss chain until `target_arrivals` calls have arrived.
+
+        State i holds i calls and departs at total rate srv_rates[i].  Each
+        arrival stream k is Poisson at stream_rates[k] and admitted only
+        while the state is below stream_limits[k].  Returns (seen per stream,
+        rejected per stream, time_in_state list, elapsed time, final chain
+        state, final RNG state) so a run can be resumed, e.g. after a
+        warmup."""
+        lam_total = _despy.check_loss_chain(stream_rates, stream_limits, srv_rates,
+                                            start_state, min_state)
+        count = _walked(_despy.check_arrivals(target_arrivals), lam_total)
+        seen, rejected, tis, ((elapsed, chain, state),) = self.walk(
+            [seed & _despy._MASK], [start_state], [0], [count], stream_rates,
+            stream_limits, srv_rates, min_state)
+        return seen[0].tolist(), rejected[0].tolist(), tis[0].tolist(), elapsed, chain, state
+
+    def run_replications(self, seeds, warmups, counts, stream_rates, stream_limits,
+                         srv_rates, min_state=0):
+        """Every replication of one estimate in one walker call.
+
+        Replication r starts at min_state from RNG state seeds[r], runs
+        warmups[r] uncounted arrivals and then counts[r] counted ones: the
+        same stream and result as a run_loss_chain warm-up resumed by a
+        counted run_loss_chain.  A replication with no counted call is not
+        walked, so it walks no warm-up either.  Returns (seen, rejected),
+        (replications x streams) int64 arrays of the counted arrivals and
+        rejections, and the time_in_state array and elapsed time of the
+        counted events, each replication's own sums added up in replication
+        order."""
+        lam_total = _despy.check_loss_chain(stream_rates, stream_limits, srv_rates,
+                                            min_state, min_state)
+        if not len(seeds) == len(warmups) == len(counts):
+            raise ValueError("need one seed, warm-up and call count per replication")
+        seeds = [int(s) & _despy._MASK for s in seeds]
+        warmups = [_despy.check_arrivals(n) for n in warmups]
+        counts = [_walked(_despy.check_arrivals(n), lam_total) for n in counts]
+        warmups = [max(warm, 0) if calls else 0 for warm, calls in zip(warmups, counts)]
+        seen, rejected, tis, ends = self.walk(seeds, [min_state] * len(seeds), warmups,
+                                              counts, stream_rates, stream_limits,
+                                              srv_rates, min_state)
+        tis_tot, elapsed_tot = np.zeros(len(srv_rates)), 0.0
+        with np.errstate(over="ignore"):  # a clock past the largest double is inf
+            for row, (elapsed, _, _) in zip(tis, ends):
+                tis_tot += row
+                elapsed_tot += elapsed
+        return seen, rejected, tis_tot, elapsed_tot
+
+
+def load_compiled(path: str) -> Kernel:
+    """The Kernel over the walker of the shared library built from
+    _lossloop.c.  The walks go to C as ctypes arrays filled from the Python
+    values, with no numpy conversion or per-argument array check: the front
+    has checked them."""
     f64, i64, u64 = ctypes.c_double, ctypes.c_int64, ctypes.c_uint64
     f64p, i64p = ctypes.POINTER(f64), ctypes.POINTER(i64)
-    lib = ctypes.CDLL(path)
-    one = lib.run_loss_chain
-    one.restype = u64
-    one.argtypes = [u64, i64, i64, f64p, i64p, f64p, i64, i64p, i64p, i64p, f64p, f64p]
-    many = lib.run_replications
-    many.restype = None
-    many.argtypes = [i64, ctypes.POINTER(u64), i64p, i64p, i64, f64p, i64p, i64, f64p,
-                     i64, i64p, f64p, f64p]
+    run_walks = ctypes.CDLL(path).run_walks
+    run_walks.restype = None
+    run_walks.argtypes = [i64, ctypes.POINTER(u64), i64p, i64p, i64p, i64, f64p, i64p,
+                          i64, f64p, i64, i64p, i64p, f64p, f64p]
 
-    def chain_arrays(stream_rates, stream_limits, srv_rates):
-        n_streams = len(stream_rates)
-        return ((f64 * n_streams)(*stream_rates),
-                (i64 * n_streams)(*[int(x) for x in stream_limits]),
-                (f64 * len(srv_rates))(*srv_rates))
+    def walk(seeds, starts, warmups, counts, stream_rates, stream_limits, srv_rates,
+             min_state):
+        n_walks, n_streams, n_states = len(seeds), len(stream_rates), len(srv_rates)
+        states, chains = (u64 * n_walks)(*seeds), (i64 * n_walks)(*starts)
+        seen, rejected = (i64 * (n_walks * n_streams))(), (i64 * (n_walks * n_streams))()
+        tis, elapsed = (f64 * (n_walks * n_states))(), (f64 * n_walks)()
+        run_walks(n_walks, states, chains, (i64 * n_walks)(*warmups),
+                  (i64 * n_walks)(*counts), n_streams, (f64 * n_streams)(*stream_rates),
+                  (i64 * n_streams)(*[int(x) for x in stream_limits]), n_states,
+                  (f64 * n_states)(*srv_rates), min_state, seen, rejected, tis, elapsed)
+        return (np.frombuffer(seen, np.int64).reshape(n_walks, n_streams),
+                np.frombuffer(rejected, np.int64).reshape(n_walks, n_streams),
+                np.frombuffer(tis, np.float64).reshape(n_walks, n_states),
+                list(zip(elapsed, chains, states)))
 
-    def run_loss_chain(seed, target_arrivals, stream_rates, stream_limits,
-                       srv_rates, start_state=0, min_state=0):
-        _despy.check_loss_chain(stream_rates, stream_limits, srv_rates,
-                                start_state, min_state)
-        target_arrivals = _despy.check_arrivals(target_arrivals)
-        n_streams = len(stream_rates)
-        seen, rejected = (i64 * n_streams)(), (i64 * n_streams)()
-        tis, elapsed, chain = (f64 * len(srv_rates))(), f64(), i64(start_state)
-        state = one(seed & _despy._MASK, target_arrivals, n_streams,
-                    *chain_arrays(stream_rates, stream_limits, srv_rates), min_state,
-                    ctypes.byref(chain), seen, rejected, tis, ctypes.byref(elapsed))
-        return seen[:], rejected[:], tis[:], elapsed.value, chain.value, state
-
-    def run_replications(seeds, warmups, counts, stream_rates, stream_limits,
-                         srv_rates, min_state=0):
-        _despy.check_loss_chain(stream_rates, stream_limits, srv_rates,
-                                min_state, min_state)
-        seeds, warmups, counts = _despy.check_replications(seeds, warmups, counts)
-        n_reps, n_streams, n_states = len(seeds), len(stream_rates), len(srv_rates)
-        rows = (i64 * (2 * n_reps * n_streams))()
-        tis, elapsed = (f64 * (2 * n_states))(), f64()
-        rates, limits, srv = chain_arrays(stream_rates, stream_limits, srv_rates)
-        many(n_reps, (u64 * n_reps)(*seeds), (i64 * n_reps)(*warmups),
-             (i64 * n_reps)(*counts), n_streams, rates, limits, n_states, srv,
-             min_state, rows, tis, ctypes.byref(elapsed))
-        seen, rejected = np.frombuffer(rows, np.int64).reshape(2, n_reps, n_streams)
-        return seen, rejected, np.frombuffer(tis, np.float64, n_states), elapsed.value
-
-    return SimpleNamespace(run_loss_chain=run_loss_chain,
-                           run_replications=run_replications)
+    return Kernel(walk)
 
 
 _compiled_spec = importlib.util.find_spec(f"{__package__}._lossloop")
-_KERNELS = {"pure-python": _despy}
+_KERNELS = {"pure-python": Kernel(_despy.run_walks)}
 if _compiled_spec is not None:
     _KERNELS["compiled"] = load_compiled(_compiled_spec.origin)
 BACKEND = "compiled" if "compiled" in _KERNELS else "pure-python"
@@ -179,6 +223,9 @@ def simulate_des(spec: LossChainSpec, total_calls: int = 1_000_000,
     seen, rejected, tis_tot, elapsed_tot = _kernel.run_replications(
         rep_seeds.tolist(), [int(WARMUP * calls) for calls in counts], counts,
         spec.stream_rates, spec.stream_limits, spec.srv_rates, spec.min_state)
+    if math.isinf(elapsed_tot):
+        raise ValueError("the simulated time overflowed to inf: the chain's event "
+                         "rates are too small for a finite clock")
     n_streams = len(spec.stream_rates)
 
     def pooled(streams):

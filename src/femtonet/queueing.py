@@ -700,6 +700,16 @@ class Ch6Cell:
     Handovers drop at N + S = 155 under the three adaptive schemes, and from
     i = 99 (the 128 kbps classes) of N + S = 101 under hard-qos and guard.
     tests/test_admission.py pins these steps.
+
+    Under hard-qos the per-call policy is a multi-rate loss system with
+    complete sharing, each call holding its class's bandwidth, and its exact
+    blocking (Kaufman-Roberts) differs from the chain's, which counts calls
+    of the mean request.  Along fig6-cac's default grid, at the chain's
+    fixed-point handover rate, the share-weighted per-call P_B reads 0.0110,
+    0.1017, 0.1935, 0.2671 and 0.3430 at lam_new = 0.7, 1.0, 1.3, 1.6 and
+    2.0, against the chain's 0.0076, 0.1417, 0.2795, 0.3829 and 0.4830:
+    above the chain at light load, below it from 1.0 up.
+    tests/test_kaufman_roberts.py pins these values.
     """
 
     scheme: str

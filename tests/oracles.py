@@ -55,6 +55,23 @@ def erlang_b_direct(servers: int, offered: float) -> float:
     return terms[-1] / sum(terms)
 
 
+def kaufman_roberts(classes, capacity: int, rates) -> list[float]:
+    """Per-class call blocking of a multi-rate loss system with complete
+    sharing (Kaufman, IEEE Trans. Commun. 1981; Roberts 1981): a call of
+    class m holds classes[m] of the `capacity` units, in integers, and
+    class m offers rates[m] erlangs.  The occupancy q(j) of j units has a
+    product form, j q(j) = sum_m a_m b_m q(j - b_m), and class m blocks in
+    the states j > capacity - b_m.  q is kept in floats, rescaled whenever
+    it grows past 1e200."""
+    q = [1.0] + [0.0] * capacity
+    for j in range(1, capacity + 1):
+        q[j] = sum(a * b * q[j - b] for b, a in zip(classes, rates) if b <= j) / j
+        if q[j] > 1e200:
+            q = [x / q[j] for x in q]
+    total = sum(q)
+    return [sum(q[max(capacity - b + 1, 0):]) / total for b in classes]
+
+
 def greedy_layer_packing(budget, sessions):
     """Round-robin layer distribution by priority rank.
 
@@ -765,7 +782,8 @@ def solve_two_tier(params):
 
 # -- the pure-Python DES kernel as it was before it drew its random stream in
 # blocks: one scalar splitmix64 call per draw.  Kept verbatim (with its
-# constants) as the bitwise reference for _despy.run_loss_chain.
+# constants) as the bitwise reference for the pure-Python kernel's
+# run_loss_chain.
 
 _MASK = 0xFFFFFFFFFFFFFFFF
 _TWO53 = 9007199254740992.0  # 2**53

@@ -1,4 +1,5 @@
 import math
+import os
 import shutil
 import subprocess
 import sys
@@ -44,12 +45,13 @@ def test_backend_reported():
 
 
 REPO = Path(__file__).resolve().parents[1]
+PURE_PYTHON = des.kernel_backends()["pure-python"]
 
 
 @pytest.fixture(scope="module")
-def compiled(tmp_path_factory):
-    """The C kernel built from this checkout by setup.py, whose flags keep
-    it bit-identical to the pure-Python one, into a temp dir."""
+def compiled_path(tmp_path_factory):
+    """The path of the C kernel built from this checkout by setup.py, whose
+    flags keep it bit-identical to the pure-Python one, into a temp dir."""
     if shutil.which("cc") is None and shutil.which("gcc") is None:
         pytest.skip("no C compiler on PATH")
     out = tmp_path_factory.mktemp("kernel")
@@ -59,12 +61,17 @@ def compiled(tmp_path_factory):
     if len(libs) != 1:
         # the extension is optional, so a failed compile is only a warning
         pytest.fail(f"setup.py build_ext wrote {len(libs)} kernels, not one")
-    return load_compiled(str(libs[0]))
+    return str(libs[0])
+
+
+@pytest.fixture(scope="module")
+def compiled(compiled_path):
+    return load_compiled(compiled_path)
 
 
 def test_backends_bit_identical(compiled):
     args = (77, 50_000, [0.8, 0.3, 0.1], [4, 6, 8], [i * 0.2 for i in range(9)], 2, 1)
-    assert compiled.run_loss_chain(*args) == _despy.run_loss_chain(*args)
+    assert compiled.run_loss_chain(*args) == PURE_PYTHON.run_loss_chain(*args)
 
 
 def _outcome(kernel, args):
@@ -132,9 +139,9 @@ def _chained_replications(args):
     rates, limits, srv, _, min_state = args[2:]
     seen, rejected, tis_tot, elapsed_tot = [], [], np.zeros(len(srv)), 0.0
     for seed, warm, calls in zip(*_replication_plan(args)):
-        *_, chain, rng = _despy.run_loss_chain(seed, warm, rates, limits, srv,
+        *_, chain, rng = PURE_PYTHON.run_loss_chain(seed, warm, rates, limits, srv,
                                                min_state, min_state)
-        rep_seen, rep_rejected, tis, elapsed, *_ = _despy.run_loss_chain(
+        rep_seen, rep_rejected, tis, elapsed, *_ = PURE_PYTHON.run_loss_chain(
             rng, calls, rates, limits, srv, chain, min_state)
         seen.append(rep_seen)
         rejected.append(rep_rejected)
@@ -153,11 +160,11 @@ def test_backends_agree_or_reject_alike(compiled, args):
     when started at min_state, where simulate_des starts them, and
     run_replications otherwise returns what chained run_loss_chain calls
     return."""
-    out = _outcome(_despy, args)
+    out = _outcome(PURE_PYTHON, args)
     assert _outcome(compiled, args) == out
     min_state = args[6]
-    from_floor = _outcome(_despy, (*args[:5], min_state, min_state))
-    replications = _replications_outcome(_despy, args)
+    from_floor = _outcome(PURE_PYTHON, (*args[:5], min_state, min_state))
+    replications = _replications_outcome(PURE_PYTHON, args)
     assert _replications_outcome(compiled, args) == replications
     if from_floor[0] == "ValueError":
         assert replications == from_floor
@@ -255,7 +262,7 @@ def test_block_draws_match_scalar_loop(args):
     so they show a last-bit change of a single draw's time step."""
     rng, counts, rates, limits, srv, chain, min_state = args
     for count in counts:
-        out = _despy.run_loss_chain(rng, count, rates, limits, srv, chain, min_state)
+        out = PURE_PYTHON.run_loss_chain(rng, count, rates, limits, srv, chain, min_state)
         ref = scalar_loss_chain(rng, count, rates, limits, srv, chain, min_state)
         assert out == ref
         assert _bits(out) == _bits(ref)
@@ -269,7 +276,7 @@ def test_block_buffer_is_bounded():
     block they would take 9.6 MB."""
     tracemalloc.start()
     try:
-        _despy.run_loss_chain(1, 50_000, [1.0], [0], [0.0])
+        PURE_PYTHON.run_loss_chain(1, 50_000, [1.0], [0], [0.0])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -284,7 +291,7 @@ def test_block_buffer_is_bounded_above_small_ints():
     srv = [0.0] * 300 + [1.0] * 100
     tracemalloc.start()
     try:
-        out = _despy.run_loss_chain(1, 50_000, [1.0], [399], srv, 300, 300)
+        out = PURE_PYTHON.run_loss_chain(1, 50_000, [1.0], [399], srv, 300, 300)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -295,7 +302,7 @@ def test_block_buffer_is_bounded_above_small_ints():
 @pytest.mark.parametrize("arrivals", [1000.0, 2.5, math.nan, 1e5, 2**64 + 5])
 def test_arrival_count_must_be_an_int64(compiled, arrivals):
     # ctypes would wrap 2**64 + 5 to 5 arrivals in the compiled kernel
-    for kernel in (compiled, _despy):
+    for kernel in (compiled, PURE_PYTHON):
         with pytest.raises(ValueError, match="arrival count"):
             kernel.run_loss_chain(7, arrivals, [1.0], [2], [0.0, 1.0, 2.0])
     with pytest.raises(ValueError, match="arrival count"):
@@ -311,7 +318,7 @@ def test_arrival_count_bounds_are_int64():
 
 
 def test_numpy_integer_arrival_count_accepted(compiled):
-    for kernel in (_despy, compiled):
+    for kernel in (PURE_PYTHON, compiled):
         args = ([1.0], [2], [0.0, 1.0, 2.0])
         assert (kernel.run_loss_chain(7, np.int64(500), *args)
                 == kernel.run_loss_chain(7, 500, *args))
@@ -337,6 +344,8 @@ _BIG_RATE = (st.sampled_from([0.0, _TINY, 1.0, 1e300, 1e308, _HUGE / 2, _HUGE])
 @example(rates=[1e308, 1e308], srv=[0.0, 1.0])  # the total arrival rate overflows
 @example(rates=[1e308, 0.5], srv=[0.0, 1e308])  # a state's event rate overflows
 @example(rates=[_HUGE], srv=[0.0])  # the largest finite total, with no service
+@example(rates=[_TINY], srv=[0.0, _TINY])  # every time step overflows to inf
+@example(rates=[1e-308], srv=[0.0, 0.0])  # finite time steps whose clocks overflow
 def test_a_chain_whose_total_rate_overflows_is_rejected(compiled, rates, srv):
     """A chain whose total arrival rate, or that total plus a service rate,
     overflows to inf would never see an arrival there, so the spec and both
@@ -354,11 +363,10 @@ def test_a_chain_whose_total_rate_overflows_is_rejected(compiled, rates, srv):
             LossChainSpec(tuple(rates), tuple(limits), tuple(srv), hand_stream=0)
     else:
         LossChainSpec(tuple(rates), tuple(limits), tuple(srv), hand_stream=0)
-    # below about 1e-300 the time steps overflow to inf (numpy warns)
-    calls = 5 if lam >= 1e-300 and (lam + max(srv)) / lam <= 1e3 else 0
+    calls = 5 if lam > 0.0 and (lam + max(srv)) / lam <= 1e3 else 0
     plan = [3, 4], [min(calls, 2), 0], [calls, calls]
     outs = []
-    for kernel in (_despy, compiled):
+    for kernel in (PURE_PYTHON, compiled):
         if overflows:
             for run in (lambda: kernel.run_loss_chain(3, calls, *args),
                         lambda: kernel.run_replications(*plan, *args)):
@@ -374,6 +382,44 @@ def test_a_chain_whose_total_rate_overflows_is_rejected(compiled, rates, srv):
         assert [sum(row) for row in outs[0][1]] == [calls, calls]
 
 
+def test_a_replication_with_no_counted_call_walks_no_warm_up(compiled_path):
+    """A replication with no counted call walks nothing, so its warm-up is
+    not walked either.  Here a warm-up of 2 arrivals would take about 2**54
+    events: a draw is an arrival only at 0.0, the arrival rate 5e-324
+    against service rates of at least 1.  Both kernels return zero rows at
+    once.  The compiled one runs in a subprocess, so a kernel that walked
+    the warm-up fails on the timeout instead of hanging the suite."""
+    args = ([3, 4], [2, 0], [0, 0], [_TINY], [3], [1.0, 1.0, 1e300, _HUGE])
+    code = ("import ast, sys\n"
+            "from femtonet.des import load_compiled\n"
+            "kernel = load_compiled(sys.argv[1])\n"
+            "seen, rejected, tis, elapsed = kernel.run_replications(*ast.literal_eval(sys.argv[2]))\n"
+            "print(repr((seen.tolist(), rejected.tolist(), tis.tolist(), elapsed)))\n")
+    run = subprocess.run([sys.executable, "-c", code, compiled_path, repr(args)],
+                         env={**os.environ, "PYTHONPATH": str(REPO / "src")},
+                         capture_output=True, text=True, timeout=60, check=True)
+    seen, rejected, tis, elapsed = PURE_PYTHON.run_replications(*args)
+    want = (seen.tolist(), rejected.tolist(), tis.tolist(), elapsed)
+    assert want == ([[0], [0]], [[0], [0]], [0.0] * 4, 0.0)
+    assert run.stdout == repr(want) + "\n"
+
+
+# at an event rate of 5e-324 the time steps overflow; at 5e-307 a
+# replication's clocks stay finite, but not their sum over 20 replications
+@pytest.mark.parametrize("rates, srv, calls", [((_TINY,), (0.0, 1.0), 20),
+                                              ((5e-307,), (0.0, 0.0), 200)])
+@pytest.mark.parametrize("backend", ["pure-python", "compiled"])
+def test_an_overflowed_simulated_time_is_an_error(backend, rates, srv, calls, request,
+                                                  monkeypatch):
+    """simulate_des names a simulated time that overflowed to inf instead
+    of dividing inf by inf into NaN state times."""
+    monkeypatch.setattr(des, "_kernel", request.getfixturevalue("compiled")
+                        if backend == "compiled" else PURE_PYTHON)
+    spec = LossChainSpec(rates, (1,), srv, hand_stream=0)
+    with pytest.raises(ValueError, match="simulated time overflowed to inf"):
+        simulate_des(spec, calls)
+
+
 @pytest.mark.parametrize("df, true_quantile", [(19, 2.093), (21, 2.080),
                                                (60, 2.000), (1000, 1.962)])
 def test_t95_never_below_true_quantile(df, true_quantile):
@@ -387,7 +433,7 @@ def test_t95_never_below_true_quantile(df, true_quantile):
 def test_simulate_des_counts_exactly_total_calls(backend, total_calls, request,
                                                  monkeypatch):
     monkeypatch.setattr(des, "_kernel", request.getfixturevalue("compiled")
-                        if backend == "compiled" else _despy)
+                        if backend == "compiled" else PURE_PYTHON)
     spec = LossChainSpec((0.7, 0.3), (2, 3), (0.0, 1.0, 2.0, 3.0),
                          new_streams=(0,), hand_stream=1)
     res = simulate_des(spec, total_calls, seed=1)
@@ -519,7 +565,7 @@ def test_simulate_des_matches_per_replication_list_bookkeeping(
         backend, chain, total_calls, request, monkeypatch):
     # fewer calls than REPLICATIONS, an even split and uneven ones
     monkeypatch.setattr(des, "_kernel", request.getfixturevalue("compiled")
-                        if backend == "compiled" else _despy)
+                        if backend == "compiled" else PURE_PYTHON)
     spec = REFERENCE_CHAINS[chain]
     got = simulate_des(spec, total_calls, seed=3)
     want = oracles.simulate_des(spec, total_calls, seed=3)
@@ -531,7 +577,7 @@ def test_simulate_des_matches_per_replication_list_bookkeeping(
 
 @pytest.mark.parametrize("backend", ["pure-python", "compiled"])
 def test_simulate_des_makes_one_kernel_call(backend, request, monkeypatch):
-    kernel = request.getfixturevalue("compiled") if backend == "compiled" else _despy
+    kernel = request.getfixturevalue("compiled") if backend == "compiled" else PURE_PYTHON
     calls = []
 
     def counting(name):
