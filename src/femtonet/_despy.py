@@ -46,7 +46,9 @@ _BLOCK_EVENTS = 16_384
 
 def check_loss_chain(stream_rates, stream_limits, srv_rates,
                      start_state: int = 0, min_state: int = 0) -> None:
-    """Reject a chain that would index outside srv_rates, whose rates are
+    """Reject a chain whose states or stream limits are not integers (numpy
+    integers included), whose stream limits do not fit the compiled kernel's
+    int64, that would index outside srv_rates, whose rates are
     negative or not finite, or whose total arrival rate, or that total plus
     a service rate (a state's event rate), is not finite: no draw would be
     an arrival there.  The sum grows with the service rate, so the largest
@@ -54,6 +56,10 @@ def check_loss_chain(stream_rates, stream_limits, srv_rates,
     stream order as both walkers sum it."""
     if len(stream_limits) != len(stream_rates):
         raise ValueError("stream rate/limit length mismatch")
+    _integer("min_state", min_state)
+    _integer("start_state", start_state)
+    for limit in stream_limits:
+        _integer("a stream limit", limit)
     n_states = len(srv_rates)
     if not 0 <= min_state < n_states:
         raise ValueError(f"min_state must lie in [0, {n_states})")
@@ -61,6 +67,8 @@ def check_loss_chain(stream_rates, stream_limits, srv_rates,
         raise ValueError(f"start_state must lie in [min_state, {n_states})")
     if stream_limits and max(stream_limits) >= n_states:
         raise ValueError(f"stream limits must be < {n_states} (len(srv_rates))")
+    if stream_limits and min(stream_limits) < -2**63:  # ctypes would wrap it
+        raise ValueError("stream limits must fit in 64 bits")
     check_rates((*stream_rates, *srv_rates))
     lam_total = 0.0
     for r in stream_rates:  # summed as _Tables and the C loop sum them
@@ -78,14 +86,18 @@ def check_arrivals(target_arrivals) -> int:
     """The arrival count as an int.  ValueError unless it is an integer
     (numpy integers included) that fits the compiled kernel's int64, so
     both backends reject 2.5, 1e5 and 2**64 alike."""
-    try:
-        count = operator.index(target_arrivals)
-    except TypeError:
-        raise ValueError(f"the arrival count must be an integer, "
-                         f"got {target_arrivals!r}") from None
+    count = _integer("the arrival count", target_arrivals)
     if not -2**63 <= count < 2**63:
         raise ValueError(f"the arrival count {count} does not fit in 64 bits")
     return count
+
+
+def _integer(name: str, value) -> int:
+    """value as an int; ValueError naming it unless it is an integer."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 def check_rates(rates) -> None:

@@ -7,17 +7,25 @@ the edge spectrum Bm3 is subdivided two ways -- into halves B4/B5 and thirds
 B1/B2/B3 -- and edge bands are auto-assigned so that interfering femtocells
 never hold the same edge band.  The dedicated and sub-band schemes split the
 whole band BT at the femto fraction into Bf (femtocells) and Bm (macrocells).
-Each plan computes this label -> Band table once, when it is made.  It holds
-one label per femtocell: the edge band under dynamic reuse, else its only band.
+The label -> Band table is built once per (total band, femto fraction), and
+each plan holds its own copy.  A plan holds one label per femtocell: the edge
+band under dynamic reuse, else its only band.
 
-`SpectrumPlan.interferers` is the one interference relation; each dynamic-reuse
-configuration step reads a FAP's list once and hands it to the helpers.  It
-reads `CellTopology.near` and static reuse reads `CellTopology.earlier_within`,
-so neither makes a distance row.
+`SpectrumPlan.interferers` is the one interference relation.  A dynamic-reuse
+plan keeps it for its member FAPs, with each pair's neighbor-table distance,
+and changes it only at its three write points: a join (`configure_new_femto`)
+reads the newcomer's row of the table once, a shrink (`_shrink_one`) drops
+the pairs that the smaller radius breaks, from the kept distances, and a
+leave (`remove_femto`) takes the FAP out of every list it was in.  The kept
+relation is dropped when the topology or the member set changes any other
+way, and when `build_plan` returns; a list is then scanned again when it is
+next read.  Static reuse reads `CellTopology.earlier_within`, so no plan
+makes a distance row.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -68,6 +76,7 @@ def bands_overlap(a: Band, b: Band) -> bool:
     return max(a.lo, b.lo) < min(a.hi, b.hi)
 
 
+@functools.lru_cache
 def _band_table(total_hz: float, femto_fraction: float) -> dict[str, Band]:
     """Every labelled band: BT, the cluster bands Bm1-Bm3, the thirds B1-B3
     and halves B4/B5 of the edge spectrum Bm3, and the Bf/Bm split of BT."""
@@ -85,7 +94,7 @@ def _band_table(total_hz: float, femto_fraction: float) -> dict[str, Band]:
         Band(0.0, split, "Bf"),
         Band(split, total_hz, "Bm"),
     ]
-    return {b.label: b for b in bands}
+    return {b.label: b for b in bands}  # cached: each plan copies it
 
 
 @dataclass
@@ -96,15 +105,28 @@ class SpectrumPlan:
     to its edge band (None until `configure_new_femto` picks it).
 
     The constructor rejects an unknown scheme, a non-positive total band and
-    a femto fraction outside (0, 1), then builds the band table once.
+    a femto fraction outside (0, 1), then copies the band table.
     Mutation (configure/remove under dynamic reuse) is single-writer; reads
-    may be concurrent between mutations.
+    may be concurrent between mutations (a read may keep a list it scanned).
 
     Plans come only from `build_plan`, so no cell is ever wider than the
     nominal radius: `_shrink_one` is the only writer of `radius_of` and it
-    only lowers a radius (`remove_femto` only deletes).  `interferers`
-    therefore bounds its search by the nominal radius, which keeps it inside
-    the neighbor table's reach; `CellTopology.near` raises if it ever left it.
+    only lowers a radius (`remove_femto` only deletes).  Two interfering
+    cells are therefore within the neighbor table's reach of each other, and
+    a scan for interferers reads the FAP's row of the table; it raises
+    ValueError for a cell wider than the nominal radius.
+
+    A dynamic-reuse plan keeps the interference relation of its members:
+    for each one, its interferers and their table distances.  A join adds
+    the newcomer's row, a shrink drops the pairs that the new radius breaks
+    (radii only shrink, so no pair appears) and a leave removes the FAP, so
+    an edge-label move touches nothing.  The kept relation belongs to one
+    topology and one `femto_band`: a call with another topology, or after
+    `femto_band` was replaced or gained or lost members outside a join or
+    leave, drops it.  `build_plan` drops it too, so that a plan that is only
+    read holds nothing more.  A member without a kept list is scanned from
+    its table row and then kept; any other FAP is scanned and nothing is
+    kept.
     """
 
     scheme: str
@@ -127,7 +149,11 @@ class SpectrumPlan:
             raise PlanConfigError("femto fraction must lie in (0, 1)")
         if not 0.0 <= self.edge_fraction <= 1.0:
             raise PlanConfigError(f"edge_fraction must lie in [0, 1], got {self.edge_fraction!r}")
-        self._bands = _band_table(self.total_hz, self.femto_fraction)
+        self._bands = dict(_band_table(self.total_hz, self.femto_fraction))
+        # the kept relation {member: {interferer: distance}} and what it
+        # belongs to: (topology, femto_band, member count)
+        self._kept: dict[int, dict[int, float]] = {}
+        self._kept_of = None
 
     def band(self, label: str) -> Band:
         try:
@@ -175,18 +201,90 @@ class SpectrumPlan:
     # -- interference relation -------------------------------------------
 
     def interferers(self, topo: CellTopology, fap_id: int) -> list[int]:
-        """Femtocells within mutual interference range of `fap_id`: the one
-        interference relation, read once per FAP by each configuration step."""
+        """Femtocells within mutual interference range of `fap_id`,
+        ascending: a copy of its kept list, or a scan."""
+        return sorted(self._row(topo, fap_id))
+
+    def _scan(self, topo: CellTopology, fap_id: int) -> dict[int, float]:
+        """{member: distance} for the members within mutual interference
+        range of `fap_id`, from its neighbor-table row."""
         r = self.femto_radius(fap_id, topo)
-        # no radius exceeds the nominal one, so this keeps every interferer
-        idx, dist = topo.near(fap_id, INTERFERENCE_RADIUS_SCALE * (r + topo.femto_radius_m))
-        hits = []
-        for k, d in zip(idx.tolist(), dist.tolist()):
-            other = topo.femtocells[k]
-            if (other in self.femto_band
-                    and d <= INTERFERENCE_RADIUS_SCALE * (r + self.femto_radius(other, topo))):
-                hits.append(other)
-        return sorted(hits)
+        band, radius_of, nominal, ids = (self.femto_band, self.radius_of,
+                                         topo.femto_radius_m, topo.femtocells)
+        if r > nominal:  # its pairs could lie beyond the table's reach
+            raise ValueError(f"femtocell {fap_id} is wider ({r!r} m) than the "
+                             f"nominal radius of {nominal!r} m")
+        hits = {}
+        for k, d in zip(*topo.row(fap_id)):
+            other = ids[k]
+            if other in band and d <= INTERFERENCE_RADIUS_SCALE * (
+                    r + radius_of.get(other, nominal)):
+                hits[other] = d
+        return hits
+
+    def _relation(self, topo: CellTopology) -> dict[int, dict[int, float]]:
+        """The kept relation, dropped first if it belongs to another topology
+        or femto_band changed members outside a join or leave."""
+        if not self._kept_for(topo):
+            self._kept = {}
+            self._kept_of = (topo, self.femto_band, len(self.femto_band))
+        return self._kept
+
+    def _kept_for(self, topo: CellTopology) -> bool:
+        """Whether the kept relation belongs to topo and to femto_band as it is."""
+        of, band = self._kept_of, self.femto_band
+        return of is not None and of[0] is topo and of[1] is band and of[2] == len(band)
+
+    def _row(self, topo: CellTopology, fap_id: int) -> dict[int, float]:
+        """The kept {interferer: distance} of a dynamic-reuse member, scanned
+        and kept if it has none; a scan for any other FAP."""
+        if self._kept_for(topo):
+            row = self._kept.get(fap_id)  # only members have one
+            if row is not None:
+                return row
+        if self.scheme != "dynamic-reuse" or fap_id not in self.femto_band:
+            return self._scan(topo, fap_id)
+        row = self._relation(topo)[fap_id] = self._scan(topo, fap_id)
+        return row
+
+    def _join(self, topo: CellTopology, fap_id: int) -> None:
+        """Make fap_id a member with no edge band yet.  A newcomer's row is
+        read once and it enters the list of each FAP it lists."""
+        kept = self._relation(topo)
+        if fap_id in self.femto_band:  # a member reconfigured keeps its list
+            self.femto_band[fap_id] = None
+            return
+        self.femto_band[fap_id] = None
+        self._kept_of = (topo, self.femto_band, len(self.femto_band))
+        row = kept[fap_id] = self._scan(topo, fap_id)
+        for other, d in row.items():
+            if other in kept:
+                kept[other][fap_id] = d
+
+    def _shrunk(self, topo: CellTopology, fap_id: int, row: dict[int, float]) -> None:
+        """Drop the pairs of fap_id, whose {interferer: distance} before its
+        radius fell was `row`, that its new radius breaks."""
+        r, nominal, kept = self.radius_of[fap_id], topo.femto_radius_m, self._relation(topo)
+        for other, d in list(row.items()):
+            if d > INTERFERENCE_RADIUS_SCALE * (r + self.radius_of.get(other, nominal)):
+                del row[other]
+                if other in kept:
+                    kept[other].pop(fap_id, None)
+
+    def _leave(self, topo: CellTopology, fap_id: int) -> None:
+        """Drop the member fap_id from the plan and from every kept list it
+        was in."""
+        if self.scheme == "dynamic-reuse":
+            row = self._row(topo, fap_id)
+            kept = self._kept
+            del kept[fap_id]
+            for other in row:
+                if other in kept:
+                    del kept[other][fap_id]
+            # the member count once fap_id is deleted below
+            self._kept_of = (topo, self.femto_band, len(self.femto_band) - 1)
+        del self.femto_band[fap_id]
+        self.radius_of.pop(fap_id, None)
 
     def edge_conflicts(self, topo: CellTopology) -> list[tuple[int, int]]:
         """Pairs of interfering femtocells sharing an edge band (should be [])."""
@@ -228,6 +326,7 @@ def build_plan(
     else:
         for f in topo.femtocells:
             configure_new_femto(plan, topo, f)
+        plan._kept_of, plan._kept = None, {}  # a built plan is read, not grown
     return plan
 
 
@@ -292,10 +391,10 @@ def _free_label(plan: SpectrumPlan, others: list[int]) -> str:
 
 
 def _near(plan: SpectrumPlan, topo: CellTopology, fid: int) -> dict[int, list[int]]:
-    """Interferer lists of fid and of each of its interferers.  A list
-    changes only when a radius does; edge-label moves leave it as it is."""
-    interf = plan.interferers(topo, fid)
-    return {fid: interf, **{i: plan.interferers(topo, i) for i in interf}}
+    """Interferer lists of fid and of each of its interferers, copied from
+    the kept relation."""
+    interf = sorted(plan._row(topo, fid))
+    return {fid: interf, **{i: sorted(plan._row(topo, i)) for i in interf}}
 
 
 def configure_new_femto(plan: SpectrumPlan, topo: CellTopology, new_id: int) -> str:
@@ -311,7 +410,7 @@ def configure_new_femto(plan: SpectrumPlan, topo: CellTopology, new_id: int) -> 
         raise PlanConfigError("configure_new_femto requires a dynamic-reuse plan")
     topo.index_of(new_id)
 
-    plan.femto_band[new_id] = None
+    plan._join(topo, new_id)
     near = _near(plan, topo, new_id)
 
     if (_mutual_overlap_count(near, new_id) > 3
@@ -351,14 +450,13 @@ def _mutual_overlap_count(near, new_id) -> int:
     interf = near[new_id]
     if len(interf) < 3:
         return len(interf) + 1
+    rows = {cand: set(near[cand]) for cand in interf}
     best = 1
     for anchor in interf:
-        clique = [anchor]
+        clique = {anchor}
         for cand in interf:
-            if cand == anchor:
-                continue
-            if all(member in near[cand] for member in clique):
-                clique.append(cand)
+            if cand != anchor and clique <= rows[cand]:
+                clique.add(cand)
         best = max(best, len(clique))
     return best + 1
 
@@ -402,12 +500,15 @@ def _configure_many(plan, near, new_id) -> None:
 
 
 def _shrink_one(plan, topo, fid) -> bool:
-    """One 20% radius step; False once the max-step floor is reached."""
+    """One 20% radius step; False once the max-step floor is reached.  The
+    step drops from the kept relation the pairs that it breaks."""
     floor = topo.femto_radius_m * SHRINK_FACTOR ** MAX_SHRINK_STEPS
     current = plan.femto_radius(fid, topo)
     if current <= floor + 1e-12:
         return False
+    row = plan._row(topo, fid)
     plan.radius_of[fid] = SHRINK_FACTOR * current
+    plan._shrunk(topo, fid, row)
     return True
 
 
@@ -465,8 +566,7 @@ def remove_femto(plan: SpectrumPlan, topo: CellTopology, fap_id: int) -> Spectru
     """
     plan.femto_label(fap_id)
     former = plan.interferers(topo, fap_id) if plan.scheme == "dynamic-reuse" else []
-    del plan.femto_band[fap_id]
-    plan.radius_of.pop(fap_id, None)
+    plan._leave(topo, fap_id)
     if former:
         _repair_conflicts(plan, topo, {f: plan.interferers(topo, f) for f in former})
     return plan

@@ -13,6 +13,7 @@ private to this module.  `place_femtocells` hands over the table that its
 last draw round built, `reach_components` slices its parent's rows, and a
 topology made any other way builds its own on first read.
 `CellTopology.near` answers every FAP-to-FAP range query from it,
+`CellTopology.row` hands a FAP's whole row over as lists,
 `CellTopology.earlier_within` gives each FAP's earlier partners for the
 first-come pair rules, and `reach_components` cuts a topology down to the
 table's connected components that hold given FAPs.  The table's reach covers
@@ -178,6 +179,15 @@ class CellTopology:
         keep = self._within(dist[span], radius_m)
         return nbr[span][keep], dist[span][keep]
 
+    def row(self, fap_id: int) -> tuple[list[int], list[float]]:
+        """The FAP's row of the neighbor table, as lists: the indices in
+        femtocells order, ascending, of every FAP within the table's reach,
+        itself excluded, and their distances."""
+        k = self.index_of(fap_id)
+        ptr, nbr, dist = self._table or self._neighbors()
+        lo, hi = ptr[k], ptr[k + 1]
+        return nbr[lo:hi].tolist(), dist[lo:hi].tolist()
+
     def earlier_within(self, radius_m: float) -> list[tuple[int, list[int]]]:
         """`[(k, earlier), ...]` for each FAP k, in femtocells order, that
         has an earlier FAP within radius_m: `earlier` are their indices,
@@ -336,8 +346,8 @@ def reach_components(topo: CellTopology, fap_ids) -> CellTopology:
     FAP outside its component, so any computation whose FAPs only ever read
     partners within the reach gives the same answers on these FAPs as on the
     whole topology.  Dynamic reuse is one: radii only shrink, which holds
-    because only `spectrum.build_plan` makes a plan, so
-    `SpectrumPlan.interferers` searches within 3·(r + r_f) <= reach.  The
+    because only `spectrum.build_plan` makes a plan, so two interfering
+    cells lie within 3·(r + r_f) <= reach of each other.  The
     reach covers neighbor_threshold_m too, so a FAP's component holds its
     `neighbors_of` set.  For the same reason the new topology's table is
     its parent's rows of these FAPs, renumbered.

@@ -309,6 +309,48 @@ def test_arrival_count_must_be_an_int64(compiled, arrivals):
         simulate_des(spec_for_erlang(1.0, 1.0, 2), arrivals)
 
 
+@pytest.mark.parametrize("name, limits, start, min_state", [
+    ("a stream limit", [2.5], 0, 0),
+    ("a stream limit", [2.0], 0, 0),
+    ("start_state", [2], 1.0, 0),
+    ("min_state", [2], 0, 0.0),
+])
+def test_chain_states_and_limits_must_be_integers(compiled, name, limits, start, min_state):
+    # a float limit was simulated as int(limit), and a float state failed
+    # with an unnamed TypeError (min_state = 0.0 only on the compiled kernel)
+    chain = ([1.0], limits, [0.0, 1.0, 2.0])
+    message = f"^{name} must be an integer, got"
+    for kernel in (compiled, PURE_PYTHON):
+        with pytest.raises(ValueError, match=message):
+            kernel.run_loss_chain(7, 100, *chain, start, min_state)
+        if start == 0:
+            with pytest.raises(ValueError, match=message):
+                kernel.run_replications([7], [0], [100], *chain, min_state)
+    if start == 0:
+        with pytest.raises(ValueError, match=message):
+            LossChainSpec(*map(tuple, chain), hand_stream=0, min_state=min_state)
+
+
+def test_a_stream_limit_must_fit_in_64_bits(compiled):
+    # ctypes wrapped -2**63 - 1 to 2**63 - 1, so the compiled walk admitted
+    # every call and read past srv_rates
+    chain = ([1.0], [0.0, 1.0, 2.0])
+    for kernel in (compiled, PURE_PYTHON):
+        with pytest.raises(ValueError, match="^stream limits must fit in 64 bits$"):
+            kernel.run_loss_chain(7, 50, chain[0], [-2**63 - 1], chain[1])
+        assert (kernel.run_loss_chain(7, 50, chain[0], [-2**63], chain[1])
+                == kernel.run_loss_chain(7, 50, chain[0], [-1], chain[1]))
+
+
+def test_numpy_integer_states_and_limits_accepted(compiled):
+    chain = ([1.0, 0.5], [2, 3], [0.0, 1.0, 2.0, 3.0])
+    numpy_limits = [np.int64(2), np.int32(3)]
+    for kernel in (PURE_PYTHON, compiled):
+        assert (kernel.run_loss_chain(7, 500, chain[0], numpy_limits, chain[2],
+                                      np.int64(2), np.int64(1))
+                == kernel.run_loss_chain(7, 500, *chain, 2, 1))
+
+
 def test_arrival_count_bounds_are_int64():
     # below -2**63, ctypes would wrap to a huge positive count
     assert _despy.check_arrivals(-2**63) == -2**63

@@ -64,6 +64,13 @@ def _assert_near_matches_rows(topo, radii=(0.0, 20.0, 45.5, REACH), reach=REACH)
             assert [d.hex() for d in dist.tolist()] == [d.hex() for d in row[expected].tolist()]
 
 
+def _assert_rows_match_near(topo):
+    """`row` is `near` at the table's reach, as lists."""
+    for f in topo.femtocells:
+        idx, dist = topo.near(f, topo._reach)
+        assert topo.row(f) == (idx.tolist(), dist.tolist()), f
+
+
 def _scramble_edges(plan, seed):
     """Random edge labels, so that edge_conflicts has conflicts to find."""
     rng = np.random.default_rng(seed)
@@ -154,6 +161,18 @@ def test_dynamic_plan_with_shrunk_radii_matches_oracles(seed):
 @pytest.mark.parametrize("seed", range(3))
 def test_neighbor_table_matches_distance_rows(seed):
     _assert_near_matches_rows(_random_topo(seed, 120, 300.0))
+
+
+@pytest.mark.parametrize("threshold", [0.0, 60.0, 90.0])
+def test_row_is_near_at_the_reach(threshold):
+    _assert_rows_match_near(_random_topo(3, 150, 250.0, low_m=-50.0,
+                                         neighbor_threshold_m=threshold))
+    placed = place_femtocells(5, 300)  # its table handed over by placement
+    _assert_rows_match_near(placed)
+    _assert_rows_match_near(topology.reach_components(placed, {0}))
+    assert _topo_at(np.zeros((1, 2)), [7]).row(7) == ([], [])
+    with pytest.raises(UnknownSiteError):
+        placed.row(300)
 
 
 def test_neighbor_table_with_negative_coordinates():

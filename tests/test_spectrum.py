@@ -3,12 +3,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import (
     BAND_LABELS,
     BandPartition,
     band_records,
+    brute_interferers,
     configure_two_table,
     interfering,
+    pairwise_edge_conflicts,
     partition_band,
     record_band_for_link,
     record_interferer_band,
@@ -372,6 +376,125 @@ def test_random_insert_remove_sequences_conflict_free():
                 victim = alive.pop(int(rng.integers(len(alive))))
                 remove_femto(plan, topo, victim)
             assert plan.edge_conflicts(topo) == [], f"trial {trial}"
+
+
+def _assert_kept_relation(plan, topo):
+    """Every member keeps a list, equal to its brute-force interferer list,
+    with each interferer at its neighbor-table distance, as a scan gives."""
+    assert plan._kept_for(topo)
+    assert plan._kept.keys() == plan.femto_band.keys()
+    for f, row in plan._kept.items():
+        assert sorted(row) == brute_interferers(plan, topo, f), f
+        assert row == plan._scan(topo, f), f
+
+
+@st.composite
+def join_leave_sequences(draw):
+    """A topology of 2 to 12 FAPs on a square of side 15 to 260 m (the
+    smallest put more than three cells in mutual range, which shrinks
+    them), and steps: ("join", k) configures FAP k, a member or not;
+    ("leave", k) removes the k-th member, modulo their count."""
+    n = draw(st.integers(2, 12))
+    side = draw(st.floats(15.0, 260.0))
+    coord = st.floats(0.0, side, allow_nan=False)
+    pts = draw(st.lists(st.tuples(coord, coord), min_size=n, max_size=n))
+    steps = [("join", k) for k in range(n)]
+    for _ in range(draw(st.integers(0, 2 * n))):
+        step = draw(st.tuples(st.sampled_from(("join", "leave")), st.integers(0, 4 * n)))
+        steps.insert(draw(st.integers(1, len(steps))), step)
+    return pts, steps
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=join_leave_sequences())
+def test_kept_relation_matches_brute_force_after_every_step(case):
+    pts, steps = case
+    topo = _manual_topo(pts)
+    plan = _empty_dynamic_plan(topo)
+    for kind, k in steps:
+        if kind == "join":
+            configure_new_femto(plan, topo, k % len(pts))
+        elif plan.femto_band:
+            remove_femto(plan, topo, sorted(plan.femto_band)[k % len(plan.femto_band)])
+        _assert_kept_relation(plan, topo)
+        assert plan.edge_conflicts(topo) == pairwise_edge_conflicts(plan, topo)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_kept_relation_through_dense_shrinking_joins_and_leaves(seed):
+    macro = MacroGeometry(macro_radius_m=200.0, min_separation_m=1.0)
+    topo = place_femtocells(seed, 80, macro=macro)
+    plan = _empty_dynamic_plan(topo)
+    for f in topo.femtocells:
+        configure_new_femto(plan, topo, f)
+    assert plan.branch_counts["shrink"] > 0 and len(plan.radius_of) > 10
+    built = build_plan("dynamic-reuse", topo)
+    assert (plan.femto_band, plan.radius_of) == (built.femto_band, built.radius_of)
+    _assert_kept_relation(plan, topo)
+    for f in topo.femtocells[::3]:
+        remove_femto(plan, topo, f)
+        _assert_kept_relation(plan, topo)
+
+
+def test_dynamic_build_reads_the_table_once_per_join(monkeypatch):
+    topo = place_femtocells(7, 1000)
+    reads = []
+
+    def counted(query):
+        def read(self, fap_id, *radius_m):
+            reads.append(fap_id)
+            return query(self, fap_id, *radius_m)
+        return read
+
+    for query in ("near", "row"):  # the two reads of one FAP's table row
+        monkeypatch.setattr(CellTopology, query, counted(getattr(CellTopology, query)))
+    plan = build_plan("dynamic-reuse", topo)
+    assert plan.branch_counts["shrink"] == 107  # shrinks read no row
+    assert reads == list(topo.femtocells)
+
+
+def test_a_plan_read_after_its_build_keeps_no_relation():
+    topo = place_femtocells(7, 300)
+    plan = build_plan("dynamic-reuse", topo)
+    assert not plan._kept and not plan._kept_for(topo)
+    # a leave keeps the lists that it reads, and they stay exact
+    for f in topo.femtocells[::5]:
+        remove_femto(plan, topo, f)
+        for g, row in plan._kept.items():
+            assert sorted(row) == brute_interferers(plan, topo, g), g
+
+
+def test_the_kept_relation_is_dropped_when_its_members_change_outside_a_join():
+    topo = _manual_topo([(0.0, 0.0), (30.0, 0.0), (70.0, 0.0)])
+    plan = _empty_dynamic_plan(topo)
+    configure_new_femto(plan, topo, 0)
+    configure_new_femto(plan, topo, 1)
+    assert plan._kept == {0: {1: 30.0}, 1: {0: 30.0}}
+    plan.femto_band[2] = "B1"  # a member written directly
+    assert plan.interferers(topo, 1) == [0, 2]
+    assert plan.interferers(topo, 0) == [1]
+    del plan.femto_band[2]
+    assert plan.interferers(topo, 1) == [0]
+    other = _manual_topo([(0.0, 0.0), (100.0, 0.0), (50.0, 0.0)])
+    assert plan.interferers(other, 1) == []  # another topology
+    plan.femto_band = {0: "B4", 2: "B5"}  # another femto_band
+    assert plan.interferers(topo, 0) == []
+    assert plan.interferers(topo, 2) == []
+
+
+def test_a_scan_of_a_cell_wider_than_nominal_raises():
+    # its pairs could lie beyond the neighbor table's reach
+    topo = _manual_topo([(0.0, 0.0), (70.0, 0.0)])
+    plan = build_plan("dynamic-reuse", topo)
+    plan.radius_of[0] = 20.0
+    with pytest.raises(ValueError):
+        plan.interferers(topo, 0)
+
+
+def test_each_plan_copies_the_band_table():
+    plan, other = SpectrumPlan("shared", 18e6), SpectrumPlan("shared", 18e6)
+    plan._bands["Bf"] = plan.band("Bm")
+    assert other.band("Bf") == SpectrumPlan("shared", 18e6).band("Bf") != plan.band("Bf")
 
 
 def test_idempotent_for_non_neighbors():
