@@ -11,16 +11,16 @@ The label -> Band table is built once per (total band, femto fraction), and
 each plan holds its own copy.  A plan holds one label per femtocell: the edge
 band under dynamic reuse, else its only band.
 
-`SpectrumPlan.interferers` is the one interference relation.  A dynamic-reuse
-plan keeps it for its member FAPs, with each pair's neighbor-table distance,
-and changes it only at its three write points: a join (`configure_new_femto`)
-reads the newcomer's row of the table once, a shrink (`_shrink_one`) drops
-the pairs that the smaller radius breaks, from the kept distances, and a
-leave (`remove_femto`) takes the FAP out of every list it was in.  The kept
-relation is dropped when the topology or the member set changes any other
-way, and when `build_plan` returns; a list is then scanned again when it is
-next read.  Static reuse reads `CellTopology.earlier_within`, so no plan
-makes a distance row.
+`SpectrumPlan.interferers` is the one interference relation, scanned from
+the FAP's row of the neighbor table.  A plan holds only its labels and
+radii.  Each call that changes a dynamic-reuse plan (`build_plan`,
+`configure_new_femto`, `remove_femto`) keeps the relation of the members it
+reads, with each pair's table distance, for as long as it runs: a join
+reads the newcomer's row once, a shrink drops the pairs that the smaller
+radius breaks, from the kept distances, and a leave takes the FAP out of
+every list it was in.  So a whole build reads the table once per FAP, and
+nothing outlives the call.  Static reuse reads
+`CellTopology.earlier_within`, so no plan makes a distance row.
 """
 
 from __future__ import annotations
@@ -107,26 +107,16 @@ class SpectrumPlan:
     The constructor rejects an unknown scheme, a non-positive total band and
     a femto fraction outside (0, 1), then copies the band table.
     Mutation (configure/remove under dynamic reuse) is single-writer; reads
-    may be concurrent between mutations (a read may keep a list it scanned).
+    write nothing, so they may be concurrent between mutations.
 
     Plans come only from `build_plan`, so no cell is ever wider than the
-    nominal radius: `_shrink_one` is the only writer of `radius_of` and it
-    only lowers a radius (`remove_femto` only deletes).  Two interfering
-    cells are therefore within the neighbor table's reach of each other, and
-    a scan for interferers reads the FAP's row of the table; it raises
-    ValueError for a cell wider than the nominal radius.
-
-    A dynamic-reuse plan keeps the interference relation of its members:
-    for each one, its interferers and their table distances.  A join adds
-    the newcomer's row, a shrink drops the pairs that the new radius breaks
-    (radii only shrink, so no pair appears) and a leave removes the FAP, so
-    an edge-label move touches nothing.  The kept relation belongs to one
-    topology and one `femto_band`: a call with another topology, or after
-    `femto_band` was replaced or gained or lost members outside a join or
-    leave, drops it.  `build_plan` drops it too, so that a plan that is only
-    read holds nothing more.  A member without a kept list is scanned from
-    its table row and then kept; any other FAP is scanned and nothing is
-    kept.
+    nominal radius: a shrink (`_Relation.shrink`) is the only writer of
+    `radius_of` and it only lowers a radius (`remove_femto` only deletes).
+    Two interfering cells are therefore within the neighbor table's reach of
+    each other, and a scan for interferers reads the FAP's row of the table;
+    it raises ValueError for a cell wider than the nominal radius.  The plan
+    keeps no interference relation: every read scans, so a read sees
+    `femto_band` and `radius_of` as they are, however they were changed.
     """
 
     scheme: str
@@ -150,10 +140,6 @@ class SpectrumPlan:
         if not 0.0 <= self.edge_fraction <= 1.0:
             raise PlanConfigError(f"edge_fraction must lie in [0, 1], got {self.edge_fraction!r}")
         self._bands = dict(_band_table(self.total_hz, self.femto_fraction))
-        # the kept relation {member: {interferer: distance}} and what it
-        # belongs to: (topology, femto_band, member count)
-        self._kept: dict[int, dict[int, float]] = {}
-        self._kept_of = None
 
     def band(self, label: str) -> Band:
         try:
@@ -202,8 +188,8 @@ class SpectrumPlan:
 
     def interferers(self, topo: CellTopology, fap_id: int) -> list[int]:
         """Femtocells within mutual interference range of `fap_id`,
-        ascending: a copy of its kept list, or a scan."""
-        return sorted(self._row(topo, fap_id))
+        ascending."""
+        return sorted(self._scan(topo, fap_id))
 
     def _scan(self, topo: CellTopology, fap_id: int) -> dict[int, float]:
         """{member: distance} for the members within mutual interference
@@ -221,70 +207,6 @@ class SpectrumPlan:
                     r + radius_of.get(other, nominal)):
                 hits[other] = d
         return hits
-
-    def _relation(self, topo: CellTopology) -> dict[int, dict[int, float]]:
-        """The kept relation, dropped first if it belongs to another topology
-        or femto_band changed members outside a join or leave."""
-        if not self._kept_for(topo):
-            self._kept = {}
-            self._kept_of = (topo, self.femto_band, len(self.femto_band))
-        return self._kept
-
-    def _kept_for(self, topo: CellTopology) -> bool:
-        """Whether the kept relation belongs to topo and to femto_band as it is."""
-        of, band = self._kept_of, self.femto_band
-        return of is not None and of[0] is topo and of[1] is band and of[2] == len(band)
-
-    def _row(self, topo: CellTopology, fap_id: int) -> dict[int, float]:
-        """The kept {interferer: distance} of a dynamic-reuse member, scanned
-        and kept if it has none; a scan for any other FAP."""
-        if self._kept_for(topo):
-            row = self._kept.get(fap_id)  # only members have one
-            if row is not None:
-                return row
-        if self.scheme != "dynamic-reuse" or fap_id not in self.femto_band:
-            return self._scan(topo, fap_id)
-        row = self._relation(topo)[fap_id] = self._scan(topo, fap_id)
-        return row
-
-    def _join(self, topo: CellTopology, fap_id: int) -> None:
-        """Make fap_id a member with no edge band yet.  A newcomer's row is
-        read once and it enters the list of each FAP it lists."""
-        kept = self._relation(topo)
-        if fap_id in self.femto_band:  # a member reconfigured keeps its list
-            self.femto_band[fap_id] = None
-            return
-        self.femto_band[fap_id] = None
-        self._kept_of = (topo, self.femto_band, len(self.femto_band))
-        row = kept[fap_id] = self._scan(topo, fap_id)
-        for other, d in row.items():
-            if other in kept:
-                kept[other][fap_id] = d
-
-    def _shrunk(self, topo: CellTopology, fap_id: int, row: dict[int, float]) -> None:
-        """Drop the pairs of fap_id, whose {interferer: distance} before its
-        radius fell was `row`, that its new radius breaks."""
-        r, nominal, kept = self.radius_of[fap_id], topo.femto_radius_m, self._relation(topo)
-        for other, d in list(row.items()):
-            if d > INTERFERENCE_RADIUS_SCALE * (r + self.radius_of.get(other, nominal)):
-                del row[other]
-                if other in kept:
-                    kept[other].pop(fap_id, None)
-
-    def _leave(self, topo: CellTopology, fap_id: int) -> None:
-        """Drop the member fap_id from the plan and from every kept list it
-        was in."""
-        if self.scheme == "dynamic-reuse":
-            row = self._row(topo, fap_id)
-            kept = self._kept
-            del kept[fap_id]
-            for other in row:
-                if other in kept:
-                    del kept[other][fap_id]
-            # the member count once fap_id is deleted below
-            self._kept_of = (topo, self.femto_band, len(self.femto_band) - 1)
-        del self.femto_band[fap_id]
-        self.radius_of.pop(fap_id, None)
 
     def edge_conflicts(self, topo: CellTopology) -> list[tuple[int, int]]:
         """Pairs of interfering femtocells sharing an edge band (should be [])."""
@@ -324,9 +246,9 @@ def build_plan(
     if scheme == "static-reuse":
         _assign_static(plan, topo, seed)
     else:
+        rel = _Relation(plan, topo)  # one for the whole build
         for f in topo.femtocells:
-            configure_new_femto(plan, topo, f)
-        plan._kept_of, plan._kept = None, {}  # a built plan is read, not grown
+            _configure(rel, f)
     return plan
 
 
@@ -366,6 +288,57 @@ def _assign_static(plan: SpectrumPlan, topo: CellTopology, seed: int) -> None:
 # dynamic reuse auto-configuration
 
 
+class _Relation(dict):
+    """The interference relation of a dynamic-reuse plan's members while one
+    call changes the plan: {member: {interferer: table distance}}.
+
+    A member's list is scanned from its table row when first read, and then
+    kept.  Its three writers keep every list read so far exact: a join reads
+    the newcomer's row once, a shrink drops the pairs that the smaller
+    radius breaks (radii only shrink, so no pair appears) and a leave drops
+    the FAP from every list it was in.  An edge-label move touches nothing.
+    """
+
+    def __init__(self, plan: SpectrumPlan, topo: CellTopology):
+        super().__init__()
+        self.plan, self.topo = plan, topo
+
+    def __missing__(self, fap_id: int) -> dict[int, float]:
+        row = self[fap_id] = self.plan._scan(self.topo, fap_id)
+        return row
+
+    def join(self, fap_id: int) -> None:
+        """Make fap_id a member with no edge band yet; a newcomer enters the
+        list of each FAP it lists.  A member reconfigured keeps its list."""
+        band = self.plan.femto_band
+        newcomer = fap_id not in band
+        band[fap_id] = None
+        if newcomer:
+            for other, d in self[fap_id].items():
+                if other in self:
+                    self[other][fap_id] = d
+
+    def shrink(self, fap_id: int, radius: float) -> None:
+        """Lower fap_id's radius to `radius` and drop the pairs that it breaks."""
+        row, radius_of, nominal = self[fap_id], self.plan.radius_of, self.topo.femto_radius_m
+        radius_of[fap_id] = radius
+        for other, d in list(row.items()):
+            if d > INTERFERENCE_RADIUS_SCALE * (radius + radius_of.get(other, nominal)):
+                del row[other]
+                if other in self:
+                    del self[other][fap_id]
+
+    def leave(self, fap_id: int) -> None:
+        """Drop the member fap_id from the plan and from every list it was in."""
+        row = self[fap_id]
+        del self[fap_id]
+        for other in row:
+            if other in self:
+                del self[other][fap_id]
+        del self.plan.femto_band[fap_id]
+        self.plan.radius_of.pop(fap_id, None)
+
+
 def _free_third(used: set[str]) -> str | None:
     for lab in _THIRDS:
         if lab not in used:
@@ -390,11 +363,11 @@ def _free_label(plan: SpectrumPlan, others: list[int]) -> str:
     return min(_EDGE_LABELS, key=lambda lab: (used.count(lab), _EDGE_LABELS.index(lab)))
 
 
-def _near(plan: SpectrumPlan, topo: CellTopology, fid: int) -> dict[int, list[int]]:
-    """Interferer lists of fid and of each of its interferers, copied from
-    the kept relation."""
-    interf = sorted(plan._row(topo, fid))
-    return {fid: interf, **{i: sorted(plan._row(topo, i)) for i in interf}}
+def _near(rel: _Relation, fid: int) -> dict[int, list[int]]:
+    """Interferer lists of fid and of each of its interferers, ascending,
+    copied from the relation."""
+    interf = sorted(rel[fid])
+    return {fid: interf, **{i: sorted(rel[i]) for i in interf}}
 
 
 def configure_new_femto(plan: SpectrumPlan, topo: CellTopology, new_id: int) -> str:
@@ -409,14 +382,19 @@ def configure_new_femto(plan: SpectrumPlan, topo: CellTopology, new_id: int) -> 
     if plan.scheme != "dynamic-reuse":
         raise PlanConfigError("configure_new_femto requires a dynamic-reuse plan")
     topo.index_of(new_id)
+    return _configure(_Relation(plan, topo), new_id)
 
-    plan._join(topo, new_id)
-    near = _near(plan, topo, new_id)
+
+def _configure(rel: _Relation, new_id: int) -> str:
+    """`configure_new_femto` on the relation of the call that changes the plan."""
+    plan = rel.plan
+    rel.join(new_id)
+    near = _near(rel, new_id)
 
     if (_mutual_overlap_count(near, new_id) > 3
             or _labels_exhausted(plan, near[new_id])):
         _count_branch(plan, "shrink")
-        near = _shrink_until_manageable(plan, topo, new_id, near)
+        near = _shrink_until_manageable(rel, new_id, near)
 
     interf = near[new_id]
     if len(interf) == 0:
@@ -434,7 +412,7 @@ def configure_new_femto(plan: SpectrumPlan, topo: CellTopology, new_id: int) -> 
         _count_branch(plan, "3")
         _configure_many(plan, near, new_id)
 
-    _repair_conflicts(plan, topo, near)
+    _repair_conflicts(rel, near)
     return plan.femto_band[new_id]
 
 
@@ -499,29 +477,27 @@ def _configure_many(plan, near, new_id) -> None:
     plan.femto_band[new_id] = _free_third(used) or _free_label(plan, near[new_id])
 
 
-def _shrink_one(plan, topo, fid) -> bool:
-    """One 20% radius step; False once the max-step floor is reached.  The
-    step drops from the kept relation the pairs that it breaks."""
-    floor = topo.femto_radius_m * SHRINK_FACTOR ** MAX_SHRINK_STEPS
-    current = plan.femto_radius(fid, topo)
+def _shrink_one(rel: _Relation, fid: int) -> bool:
+    """One 20% radius step; False once the max-step floor is reached."""
+    floor = rel.topo.femto_radius_m * SHRINK_FACTOR ** MAX_SHRINK_STEPS
+    current = rel.plan.femto_radius(fid, rel.topo)
     if current <= floor + 1e-12:
         return False
-    row = plan._row(topo, fid)
-    plan.radius_of[fid] = SHRINK_FACTOR * current
-    plan._shrunk(topo, fid, row)
+    rel.shrink(fid, SHRINK_FACTOR * current)
     return True
 
 
-def _shrink_until_manageable(plan, topo, new_id, near) -> dict[int, list[int]]:
+def _shrink_until_manageable(rel: _Relation, new_id: int, near) -> dict[int, list[int]]:
     """Cell-size re-adjustment: more than three mutually overlapping cells,
     or no conflict-free edge band left for the newcomer.  Returns the
     interferer lists at the final radii."""
+    plan = rel.plan
     for _ in range(MAX_SHRINK_STEPS):
         progressed = False
         for fid in (new_id, *near[new_id]):
-            progressed |= _shrink_one(plan, topo, fid)
+            progressed |= _shrink_one(rel, fid)
         plan.events.append(("shrink", new_id, tuple(near[new_id])))
-        near = _near(plan, topo, new_id)
+        near = _near(rel, new_id)
         if (_mutual_overlap_count(near, new_id) <= 3
                 and not _labels_exhausted(plan, near[new_id])):
             return near
@@ -531,11 +507,12 @@ def _shrink_until_manageable(plan, topo, new_id, near) -> dict[int, list[int]]:
     return near
 
 
-def _repair_conflicts(plan, topo, near: dict[int, list[int]]) -> None:
+def _repair_conflicts(rel: _Relation, near: dict[int, list[int]]) -> None:
     """Clear residual same-edge conflicts among interfering pairs near the
     cells keyed in `near` (reassignments may collide with an unexamined third
     party).  When a conflicted cell has no free band left, it shrinks step by
     step, per the automatic cell-size re-adjustment; `near` is then re-taken."""
+    plan = rel.plan
     for _ in range(8 * (MAX_SHRINK_STEPS + 1)):
         conflicts = [max(fid, other) for fid in sorted(near) for other in near[fid]
                      if plan.femto_band[other] == plan.femto_band[fid]]
@@ -543,18 +520,18 @@ def _repair_conflicts(plan, topo, near: dict[int, list[int]]) -> None:
             return
         loser = max(conflicts)
         if loser not in near:
-            near[loser] = plan.interferers(topo, loser)
+            near[loser] = sorted(rel[loser])
         if _labels_exhausted(plan, near[loser]):
-            shrunk = _shrink_one(plan, topo, loser)
-            for nid in plan.interferers(topo, loser):
-                shrunk |= _shrink_one(plan, topo, nid)
+            shrunk = _shrink_one(rel, loser)
+            for nid in sorted(rel[loser]):
+                shrunk |= _shrink_one(rel, nid)
             plan.events.append(("shrink", loser, ()))
             if shrunk:
-                near = {f: plan.interferers(topo, f) for f in near}
+                near = {f: sorted(rel[f]) for f in near}
             else:
                 plan.events.append(("repair-exhausted", (loser,)))
         plan.femto_band[loser] = _free_label(plan, near[loser])
-    if plan.edge_conflicts(topo):
+    if plan.edge_conflicts(rel.topo):
         plan.events.append(("repair-exhausted", tuple(sorted(near))))
 
 
@@ -565,10 +542,14 @@ def remove_femto(plan: SpectrumPlan, topo: CellTopology, fap_id: int) -> Spectru
     so reconfiguration is a defensive re-check limited to former interferers.
     """
     plan.femto_label(fap_id)
-    former = plan.interferers(topo, fap_id) if plan.scheme == "dynamic-reuse" else []
-    plan._leave(topo, fap_id)
+    if plan.scheme != "dynamic-reuse":
+        del plan.femto_band[fap_id]
+        return plan
+    rel = _Relation(plan, topo)
+    former = sorted(rel[fap_id])
+    rel.leave(fap_id)
     if former:
-        _repair_conflicts(plan, topo, {f: plan.interferers(topo, f) for f in former})
+        _repair_conflicts(rel, {f: sorted(rel[f]) for f in former})
     return plan
 
 

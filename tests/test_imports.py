@@ -153,7 +153,6 @@ TEST_ONLY_API = {
     "handoverflow.py": ("run_flow", "validate_trace"),
     "neighborlist.py": ("build_list_from_macro",),
     "radio.py": ("outage_probability_mc",),
-    "spectrum.py": ("remove_femto",),
     "queueing.py": ("birth_death_probs",),
     "des.py": ("spec_for_erlang",),
 }
