@@ -300,8 +300,7 @@ def run_fig6_cac(scenario: Scenario) -> ExperimentResult:
             res.add(label, lam, "utilization", sol.utilization)
             res.add(label, lam, "handover_rate", sol.handover_rate)
             res.add(label, lam, "forced_termination",
-                    q_mod.forced_termination_probability(
-                        sol.extra["P_h"], sol.p_drop))
+                    q_mod.forced_termination_probability(cell.p_h, sol.p_drop))
     res.metadata["guard_channels"] = base.guard_channels
     return res
 
@@ -547,15 +546,24 @@ def result_to_csv(result: ExperimentResult) -> str:
 
 
 def csv_to_rows(text: str) -> list[tuple]:
-    lines = [l for l in text.strip().splitlines() if l]
-    header = lines[0].split(",")
+    """The rows of a result CSV; a ValueError names a malformed line."""
+    lines = text.rstrip().splitlines()
+    header = lines[0].split(",") if lines else []
     if tuple(header) != CSV_COLUMNS:
         raise ValueError(f"unexpected CSV header {header}")
     rows = []
-    for line in lines[1:]:
-        scenario, scheme, x, metric, value, stderr, seed = line.split(",")
-        rows.append((scenario, scheme, float(x), metric, float(value),
-                     float(stderr), int(seed)))
+    for no, line in enumerate(lines[1:], start=2):
+        if not line:
+            continue
+        try:
+            scenario, scheme, x, metric, value, stderr, seed = line.split(",")
+            rows.append((scenario, scheme, float(x), metric, float(value),
+                         float(stderr), int(seed)))
+        except ValueError as exc:
+            fields = line.count(",") + 1
+            if fields != len(CSV_COLUMNS):
+                exc = f"{fields} fields, expected {len(CSV_COLUMNS)}"
+            raise ValueError(f"CSV line {no}: {exc}") from None
     return rows
 
 

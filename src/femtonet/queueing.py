@@ -52,7 +52,7 @@ class ChainSolution:
     handover_rate: float = 0.0
     iterations: int = 0
     residual: float = 0.0
-    extra: dict = field(default_factory=dict)
+    extra: dict = field(default_factory=dict)  # ch6: scheme; ch7: P_B_voice, P_B_background
     spec: LossChainSpec | None = None  # the chain the solver evaluated last
 
     def check_normalized(self) -> None:
@@ -239,7 +239,15 @@ class ChainBatch:
         rows of one group are views of one array.  A lone chain goes
         through loss_chain_probs, whose 1-D arrays cost less per call than
         a one-row batch: a one-point fixed point, or the last point of a
-        sweep still iterating, makes one such call per iteration."""
+        sweep still iterating, makes one such call per iteration.  A count
+        of rate rows other than of points, or a row whose length is not its
+        chain's stream count, raises ValueError."""
+        if len(points) != len(rates):
+            raise ValueError(f"{len(points)} points but {len(rates)} rows of stream rates")
+        for i, row in zip(points, rates):
+            if len(row) != len(self.specs[i].stream_rates):
+                raise ValueError(f"chain {i} has {len(self.specs[i].stream_rates)} streams, "
+                                 f"got a row of {len(row)} stream rates")
         if len(points) == 1:
             return [loss_chain_probs(_with_stream_rates(self.specs[points[0]],
                                                         tuple(rates[0])))]
@@ -678,11 +686,10 @@ class Ch6Cell:
 
     New calls are admitted below new_limit = N + L - guard (guard is
     guard_channels for the guard scheme, else 0); handovers below N + S.
-    hard-qos and guard degrade no call, so for them S = L = 0.  mu_rates
-    holds the per-call release rates of states 1..N+S, srv the total
-    departure rate of states 0..N+S, occupancy the bandwidth occupied in
-    each state.  Both arrays are read-only, so cells and solutions may
-    share them.
+    hard-qos and guard degrade no call, so for them S = L = 0.  srv holds
+    the total departure rate of states 0..N+S, i times the per-call release
+    rate in state i, and occupancy the bandwidth occupied in each state; the
+    array is read-only, so cells may share it.
 
     The per-call policy, `admission.admit_ch6`, refuses calls at other
     states.  Walked along the chain's mean mix (class counts round(a_m * i),
@@ -718,7 +725,6 @@ class Ch6Cell:
     ell: int
     new_limit: int
     p_h: float
-    mu_rates: np.ndarray
     srv: tuple[float, ...]
     occupancy: np.ndarray
     capacity: float
@@ -744,8 +750,9 @@ def ch6_cells(params: Ch6QueueParams, schemes) -> list[Ch6Cell]:
     rationals once for all schemes.  The release rates above N read gamma_h
     but never gamma_n, and a scheme's S is either the one of the classes'
     own gamma_h or 0, so one state_release_rates pass on the classes
-    themselves, at the widest S, serves every scheme: each cell's arrays
-    are read-only views of its first N+S rates and N+S+1 states.
+    themselves, at the widest S, serves every scheme: each cell keeps its
+    first N+S+1 states of the departure rates and of the occupancy, the
+    latter a read-only view.
     """
     cap = _frac(params.capacity)
     mean_req, g_hand, g_new = _class_sums(params.classes)
@@ -766,9 +773,8 @@ def ch6_cells(params: Ch6QueueParams, schemes) -> list[Ch6Cell]:
     mean_bw = sum(c.arrival_share * c.requested_bw for c in params.classes)
     occupancy = _read_only([min(i * mean_bw, params.capacity) for i in range(n + 1)]
                            + occupied)
-    mu_rates = _read_only(mu_rates)
     p_h = params.eta / (params.eta + 1.0 / mean_duration_at_full(params.classes))
-    return [Ch6Cell(scheme, n, s, ell, new_limit, p_h, mu_rates[:n + s], srv[:n + s + 1],
+    return [Ch6Cell(scheme, n, s, ell, new_limit, p_h, srv[:n + s + 1],
                     occupancy[:n + s + 1], params.capacity)
             for scheme, s, ell, new_limit in dims]
 
@@ -811,11 +817,9 @@ def solve_ch6_sweep(cells, lam_news) -> list[list[ChainSolution]]:
         cell = cells[c]
         probs = probs.copy()
         utilization = float(np.dot(probs, cell.occupancy)) / cell.capacity
-        extra = {"N": cell.n, "S": cell.s, "L": cell.ell, "P_h": cell.p_h,
-                 "mu_rates": cell.mu_rates, "scheme": cell.scheme}
         solutions[c].append(ChainSolution(
             probs, p_b, p_d, utilization, handover_rate=lam_h, iterations=n_iter,
-            residual=res[-1], extra=extra,
+            residual=res[-1], extra={"scheme": cell.scheme},
             spec=_with_stream_rates(templates[c], (lam_new, lam_h))))
     return solutions
 
@@ -887,7 +891,6 @@ def solve_ch7(params: Ch7QueueParams) -> ChainSolution:
     utilization = float(np.dot(probs, occupancy)) / (n + s)
     return ChainSolution(
         probs, p_b_v, p_d, utilization, handover_rate=params.lam_hand,
-        extra={"P_B_voice": p_b_v, "P_B_background": p_b_back,
-               "M": m, "N": n, "S": s, "L": params.l_states},
+        extra={"P_B_voice": p_b_v, "P_B_background": p_b_back},
         spec=chain,
     )

@@ -1,8 +1,9 @@
 """Scenario configuration: structured-text files, presets, and overrides.
 
 A scenario file is line-oriented `key = value` text with dotted keys for
-nesting and `#` comments.  `preset = table-5.1` pulls a named table in
-first; later lines override it.  Unknown keys and ill-typed values are
+nesting and `#` comments.  `preset = table-5.1` pulls a named table in:
+each of its values sets the dotted key whose last part is the value's name,
+and later lines override it.  Unknown keys and ill-typed values are
 rejected with the offending line and column.
 """
 
@@ -35,9 +36,16 @@ def _parse_float_list(text: str) -> tuple[float, ...]:
     return tuple(float(tok) for tok in text.split(",") if tok.strip())
 
 
+def _parse_name(text: str) -> str:
+    """A scenario name is the first field of every CSV row."""
+    if "," in text or len(text.splitlines()) > 1:
+        raise ValueError(f"a name may not hold a comma or a line break, got {text!r}")
+    return text
+
+
 # key -> (type constructor, default)
 SCENARIO_KEYS: dict[str, tuple] = {
-    "name": (str, "ad-hoc"),
+    "name": (_parse_name, "ad-hoc"),
     "preset": (str, ""),
     "seed": (int, 7),
     "trials": (int, 20),
@@ -81,30 +89,6 @@ SCENARIO_KEYS: dict[str, tuple] = {
     "sweep.femto_counts": (_parse_float_list, ()),
     "sweep.session_counts": (_parse_float_list, ()),
 }
-
-# preset key -> scenario key translation (only keys that map directly)
-_PRESET_BINDINGS = {
-    "macro_radius_m": "topology.macro_radius_m",
-    "femto_radius_m": "topology.femto_radius_m",
-    "macro_ue_walls": "topology.macro_ue_walls",
-    "inter_femto_walls": "topology.inter_femto_walls",
-    "tx_power_macro_w": "radio.tx_power_macro_w",
-    "tx_power_femto_w": "radio.tx_power_femto_w",
-    "sir_threshold_db": "radio.sir_threshold_db",
-    "ue_fap_distance_m": "radio.ue_fap_distance_m",
-    "s_t0_dbm": "neighborlist.s_t0_dbm",
-    "s_t1_dbm": "neighborlist.s_t1_dbm",
-    "mean_call_duration_s": "traffic.mean_call_duration_s",
-    "femto_dwell_s": "traffic.femto_dwell_s",
-    "macro_dwell_s": "traffic.macro_dwell_s",
-    "arrival_density_ratio": "traffic.arrival_density_ratio",
-    "femto_capacity_calls": "traffic.femto_capacity_calls",
-    "capacity_kbps": "traffic.capacity_kbps",
-    "guard_fraction": "traffic.guard_fraction",
-    "macro_base_states": "traffic.macro_base_states",
-    "macro_adaptive_states": "traffic.macro_adaptive_states",
-}
-
 
 @dataclass
 class Scenario:
@@ -208,16 +192,18 @@ class Scenario:
             eta=1.0 / self._duration("traffic.macro_dwell_s"), guard_channels=guard)
 
 
+_PRESET_KEYS = {key.rpartition(".")[2]: key for key in SCENARIO_KEYS if "." in key}
+
+
 def _apply_preset(values: dict, preset_name: str, line: int, path) -> None:
     if preset_name not in PRESETS:
         raise ScenarioError(f"unknown preset {preset_name!r} "
                             f"(known: {', '.join(sorted(PRESETS))})",
                             line, None, path)
-    preset = PRESETS[preset_name]
-    for key, value in preset.items():
-        bound = _PRESET_BINDINGS.get(key)
-        if bound is not None:
-            values[bound] = SCENARIO_KEYS[bound][0](value)
+    for name, value in PRESETS[preset_name].items():
+        key = _PRESET_KEYS.get(name)
+        if key is not None:
+            values[key] = SCENARIO_KEYS[key][0](value)
     values["preset"] = preset_name
 
 
@@ -241,6 +227,15 @@ def parse_assignment(text: str, line_no: int = 0, path=None) -> tuple[str, objec
                             text.index("=") + 2, path) from None
 
 
+def _assign(values: dict, text: str, line_no: int = 0, path=None) -> None:
+    """Parse one `key = value` line into values; a preset sets its keys."""
+    key, value = parse_assignment(text, line_no, path)
+    if key == "preset":
+        _apply_preset(values, value, line_no, path)
+    else:
+        values[key] = value
+
+
 def load_scenario(path) -> Scenario:
     """Load and validate a structured-text scenario file."""
     values: dict = {}
@@ -252,13 +247,8 @@ def load_scenario(path) -> Scenario:
 
     for line_no, raw in enumerate(lines, start=1):
         text = raw.split("#", 1)[0].strip()
-        if not text:
-            continue
-        key, value = parse_assignment(text, line_no, path)
-        if key == "preset":
-            _apply_preset(values, value, line_no, path)
-        else:
-            values[key] = value
+        if text:
+            _assign(values, text, line_no, path)
     if "name" not in values:
         raise ScenarioError("missing required field 'name'", path=path)
     return Scenario(values)
@@ -275,9 +265,5 @@ def apply_overrides(scenario: Scenario, assignments: list[str]) -> Scenario:
     """Apply --set key=value pairs on top of a scenario."""
     values = dict(scenario.values)
     for text in assignments:
-        key, value = parse_assignment(text)
-        if key == "preset":
-            _apply_preset(values, value, 0, None)
-        else:
-            values[key] = value
+        _assign(values, text)
     return Scenario(values)

@@ -11,15 +11,15 @@ A FAP is an id in `CellTopology.femtocells` and the same row of its
 Each topology has one fixed-radius neighbor table; its CSR layout is
 private to this module.  `place_femtocells` hands over the table that its
 last draw round built, `reach_components` slices its parent's rows, and a
-topology made any other way builds its own on first read.
-`CellTopology.near` answers every FAP-to-FAP range query from it,
-`CellTopology.row` hands a FAP's whole row over as lists,
+topology made any other way builds its own on first read.  It has three
+readers: `CellTopology.row` hands a FAP's whole row over as lists, and
+`neighbors_of` and dynamic reuse cut it to their radius;
 `CellTopology.earlier_within` gives each FAP's earlier partners for the
-first-come pair rules, and `reach_components` cuts a topology down to the
+first-come pair rules; and `reach_components` cuts a topology down to the
 table's connected components that hold given FAPs.  The table's reach covers
-the interference range and the neighbor threshold, and a query beyond it
-raises.  Queries from arbitrary points (UE positions) read a full
-`distances_to` row.
+the interference range and the neighbor threshold, and `earlier_within`
+raises for a radius beyond it.  Queries from arbitrary points (UE
+positions) read a full `distances_to` row.
 """
 
 from __future__ import annotations
@@ -169,20 +169,11 @@ class CellTopology:
             raise ValueError("positions must be finite")
         return np.hypot(x - self.positions[:, 0], y - self.positions[:, 1])
 
-    def near(self, fap_id: int, radius_m: float) -> tuple[np.ndarray, np.ndarray]:
-        """The femtocells within radius_m of a FAP, itself excluded: their
-        indices in femtocells order, ascending, and their distances.  The
-        radius may not exceed the table's reach."""
-        k = self.index_of(fap_id)
-        ptr, nbr, dist = self._table or self._neighbors()  # the hot path skips a call
-        span = slice(ptr[k], ptr[k + 1])
-        keep = self._within(dist[span], radius_m)
-        return nbr[span][keep], dist[span][keep]
-
     def row(self, fap_id: int) -> tuple[list[int], list[float]]:
         """The FAP's row of the neighbor table, as lists: the indices in
         femtocells order, ascending, of every FAP within the table's reach,
-        itself excluded, and their distances."""
+        itself excluded, and their distances.  The table's one per-FAP
+        reader: a caller cuts the row to its own radius."""
         k = self.index_of(fap_id)
         ptr, nbr, dist = self._table or self._neighbors()
         lo, hi = ptr[k], ptr[k + 1]
@@ -191,17 +182,12 @@ class CellTopology:
     def earlier_within(self, radius_m: float) -> list[tuple[int, list[int]]]:
         """`[(k, earlier), ...]` for each FAP k, in femtocells order, that
         has an earlier FAP within radius_m: `earlier` are their indices,
-        ascending.  The radius may not exceed the table's reach."""
-        ptr, nbr, dist = self._neighbors()
-        return _earlier(ptr, nbr, self._within(dist, radius_m))
-
-    def _within(self, dist: np.ndarray, radius_m: float) -> np.ndarray:
-        """Which of the table distances `dist` are within radius_m; a
-        radius above the table's reach raises ValueError."""
+        ascending.  A radius above the table's reach raises ValueError."""
         if radius_m > self._reach:
             raise ValueError(f"radius {radius_m!r} m exceeds the neighbor table's "
                              f"reach of {self._reach!r} m")
-        return dist <= radius_m
+        ptr, nbr, dist = self._neighbors()
+        return _earlier(ptr, nbr, dist <= radius_m)
 
     def index_of(self, fap_id: int) -> int:
         """The FAP's index in femtocells order."""
@@ -333,8 +319,9 @@ def distance(topo: CellTopology, a, b) -> float:
 
 def neighbors_of(topo: CellTopology, fap_id: int) -> frozenset[int]:
     """Ids of femtocells within neighbor_threshold_m of the given FAP."""
-    idx, _ = topo.near(fap_id, topo.neighbor_threshold_m)
-    return frozenset(topo.femtocells[k] for k in idx.tolist())
+    idx, dist = topo.row(fap_id)
+    threshold = topo.neighbor_threshold_m
+    return frozenset(topo.femtocells[k] for k, d in zip(idx, dist) if d <= threshold)
 
 
 def reach_components(topo: CellTopology, fap_ids) -> CellTopology:

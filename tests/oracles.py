@@ -477,8 +477,8 @@ def ch6_cell(params, scheme: str = "proposed"):
     mean_req = sum(c.arrival_share * c.requested_bw for c in classes)
     occupancy = [min(i * mean_req, params.capacity) for i in range(n + 1)] + occupied
     p_h = params.eta / (params.eta + 1.0 / mean_duration_at_full(classes))
-    return Ch6Cell(scheme, n, s, ell, n + ell - guard, p_h,
-                   _read_only(mu_rates), srv, _read_only(occupancy), params.capacity)
+    return Ch6Cell(scheme, n, s, ell, n + ell - guard, p_h, srv, _read_only(occupancy),
+                   params.capacity)
 
 
 # -- the loss chains as written twice before each model became one spec
@@ -932,8 +932,7 @@ def scalar_assign_static(plan, topo, seed: int) -> None:
     reach = topo.femto_radius_m + topo.femto_radius_m
     picks = []
     for k, fid in enumerate(topo.femtocells):
-        idx, _ = topo.near(fid, reach)
-        used = {picks[j] for j in idx[idx < k].tolist()}
+        used = {picks[j] for j, d in zip(*topo.row(fid)) if j < k and d <= reach}
         free = [b for b in ("Bm2", "Bm3") if b not in used]
         if free:
             pick = free[0] if len(free) == 1 else free[int(rng.integers(2))]

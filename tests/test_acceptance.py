@@ -180,10 +180,11 @@ def test_criterion_05_queueing_exactness():
     # shipped presets: Table 6.1 single cell and Table 5.1 two-tier
     params61 = Scenario({}).ch6_params(lam_new=1.2)
     sol = q.solve_ch6(params61, "proposed")
-    n, s, ell = sol.extra["N"], sol.extra["S"], sol.extra["L"]
+    (cell,) = q.ch6_cells(params61, ("proposed",))
+    n, s, ell = cell.n, cell.s, cell.ell
     lam = params61.lam_new + sol.handover_rate
     births = [lam] * (n + ell) + [sol.handover_rate] * (s - ell)
-    deaths = [(i + 1) * sol.extra["mu_rates"][i] for i in range(n + s)]
+    deaths = cell.srv[1:]
     _assert_chain_matches_oracle(sol.probs, births, deaths, sol.p_block,
                                  n + ell, sol.p_drop)
 
@@ -253,8 +254,9 @@ def test_criterion_07_ch6_scheme_properties():
         params = Scenario({}).ch6_params(lam_new=lam)
         prop = q.solve_ch6(params, "proposed")
         guard = q.solve_ch6(params, "guard")
+        (cell,) = q.ch6_cells(params, ("proposed",))
         assert prop.p_drop <= prop.p_block
-        if prop.extra["L"] < prop.extra["S"]:
+        if cell.ell < cell.s:
             assert prop.p_drop < prop.p_block
         assert prop.p_drop < guard.p_drop, f"lam={lam}"
         assert prop.utilization >= guard.utilization - 1e-12

@@ -135,6 +135,28 @@ def test_validate_ok_and_bad(tmp_path, capsys):
     assert main(["validate", str(bad)]) == EXIT_INPUT_ERROR
 
 
+def test_a_name_with_a_comma_fails_validate_and_run(tmp_path, capsys):
+    # the name once passed validate, and run then wrote rows of 8 fields
+    path = tmp_path / "comma.scenario"
+    path.write_text("name = dense, test\n")
+    assert main(["validate", str(path)]) == EXIT_INPUT_ERROR
+    assert capsys.readouterr().err == (f"invalid: {path}:1:7: bad value for name: a name may "
+                                       f"not hold a comma or a line break, got 'dense, test'\n")
+    out = tmp_path / "out"
+    assert main(["run", "fig8-popularity", "--out", str(out), "--set", "name=dense, test",
+                 *FIG8_SMALL]) == EXIT_INPUT_ERROR
+    assert "a name may not hold a comma" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_emit_names_a_row_of_too_many_fields(tmp_path, capsys):
+    bad = tmp_path / "fig8-popularity.csv"
+    bad.write_text("scenario,scheme,x,metric,value,stderr,seed\n"
+                   "dense, test,equal,20,satisfaction_avg,1.0,0.0,7\n")
+    assert main(["emit", str(bad), "--out", str(tmp_path)]) == EXIT_INPUT_ERROR
+    assert capsys.readouterr().err == "error: CSV line 2: 8 fields, expected 7\n"
+
+
 def test_validate_missing_file():
     assert main(["validate", "/nonexistent/path.scenario"]) == EXIT_INPUT_ERROR
 

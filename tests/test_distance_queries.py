@@ -25,6 +25,7 @@ from femtonet.spectrum import build_plan
 from femtonet.topology import (
     INTERFERENCE_RADIUS_SCALE,
     CellTopology,
+    MacroGeometry,
     UnknownSiteError,
     neighbors_of,
     place_femtocells,
@@ -50,25 +51,17 @@ def _topo_at(xy, ids=None, **kw):
 REACH = INTERFERENCE_RADIUS_SCALE * (10.0 + 10.0)
 
 
-def _assert_near_matches_rows(topo, radii=(0.0, 20.0, 45.5, REACH), reach=REACH):
-    """`near` against a distance row, for every FAP at each radius and at
-    each of its neighbor distances up to the reach: the same indices in
-    femtocells order, and the same distances to the last bit."""
+def _assert_rows_match_distances(topo, reach=REACH):
+    """`row` against a distance row, for every FAP: the indices in
+    femtocells order of every other FAP within the reach, and the same
+    distances to the last bit."""
     for k, f in enumerate(topo.femtocells):
         row = topo.distances_to(topo.positions[k])
-        for radius in {*radii, *row[row <= reach].tolist()}:
-            expected = np.flatnonzero(row <= radius)
-            expected = expected[expected != k]
-            idx, dist = topo.near(f, radius)
-            assert idx.tolist() == expected.tolist(), (f, radius)
-            assert [d.hex() for d in dist.tolist()] == [d.hex() for d in row[expected].tolist()]
-
-
-def _assert_rows_match_near(topo):
-    """`row` is `near` at the table's reach, as lists."""
-    for f in topo.femtocells:
-        idx, dist = topo.near(f, topo._reach)
-        assert topo.row(f) == (idx.tolist(), dist.tolist()), f
+        expected = np.flatnonzero(row <= reach)
+        expected = expected[expected != k]
+        idx, dist = topo.row(f)
+        assert idx == expected.tolist(), f
+        assert [d.hex() for d in dist] == [d.hex() for d in row[expected].tolist()]
 
 
 def _scramble_edges(plan, seed):
@@ -89,6 +82,20 @@ def test_neighbors_of_matches_scalar_scan(seed):
     topo = _random_topo(seed, 150, 300.0)
     for f in topo.femtocells:
         assert neighbors_of(topo, f) == brute_neighbors(topo, f)
+
+
+@pytest.mark.parametrize("threshold", [0.0, 25.0, 60.0, 90.0, 150.0])
+def test_neighbors_of_matches_all_pairs_at_each_threshold(threshold):
+    # on hand-made and placed topologies, with FAPs 2 m apart at the least
+    placed = place_femtocells(int(threshold), 600, MacroGeometry(
+        macro_radius_m=400.0, neighbor_threshold_m=threshold))
+    for topo in (_random_topo(6, 200, 300.0, neighbor_threshold_m=threshold), placed):
+        xy = topo.positions
+        for k, f in enumerate(topo.femtocells):
+            row = np.hypot(xy[k, 0] - xy[:, 0], xy[k, 1] - xy[:, 1])
+            row[k] = np.inf
+            want = {topo.femtocells[j] for j in np.flatnonzero(row <= threshold).tolist()}
+            assert neighbors_of(topo, f) == want, (threshold, f)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -134,8 +141,8 @@ def _line(step_m, moved=None, count=12):
 ])
 def test_static_reuse_runs_match_scalar_draws(topo, overlapping):
     reach = 2 * topo.femto_radius_m
-    has_earlier = [k for k, f in enumerate(topo.femtocells)
-                   if (topo.near(f, reach)[0] < k).any()]
+    has_earlier = [k for k in range(len(topo.femtocells))
+                   if (topo.distances_to(topo.positions[k])[:k] <= reach).any()]
     assert len(has_earlier) == overlapping
     for plan_seed in range(6):
         plan = build_plan("static-reuse", topo, seed=plan_seed)
@@ -160,32 +167,32 @@ def test_dynamic_plan_with_shrunk_radii_matches_oracles(seed):
 
 @pytest.mark.parametrize("seed", range(3))
 def test_neighbor_table_matches_distance_rows(seed):
-    _assert_near_matches_rows(_random_topo(seed, 120, 300.0))
+    _assert_rows_match_distances(_random_topo(seed, 120, 300.0))
 
 
 @pytest.mark.parametrize("threshold", [0.0, 60.0, 90.0])
-def test_row_is_near_at_the_reach(threshold):
-    _assert_rows_match_near(_random_topo(3, 150, 250.0, low_m=-50.0,
-                                         neighbor_threshold_m=threshold))
+def test_rows_match_distance_rows_however_the_table_was_made(threshold):
+    _assert_rows_match_distances(_random_topo(3, 150, 250.0, low_m=-50.0,
+                                              neighbor_threshold_m=threshold),
+                                 reach=max(REACH, threshold))
     placed = place_femtocells(5, 300)  # its table handed over by placement
-    _assert_rows_match_near(placed)
-    _assert_rows_match_near(topology.reach_components(placed, {0}))
+    _assert_rows_match_distances(placed)
+    _assert_rows_match_distances(topology.reach_components(placed, {0}))
     assert _topo_at(np.zeros((1, 2)), [7]).row(7) == ([], [])
     with pytest.raises(UnknownSiteError):
         placed.row(300)
 
 
 def test_neighbor_table_with_negative_coordinates():
-    _assert_near_matches_rows(_random_topo(5, 150, 250.0, low_m=-250.0))
+    _assert_rows_match_distances(_random_topo(5, 150, 250.0, low_m=-250.0))
 
 
 def test_neighbor_table_on_cell_boundaries():
     # a lattice at the reach: every pair of grid neighbors exactly R_t apart
     grid = [(REACH * i, REACH * j) for i in range(-2, 3) for j in range(-2, 3)]
     topo = _topo_at(grid)
-    _assert_near_matches_rows(topo)
-    idx, dist = topo.near(12, REACH)  # the centre (0, 0)
-    assert idx.tolist() == [7, 11, 13, 17] and dist.tolist() == [REACH] * 4
+    _assert_rows_match_distances(topo)
+    assert topo.row(12) == ([7, 11, 13, 17], [REACH] * 4)  # the centre (0, 0)
 
 
 def _brute_table(xy, reach):
@@ -237,34 +244,35 @@ def test_neighbor_table_matches_all_pairs(points):
     assert not any(arr.flags.writeable for arr in table)
 
 
-def _assert_earlier_matches_near(topo, radii=(0.0, 20.0, REACH)):
-    """`earlier_within` against `near`: each FAP that has an earlier FAP
-    within the radius, in order, with the indices of those FAPs."""
-    for radius in radii:
-        expected = []
-        for k, f in enumerate(topo.femtocells):
-            idx, _ = topo.near(f, radius)
-            if (idx < k).any():
-                expected.append((k, idx[idx < k].tolist()))
+def _assert_earlier_matches_rows(topo, radii=(0.0, 20.0, 45.5, REACH)):
+    """`earlier_within` against distance rows, at each radius and at about
+    ten pair distances up to the largest radius: each FAP that has an
+    earlier FAP within the radius, in order, with the indices of those
+    FAPs."""
+    rows = [topo.distances_to(xy)[:k] for k, xy in enumerate(topo.positions)]
+    pairs = sorted(d for row in rows for d in row[row <= max(radii)].tolist())
+    for radius in sorted({*radii, *pairs[::len(pairs) // 10 + 1]}):
+        expected = [(k, earlier.tolist()) for k, row in enumerate(rows)
+                    if (earlier := np.flatnonzero(row <= radius)).size]
         assert topo.earlier_within(radius) == expected, radius
 
 
 @pytest.mark.parametrize("seed", range(3))
-def test_earlier_within_matches_near(seed):
-    _assert_earlier_matches_near(_random_topo(seed, 150, 250.0, low_m=-50.0))
+def test_earlier_within_matches_distance_rows(seed):
+    _assert_earlier_matches_rows(_random_topo(seed, 150, 250.0, low_m=-50.0))
 
 
 def test_earlier_within_on_cell_boundaries():
     # the lattice at the reach: the boundary is inclusive
     topo = _topo_at([(REACH * i, REACH * j) for i in range(-2, 3) for j in range(-2, 3)])
-    _assert_earlier_matches_near(topo)
+    _assert_earlier_matches_rows(topo)
     assert topo.earlier_within(np.nextafter(REACH, 0.0)) == []
     assert dict(topo.earlier_within(REACH))[12] == [7, 11]
 
 
 def test_earlier_within_in_empty_and_single_fap_topologies():
     for topo in (_topo_at([]), _topo_at([(3.0, -4.0)], ids=[7])):
-        _assert_earlier_matches_near(topo)
+        _assert_earlier_matches_rows(topo)
         assert topo.earlier_within(REACH) == []
 
 
@@ -276,26 +284,31 @@ def test_earlier_within_stops_at_the_reach():
 
 def test_pair_exactly_the_reach_apart():
     # a 3-4-5 triangle scaled to the reach, so the distance is exact
-    topo = _topo_at([(-0.6 * REACH / 2, 0.0), (0.6 * REACH / 2, 0.8 * REACH)], ids=[9, 4])
+    xy = [(-0.6 * REACH / 2, 0.0), (0.6 * REACH / 2, 0.8 * REACH)]
+    topo = _topo_at(xy, ids=[9, 4], neighbor_threshold_m=REACH)
     assert topo.distances_to(topo.site(9).position)[1] == REACH
     for f, other in ((9, 1), (4, 0)):
-        idx, dist = topo.near(f, REACH)
-        assert idx.tolist() == [other] and dist.tolist() == [REACH]
-        assert topo.near(f, np.nextafter(REACH, 0.0))[0].size == 0
+        assert topo.row(f) == ([other], [REACH])
+        assert neighbors_of(topo, f) == {topo.femtocells[other]}
+    assert topo.earlier_within(REACH) == [(1, [0])]
+    assert topo.earlier_within(np.nextafter(REACH, 0.0)) == []
+    closer = _topo_at(xy, ids=[9, 4], neighbor_threshold_m=np.nextafter(REACH, 0.0))
+    assert neighbors_of(closer, 9) == neighbors_of(closer, 4) == frozenset()
 
 
-def test_near_in_empty_and_single_fap_topologies():
+def test_row_and_neighbors_of_in_empty_and_single_fap_topologies():
     empty = _topo_at([])
-    with pytest.raises(UnknownSiteError):
-        empty.near(0, REACH)
-    single = _topo_at([(3.0, -4.0)], ids=[7])
-    for radius in (0.0, REACH):
-        idx, dist = single.near(7, radius)
-        assert idx.size == 0 and dist.size == 0
-    with pytest.raises(ValueError, match="reach"):
-        single.near(7, 2 * REACH)
-    with pytest.raises(UnknownSiteError):
-        single.near(8, REACH)
+    for query in (empty.row, lambda f: neighbors_of(empty, f)):
+        with pytest.raises(UnknownSiteError):
+            query(0)
+    for threshold in (0.0, REACH):
+        single = _topo_at([(3.0, -4.0)], ids=[7], neighbor_threshold_m=threshold)
+        assert single.row(7) == ([], []) and neighbors_of(single, 7) == frozenset()
+        with pytest.raises(ValueError, match="reach"):
+            single.earlier_within(2 * REACH)
+        for query in (single.row, lambda f: neighbors_of(single, f)):
+            with pytest.raises(UnknownSiteError):
+                query(8)
 
 
 @pytest.fixture
@@ -314,11 +327,10 @@ def rows(monkeypatch):
 
 def test_a_radius_above_the_reach_raises(rows):
     topo = _random_topo(2, 150, 300.0)
-    for f in topo.femtocells[:10]:
-        topo.near(f, REACH)
-        for radius in (np.nextafter(REACH, np.inf), REACH + 1e-9, 75.0, 140.0):
-            with pytest.raises(ValueError, match="exceeds the neighbor table's reach of 60.0 m"):
-                topo.near(f, radius)
+    topo.earlier_within(REACH)
+    for radius in (np.nextafter(REACH, np.inf), REACH + 1e-9, 75.0, 140.0):
+        with pytest.raises(ValueError, match="exceeds the neighbor table's reach of 60.0 m"):
+            topo.earlier_within(radius)
     assert rows == []
 
 
@@ -326,17 +338,16 @@ def test_a_radius_above_the_reach_raises(rows):
 def test_a_neighbor_threshold_above_the_interference_range_widens_the_table(rows, threshold):
     topo = _random_topo(2, 150, 300.0, neighbor_threshold_m=threshold)
     for f in topo.femtocells:
-        topo.near(f, threshold)
+        topo.row(f)
         neighbors_of(topo, f)
     topo.earlier_within(threshold)
     assert rows == []
-    _assert_near_matches_rows(topo, radii=(0.0, REACH, REACH + 1e-9, 75.0, threshold),
-                              reach=threshold)
-    _assert_earlier_matches_near(topo, radii=(0.0, REACH, threshold))
+    _assert_rows_match_distances(topo, reach=threshold)
+    _assert_earlier_matches_rows(topo, radii=(0.0, REACH, REACH + 1e-9, 75.0, threshold))
     for f in topo.femtocells:
         assert neighbors_of(topo, f) == brute_neighbors(topo, f)
     with pytest.raises(ValueError, match=f"reach of {threshold!r} m"):
-        topo.near(topo.femtocells[0], np.nextafter(threshold, np.inf))
+        topo.earlier_within(np.nextafter(threshold, np.inf))
 
 
 def test_building_reuse_plans_makes_no_distance_row(rows):

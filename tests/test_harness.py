@@ -1,10 +1,12 @@
 import json
 import os
+import re
 
 import pytest
 
 from femtonet.admission import TrafficClass
 from femtonet.experiments import (
+    CSV_COLUMNS,
     DEFAULT_PRESET,
     check_scenario,
     csv_to_rows,
@@ -14,6 +16,7 @@ from femtonet.experiments import (
 )
 from femtonet.presets import PRESETS, TABLE_5_1, table61_classes
 from femtonet.scenario import (
+    SCENARIO_KEYS,
     Scenario,
     ScenarioError,
     apply_overrides,
@@ -71,6 +74,67 @@ def test_scenario_preset_values():
     assert sc["neighborlist.s_t1_dbm"] == -75.0
     assert sc["traffic.capacity_kbps"] == 6000.0
     assert sc["traffic.macro_dwell_s"] == 240.0
+
+
+# what each preset sets, as the key-by-key binding table resolved it: a
+# preset value sets the dotted key whose last part is the value's name
+PRESET_VALUES = {
+    "table-4.3": {
+        "topology.macro_radius_m": 1000.0, "topology.femto_radius_m": 10.0,
+        "topology.macro_ue_walls": 0, "topology.inter_femto_walls": 1,
+        "radio.sir_threshold_db": 9.0, "radio.tx_power_macro_w": 1500.0,
+        "radio.tx_power_femto_w": 0.01, "radio.ue_fap_distance_m": 5.0,
+    },
+    "table-5.1": {
+        "topology.macro_ue_walls": 1, "traffic.mean_call_duration_s": 120.0,
+        "traffic.femto_dwell_s": 360.0, "traffic.macro_dwell_s": 240.0,
+        "traffic.arrival_density_ratio": 20.0, "traffic.femto_capacity_calls": 4,
+        "traffic.capacity_kbps": 6000.0, "traffic.macro_base_states": 100,
+        "traffic.macro_adaptive_states": 30, "neighborlist.s_t0_dbm": -90.0,
+        "neighborlist.s_t1_dbm": -75.0,
+    },
+    "table-6.1": {
+        "traffic.mean_call_duration_s": 120.0, "traffic.macro_dwell_s": 240.0,
+        "traffic.capacity_kbps": 6000.0, "traffic.guard_fraction": 0.05,
+    },
+    "table-7.1": {"traffic.mean_call_duration_s": 120.0},
+    "table-8.1": {},
+}
+
+
+def _typed(values: dict) -> dict:
+    """The values with their types, so that 0 and 0.0 differ."""
+    return {key: (type(value), value) for key, value in values.items()}
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_every_preset_sets_its_recorded_values(name):
+    unset = object()
+    sc = apply_overrides(Scenario({key: unset for key in SCENARIO_KEYS}), [f"preset = {name}"])
+    want = {"preset": name, **PRESET_VALUES[name]}
+    assert _typed({k: v for k, v in sc.values.items() if v is not unset}) == _typed(want)
+    assert _typed(scenario_from_preset(name).values) == _typed({**Scenario({}).values, **want})
+
+
+def test_the_dotted_keys_last_parts_are_unique():
+    last = [key.rpartition(".")[2] for key in SCENARIO_KEYS if "." in key]
+    assert len(set(last)) == len(last)
+
+
+@pytest.mark.parametrize("name", ["dense, test", "a,", ",b", "a\nb", "a\rb", "a\x0cb",
+                                  "a\u2028b"])
+def test_a_name_that_would_break_a_csv_row_is_rejected(tmp_path, name):
+    # a comma split each CSV row in two fields, and a line break in two lines
+    message = "a name may not hold a comma or a line break"
+    with pytest.raises(ScenarioError, match=message) as err:
+        apply_overrides(Scenario({}), [f"name={name}"])
+    assert (err.value.line, err.value.column) == (0, 6)
+    if "," in name or "\x0c" in name or "\u2028" in name:  # a file line holds no \n or \r
+        path = tmp_path / "bad.scenario"
+        path.write_text(f"seed = 3\nname = {name}\n", encoding="utf-8")
+        with pytest.raises(ScenarioError, match=message) as err:
+            load_scenario(path)
+        assert (err.value.line, err.value.column) == (2, 7)
 
 
 def test_load_scenario_file(tmp_path):
@@ -289,6 +353,19 @@ def test_csv_round_trip(tmp_path):
     res = run_experiment("fig8-popularity", sc)
     text = result_to_csv(res)
     assert csv_to_rows(text) == res.rows
+
+
+@pytest.mark.parametrize("line, message", [
+    ("dense, test,fig8,1.0,m,0.5,0.0,7", "CSV line 3: 8 fields, expected 7"),
+    ("dense,fig8,1.0,m,0.5,0.0", "CSV line 3: 6 fields, expected 7"),
+    ("dense,fig8,one,m,0.5,0.0,7", "CSV line 3: could not convert string to float: 'one'"),
+])
+def test_csv_to_rows_names_a_malformed_line(line, message):
+    header = ",".join(CSV_COLUMNS)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        csv_to_rows(f"{header}\ndense,fig8,1.0,m,0.5,0.0,7\n{line}\n")
+    with pytest.raises(ValueError, match="unexpected CSV header"):
+        csv_to_rows("")
 
 
 def test_emit_csv_and_plot_script(tmp_path):

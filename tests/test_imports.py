@@ -1,8 +1,9 @@
 """Every name that a femtonet module or a test module imports is used in
 that module, every private name that a femtonet module defines at module
 level is used in that module, a femtonet module imports only at its top
-level, and every public function and class of femtonet, and every public
-method and property of such a class, has a caller outside the tests."""
+level, every public function and class of femtonet, and every public
+method and property of such a class, has a caller outside the tests, and
+every public field of such a class has a reader outside the tests."""
 
 import ast
 import pathlib
@@ -128,11 +129,36 @@ def _named(source: str) -> set[str]:
     return names
 
 
-def _uncalled_api(paths, sources, api=_public_api) -> list[tuple[str, int, str]]:
+def _public_fields(path) -> dict[str, int]:
+    """The annotated fields of the module-level public classes, by
+    `Class.name`, with their line."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return {f"{cls.name}.{node.target.id}": node.lineno for cls in tree.body
+            if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_")
+            for node in cls.body
+            if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)
+            and not node.target.id.startswith("_")}
+
+
+def _read(source: str) -> set[str]:
+    """Every attribute that Python source reads, by `.name` or as a string
+    (`getattr(obj, "name")`); setting an attribute or passing it by keyword
+    does not read it."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            names.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)
+    return names
+
+
+def _uncalled_api(paths, sources, api=_public_api, names=_named) -> list[tuple[str, int, str]]:
     """(module, line, name) of each name of `paths` that `api` lists (the
-    public functions and classes, by default) and no source names; a
-    method counts as named when its own name is."""
-    named = set().union(*map(_named, sources))
+    public functions and classes, by default) and no source names (or
+    reads, with names=_read); a method or field counts as named when its
+    own name is."""
+    named = set().union(*map(names, sources))
     return [(path.name, line, name) for path in paths
             for name, line in sorted(api(path).items())
             if name.rpartition(".")[2] not in named]
@@ -176,6 +202,60 @@ def test_every_public_function_and_class_has_a_caller():
 
 def test_every_public_method_and_property_has_a_caller():
     assert _uncalled_api(SRC_MODULES, _api_users(), _public_methods) == []
+
+
+# the public fields that only the tests read, each with its reason: the
+# paper's outputs that a caller reads back, and records that name their item
+TEST_ONLY_FIELDS = {
+    "admission.py": {
+        "AdmissionDecision.reason": "the Ch. 5 CAC's reason for its outcome",
+        "AdmissionDecision.degradations": "the calls that a Ch. 5 admission degraded",
+        "AdmissionDecision.state": "the cell load that a Ch. 5 admission leaves",
+    },
+    "handoverflow.py": {
+        "FlowTrace.diagnostic": "why a handover call flow stopped",
+    },
+    "neighborlist.py": {
+        "NeighborList.provenance": "why each FAP is on the Ch. 5 neighbor list",
+        "NeighborList.serving": "the FAP or macrocell that a list serves",
+        "RssiScan.serving": "the FAP or macrocell that a scan was made in",
+    },
+    "queueing.py": {
+        "Ch6Cell.ell": "the Ch. 6 chain's L, which new_limit holds for the chain",
+        "ChainSolution.residual": "the last residual of a Ch. 6 fixed point",
+        "TwoTierSolution.residuals": "the residuals of a two-tier fixed point",
+    },
+    "topology.py": {
+        "FemtoSite.id": "the FAP that a site record names",
+    },
+    "videoalloc.py": {
+        "LayerAllocation.total_bw": "the bandwidth that a Ch. 7 layer allocation spends",
+        "MbsSession.id": "the Ch. 7 session that a record names",
+        "MbsSession.popularity": "a Ch. 7 session's viewer count, which sets its rank",
+    },
+}
+
+
+def test_every_public_field_has_a_reader():
+    """Outside the listed test-only fields, which must stay unread so that
+    the list does not go stale."""
+    unread = _uncalled_api(SRC_MODULES, _api_users(), _public_fields, _read)
+    assert {(module, name) for module, _, name in unread} == \
+        {(module, name) for module, names in TEST_ONLY_FIELDS.items() for name in names}
+
+
+def test_an_unread_public_field_is_found(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text("from dataclasses import dataclass\n\n\n@dataclass\nclass Cell:\n"
+                    "    load: float\n    limit: int\n    label: str = ''\n"
+                    "    unread: int = 0\n    _private: int = 0\n\n    def grow(self):\n"
+                    "        return self.limit + 1\n\n\n@dataclass\nclass _Hidden:\n"
+                    "    unread: int\n")
+    # the module reads its own fields too, as each femtonet module is a user
+    users = [path.read_text(encoding="utf-8"),
+             "from mod import Cell\ncell = Cell(load=1.0, limit=2, unread=3)\n"
+             "cell.unread = 4\nprint(cell.load, cell.grow(), getattr(cell, 'label'))\n"]
+    assert _uncalled_api([path], users, _public_fields, _read) == [("mod.py", 9, "Cell.unread")]
 
 
 def test_an_uncalled_public_function_is_found(tmp_path):

@@ -66,11 +66,12 @@ def test_ch6_cell_equals_the_chain_it_split(scheme, lam):
         assert getattr(sol, name).hex() == getattr(old, name).hex(), name
     assert sol.iterations == old.iterations
     assert _same_bits(sol.probs, old.probs)
-    assert sol.extra.keys() == old.extra.keys()
-    assert [float(x).hex() for x in sol.extra["mu_rates"]] == \
-        [float(x).hex() for x in old.extra["mu_rates"]]
-    assert {k: v for k, v in sol.extra.items() if k != "mu_rates"} == \
-        {k: v for k, v in old.extra.items() if k != "mu_rates"}
+    assert sol.extra == {"scheme": old.extra["scheme"]}
+    # the facts that the reference solution reports are the cell's
+    assert (cell.n, cell.s, cell.ell, cell.p_h) == \
+        tuple(old.extra[key] for key in ("N", "S", "L", "P_h"))
+    assert [d.hex() for d in cell.srv[1:]] == \
+        [((i + 1) * mu).hex() for i, mu in enumerate(old.extra["mu_rates"])]
     lam_h = sol.handover_rate
     old_chain, _ = oracles.ch6_chain(params, lam_h, scheme)
     assert sol.spec == cell.chain(lam, lam_h) == old_chain
@@ -215,7 +216,7 @@ def test_a_multi_cell_sweep_equals_each_point_solved_alone(chosen, grid):
         assert len(sols) == len(grid)
         for lam, sol in zip(grid, sols, strict=True):
             _assert_ch6_equal(sol, replace(params, lam_new=lam), scheme, lam)
-            assert sol.extra["scheme"] == scheme and sol.extra["N"] == cell.n
+            assert sol.extra == {"scheme": scheme} and sol.spec.srv_rates == cell.srv
         assert all(sol.probs.base is None for sol in sols)
 
 
@@ -267,6 +268,25 @@ def test_a_chain_batch_names_a_bad_rate():
             batch.solve(points, [(0.5, math.nan)] * len(points))
     with pytest.raises(ValueError, match="^death rates must be positive$"):
         ChainBatch([spec, LossChainSpec((1.0,), (2,), (0.0, 0.0, 2.0), hand_stream=0)])
+
+
+def test_a_chain_batch_names_a_rate_row_of_the_wrong_length_or_count():
+    # a short row once dropped a stream on the one-point path, which then
+    # rejected none of its calls, and raised a bare IndexError on the batch
+    # path; a long row was cut short on both
+    spec = LossChainSpec((0.5, 0.7), (2, 4), (0.0, 1.0, 2.0, 3.0, 4.0), hand_stream=1)
+    single = LossChainSpec((0.5,), (3,), (0.0, 1.0, 2.0, 3.0), hand_stream=0)
+    batch = ChainBatch([spec, spec, single])
+    for points, rows in (([0], [(0.5,)]), ([0], [(0.5, 0.7, 0.1)]), ([2], [(0.5, 0.7)]),
+                         ([0, 1], [(0.5, 0.7), (0.5,)]), ([2, 0], [(0.5, 0.7), (0.5, 0.7)]),
+                         ([1, 2], [(0.5, 0.7, 0.1), (0.5,)])):
+        with pytest.raises(ValueError, match=r"^chain \d has \d streams, got a row of \d "
+                                             r"stream rates$"):
+            batch.solve(points, rows)
+    for points, rows in (([0], []), ([0], [(0.5, 0.7)] * 2), ([0, 1], [(0.5, 0.7)]),
+                         ([0, 2], [(0.5, 0.7), (0.5,), (0.5,)])):
+        with pytest.raises(ValueError, match=r"^\d points but \d rows of stream rates$"):
+            batch.solve(points, rows)
 
 
 def test_a_chain_batch_builds_its_groups_for_the_first_multi_point_solve(monkeypatch):

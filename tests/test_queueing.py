@@ -308,7 +308,8 @@ def test_ch6_handover_rate_identity():
     params = Ch6QueueParams(lam_new=0.001, capacity=1000.0, classes=classes,
                             eta=1 / 100.0)
     sol = solve_ch6(params, scheme="hard-qos")
-    assert sol.extra["P_h"] == pytest.approx(0.5)
+    (cell,) = ch6_cells(params, ("hard-qos",))
+    assert cell.p_h == pytest.approx(0.5)
     assert sol.handover_rate == pytest.approx(params.lam_new, rel=1e-3)
 
 
@@ -317,10 +318,11 @@ def test_ch6_proposed_chain_matches_balance_solve():
                             eta=1 / 240.0)
     sol = solve_ch6(params, "proposed")
     sol.check_normalized()
-    n, s, ell = sol.extra["N"], sol.extra["S"], sol.extra["L"]
+    (cell,) = ch6_cells(params, ("proposed",))
+    n, s, ell = cell.n, cell.s, cell.ell
     lam = params.lam_new + sol.handover_rate
     births = [lam] * (n + ell) + [sol.handover_rate] * (s - ell)
-    deaths = [(i + 1) * sol.extra["mu_rates"][i] for i in range(n + s)]
+    deaths = cell.srv[1:]
     pi = balance_equation_solve(births, deaths)
     assert np.max(np.abs(sol.probs - pi)) < 1e-9
     assert sol.p_block == pytest.approx(pi[n + ell:].sum(), abs=1e-9)
@@ -347,12 +349,13 @@ def test_ch6_scheme_reductions_exact():
     manual = solve_ch6(Ch6QueueParams(1.2, 6000.0, np_classes, 1 / 240.0),
                        "proposed")
     auto = solve_ch6(params, "non-prioritized")
-    assert auto.extra["L"] == auto.extra["S"]
+    np_cell, aq_cell = ch6_cells(params, ("non-prioritized", "aqos"))
+    assert np_cell.ell == np_cell.s
     assert np.max(np.abs(manual.probs - auto.probs)) < 1e-12
 
     # aqos == proposed with gamma_n := 0 (L = 0: any state >= N blocks)
     aq = solve_ch6(params, "aqos")
-    assert aq.extra["L"] == 0
+    assert aq_cell.ell == 0
     aq_manual_classes = tuple(
         TrafficClass(c.index, c.kind, c.requested_bw, 0.0, c.degrade_hand,
                      c.arrival_share, c.duration_s)
@@ -387,8 +390,9 @@ def test_ch6_hard_qos_and_guard_chains_match_balance_solve(scheme, guard, lam):
     params = Ch6QueueParams(lam_new=lam, capacity=6000.0, classes=TABLE61,
                             eta=1 / 240.0, guard_channels=guard)
     sol = solve_ch6(params, scheme)
-    n = sol.extra["N"]
-    assert sol.extra["S"] == sol.extra["L"] == 0  # neither scheme degrades a call
+    (cell,) = ch6_cells(params, (scheme,))
+    n = cell.n
+    assert cell.s == cell.ell == 0  # neither scheme degrades a call
     guard = guard if scheme == "guard" else 0
     mu1 = params.eta + 1.0 / sum(c.arrival_share * c.duration_s for c in TABLE61)
     lam_h = sol.handover_rate
@@ -398,7 +402,7 @@ def test_ch6_hard_qos_and_guard_chains_match_balance_solve(scheme, guard, lam):
     assert np.max(np.abs(sol.probs - pi)) < 1e-9
     assert sol.p_block == pytest.approx(pi[n - guard:].sum(), abs=1e-9)
     assert sol.p_drop == pytest.approx(pi[-1], abs=1e-9)
-    p_h = sol.extra["P_h"]
+    p_h = cell.p_h
     fixed = p_h * (1 - sol.p_block) * lam / (1 - p_h * (1 - sol.p_drop))
     assert lam_h == pytest.approx(fixed, abs=1e-7)
 
@@ -451,14 +455,12 @@ def test_a_whole_float_guard_count_is_stored_and_solved_as_an_int():
 def test_ch6_cell_arrays_are_read_only_and_not_shared():
     params = Ch6QueueParams(lam_new=1.2, capacity=6000.0, classes=TABLE61, eta=1 / 240.0)
     (cell,) = ch6_cells(params, ("proposed",))
-    assert not cell.mu_rates.flags.writeable and not cell.occupancy.flags.writeable
+    assert isinstance(cell.srv, tuple) and not cell.occupancy.flags.writeable
     with pytest.raises(ValueError):
-        cell.mu_rates[0] = 0.0
+        cell.occupancy[0] = 1.0
     ((a, b),) = solve_ch6_sweep((cell,), [1.2, 1.2])
     assert not np.shares_memory(a.probs, b.probs)
-    for key, value in a.extra.items():
-        if isinstance(value, np.ndarray) and np.shares_memory(value, b.extra[key]):
-            assert not value.flags.writeable, key
+    assert a.extra == b.extra == {"scheme": "proposed"}
 
 
 def test_fig6_cac_builds_one_cell_per_scheme(monkeypatch):

@@ -66,11 +66,11 @@ def test_reach_components_are_the_union_find_components(seed):
     for name in ("macro_radius_m", "femto_radius_m", "macro_sites", "neighbor_threshold_m",
                  "macro_ue_walls", "inter_femto_walls"):
         assert getattr(sub, name) == getattr(topo, name), name
-    for f in sub.femtocells:
-        got, want = sub.near(f, 60.0), topo.near(f, 60.0)
-        assert [sub.femtocells[k] for k in got[0].tolist()] == \
-            [topo.femtocells[k] for k in want[0].tolist()]
-        assert got[1].tolist() == want[1].tolist()
+    for f in sub.femtocells:  # the reach is 60 m
+        got, want = sub.row(f), topo.row(f)
+        assert [sub.femtocells[k] for k in got[0]] == [topo.femtocells[k] for k in want[0]]
+        assert got[1] == want[1]
+        assert neighbors_of(sub, f) == neighbors_of(topo, f)
     # the rows sliced from the parent's table are those of a fresh build
     fresh = topology._neighbor_table(sub.positions, sub._reach)
     for a, b in zip(sub._neighbors(), fresh, strict=True):

@@ -477,15 +477,13 @@ def test_kept_relation_through_dense_shrinking_joins_and_leaves(seed):
 def test_dynamic_build_reads_the_table_once_per_join(monkeypatch):
     topo = place_femtocells(7, 1000)
     reads = []
+    row = CellTopology.row  # the one read of one FAP's table row
 
-    def counted(query):
-        def read(self, fap_id, *radius_m):
-            reads.append(fap_id)
-            return query(self, fap_id, *radius_m)
-        return read
+    def counted(self, fap_id):
+        reads.append(fap_id)
+        return row(self, fap_id)
 
-    for query in ("near", "row"):  # the two reads of one FAP's table row
-        monkeypatch.setattr(CellTopology, query, counted(getattr(CellTopology, query)))
+    monkeypatch.setattr(CellTopology, "row", counted)
     plan = build_plan("dynamic-reuse", topo)
     assert plan.branch_counts["shrink"] == 107  # shrinks read no row
     assert reads == list(topo.femtocells)
