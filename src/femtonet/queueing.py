@@ -8,9 +8,9 @@ The stationary distribution is computed in log space, so state counts in
 the hundreds stay numerically exact.  Handover arrival rates and blocking
 and dropping probabilities depend on each other; both fixed points run one
 damped successive substitution, _fixed_point, to the requested residual.
-A sweep iterates all its points together, and each iteration solves the
-chains of its points through one ChainBatch: one product-form pass per
-state count.
+ChainBatch is the one product-form solver, loss_chain_probs its one-chain
+case; a sweep iterates all its points together, each iteration solving
+their chains through one ChainBatch in one pass per state count.
 """
 
 from __future__ import annotations
@@ -154,7 +154,8 @@ class LossChainSpec:
     admitted while the state is below stream_limits[k].  The chain lives on
     states min_state..len(srv_rates)-1 and a simulation starts at min_state.
     The calls of new_streams are new calls and those of hand_stream
-    handovers.
+    handovers.  A death rate may be 0: the DES simulates such a chain, and
+    loss_chain_probs and ChainBatch reject it.
     """
 
     stream_rates: tuple[float, ...]
@@ -164,39 +165,24 @@ class LossChainSpec:
     min_state: int = 0
     new_streams: tuple[int, ...] = (0,)
 
-    # the logs of the death rates srv_rates[min_state+1:], or None when one
-    # of them is not positive: loss_chain_probs then raises, while the DES
-    # still simulates the chain
-    log_deaths: np.ndarray | None = field(init=False, repr=False, compare=False)
-
     def __post_init__(self):
         _despy.check_loss_chain(self.stream_rates, self.stream_limits,
                                 self.srv_rates, self.min_state, self.min_state)
         n_streams = len(self.stream_rates)
         if not all(0 <= k < n_streams for k in (*self.new_streams, self.hand_stream)):
             raise ValueError(f"new_streams and hand_stream must lie in [0, {n_streams})")
-        deaths = np.asarray(self.srv_rates[self.min_state + 1:], dtype=float)
-        object.__setattr__(self, "log_deaths",
-                           np.log(deaths) if np.all(deaths > 0) else None)
 
 
 def loss_chain_probs(spec: LossChainSpec) -> tuple[np.ndarray, list[float]]:
     """Stationary probabilities of states min_state..len(srv_rates)-1, and
     for each stream the probability that it finds the cell at or above its
-    limit, i.e. that it rejects a call.
+    limit, i.e. that it rejects a call: the one-chain case of ChainBatch.
 
     The birth rate out of state i sums, in stream order from 0.0, the rates
     of the streams whose limit exceeds i; the death rate down into state i
-    is srv_rates[i+1]."""
-    if spec.log_deaths is None:
-        raise ValueError("death rates must be positive")
-    lo = spec.min_state
-    births = np.zeros(len(spec.srv_rates) - 1 - lo)
-    for rate, limit in zip(spec.stream_rates, spec.stream_limits):
-        births[:max(limit - lo, 0)] += rate
-    probs = _stationary(births, spec.log_deaths)
-    return probs, [float(probs[max(limit - lo, 0):].sum())
-                   for limit in spec.stream_limits]
+    is srv_rates[i+1], and a death rate that is not positive raises
+    ValueError."""
+    return ChainBatch((spec,)).solve((0,), (spec.stream_rates,))[0]
 
 
 class ChainBatch:
@@ -205,59 +191,43 @@ class ChainBatch:
 
     Chains that share min_state, state count and stream count form a
     group, which solve evaluates in one product-form pass over the
-    (chains x states) array of its births.  The group stacks the logs of
-    its death rates once, and turns each stream limit into a 0/1 row mask
-    of the states below it.  The births of a row are 0.0 plus each masked
-    rate, in stream order; adding the 0.0 of an unmasked rate changes no
-    bit of a sum of rates >= 0, so every row equals loss_chain_probs of its
-    chain to the last bit.  Each distinct limit of a group costs one sum
-    over its rows.  The groups are built when a solve of several points
-    first needs them, so a batch solved one point at a time builds none.
+    (chains x states) array of its births.  The groups are built when the
+    batch is made: each takes the logs of its stacked death rates once,
+    raising ValueError if one is not positive, and turns each stream limit
+    into a 0/1 row mask of the states below it.  The births of a row are
+    0.0 plus each masked rate, in stream order; adding the 0.0 of an
+    unmasked rate changes no bit of a sum of rates >= 0, so a row does not
+    depend on the other rows of its group.  Each distinct limit of a group
+    costs one sum over its rows.
     """
 
     def __init__(self, specs):
         self.specs = list(specs)
-        index = {}  # (min_state, state count, stream count) -> group
-        members = []
-        self._group_of, self._row_of = [], []  # per chain: its group and its row there
-        for spec in self.specs:
-            if spec.log_deaths is None:
-                raise ValueError("death rates must be positive")
-            group = index.setdefault((spec.min_state, len(spec.srv_rates),
-                                      len(spec.stream_rates)), len(members))
-            if group == len(members):
-                members.append([])
-            self._group_of.append(group)
-            self._row_of.append(len(members[group]))
-            members[group].append(spec)
-        self._members = members
-        self._groups = None  # built when a multi-point solve first needs them
+        members = {}  # (min_state, state count, stream count) -> its chains' indices
+        for i, spec in enumerate(self.specs):
+            members.setdefault((spec.min_state, len(spec.srv_rates), len(spec.stream_rates)),
+                               []).append(i)
+        # per group: the row of each of its chains there, and the group
+        self._groups = [({i: row for row, i in enumerate(chains)},
+                         _ChainGroup([self.specs[i] for i in chains]))
+                        for chains in members.values()]
 
     def solve(self, points, rates) -> list[tuple[np.ndarray, list[float]]]:
         """loss_chain_probs of chain i at stream rates r, for each i, r of
-        points (indices into specs) and rates.  The probability
-        rows of one group are views of one array.  A lone chain goes
-        through loss_chain_probs, whose 1-D arrays cost less per call than
-        a one-row batch: a one-point fixed point, or the last point of a
-        sweep still iterating, makes one such call per iteration.  A count
-        of rate rows other than of points, or a row whose length is not its
-        chain's stream count, raises ValueError."""
+        points (indices into specs) and rates.  The probability rows of one
+        group are views of one array.  A count of rate rows other than of
+        points, or a row whose length is not its chain's stream count,
+        raises ValueError."""
         if len(points) != len(rates):
             raise ValueError(f"{len(points)} points but {len(rates)} rows of stream rates")
         for i, row in zip(points, rates):
             if len(row) != len(self.specs[i].stream_rates):
                 raise ValueError(f"chain {i} has {len(self.specs[i].stream_rates)} streams, "
                                  f"got a row of {len(row)} stream rates")
-        if len(points) == 1:
-            return [loss_chain_probs(_with_stream_rates(self.specs[points[0]],
-                                                        tuple(rates[0])))]
         _despy.check_rates(itertools.chain.from_iterable(rates))
-        if self._groups is None:
-            self._groups = [_ChainGroup(group) for group in self._members]
-        group_of, row_of = self._group_of, self._row_of
         out = [None] * len(points)
-        for g, group in enumerate(self._groups):
-            asked = [j for j, i in enumerate(points) if group_of[i] == g]
+        for row_of, group in self._groups:
+            asked = [j for j, i in enumerate(points) if i in row_of]
             if asked:
                 rows = group.solve([row_of[points[j]] for j in asked], [rates[j] for j in asked])
                 for j, row in zip(asked, rows):
@@ -272,14 +242,15 @@ class _ChainGroup:
     def __init__(self, specs):
         lo = specs[0].min_state
         self.n_streams = len(specs[0].stream_rates)
-        self.log_deaths = np.array([spec.log_deaths for spec in specs])
+        deaths = np.array([spec.srv_rates[lo + 1:] for spec in specs], dtype=float)
+        if not np.all(deaths > 0):
+            raise ValueError("death rates must be positive")
+        self.log_deaths = np.log(deaths)
         self.all_rows = list(range(len(specs)))
         self.cuts = [[max(limit - lo, 0) for limit in spec.stream_limits] for spec in specs]
+        # masks[k, row, i] is 1.0 where state i lies below stream k's cut
         states = np.arange(self.log_deaths.shape[1])
-        self.masks = np.zeros((self.n_streams, *self.log_deaths.shape))
-        for row, cuts in enumerate(self.cuts):
-            for k, cut in enumerate(cuts):
-                self.masks[k, row] = states < cut
+        self.masks = (states < np.array(self.cuts).T[:, :, None]).astype(float)
         self.distinct_cuts = sorted({cut for cuts in self.cuts for cut in cuts})
 
     def solve(self, rows, rates) -> list[tuple[np.ndarray, list[float]]]:
@@ -300,7 +271,7 @@ class _ChainGroup:
 def _with_stream_rates(spec: LossChainSpec, rates: tuple[float, ...]) -> LossChainSpec:
     """The same chain with its streams at `rates`.  The rest of the spec
     was checked when it was made, so only the rates are checked here and
-    the copy skips __post_init__, sharing the spec's log_deaths."""
+    the copy skips __post_init__."""
     _despy.check_rates(rates)
     out = object.__new__(LossChainSpec)
     out.__dict__.update(spec.__dict__, stream_rates=rates)
@@ -379,6 +350,8 @@ def handover_probabilities(params: TwoTierParams) -> HandoverProbabilities:
     cov = params.coverage
     f_dwell = params.eta_f / (params.eta_f + params.mu)
     p_mm = params.eta_m / (params.eta_m + params.mu)
+    if p_mm == 1.0:  # the macro fixed point would divide by P_D,m = 0
+        raise ValueError(f"the macrocell dwell rate eta_m = {params.eta_m!r} makes P_mm round to 1")
     p_fm = (1.0 - cov) * f_dwell
     p_ff = max(n - 1, 0) * (params.r_f / params.r_m) ** 2 * f_dwell
     if n > 0:
@@ -587,31 +560,20 @@ def _frac(x: float) -> Fraction:
     return Fraction(str(x))
 
 
-def _request_terms(classes) -> list[Fraction]:
-    """a_m beta_m of each class as an exact rational; they sum to the mean
-    requested bandwidth."""
-    return [_frac(c.arrival_share) * _frac(c.requested_bw) for c in classes]
-
-
 def _class_sums(classes) -> tuple[Fraction, Fraction, Fraction]:
-    """sum_m a_m beta_m, and the same sum weighted by gamma_h and by
-    gamma_n, as exact rationals."""
-    terms = _request_terms(classes)
+    """sum_m a_m beta_m, the mean requested bandwidth, and the same sum
+    weighted by gamma_h and by gamma_n, as exact rationals."""
+    terms = [_frac(c.arrival_share) * _frac(c.requested_bw) for c in classes]
     return (sum(terms), sum(w * _frac(c.degrade_hand) for w, c in zip(terms, classes)),
             sum(w * _frac(c.degrade_new) for w, c in zip(terms, classes)))
 
 
-def _base_states(cap: Fraction, mean_req: Fraction) -> int:
-    """N = floor(capacity / mean requested bandwidth)."""
-    if mean_req <= 0:
-        raise ValueError("mean requested bandwidth must be positive")
-    return int(cap / mean_req)
-
-
 def _dimensions(cap: Fraction, mean_req: Fraction, g_hand: Fraction,
                 g_new: Fraction) -> tuple[int, int, int]:
-    """(N, S, L) from the capacity and the sums of _class_sums."""
-    n = _base_states(cap, mean_req)
+    """(N, S, L) from the capacity and the sums of _class_sums, where
+    N = floor(capacity / mean requested bandwidth)."""
+    if mean_req <= 0:
+        raise ValueError("mean requested bandwidth must be positive")
 
     def extra(g: Fraction) -> int:
         kept = mean_req - g
@@ -619,18 +581,12 @@ def _dimensions(cap: Fraction, mean_req: Fraction, g_hand: Fraction,
             raise ValueError("degradation factors leave no guaranteed bandwidth")
         return int(cap * g / (kept * mean_req))
 
-    return n, extra(g_hand), extra(g_new)
+    return int(cap / mean_req), extra(g_hand), extra(g_new)
 
 
 def chain_dimensions(classes, capacity: float) -> tuple[int, int, int]:
     """(N, S, L) state counts, computed on exact rationals before flooring."""
     return _dimensions(_frac(capacity), *_class_sums(classes))
-
-
-def base_states(classes, capacity: float) -> int:
-    """N of chain_dimensions(classes, capacity) alone, without reading the
-    degradation factors."""
-    return _base_states(_frac(capacity), sum(_request_terms(classes)))
 
 
 def _scheme_degradation(scheme: str, hand, new, zero):
@@ -754,6 +710,9 @@ def ch6_cells(params: Ch6QueueParams, schemes) -> list[Ch6Cell]:
     first N+S+1 states of the departure rates and of the occupancy, the
     latter a read-only view.
     """
+    p_h = params.eta / (params.eta + 1.0 / mean_duration_at_full(params.classes))
+    if p_h == 1.0:  # the fixed point would divide by P_D = 0
+        raise ValueError(f"the dwell rate eta = {params.eta!r} makes p_h round to 1")
     cap = _frac(params.capacity)
     mean_req, g_hand, g_new = _class_sums(params.classes)
     dims = []
@@ -773,7 +732,6 @@ def ch6_cells(params: Ch6QueueParams, schemes) -> list[Ch6Cell]:
     mean_bw = sum(c.arrival_share * c.requested_bw for c in params.classes)
     occupancy = _read_only([min(i * mean_bw, params.capacity) for i in range(n + 1)]
                            + occupied)
-    p_h = params.eta / (params.eta + 1.0 / mean_duration_at_full(params.classes))
     return [Ch6Cell(scheme, n, s, ell, new_limit, p_h, srv[:n + s + 1],
                     occupancy[:n + s + 1], params.capacity)
             for scheme, s, ell, new_limit in dims]

@@ -133,7 +133,8 @@ def sir(
     the mid-cell measurement protocol, where the ring sits several cell
     radii away and its contribution is negligible next to any in-band
     source).  Each link's power is one `link_power` call, and a link of
-    zero length raises DegenerateGeometryError.
+    zero length, or one so short that its power is not finite, raises
+    DegenerateGeometryError.
     """
     if macro_tiers not in ("all", "reference"):
         raise ValueError(f"macro_tiers must be 'all' or 'reference', not {macro_tiers!r}")
@@ -148,7 +149,13 @@ def sir(
         d = topo_mod.distance(topo, source, ue)
         if d == 0.0:
             raise DegenerateGeometryError("zero-length link")
-        return link_power(tx_power_w, p0, d, eta, wall_attenuation(params.wall_loss_db, walls))
+        try:
+            p = link_power(tx_power_w, p0, d, eta, wall_attenuation(params.wall_loss_db, walls))
+        except OverflowError:
+            p = math.inf
+        if not math.isfinite(p):
+            raise DegenerateGeometryError(f"a link of {d!r} m has no finite power")
+        return p
 
     signal = power(serving, params.tx_power_femto_w, params.p0_femto,
                    params.path_loss_exp_serving, 0)

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 from .presets import PRESETS, table61_classes
-from .queueing import Ch6QueueParams, TwoTierParams, base_states
+from .queueing import Ch6QueueParams, TwoTierParams, chain_dimensions
 from .radio import PropagationParams
 from .topology import MacroGeometry
 
@@ -178,8 +178,10 @@ class Scenario:
         duration = self._call_duration()
         classes = tuple(replace(c, duration_s=duration) for c in table61_classes())
         capacity = self["traffic.capacity_kbps"]
-        # N >= 1, so that the guard scheme's one guard channel fits
-        n = base_states(classes, capacity) if 0.0 < capacity < math.inf else 0
+        # N >= 1, so that the guard scheme's one guard channel fits.  The Table
+        # 6.1 classes' shares sum to 1 and each gamma_h is below 1, so
+        # chain_dimensions raises for no finite capacity > 0
+        n = chain_dimensions(classes, capacity)[0] if 0.0 < capacity < math.inf else 0
         if n < 1:
             raise ValueError(f"traffic.capacity_kbps must be finite and hold at least "
                              f"one call, got {capacity!r}")

@@ -96,8 +96,14 @@ class LayerAllocation:
 
 
 def _check_budget(budget: float, sessions) -> None:
+    """Both techniques rank the sessions by their order, so it must be one
+    of non-increasing popularity (rank 1 first)."""
     if math.isnan(budget):
         raise ValueError("budget must not be NaN")
+    for i, (prev, session) in enumerate(zip(sessions, sessions[1:]), 1):
+        if session.popularity > prev.popularity:
+            raise ValueError(f"sessions must come in non-increasing popularity, but session {i} "
+                             f"(popularity {session.popularity}) follows one of {prev.popularity}")
     if budget < total_min_bw(sessions) - BW_TOL:
         raise InfeasibleAllocationError(
             f"budget {budget} below minimum demand {total_min_bw(sessions)}")
@@ -107,8 +113,8 @@ def technique_two_level(budget: float, sessions) -> LayerAllocation:
     """Equal degradation: remove P layers from the top M_I sessions and P+1
     from the rest, so no two sessions differ by more than one layer.
 
-    Sessions must already be in priority order (rank 1 first).  At exact
-    budget boundaries the larger allocation is chosen.
+    Sessions must come in non-increasing popularity (rank 1 first).  At
+    exact budget boundaries the larger allocation is chosen.
     """
     _check_budget(budget, sessions)
 
@@ -149,7 +155,8 @@ def technique_two_level(budget: float, sessions) -> LayerAllocation:
 def technique_multi_level(budget: float, sessions) -> LayerAllocation:
     """Strict priority: the top M_2 sessions keep full quality, the rest drop
     to minimum; the first session past the split absorbs whatever layer
-    budget remains so both techniques consume the same total."""
+    budget remains so both techniques consume the same total.  Sessions
+    must come in non-increasing popularity (rank 1 first)."""
     _check_budget(budget, sessions)
 
     base = total_min_bw(sessions)

@@ -284,6 +284,21 @@ def test_zero_duration_is_input_error(tmp_path, experiment, key):
     assert not os.listdir(tmp_path)
 
 
+@pytest.mark.parametrize("experiment, dwell, message", [
+    ("fig6-cac", "1e-15", "the dwell rate eta = 999999999999999.9 makes p_h round to 1"),
+    ("fig5-mobility", "1e-300",
+     "the macrocell dwell rate eta_m = 9.999999999999999e+299 makes P_mm round to 1"),
+])
+def test_a_dwell_so_short_that_every_call_hands_over_is_input_error(tmp_path, experiment,
+                                                                   dwell, message):
+    # both fixed points used to stop with a ZeroDivisionError traceback
+    proc = _femtonet("run", experiment, "--set", f"traffic.macro_dwell_s={dwell}",
+                     "--out", str(tmp_path))
+    assert proc.returncode == EXIT_INPUT_ERROR
+    assert proc.stderr == f"error: {message}\n"
+    assert not os.listdir(tmp_path)
+
+
 def test_infinite_dwell_means_no_mobility():
     scenario = Scenario({"traffic.macro_dwell_s": float("inf")})
     assert scenario.ch6_params(1.0).eta == 0.0

@@ -142,11 +142,16 @@ def _public_fields(path) -> dict[str, int]:
 
 def _read(source: str) -> set[str]:
     """Every attribute that Python source reads, by `.name` or as a string
-    (`getattr(obj, "name")`); setting an attribute or passing it by keyword
-    does not read it."""
+    (`getattr(obj, "name")`); setting an attribute, storing or deleting an
+    item of it (`obj.name[key] = value`) or passing it by keyword does not
+    read it."""
+    tree = ast.parse(source)
+    written = {id(node.value) for node in ast.walk(tree)
+               if isinstance(node, ast.Subscript) and not isinstance(node.ctx, ast.Load)}
     names = set()
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                and id(node) not in written):
             names.add(node.attr)
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             names.add(node.value)
@@ -212,6 +217,9 @@ TEST_ONLY_FIELDS = {
         "AdmissionDecision.degradations": "the calls that a Ch. 5 admission degraded",
         "AdmissionDecision.state": "the cell load that a Ch. 5 admission leaves",
     },
+    "experiments.py": {
+        "ExperimentResult.metadata": "how a run converged, for the run manifest to record",
+    },
     "handoverflow.py": {
         "FlowTrace.diagnostic": "why a handover call flow stopped",
     },
@@ -231,7 +239,6 @@ TEST_ONLY_FIELDS = {
     "videoalloc.py": {
         "LayerAllocation.total_bw": "the bandwidth that a Ch. 7 layer allocation spends",
         "MbsSession.id": "the Ch. 7 session that a record names",
-        "MbsSession.popularity": "a Ch. 7 session's viewer count, which sets its rank",
     },
 }
 
@@ -248,14 +255,20 @@ def test_an_unread_public_field_is_found(tmp_path):
     path = tmp_path / "mod.py"
     path.write_text("from dataclasses import dataclass\n\n\n@dataclass\nclass Cell:\n"
                     "    load: float\n    limit: int\n    label: str = ''\n"
-                    "    unread: int = 0\n    _private: int = 0\n\n    def grow(self):\n"
+                    "    unread: int = 0\n    _private: int = 0\n    log: dict = None\n"
+                    "    rows: tuple = ()\n\n    def grow(self):\n"
                     "        return self.limit + 1\n\n\n@dataclass\nclass _Hidden:\n"
                     "    unread: int\n")
-    # the module reads its own fields too, as each femtonet module is a user
+    # the module reads its own fields too, as each femtonet module is a user;
+    # an item stored into or deleted from a field does not read it, and an
+    # item loaded from one does
     users = [path.read_text(encoding="utf-8"),
              "from mod import Cell\ncell = Cell(load=1.0, limit=2, unread=3)\n"
-             "cell.unread = 4\nprint(cell.load, cell.grow(), getattr(cell, 'label'))\n"]
-    assert _uncalled_api([path], users, _public_fields, _read) == [("mod.py", 9, "Cell.unread")]
+             "cell.unread = 4\nprint(cell.load, cell.grow(), getattr(cell, 'label'))\n"
+             "cell.log['steps'] = 5\ndel cell.log['steps']\n"
+             "print(cell.rows[0])\n"]
+    assert _uncalled_api([path], users, _public_fields, _read) == [
+        ("mod.py", 11, "Cell.log"), ("mod.py", 9, "Cell.unread")]
 
 
 def test_an_uncalled_public_function_is_found(tmp_path):

@@ -23,7 +23,6 @@ from femtonet.queueing import (
     Ch7QueueParams,
     LossChainSpec,
     _with_stream_rates,
-    base_states,
     birth_death_probs,
     ch6_cells,
     chain_dimensions,
@@ -289,25 +288,29 @@ def test_a_chain_batch_names_a_rate_row_of_the_wrong_length_or_count():
             batch.solve(points, rows)
 
 
-def test_a_chain_batch_builds_its_groups_for_the_first_multi_point_solve(monkeypatch):
-    """Solved one point at a time, as a one-point fixed point is, a batch
-    builds no group; its first solve of two points builds each group once."""
+def test_a_chain_batch_builds_one_group_per_key_when_it_is_made(monkeypatch):
+    """A batch builds one group per (floor, state count, stream count) of
+    its chains when it is made, each from its chains in their order, and
+    its solves build none."""
     built = []
     real = queueing._ChainGroup.__init__
 
     def counted(group, specs):
-        built.append(len(specs))
+        built.append(specs)
         real(group, specs)
 
     monkeypatch.setattr(queueing._ChainGroup, "__init__", counted)
-    spec = LossChainSpec((0.5, 0.7), (2, 4), (0.0, 1.0, 2.0, 3.0, 4.0), hand_stream=1)
-    batch = ChainBatch([spec, spec])
-    for point in (0, 1, 0):
-        batch.solve([point], [(0.5, 0.7)])
-    assert built == []
-    for points in ([0, 1], [1, 0]):
-        batch.solve(points, [(0.5, 0.7)] * 2)
-    assert built == [2]
+    two = LossChainSpec((0.5, 0.7), (2, 4), (0.0, 1.0, 2.0, 3.0, 4.0), hand_stream=1)
+    other_limits = replace(two, stream_limits=(3, 3))
+    floor_1 = replace(two, min_state=1)
+    one = LossChainSpec((0.5,), (3,), (0.0, 1.0, 2.0, 3.0, 4.0), hand_stream=0)
+    shorter = replace(two, stream_limits=(2, 3), srv_rates=(0.0, 1.0, 2.0, 3.0))
+    specs = [two, floor_1, other_limits, one, two, shorter, floor_1]
+    batch = ChainBatch(specs)
+    assert built == [[two, other_limits, two], [floor_1, floor_1], [one], [shorter]]
+    for points in ([0], [3], [1, 6], range(len(specs))):
+        batch.solve(points, [specs[i].stream_rates for i in points])
+    assert len(built) == 4
 
 
 def _ch7_grid():
@@ -446,11 +449,6 @@ def test_chain_dimensions_equal_the_reference(table):
     classes, capacity = table
     want = _outcome(oracles.chain_dimensions, classes, capacity)
     assert _outcome(chain_dimensions, classes, capacity) == want
-    # N alone fails only where the mean request is not positive
-    if isinstance(want, tuple):
-        assert base_states(classes, capacity) == want[0]
-    elif "mean requested" in want:
-        assert _outcome(base_states, classes, capacity) == want
 
 
 # the Table 6.1 mean request, sum a_m beta_m = 58.85 kbps
@@ -466,12 +464,11 @@ def test_n_at_exact_multiples_of_the_mean_request(k):
     capacity = float(TABLE61_MEAN_REQUEST * k)
     assert Fraction(repr(capacity)) == TABLE61_MEAN_REQUEST * k
     params = Scenario({"traffic.capacity_kbps": capacity}).ch6_params(lam_new=1.0)
-    assert base_states(params.classes, capacity) == k
     assert chain_dimensions(params.classes, capacity)[0] == k
     assert oracles.chain_dimensions(params.classes, capacity)[0] == k
     assert {cell.n for cell in ch6_cells(params, CH6_SCHEMES)} == {k}
     below = math.nextafter(capacity, 0.0)
-    assert base_states(params.classes, below) == chain_dimensions(params.classes, below)[0] == k - 1
+    assert chain_dimensions(params.classes, below)[0] == k - 1
     if k in (13, 21, 119):
         assert int(capacity / float(TABLE61_MEAN_REQUEST)) == k - 1
 

@@ -157,6 +157,16 @@ def test_two_tier_zero_dwell_rates_mean_no_mobility():
     assert sol.rates["lambda_h_m"] == 0.0 and sol.macro.p_drop == 0.0
 
 
+def test_a_macro_handover_probability_of_one_is_named_by_its_dwell_rate():
+    """eta_m so far above mu that P_mm rounds to 1 would leave a call
+    handing over forever, and the fixed point dividing by P_D,m = 0; the
+    solver names the rate instead.  Just below, it solves."""
+    with pytest.raises(ValueError, match=r"^the macrocell dwell rate eta_m = 1e\+300 makes "
+                                         r"P_mm round to 1$"):
+        solve_two_tier(_two_tier(eta_m=1e300))
+    assert handover_probabilities(_two_tier(eta_m=1e13)).mm < 1.0
+
+
 def test_two_tier_params_reject_coverage_above_one_by_count():
     with pytest.raises(CoverageError, match=r"^n = 20000 femtocells cover a fraction 2\.000 > 1"):
         _two_tier(n=20000)
@@ -439,6 +449,19 @@ def test_ch6_params_reject_bad_fields(kw, message):
     fields = dict(lam_new=1.0, capacity=6000.0, classes=TABLE61, eta=1 / 240.0)
     with pytest.raises(ValueError, match=message):
         Ch6QueueParams(**{**fields, **kw})
+
+
+def test_a_ch6_handover_probability_of_one_is_named_by_its_dwell_rate():
+    """eta so far above the call completion rate that p_h rounds to 1 would
+    leave the fixed point dividing by P_D = 0; the cell names the rate
+    instead, for every scheme.  Just below, the cells are built."""
+    params = Ch6QueueParams(lam_new=1.0, capacity=6000.0, classes=TABLE61, eta=1e15)
+    for scheme in CH6_SCHEMES:
+        with pytest.raises(ValueError, match=r"^the dwell rate eta = 1000000000000000\.0 "
+                                             r"makes p_h round to 1$"):
+            solve_ch6(params, scheme)
+    (cell,) = ch6_cells(replace(params, eta=1e13), ("proposed",))
+    assert cell.p_h < 1.0
 
 
 def test_a_whole_float_guard_count_is_stored_and_solved_as_an_int():

@@ -78,6 +78,16 @@ def test_sir_rejects_a_zero_length_link(ue):
         sir(topo, plan, ue, 0)
 
 
+@pytest.mark.parametrize("ue", [(5.0, 1e-160), (20.0, 1e-160), (1e-160, 0.0)],
+                         ids=["serving", "femto-interferer", "macro-interferer"])
+def test_sir_rejects_a_link_of_no_finite_power(ue):
+    # d ** -eta overflowed: link_power raised a bare OverflowError
+    topo = _manual_topo([(5.0, 0.0), (20.0, 0.0)])
+    plan = build_plan("shared", topo)
+    with pytest.raises(DegenerateGeometryError, match=r"^a link of 1e-160 m has no finite power$"):
+        sir(topo, plan, ue, 0)
+
+
 @pytest.mark.parametrize("field", ["tx_power_femto_w", "tx_power_macro_w"])
 @pytest.mark.parametrize("value", [0.0, -0.01, math.nan, math.inf])
 def test_params_reject_a_bad_tx_power(field, value):

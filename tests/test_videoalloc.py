@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -137,6 +139,21 @@ def test_layer_techniques_reject_a_nan_budget():
     for technique in (technique_two_level, technique_multi_level):
         with pytest.raises(ValueError, match="^budget must not be NaN$"):
             technique(float("nan"), sessions)
+
+
+def test_layer_techniques_reject_sessions_out_of_popularity_order():
+    """Both techniques rank sessions by their place in the list, so a list
+    out of popularity order is rejected, naming the first session out of
+    order, where it was allocated in the wrong rank; equal popularities may
+    come in any order."""
+    sessions = table71_sessions(4)
+    swapped = [sessions[0], sessions[2], sessions[1], sessions[3]]
+    for technique in (technique_two_level, technique_multi_level):
+        with pytest.raises(ValueError, match=r"^sessions must come in non-increasing popularity, "
+                                             r"but session 2 \(popularity 99\) follows one of 98$"):
+            technique(3e6, swapped)
+        tied = [replace(s, popularity=7) for s in swapped]
+        assert technique(3e6, tied).layers == technique(3e6, sessions).layers
 
 
 def test_two_level_minimum_budget():
