@@ -62,21 +62,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _scenario(args, name: str) -> Scenario:
     """The scenario an experiment runs on: the --scenario file or the
-    experiment's default preset, with --set, --seed and --trials applied."""
+    experiment's default preset, with --set applied, then --seed and
+    --trials as two more assignments, so the flags win."""
     if args.scenario:
         scenario = load_scenario(args.scenario)
     else:
         scenario = scenario_from_preset(DEFAULT_PRESET.get(name, ""))
-    if args.overrides:
-        scenario = apply_overrides(scenario, args.overrides)
-    updates = {}
-    if args.seed is not None:
-        updates["seed"] = args.seed
-    if args.trials is not None:
-        updates["trials"] = args.trials
-    if updates:
-        scenario = Scenario({**scenario.values, **updates})
-    return scenario
+    flags = [f"{key} = {value}" for key, value in (("seed", args.seed), ("trials", args.trials))
+             if value is not None]
+    return apply_overrides(scenario, [*args.overrides, *flags])
 
 
 def _cmd_run(args) -> int:

@@ -19,7 +19,9 @@ reads, with each pair's table distance, for as long as it runs: a join
 reads the newcomer's row once, a shrink drops the pairs that the smaller
 radius breaks, from the kept distances, and a leave takes the FAP out of
 every list it was in.  So a whole build reads the table once per FAP, and
-nothing outlives the call.  Static reuse reads
+nothing outlives the call.  Every configuration, shrink and repair step
+reads that one relation in place, with no copy of a list, and sorts a list
+only where its order picks the result.  Static reuse reads
 `CellTopology.earlier_within`, so no plan makes a distance row.
 """
 
@@ -297,6 +299,8 @@ class _Relation(dict):
     the newcomer's row once, a shrink drops the pairs that the smaller
     radius breaks (radii only shrink, so no pair appears) and a leave drops
     the FAP from every list it was in.  An edge-label move touches nothing.
+    The dynamic-reuse steps read the lists in place and copy none, so each
+    step sees the relation as the last shrink or leave left it.
     """
 
     def __init__(self, plan: SpectrumPlan, topo: CellTopology):
@@ -346,28 +350,21 @@ def _free_third(used: set[str]) -> str | None:
     return None
 
 
-def _used_edges(plan: SpectrumPlan, others: list[int]) -> list[str]:
+def _used_edges(plan: SpectrumPlan, others: dict[int, float]) -> list[str]:
     return [plan.femto_band[i] for i in others if plan.femto_band[i] is not None]
 
 
-def _labels_exhausted(plan: SpectrumPlan, others: list[int]) -> bool:
+def _labels_exhausted(plan: SpectrumPlan, others: dict[int, float]) -> bool:
     return set(_EDGE_LABELS) <= set(_used_edges(plan, others))
 
 
-def _free_label(plan: SpectrumPlan, others: list[int]) -> str:
+def _free_label(plan: SpectrumPlan, others: dict[int, float]) -> str:
     """First edge label unused by `others`; least-used as last resort."""
     used = _used_edges(plan, others)
     for lab in _EDGE_LABELS:
         if lab not in used:
             return lab
     return min(_EDGE_LABELS, key=lambda lab: (used.count(lab), _EDGE_LABELS.index(lab)))
-
-
-def _near(rel: _Relation, fid: int) -> dict[int, list[int]]:
-    """Interferer lists of fid and of each of its interferers, ascending,
-    copied from the relation."""
-    interf = sorted(rel[fid])
-    return {fid: interf, **{i: sorted(rel[i]) for i in interf}}
 
 
 def configure_new_femto(plan: SpectrumPlan, topo: CellTopology, new_id: int) -> str:
@@ -389,30 +386,28 @@ def _configure(rel: _Relation, new_id: int) -> str:
     """`configure_new_femto` on the relation of the call that changes the plan."""
     plan = rel.plan
     rel.join(new_id)
-    near = _near(rel, new_id)
-
-    if (_mutual_overlap_count(near, new_id) > 3
-            or _labels_exhausted(plan, near[new_id])):
+    if (_mutual_overlap_count(rel, new_id) > 3
+            or _labels_exhausted(plan, rel[new_id])):
         _count_branch(plan, "shrink")
-        near = _shrink_until_manageable(rel, new_id, near)
+        _shrink_until_manageable(rel, new_id)
 
-    interf = near[new_id]
+    interf = rel[new_id]
     if len(interf) == 0:
         _count_branch(plan, "0")
         plan.femto_band[new_id] = "Bm3"
     elif len(interf) == 1:
         _count_branch(plan, "1")
-        _configure_one(plan, near, new_id, interf[0])
+        _configure_one(rel, new_id, *interf)
     elif len(interf) == 2:
-        a, b = interf
-        mutual = b in near[a]
+        a, b = sorted(interf)
+        mutual = b in rel[a]
         _count_branch(plan, "2" if mutual else "2-independent")
-        _configure_two(plan, near, new_id, mutual)
+        _configure_two(rel, new_id, a, b, mutual)
     else:
         _count_branch(plan, "3")
-        _configure_many(plan, near, new_id)
+        _configure_many(rel, new_id)
 
-    _repair_conflicts(rel, near)
+    _repair_conflicts(rel, {new_id, *interf})
     return plan.femto_band[new_id]
 
 
@@ -420,37 +415,39 @@ def _count_branch(plan, label: str) -> None:
     plan.branch_counts[label] = plan.branch_counts.get(label, 0) + 1
 
 
-def _mutual_overlap_count(near, new_id) -> int:
+def _mutual_overlap_count(rel: _Relation, new_id: int) -> int:
     """Size of the largest set of femtocells that all overlap one another,
     counting the newcomer: the newcomer plus the largest pairwise-interfering
     clique among its interferers.  Greedy lower bound is enough here -- the
-    shrink path only needs to know whether more than three cells overlap."""
-    interf = near[new_id]
+    shrink path only needs to know whether more than three cells overlap.
+    The greedy clique visits the interferers in ascending order."""
+    interf = sorted(rel[new_id])
     if len(interf) < 3:
         return len(interf) + 1
-    rows = {cand: set(near[cand]) for cand in interf}
     best = 1
     for anchor in interf:
         clique = {anchor}
         for cand in interf:
-            if cand != anchor and clique <= rows[cand]:
+            if cand != anchor and clique <= rel[cand].keys():
                 clique.add(cand)
         best = max(best, len(clique))
     return best + 1
 
 
-def _configure_one(plan, near, new_id, other) -> None:
+def _configure_one(rel: _Relation, new_id: int, other: int) -> None:
+    plan = rel.plan
     e = plan.femto_band[other]
     if e == "Bm3":
         # the incumbent held the whole edge spectrum; split into halves
         plan.femto_band[other] = "B4"
         plan.femto_band[new_id] = "B5"
     else:
-        plan.femto_band[new_id] = _CYCLIC_EDGE.get(e) or _free_label(plan, near[new_id])
+        plan.femto_band[new_id] = _CYCLIC_EDGE.get(e) or _free_label(plan, rel[new_id])
 
 
-def _configure_two(plan, near, new_id, mutual: bool) -> None:
-    a, b = near[new_id]
+def _configure_two(rel: _Relation, new_id: int, a: int, b: int, mutual: bool) -> None:
+    """Two interferers, a < b."""
+    plan = rel.plan
     ea, eb = plan.femto_band[a], plan.femto_band[b]
     if mutual and {ea, eb} == {"B4", "B5"}:
         # pseudocode lines 23-26: move the incumbents onto thirds
@@ -459,22 +456,24 @@ def _configure_two(plan, near, new_id, mutual: bool) -> None:
         plan.femto_band[new_id] = "B3"
     elif mutual:
         # the many-interferer rule; it maps {B1,B2} -> B3 as the table does
-        _configure_many(plan, near, new_id)
+        _configure_many(rel, new_id)
     else:
         # interferers not in range of each other: single-interferer rule
         # against the first, then verify against the second
-        _configure_one(plan, near, new_id, a)
+        _configure_one(rel, new_id, a)
         if plan.femto_band[new_id] in (plan.femto_band[a], plan.femto_band[b]):
-            plan.femto_band[new_id] = _free_label(plan, near[new_id])
+            plan.femto_band[new_id] = _free_label(plan, rel[new_id])
 
 
-def _configure_many(plan, near, new_id) -> None:
-    interf = near[new_id]
+def _configure_many(rel: _Relation, new_id: int) -> None:
+    """Whole-band incumbents move first, in ascending order."""
+    plan = rel.plan
+    interf = sorted(rel[new_id])
     for fid in interf:
         if plan.femto_band[fid] == "Bm3":
-            plan.femto_band[fid] = _free_label(plan, near[fid])
+            plan.femto_band[fid] = _free_label(plan, rel[fid])
     used = {plan.femto_band[i] for i in interf}
-    plan.femto_band[new_id] = _free_third(used) or _free_label(plan, near[new_id])
+    plan.femto_band[new_id] = _free_third(used) or _free_label(plan, rel[new_id])
 
 
 def _shrink_one(rel: _Relation, fid: int) -> bool:
@@ -487,52 +486,49 @@ def _shrink_one(rel: _Relation, fid: int) -> bool:
     return True
 
 
-def _shrink_until_manageable(rel: _Relation, new_id: int, near) -> dict[int, list[int]]:
+def _shrink_until_manageable(rel: _Relation, new_id: int) -> None:
     """Cell-size re-adjustment: more than three mutually overlapping cells,
-    or no conflict-free edge band left for the newcomer.  Returns the
-    interferer lists at the final radii."""
+    or no conflict-free edge band left for the newcomer.  Each step shrinks
+    the newcomer and its interferers, and its event records the newcomer's
+    interferers, ascending, as they were before it."""
     plan = rel.plan
     for _ in range(MAX_SHRINK_STEPS):
-        progressed = False
-        for fid in (new_id, *near[new_id]):
-            progressed |= _shrink_one(rel, fid)
-        plan.events.append(("shrink", new_id, tuple(near[new_id])))
-        near = _near(rel, new_id)
-        if (_mutual_overlap_count(near, new_id) <= 3
-                and not _labels_exhausted(plan, near[new_id])):
-            return near
+        before = tuple(sorted(rel[new_id]))
+        progressed = any([_shrink_one(rel, fid) for fid in (new_id, *before)])
+        plan.events.append(("shrink", new_id, before))
+        if (_mutual_overlap_count(rel, new_id) <= 3
+                and not _labels_exhausted(plan, rel[new_id])):
+            return
         if not progressed:
             break
-    plan.events.append(("shrink-failed", new_id, tuple(near[new_id])))
-    return near
+    plan.events.append(("shrink-failed", new_id, tuple(sorted(rel[new_id]))))
 
 
-def _repair_conflicts(rel: _Relation, near: dict[int, list[int]]) -> None:
-    """Clear residual same-edge conflicts among interfering pairs near the
-    cells keyed in `near` (reassignments may collide with an unexamined third
-    party).  When a conflicted cell has no free band left, it shrinks step by
-    step, per the automatic cell-size re-adjustment; `near` is then re-taken."""
+def _repair_conflicts(rel: _Relation, cells: set[int]) -> None:
+    """Clear residual same-edge conflicts among the interfering pairs of
+    `cells` (reassignments may collide with an unexamined third party): the
+    highest id in any conflicted pair moves, and joins `cells`.  When it has
+    no free band left, it and its interferers shrink one step, per the
+    automatic cell-size re-adjustment.  Every list is read from the relation
+    as it stands, so a shrink needs no re-read."""
     plan = rel.plan
+    band = plan.femto_band
     for _ in range(8 * (MAX_SHRINK_STEPS + 1)):
-        conflicts = [max(fid, other) for fid in sorted(near) for other in near[fid]
-                     if plan.femto_band[other] == plan.femto_band[fid]]
-        if not conflicts:
+        loser = max((max(fid, other) for fid in cells for other in rel[fid]
+                     if band[other] == band[fid]), default=None)
+        if loser is None:
             return
-        loser = max(conflicts)
-        if loser not in near:
-            near[loser] = sorted(rel[loser])
-        if _labels_exhausted(plan, near[loser]):
+        cells.add(loser)
+        if _labels_exhausted(plan, rel[loser]):
             shrunk = _shrink_one(rel, loser)
-            for nid in sorted(rel[loser]):
+            for nid in list(rel[loser]):
                 shrunk |= _shrink_one(rel, nid)
             plan.events.append(("shrink", loser, ()))
-            if shrunk:
-                near = {f: sorted(rel[f]) for f in near}
-            else:
+            if not shrunk:
                 plan.events.append(("repair-exhausted", (loser,)))
-        plan.femto_band[loser] = _free_label(plan, near[loser])
+        band[loser] = _free_label(plan, rel[loser])
     if plan.edge_conflicts(rel.topo):
-        plan.events.append(("repair-exhausted", tuple(sorted(near))))
+        plan.events.append(("repair-exhausted", tuple(sorted(cells))))
 
 
 def remove_femto(plan: SpectrumPlan, topo: CellTopology, fap_id: int) -> SpectrumPlan:
@@ -546,10 +542,9 @@ def remove_femto(plan: SpectrumPlan, topo: CellTopology, fap_id: int) -> Spectru
         del plan.femto_band[fap_id]
         return plan
     rel = _Relation(plan, topo)
-    former = sorted(rel[fap_id])
+    former = set(rel[fap_id])
     rel.leave(fap_id)
-    if former:
-        _repair_conflicts(rel, {f: sorted(rel[f]) for f in former})
+    _repair_conflicts(rel, former)
     return plan
 
 

@@ -33,3 +33,8 @@ def hidden_fap_fixture():
     obstructed = {1, 8}
     scan = scan_from_geometry(topo, ue, 0, obstructed=obstructed)
     return topo, plan, scan, ue
+
+
+def result_values(result, scheme: str, metric: str) -> list[tuple[float, float]]:
+    """The (x, value) pairs of one scheme's metric in an ExperimentResult."""
+    return [(r[2], r[4]) for r in result.rows if r[1] == scheme and r[3] == metric]

@@ -1119,12 +1119,12 @@ def simulate_des(spec, total_calls: int = 1_000_000, seed: int = 0):
 # dynamic reuse: the two-interferer step with the full mutual-pair table
 
 
-def configure_two_table(plan, near, new_id, mutual: bool) -> None:
+def configure_two_table(rel, new_id, a, b, mutual: bool) -> None:
     """`spectrum._configure_two` with its pair table written out: each of
     {B4,B5}, {B1,B2}, {B2,B3}, {B3,B1} has its own branch, and the other
     mutual pairs move any whole-band incumbent before taking a free third."""
+    plan = rel.plan
     edge = plan.femto_band
-    a, b = near[new_id]
     ea, eb = edge[a], edge[b]
     if mutual:
         pair = {ea, eb}
@@ -1144,12 +1144,12 @@ def configure_two_table(plan, near, new_id, mutual: bool) -> None:
             # whole-band incumbent onto a free third, then take one ourselves
             for fid in (a, b):
                 if edge[fid] == "Bm3":
-                    edge[fid] = _free_label(plan, near[fid])
+                    edge[fid] = _free_label(plan, rel[fid])
             used = {edge[a], edge[b]}
-            edge[new_id] = _free_third(used) or _free_label(plan, near[new_id])
+            edge[new_id] = _free_third(used) or _free_label(plan, rel[new_id])
     else:
         # interferers not in range of each other: single-interferer rule
         # against the first, then verify against the second
-        _configure_one(plan, near, new_id, a)
+        _configure_one(rel, new_id, a)
         if edge[new_id] in (edge[a], edge[b]):
-            edge[new_id] = _free_label(plan, near[new_id])
+            edge[new_id] = _free_label(plan, rel[new_id])

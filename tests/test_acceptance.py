@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from fixtures import hidden_fap_fixture
+from fixtures import hidden_fap_fixture, result_values
 from oracles import balance_equation_solve, erlang_b_direct, greedy_layer_packing
 
 from femtonet import handoverflow as hf
@@ -393,11 +393,11 @@ def test_criterion_10_ch7_allocator():
     scenario = Scenario({**scenario.values, "trials": 1})
     scenario.values["traffic.arrival_grid"] = (0.2, 0.6, 1.0, 1.4, 1.8)
     res = run_experiment("fig7-mbs", scenario)
-    mbs = [v for _, v in sorted(res.values("proposed", "mbs_bandwidth_bps"))]
+    mbs = [v for _, v in sorted(result_values(res, "proposed", "mbs_bandwidth_bps"))]
     assert all(a >= b - 1e-9 for a, b in zip(mbs, mbs[1:]))
     assert all(6e6 - 1e-6 <= v <= 12e6 + 1e-6 for v in mbs)
-    two_levels = dict(res.values("proposed", "two_level_min_layers"))
-    uni_layers = dict(res.values("proposed", "unicast_layers"))
+    two_levels = dict(result_values(res, "proposed", "two_level_min_layers"))
+    uni_layers = dict(result_values(res, "proposed", "unicast_layers"))
     for lam in (0.2, 0.6, 1.0, 1.4, 1.8):
         if uni_layers[lam] < 10.0:  # unicast degraded => MBS already degraded
             assert two_levels[lam] < 10

@@ -73,9 +73,12 @@ def test_run_determinism_byte_identical(tmp_path):
             "--set", "sweep.session_counts = 20,30"]
     main(args + ["--out", str(tmp_path / "a")])
     main(args + ["--out", str(tmp_path / "b")])
+    # --seed and --trials win over --set
+    main(args + ["--set", "seed = 2", "--set", "trials = 1", "--out", str(tmp_path / "c")])
     a = open(tmp_path / "a" / "fig8-popularity.csv", "rb").read()
     b = open(tmp_path / "b" / "fig8-popularity.csv", "rb").read()
-    assert a == b
+    c = open(tmp_path / "c" / "fig8-popularity.csv", "rb").read()
+    assert a == b == c
 
 
 def test_run_unknown_experiment(tmp_path, capsys):
@@ -173,6 +176,9 @@ def test_validate_missing_file():
     ("sweep.femto_counts = -1", "fig5-mobility"),
     ("traffic.femto_capacity_calls = -1", "fig5-mobility"),
     ("sweep.session_counts = 0", "fig8-popularity"),
+    # more sessions than the capacity holds at beta_min, with or without trials
+    ("sweep.session_counts = 10, 1000", "fig8-popularity"),
+    ("trials = 0\nsweep.session_counts = 1000", "fig8-popularity"),
     ("spectrum.femto_fraction = 1.5", "fig4-outage"),
     ("spectrum.total_hz = 0", "fig4-outage"),
     ("spectrum.total_hz = inf", "fig4-outage"),

@@ -3,6 +3,7 @@ import os
 import re
 
 import pytest
+from fixtures import result_values
 
 from femtonet.admission import TrafficClass
 from femtonet.experiments import (
@@ -265,11 +266,11 @@ def test_fig8_popularity_trend():
     sc.values["sweep.session_counts"] = (10, 20, 30)
     res = run_experiment("fig8-popularity", sc)
     for m in (20, 30):  # congested from M=16 upward
-        prop = dict(res.values("proposed", "satisfaction_avg"))[m]
-        base = dict(res.values("equal-share", "satisfaction_avg"))[m]
+        prop = dict(result_values(res, "proposed", "satisfaction_avg"))[m]
+        base = dict(result_values(res, "equal-share", "satisfaction_avg"))[m]
         assert prop >= base
     # M=10: uncongested, both saturate at 1
-    assert dict(res.values("proposed", "satisfaction_avg"))[10] == pytest.approx(1.0)
+    assert dict(result_values(res, "proposed", "satisfaction_avg"))[10] == pytest.approx(1.0)
 
 
 def test_fig6_cac_schemes_present():
@@ -279,8 +280,8 @@ def test_fig6_cac_schemes_present():
     schemes = {r[1] for r in res.rows}
     assert schemes == {"proposed", "non-prioritized", "aqos", "hard-qos", "guard5"}
     for lam in (0.8, 1.4):
-        prop = dict(res.values("proposed", "p_drop"))[lam]
-        guard = dict(res.values("guard5", "p_drop"))[lam]
+        prop = dict(result_values(res, "proposed", "p_drop"))[lam]
+        guard = dict(result_values(res, "guard5", "p_drop"))[lam]
         assert prop <= guard
 
 
@@ -288,9 +289,9 @@ def test_fig5_mobility_trends():
     sc = _small(scenario_from_preset("table-5.1"))
     sc.values["sweep.femto_counts"] = (0, 500, 1000)
     res = run_experiment("fig5-mobility", sc)
-    blocking = [v for _, v in sorted(res.values("integrated", "macro_new_call_blocking"))]
+    blocking = [v for _, v in sorted(result_values(res, "integrated", "macro_new_call_blocking"))]
     assert blocking[0] >= blocking[1] >= blocking[2]
-    release = [v for _, v in sorted(res.values("integrated", "macro_channel_release_rate"))]
+    release = [v for _, v in sorted(result_values(res, "integrated", "macro_channel_release_rate"))]
     assert release[0] < release[1] < release[2]
 
 
@@ -328,11 +329,11 @@ def test_fig7_mbs_allocation_trend():
     sc = _small(scenario_from_preset("table-7.1"))
     sc.values["traffic.arrival_grid"] = (0.2, 1.0, 1.8)
     res = run_experiment("fig7-mbs", sc)
-    mbs = [v for _, v in sorted(res.values("proposed", "mbs_bandwidth_bps"))]
+    mbs = [v for _, v in sorted(result_values(res, "proposed", "mbs_bandwidth_bps"))]
     assert mbs[0] >= mbs[1] >= mbs[2]
     assert all(6e6 - 1e-6 <= v <= 12e6 + 1e-6 for v in mbs)
-    uni = [v for _, v in sorted(res.values("proposed", "unicast_layers"))]
-    two_min = [v for _, v in sorted(res.values("proposed", "two_level_min_layers"))]
+    uni = [v for _, v in sorted(result_values(res, "proposed", "unicast_layers"))]
+    two_min = [v for _, v in sorted(result_values(res, "proposed", "two_level_min_layers"))]
     # MBS layers degrade earlier than unicast layers as load rises
     assert two_min[1] < 10 or uni[1] == 10
 

@@ -1,5 +1,7 @@
+import collections
 import contextlib
 import dataclasses
+import hashlib
 import itertools
 import math
 from unittest import mock
@@ -299,11 +301,10 @@ def test_mutual_pairs_follow_the_pair_table(monkeypatch):
     # every kind of pair
     pairs = set()
 
-    def table(plan, near, new_id, mutual):
+    def table(rel, new_id, a, b, mutual):
         if mutual:
-            a, b = near[new_id]
-            pairs.add(frozenset((plan.femto_band[a], plan.femto_band[b])))
-        configure_two_table(plan, near, new_id, mutual)
+            pairs.add(frozenset((rel.plan.femto_band[a], rel.plan.femto_band[b])))
+        configure_two_table(rel, new_id, a, b, mutual)
 
     def state(plan):
         return (plan.femto_band, plan.radius_of, plan.events, plan.branch_counts)
@@ -323,6 +324,35 @@ def test_mutual_pairs_follow_the_pair_table(monkeypatch):
     assert {frozenset(p) for p in itertools.combinations(sorted(thirds), 2)} <= pairs
     assert any(len(p) == 2 and len(p & thirds) == 1 and "Bm3" not in p for p in pairs)
     assert any("Bm3" in p for p in pairs)
+
+
+def _plan_state(plan) -> bytes:
+    return repr((sorted(plan.femto_band.items()), sorted(plan.radius_of.items()),
+                 plan.events, sorted(plan.branch_counts.items()))).encode()
+
+
+def test_dense_dynamic_plans_are_pinned_through_leaves_and_rejoins():
+    # every label, radius, event and branch count of dense builds, each
+    # followed by every 7th FAP leaving and joining again; pinned before
+    # the configuration steps came to read the call's relation in place
+    digest = hashlib.sha256()
+    branches, events = collections.Counter(), collections.Counter()
+    for radius, separation, count in ((1000.0, 2.0, 300), (200.0, 1.0, 80), (200.0, 1.0, 200)):
+        macro = MacroGeometry(macro_radius_m=radius, min_separation_m=separation)
+        for seed in range(4):
+            topo = place_femtocells(seed, count, macro=macro)
+            plan = build_plan("dynamic-reuse", topo)
+            digest.update(_plan_state(plan))
+            for f in topo.femtocells[::7]:
+                remove_femto(plan, topo, f)
+                configure_new_femto(plan, topo, f)
+            digest.update(_plan_state(plan))
+            branches.update(plan.branch_counts)
+            events.update(event[0] for event in plan.events)
+    assert branches == {"0": 924, "1": 522, "2": 248, "2-independent": 148, "3": 814,
+                        "shrink": 673}
+    assert events == {"shrink": 4652, "shrink-failed": 248, "repair-exhausted": 3326}
+    assert digest.hexdigest() == "bf3a40aac81174e7d782ea20d05a6298d2b580c5c665da5f5d879a125470b7e2"
 
 
 def test_interferers_of_an_unassigned_fap_next_to_the_only_assigned_one():
