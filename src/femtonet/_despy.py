@@ -16,7 +16,8 @@ the least double t with t * rate_i not below the total arrival rate
 (arrival_threshold): float rounding is monotone, so it holds exactly when
 the C loop's `v * rate_i < lam_total` does.  The second pass, in numpy,
 computes the time steps, the clocks and the per-stream counts from the
-recorded path.
+recorded path; it takes the block's logs in one call that runs libm's log,
+as the C loop does (_libm_log), not one Python call per event.
 
 The one entry, run_walks, is this kernel's walker, as run_walks in
 _lossloop.c is the compiled one's.  It builds the chain's tables once and
@@ -257,18 +258,35 @@ def _walk(c: _Tables, state: int, i: int, warm: int, remaining: int,
     return elapsed, i, state
 
 
+def _libm_log(x: np.ndarray) -> np.ndarray:
+    """log(x) elementwise, bit for bit as libm's log (math.log, and the C
+    loop's log) gives it, in one numpy call.
+
+    On float64 arrays np.log runs its own SIMD routine (AVX-512 on x86-64
+    with numpy 2.4), which differs from libm's log in the last bit on about
+    0.4% of the kernel's draws.  It takes that routine whenever input and
+    output run through memory in one direction (numpy turns two reversed
+    operands into forward ones).  The reversed view of x is read backwards
+    while np.log writes its new output forwards, so no such turn exists and
+    np.log runs its scalar loop, which calls libm's log.  The second
+    reversal puts the result back in x's order.  A Tier-1 test holds this
+    to math.log over a million draws, so a numpy whose dispatch differs
+    fails it."""
+    return np.log(x[::-1])[::-1]
+
+
 def _clocks(c: _Tables, u, path, elapsed: float, time_in_state, seen, rejected) -> float:
     """Pass 2: the time steps, clocks and counts of the events of `path`,
     whose draws are u, in numpy, with the C loop's float operations in its
-    order.  Returns the clock after them.  The log is math.log, element by
-    element: np.log differs from libm's in the last bit on some inputs.
-    np.add.at and np.add.accumulate add in event order."""
+    order.  Returns the clock after them.  The logs come from _libm_log, in
+    one call per block, and equal libm's log bit for bit, as the C loop's
+    do.  np.add.at and np.add.accumulate add in event order."""
     used = len(path)
     at = np.fromiter(path, np.intp, used)
     rates = c.rate_of[at]
     steps = np.empty(used + 1)  # the clock so far, then each time step
     steps[0] = elapsed
-    logs = np.fromiter(map(math.log, (1.0 - u[0::2]).tolist()), np.float64, used)
+    logs = _libm_log(1.0 - u[0::2])
     with np.errstate(over="ignore"):  # a clock past the largest double is inf, as in C
         np.divide(np.negative(logs, out=logs), rates, out=steps[1:])
         np.add.at(time_in_state, at, steps[1:])

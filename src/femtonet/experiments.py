@@ -109,7 +109,7 @@ def _radio_sweep(scenario: Scenario, counts, trials: int):
             topo = place_femtocells(scenario.seed + 1009 * trial, count, macro=macro)
             rng = _spawn_rng(scenario.seed, count, trial)
             ref = 0  # reference FAP, pinned at the Table 4.3 range from the BS
-            fx, fy = topo.site(ref).position
+            fx, fy = topo.position(ref)
             ang = 2.0 * math.pi * rng.random()
             ue = (fx + ue_range * math.cos(ang), fy + ue_range * math.sin(ang))
             local = reach_components(topo, {ref})
@@ -259,7 +259,7 @@ def run_fig5_neighborlist(scenario: Scenario) -> ExperimentResult:
         sizes_prop, sizes_rssi = [], []
         for _ in range(min(trials, 20)):
             serving = int(rng.integers(count))
-            ue = topo.site(serving).position
+            ue = topo.position(serving)
             scan = nl_mod.scan_from_geometry(
                 topo, ue, serving, radio, s_t0_dbm=s_t0, s_t1_dbm=s_t1)
             built = nl_mod.build_list_from_femto(scan, plan, topo, serving,

@@ -143,9 +143,9 @@ def build_list_from_femto(
     at most COORDINATION_WALL_LIMIT walls.  The hops come from the neighbor
     table, so the list reads no distance row.
     """
-    serving_site = topo.site(serving)
+    serving_xy = topo.position(serving)
     check_params(d_max_m)
-    ue = tuple(ue_xy) if ue_xy is not None else serving_site.position
+    ue = tuple(ue_xy) if ue_xy is not None else serving_xy
     if not (math.isfinite(ue[0]) and math.isfinite(ue[1])):
         raise ValueError("positions must be finite")
     access = access or {}
@@ -280,7 +280,9 @@ def p_target_missing(
     clears S_T1; the proposed scheme adds coordinated hidden FAPs.
     Topologies (each with a dynamic-reuse plan) are redrawn every
     TRIALS_PER_TOPOLOGY trials; the serving cell, user position, and
-    obstructions are redrawn every trial.
+    obstructions are redrawn every trial, the obstructions as one block of
+    uniforms over the non-serving FAPs in femtocells order, which reads the
+    stream as one draw per FAP would.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -296,7 +298,7 @@ def p_target_missing(
             topo = topo_mod.place_femtocells(seed + 7919 * trial, count, macro=macro)
             plan = build_plan("dynamic-reuse", topo)
         serving = int(rng.integers(count))
-        s_pos = topo.site(serving).position
+        s_pos = topo.position(serving)
         ang = 2 * math.pi * rng.random()
         ue = (s_pos[0] + topo.femto_radius_m * math.cos(ang),
               s_pos[1] + topo.femto_radius_m * math.sin(ang))
@@ -315,8 +317,9 @@ def p_target_missing(
             continue
         valid += 1
 
-        obstructed = {f for f in topo.femtocells
-                      if f != serving and rng.random() < obstruction_prob}
+        others = [f for f in topo.femtocells if f != serving]
+        obstructed = {f for f, u in zip(others, rng.random(len(others)).tolist())
+                      if u < obstruction_prob}
         observed = scan_from_geometry(topo, ue, serving, params, obstructed,
                                       s_t0_dbm, s_t1_dbm)
 

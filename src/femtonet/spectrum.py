@@ -510,13 +510,25 @@ def _repair_conflicts(rel: _Relation, cells: set[int]) -> None:
     highest id in any conflicted pair moves, and joins `cells`.  When it has
     no free band left, it and its interferers shrink one step, per the
     automatic cell-size re-adjustment.  Every list is read from the relation
-    as it stands, so a shrink needs no re-read."""
+    as it stands, so a shrink needs no re-read.
+
+    When the steps run out while a pair of `cells` still conflicts, the
+    repair records `repair-exhausted`; that end test reads the pairs as each
+    step does.  A conflict outside those pairs does not count.  Every label
+    that a configuration or repair changes belongs to a FAP of `cells`, so
+    only an earlier exhausted repair, which recorded its own event, leaves
+    such a conflict; a test pins that it does not make a later repair
+    record one."""
     plan = rel.plan
     band = plan.femto_band
-    for _ in range(8 * (MAX_SHRINK_STEPS + 1)):
+    steps = 8 * (MAX_SHRINK_STEPS + 1)
+    for step in range(steps + 1):
         loser = max((max(fid, other) for fid in cells for other in rel[fid]
                      if band[other] == band[fid]), default=None)
         if loser is None:
+            return
+        if step == steps:
+            plan.events.append(("repair-exhausted", tuple(sorted(cells))))
             return
         cells.add(loser)
         if _labels_exhausted(plan, rel[loser]):
@@ -527,8 +539,6 @@ def _repair_conflicts(rel: _Relation, cells: set[int]) -> None:
             if not shrunk:
                 plan.events.append(("repair-exhausted", (loser,)))
         band[loser] = _free_label(plan, rel[loser])
-    if plan.edge_conflicts(rel.topo):
-        plan.events.append(("repair-exhausted", tuple(sorted(cells))))
 
 
 def remove_femto(plan: SpectrumPlan, topo: CellTopology, fap_id: int) -> SpectrumPlan:

@@ -196,9 +196,13 @@ class CellTopology:
         except KeyError:
             raise UnknownSiteError(f"unknown femtocell id {fap_id}") from None
 
+    def position(self, fap_id: int) -> tuple[float, float]:
+        """The FAP's (x, y), as Python floats."""
+        x, y = self.positions[self.index_of(fap_id)].tolist()
+        return x, y
+
     def site(self, fap_id: int) -> FemtoSite:
-        k = self.index_of(fap_id)
-        return FemtoSite(self.femtocells[k], tuple(self.positions[k].tolist()))
+        return FemtoSite(self.femtocells[self.index_of(fap_id)], self.position(fap_id))
 
     def walls_between(self, a: int, b: int) -> int:
         """Wall count on the inter-femtocell path, the same both ways."""
@@ -305,7 +309,7 @@ def _earlier(ptr: np.ndarray, nbr: np.ndarray, keep: np.ndarray) -> list[tuple[i
 def _point(topo: CellTopology, p) -> tuple[float, float]:
     """The position of a femto id (int or numpy integer), or a finite (x, y)."""
     if isinstance(p, (int, np.integer)):
-        return topo.site(p).position
+        return topo.position(p)
     if not (math.isfinite(p[0]) and math.isfinite(p[1])):
         raise ValueError("positions must be finite")
     return p

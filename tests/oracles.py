@@ -278,13 +278,13 @@ def scalar_sir(topo, plan, ue_xy, serving, params=None, macro_tiers="all"):
     def power(tx, p0, xy, eta, walls):
         return tx * p0 * math.dist(xy, ue) ** -eta * 10.0 ** (-(walls * params.wall_loss_db) / 10.0)
 
-    signal = power(params.tx_power_femto_w, params.p0_femto, topo.site(serving).position,
+    signal = power(params.tx_power_femto_w, params.p0_femto, topo.position(serving),
                    params.path_loss_exp_serving, 0)
     sources, i_f, i_m = [], 0.0, 0.0
     for f in sorted(brute_neighbors(topo, serving)):
         if bands_overlap(band, plan.interferer_band(f)):
             walls = topo.walls.get((min(f, serving), max(f, serving)), topo.inter_femto_walls)
-            p = power(params.tx_power_femto_w, params.p0_femto, topo.site(f).position,
+            p = power(params.tx_power_femto_w, params.p0_femto, topo.position(f),
                       params.path_loss_exp_femto_interf, walls)
             i_f += p
             sources.append((f"femto:{f}", p))
@@ -322,7 +322,7 @@ def femto_list_by_distance_row(scan, plan, topo, serving, d_max_m=40.0, access=N
     )
     from femtonet.topology import neighbors_of
 
-    ue = tuple(ue_xy) if ue_xy is not None else topo.site(serving).position
+    ue = tuple(ue_xy) if ue_xy is not None else topo.position(serving)
     access = access or {}
     detected = {i: v for i, v in scan.detected().items()
                 if i != serving and _accessible(topo, access, i)}
@@ -1153,3 +1153,47 @@ def configure_two_table(rel, new_id, a, b, mutual: bool) -> None:
         _configure_one(rel, new_id, a)
         if edge[new_id] in (edge[a], edge[b]):
             edge[new_id] = _free_label(plan, rel[new_id])
+
+
+def scalar_target_missing(count: int, trials: int, seed: int, obstruction_prob: float):
+    """neighborlist.p_target_missing at its default thresholds and range,
+    written out with one scalar rng.random() per non-serving FAP, in
+    femtocells order, for the obstructions of each trial."""
+    from femtonet import neighborlist as nl
+    from femtonet.spectrum import build_plan
+    from femtonet.topology import distance, place_femtocells
+
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 0x5CA)))
+    miss_base = miss_prop = valid = 0
+    topo = plan = None
+    for trial in range(trials):
+        if count < 2:
+            continue
+        if topo is None or trial % nl.TRIALS_PER_TOPOLOGY == 0:
+            topo = place_femtocells(seed + 7919 * trial, count)
+            plan = build_plan("dynamic-reuse", topo)
+        serving = int(rng.integers(count))
+        sx, sy = topo.position(serving)
+        ang = 2 * math.pi * rng.random()
+        ue = (sx + topo.femto_radius_m * math.cos(ang), sy + topo.femto_radius_m * math.sin(ang))
+        clear = nl.scan_from_geometry(topo, ue, serving)
+        best, best_level = None, -math.inf
+        for f, level in clear.levels_dbm.items():
+            if f != serving and (level > best_level or (level == best_level and f < best)):
+                best, best_level = f, level
+        if best_level < clear.s_t1_dbm:
+            continue
+        if nl.shares_frequency(plan, best, serving) and distance(topo, best, ue) > nl.DEFAULT_D_MAX_M:
+            continue
+        valid += 1
+        obstructed = set()
+        for f in topo.femtocells:
+            if f != serving and rng.random() < obstruction_prob:
+                obstructed.add(f)
+        observed = nl.scan_from_geometry(topo, ue, serving, obstructed=obstructed)
+        proposed = nl.build_list_from_femto(observed, plan, topo, serving, ue_xy=ue)
+        miss_base += observed.levels_dbm[best] < observed.s_t1_dbm
+        miss_prop += best not in proposed.entries
+    if valid == 0:
+        return {"rssi-only": 0.0, "proposed": 0.0, "trials": 0}
+    return {"rssi-only": miss_base / valid, "proposed": miss_prop / valid, "trials": valid}

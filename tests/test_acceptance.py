@@ -342,7 +342,7 @@ def test_criterion_09_neighbor_list():
     big_plan = build_plan("dynamic-reuse", big)
     for _ in range(1000):
         serving = int(rng.integers(150))
-        pos = big.site(serving).position
+        pos = big.position(serving)
         sample = rng.choice(150, size=int(rng.integers(1, 60)), replace=False)
         levels = {int(f): float(rng.uniform(-110, -40)) for f in sample}
         lst = nl.build_list_from_femto(

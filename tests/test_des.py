@@ -214,6 +214,22 @@ def test_arrival_threshold_decides_as_the_product(lam, srv, draws):
 ONE_BLOCK = _despy._BLOCK_EVENTS
 
 
+def test_the_block_log_is_libm_log_bit_for_bit():
+    """Pass 2 takes a block's logs in one numpy call, which must equal
+    math.log (libm's log, as the C loop calls it) on every draw: over 2**20
+    kernel draws, taken in block-sized calls and in one, and at the extremes
+    1 - k/2**53 for k < 10**4 and k > 2**53 - 10**4."""
+    x = 1.0 - _despy._uniforms(0x5EED, 2**19)
+    k = np.concatenate([np.arange(10**4), 2**53 - np.arange(1, 10**4 + 1)])
+    extremes = 1.0 - k.astype(np.float64) / 2**53
+    for draws in (*np.array_split(x, len(x) // ONE_BLOCK), x, extremes):
+        got = _despy._libm_log(draws)
+        want = np.fromiter(map(math.log, draws.tolist()), np.float64, len(draws))
+        miss = np.flatnonzero(got != want)
+        assert miss.size == 0, (f"{miss.size} of {len(draws)} logs differ from "
+                                f"math.log, first at {draws[miss[0]]!r}")
+
+
 @st.composite
 def resumed_chains(draw):
     """A valid chain and the arrival counts of consecutive resumed runs: a

@@ -286,7 +286,7 @@ def test_pair_exactly_the_reach_apart():
     # a 3-4-5 triangle scaled to the reach, so the distance is exact
     xy = [(-0.6 * REACH / 2, 0.0), (0.6 * REACH / 2, 0.8 * REACH)]
     topo = _topo_at(xy, ids=[9, 4], neighbor_threshold_m=REACH)
-    assert topo.distances_to(topo.site(9).position)[1] == REACH
+    assert topo.distances_to(topo.position(9))[1] == REACH
     for f, other in ((9, 1), (4, 0)):
         assert topo.row(f) == ([other], [REACH])
         assert neighbors_of(topo, f) == {topo.femtocells[other]}
@@ -372,7 +372,7 @@ def test_a_scan_and_a_femto_list_read_one_distance_row(rows):
     topo = place_femtocells(7, 1000)
     plan = build_plan("dynamic-reuse", topo)
     rows.clear()
-    x, y = topo.site(0).position
+    x, y = topo.position(0)
     ue = (x + 10.0, y)
     scan = scan_from_geometry(topo, ue, 0, obstructed=set(topo.femtocells[1:]))
     out = build_list_from_femto(scan, plan, topo, 0, ue_xy=ue)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import oracles
 from fixtures import hidden_fap_fixture
 from oracles import femto_list_by_distance_row, full_scan, scalar_scan_levels
 
@@ -163,7 +164,7 @@ def test_macro_flow_geometry_oracle():
         topo = place_femtocells(seed=100 + trial, count=60)
         plan = build_plan("dynamic-reuse", topo)
         idx = int(rng.integers(60))
-        ue = topo.site(idx).position
+        ue = topo.position(idx)
         scan = scan_from_geometry(topo, ue, "macro")
         out = build_list_from_macro(scan, plan, topo, d_max_m=40.0, ue_xy=ue)
         expected_close = {f for f in topo.femtocells
@@ -178,7 +179,7 @@ def test_count_identity_random_scans():
     plan = build_plan("dynamic-reuse", topo)
     for _ in range(100):
         serving = int(rng.integers(120))
-        ue = topo.site(serving).position
+        ue = topo.position(serving)
         levels = {int(f): float(rng.uniform(-110, -40))
                   for f in rng.choice(120, size=rng.integers(1, 40), replace=False)}
         scan = RssiScan(levels, serving)
@@ -210,7 +211,7 @@ def test_list_size_below_detection_list():
     sizes_opt, sizes_raw = [], []
     for _ in range(40):
         serving = int(rng.integers(500))
-        ue = topo.site(serving).position
+        ue = topo.position(serving)
         scan = scan_from_geometry(topo, ue, serving)
         out = build_list_from_femto(scan, plan, topo, serving, ue_xy=ue)
         sizes_opt.append(out.n_f)
@@ -246,6 +247,18 @@ def test_p_target_missing_no_obstructions():
     res = p_target_missing(count=80, trials=40, seed=2, obstruction_prob=0.0)
     assert res["rssi-only"] == 0.0
     assert res["proposed"] == 0.0
+
+
+@pytest.mark.parametrize("obstruction_prob", [0.0, 0.3, 1.0])
+@given(count=st.integers(1, 400), trials=st.integers(1, 120), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=25, deadline=None)
+def test_p_target_missing_matches_one_scalar_draw_per_fap(obstruction_prob, count, trials,
+                                                          seed):
+    """A trial draws its obstructions as one block over the non-serving FAPs,
+    in femtocells order, which reads the stream as one scalar draw per FAP
+    does; trials past TRIALS_PER_TOPOLOGY redraw the topology."""
+    want = oracles.scalar_target_missing(count, trials, seed, obstruction_prob)
+    assert p_target_missing(count, trials, seed, obstruction_prob) == want
 
 
 def test_p_target_missing_proposed_below_baseline():
@@ -303,7 +316,7 @@ def test_scan_bitwise_equal_to_scalar_oracle(seed, params):
     ids = topo.femtocells
     for k in range(20):
         if k % 5 == 0:
-            ue = topo.site(ids[int(rng.integers(len(ids)))]).position  # on a FAP
+            ue = topo.position(ids[int(rng.integers(len(ids)))])  # on a FAP
         else:
             ue = tuple(float(v) for v in rng.uniform(-50.0, 450.0, size=2))
         # obstructed sets also name ids that are not in the topology
@@ -316,7 +329,7 @@ def test_scan_bitwise_equal_to_scalar_oracle(seed, params):
 def test_scan_ue_on_a_fap_uses_the_clamped_distance():
     topo = _shuffled_topo(3, count=40)
     fap = topo.femtocells[7]
-    ue = topo.site(fap).position
+    ue = topo.position(fap)
     _assert_scan_matches_oracle(topo, ue, fap)
     _assert_scan_matches_oracle(topo, ue, "macro", obstructed={fap})
     grid = _grid_topo([(0.0, 0.0), (30.0, 0.0)])
@@ -428,7 +441,7 @@ def test_scan_lists_match_the_full_scan(s_t0, gap, tx, eta, wall, obstruction,
     topo, plan = _reach_case()
     params = PropagationParams(tx_power_femto_w=tx, path_loss_exp_femto_interf=eta,
                                wall_loss_db=wall)
-    x, y = topo.site(serving).position
+    x, y = topo.position(serving)
     ue = (x + topo.femto_radius_m * math.cos(angle), y + topo.femto_radius_m * math.sin(angle))
     draw = np.random.default_rng(seed).random(len(topo.femtocells))
     obstructed = set(np.flatnonzero(draw < obstruction).tolist()) - {serving}

@@ -142,7 +142,7 @@ def test_shared_band_sums_all_sources_brute_force():
     # exhaustive source sum with independent arithmetic
     exp_f = 0.0
     for nid in (1, 2):
-        d = math.dist(ue, topo.site(nid).position)
+        d = math.dist(ue, topo.position(nid))
         exp_f += params.tx_power_femto_w * params.p0_femto * d ** -3.0 * 0.01
     exp_m = 0.0
     for site in topo.macro_sites:
@@ -156,7 +156,7 @@ def test_shared_band_sums_all_sources_brute_force():
 def test_sir_macro_tiers_must_be_all_or_reference():
     topo = place_femtocells(seed=3, count=20)
     plan = build_plan("shared", topo)
-    x, y = topo.site(0).position
+    x, y = topo.position(0)
     ue = (x + 2.0, y)
     assert len(sir(topo, plan, ue, 0, macro_tiers="all").per_source) > len(
         sir(topo, plan, ue, 0, macro_tiers="reference").per_source)
@@ -196,7 +196,7 @@ def sir_cases(draw, scheme):
     inner = plan.edge_fraction * topo.femto_radius_m
     rho = inner * draw(st.one_of(st.floats(0.05, 1.0), st.floats(1.01, 3.0)))
     theta = draw(st.floats(0.0, 2.0 * math.pi))
-    x, y = topo.site(serving).position
+    x, y = topo.position(serving)
     ue = (x + rho * math.cos(theta), y + rho * math.sin(theta))
     return topo, plan, ue, serving, draw(st.sampled_from(["all", "reference"]))
 

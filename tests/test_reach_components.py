@@ -84,7 +84,7 @@ def test_a_component_and_its_parent_cannot_grow_each_others_macro_ring():
     topo = place_femtocells(seed=1, count=20)
     child = reach_components(topo, {REF})
     plan = build_plan("shared", child)
-    ue = (topo.site(REF).position[0] + 2.0, topo.site(REF).position[1])
+    ue = (topo.position(REF)[0] + 2.0, topo.position(REF)[1])
     before = _hex(sir(child, plan, ue, REF, macro_tiers="all"))
     for t in (topo, child):
         with pytest.raises(AttributeError):
@@ -122,7 +122,7 @@ def _assert_restricted_plans_match(topo, rng):
     local = reach_components(topo, union)
     assert union <= set(local.femtocells)
     assert neighbors_of(local, REF) == neighbors_of(topo, REF)
-    fx, fy = topo.site(REF).position
+    fx, fy = topo.position(REF)
     ang = 2.0 * math.pi * rng.random()
     ue = (fx + 5.0 * math.cos(ang), fy + 5.0 * math.sin(ang))
     for scheme in ("dedicated", "shared", "static-reuse", "dynamic-reuse"):

@@ -222,7 +222,7 @@ def test_configure_one_interferer_cyclic_table():
         plan.femto_band.clear()
         plan.femto_band[0] = incumbent
         got = configure_new_femto(plan, topo, 1)
-        assert plan.band_for_link(1, topo.site(1).position, topo).label == "Bm2"
+        assert plan.band_for_link(1, topo.position(1), topo).label == "Bm2"
         assert got == plan.femto_band[1] == expected
 
 
@@ -353,6 +353,31 @@ def test_dense_dynamic_plans_are_pinned_through_leaves_and_rejoins():
                         "shrink": 673}
     assert events == {"shrink": 4652, "shrink-failed": 248, "repair-exhausted": 3326}
     assert digest.hexdigest() == "bf3a40aac81174e7d782ea20d05a6298d2b580c5c665da5f5d879a125470b7e2"
+
+
+@pytest.mark.parametrize("last_pair_in_cells", [False, True])
+def test_an_exhausted_repair_reports_only_a_conflict_among_its_own_pairs(last_pair_in_cells):
+    # isolated interfering pairs (2i, 2i + 1) 30 m apart, all on B4: one
+    # more pair than a repair has steps.  Each step moves the higher id of
+    # the highest conflicted pair onto B5, so the steps run out with one
+    # pair left.  With that pair outside `cells` it stands for a conflict
+    # that an earlier exhausted repair left: this repair's own pairs are
+    # clear, and it records no event.
+    steps = 8 * (spectrum.MAX_SHRINK_STEPS + 1)
+    positions = [(100.0 * (i % 6) - 250.0 + dx, 100.0 * (i // 6) - 250.0)
+                 for i in range(steps + 1) for dx in (0.0, 30.0)]
+    topo = _manual_topo(positions)
+    plan = _empty_dynamic_plan(topo)
+    plan.femto_band.update(dict.fromkeys(topo.femtocells, "B4"))
+    pairs = range(steps + 1) if last_pair_in_cells else range(steps)
+    left = pairs[0] if last_pair_in_cells else steps  # the pair no step reaches
+    spectrum._repair_conflicts(spectrum._Relation(plan, topo), {2 * i for i in pairs})
+    assert plan.edge_conflicts(topo) == [(2 * left, 2 * left + 1)]
+    moved = {2 * i + 1 for i in pairs} - {2 * left + 1}
+    assert {f for f, lab in plan.femto_band.items() if lab == "B5"} == moved
+    assert plan.events == ([("repair-exhausted", tuple(sorted({2 * i for i in pairs} | moved)))]
+                           if last_pair_in_cells else [])
+    assert plan.radius_of == {}
 
 
 def test_interferers_of_an_unassigned_fap_next_to_the_only_assigned_one():
@@ -626,7 +651,7 @@ def _assert_band_rules_match_records(plan, topo):
     inner = plan.edge_fraction * topo.femto_radius_m
     for f in ids:
         assert plan.interferer_band(f) == record_interferer_band(plan, records, f)
-        x, y = topo.site(f).position
+        x, y = topo.position(f)
         inside, outside = (plan.band_for_link(f, (x + d, y), topo) for d in (inner / 2, 2 * inner))
         assert inside == record_band_for_link(plan, records, f, (x + inner / 2, y), topo)
         assert outside == record_band_for_link(plan, records, f, (x + 2 * inner, y), topo)
@@ -658,7 +683,7 @@ def test_one_label_band_rules_match_the_record_rules_on_a_tiny_band():
 def _missing_fap_calls():
     topo = place_femtocells(1, 50)
     missing = 7
-    ue = (topo.site(missing).position[0] + 3.0, topo.site(missing).position[1])
+    ue = (topo.position(missing)[0] + 3.0, topo.position(missing)[1])
     return topo, missing, {
         "band_for_link": lambda plan: plan.band_for_link(missing, ue, topo),
         "interferer_band": lambda plan: plan.interferer_band(missing),

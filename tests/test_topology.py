@@ -29,6 +29,8 @@ def test_empty_placement():
     with pytest.raises(UnknownSiteError):
         neighbors_of(topo, 0)
     with pytest.raises(UnknownSiteError):
+        topo.position(0)
+    with pytest.raises(UnknownSiteError):
         topo.site(0)
     assert topo.earlier_within(20.0) == []
 
@@ -191,6 +193,7 @@ def test_distance_and_lookups_take_numpy_integer_ids(as_id):
     topo = _two_fap_topo(30.0)
     assert distance(topo, as_id(0), (0.0, 40.0)) == 40.0
     assert distance(topo, as_id(0), as_id(1)) == distance(topo, 0, 1) == 30.0
+    assert topo.position(as_id(1)) == topo.position(1) == (30.0, 0.0)
     assert topo.site(as_id(1)) == topo.site(1)
     assert topo.walls_between(as_id(0), as_id(1)) == topo.walls_between(0, 1)
     with pytest.raises(UnknownSiteError):
@@ -510,6 +513,8 @@ def test_ids_are_python_ints_and_site_reads_the_columns():
     topo = CellTopology(macro_radius_m=1000.0, femto_radius_m=10.0, macro_sites=[(0.0, 0.0)],
                         femtocells=np.array([7, 3]), positions=[(1.0, 2.0), (3.0, 4.0)])
     assert topo.femtocells == (7, 3) and all(type(f) is int for f in topo.femtocells)
+    assert topo.position(7) == (1.0, 2.0) and topo.position(3) == (3.0, 4.0)
+    assert all(type(c) is float for c in topo.position(3))
     assert topo.site(3) == FemtoSite(3, (3.0, 4.0))
     assert type(topo.site(3).id) is int
 
