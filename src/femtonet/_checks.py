@@ -9,11 +9,16 @@ def require(ok: bool, message: str, *args) -> None:
         raise AssertionError(message % args if args else message)
 
 
+def whole_count(name: str, value, minimum: int) -> int:
+    """value as an int; a ValueError naming `name` unless it is a whole
+    number >= minimum."""
+    if not (float(value).is_integer() and value >= minimum):
+        raise ValueError(f"{name} must be a whole number >= {minimum}, got {value!r}")
+    return int(value)
+
+
 def whole_counts(obj, names) -> None:
     """Name the first field of obj not a whole number >= 0 in a ValueError;
     store each as an int (frozen dataclasses too)."""
     for name in names:
-        value = getattr(obj, name)
-        if not (float(value).is_integer() and value >= 0):
-            raise ValueError(f"{name} must be a whole number >= 0, got {value!r}")
-        object.__setattr__(obj, name, int(value))
+        object.__setattr__(obj, name, whole_count(name, getattr(obj, name), 0))

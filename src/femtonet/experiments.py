@@ -29,6 +29,7 @@ from .videoalloc import (
     allocate_popularity,
     technique_multi_level,
     technique_two_level,
+    total_max_bw,
     total_min_bw,
 )
 
@@ -307,11 +308,13 @@ def run_fig6_cac(scenario: Scenario) -> ExperimentResult:
 
 def _ch7_dimensions(duration_s: float):
     """Non-MBS admission region of the Table 7.1 cell, every class holding
-    calls of the scenario's mean duration.
+    calls of the scenario's mean duration: the classes, their arrival
+    shares, the unicast floor in kbps, the MBS sessions, C_nb,max and
+    (N, S, L) of the non-MBS chain.
 
-    The non-MBS traffic can claim at most C - C_min_B; class mix voice,
-    unicast (degradable to the base layer for handovers only), background
-    (two-level degradable)."""
+    The non-MBS traffic can claim at most C_nb,max = C - C_min_B; class mix
+    voice, unicast (degradable to the base layer for handovers only),
+    background (two-level degradable)."""
     t = TABLE_7_1
     ratios = np.array([t["arrival_ratio_voice"], t["arrival_ratio_unicast"],
                        t["arrival_ratio_background"]])
@@ -334,7 +337,7 @@ def _ch7_dimensions(duration_s: float):
     sessions = table71_mbs_sessions()
     c_nb_max = t["capacity_mbps"] * 1e3 - total_min_bw(sessions) / 1e3
     n_extra, s, ell = q_mod.chain_dimensions(classes, c_nb_max)
-    return classes, shares, c_nb_max, n_extra, s, ell
+    return classes, shares, uni_min, sessions, c_nb_max, n_extra, s, ell
 
 
 def _read_fig7(scenario: Scenario):
@@ -347,8 +350,10 @@ def _read_fig7(scenario: Scenario):
 def run_fig7_mbs(scenario: Scenario) -> ExperimentResult:
     res = ExperimentResult("fig7-mbs", scenario.name, scenario.seed)
     t = TABLE_7_1
-    grid, duration, (classes, shares, c_nb_max, n_extra, s, ell) = _read_fig7(scenario)
-    sessions = table71_mbs_sessions()
+    grid, duration, dims = _read_fig7(scenario)
+    classes, shares, uni_min, sessions, c_nb_max, n_extra, s, ell = dims
+    # the fixed-max (#2) and fixed-min (#5) reservation baselines
+    reserves = (("fixed-max", total_max_bw(sessions)), ("fixed-min", total_min_bw(sessions)))
     capacity = t["capacity_mbps"] * 1e6
     mu = 1.0 / duration
     eta = 1.0 / t["cell_dwell_s"]
@@ -377,9 +382,7 @@ def run_fig7_mbs(scenario: Scenario) -> ExperimentResult:
             - per_class[2] / mu * classes[2].floor_hand * 1e3
         if uni_rate > 0:
             per_uni = uni_budget / (uni_rate / mu) / 1e3
-            uni_layers = (per_uni - (t["unicast_max_mbps"] * 1e3
-                                     - t["unicast_max_layers"] * t["unicast_layer_kbps"])) \
-                / t["unicast_layer_kbps"]
+            uni_layers = (per_uni - uni_min) / t["unicast_layer_kbps"]
             uni_layers = float(np.clip(uni_layers, 0, t["unicast_max_layers"]))
         else:
             uni_layers = t["unicast_max_layers"]
@@ -394,8 +397,7 @@ def run_fig7_mbs(scenario: Scenario) -> ExperimentResult:
         res.add("proposed", lam, "p_block_voice", chain.extra["P_B_voice"])
         res.add("proposed", lam, "p_block_background", chain.extra["P_B_background"])
 
-        # fixed-max (#2) and fixed-min (#5) reservation baselines
-        for label, reserve in (("fixed-max", 12e6), ("fixed-min", 6e6)):
+        for label, reserve in reserves:
             fixed_non_mbs = min(offered_bw, capacity - reserve)
             res.add(label, lam, "mbs_bandwidth_bps", reserve)
             res.add(label, lam, "non_mbs_bandwidth_bps", fixed_non_mbs)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import topology as topo_mod
-from ._checks import require
+from ._checks import require, whole_count
 from .radio import PropagationParams, link_power, linear_to_db, wall_attenuation
 from .spectrum import SpectrumPlan, build_plan
 from .topology import CellTopology
@@ -284,8 +284,7 @@ def p_target_missing(
     uniforms over the non-serving FAPs in femtocells order, which reads the
     stream as one draw per FAP would.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    trials = whole_count("trials", trials, 1)
     check_params(d_max_m, obstruction_prob)
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0x5CA)))
     miss_base = miss_prop = valid = 0

@@ -10,7 +10,11 @@ and dropping probabilities depend on each other; both fixed points run one
 damped successive substitution, _fixed_point, to the requested residual.
 ChainBatch is the one product-form solver, loss_chain_probs its one-chain
 case; a sweep iterates all its points together, each iteration solving
-their chains through one ChainBatch in one pass per state count.
+their chains through one ChainBatch in one pass per state count.  The
+two-tier step is written as plain functions of a point's parameters, its
+four handover rates and its last blocking and dropping probabilities,
+which the sweep keeps in two lists; every solution's probabilities cover
+its chain's states, a layer of no femtocells included.
 """
 
 from __future__ import annotations
@@ -399,124 +403,108 @@ class TwoTierSolution:
     residuals: list[float]
 
 
-class _TwoTierPoint:
-    """One point of a two-tier sweep: the constants its step reads, and the
-    chain probabilities of its last step.  The next step's lambda_T,f, and
-    the converged one, read the P_D,m of the step before."""
+def _femto_arrival_rate(params: TwoTierParams, rates, p_dm: float) -> float:
+    """lambda_T,f: the calls offered to the femto layer at the four
+    handover rates, where P_D,m is the macro chain's of the step before."""
+    _, l_mf, l_ff, _ = rates
+    return (params.lambda_o_f + l_mf + params.alpha * l_ff
+            + p_dm * params.beta_prob * l_ff)
 
-    def __init__(self, params: TwoTierParams):
-        self.params = params
-        self.probs = handover_probabilities(params)
-        self.mu_m, self.mu_f = channel_release_rates(params)
-        self.macro_chain = two_tier_macro_chain(params, 0.0)  # the sweep sets lam_hand
-        self.p_bf = self.p_df = self.p_bm = self.p_dm = 0.0
 
-    def lam_tf(self, l_mf: float, l_ff: float) -> float:
-        params = self.params
-        return (params.lambda_o_f + l_mf + params.alpha * l_ff
-                + self.p_dm * params.beta_prob * l_ff)
+def _macro_handover_rate(params: TwoTierParams, rates, p_df: float) -> float:
+    """lambda_h,m: the handovers into the macro chain at the four handover
+    rates and the femto layer's P_D,f."""
+    l_mm, _, l_ff, l_fm = rates
+    alpha = params.alpha
+    return l_mm + l_fm + alpha * p_df * l_ff + (1.0 - alpha) * l_ff
 
-    def lam_hm(self, l_mm: float, l_ff: float, l_fm: float) -> float:
-        alpha = self.params.alpha
-        return l_mm + l_fm + alpha * self.p_df * l_ff + (1.0 - alpha) * l_ff
 
-    def macro_step_rates(self, rates) -> tuple[float, float]:
-        """The first half of a step: the femto layer's Erlang-B blocking at
-        these rates, and the macro chain's stream rates at the handover rate
-        it gives."""
-        l_mm, l_mf, l_ff, l_fm = rates
-        n = self.params.n
-        if n > 0:
-            offered = self.lam_tf(l_mf, l_ff) / n / self.mu_f
-            self.p_bf = self.p_df = erlang_b(self.params.femto_capacity, offered)
-        else:
-            self.p_bf = self.p_df = 0.0
-        return self.params.lambda_o_m, self.lam_hm(l_mm, l_ff, l_fm)
-
-    def new_rates(self, rates, p_bm: float, p_dm: float) -> list[float]:
-        """The second half: the handover rates from that chain's P_B,m and
-        P_D,m."""
-        self.p_bm, self.p_dm = p_bm, p_dm
-        l_mm, l_mf, l_ff, l_fm = rates
-        params, probs, p_bf, p_df = self.params, self.probs, self.p_bf, self.p_df
-        alpha, lam_of = params.alpha, params.lambda_o_f
-        num_m = (1.0 - p_bm) * (params.lambda_o_m + lam_of * p_bf) + (1.0 - p_dm) * (
-            l_fm + l_ff * (1.0 - alpha + alpha * p_df))
-        den_m = 1.0 - probs.mm * (1.0 - p_dm)
-        num_f = lam_of * (1.0 - p_bf) + l_mf * (1.0 - p_df)
-        den_f = 1.0 - probs.ff * (1.0 - p_df) * (alpha + (1.0 - alpha) * p_dm)
-        return [probs.mm * num_m / den_m, probs.mf * num_m / den_m,
-                probs.ff * num_f / den_f, probs.fm * num_f / den_f]
-
-    def solution(self, rates, iterations: int, residuals: list[float],
-                 femto_chain: LossChainSpec, femto_probs: np.ndarray,
-                 macro_chain: LossChainSpec, macro_probs: np.ndarray) -> TwoTierSolution:
-        """The point's solution at its converged rates, from its last
-        step's chain probabilities and its chains solved at those rates."""
-        l_mm, l_mf, l_ff, l_fm = rates
-        params = self.params
-        k_f, base = params.femto_capacity, params.macro_base_states
-        femto_util = float(np.dot(np.arange(len(femto_probs)), femto_probs)) / max(k_f, 1)
-        macro_occ = np.minimum(np.arange(len(macro_probs)), base)
-        macro_util = float(np.dot(macro_occ, macro_probs)) / max(base, 1)
-        lam_tf, lam_hm = self.lam_tf(l_mf, l_ff), self.lam_hm(l_mm, l_ff, l_fm)
-        femto = ChainSolution(femto_probs, self.p_bf, self.p_df, femto_util,
-                              handover_rate=params.alpha * l_ff + l_mf,
-                              iterations=iterations, residual=residuals[-1],
-                              spec=femto_chain)
-        macro = ChainSolution(macro_probs, self.p_bm, self.p_dm, macro_util,
-                              handover_rate=lam_hm, iterations=iterations,
-                              residual=residuals[-1], spec=macro_chain)
-        rates = {
-            "lambda_h_mm": l_mm, "lambda_h_mf": l_mf,
-            "lambda_h_ff": l_ff, "lambda_h_fm": l_fm,
-            "lambda_T_f": lam_tf, "lambda_h_m": lam_hm,
-            "mu_m": self.mu_m, "mu_f": self.mu_f,
-        }
-        return TwoTierSolution(femto, macro, rates, self.probs, iterations, residuals)
+def _next_handover_rates(params: TwoTierParams, probs: HandoverProbabilities, rates,
+                         p_f: float, p_bm: float, p_dm: float) -> list[float]:
+    """The four handover rates (mm, mf, ff, fm) that the blocking and
+    dropping probabilities give: P_B,f = P_D,f = p_f, and the macro chain's
+    P_B,m and P_D,m."""
+    l_mm, l_mf, l_ff, l_fm = rates
+    alpha, lam_of = params.alpha, params.lambda_o_f
+    num_m = (1.0 - p_bm) * (params.lambda_o_m + lam_of * p_f) + (1.0 - p_dm) * (
+        l_fm + l_ff * (1.0 - alpha + alpha * p_f))
+    den_m = 1.0 - probs.mm * (1.0 - p_dm)
+    num_f = lam_of * (1.0 - p_f) + l_mf * (1.0 - p_f)
+    den_f = 1.0 - probs.ff * (1.0 - p_f) * (alpha + (1.0 - alpha) * p_dm)
+    return [probs.mm * num_m / den_m, probs.mf * num_m / den_m,
+            probs.ff * num_f / den_f, probs.fm * num_f / den_f]
 
 
 def solve_two_tier_sweep(sweep) -> list[TwoTierSolution]:
     """The fixed point of the coupled femto/macro chains at every point of
     sweep, a sequence of TwoTierParams.
 
-    Handover arrival rates feed the two chains, whose blocking and dropping
+    Handover arrival rates feed the two layers, whose blocking and dropping
     probabilities feed back into the rates.  _fixed_point iterates the four
     rates of every point together, each to a residual below
-    FIXED_POINT_TOL, and each iteration solves the macro chains of the
-    points still iterating through one ChainBatch, built once, which then
-    solves the converged macro chains too.  A point's result does not
-    depend on the other points, and the converged point is independent of
-    FIXED_POINT_DAMPING (to the residual tolerance).
+    FIXED_POINT_TOL.  A step takes the femto layer's Erlang-B blocking
+    P_B,f (= P_D,f; 0 with no femtocells) at lambda_T,f, which reads the
+    P_D,m of the step before (0 at the first), then the macro chain's P_B,m
+    and P_D,m at lambda_h,m, which reads this step's P_D,f, then the new
+    rates from both; the sweep keeps each point's last P_B,f and last
+    (P_B,m, P_D,m).  Each step solves the macro chains of the points still
+    iterating through one ChainBatch, built once, which then solves the
+    converged macro chains too; a second ChainBatch solves every point's
+    femto chain at the converged lambda_T,f, n = 0 included, where the
+    chain's rate is 0 and its probabilities are 1 at state 0.  A point's
+    result does not depend on the other points, and the converged point is
+    independent of FIXED_POINT_DAMPING (to the residual tolerance).
     """
-    points = [_TwoTierPoint(params) for params in sweep]
-    batch = ChainBatch(point.macro_chain for point in points)
+    sweep = list(sweep)
+    probs = [handover_probabilities(params) for params in sweep]
+    release = [channel_release_rates(params) for params in sweep]
+    p_f = [0.0] * len(sweep)  # each point's last P_B,f, which is its P_D,f too
+    p_m = [[0.0, 0.0] for _ in sweep]  # and its last (P_B,m, P_D,m)
+    macro = ChainBatch(two_tier_macro_chain(params, 0.0) for params in sweep)
 
     def step(active, rates):
-        macro_rates = [points[i].macro_step_rates(r) for i, r in zip(active, rates)]
-        return [points[i].new_rates(r, p_bm, p_dm) for i, r, (_, (p_bm, p_dm))
-                in zip(active, rates, batch.solve(active, macro_rates))]
+        for i, r in zip(active, rates):
+            params = sweep[i]
+            if params.n > 0:
+                offered = _femto_arrival_rate(params, r, p_m[i][1]) / params.n / release[i][1]
+                p_f[i] = erlang_b(params.femto_capacity, offered)
+        rows = macro.solve(active, [(sweep[i].lambda_o_m,
+                                     _macro_handover_rate(sweep[i], r, p_f[i]))
+                                    for i, r in zip(active, rates)])
+        for i, (_, p_bd) in zip(active, rows):
+            p_m[i] = p_bd
+        return [_next_handover_rates(sweep[i], probs[i], r, p_f[i], *p_m[i])
+                for i, r in zip(active, rates)]
 
     rates, iterations, residuals = _fixed_point(
-        step, [[0.0, 0.0, 0.0, 0.0] for _ in points], "two-tier",
-        lambda i: f"n = {points[i].params.n}")
+        step, [[0.0, 0.0, 0.0, 0.0] for _ in sweep], "two-tier", lambda i: f"n = {sweep[i].n}")
 
-    macro_rates = [(point.params.lambda_o_m, point.lam_hm(l_mm, l_ff, l_fm))
-                   for point, (l_mm, _, l_ff, l_fm) in zip(points, rates)]
-    macro_rows = batch.solve(range(len(points)), macro_rates)
-    femto_chains = [two_tier_femto_chain(point.params, point.lam_tf(l_mf, l_ff))
-                    for point, (_, l_mf, l_ff, _) in zip(points, rates)]
-    # a layer of no femtocells has no femto chain to solve
-    has_femto = [point.params.n > 0 for point in points]
-    chains = [c for c, f in zip(femto_chains, has_femto) if f]
-    femto_rows = iter(ChainBatch(chains).solve(range(len(chains)),
-                                               [c.stream_rates for c in chains]))
+    lam_tf = [_femto_arrival_rate(params, r, p_dm)
+              for params, r, (_, p_dm) in zip(sweep, rates, p_m)]
+    lam_hm = [_macro_handover_rate(params, r, p) for params, r, p in zip(sweep, rates, p_f)]
+    macro_rates = [(params.lambda_o_m, lam) for params, lam in zip(sweep, lam_hm)]
+    macro_rows = macro.solve(range(len(sweep)), macro_rates)
+    femto_chains = [two_tier_femto_chain(params, lam) for params, lam in zip(sweep, lam_tf)]
+    femto_rows = ChainBatch(femto_chains).solve(range(len(sweep)),
+                                                [c.stream_rates for c in femto_chains])
     solutions = []
-    for j, point in enumerate(points):
-        femto_probs = next(femto_rows)[0].copy() if has_femto[j] else np.array([1.0])
-        solutions.append(point.solution(
-            rates[j], iterations[j], residuals[j], femto_chains[j], femto_probs,
-            _with_stream_rates(point.macro_chain, macro_rates[j]), macro_rows[j][0].copy()))
+    for j, params in enumerate(sweep):
+        (_, l_mf, l_ff, _), n_iter, residual = rates[j], iterations[j], residuals[j][-1]
+        femto_probs, macro_probs = femto_rows[j][0].copy(), macro_rows[j][0].copy()
+        k_f, base = params.femto_capacity, params.macro_base_states
+        femto_util = float(np.dot(np.arange(len(femto_probs)), femto_probs)) / max(k_f, 1)
+        macro_occ = np.minimum(np.arange(len(macro_probs)), base)
+        macro_util = float(np.dot(macro_occ, macro_probs)) / max(base, 1)
+        femto = ChainSolution(femto_probs, p_f[j], p_f[j], femto_util,
+                              handover_rate=params.alpha * l_ff + l_mf, iterations=n_iter,
+                              residual=residual, spec=femto_chains[j])
+        macro_sol = ChainSolution(macro_probs, *p_m[j], macro_util, handover_rate=lam_hm[j],
+                                  iterations=n_iter, residual=residual,
+                                  spec=_with_stream_rates(macro.specs[j], macro_rates[j]))
+        named = dict(zip(("lambda_h_mm", "lambda_h_mf", "lambda_h_ff", "lambda_h_fm"), rates[j]),
+                     lambda_T_f=lam_tf[j], lambda_h_m=lam_hm[j],
+                     mu_m=release[j][0], mu_f=release[j][1])
+        solutions.append(TwoTierSolution(femto, macro_sol, named, probs[j], n_iter, residuals[j]))
     return solutions
 
 

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import topology as topo_mod
+from ._checks import whole_count
 from .spectrum import SpectrumPlan, bands_overlap
 from .topology import CellTopology, DegenerateGeometryError
 
@@ -216,8 +217,7 @@ def outage_probability_mc(
     Interference is held at its mean-path value and only the serving link's
     fast fade is drawn, matching the closed form's conditioning.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    trials = whole_count("trials", trials, 1)
     params = params or PropagationParams()
     rng = np.random.default_rng(np.random.SeedSequence(seed))
 

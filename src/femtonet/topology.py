@@ -33,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._checks import whole_counts
+from ._checks import whole_count, whole_counts
 
 # Fixed reference geometry (distances in meters)
 DEFAULT_MACRO_RADIUS = 1000.0
@@ -412,9 +412,7 @@ def place_femtocells(
     femtocell 0 at the reference range, when it cannot hold `count` sites
     at the requested separation, or when 200 candidates per FAP were tried.
     """
-    if not (float(count).is_integer() and count >= 0):
-        raise ValueError(f"count must be a whole number >= 0, got {count!r}")
-    count = int(count)
+    count = whole_count("count", count, 0)
     macro = macro or MacroGeometry()
     if count > 0:
         check_reference_fap(macro)

@@ -673,11 +673,8 @@ def two_tier_probs(params, solution):
     n, k_f = params.n, params.femto_capacity
     lam_tf, lam_hm = solution.rates["lambda_T_f"], solution.rates["lambda_h_m"]
     mu_m, mu_f = solution.rates["mu_m"], solution.rates["mu_f"]
-    if n > 0:
-        femto_probs = birth_death_probs(
-            [lam_tf / n] * k_f, [(i + 1) * mu_f for i in range(k_f)])
-    else:
-        femto_probs = np.array([1.0])
+    femto_probs = birth_death_probs(
+        [lam_tf / max(n, 1)] * k_f, [(i + 1) * mu_f for i in range(k_f)])
     macro_probs = macro_adaptive_chain(
         params.lambda_o_m + lam_hm, lam_hm, mu_m,
         params.macro_base_states, params.macro_adaptive_states)
@@ -755,10 +752,7 @@ def solve_two_tier(params):
 
     lam_tf = lam_of + l_mf + alpha * l_ff + p_dm * beta * l_ff
     lam_hm = l_mm + l_fm + alpha * p_df * l_ff + (1.0 - alpha) * l_ff
-    if n > 0:
-        femto_probs, _ = loss_chain_probs(two_tier_femto_chain(params, lam_tf))
-    else:
-        femto_probs = np.array([1.0])
+    femto_probs, _ = loss_chain_probs(two_tier_femto_chain(params, lam_tf))
     macro_probs, _ = loss_chain_probs(replace(macro_chain, stream_rates=(lam_om, lam_hm)))
 
     femto_util = float(np.dot(np.arange(len(femto_probs)), femto_probs)) / max(k_f, 1)

@@ -4,6 +4,7 @@ it replaced, the des.spec_for_* builders and queueing's own birth/death
 lists (kept verbatim in oracles.py): specs and probabilities must be equal
 to the last bit, not merely close."""
 
+import hashlib
 import math
 from dataclasses import fields, replace
 from fractions import Fraction
@@ -22,6 +23,7 @@ from femtonet.queueing import (
     Ch6Cell,
     Ch7QueueParams,
     LossChainSpec,
+    TwoTierParams,
     _with_stream_rates,
     birth_death_probs,
     ch6_cells,
@@ -148,6 +150,88 @@ def test_two_tier_sweep_equals_each_point_solved_alone(sweep):
         assert sol.femto.spec == oracles.spec_for_two_tier_femto(p, sol)
     arrays = [layer.probs for sol in solved for layer in (sol.femto, sol.macro)]
     assert all(a.base is None for a in arrays)
+
+
+def _two_tier_grid(count: int, seed: int):
+    """count seeded sweeps of 1 to 6 TwoTierParams each: femtocell counts
+    0 to 1000, K in {0, 1, 4, 8}, N in {0, 30, 100}, S in {0, 12, 30},
+    zero dwell rates and zero macro arrivals among them."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        sweep = []
+        for _ in range(int(rng.integers(1, 7))):
+            n = int(rng.choice([0, 1, 3, 50, 200, 600, 1000]))
+            eta_f, eta_m = rng.choice([0.0, 1 / 360.0, 1 / 120.0], size=2, p=[0.2, 0.5, 0.3])
+            alpha = float(rng.choice([1.0, 0.8, 0.5, 0.0]))
+            sweep.append(TwoTierParams(
+                lambda_o_f=n * float(rng.uniform(0.0, 0.05)),
+                lambda_o_m=float(rng.choice([0.0, rng.uniform(0.0, 20.0)])),
+                mu=1.0 / float(rng.choice([60.0, 120.0, 300.0])),
+                eta_f=float(eta_f), eta_m=float(eta_m), n=n,
+                femto_capacity=int(rng.choice([0, 1, 4, 8])),
+                macro_base_states=int(rng.choice([0, 30, 100])),
+                macro_adaptive_states=int(rng.choice([0, 12, 30])),
+                alpha=alpha, beta_prob=float(rng.uniform(0.0, 1.0 - alpha))))
+        yield sweep
+
+
+def _pin_text(value) -> str:
+    """value as text that changes with any bit of it: floats in hex,
+    arrays by dtype, shape and bytes, dataclasses field by field."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, np.ndarray):
+        return f"{value.dtype.str}{value.shape}{value.tobytes().hex()}"
+    if hasattr(value, "__dataclass_fields__"):
+        return f"{type(value).__name__}(" + ", ".join(
+            f"{f.name}={_pin_text(getattr(value, f.name))}" for f in fields(value)) + ")"
+    if isinstance(value, dict):
+        return "{" + ", ".join(f"{k!r}: {_pin_text(v)}" for k, v in sorted(value.items())) + "}"
+    if isinstance(value, (list, tuple)):
+        return "[" + ", ".join(_pin_text(v) for v in value) + "]"
+    return repr(value)
+
+
+def test_two_tier_sweeps_are_pinned():
+    """30 seeded sweeps, 103 points, hashed: every field of every
+    TwoTierSolution but the femto probabilities of a layer of no
+    femtocells (n = 0), and the message of each sweep that does not
+    converge (2 of them) in place of its solutions."""
+    digest = hashlib.sha256()
+    failed = 0
+    for sweep in _two_tier_grid(30, seed=1):
+        try:
+            solved = solve_two_tier_sweep(sweep)
+        except queueing.NonConvergenceError as err:
+            failed += 1
+            digest.update(f"{err}\n".encode())
+            continue
+        for params, sol in zip(sweep, solved, strict=True):
+            if params.n == 0:
+                sol = replace(sol, femto=replace(sol.femto, probs=None))
+            digest.update(f"{_pin_text(sol)}\n".encode())
+    assert failed == 2
+    assert digest.hexdigest() == "a5460f738a801b6e2fd0be3bc0e9ede44c5aef5d8bd367c7812eaa4a48a0f7c0"
+
+
+def _solution(model: str):
+    if model in CH6_SCHEMES:
+        return solve_ch6(Scenario({}).ch6_params(lam_new=1.3), model)
+    if model == "ch7":
+        return solve_ch7(Ch7QueueParams(12, 40, 8, 4, 0.05, 0.01, 0.04, 0.03, 1 / 120.0))
+    layer, n = model.split()
+    sol = solve_two_tier(scenario_from_preset("table-5.1").two_tier_params(n=int(n), lam_total=8.0))
+    return getattr(sol, layer)
+
+
+@pytest.mark.parametrize("model", [*CH6_SCHEMES, "ch7", "femto 0", "femto 400",
+                                   "macro 0", "macro 400"])
+def test_each_solution_has_one_probability_per_state_of_its_chain(model):
+    """A two-tier layer of no femtocells too: its chain has K + 1 states,
+    all but state 0 unreachable at stream rate 0."""
+    sol = _solution(model)
+    assert len(sol.probs) == len(sol.spec.srv_rates) - sol.spec.min_state
+    sol.check_normalized()
 
 
 def _assert_ch6_equal(sol, params, scheme, lam):

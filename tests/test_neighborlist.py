@@ -1,5 +1,6 @@
 import functools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -259,6 +260,19 @@ def test_p_target_missing_matches_one_scalar_draw_per_fap(obstruction_prob, coun
     does; trials past TRIALS_PER_TOPOLOGY redraw the topology."""
     want = oracles.scalar_target_missing(count, trials, seed, obstruction_prob)
     assert p_target_missing(count, trials, seed, obstruction_prob) == want
+
+
+@pytest.mark.parametrize("trials", [0, -3, 2.5, math.nan, math.inf])
+def test_p_target_missing_names_a_trial_count_that_is_not_whole(trials):
+    # 2.5 and nan failed in range() with an unnamed TypeError
+    with pytest.raises(ValueError, match=rf"^trials must be a whole number >= 1, "
+                                         rf"got {re.escape(repr(trials))}$"):
+        p_target_missing(count=20, trials=trials, seed=0)
+
+
+def test_p_target_missing_takes_a_whole_float_trial_count():
+    assert p_target_missing(count=20, trials=3.0, seed=0) == \
+        p_target_missing(count=20, trials=3, seed=0)
 
 
 def test_p_target_missing_proposed_below_baseline():

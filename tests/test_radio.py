@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import fields, replace
 
 import numpy as np
@@ -280,6 +281,16 @@ def test_outage_mc_limits():
     assert est == 0.0
     est, _ = outage_probability_mc(topo, plan, (205.0, 0.0), 0, 1e12, trials=2000, seed=1)
     assert est == 1.0
+
+
+@pytest.mark.parametrize("trials", [0, -3, 2.5, math.nan, math.inf])
+def test_outage_mc_names_a_trial_count_that_is_not_whole(trials):
+    # 2.5 and nan failed in the draw with an unnamed TypeError
+    topo = _manual_topo([(200.0, 0.0), (215.0, 0.0)])
+    plan = build_plan("shared", topo)
+    with pytest.raises(ValueError, match=rf"^trials must be a whole number >= 1, "
+                                         rf"got {re.escape(repr(trials))}$"):
+        outage_probability_mc(topo, plan, (205.0, 0.0), 0, 1.0, trials=trials, seed=1)
 
 
 # ---------------------------------------------------------------------------
