@@ -11,7 +11,11 @@ a pure function of k: the splitmix64 mix of (state + k * GAMMA) mod 2**64.
 Each block then takes two passes.  The first, in Python, follows only the
 chain state: it records the state at each event, tests whether the event
 is an arrival, and picks the stream only at states where the stream limits
-disagree on the move.  Its arrival test is `v < thr[i]`, where thr[i] is
+disagree on the move.  It iterates the block's move draws from an
+array("d") copy of their bytes, which is cheaper to build than a list of
+them, and counts the events it walks (an array iterator has no length
+hint): that count places the counted events' draws in the block and sets
+how far the RNG state advances.  Its arrival test is `v < thr[i]`, where thr[i] is
 the least double t with t * rate_i not below the total arrival rate
 (arrival_threshold): float rounding is monotone, so it holds exactly when
 the C loop's `v * rate_i < lam_total` does.  The second pass, in numpy,
@@ -33,6 +37,7 @@ from __future__ import annotations
 import math
 import operator
 import struct
+from array import array
 from bisect import bisect_right
 
 import numpy as np
@@ -220,10 +225,13 @@ def _walk(c: _Tables, state: int, i: int, warm: int, remaining: int,
         # a chain in balance takes about two events per arrival
         n_events = min(2 * (warm + remaining) + 64, _BLOCK_EVENTS)
         u = _uniforms(state, n_events)
-        picks = iter(u[1::2].tolist())
+        # the picks' iterator has no length hint, so the loops count the
+        # events they walk
+        picks = iter(array("d", u[1::2].tobytes()))
+        walked = 0
         # warm-up: pass 1 only, until the last uncounted arrival
         if warm:
-            for v in picks:
+            for walked, v in enumerate(picks, 1):
                 if v < thr[i]:
                     if i < admit_all:
                         i += 1
@@ -236,7 +244,7 @@ def _walk(c: _Tables, state: int, i: int, warm: int, remaining: int,
                     i -= 1
         if not warm and remaining:
             # pass 1: the chain state at each counted event, in Python
-            first = n_events - operator.length_hint(picks)
+            first = walked
             path = []
             append = path.append
             for v in picks:
@@ -251,10 +259,11 @@ def _walk(c: _Tables, state: int, i: int, warm: int, remaining: int,
                         break
                 elif i > min_state:
                     i -= 1
+            walked += len(path)
             if path:
-                elapsed = _clocks(c, u[2 * first:2 * (first + len(path))], path, elapsed,
+                elapsed = _clocks(c, u[2 * first:2 * walked], path, elapsed,
                                   time_in_state, seen, rejected)
-        state = (state + 2 * (n_events - operator.length_hint(picks)) * _GAMMA) & _MASK
+        state = (state + 2 * walked * _GAMMA) & _MASK
     return elapsed, i, state
 
 

@@ -14,11 +14,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 CONSERVATION_TOL = 1e-9
-
-
-class UndefinedResidualError(ArithmeticError):
-    """Residual fraction is undefined when no non-real-time call is present."""
 
 
 class InvariantViolation(AssertionError):
@@ -89,100 +87,131 @@ class CellLoadState:
     def occupied(self) -> float:
         return sum(n * b for n, b in zip(self.counts, self.allocs))
 
-    def n_nrt(self) -> float:
-        return sum(n for n, c in zip(self.counts, self.classes) if c.kind == "nrt")
-
     def copy(self) -> "CellLoadState":
         return CellLoadState(self.capacity, self.classes,
                              list(self.counts), list(self.allocs))
 
-    def check_invariants(self) -> None:
-        if self.occupied > self.capacity + CONSERVATION_TOL:
-            raise InvariantViolation(
-                f"occupied {self.occupied} exceeds capacity {self.capacity}")
-        for n, b, c in zip(self.counts, self.allocs, self.classes):
-            if n == 0:
-                continue
-            if c.kind == "rt" and not math.isclose(b, c.requested_bw):
-                raise InvariantViolation("real-time call not at full allocation")
-            if b > c.requested_bw + CONSERVATION_TOL or b < c.floor_hand - CONSERVATION_TOL:
-                raise InvariantViolation(
-                    f"class {c.index} allocation {b} outside "
-                    f"[{c.floor_hand}, {c.requested_bw}]")
+
+def rebalance_states(capacity: float, classes, counts, allocs) -> tuple[list[np.ndarray],
+                                                                         np.ndarray]:
+    """The canonical allocation of a batch of states of one cell, in one
+    pass: counts and allocs hold one vector over the states per class.
+    Returns the allocations, one vector per class, and the bandwidth
+    occupied in each state.
+
+    Real-time classes keep their full request.  With X = (C - real-time
+    load) / (non-real-time requested load), a state whose non-real-time
+    calls number less than 1 or request nothing keeps its allocations; if X
+    is at least 1 every present non-real-time class also gets its request;
+    otherwise allocations scale onto the handover-floor shares
+    proportionally.  When heterogeneous degradation limits would push a
+    class above its request, the class is capped and the slack
+    redistributed (water-filling, in rounds over per-state masks), keeping
+    the allocation continuous at X = 1.
+
+    Every sum runs over the classes in class order, one state per vector
+    element, so each state gets the float operations, in their order, of
+    the one-state case.  InvariantViolation names the first state that
+    breaks a rule: floors that do not fit, occupancy above the capacity, a
+    real-time call below its request, or an allocation outside
+    [handover floor, request].
+    """
+    counts = [np.asarray(n, dtype=float) for n in counts]
+    allocs = [np.array(b, dtype=float) for b in allocs]
+    cap = float(capacity)
+    zero = np.zeros(np.shape(counts[0]) if counts else 0)
+    nrt = [m for m, c in enumerate(classes) if c.kind == "nrt"]
+    req = [c.requested_bw for c in classes]
+    floor = [c.floor_hand for c in classes]
+    demand, n_nrt, rt_load = zero, zero, zero
+    for m, c in enumerate(classes):
+        if c.kind == "rt":
+            allocs[m][:] = req[m]
+            rt_load = rt_load + counts[m] * allocs[m]
+        else:
+            demand = demand + counts[m] * req[m]
+            n_nrt = n_nrt + counts[m]
+    defined = ~((n_nrt < 1) | (demand == 0))
+    present = {m: counts[m] > 0 for m in nrt}
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        budget = cap - rt_load
+        full = defined & (budget / demand >= 1.0)
+        fill = defined & ~full
+        for m in nrt:
+            allocs[m][full & present[m]] = req[m]
+        # water-filling: `active` are the uncapped classes of the states
+        # still `going`; a capped class holds its request
+        active = {m: fill & present[m] for m in nrt}
+        going = fill
+        for _ in range(len(nrt) + 1):
+            if not going.any():
+                break
+            weight = zero
+            for m in nrt:
+                weight = np.where(active[m], weight + counts[m] * floor[m], weight)
+            going = going & ~(weight <= 0)
+            factor = budget / weight
+            over = [going & active[m] & (factor * floor[m] > req[m]) for m in nrt]
+            settled = going & ~np.logical_or.reduce(over)
+            for m, capped in zip(nrt, over):
+                allocs[m] = np.where(settled & active[m], factor * floor[m], allocs[m])
+                allocs[m][capped] = req[m]
+                budget = np.where(capped, budget - counts[m] * req[m], budget)
+                active[m] = active[m] & ~capped
+            going = going & ~settled
+        short = zero != 0
+        for m in nrt:
+            short = short | (fill & present[m] & (allocs[m] < floor[m] - CONSERVATION_TOL))
+        occupied = zero
+        for n, b in zip(counts, allocs):
+            occupied = occupied + n * b
+        _check_states(capacity, classes, counts, allocs, occupied, short)
+    return allocs, occupied
 
 
-def residual_fraction(state: CellLoadState) -> float:
-    """X = (C - real-time load) / (non-real-time requested load)."""
-    demand = sum(
-        n * c.requested_bw
-        for n, c in zip(state.counts, state.classes) if c.kind == "nrt"
-    )
-    if state.n_nrt() < 1 or demand == 0:
-        raise UndefinedResidualError("no non-real-time calls in the system")
-    rt_load = sum(
-        n * b for n, b, c in zip(state.counts, state.allocs, state.classes)
-        if c.kind == "rt"
-    )
-    return (state.capacity - rt_load) / demand
+def _check_states(capacity, classes, counts, allocs, occupied, short) -> None:
+    """Raise InvariantViolation for the first state that breaks a rule, and
+    for its first broken rule, in the order the one-state case tests them:
+    the floors (the states in `short`), the capacity, then per class in
+    class order the real-time rule (math.isclose's: |b - beta| <= 1e-9 *
+    max(|b|, |beta|)) and the range [handover floor, request].  A class
+    with no calls in a state breaks no rule there."""
+    over_cap = occupied > float(capacity) + CONSERVATION_TOL
+    rules = []  # (mask, message of a state) in test order
+    for n, b, c in zip(counts, allocs, classes):
+        on = n != 0
+        if c.kind == "rt":
+            gap = np.abs(c.requested_bw - b)
+            close = (b == c.requested_bw) | (~np.isinf(b) & (
+                (gap <= abs(1e-9 * c.requested_bw)) | (gap <= np.abs(1e-9 * b))))
+            rules.append((on & ~close, lambda j: "real-time call not at full allocation"))
+        outside = on & ((b > c.requested_bw + CONSERVATION_TOL)
+                        | (b < c.floor_hand - CONSERVATION_TOL))
+        rules.append((outside, lambda j, b=b, c=c: (
+            f"class {c.index} allocation {float(b[j])} outside "
+            f"[{c.floor_hand}, {c.requested_bw}]")))
+    bad = short | over_cap
+    for mask, _ in rules:
+        bad = bad | mask
+    if not bad.any():
+        return
+    j = int(np.argmax(bad))
+    if short[j]:
+        raise InvariantViolation("demand exceeds capacity even at handover floors")
+    if over_cap[j]:
+        raise InvariantViolation(
+            f"occupied {float(occupied[j])} exceeds capacity {capacity}")
+    raise InvariantViolation(next(message(j) for mask, message in rules if mask[j]))
 
 
 def rebalance(state: CellLoadState) -> CellLoadState:
-    """Canonical allocation for the current call mix.
-
-    Real-time classes keep their full request.  If the residual fraction X
-    is at least 1 every non-real-time class also gets its request; otherwise
-    allocations scale onto the handover-floor shares proportionally.  When
-    heterogeneous degradation limits would push a class above its request,
-    the class is capped and the slack redistributed (water-filling), keeping
-    the allocation continuous at X = 1.
-    """
-    out = state.copy()
-    for m, c in enumerate(out.classes):
-        if c.kind == "rt":
-            out.allocs[m] = c.requested_bw
-
-    try:
-        x = residual_fraction(out)
-    except UndefinedResidualError:
-        out.check_invariants()
-        return out
-
-    nrt = [m for m, c in enumerate(out.classes)
-           if c.kind == "nrt" and out.counts[m] > 0]
-    if x >= 1.0:
-        for m in nrt:
-            out.allocs[m] = out.classes[m].requested_bw
-        out.check_invariants()
-        return out
-
-    rt_load = sum(out.counts[m] * out.allocs[m]
-                  for m, c in enumerate(out.classes) if c.kind == "rt")
-    budget = out.capacity - rt_load
-    active = list(nrt)
-    capped: dict[int, float] = {}
-    for _ in range(len(nrt) + 1):
-        weight = sum(out.counts[m] * out.classes[m].floor_hand for m in active)
-        if weight <= 0:
-            break
-        factor = budget / weight
-        over = [m for m in active
-                if factor * out.classes[m].floor_hand > out.classes[m].requested_bw]
-        if not over:
-            for m in active:
-                out.allocs[m] = factor * out.classes[m].floor_hand
-            break
-        for m in over:
-            capped[m] = out.classes[m].requested_bw
-            budget -= out.counts[m] * out.classes[m].requested_bw
-            active.remove(m)
-    for m, b in capped.items():
-        out.allocs[m] = b
-
-    if any(out.allocs[m] < out.classes[m].floor_hand - CONSERVATION_TOL for m in nrt):
-        raise InvariantViolation(
-            "demand exceeds capacity even at handover floors")
-    out.check_invariants()
-    return out
+    """Canonical allocation for the current call mix: the one-state case of
+    rebalance_states, so one state gets the float operations, class by
+    class in class order, that each state of a batch gets."""
+    allocs, _ = rebalance_states(state.capacity, state.classes,
+                                 [[n] for n in state.counts], [[b] for b in state.allocs])
+    return CellLoadState(state.capacity, state.classes, list(state.counts),
+                         [float(b[0]) for b in allocs])
 
 
 def releasable(state: CellLoadState, kind: str) -> float:

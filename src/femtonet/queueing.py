@@ -28,7 +28,7 @@ import numpy as np
 
 from . import _despy
 from ._checks import whole_counts
-from .admission import CellLoadState, TrafficClass, rebalance
+from .admission import TrafficClass, rebalance_states
 
 FIXED_POINT_TOL = 1e-8
 FIXED_POINT_DAMPING = 0.5
@@ -603,23 +603,23 @@ def state_release_rates(classes, capacity: float, eta: float,
     Up to N every class holds its request, so mu_i = eta + 1/T(full).  Above
     N the expected class mix a_m * i is rebalanced; degraded non-real-time
     calls stretch in proportion to the bandwidth they lost, which lowers the
-    release rate with the state.
+    release rate with the state.  One rebalance_states pass covers the S
+    states, and the mean duration sums over the classes in class order, so
+    each state gets the float operations of rebalancing it alone.
     """
     t_full = mean_duration_at_full(classes)
     mu1 = eta + 1.0 / t_full
     rates = np.full(n + s, mu1)
-    occupied = []
-    for i in range(n + 1, n + s + 1):
-        mix = CellLoadState(capacity, tuple(classes),
-                            counts=[c.arrival_share * i for c in classes])
-        balanced = rebalance(mix)
-        occupied.append(balanced.occupied)
-        t = 0.0
-        for c, b in zip(classes, balanced.allocs):
-            stretch = 1.0 if c.kind == "rt" else c.requested_bw / b
-            t += c.arrival_share * c.duration_s * stretch
-        rates[i - 1] = eta + 1.0 / t
-    return rates, occupied
+    states = np.arange(n + 1, n + s + 1, dtype=float)
+    allocs, occupied = rebalance_states(
+        capacity, classes, [c.arrival_share * states for c in classes],
+        [np.full(s, c.requested_bw) for c in classes])
+    t = np.zeros(s)
+    for c, b in zip(classes, allocs):
+        stretch = 1.0 if c.kind == "rt" else c.requested_bw / b
+        t += c.arrival_share * c.duration_s * stretch
+    rates[n:] = eta + 1.0 / t
+    return rates, occupied.tolist()
 
 
 @dataclass(frozen=True)

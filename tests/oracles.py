@@ -417,17 +417,113 @@ def chain_dimensions(classes, capacity: float) -> tuple[int, int, int]:
     return n, s, ell
 
 
-def state_release_rates(classes, capacity: float, eta: float,
-                        n: int, s: int) -> tuple[np.ndarray, list[float]]:
+class UndefinedResidualError(ArithmeticError):
+    """Residual fraction is undefined when no non-real-time call is present."""
+
+
+def _n_nrt(state) -> float:
+    return sum(n for n, c in zip(state.counts, state.classes) if c.kind == "nrt")
+
+
+def check_invariants(state) -> None:
+    """The one-state invariant checks, one state and one rule at a time."""
+    from femtonet.admission import CONSERVATION_TOL, InvariantViolation
+
+    if state.occupied > state.capacity + CONSERVATION_TOL:
+        raise InvariantViolation(
+            f"occupied {state.occupied} exceeds capacity {state.capacity}")
+    for n, b, c in zip(state.counts, state.allocs, state.classes):
+        if n == 0:
+            continue
+        if c.kind == "rt" and not math.isclose(b, c.requested_bw):
+            raise InvariantViolation("real-time call not at full allocation")
+        if b > c.requested_bw + CONSERVATION_TOL or b < c.floor_hand - CONSERVATION_TOL:
+            raise InvariantViolation(
+                f"class {c.index} allocation {b} outside "
+                f"[{c.floor_hand}, {c.requested_bw}]")
+
+
+def residual_fraction(state) -> float:
+    """X = (C - real-time load) / (non-real-time requested load)."""
+    demand = sum(
+        n * c.requested_bw
+        for n, c in zip(state.counts, state.classes) if c.kind == "nrt"
+    )
+    if _n_nrt(state) < 1 or demand == 0:
+        raise UndefinedResidualError("no non-real-time calls in the system")
+    rt_load = sum(
+        n * b for n, b, c in zip(state.counts, state.allocs, state.classes)
+        if c.kind == "rt"
+    )
+    return (state.capacity - rt_load) / demand
+
+
+def scalar_rebalance(state):
+    """One state's canonical allocation, water-filled in plain Python, one
+    class at a time: the per-state routine that admission.rebalance_states
+    batches."""
+    from femtonet.admission import CONSERVATION_TOL, InvariantViolation
+
+    out = state.copy()
+    for m, c in enumerate(out.classes):
+        if c.kind == "rt":
+            out.allocs[m] = c.requested_bw
+
+    try:
+        x = residual_fraction(out)
+    except UndefinedResidualError:
+        check_invariants(out)
+        return out
+
+    nrt = [m for m, c in enumerate(out.classes)
+           if c.kind == "nrt" and out.counts[m] > 0]
+    if x >= 1.0:
+        for m in nrt:
+            out.allocs[m] = out.classes[m].requested_bw
+        check_invariants(out)
+        return out
+
+    rt_load = sum(out.counts[m] * out.allocs[m]
+                  for m, c in enumerate(out.classes) if c.kind == "rt")
+    budget = out.capacity - rt_load
+    active = list(nrt)
+    capped: dict[int, float] = {}
+    for _ in range(len(nrt) + 1):
+        weight = sum(out.counts[m] * out.classes[m].floor_hand for m in active)
+        if weight <= 0:
+            break
+        factor = budget / weight
+        over = [m for m in active
+                if factor * out.classes[m].floor_hand > out.classes[m].requested_bw]
+        if not over:
+            for m in active:
+                out.allocs[m] = factor * out.classes[m].floor_hand
+            break
+        for m in over:
+            capped[m] = out.classes[m].requested_bw
+            budget -= out.counts[m] * out.classes[m].requested_bw
+            active.remove(m)
+    for m, b in capped.items():
+        out.allocs[m] = b
+
+    if any(out.allocs[m] < out.classes[m].floor_hand - CONSERVATION_TOL for m in nrt):
+        raise InvariantViolation(
+            "demand exceeds capacity even at handover floors")
+    check_invariants(out)
+    return out
+
+
+def scalar_release_rates(classes, capacity: float, eta: float,
+                         n: int, s: int) -> tuple[np.ndarray, list[float]]:
     """Per-call channel release rate mu_i for states 1..N+S, and the
-    bandwidth occupied in each state N+1..N+S.
+    bandwidth occupied in each state N+1..N+S, one state at a time.
 
     Up to N every class holds its request, so mu_i = eta + 1/T(full).  Above
-    N the expected class mix a_m * i is rebalanced; degraded non-real-time
-    calls stretch in proportion to the bandwidth they lost, which lowers the
-    release rate with the state.
+    N the expected class mix a_m * i is rebalanced with scalar_rebalance;
+    degraded non-real-time calls stretch in proportion to the bandwidth they
+    lost, which lowers the release rate with the state.
     """
-    from femtonet.admission import CellLoadState, rebalance
+    from femtonet.admission import CellLoadState
     from femtonet.queueing import mean_duration_at_full
 
     t_full = mean_duration_at_full(classes)
@@ -437,7 +533,7 @@ def state_release_rates(classes, capacity: float, eta: float,
     for i in range(n + 1, n + s + 1):
         mix = CellLoadState(capacity, tuple(classes),
                             counts=[c.arrival_share * i for c in classes])
-        balanced = rebalance(mix)
+        balanced = scalar_rebalance(mix)
         occupied.append(balanced.occupied)
         t = 0.0
         for c, b in zip(classes, balanced.allocs):
@@ -472,7 +568,7 @@ def ch6_cell(params, scheme: str = "proposed"):
     guard = params.guard_channels if scheme == "guard" else 0
     if not 0 <= guard <= n:
         raise ValueError("guard channels outside [0, N]")
-    mu_rates, occupied = state_release_rates(classes, params.capacity, params.eta, n, s)
+    mu_rates, occupied = scalar_release_rates(classes, params.capacity, params.eta, n, s)
     srv = tuple(i * mu_rates[i - 1] if i else 0.0 for i in range(n + s + 1))
     mean_req = sum(c.arrival_share * c.requested_bw for c in classes)
     occupancy = [min(i * mean_req, params.capacity) for i in range(n + 1)] + occupied
@@ -491,7 +587,7 @@ def spec_for_ch6(params, lam_hand, scheme="proposed"):
 
     classes = _scheme_classes(params.classes, scheme)
     n, s, ell = chain_dimensions(classes, params.capacity)
-    mu_rates, _ = state_release_rates(classes, params.capacity, params.eta, n, s)
+    mu_rates, _ = scalar_release_rates(classes, params.capacity, params.eta, n, s)
     if scheme in ("hard-qos", "guard"):
         guard = params.guard_channels if scheme == "guard" else 0
         srv = tuple(i * mu_rates[0] for i in range(n + 1))
@@ -560,7 +656,7 @@ def ch6_chain(params, lam_hand: float,
     guard = params.guard_channels if scheme == "guard" else 0
     if not 0 <= guard <= n:
         raise ValueError("guard channels outside [0, N]")
-    mu_rates, occupied = state_release_rates(classes, params.capacity, params.eta, n, s)
+    mu_rates, occupied = scalar_release_rates(classes, params.capacity, params.eta, n, s)
     srv = tuple(i * mu_rates[i - 1] if i else 0.0 for i in range(n + s + 1))
     chain = LossChainSpec((params.lam_new, lam_hand), (n + ell - guard, n + s), srv,
                           new_streams=(0,), hand_stream=1)
@@ -626,7 +722,7 @@ def ch6_probs(params, lam_h, scheme="proposed"):
 
     classes = _scheme_classes(params.classes, scheme)
     n, s, ell = chain_dimensions(classes, params.capacity)
-    mu_rates, _ = state_release_rates(classes, params.capacity, params.eta, n, s)
+    mu_rates, _ = scalar_release_rates(classes, params.capacity, params.eta, n, s)
     lam_n = params.lam_new
     if scheme == "guard":
         probs = hard_qos_probs(lam_n, lam_h, mu_rates[0], n, params.guard_channels)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import _scheme_classes
+from oracles import _scheme_classes, check_invariants, scalar_rebalance, scalar_release_rates
 
 from femtonet.admission import (
     CellLoadState,
@@ -12,7 +12,6 @@ from femtonet.admission import (
     InvariantViolation,
     SnirThresholds,
     TrafficClass,
-    UndefinedResidualError,
     admit_ch6,
     admit_from_femto,
     admit_macro_to_femto,
@@ -20,9 +19,9 @@ from femtonet.admission import (
     rebalance,
     releasable,
     required_bw,
-    residual_fraction,
 )
 from femtonet.presets import table61_classes
+from femtonet import queueing
 from femtonet.queueing import CH6_SCHEMES, ch6_cells
 from femtonet.scenario import scenario_from_preset
 
@@ -71,18 +70,6 @@ def test_traffic_class_names_a_bad_request_or_duration(field, value):
 # residual fraction / rebalance
 
 
-def test_residual_fraction_requires_nrt():
-    state = make_state(100.0, [VOICE], counts=[2])
-    with pytest.raises(UndefinedResidualError):
-        residual_fraction(state)
-
-
-def test_residual_fraction_arithmetic():
-    cls56 = TrafficClass(2, "nrt", 56.0, degrade_new=0.3, degrade_hand=0.6)
-    state = make_state(100.0, [VOICE, cls56], counts=[1, 1])
-    assert residual_fraction(state) == pytest.approx(75.0 / 56.0)
-
-
 def test_rebalance_full_when_x_ge_1():
     cls56 = TrafficClass(2, "nrt", 56.0, degrade_new=0.3, degrade_hand=0.6)
     state = make_state(100.0, [VOICE, cls56], counts=[1, 1])
@@ -102,11 +89,10 @@ def test_rebalance_proportional_rule_closed_form():
     # beta = (C - RT) / (N * (1-gh) * br) * (1-gh) * br = (C - RT) / N
     cls = TrafficClass(2, "nrt", 50.0, degrade_new=0.2, degrade_hand=0.6)
     state = make_state(125.0, [VOICE, cls], counts=[1, 4])  # X = 100/200 = 0.5
-    assert residual_fraction(state) == pytest.approx(0.5)
     out = rebalance(state)
     assert out.allocs[1] == pytest.approx(100.0 / 4.0)
     assert out.occupied == pytest.approx(125.0)
-    out.check_invariants()
+    check_invariants(out)
 
 
 def test_rebalance_all_rt_unchanged():
@@ -132,6 +118,152 @@ def test_rebalance_waterfills_heterogeneous_caps():
     assert out.allocs[0] <= 100.0 + 1e-9
     assert out.allocs[1] >= 10.0 - 1e-9
     assert out.occupied <= 150.0 + 1e-9
+
+
+def _hex(values) -> list[str]:
+    return [float(v).hex() for v in values]
+
+
+def _rebalance_outcome(rebalance_fn, state):
+    """The allocations and occupancy of a rebalanced state, as hex, or the
+    text of its InvariantViolation."""
+    try:
+        out = rebalance_fn(state)
+    except InvariantViolation as err:
+        return "error", str(err)
+    return _hex(out.allocs), float(out.occupied).hex()
+
+
+def _release_rates_outcome(rates_fn, classes, capacity, n, s):
+    try:
+        rates, occupied = rates_fn(classes, capacity, 1 / 240.0, n, s)
+    except InvariantViolation as err:
+        return "error", str(err)
+    return _hex(rates), _hex(occupied)
+
+
+SOFT = TrafficClass(2, "nrt", 100.0, degrade_new=0.0, degrade_hand=0.1)
+HARD = TrafficClass(3, "nrt", 100.0, degrade_new=0.5, degrade_hand=0.9)
+TIGHT = TrafficClass(2, "nrt", 50.0, degrade_new=0.2, degrade_hand=0.4)
+
+
+# hand-built states, each (capacity, classes, counts, allocs): X >= 1, X
+# exactly 1, the proportional rule, a capped class, floors that do not fit,
+# a class with no calls keeping its degraded allocation, real-time calls
+# over an integer capacity, an empty cell, a fractional count below one
+# call outside its range, and the Table 5.1 macrocell
+HAND_BUILT_STATES = [
+    (100.0, (VOICE, TrafficClass(2, "nrt", 56.0, 0.3, 0.6)), [1, 1], None),
+    (125.0, (VOICE, TrafficClass(2, "nrt", 50.0, 0.2, 0.6)), [1, 2], None),
+    (125.0, (VOICE, TrafficClass(2, "nrt", 50.0, 0.2, 0.6)), [1, 4], None),
+    (150.0, (SOFT, HARD), [1, 1], None),
+    (700.0, (VOICE, SOFT, SOFT, HARD, BACKGROUND), [3, 2, 1, 4, 5], None),
+    (100.0, (VOICE, TIGHT), [2, 3], [25.0, 50.0]),
+    (500.0, (VOICE, TIGHT, VIDEO), [1, 0, 3], [25.0, 31.0, 60.0]),
+    (100, (VOICE,), [5], None),
+    (300.0, (VOICE, VIDEO, BACKGROUND), [0, 0, 0], None),
+    (1000.0, (BACKGROUND,), [0.5], [100.0]),
+    (6000.0, (TrafficClass(1, "rt", 64.0), TrafficClass(2, "nrt", 56.0, 0.0, 0.5)),
+     [93, 1], None),
+    (6000.0, (TrafficClass(1, "rt", 64.0), TrafficClass(2, "nrt", 56.0, 0.0, 0.5)),
+     [0, 107], [64.0, 28.0]),
+]
+
+
+@pytest.mark.parametrize("capacity, classes, counts, allocs", HAND_BUILT_STATES)
+def test_rebalance_of_one_state_matches_the_scalar_oracle(capacity, classes, counts, allocs):
+    state = CellLoadState(capacity, classes, counts=list(counts),
+                          allocs=list(allocs) if allocs else [])
+    got = _rebalance_outcome(rebalance, state)
+    assert got == _rebalance_outcome(scalar_rebalance, state)
+    assert state.counts == list(counts)  # the input is not changed
+
+
+def test_hand_built_states_reach_every_outcome():
+    """The hand-built states above cover each rule and each way out."""
+    outcomes = [_rebalance_outcome(scalar_rebalance, CellLoadState(
+        capacity, classes, counts=list(counts), allocs=list(allocs) if allocs else []))
+        for capacity, classes, counts, allocs in HAND_BUILT_STATES]
+    errors = [text for kind, text in outcomes if kind == "error"]
+    assert errors == ["demand exceeds capacity even at handover floors",
+                      "occupied 125.0 exceeds capacity 100",
+                      "class 7 allocation 100.0 outside [11.199999999999998, 56.0]"]
+    capped = outcomes[3][0]  # the soft class holds its request, the hard one degrades
+    assert capped[0] == (100.0).hex() and float.fromhex(capped[1]) < 100.0
+
+
+@st.composite
+def _class_mixes(draw):
+    """1 to 10 classes, real-time and not, over a capacity between 0.3 and
+    1.6 times the mean request of the first n + 1 states; a class's share
+    can be small enough that the low states hold less than one
+    non-real-time call."""
+    k = draw(st.integers(1, 10))
+    weights = draw(st.lists(st.sampled_from((0.001, 0.1, 1.0)) | st.floats(0.001, 1.0),
+                            min_size=k, max_size=k))
+    classes = []
+    for m, weight in enumerate(weights):
+        kind = draw(st.sampled_from(("rt", "nrt")))
+        hand = 0.0 if kind == "rt" else draw(st.sampled_from((0.0, 0.1, 0.6, 0.8))
+                                              | st.floats(0.0, 0.95))
+        classes.append(TrafficClass(
+            m + 1, kind, draw(st.sampled_from((25.0, 56.0, 128.0)) | st.floats(1.0, 300.0)),
+            degrade_new=draw(st.floats(0.0, 1.0)) * hand, degrade_hand=hand,
+            arrival_share=weight / sum(weights), duration_s=draw(st.floats(10.0, 600.0))))
+    n = draw(st.integers(0, 120))
+    mean = sum(c.arrival_share * c.requested_bw for c in classes)
+    capacity = mean * (n + 1) * draw(st.floats(0.3, 1.6))
+    return tuple(classes), capacity, n, draw(st.integers(1, 60))
+
+
+@given(_class_mixes())
+@settings(max_examples=250, deadline=None)
+def test_batched_release_rates_match_the_scalar_oracle(mix):
+    """Every state's rate and occupancy hex for hex, or the same
+    InvariantViolation text: the batch sums over the classes in class
+    order, so a 9- or 10-class mix catches a pairwise numpy sum."""
+    assert (_release_rates_outcome(queueing.state_release_rates, *mix)
+            == _release_rates_outcome(scalar_release_rates, *mix))
+
+
+def _share_classes(*specs):
+    """Classes from (kind, request, gamma_h, share) tuples."""
+    return tuple(TrafficClass(m + 1, kind, req, degrade_new=hand / 2, degrade_hand=hand,
+                              arrival_share=share, duration_s=60.0 * (m + 1))
+                 for m, (kind, req, hand, share) in enumerate(specs))
+
+
+# (classes, capacity, n, s): all real-time, fitting and not; under one
+# non-real-time call in the low states; X >= 1 throughout; one and three
+# capped classes; floors that do not fit; a 10-class mix
+RELEASE_RATE_MIXES = [
+    (_share_classes(("rt", 25.0, 0.0, 0.6), ("rt", 64.0, 0.0, 0.4)), 2000.0, 20, 10),
+    (_share_classes(("rt", 25.0, 0.0, 0.6), ("rt", 64.0, 0.0, 0.4)), 1000.0, 20, 10),
+    (_share_classes(("rt", 25.0, 0.0, 0.99), ("nrt", 56.0, 0.5, 0.01)), 10_000.0, 0, 150),
+    (_share_classes(("rt", 25.0, 0.0, 0.5), ("nrt", 56.0, 0.5, 0.5)), 1e6, 50, 40),
+    (_share_classes(("nrt", 100.0, 0.1, 0.5), ("nrt", 100.0, 0.9, 0.5)), 150.0, 1, 2),
+    (_share_classes(("nrt", 100.0, 0.05, 0.2), ("nrt", 80.0, 0.1, 0.2),
+                    ("nrt", 60.0, 0.15, 0.2), ("nrt", 100.0, 0.9, 0.2),
+                    ("rt", 25.0, 0.0, 0.2)), 4000.0, 40, 30),
+    (_share_classes(("rt", 25.0, 0.0, 0.5), ("nrt", 50.0, 0.4, 0.5)), 1000.0, 26, 30),
+    (_share_classes(*(("nrt", 20.0 + 13.0 * m, 0.07 * m, 0.1) if m % 3
+                      else ("rt", 20.0 + 13.0 * m, 0.0, 0.1) for m in range(10))),
+     10_000.0, 80, 60),
+]
+
+
+@pytest.mark.parametrize("classes, capacity, n, s", RELEASE_RATE_MIXES)
+def test_batched_release_rates_match_the_oracle_on_listed_mixes(classes, capacity, n, s):
+    assert (_release_rates_outcome(queueing.state_release_rates, classes, capacity, n, s)
+            == _release_rates_outcome(scalar_release_rates, classes, capacity, n, s))
+
+
+def test_listed_mixes_reach_both_errors():
+    errors = [outcome[1] for outcome in (
+        _release_rates_outcome(scalar_release_rates, *mix) for mix in RELEASE_RATE_MIXES)
+        if outcome[0] == "error"]
+    assert errors == ["occupied 1015.0 exceeds capacity 1000.0",
+                      "demand exceeds capacity even at handover floors"]
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +309,7 @@ def test_admit_handover_via_release_fixture():
     d = admit_ch6(state, 1, "handover")
     assert d.outcome == "accept"
     assert d.degradations and d.degradations[0][0] == 7
-    d.state.check_invariants()
+    check_invariants(d.state)
 
 
 def test_admit_new_vs_handover_asymmetry():
@@ -272,7 +404,7 @@ def test_conservation_after_accept_sequences():
         if d.outcome == "accept":
             state = d.state
             assert state.occupied <= state.capacity + 1e-9
-            state.check_invariants()
+            check_invariants(state)
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +519,7 @@ def test_admit_keeps_invariants(n1, n4, n7):
             d = admit_ch6(state, cls.index, "handover")
             if d.outcome == "accept":
                 state = d.state
-    state.check_invariants()
+    check_invariants(state)
 
 
 # Per scheme at the Table 6.1 cell: the chain's new_limit and N + S, and

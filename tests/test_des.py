@@ -119,26 +119,26 @@ def _replication_plan(args):
     return [seed, seed ^ 1, 2**64 - 1 - seed], [0, 3, 40], [count, count + 1, 2]
 
 
-def _replications_outcome(kernel, args):
-    """run_replications of the chain of args on _replication_plan: the
-    ValueError it raised, or its result with every float spelt out bit for
-    bit."""
+def _replications_outcome(kernel, args, plan=None):
+    """run_replications of the chain of args on plan (by default
+    _replication_plan): the ValueError it raised, or its result with every
+    float spelt out bit for bit."""
     rates, limits, srv, _, min_state = args[2:]
     try:
         seen, rejected, tis, elapsed = kernel.run_replications(
-            *_replication_plan(args), rates, limits, srv, min_state)
+            *(plan or _replication_plan(args)), rates, limits, srv, min_state)
     except ValueError as exc:
         return ("ValueError", str(exc))
     return seen.tolist(), rejected.tolist(), [t.hex() for t in tis.tolist()], elapsed.hex()
 
 
-def _chained_replications(args):
+def _chained_replications(args, plan=None):
     """_replications_outcome's result from run_loss_chain calls: each
     replication's warm-up from min_state, then its counted run resumed from
     the warm-up's chain and RNG state."""
     rates, limits, srv, _, min_state = args[2:]
     seen, rejected, tis_tot, elapsed_tot = [], [], np.zeros(len(srv)), 0.0
-    for seed, warm, calls in zip(*_replication_plan(args)):
+    for seed, warm, calls in zip(*(plan or _replication_plan(args))):
         *_, chain, rng = PURE_PYTHON.run_loss_chain(seed, warm, rates, limits, srv,
                                                min_state, min_state)
         rep_seen, rep_rejected, tis, elapsed, *_ = PURE_PYTHON.run_loss_chain(
@@ -283,6 +283,36 @@ def test_block_draws_match_scalar_loop(args):
         assert out == ref
         assert _bits(out) == _bits(ref)
         *_, chain, rng = out
+
+
+# run_replications plans, (seeds, warm-ups, counted calls), on chains
+# (rates, limits, srv), whose warm-ups end at or cross a draw block's end.
+# A block holds ONE_BLOCK events, so in the one-state chain, where every
+# event is an arrival, a warm-up of ONE_BLOCK arrivals ends on the last
+# event of the first block, and half a block of warm-up and half of counted
+# calls share it; from seed 1 the 12494th arrival of the four-state chain
+# is the last event of its first block.  ONE_BLOCK arrivals of the
+# three-state chain take two blocks, and ONE_BLOCK // 2 arrivals of its
+# departure-heavy twin four.
+WARM_UP_PLANS = [
+    (([5, 6], [ONE_BLOCK, 3], [40, 7]), ([1.0], [0], [0.0])),
+    (([5], [ONE_BLOCK // 2], [ONE_BLOCK // 2]), ([1.0], [0], [0.0])),
+    (([1, 2], [12_494, 40], [300, 2]), ([1.5, 0.4], [2, 3], [0.0, 0.3, 0.6, 0.9])),
+    (([7], [ONE_BLOCK], [300]), ([1.0], [2], [0.0, 1.0, 2.0])),
+    (([7, 8], [ONE_BLOCK // 2, 0], [300, 50]), ([1.0], [2], [2.0, 3.0, 6.0])),
+]
+
+
+@pytest.mark.parametrize("plan, chain", WARM_UP_PLANS)
+def test_warm_ups_across_block_ends_match_chained_runs(compiled, plan, chain):
+    """Each replication's warm-up counts the events it walks, which set
+    where its counted run starts and how far the RNG state advances: hex
+    for hex, the walk equals a warm-up run_loss_chain resumed by a counted
+    one, on both kernels."""
+    args = (None, None, *chain, 0, 0)
+    want = _chained_replications(args, plan)
+    assert _replications_outcome(PURE_PYTHON, args, plan) == want
+    assert _replications_outcome(compiled, args, plan) == want
 
 
 def test_block_buffer_is_bounded():

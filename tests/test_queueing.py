@@ -487,7 +487,8 @@ def test_ch6_cell_arrays_are_read_only_and_not_shared():
 
 
 def test_fig6_cac_builds_one_cell_per_scheme(monkeypatch):
-    counts = {"rebalance": 0, "state_release_rates": 0}
+    counts = {"state_release_rates": 0}
+    batches = []  # the state count of each rebalance_states call
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -495,13 +496,19 @@ def test_fig6_cac_builds_one_cell_per_scheme(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(queueing, "rebalance", counted("rebalance", admission.rebalance))
+    def batch(capacity, classes, class_counts, allocs):
+        batches.append(len(class_counts[0]))
+        return admission.rebalance_states(capacity, classes, class_counts, allocs)
+
+    monkeypatch.setattr(queueing, "rebalance_states", batch)
     monkeypatch.setattr(queueing, "state_release_rates",
                         counted("state_release_rates", queueing.state_release_rates))
     experiments.run_experiment("fig6-cac")
     # one pass over the S = 54 adaptive states of proposed, non-prioritized
-    # and aqos serves hard-qos and guard (S = 0) too
-    assert counts == {"rebalance": 54, "state_release_rates": 1}
+    # and aqos serves hard-qos and guard (S = 0) too, and rebalances all 54
+    # in one batch
+    assert counts == {"state_release_rates": 1}
+    assert batches == [54]
 
 
 def _count_product_form_passes(monkeypatch, name):
