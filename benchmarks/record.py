@@ -11,9 +11,9 @@ context.  It adds, as context:
 
 - the median of 3 wall times of each of the seven default `femtonet run`
   calls;
-- the Tier-1 wall time on each DES kernel: the pure-Python one, and the
-  compiled one built by `setup.py build_ext` into a temp copy of the
-  package, as tests/test_des.py builds it;
+- the Tier-1 wall time and summary line, under the key "pure-python", the
+  DES kernel's name, so that records from before and after the compiled
+  kernel was dropped compare;
 - the median of 3 wall times of a bare interpreter start and of
   `import numpy`;
 - whether femtonet's bytecode was cached.  With bytecode writing off
@@ -37,7 +37,6 @@ import datetime
 import importlib.util
 import json
 import os
-import shutil
 import statistics
 import subprocess
 import sys
@@ -84,8 +83,8 @@ def median_of(cmd: list[str], env: dict | None = None, cwd: str = ROOT) -> dict:
     return {"median": statistics.median(runs), "runs": runs}
 
 
-def src_env(path: str = SRC) -> dict:
-    return dict(os.environ, PYTHONPATH=path)
+def src_env() -> dict:
+    return dict(os.environ, PYTHONPATH=SRC)
 
 
 def perfbench() -> dict:
@@ -133,33 +132,12 @@ def femtonet_runs() -> dict:
     return out
 
 
-def compiled_package(tmp: str) -> str:
-    """A copy of the package with the compiled kernel built beside it by
-    setup.py, in `tmp`; the path to put on sys.path."""
-    shutil.copytree(os.path.join(SRC, "femtonet"), os.path.join(tmp, "femtonet"),
-                    ignore=shutil.ignore_patterns("__pycache__", "*.so"))
-    wall([sys.executable, "setup.py", "-q", "build_ext", "--build-lib", tmp,
-          "--build-temp", os.path.join(tmp, "build")])
-    return tmp
-
-
 def tier1() -> dict:
-    """The Tier-1 wall time and summary line on each DES kernel."""
-    out = {}
-    with tempfile.TemporaryDirectory() as tmp:
-        for kernel, path in (("pure-python", SRC), ("compiled", None)):
-            path = path or compiled_package(tmp)
-            env = src_env(path)
-            _, backend = wall([sys.executable, "-c",
-                               "import femtonet.des as d; print(d.BACKEND)"], env)
-            if backend.strip() != kernel:
-                raise RuntimeError(f"expected the {kernel} kernel, got {backend.strip()}")
-            # a failing test still gives a wall time; the summary line says
-            seconds, text = wall([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-                                  "--continue-on-collection-errors", "-o", f"pythonpath={path}"],
-                                 env, check=False)
-            out[kernel] = {"wall_s": seconds, "summary": text.strip().splitlines()[-1]}
-    return out
+    """The Tier-1 wall time and summary line."""
+    # a failing test still gives a wall time; the summary line says
+    seconds, text = wall([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                          "--continue-on-collection-errors"], src_env(), check=False)
+    return {"pure-python": {"wall_s": seconds, "summary": text.strip().splitlines()[-1]}}
 
 
 def bytecode() -> dict:

@@ -1,12 +1,11 @@
-"""Pure-Python discrete-event kernel for birth-death loss chains.
+"""The discrete-event kernel for birth-death loss chains.
 
-The twin of the compiled loop in _lossloop.c: both draw the same splitmix64
-stream (Steele, Lea & Flood, OOPSLA 2014) and take the same decisions from
-the same float operations in the same order, so both backends return
-bit-identical results and the compiled kernel is a drop-in speedup.  This
-twin draws the stream ahead in numpy blocks.  Every event consumes exactly
-two outputs, whatever the chain state, so the k-th output after `state` is
-a pure function of k: the splitmix64 mix of (state + k * GAMMA) mod 2**64.
+It draws the splitmix64 stream (Steele, Lea & Flood, OOPSLA 2014) ahead in
+numpy blocks.  Every event consumes exactly two outputs, whatever the chain
+state, so the k-th output after `state` is a pure function of k: the
+splitmix64 mix of (state + k * GAMMA) mod 2**64.  The stream, the float
+operations and their order pin every DesResult and every des-oracle digest
+of the benchmark bit for bit, so none of them may change.
 
 Each block then takes two passes.  The first, in Python, follows only the
 chain state: it records the state at each event, tests whether the event
@@ -15,21 +14,20 @@ disagree on the move.  It iterates the block's move draws from an
 array("d") copy of their bytes, which is cheaper to build than a list of
 them, and counts the events it walks (an array iterator has no length
 hint): that count places the counted events' draws in the block and sets
-how far the RNG state advances.  Its arrival test is `v < thr[i]`, where thr[i] is
-the least double t with t * rate_i not below the total arrival rate
-(arrival_threshold): float rounding is monotone, so it holds exactly when
-the C loop's `v * rate_i < lam_total` does.  The second pass, in numpy,
-computes the time steps, the clocks and the per-stream counts from the
-recorded path; it takes the block's logs in one call that runs libm's log,
-as the C loop does (_libm_log), not one Python call per event.
+how far the RNG state advances.  Its arrival test is `v < thr[i]`, where
+thr[i] is the least double t with t * rate_i not below the total arrival
+rate (arrival_threshold): float rounding is monotone, so it holds exactly
+when `v * rate_i < lam_total` does, the product that picks the stream.  The
+second pass, in numpy, computes the time steps, the clocks and the
+per-stream counts from the recorded path; it takes the block's logs in one
+call that runs libm's log (_libm_log), not one Python call per event.
 
-The one entry, run_walks, is this kernel's walker, as run_walks in
-_lossloop.c is the compiled one's.  It builds the chain's tables once and
-runs every walk it is given, each its uncounted warm-up and its counted run
-in one pass over its stream; warm-up events take pass 1 only, with no path
-and no clocks.  It checks nothing: des.Kernel, the one front over both
-walkers, checks the arguments with check_loss_chain and check_arrivals and
-adds the walks up.
+The one entry, run_walks, is the kernel's walker.  It builds the chain's
+tables once and runs every walk it is given, each its uncounted warm-up
+and its counted run in one pass over its stream; warm-up events take
+pass 1 only, with no path and no clocks.  It checks nothing:
+des.run_loss_chain and des.run_replications check the arguments with
+check_loss_chain and check_arrivals, and add the walks up.
 """
 
 from __future__ import annotations
@@ -51,15 +49,16 @@ _BLOCK_EVENTS = 16_384
 
 
 def check_loss_chain(stream_rates, stream_limits, srv_rates,
-                     start_state: int = 0, min_state: int = 0) -> None:
+                     start_state: int = 0, min_state: int = 0) -> float:
     """Reject a chain whose states or stream limits are not integers (numpy
-    integers included), whose stream limits do not fit the compiled kernel's
-    int64, that would index outside srv_rates, whose rates are
-    negative or not finite, or whose total arrival rate, or that total plus
-    a service rate (a state's event rate), is not finite: no draw would be
-    an arrival there.  The sum grows with the service rate, so the largest
-    one covers every state.  Returns the total arrival rate, summed in
-    stream order as both walkers sum it."""
+    integers included), whose stream limits do not fit in an int64 (the
+    walker compares states with them in _Tables.limit_of, an int64 array),
+    that would index outside srv_rates, whose rates are negative or not
+    finite, or whose total arrival rate, or that total plus a service rate
+    (a state's event rate), is not finite: no draw would be an arrival
+    there.  The sum grows with the service rate, so the largest one covers
+    every state.  Returns the total arrival rate, summed in stream order as
+    _Tables sums it."""
     if len(stream_limits) != len(stream_rates):
         raise ValueError("stream rate/limit length mismatch")
     _integer("min_state", min_state)
@@ -73,11 +72,11 @@ def check_loss_chain(stream_rates, stream_limits, srv_rates,
         raise ValueError(f"start_state must lie in [min_state, {n_states})")
     if stream_limits and max(stream_limits) >= n_states:
         raise ValueError(f"stream limits must be < {n_states} (len(srv_rates))")
-    if stream_limits and min(stream_limits) < -2**63:  # ctypes would wrap it
+    if stream_limits and min(stream_limits) < -2**63:  # below _Tables.limit_of's int64
         raise ValueError("stream limits must fit in 64 bits")
     check_rates((*stream_rates, *srv_rates))
     lam_total = 0.0
-    for r in stream_rates:  # summed as _Tables and the C loop sum them
+    for r in stream_rates:  # summed as _Tables sums it
         lam_total += float(r)
     if lam_total == math.inf:
         raise ValueError("the total arrival rate of the streams is not finite")
@@ -90,8 +89,9 @@ def check_loss_chain(stream_rates, stream_limits, srv_rates,
 
 def check_arrivals(target_arrivals) -> int:
     """The arrival count as an int.  ValueError unless it is an integer
-    (numpy integers included) that fits the compiled kernel's int64, so
-    both backends reject 2.5, 1e5 and 2**64 alike."""
+    (numpy integers included) that fits in an int64, the type of the
+    walker's seen and rejected counts, so 2.5, 1e5 and 2**64 are rejected
+    by name."""
     count = _integer("the arrival count", target_arrivals)
     if not -2**63 <= count < 2**63:
         raise ValueError(f"the arrival count {count} does not fit in 64 bits")
@@ -118,8 +118,9 @@ def _uniforms(state: int, n_events: int) -> np.ndarray:
     [0, 1): an event's first output sets its time step, its second picks
     its move.
 
-    numpy uint64 arithmetic wraps mod 2**64 like the C kernel's, and
-    (z >> 11) / 2**53 is exact in float64."""
+    numpy uint64 arithmetic wraps mod 2**64, as splitmix64 is defined, and
+    (z >> 11) / 2**53 is exact in float64, so every draw, and with it every
+    DesResult and des-oracle digest, is fixed by the seed."""
     z = np.arange(1, 2 * n_events + 1, dtype=np.uint64)
     z *= np.uint64(_GAMMA)
     z += np.uint64(state)
@@ -268,8 +269,9 @@ def _walk(c: _Tables, state: int, i: int, warm: int, remaining: int,
 
 
 def _libm_log(x: np.ndarray) -> np.ndarray:
-    """log(x) elementwise, bit for bit as libm's log (math.log, and the C
-    loop's log) gives it, in one numpy call.
+    """log(x) elementwise, bit for bit as libm's log (math.log) gives it,
+    in one numpy call.  The time steps are these logs, so a last-bit change
+    would move every DesResult and des-oracle digest.
 
     On float64 arrays np.log runs its own SIMD routine (AVX-512 on x86-64
     with numpy 2.4), which differs from libm's log in the last bit on about
@@ -286,17 +288,18 @@ def _libm_log(x: np.ndarray) -> np.ndarray:
 
 def _clocks(c: _Tables, u, path, elapsed: float, time_in_state, seen, rejected) -> float:
     """Pass 2: the time steps, clocks and counts of the events of `path`,
-    whose draws are u, in numpy, with the C loop's float operations in its
-    order.  Returns the clock after them.  The logs come from _libm_log, in
-    one call per block, and equal libm's log bit for bit, as the C loop's
-    do.  np.add.at and np.add.accumulate add in event order."""
+    whose draws are u, in numpy, with one event's float operations after
+    another's, as scalar code would order them.  Returns the clock after
+    them.  The logs come from _libm_log, in one call per block, and equal
+    libm's log bit for bit.  np.add.at and np.add.accumulate add in event
+    order, so every DesResult and des-oracle digest stays fixed."""
     used = len(path)
     at = np.fromiter(path, np.intp, used)
     rates = c.rate_of[at]
     steps = np.empty(used + 1)  # the clock so far, then each time step
     steps[0] = elapsed
     logs = _libm_log(1.0 - u[0::2])
-    with np.errstate(over="ignore"):  # a clock past the largest double is inf, as in C
+    with np.errstate(over="ignore"):  # a clock past the largest double is inf
         np.divide(np.negative(logs, out=logs), rates, out=steps[1:])
         np.add.at(time_in_state, at, steps[1:])
         clock = float(np.add.accumulate(steps)[-1])

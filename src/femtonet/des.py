@@ -1,24 +1,17 @@
 """Discrete-event simulation oracle for the analytic chains.
 
-Each DES kernel exports one walker, run_walks: the C function in
-_lossloop.c, called through ctypes when `python setup.py build_ext
---inplace` (or an install) has built it, or its pure-Python twin in _despy,
-which draws the identical random stream in numpy blocks and runs otherwise.
-A walker runs a list of walks, each from its own chain and RNG state, and
-checks nothing.  Kernel, the one front over either walker, checks the
-arguments and holds the two entries, run_loss_chain (one walk) and
-run_replications (one walk per replication, its clocks added up in
-replication order).  simulate_des makes one run_replications call per
-estimate.
+The kernel's walker, _despy.run_walks, runs a list of walks, each from its
+own chain and RNG state, and checks nothing.  The two entries here check
+the arguments and call it: run_loss_chain (one walk) and run_replications
+(one walk per replication, its clocks added up in replication order).
+simulate_des makes one run_replications call per estimate.
 """
 
 from __future__ import annotations
 
-import ctypes
-import importlib.util
 import math
-from collections.abc import Callable
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -39,106 +32,65 @@ def _walked(count: int, lam_total: float) -> int:
     return count if count > 0 and lam_total > 0.0 else 0
 
 
-@dataclass(frozen=True)
-class Kernel:
-    """The entries of one DES kernel over its walker, `walk`: _despy.run_walks
-    or the compiled run_walks that load_compiled binds.  Both kernels' input
-    checks, and the order in which run_replications adds the clocks, are
-    written here once."""
+def run_loss_chain(seed, target_arrivals, stream_rates, stream_limits, srv_rates,
+                   start_state=0, min_state=0):
+    """Simulate a loss chain until `target_arrivals` calls have arrived.
 
-    walk: Callable
-
-    def run_loss_chain(self, seed, target_arrivals, stream_rates, stream_limits,
-                       srv_rates, start_state=0, min_state=0):
-        """Simulate a loss chain until `target_arrivals` calls have arrived.
-
-        State i holds i calls and departs at total rate srv_rates[i].  Each
-        arrival stream k is Poisson at stream_rates[k] and admitted only
-        while the state is below stream_limits[k].  Returns (seen per stream,
-        rejected per stream, time_in_state list, elapsed time, final chain
-        state, final RNG state) so a run can be resumed, e.g. after a
-        warmup."""
-        lam_total = _despy.check_loss_chain(stream_rates, stream_limits, srv_rates,
-                                            start_state, min_state)
-        count = _walked(_despy.check_arrivals(target_arrivals), lam_total)
-        seen, rejected, tis, ((elapsed, chain, state),) = self.walk(
-            [seed & _despy._MASK], [start_state], [0], [count], stream_rates,
-            stream_limits, srv_rates, min_state)
-        return seen[0].tolist(), rejected[0].tolist(), tis[0].tolist(), elapsed, chain, state
-
-    def run_replications(self, seeds, warmups, counts, stream_rates, stream_limits,
-                         srv_rates, min_state=0):
-        """Every replication of one estimate in one walker call.
-
-        Replication r starts at min_state from RNG state seeds[r], runs
-        warmups[r] uncounted arrivals and then counts[r] counted ones: the
-        same stream and result as a run_loss_chain warm-up resumed by a
-        counted run_loss_chain.  A replication with no counted call is not
-        walked, so it walks no warm-up either.  Returns (seen, rejected),
-        (replications x streams) int64 arrays of the counted arrivals and
-        rejections, and the time_in_state array and elapsed time of the
-        counted events, each replication's own sums added up in replication
-        order."""
-        lam_total = _despy.check_loss_chain(stream_rates, stream_limits, srv_rates,
-                                            min_state, min_state)
-        if not len(seeds) == len(warmups) == len(counts):
-            raise ValueError("need one seed, warm-up and call count per replication")
-        seeds = [int(s) & _despy._MASK for s in seeds]
-        warmups = [_despy.check_arrivals(n) for n in warmups]
-        counts = [_walked(_despy.check_arrivals(n), lam_total) for n in counts]
-        warmups = [max(warm, 0) if calls else 0 for warm, calls in zip(warmups, counts)]
-        seen, rejected, tis, ends = self.walk(seeds, [min_state] * len(seeds), warmups,
-                                              counts, stream_rates, stream_limits,
-                                              srv_rates, min_state)
-        tis_tot, elapsed_tot = np.zeros(len(srv_rates)), 0.0
-        with np.errstate(over="ignore"):  # a clock past the largest double is inf
-            for row, (elapsed, _, _) in zip(tis, ends):
-                tis_tot += row
-                elapsed_tot += elapsed
-        return seen, rejected, tis_tot, elapsed_tot
+    State i holds i calls and departs at total rate srv_rates[i].  Each
+    arrival stream k is Poisson at stream_rates[k] and admitted only while
+    the state is below stream_limits[k].  Returns (seen per stream, rejected
+    per stream, time_in_state list, elapsed time, final chain state, final
+    RNG state) so a run can be resumed, e.g. after a warmup."""
+    lam_total = _despy.check_loss_chain(stream_rates, stream_limits, srv_rates,
+                                        start_state, min_state)
+    count = _walked(_despy.check_arrivals(target_arrivals), lam_total)
+    seen, rejected, tis, ((elapsed, chain, state),) = _despy.run_walks(
+        [seed & _despy._MASK], [start_state], [0], [count], stream_rates,
+        stream_limits, srv_rates, min_state)
+    return seen[0].tolist(), rejected[0].tolist(), tis[0].tolist(), elapsed, chain, state
 
 
-def load_compiled(path: str) -> Kernel:
-    """The Kernel over the walker of the shared library built from
-    _lossloop.c.  The walks go to C as ctypes arrays filled from the Python
-    values, with no numpy conversion or per-argument array check: the front
-    has checked them."""
-    f64, i64, u64 = ctypes.c_double, ctypes.c_int64, ctypes.c_uint64
-    f64p, i64p = ctypes.POINTER(f64), ctypes.POINTER(i64)
-    run_walks = ctypes.CDLL(path).run_walks
-    run_walks.restype = None
-    run_walks.argtypes = [i64, ctypes.POINTER(u64), i64p, i64p, i64p, i64, f64p, i64p,
-                          i64, f64p, i64, i64p, i64p, f64p, f64p]
+def run_replications(seeds, warmups, counts, stream_rates, stream_limits, srv_rates,
+                     min_state=0):
+    """Every replication of one estimate in one walker call.
 
-    def walk(seeds, starts, warmups, counts, stream_rates, stream_limits, srv_rates,
-             min_state):
-        n_walks, n_streams, n_states = len(seeds), len(stream_rates), len(srv_rates)
-        states, chains = (u64 * n_walks)(*seeds), (i64 * n_walks)(*starts)
-        seen, rejected = (i64 * (n_walks * n_streams))(), (i64 * (n_walks * n_streams))()
-        tis, elapsed = (f64 * (n_walks * n_states))(), (f64 * n_walks)()
-        run_walks(n_walks, states, chains, (i64 * n_walks)(*warmups),
-                  (i64 * n_walks)(*counts), n_streams, (f64 * n_streams)(*stream_rates),
-                  (i64 * n_streams)(*[int(x) for x in stream_limits]), n_states,
-                  (f64 * n_states)(*srv_rates), min_state, seen, rejected, tis, elapsed)
-        return (np.frombuffer(seen, np.int64).reshape(n_walks, n_streams),
-                np.frombuffer(rejected, np.int64).reshape(n_walks, n_streams),
-                np.frombuffer(tis, np.float64).reshape(n_walks, n_states),
-                list(zip(elapsed, chains, states)))
-
-    return Kernel(walk)
-
-
-_compiled_spec = importlib.util.find_spec(f"{__package__}._lossloop")
-_KERNELS = {"pure-python": Kernel(_despy.run_walks)}
-if _compiled_spec is not None:
-    _KERNELS["compiled"] = load_compiled(_compiled_spec.origin)
-BACKEND = "compiled" if "compiled" in _KERNELS else "pure-python"
-_kernel = _KERNELS[BACKEND]
+    Replication r starts at min_state from RNG state seeds[r], runs
+    warmups[r] uncounted arrivals and then counts[r] counted ones: the same
+    stream and result as a run_loss_chain warm-up resumed by a counted
+    run_loss_chain.  A replication with no counted call is not walked, so it
+    walks no warm-up either.  Returns (seen, rejected), (replications x
+    streams) int64 arrays of the counted arrivals and rejections, and the
+    time_in_state array and elapsed time of the counted events, each
+    replication's own sums added up in replication order."""
+    lam_total = _despy.check_loss_chain(stream_rates, stream_limits, srv_rates,
+                                        min_state, min_state)
+    if not len(seeds) == len(warmups) == len(counts):
+        raise ValueError("need one seed, warm-up and call count per replication")
+    seeds = [int(s) & _despy._MASK for s in seeds]
+    warmups = [_despy.check_arrivals(n) for n in warmups]
+    counts = [_walked(_despy.check_arrivals(n), lam_total) for n in counts]
+    warmups = [max(warm, 0) if calls else 0 for warm, calls in zip(warmups, counts)]
+    seen, rejected, tis, ends = _despy.run_walks(seeds, [min_state] * len(seeds), warmups,
+                                                 counts, stream_rates, stream_limits,
+                                                 srv_rates, min_state)
+    tis_tot, elapsed_tot = np.zeros(len(srv_rates)), 0.0
+    with np.errstate(over="ignore"):  # a clock past the largest double is inf
+        for row, (elapsed, _, _) in zip(tis, ends):
+            tis_tot += row
+            elapsed_tot += elapsed
+    return seen, rejected, tis_tot, elapsed_tot
 
 
-def kernel_backends() -> dict[str, object]:
-    """Available kernels by name (for benchmarks and equivalence tests)."""
-    return dict(_KERNELS)
+# the kernel's name, which perfbench's run context records; it waits for
+# ROADMAP item 1A to drop that read
+BACKEND = "pure-python"
+
+
+def kernel_backends() -> dict[str, SimpleNamespace]:
+    """The one kernel by name, its entry's run_loss_chain this module's.
+    perfbench times that entry; this waits for ROADMAP item 1A to drop the
+    read."""
+    return {BACKEND: SimpleNamespace(run_loss_chain=run_loss_chain)}
 
 
 @dataclass
@@ -220,7 +172,7 @@ def simulate_des(spec: LossChainSpec, total_calls: int = 1_000_000,
     counts = [per_rep + (r < longer) for r in range(replications)]
     # row r of seen and rejected holds replication r's counted arrivals and
     # rejections per stream
-    seen, rejected, tis_tot, elapsed_tot = _kernel.run_replications(
+    seen, rejected, tis_tot, elapsed_tot = run_replications(
         rep_seeds.tolist(), [int(WARMUP * calls) for calls in counts], counts,
         spec.stream_rates, spec.stream_limits, spec.srv_rates, spec.min_state)
     if math.isinf(elapsed_tot):

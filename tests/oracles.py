@@ -1106,7 +1106,7 @@ def plan_to_text(plan: SpectrumPlan) -> str:
 # -- simulate_des as it was before its counts went into one per-replication
 # matrix: three parallel per-replication lists and repeated pooled-count
 # code.  Kept verbatim, with _mean_ci as it was then, as the bitwise
-# reference for des.simulate_des; it runs whichever kernel des._kernel holds.
+# reference for des.simulate_des; it walks through des.run_loss_chain.
 
 
 def _mean_ci(samples: np.ndarray, successes: int = 0,
@@ -1159,10 +1159,10 @@ def simulate_des(spec, total_calls: int = 1_000_000, seed: int = 0):
         rng_state = int(rep_seeds[r])
         chain_state = spec.min_state
         if warm_calls > 0:
-            *_, chain_state, rng_state = des._kernel.run_loss_chain(
+            *_, chain_state, rng_state = des.run_loss_chain(
                 rng_state, warm_calls, rates, limits, srv,
                 chain_state, spec.min_state)
-        seen, rejected, tis, elapsed, *_ = des._kernel.run_loss_chain(
+        seen, rejected, tis, elapsed, *_ = des.run_loss_chain(
             rng_state, calls, rates, limits, srv, chain_state, spec.min_state)
 
         seen = np.asarray(seen, dtype=np.int64)

@@ -1,11 +1,6 @@
 import math
-import os
-import shutil
-import subprocess
 import sys
 import tracemalloc
-from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,7 +14,6 @@ from femtonet import _despy, des
 from femtonet.admission import TrafficClass
 from femtonet.des import (
     LossChainSpec,
-    load_compiled,
     simulate_des,
     spec_for_ch6,
     spec_for_ch7,
@@ -41,42 +35,18 @@ from femtonet.queueing import (
 
 
 def test_backend_reported():
-    assert des.BACKEND in ("compiled", "pure-python")
+    """perfbench names the backend in its run context and times each
+    kernel_backends() entry's run_loss_chain: one entry, the module's own."""
+    assert des.BACKEND == "pure-python"
+    backends = des.kernel_backends()
+    assert list(backends) == ["pure-python"]
+    args = (77, 5_000, [0.8, 0.3, 0.1], [4, 6, 8], [i * 0.2 for i in range(9)], 2, 1)
+    assert backends["pure-python"].run_loss_chain(*args) == des.run_loss_chain(*args)
 
 
-REPO = Path(__file__).resolve().parents[1]
-PURE_PYTHON = des.kernel_backends()["pure-python"]
-
-
-@pytest.fixture(scope="module")
-def compiled_path(tmp_path_factory):
-    """The path of the C kernel built from this checkout by setup.py, whose
-    flags keep it bit-identical to the pure-Python one, into a temp dir."""
-    if shutil.which("cc") is None and shutil.which("gcc") is None:
-        pytest.skip("no C compiler on PATH")
-    out = tmp_path_factory.mktemp("kernel")
-    subprocess.run([sys.executable, "setup.py", "-q", "build_ext", "--build-lib", str(out),
-                    "--build-temp", str(out)], cwd=REPO, check=True)
-    libs = list(out.glob("femtonet/_lossloop*.so"))
-    if len(libs) != 1:
-        # the extension is optional, so a failed compile is only a warning
-        pytest.fail(f"setup.py build_ext wrote {len(libs)} kernels, not one")
-    return str(libs[0])
-
-
-@pytest.fixture(scope="module")
-def compiled(compiled_path):
-    return load_compiled(compiled_path)
-
-
-def test_backends_bit_identical(compiled):
-    args = (77, 50_000, [0.8, 0.3, 0.1], [4, 6, 8], [i * 0.2 for i in range(9)], 2, 1)
-    assert compiled.run_loss_chain(*args) == PURE_PYTHON.run_loss_chain(*args)
-
-
-def _outcome(kernel, args):
+def _outcome(args):
     try:
-        return kernel.run_loss_chain(*args)
+        return des.run_loss_chain(*args)
     except ValueError as exc:
         return ("ValueError", str(exc))
 
@@ -119,13 +89,13 @@ def _replication_plan(args):
     return [seed, seed ^ 1, 2**64 - 1 - seed], [0, 3, 40], [count, count + 1, 2]
 
 
-def _replications_outcome(kernel, args, plan=None):
+def _replications_outcome(args, plan=None):
     """run_replications of the chain of args on plan (by default
     _replication_plan): the ValueError it raised, or its result with every
     float spelt out bit for bit."""
     rates, limits, srv, _, min_state = args[2:]
     try:
-        seen, rejected, tis, elapsed = kernel.run_replications(
+        seen, rejected, tis, elapsed = des.run_replications(
             *(plan or _replication_plan(args)), rates, limits, srv, min_state)
     except ValueError as exc:
         return ("ValueError", str(exc))
@@ -139,9 +109,9 @@ def _chained_replications(args, plan=None):
     rates, limits, srv, _, min_state = args[2:]
     seen, rejected, tis_tot, elapsed_tot = [], [], np.zeros(len(srv)), 0.0
     for seed, warm, calls in zip(*(plan or _replication_plan(args))):
-        *_, chain, rng = PURE_PYTHON.run_loss_chain(seed, warm, rates, limits, srv,
-                                               min_state, min_state)
-        rep_seen, rep_rejected, tis, elapsed, *_ = PURE_PYTHON.run_loss_chain(
+        *_, chain, rng = des.run_loss_chain(seed, warm, rates, limits, srv,
+                                            min_state, min_state)
+        rep_seen, rep_rejected, tis, elapsed, *_ = des.run_loss_chain(
             rng, calls, rates, limits, srv, chain, min_state)
         seen.append(rep_seen)
         rejected.append(rep_rejected)
@@ -153,19 +123,14 @@ def _chained_replications(args, plan=None):
 @settings(max_examples=150, deadline=None)
 @given(args=loss_chains())
 @example(args=(1, 2000, [5.0], [6], [0.0, 1.0, 2.0], 0, 0))
-def test_backends_agree_or_reject_alike(compiled, args):
-    """Both kernels raise the same ValueError or return the same tuple, from
-    run_loss_chain and from run_replications.  run_replications and
-    LossChainSpec reject exactly the chains that run_loss_chain rejects
-    when started at min_state, where simulate_des starts them, and
-    run_replications otherwise returns what chained run_loss_chain calls
-    return."""
-    out = _outcome(PURE_PYTHON, args)
-    assert _outcome(compiled, args) == out
+def test_replications_match_chained_runs_or_reject_alike(args):
+    """run_replications and LossChainSpec reject exactly the chains that
+    run_loss_chain rejects when started at min_state, where simulate_des
+    starts them, with the same ValueError, and run_replications otherwise
+    returns what chained run_loss_chain calls return."""
     min_state = args[6]
-    from_floor = _outcome(PURE_PYTHON, (*args[:5], min_state, min_state))
-    replications = _replications_outcome(PURE_PYTHON, args)
-    assert _replications_outcome(compiled, args) == replications
+    from_floor = _outcome((*args[:5], min_state, min_state))
+    replications = _replications_outcome(args)
     if from_floor[0] == "ValueError":
         assert replications == from_floor
     else:
@@ -216,9 +181,9 @@ ONE_BLOCK = _despy._BLOCK_EVENTS
 
 def test_the_block_log_is_libm_log_bit_for_bit():
     """Pass 2 takes a block's logs in one numpy call, which must equal
-    math.log (libm's log, as the C loop calls it) on every draw: over 2**20
-    kernel draws, taken in block-sized calls and in one, and at the extremes
-    1 - k/2**53 for k < 10**4 and k > 2**53 - 10**4."""
+    math.log (libm's log) on every draw: over 2**20 kernel draws, taken in
+    block-sized calls and in one, and at the extremes 1 - k/2**53 for
+    k < 10**4 and k > 2**53 - 10**4."""
     x = 1.0 - _despy._uniforms(0x5EED, 2**19)
     k = np.concatenate([np.arange(10**4), 2**53 - np.arange(1, 10**4 + 1)])
     extremes = 1.0 - k.astype(np.float64) / 2**53
@@ -278,7 +243,7 @@ def test_block_draws_match_scalar_loop(args):
     so they show a last-bit change of a single draw's time step."""
     rng, counts, rates, limits, srv, chain, min_state = args
     for count in counts:
-        out = PURE_PYTHON.run_loss_chain(rng, count, rates, limits, srv, chain, min_state)
+        out = des.run_loss_chain(rng, count, rates, limits, srv, chain, min_state)
         ref = scalar_loss_chain(rng, count, rates, limits, srv, chain, min_state)
         assert out == ref
         assert _bits(out) == _bits(ref)
@@ -304,15 +269,13 @@ WARM_UP_PLANS = [
 
 
 @pytest.mark.parametrize("plan, chain", WARM_UP_PLANS)
-def test_warm_ups_across_block_ends_match_chained_runs(compiled, plan, chain):
+def test_warm_ups_across_block_ends_match_chained_runs(plan, chain):
     """Each replication's warm-up counts the events it walks, which set
     where its counted run starts and how far the RNG state advances: hex
     for hex, the walk equals a warm-up run_loss_chain resumed by a counted
-    one, on both kernels."""
+    one."""
     args = (None, None, *chain, 0, 0)
-    want = _chained_replications(args, plan)
-    assert _replications_outcome(PURE_PYTHON, args, plan) == want
-    assert _replications_outcome(compiled, args, plan) == want
+    assert _replications_outcome(args, plan) == _chained_replications(args, plan)
 
 
 def test_block_buffer_is_bounded():
@@ -322,7 +285,7 @@ def test_block_buffer_is_bounded():
     block they would take 9.6 MB."""
     tracemalloc.start()
     try:
-        PURE_PYTHON.run_loss_chain(1, 50_000, [1.0], [0], [0.0])
+        des.run_loss_chain(1, 50_000, [1.0], [0], [0.0])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -337,7 +300,7 @@ def test_block_buffer_is_bounded_above_small_ints():
     srv = [0.0] * 300 + [1.0] * 100
     tracemalloc.start()
     try:
-        out = PURE_PYTHON.run_loss_chain(1, 50_000, [1.0], [399], srv, 300, 300)
+        out = des.run_loss_chain(1, 50_000, [1.0], [399], srv, 300, 300)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -346,11 +309,10 @@ def test_block_buffer_is_bounded_above_small_ints():
 
 
 @pytest.mark.parametrize("arrivals", [1000.0, 2.5, math.nan, 1e5, 2**64 + 5])
-def test_arrival_count_must_be_an_int64(compiled, arrivals):
-    # ctypes would wrap 2**64 + 5 to 5 arrivals in the compiled kernel
-    for kernel in (compiled, PURE_PYTHON):
-        with pytest.raises(ValueError, match="arrival count"):
-            kernel.run_loss_chain(7, arrivals, [1.0], [2], [0.0, 1.0, 2.0])
+def test_arrival_count_must_be_an_int64(arrivals):
+    # the walker counts in int64 arrays, which 2**64 + 5 does not fit
+    with pytest.raises(ValueError, match="arrival count"):
+        des.run_loss_chain(7, arrivals, [1.0], [2], [0.0, 1.0, 2.0])
     with pytest.raises(ValueError, match="arrival count"):
         simulate_des(spec_for_erlang(1.0, 1.0, 2), arrivals)
 
@@ -361,55 +323,49 @@ def test_arrival_count_must_be_an_int64(compiled, arrivals):
     ("start_state", [2], 1.0, 0),
     ("min_state", [2], 0, 0.0),
 ])
-def test_chain_states_and_limits_must_be_integers(compiled, name, limits, start, min_state):
+def test_chain_states_and_limits_must_be_integers(name, limits, start, min_state):
     # a float limit was simulated as int(limit), and a float state failed
-    # with an unnamed TypeError (min_state = 0.0 only on the compiled kernel)
+    # with an unnamed TypeError
     chain = ([1.0], limits, [0.0, 1.0, 2.0])
     message = f"^{name} must be an integer, got"
-    for kernel in (compiled, PURE_PYTHON):
-        with pytest.raises(ValueError, match=message):
-            kernel.run_loss_chain(7, 100, *chain, start, min_state)
-        if start == 0:
-            with pytest.raises(ValueError, match=message):
-                kernel.run_replications([7], [0], [100], *chain, min_state)
+    with pytest.raises(ValueError, match=message):
+        des.run_loss_chain(7, 100, *chain, start, min_state)
     if start == 0:
+        with pytest.raises(ValueError, match=message):
+            des.run_replications([7], [0], [100], *chain, min_state)
         with pytest.raises(ValueError, match=message):
             LossChainSpec(*map(tuple, chain), hand_stream=0, min_state=min_state)
 
 
-def test_a_stream_limit_must_fit_in_64_bits(compiled):
-    # ctypes wrapped -2**63 - 1 to 2**63 - 1, so the compiled walk admitted
-    # every call and read past srv_rates
+def test_a_stream_limit_must_fit_in_64_bits():
+    # the walker keeps the limits in an int64 array, which -2**63 - 1 does
+    # not fit
     chain = ([1.0], [0.0, 1.0, 2.0])
-    for kernel in (compiled, PURE_PYTHON):
-        with pytest.raises(ValueError, match="^stream limits must fit in 64 bits$"):
-            kernel.run_loss_chain(7, 50, chain[0], [-2**63 - 1], chain[1])
-        assert (kernel.run_loss_chain(7, 50, chain[0], [-2**63], chain[1])
-                == kernel.run_loss_chain(7, 50, chain[0], [-1], chain[1]))
+    with pytest.raises(ValueError, match="^stream limits must fit in 64 bits$"):
+        des.run_loss_chain(7, 50, chain[0], [-2**63 - 1], chain[1])
+    assert (des.run_loss_chain(7, 50, chain[0], [-2**63], chain[1])
+            == des.run_loss_chain(7, 50, chain[0], [-1], chain[1]))
 
 
-def test_numpy_integer_states_and_limits_accepted(compiled):
+def test_numpy_integer_states_and_limits_accepted():
     chain = ([1.0, 0.5], [2, 3], [0.0, 1.0, 2.0, 3.0])
     numpy_limits = [np.int64(2), np.int32(3)]
-    for kernel in (PURE_PYTHON, compiled):
-        assert (kernel.run_loss_chain(7, 500, chain[0], numpy_limits, chain[2],
-                                      np.int64(2), np.int64(1))
-                == kernel.run_loss_chain(7, 500, *chain, 2, 1))
+    assert (des.run_loss_chain(7, 500, chain[0], numpy_limits, chain[2],
+                               np.int64(2), np.int64(1))
+            == des.run_loss_chain(7, 500, *chain, 2, 1))
 
 
 def test_arrival_count_bounds_are_int64():
-    # below -2**63, ctypes would wrap to a huge positive count
+    # the walker's counts are int64, which holds neither -2**63 - 1 nor 2**63
     assert _despy.check_arrivals(-2**63) == -2**63
     assert _despy.check_arrivals(2**63 - 1) == 2**63 - 1
     with pytest.raises(ValueError, match="does not fit in 64 bits"):
         _despy.check_arrivals(-2**63 - 1)
 
 
-def test_numpy_integer_arrival_count_accepted(compiled):
-    for kernel in (PURE_PYTHON, compiled):
-        args = ([1.0], [2], [0.0, 1.0, 2.0])
-        assert (kernel.run_loss_chain(7, np.int64(500), *args)
-                == kernel.run_loss_chain(7, 500, *args))
+def test_numpy_integer_arrival_count_accepted():
+    args = ([1.0], [2], [0.0, 1.0, 2.0])
+    assert des.run_loss_chain(7, np.int64(500), *args) == des.run_loss_chain(7, 500, *args)
     spec = spec_for_erlang(1.0, 1.0, 2)
     assert simulate_des(spec, np.int32(2000)).elapsed == simulate_des(spec, 2000).elapsed
 
@@ -434,12 +390,12 @@ _BIG_RATE = (st.sampled_from([0.0, _TINY, 1.0, 1e300, 1e308, _HUGE / 2, _HUGE])
 @example(rates=[_HUGE], srv=[0.0])  # the largest finite total, with no service
 @example(rates=[_TINY], srv=[0.0, _TINY])  # every time step overflows to inf
 @example(rates=[1e-308], srv=[0.0, 0.0])  # finite time steps whose clocks overflow
-def test_a_chain_whose_total_rate_overflows_is_rejected(compiled, rates, srv):
+def test_a_chain_whose_total_rate_overflows_is_rejected(rates, srv):
     """A chain whose total arrival rate, or that total plus a service rate,
     overflows to inf would never see an arrival there, so the spec and both
-    kernels reject it alike, before anything runs.  Every other chain is
-    accepted, and runs a few calls where an arrival takes at most about 1000
-    events."""
+    kernel entries reject it alike, before anything runs.  Every other chain
+    is accepted, and runs a few calls where an arrival takes at most about
+    1000 events."""
     lam = 0.0
     for r in rates:
         lam += r
@@ -453,56 +409,37 @@ def test_a_chain_whose_total_rate_overflows_is_rejected(compiled, rates, srv):
         LossChainSpec(tuple(rates), tuple(limits), tuple(srv), hand_stream=0)
     calls = 5 if lam > 0.0 and (lam + max(srv)) / lam <= 1e3 else 0
     plan = [3, 4], [min(calls, 2), 0], [calls, calls]
-    outs = []
-    for kernel in (PURE_PYTHON, compiled):
-        if overflows:
-            for run in (lambda: kernel.run_loss_chain(3, calls, *args),
-                        lambda: kernel.run_replications(*plan, *args)):
-                with pytest.raises(ValueError) as got:
-                    run()
-                assert str(got.value) == str(spec_error.value)
-        else:
-            seen, rejected, tis, elapsed = kernel.run_replications(*plan, *args)
-            outs.append((kernel.run_loss_chain(3, calls, *args), seen.tolist(),
-                         rejected.tolist(), tis.tolist(), elapsed))
-    if outs:
-        assert outs[0] == outs[1]
-        assert [sum(row) for row in outs[0][1]] == [calls, calls]
+    if overflows:
+        for run in (lambda: des.run_loss_chain(3, calls, *args),
+                    lambda: des.run_replications(*plan, *args)):
+            with pytest.raises(ValueError) as got:
+                run()
+            assert str(got.value) == str(spec_error.value)
+    else:
+        assert sum(des.run_loss_chain(3, calls, *args)[0]) == calls
+        seen, *_ = des.run_replications(*plan, *args)
+        assert [sum(row) for row in seen.tolist()] == [calls, calls]
 
 
-def test_a_replication_with_no_counted_call_walks_no_warm_up(compiled_path):
+def test_a_replication_with_no_counted_call_walks_no_warm_up():
     """A replication with no counted call walks nothing, so its warm-up is
     not walked either.  Here a warm-up of 2 arrivals would take about 2**54
     events: a draw is an arrival only at 0.0, the arrival rate 5e-324
-    against service rates of at least 1.  Both kernels return zero rows at
-    once.  The compiled one runs in a subprocess, so a kernel that walked
-    the warm-up fails on the timeout instead of hanging the suite."""
+    against service rates of at least 1.  run_replications returns zero
+    rows at once."""
     args = ([3, 4], [2, 0], [0, 0], [_TINY], [3], [1.0, 1.0, 1e300, _HUGE])
-    code = ("import ast, sys\n"
-            "from femtonet.des import load_compiled\n"
-            "kernel = load_compiled(sys.argv[1])\n"
-            "seen, rejected, tis, elapsed = kernel.run_replications(*ast.literal_eval(sys.argv[2]))\n"
-            "print(repr((seen.tolist(), rejected.tolist(), tis.tolist(), elapsed)))\n")
-    run = subprocess.run([sys.executable, "-c", code, compiled_path, repr(args)],
-                         env={**os.environ, "PYTHONPATH": str(REPO / "src")},
-                         capture_output=True, text=True, timeout=60, check=True)
-    seen, rejected, tis, elapsed = PURE_PYTHON.run_replications(*args)
-    want = (seen.tolist(), rejected.tolist(), tis.tolist(), elapsed)
-    assert want == ([[0], [0]], [[0], [0]], [0.0] * 4, 0.0)
-    assert run.stdout == repr(want) + "\n"
+    seen, rejected, tis, elapsed = des.run_replications(*args)
+    assert ((seen.tolist(), rejected.tolist(), tis.tolist(), elapsed)
+            == ([[0], [0]], [[0], [0]], [0.0] * 4, 0.0))
 
 
 # at an event rate of 5e-324 the time steps overflow; at 5e-307 a
 # replication's clocks stay finite, but not their sum over 20 replications
 @pytest.mark.parametrize("rates, srv, calls", [((_TINY,), (0.0, 1.0), 20),
                                               ((5e-307,), (0.0, 0.0), 200)])
-@pytest.mark.parametrize("backend", ["pure-python", "compiled"])
-def test_an_overflowed_simulated_time_is_an_error(backend, rates, srv, calls, request,
-                                                  monkeypatch):
+def test_an_overflowed_simulated_time_is_an_error(rates, srv, calls):
     """simulate_des names a simulated time that overflowed to inf instead
     of dividing inf by inf into NaN state times."""
-    monkeypatch.setattr(des, "_kernel", request.getfixturevalue("compiled")
-                        if backend == "compiled" else PURE_PYTHON)
     spec = LossChainSpec(rates, (1,), srv, hand_stream=0)
     with pytest.raises(ValueError, match="simulated time overflowed to inf"):
         simulate_des(spec, calls)
@@ -517,11 +454,7 @@ def test_t95_never_below_true_quantile(df, true_quantile):
 
 
 @pytest.mark.parametrize("total_calls", [1, 2, 19, 39, 20_019, 20_000])
-@pytest.mark.parametrize("backend", ["pure-python", "compiled"])
-def test_simulate_des_counts_exactly_total_calls(backend, total_calls, request,
-                                                 monkeypatch):
-    monkeypatch.setattr(des, "_kernel", request.getfixturevalue("compiled")
-                        if backend == "compiled" else PURE_PYTHON)
+def test_simulate_des_counts_exactly_total_calls(total_calls):
     spec = LossChainSpec((0.7, 0.3), (2, 3), (0.0, 1.0, 2.0, 3.0),
                          new_streams=(0,), hand_stream=1)
     res = simulate_des(spec, total_calls, seed=1)
@@ -648,12 +581,8 @@ REFERENCE_CHAINS = _reference_chains()
     *((chain, n) for chain in sorted(REFERENCE_CHAINS) for n in (1, 7, 19, 20, 21, 20_000)),
     # 20k calls a replication: each spans several draw blocks
     ("ch7", 400_000)])
-@pytest.mark.parametrize("backend", ["pure-python", "compiled"])
-def test_simulate_des_matches_per_replication_list_bookkeeping(
-        backend, chain, total_calls, request, monkeypatch):
+def test_simulate_des_matches_per_replication_list_bookkeeping(chain, total_calls):
     # fewer calls than REPLICATIONS, an even split and uneven ones
-    monkeypatch.setattr(des, "_kernel", request.getfixturevalue("compiled")
-                        if backend == "compiled" else PURE_PYTHON)
     spec = REFERENCE_CHAINS[chain]
     got = simulate_des(spec, total_calls, seed=3)
     want = oracles.simulate_des(spec, total_calls, seed=3)
@@ -663,20 +592,19 @@ def test_simulate_des_matches_per_replication_list_bookkeeping(
     assert repr(got.state_time.tolist()) == repr(want.state_time.tolist())
 
 
-@pytest.mark.parametrize("backend", ["pure-python", "compiled"])
-def test_simulate_des_makes_one_kernel_call(backend, request, monkeypatch):
-    kernel = request.getfixturevalue("compiled") if backend == "compiled" else PURE_PYTHON
+def test_simulate_des_makes_one_kernel_call(monkeypatch):
     calls = []
 
     def counting(name):
+        entry = getattr(des, name)
+
         def call(*args):
             calls.append(name)
-            return getattr(kernel, name)(*args)
+            return entry(*args)
         return call
 
-    monkeypatch.setattr(des, "_kernel", SimpleNamespace(
-        run_loss_chain=counting("run_loss_chain"),
-        run_replications=counting("run_replications")))
+    for name in ("run_loss_chain", "run_replications"):
+        monkeypatch.setattr(des, name, counting(name))
     for spec in (REFERENCE_CHAINS["ch7"], REFERENCE_CHAINS["zero-rate"]):
         calls.clear()
         simulate_des(spec, 20_000, seed=3)

@@ -217,6 +217,10 @@ TEST_ONLY_FIELDS = {
         "AdmissionDecision.degradations": "the calls that a Ch. 5 admission degraded",
         "AdmissionDecision.state": "the cell load that a Ch. 5 admission leaves",
     },
+    "des.py": {
+        "DesResult.state_time": "the simulated share of time in each state, the "
+                                "oracle for a chain's state probabilities",
+    },
     "experiments.py": {
         "ExperimentResult.metadata": "how a run converged, for the run manifest to record",
     },
