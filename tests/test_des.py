@@ -1,6 +1,7 @@
 import math
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -433,16 +434,44 @@ def test_a_replication_with_no_counted_call_walks_no_warm_up():
             == ([[0], [0]], [[0], [0]], [0.0] * 4, 0.0))
 
 
+@pytest.mark.parametrize("short", ["seeds", "warmups", "counts"])
+def test_run_replications_needs_one_plan_entry_per_replication(short):
+    plan = {"seeds": [7, 8], "warmups": [0, 3], "counts": [100, 100]}
+    plan[short] = plan[short][:1]
+    with pytest.raises(ValueError, match="^need one seed, warm-up and call count "
+                                         "per replication$"):
+        des.run_replications(plan["seeds"], plan["warmups"], plan["counts"],
+                             [1.0], [2], [0.0, 1.0, 2.0])
+
+
 # at an event rate of 5e-324 the time steps overflow; at 5e-307 a
 # replication's clocks stay finite, but not their sum over 20 replications
-@pytest.mark.parametrize("rates, srv, calls", [((_TINY,), (0.0, 1.0), 20),
-                                              ((5e-307,), (0.0, 0.0), 200)])
+OVERFLOWED_CLOCKS = [((_TINY,), (0.0, 1.0), 20), ((5e-307,), (0.0, 0.0), 200)]
+
+
+@pytest.mark.parametrize("rates, srv, calls", OVERFLOWED_CLOCKS)
 def test_an_overflowed_simulated_time_is_an_error(rates, srv, calls):
     """simulate_des names a simulated time that overflowed to inf instead
     of dividing inf by inf into NaN state times."""
     spec = LossChainSpec(rates, (1,), srv, hand_stream=0)
     with pytest.raises(ValueError, match="simulated time overflowed to inf"):
         simulate_des(spec, calls)
+
+
+@pytest.mark.parametrize("rates, srv, calls", OVERFLOWED_CLOCKS)
+def test_run_replications_sums_overflowed_clocks_to_inf_silently(rates, srv, calls):
+    """On the replications simulate_des walks for those chains,
+    run_replications adds the clocks up to inf without a numpy overflow
+    warning, so that simulate_des names the overflow itself."""
+    reps = des.REPLICATIONS
+    seeds = np.random.SeedSequence(0).generate_state(reps, dtype=np.uint64).tolist()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        seen, _, tis, elapsed = des.run_replications(
+            seeds, [0] * reps, [calls // reps] * reps, rates, [1], srv)
+    assert math.isinf(elapsed)
+    assert seen.sum() == calls
+    assert not np.isnan(tis).any()
 
 
 @pytest.mark.parametrize("df, true_quantile", [(19, 2.093), (21, 2.080),
@@ -460,6 +489,31 @@ def test_simulate_des_counts_exactly_total_calls(total_calls):
     res = simulate_des(spec, total_calls, seed=1)
     assert sum(s["seen"] for s in res.per_stream) == total_calls
     assert res.replications == min(des.REPLICATIONS, total_calls)
+
+
+@pytest.mark.parametrize("total_calls", [1, 2, 19, 39, 20_019, 20_000])
+def test_simulate_des_splits_calls_over_replications(total_calls, monkeypatch):
+    """simulate_des hands run_replications one SeedSequence state per
+    replication, counts that differ by at most one with the longer first,
+    each count's WARMUP share as its warm-up, and the spec's chain."""
+    plans = []
+    run_replications = des.run_replications
+
+    def recording(seeds, warmups, counts, *chain):
+        plans.append((seeds, warmups, counts, chain))
+        return run_replications(seeds, warmups, counts, *chain)
+
+    monkeypatch.setattr(des, "run_replications", recording)
+    spec = LossChainSpec((0.7, 0.3), (2, 3), (0.0, 1.0, 2.0, 3.0),
+                         new_streams=(0,), hand_stream=1, min_state=1)
+    simulate_des(spec, total_calls, seed=1)
+    ((seeds, warmups, counts, chain),) = plans
+    reps = min(des.REPLICATIONS, total_calls)
+    assert seeds == np.random.SeedSequence(1).generate_state(reps, dtype=np.uint64).tolist()
+    assert len(counts) == reps and sum(counts) == total_calls
+    assert counts == sorted(counts, reverse=True) and counts[0] - counts[-1] <= 1
+    assert warmups == [int(des.WARMUP * calls) for calls in counts]
+    assert chain == (spec.stream_rates, spec.stream_limits, spec.srv_rates, spec.min_state)
 
 
 def test_zero_arrivals():
@@ -577,12 +631,15 @@ def _reference_chains():
 REFERENCE_CHAINS = _reference_chains()
 
 
-@pytest.mark.parametrize("chain, total_calls", [
+# fewer calls than REPLICATIONS, an even split and uneven ones
+REFERENCE_RUNS = [
     *((chain, n) for chain in sorted(REFERENCE_CHAINS) for n in (1, 7, 19, 20, 21, 20_000)),
     # 20k calls a replication: each spans several draw blocks
-    ("ch7", 400_000)])
+    ("ch7", 400_000)]
+
+
+@pytest.mark.parametrize("chain, total_calls", REFERENCE_RUNS)
 def test_simulate_des_matches_per_replication_list_bookkeeping(chain, total_calls):
-    # fewer calls than REPLICATIONS, an even split and uneven ones
     spec = REFERENCE_CHAINS[chain]
     got = simulate_des(spec, total_calls, seed=3)
     want = oracles.simulate_des(spec, total_calls, seed=3)
@@ -590,6 +647,49 @@ def test_simulate_des_matches_per_replication_list_bookkeeping(chain, total_call
                  "elapsed", "replications"):
         assert repr(getattr(got, name)) == repr(getattr(want, name)), name
     assert repr(got.state_time.tolist()) == repr(want.state_time.tolist())
+
+
+@pytest.mark.parametrize("chain, total_calls", REFERENCE_RUNS)
+def test_simulate_des_result_agrees_with_itself_and_its_chain(chain, total_calls):
+    """Checks that need no second simulator: the counted calls add up to
+    total_calls on a chain with arrivals, each probability is its pooled
+    counts' ratio with a CI inside [0, 1], the state times are shares of
+    the clock, and no time is spent below min_state or above the highest
+    state an arriving call can reach."""
+    spec = REFERENCE_CHAINS[chain]
+    res = simulate_des(spec, total_calls, seed=3)
+    assert res.replications == min(des.REPLICATIONS, total_calls)
+    streams = res.per_stream
+    assert len(streams) == len(spec.stream_rates)
+    # a chain with no arrival rate walks nothing, so it counts no call
+    arrives = sum(spec.stream_rates) > 0.0
+    assert sum(s["seen"] for s in streams) == (total_calls if arrives else 0)
+    for s, rate, limit in zip(streams, spec.stream_rates, spec.stream_limits):
+        assert 0 <= s["rejected"] <= s["seen"]
+        assert s["seen"] == 0 or rate > 0.0
+        assert s["p_reject"] == (s["rejected"] / s["seen"] if s["seen"] else 0.0)
+        assert 0.0 <= s["ci"][0] <= s["ci"][1] <= 1.0
+        if limit < spec.min_state:  # the chain never lies below its limit
+            assert s["rejected"] == s["seen"]
+    new_seen = sum(streams[k]["seen"] for k in spec.new_streams)
+    new_rejected = sum(streams[k]["rejected"] for k in spec.new_streams)
+    assert res.p_block == (new_rejected / new_seen if new_seen else 0.0)
+    assert 0.0 <= res.block_ci[0] <= res.block_ci[1] <= 1.0
+    if len(spec.new_streams) == 1:
+        assert res.block_ci == streams[spec.new_streams[0]]["ci"]
+    hand = streams[spec.hand_stream]
+    assert (res.p_drop, res.drop_ci) == (hand["p_reject"], hand["ci"])
+
+    assert 0.0 <= res.elapsed < math.inf
+    assert (res.state_time >= 0.0).all()
+    if res.elapsed > 0.0:
+        assert res.state_time.sum() == pytest.approx(1.0, rel=1e-9)
+    else:
+        assert not res.state_time.any()
+    top = max([spec.min_state, *(limit for rate, limit in
+                                 zip(spec.stream_rates, spec.stream_limits) if rate > 0.0)])
+    assert not res.state_time[:spec.min_state].any()
+    assert not res.state_time[top + 1:].any()
 
 
 def test_simulate_des_makes_one_kernel_call(monkeypatch):
