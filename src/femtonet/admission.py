@@ -11,10 +11,11 @@ handover-floor share proportionally.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from ._checks import finite, fraction
 
 CONSERVATION_TOL = 1e-9
 
@@ -40,12 +41,9 @@ class TrafficClass:
             raise ValueError("need 0 <= gamma_n <= gamma_h < 1")
         if self.kind == "rt" and (self.degrade_new or self.degrade_hand):
             raise ValueError("real-time classes cannot degrade")
-        if not 0 < self.requested_bw < math.inf:
-            raise ValueError(f"requested_bw must be finite and > 0, got {self.requested_bw}")
-        if not 0 < self.duration_s < math.inf:
-            raise ValueError(f"duration_s must be finite and > 0, got {self.duration_s}")
-        if not 0.0 <= self.arrival_share <= 1.0:
-            raise ValueError(f"arrival_share must lie in [0, 1], got {self.arrival_share}")
+        finite("requested_bw", self.requested_bw, 0, strict=True)
+        finite("duration_s", self.duration_s, 0, strict=True)
+        fraction("arrival_share", self.arrival_share)
 
     @property
     def floor_hand(self) -> float:
@@ -265,8 +263,7 @@ def admit_ch6(state: CellLoadState, class_index: int, kind: str,
     """
     if kind not in ("new", "handover"):
         raise ValueError(f"bad call kind {kind!r}")
-    if not 0.0 <= guard_bw < math.inf:
-        raise ValueError(f"guard_bw must be finite and >= 0, got {guard_bw!r}")
+    finite("guard_bw", guard_bw, 0)
     pos = _class_position(state, class_index)
     cls = state.classes[pos]
 

@@ -18,6 +18,7 @@ import numpy as np
 
 from . import neighborlist as nl_mod
 from . import queueing as q_mod
+from ._checks import finite
 from .admission import TrafficClass
 from .presets import TABLE_7_1, TABLE_8_1, table71_mbs_sessions
 from .radio import db_to_linear, outage_probability_closed_form, shannon_throughput, sir
@@ -74,12 +75,9 @@ def _spawn_rng(seed: int, *key) -> np.random.Generator:
 def _read_fig4(scenario: Scenario):
     """The fig4 sweep's checked inputs: propagation parameters, linear SIR
     threshold, UE range, macro geometry and `build_plan` band arguments."""
-    threshold = scenario["radio.sir_threshold_db"]
-    if not math.isfinite(threshold):
-        raise ValueError(f"radio.sir_threshold_db must be finite, got {threshold!r}")
-    ue_range = scenario["radio.ue_fap_distance_m"]
-    if not 0.0 < ue_range < math.inf:
-        raise ValueError(f"radio.ue_fap_distance_m must be finite and > 0, got {ue_range!r}")
+    threshold = finite("radio.sir_threshold_db", scenario["radio.sir_threshold_db"])
+    ue_range = finite("radio.ue_fap_distance_m", scenario["radio.ue_fap_distance_m"], 0,
+                      strict=True)
     macro = scenario.macro_geometry()
     check_reference_fap(macro)
     params = scenario.propagation()

@@ -26,8 +26,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import _despy
-from ._checks import whole_counts
+from ._checks import finite, fraction, integer, whole_counts
 from .admission import TrafficClass, rebalance_states
 
 FIXED_POINT_TOL = 1e-8
@@ -150,6 +149,50 @@ def _stationary(births: np.ndarray, log_deaths: np.ndarray) -> np.ndarray:
     return logp
 
 
+def check_loss_chain(stream_rates, stream_limits, srv_rates,
+                     start_state: int = 0, min_state: int = 0) -> None:
+    """Reject a chain whose states or stream limits are not integers (numpy
+    integers included), whose stream limits do not fit in an int64 (the DES
+    walker compares states with them in des._Tables.limit_of, an int64
+    array), that would index outside srv_rates, whose rates are negative or
+    not finite, or whose total arrival rate, or that total plus a service
+    rate (a state's event rate), is not finite: no draw would be an arrival
+    there.  The sum grows with the service rate, so the largest one covers
+    every state."""
+    if len(stream_limits) != len(stream_rates):
+        raise ValueError("stream rate/limit length mismatch")
+    integer("min_state", min_state)
+    integer("start_state", start_state)
+    for limit in stream_limits:
+        integer("a stream limit", limit)
+    n_states = len(srv_rates)
+    if not 0 <= min_state < n_states:
+        raise ValueError(f"min_state must lie in [0, {n_states})")
+    if not min_state <= start_state < n_states:
+        raise ValueError(f"start_state must lie in [min_state, {n_states})")
+    if stream_limits and max(stream_limits) >= n_states:
+        raise ValueError(f"stream limits must be < {n_states} (len(srv_rates))")
+    if stream_limits and min(stream_limits) < -2**63:  # below des._Tables.limit_of's int64
+        raise ValueError("stream limits must fit in 64 bits")
+    check_rates((*stream_rates, *srv_rates))
+    lam_total = 0.0
+    for r in stream_rates:  # summed as des._Tables sums it
+        lam_total += float(r)
+    if lam_total == math.inf:
+        raise ValueError("the total arrival rate of the streams is not finite")
+    srv_max = float(max(srv_rates))
+    if lam_total + srv_max == math.inf:
+        raise ValueError(f"the total arrival rate {lam_total!r} plus the largest "
+                         f"service rate {srv_max!r} is not finite")
+
+
+def check_rates(rates) -> None:
+    """Reject a rate that is negative or not finite."""
+    for r in rates:  # a plain loop: every fixed-point iteration checks one rate
+        if not 0.0 <= r < math.inf:
+            raise ValueError("stream and service rates must be finite and >= 0")
+
+
 @dataclass(frozen=True)
 class LossChainSpec:
     """A loss cell fed by independent Poisson arrival streams.
@@ -170,8 +213,8 @@ class LossChainSpec:
     new_streams: tuple[int, ...] = (0,)
 
     def __post_init__(self):
-        _despy.check_loss_chain(self.stream_rates, self.stream_limits,
-                                self.srv_rates, self.min_state, self.min_state)
+        check_loss_chain(self.stream_rates, self.stream_limits, self.srv_rates,
+                         self.min_state, self.min_state)
         n_streams = len(self.stream_rates)
         if not all(0 <= k < n_streams for k in (*self.new_streams, self.hand_stream)):
             raise ValueError(f"new_streams and hand_stream must lie in [0, {n_streams})")
@@ -228,7 +271,7 @@ class ChainBatch:
             if len(row) != len(self.specs[i].stream_rates):
                 raise ValueError(f"chain {i} has {len(self.specs[i].stream_rates)} streams, "
                                  f"got a row of {len(row)} stream rates")
-        _despy.check_rates(itertools.chain.from_iterable(rates))
+        check_rates(itertools.chain.from_iterable(rates))
         out = [None] * len(points)
         for row_of, group in self._groups:
             asked = [j for j, i in enumerate(points) if i in row_of]
@@ -276,7 +319,7 @@ def _with_stream_rates(spec: LossChainSpec, rates: tuple[float, ...]) -> LossCha
     """The same chain with its streams at `rates`.  The rest of the spec
     was checked when it was made, so only the rates are checked here and
     the copy skips __post_init__."""
-    _despy.check_rates(rates)
+    check_rates(rates)
     out = object.__new__(LossChainSpec)
     out.__dict__.update(spec.__dict__, stream_rates=rates)
     return out
@@ -304,9 +347,7 @@ class TwoTierParams:
 
     def __post_init__(self):
         for name in ("alpha", "beta_prob"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
+            fraction(name, getattr(self, name))
         if self.alpha + self.beta_prob > 1.0 + 1e-12:
             raise ValueError("alpha + beta must be <= 1")
         if not self.mu > 0:
@@ -319,9 +360,7 @@ class TwoTierParams:
                 raise ValueError(f"{name} must be finite, got inf")
         whole_counts(self, ("n", "femto_capacity", "macro_base_states", "macro_adaptive_states"))
         for name in ("lambda_o_f", "lambda_o_m"):
-            if not 0 <= getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and >= 0, "
-                                 f"got {getattr(self, name)!r}")
+            finite(name, getattr(self, name), 0)
         if self.n == 0 and self.lambda_o_f > 0:
             # no femtocell would take these calls, and the femto layer
             # would report them unblocked
@@ -532,12 +571,9 @@ class Ch6QueueParams:
     guard_channels: int = 0  # used by the guard scheme only
 
     def __post_init__(self):
-        if not 0.0 < self.capacity < math.inf:
-            raise ValueError(f"capacity must be finite and > 0, got {self.capacity!r}")
+        finite("capacity", self.capacity, 0, strict=True)
         for name in ("eta", "lam_new"):
-            value = getattr(self, name)
-            if not 0.0 <= value < math.inf:
-                raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+            finite(name, getattr(self, name), 0)
         whole_counts(self, ("guard_channels",))
         share = sum(c.arrival_share for c in self.classes)
         if abs(share - 1.0) > 1e-9:
@@ -740,8 +776,7 @@ def solve_ch6_sweep(cells, lam_news) -> list[list[ChainSolution]]:
     """
     cells, lam_news = list(cells), list(lam_news)
     for lam_new in lam_news:
-        if not 0.0 <= lam_new < math.inf:
-            raise ValueError(f"lam_new must be finite and >= 0, got {lam_new!r}")
+        finite("lam_new", lam_new, 0)
     templates = [cell.chain(0.0, 0.0) for cell in cells]
     points = [(c, lam_new) for c in range(len(cells)) for lam_new in lam_news]
     batch = ChainBatch(templates[c] for c, _ in points)
@@ -806,11 +841,8 @@ class Ch7QueueParams:
         if self.n_states + self.s_states < 1:
             raise ValueError("require N + S >= 1")
         for name in ("lam_new_voice", "lam_new_unicast", "lam_new_background", "lam_hand"):
-            value = getattr(self, name)
-            if not 0.0 <= value < math.inf:
-                raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
-        if not 0.0 < self.mu < math.inf:
-            raise ValueError(f"mu must be finite and > 0, got {self.mu!r}")
+            finite(name, getattr(self, name), 0)
+        finite("mu", self.mu, 0, strict=True)
 
 
 def ch7_chain(params: Ch7QueueParams) -> LossChainSpec:

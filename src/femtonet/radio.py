@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import topology as topo_mod
-from ._checks import whole_count
+from ._checks import finite, whole_count
 from .spectrum import SpectrumPlan, bands_overlap
 from .topology import CellTopology, DegenerateGeometryError
 
@@ -59,17 +59,11 @@ class PropagationParams:
         # each check is written so that NaN fails it
         for name in ("path_loss_exp_serving", "path_loss_exp_femto_interf",
                      "path_loss_exp_macro_interf"):
-            value = getattr(self, name)
-            if not 2.0 <= value < math.inf:
-                raise ValueError(f"{name} must be finite and >= 2, got {value!r}")
-        if not 0.0 <= self.wall_loss_db < math.inf:
-            raise ValueError(f"wall_loss_db must be finite and >= 0, got {self.wall_loss_db!r}")
+            finite(name, getattr(self, name), 2)
+        finite("wall_loss_db", self.wall_loss_db, 0)
         for name in ("tx_power_macro_w", "tx_power_femto_w"):
-            value = getattr(self, name)
-            if not 0.0 < value < math.inf:
-                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
-        if not math.isfinite(self.sir_cap_db):
-            raise ValueError(f"sir_cap_db must be finite, got {self.sir_cap_db!r}")
+            finite(name, getattr(self, name), 0, strict=True)
+        finite("sir_cap_db", self.sir_cap_db)
 
 
 @dataclass(frozen=True)
@@ -194,11 +188,9 @@ def outage_probability_closed_form(
 ) -> float:
     """P(S_bar * Z < gamma * I) for exponential unit-mean fast fading:
     1 - exp(-gamma * I / S_bar)."""
-    for name, value in (("mean_signal", mean_signal), ("gamma_linear", gamma_linear)):
-        if not 0.0 < value < math.inf:
-            raise ValueError(f"{name} must be finite and > 0, got {value!r}")
-    if not 0.0 <= interference < math.inf:
-        raise ValueError(f"interference must be finite and >= 0, got {interference!r}")
+    finite("mean_signal", mean_signal, 0, strict=True)
+    finite("gamma_linear", gamma_linear, 0, strict=True)
+    finite("interference", interference, 0)
     return -math.expm1(-gamma_linear * interference / mean_signal)
 
 
@@ -232,8 +224,7 @@ def outage_probability_mc(
 
 def shannon_throughput(bandwidth_hz: float, sir_linear: float) -> float:
     """W * log2(1 + SIR) in bit/s; zero bandwidth gives zero."""
-    if not 0.0 <= bandwidth_hz < math.inf:
-        raise ValueError(f"bandwidth_hz must be finite and >= 0, got {bandwidth_hz!r}")
+    finite("bandwidth_hz", bandwidth_hz, 0)
     if not sir_linear >= 0.0:
         raise ValueError(f"sir_linear must be >= 0, got {sir_linear!r}")
     if bandwidth_hz == 0.0:

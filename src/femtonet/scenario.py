@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 
+from ._checks import finite, fraction
 from .presets import PRESETS, table61_classes
 from .queueing import Ch6QueueParams, TwoTierParams, chain_dimensions
 from .radio import PropagationParams
@@ -146,10 +147,7 @@ class Scenario:
 
     def _rate(self, key: str) -> float:
         """A rate or ratio the two-tier split derives from: finite and >= 0."""
-        value = self[key]
-        if not 0.0 <= value < math.inf:
-            raise ValueError(f"{key} must be finite and >= 0, got {value!r}")
-        return value
+        return finite(key, self[key], 0)
 
     def two_tier_params(self, n: int, lam_total: float | None = None):
         macro = self.macro_geometry()
@@ -185,10 +183,8 @@ class Scenario:
         if n < 1:
             raise ValueError(f"traffic.capacity_kbps must be finite and hold at least "
                              f"one call, got {capacity!r}")
-        fraction = self["traffic.guard_fraction"]
-        if not 0.0 <= fraction <= 1.0:
-            raise ValueError(f"traffic.guard_fraction must lie in [0, 1], got {fraction!r}")
-        guard = max(1, int(fraction * n))
+        share = fraction("traffic.guard_fraction", self["traffic.guard_fraction"])
+        guard = max(1, int(share * n))
         return Ch6QueueParams(
             lam_new=lam_new, capacity=capacity, classes=classes,
             eta=1.0 / self._duration("traffic.macro_dwell_s"), guard_channels=guard)

@@ -33,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._checks import whole_count, whole_counts
+from ._checks import finite, whole_count, whole_counts
 
 # Fixed reference geometry (distances in meters)
 DEFAULT_MACRO_RADIUS = 1000.0
@@ -78,9 +78,7 @@ class MacroGeometry:
         if not math.inf > self.macro_radius_m > self.femto_radius_m > 0:
             raise ValueError("require a finite macro_radius_m > femto_radius_m > 0")
         for name in ("min_separation_m", "neighbor_threshold_m"):
-            value = getattr(self, name)
-            if not 0.0 <= value < math.inf:
-                raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+            finite(name, getattr(self, name), 0)
         whole_counts(self, ("macro_ue_walls", "inter_femto_walls"))
 
 
@@ -142,9 +140,7 @@ class CellTopology:
             raise ValueError("femtocell ids must be unique")
         if not self.femto_radius_m > 0:
             raise ValueError("femto_radius_m must be > 0")
-        if not 0.0 <= self.neighbor_threshold_m < math.inf:
-            raise ValueError(f"neighbor_threshold_m must be finite and >= 0, "
-                             f"got {self.neighbor_threshold_m!r}")
+        finite("neighbor_threshold_m", self.neighbor_threshold_m, 0)
         pos = np.array(self.positions, dtype=float)
         if pos.shape != (n, 2) and not (n == 0 and pos.size == 0):
             raise ValueError(f"positions must be a {n} x 2 array, got shape {pos.shape}")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import require
+from ._checks import finite, require
 
 BW_TOL = 1e-9
 
@@ -35,10 +35,8 @@ class MbsSession:
     def __post_init__(self):
         if not 0 <= self.min_layers <= self.max_layers:
             raise ValueError("need 0 <= min_layers <= max_layers")
-        if not 0 < self.base_bw < math.inf:
-            raise ValueError(f"base_bw must be finite and > 0, got {self.base_bw!r}")
-        if not 0 <= self.layer_bw < math.inf:
-            raise ValueError(f"layer_bw must be finite and >= 0, got {self.layer_bw!r}")
+        finite("base_bw", self.base_bw, 0, strict=True)
+        finite("layer_bw", self.layer_bw, 0)
 
     def bw_at(self, layers: int) -> float:
         return self.base_bw + self.layer_bw * layers
@@ -70,9 +68,8 @@ def allocate_mbs_budget(capacity: float, non_mbs_bw: float, sessions):
     """
     if not sessions:
         raise ValueError("no MBS sessions")
-    for name, value in (("capacity", capacity), ("non_mbs_bw", non_mbs_bw)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value!r}")
+    finite("capacity", capacity)
+    finite("non_mbs_bw", non_mbs_bw)
     if not capacity > 0:
         raise ValueError(f"capacity must be > 0, got {capacity!r}")
     if not non_mbs_bw >= 0:
@@ -236,8 +233,7 @@ def allocate_popularity(capacity: float, beta_max: float, beta_min: float,
         raise ValueError("viewers must be finite and >= 0")
     if (viewers[:, :-1] - viewers[:, 1:]).min(initial=0) < 0:
         raise ValueError("viewers must be sorted non-increasing in each row")
-    if not math.isfinite(capacity):
-        raise ValueError(f"capacity must be finite, got {capacity!r}")
+    finite("capacity", capacity)
     if not math.inf > beta_max >= beta_min > 0:
         raise ValueError("need a finite beta_max >= beta_min > 0")
     if m_total * beta_min > capacity + BW_TOL:

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from femtonet._despy import check_loss_chain
+from femtonet.queueing import check_loss_chain
 from femtonet.spectrum import (
     DEFAULT_TOTAL_HZ,
     Band,
@@ -1131,10 +1131,10 @@ def _mean_ci(samples: np.ndarray, successes: int = 0,
 
 
 def simulate_des(spec, total_calls: int = 1_000_000, seed: int = 0):
-    from femtonet import _despy, des
+    from femtonet import des
     from femtonet.des import REPLICATIONS, WARMUP, DesResult
 
-    total_calls = _despy.check_arrivals(total_calls)
+    total_calls = des.check_arrivals(total_calls)
     if total_calls < 1:
         raise ValueError("total_calls must be >= 1")
     replications = min(REPLICATIONS, total_calls)

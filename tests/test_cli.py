@@ -120,6 +120,38 @@ def test_run_bad_trials_or_sweep_count_is_input_error(tmp_path, argv, named):
     assert not os.listdir(tmp_path)
 
 
+HUGE = "9" * 400  # an int that no float holds
+
+
+@pytest.mark.parametrize("key, experiment, named", [
+    ("traffic.femto_capacity_calls", "fig5-mobility", "femto_capacity"),
+    ("topology.macro_ue_walls", "fig4-outage", "macro_ue_walls"),
+    ("topology.inter_femto_walls", "fig5-neighborlist", "inter_femto_walls"),
+    ("traffic.macro_base_states", "fig5-mobility", "macro_base_states"),
+    ("traffic.macro_adaptive_states", "fig5-mobility", "macro_adaptive_states"),
+])
+def test_an_int_past_the_float_range_is_input_error(tmp_path, capsys, key, experiment, named):
+    # in process, an uncaught OverflowError (the traceback the CLI printed)
+    # fails the test
+    path = tmp_path / "huge.scenario"
+    path.write_text(f"name = huge\n{key} = {HUGE}\n")
+    validate = main(["validate", str(path)])
+    validate_err = capsys.readouterr().err
+    run = main(["run", experiment, "--set", f"{key}={HUGE}", "--out", str(tmp_path / "out")])
+    run_err = capsys.readouterr().err
+    assert validate == run == EXIT_INPUT_ERROR
+    assert validate_err == run_err == (f"error: {named} must be a whole number within the "
+                                       f"float range, got {HUGE}\n")
+
+
+def test_a_trial_count_past_the_float_range_is_input_error(tmp_path, capsys):
+    code = main(["run", "fig5-neighborlist", "--trials", HUGE, "--out", str(tmp_path)])
+    assert code == EXIT_INPUT_ERROR
+    assert capsys.readouterr().err == (f"error: trials must be a whole number within the "
+                                       f"float range, got {HUGE}\n")
+    assert not os.listdir(tmp_path)
+
+
 def test_zero_trials_leaves_an_analytic_figure_unchanged(tmp_path, capsys):
     # fig5-mobility never reads the trial count, so it writes its default CSV
     assert main(["run", "fig5-mobility", "--trials", "0", "--out", str(tmp_path)]) == EXIT_OK

@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 import tracemalloc
 import warnings
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 import oracles
 from oracles import balance_equation_solve, scalar_loss_chain
 
-from femtonet import _despy, des
+from femtonet import des
 from femtonet.admission import TrafficClass
 from femtonet.des import (
     LossChainSpec,
@@ -168,7 +169,7 @@ def test_arrival_threshold_decides_as_the_product(lam, srv, draws):
     when v * r < lam: at t, at its two neighbours, at the 53-bit grid draws
     beside t and at random grid draws."""
     rate = lam + srv
-    t = _despy.arrival_threshold(lam, rate)
+    t = des.arrival_threshold(lam, rate)
     assert not t * rate < lam
     grid = math.floor(min(t, 1.0) * 2**53)
     near = [k / 2**53 for k in range(grid - 2, grid + 3) if 0 <= k < 2**53]
@@ -177,7 +178,7 @@ def test_arrival_threshold_decides_as_the_product(lam, srv, draws):
         assert (v < t) == (v * rate < lam), v
 
 
-ONE_BLOCK = _despy._BLOCK_EVENTS
+ONE_BLOCK = des._BLOCK_EVENTS
 
 
 def test_the_block_log_is_libm_log_bit_for_bit():
@@ -185,11 +186,11 @@ def test_the_block_log_is_libm_log_bit_for_bit():
     math.log (libm's log) on every draw: over 2**20 kernel draws, taken in
     block-sized calls and in one, and at the extremes 1 - k/2**53 for
     k < 10**4 and k > 2**53 - 10**4."""
-    x = 1.0 - _despy._uniforms(0x5EED, 2**19)
+    x = 1.0 - des._uniforms(0x5EED, 2**19)
     k = np.concatenate([np.arange(10**4), 2**53 - np.arange(1, 10**4 + 1)])
     extremes = 1.0 - k.astype(np.float64) / 2**53
     for draws in (*np.array_split(x, len(x) // ONE_BLOCK), x, extremes):
-        got = _despy._libm_log(draws)
+        got = des._libm_log(draws)
         want = np.fromiter(map(math.log, draws.tolist()), np.float64, len(draws))
         miss = np.flatnonzero(got != want)
         assert miss.size == 0, (f"{miss.size} of {len(draws)} logs differ from "
@@ -358,10 +359,10 @@ def test_numpy_integer_states_and_limits_accepted():
 
 def test_arrival_count_bounds_are_int64():
     # the walker's counts are int64, which holds neither -2**63 - 1 nor 2**63
-    assert _despy.check_arrivals(-2**63) == -2**63
-    assert _despy.check_arrivals(2**63 - 1) == 2**63 - 1
+    assert des.check_arrivals(-2**63) == -2**63
+    assert des.check_arrivals(2**63 - 1) == 2**63 - 1
     with pytest.raises(ValueError, match="does not fit in 64 bits"):
-        _despy.check_arrivals(-2**63 - 1)
+        des.check_arrivals(-2**63 - 1)
 
 
 def test_numpy_integer_arrival_count_accepted():
@@ -371,7 +372,51 @@ def test_numpy_integer_arrival_count_accepted():
     assert simulate_des(spec, np.int32(2000)).elapsed == simulate_des(spec, 2000).elapsed
 
 
-@pytest.mark.parametrize("streams", [{"hand_stream": 3},
+@pytest.mark.parametrize("seed", [1.9, 7.0, "7", math.nan, None])
+def test_a_seed_must_be_an_integer(seed):
+    # run_loss_chain failed on 1.9 with an unnamed TypeError from the seed
+    # mask, and run_replications walked [1.9] as seed 1 and accepted '7'
+    chain = ([1.0], [2], [0.0, 1.0, 2.0])
+    message = f"^seed must be an integer, got {re.escape(repr(seed))}$"
+    with pytest.raises(ValueError, match=message):
+        des.run_loss_chain(seed, 100, *chain)
+    with pytest.raises(ValueError, match=message):
+        des.run_replications([7, seed], [0, 0], [100, 100], *chain)
+
+
+@pytest.mark.parametrize("seed", [np.uint64(2**64 - 1), np.uint64(2**63), np.int64(-5),
+                                  np.int32(7), np.uint8(0)])
+def test_a_numpy_integer_seed_walks_as_the_equal_int(seed):
+    # np.uint64(2**64 - 1) passed the mask and then overflowed a C long in
+    # the walker
+    chain = ([1.0, 0.5], [2, 3], [0.0, 1.0, 2.0, 3.0])
+    assert des.run_loss_chain(seed, 500, *chain) == des.run_loss_chain(int(seed), 500, *chain)
+    got = des.run_replications([seed, 3], [10, 10], [500, 500], *chain)
+    want = des.run_replications([int(seed), 3], [10, 10], [500, 500], *chain)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+def test_simulate_des_hands_run_replications_python_int_seeds(monkeypatch):
+    """simulate_des passes its SeedSequence states as Python ints, so the
+    seed check leaves every DesResult as it was: the same states as numpy
+    integers walk alike."""
+    plans = []
+    run_replications = des.run_replications
+
+    def recording(seeds, *rest):
+        plans.append((seeds, rest))
+        return run_replications(seeds, *rest)
+
+    monkeypatch.setattr(des, "run_replications", recording)
+    simulate_des(spec_for_erlang(1.0, 1.0, 2), 2000, seed=5)
+    ((seeds, rest),) = plans
+    assert all(type(s) is int for s in seeds)
+    got = run_replications(np.array(seeds, dtype=np.uint64), *rest)
+    want = run_replications(seeds, *rest)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+@pytest.mark.parametrize("streams",[{"hand_stream": 3},
                                      {"new_streams": (-1,), "hand_stream": -1},
                                      {"new_streams": (0, 1), "hand_stream": 0}])
 def test_spec_rejects_stream_index_out_of_range(streams):

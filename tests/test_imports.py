@@ -6,6 +6,7 @@ method and property of such a class, has a caller outside the tests, and
 every public field of such a class has a reader outside the tests."""
 
 import ast
+import functools
 import pathlib
 
 import pytest
@@ -140,22 +141,100 @@ def _public_fields(path) -> dict[str, int]:
             and not node.target.id.startswith("_")}
 
 
-def _read(source: str) -> set[str]:
+def _class_named(node, classes) -> str | None:
+    """The class of `classes` that an annotation or a called name names:
+    `Cls`, `mod.Cls`, `"Cls"` or `Cls | None`."""
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitOr):
+        sides = [side for side in (node.left, node.right)
+                 if not (isinstance(side, ast.Constant) and side.value is None)]
+        return _class_named(sides[0], classes) if len(sides) == 1 else None
+    name = (node.id if isinstance(node, ast.Name) else node.attr
+            if isinstance(node, ast.Attribute) else node.value
+            if isinstance(node, ast.Constant) else None)
+    return name if name in classes else None
+
+
+def _own_nodes(scope):
+    """The nodes of a module or function body, not those of the functions,
+    lambdas and classes that it defines."""
+    for child in ast.iter_child_nodes(scope):
+        if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda,
+                                  ast.ClassDef)):
+            yield child
+            yield from _own_nodes(child)
+
+
+def _scope_classes(scope, classes, self_class=None) -> dict:
+    """name -> the class of `classes` that each name bound in `scope` (a
+    module or a function) holds, or None where the AST does not show one:
+    a parameter annotated with the class, a name bound only from its
+    constructor, or a method's first parameter in self_class's body."""
+    bound = {}
+
+    def bind(name, cls):
+        bound[name] = cls if bound.get(name, cls) == cls else None
+
+    if not isinstance(scope, ast.Module):
+        args = scope.args
+        params = [*args.posonlyargs, *args.args, *args.kwonlyargs,
+                  *filter(None, (args.vararg, args.kwarg))]
+        plain = not any(_class_named(d, {"staticmethod", "classmethod"})
+                        for d in getattr(scope, "decorator_list", ()))
+        for k, arg in enumerate(params):
+            own = self_class if k == 0 and self_class and plain else None
+            bind(arg.arg, own or _class_named(arg.annotation, classes))
+    typed = set()
+    for node in _own_nodes(scope):
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
+            for target in node.targets:
+                if isinstance(target, ast.Name):
+                    bind(target.id, _class_named(node.value.func, classes))
+                    typed.add(id(target))
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            bind(node.target.id, _class_named(node.annotation, classes))
+            typed.add(id(node.target))
+    for node in _own_nodes(scope):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load) \
+                and id(node) not in typed:
+            bind(node.id, None)
+    return bound
+
+
+def _read(source: str, classes=frozenset()) -> set[str]:
     """Every attribute that Python source reads, by `.name` or as a string
     (`getattr(obj, "name")`); setting an attribute, storing or deleting an
     item of it (`obj.name[key] = value`) or passing it by keyword does not
-    read it."""
+    read it.  A `.name` read through a name that holds one of `classes`,
+    as the AST shows (_scope_classes), is `Class.name`; any other read is
+    the bare name."""
     tree = ast.parse(source)
     written = {id(node.value) for node in ast.walk(tree)
                if isinstance(node, ast.Subscript) and not isinstance(node.ctx, ast.Load)}
     names = set()
-    for node in ast.walk(tree):
-        if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
-                and id(node) not in written):
-            names.add(node.attr)
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            names.add(node.value)
+
+    def visit(scope, owners, self_class=None):
+        for child in ast.iter_child_nodes(scope):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                visit(child, {**owners, **_scope_classes(child, classes, self_class)})
+                continue
+            if (isinstance(child, ast.Attribute) and isinstance(child.ctx, ast.Load)
+                    and id(child) not in written):
+                owner = owners.get(child.value.id) if isinstance(child.value, ast.Name) else None
+                names.add(f"{owner}.{child.attr}" if owner else child.attr)
+            elif isinstance(child, ast.Constant) and isinstance(child.value, str):
+                names.add(child.value)
+            visit(child, owners,
+                  child.name if isinstance(child, ast.ClassDef) and child.name in classes else None)
+
+    visit(tree, _scope_classes(tree, classes))
     return names
+
+
+def _classes(paths) -> set[str]:
+    """The names of the module-level classes of paths."""
+    return {node.name for path in paths
+            for node in ast.parse(path.read_text(encoding="utf-8")).body
+            if isinstance(node, ast.ClassDef)}
 
 
 def _uncalled_api(paths, sources, api=_public_api, names=_named) -> list[tuple[str, int, str]]:
@@ -166,7 +245,7 @@ def _uncalled_api(paths, sources, api=_public_api, names=_named) -> list[tuple[s
     named = set().union(*map(names, sources))
     return [(path.name, line, name) for path in paths
             for name, line in sorted(api(path).items())
-            if name.rpartition(".")[2] not in named]
+            if name not in named and name.rpartition(".")[2] not in named]
 
 
 def _library_example() -> str:
@@ -213,6 +292,7 @@ def test_every_public_method_and_property_has_a_caller():
 # paper's outputs that a caller reads back, and records that name their item
 TEST_ONLY_FIELDS = {
     "admission.py": {
+        "AdmissionDecision.outcome": "the CAC's decision on a call, a paper output",
         "AdmissionDecision.reason": "the Ch. 5 CAC's reason for its outcome",
         "AdmissionDecision.degradations": "the calls that a Ch. 5 admission degraded",
         "AdmissionDecision.state": "the cell load that a Ch. 5 admission leaves",
@@ -250,7 +330,8 @@ TEST_ONLY_FIELDS = {
 def test_every_public_field_has_a_reader():
     """Outside the listed test-only fields, which must stay unread so that
     the list does not go stale."""
-    unread = _uncalled_api(SRC_MODULES, _api_users(), _public_fields, _read)
+    unread = _uncalled_api(SRC_MODULES, _api_users(), _public_fields,
+                           functools.partial(_read, classes=_classes(SRC_MODULES)))
     assert {(module, name) for module, _, name in unread} == \
         {(module, name) for module, names in TEST_ONLY_FIELDS.items() for name in names}
 
@@ -260,9 +341,10 @@ def test_an_unread_public_field_is_found(tmp_path):
     path.write_text("from dataclasses import dataclass\n\n\n@dataclass\nclass Cell:\n"
                     "    load: float\n    limit: int\n    label: str = ''\n"
                     "    unread: int = 0\n    _private: int = 0\n    log: dict = None\n"
-                    "    rows: tuple = ()\n\n    def grow(self):\n"
+                    "    rows: tuple = ()\n    tag: str = ''\n\n    def grow(self):\n"
                     "        return self.limit + 1\n\n\n@dataclass\nclass _Hidden:\n"
-                    "    unread: int\n")
+                    "    unread: int\n\n\n@dataclass\nclass Probe:\n    depth: int\n"
+                    "    limit: int = 0\n    spare: int = 0\n    tag: str = ''\n")
     # the module reads its own fields too, as each femtonet module is a user;
     # an item stored into or deleted from a field does not read it, and an
     # item loaded from one does
@@ -270,9 +352,20 @@ def test_an_unread_public_field_is_found(tmp_path):
              "from mod import Cell\ncell = Cell(load=1.0, limit=2, unread=3)\n"
              "cell.unread = 4\nprint(cell.load, cell.grow(), getattr(cell, 'label'))\n"
              "cell.log['steps'] = 5\ndel cell.log['steps']\n"
-             "print(cell.rows[0])\n"]
+             "print(cell.rows[0])\n",
+             "def show(cell: 'Cell', thing, probe: Probe | None):\n"
+             "    print(cell.depth, thing.spare, probe.tag)\n"]
     assert _uncalled_api([path], users, _public_fields, _read) == [
         ("mod.py", 11, "Cell.log"), ("mod.py", 9, "Cell.unread")]
+    # where the AST shows the owner's class (an annotated parameter, a name
+    # bound from a constructor, a method's self), a read counts for that
+    # class only: Cell.grow's self.limit and show's cell.depth read no Probe
+    # field, and probe.tag no Cell field, while a read through an unannotated
+    # name counts for every class, as thing.spare does
+    owned = functools.partial(_read, classes={"Cell", "Probe"})
+    assert _uncalled_api([path], users, _public_fields, owned) == [
+        ("mod.py", 11, "Cell.log"), ("mod.py", 13, "Cell.tag"), ("mod.py", 9, "Cell.unread"),
+        ("mod.py", 26, "Probe.depth"), ("mod.py", 27, "Probe.limit")]
 
 
 def test_an_uncalled_public_function_is_found(tmp_path):
