@@ -39,7 +39,8 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="run named experiments")
     run_p.add_argument("experiments", nargs="+", metavar="experiment",
                        help="experiment names (see `femtonet list`); fig4-throughput "
-                            "and fig4-outage named together share one sweep")
+                            "and fig4-outage share one sweep when their inputs match, "
+                            "as in library calls")
     run_p.add_argument("--scenario", help="scenario file to load")
     run_p.add_argument("--seed", type=int, default=None)
     run_p.add_argument("--trials", type=int, default=None)

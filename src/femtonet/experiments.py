@@ -18,7 +18,7 @@ import numpy as np
 
 from . import neighborlist as nl_mod
 from . import queueing as q_mod
-from ._checks import finite
+from ._checks import finite, whole_count
 from .admission import TrafficClass
 from .presets import TABLE_7_1, TABLE_8_1, table71_mbs_sessions
 from .radio import db_to_linear, outage_probability_closed_form, shannon_throughput, sir
@@ -152,36 +152,49 @@ def _no_trials(name: str, scenario: Scenario) -> ExperimentResult:
 
 DEFAULT_FIG4_COUNTS = (60, 100, 300, 600, 1000)
 
+# The last radio sweep, as (key, sweep): both fig4 figures read one sweep,
+# so a figure run on the inputs of the one before reuses its sweep.  None
+# before the first sweep and after one that raised.  Each store is one
+# assignment of a whole pair, so a thread reads a key with its own sweep.
+_last_sweep = None
 
-# the fig4 experiments: the metric each reports, and its index in a sweep value
-FIG4_METRICS = {"fig4-throughput": ("mean_throughput_bps", 0),
-                "fig4-outage": ("mean_outage", 1)}
+
+def _fig4_sweep(scenario: Scenario, counts: list[int], trials: int):
+    """`_radio_sweep(scenario, counts, trials)`, the last one's when its key
+    matches: every input the sweep reads, as immutable values."""
+    global _last_sweep
+    params, gamma, ue_range, macro, bands = _read_fig4(scenario)
+    key = (params, gamma, ue_range, macro, tuple(bands.items()), scenario.seed,
+           tuple(counts), trials)
+    last = _last_sweep
+    if last is not None and last[0] == key:
+        return last[1]
+    _last_sweep = None
+    sweep = _radio_sweep(scenario, counts, trials)
+    _last_sweep = (key, sweep)
+    return sweep
 
 
-def _run_fig4(scenario: Scenario, names) -> list[ExperimentResult]:
-    """The named fig4 results, in order, all read from one radio sweep."""
+def _run_fig4(scenario: Scenario, name: str, metric: str, index: int) -> ExperimentResult:
+    """The fig4 result `name`: per (count, scheme), the sweep value at
+    `index` as `metric`."""
     counts = _sweep_counts(scenario, "sweep.femto_counts", DEFAULT_FIG4_COUNTS)
     if scenario["trials"] == 0:
         _read_fig4(scenario)  # zero trials reject what the trials reject
-        return [_no_trials(name, scenario) for name in names]
-    sweep = _radio_sweep(scenario, counts, scenario["trials"])
-    results = []
-    for name in names:
-        metric, index = FIG4_METRICS[name]
-        res = ExperimentResult(name, scenario.name, scenario.seed)
-        for count, per_scheme in sweep.items():
-            for scheme, values in per_scheme.items():
-                res.add(scheme, count, metric, values[index])
-        results.append(res)
-    return results
+        return _no_trials(name, scenario)
+    res = ExperimentResult(name, scenario.name, scenario.seed)
+    for count, per_scheme in _fig4_sweep(scenario, counts, scenario["trials"]).items():
+        for scheme, values in per_scheme.items():
+            res.add(scheme, count, metric, values[index])
+    return res
 
 
 def run_fig4_throughput(scenario: Scenario) -> ExperimentResult:
-    return _run_fig4(scenario, ["fig4-throughput"])[0]
+    return _run_fig4(scenario, "fig4-throughput", "mean_throughput_bps", 0)
 
 
 def run_fig4_outage(scenario: Scenario) -> ExperimentResult:
-    return _run_fig4(scenario, ["fig4-outage"])[0]
+    return _run_fig4(scenario, "fig4-outage", "mean_outage", 1)
 
 
 # ---------------------------------------------------------------------------
@@ -500,10 +513,13 @@ def _checked(name: str, scenario: Scenario | None, seed: int | None) -> Scenario
 
 
 def _check_trials(scenario: Scenario) -> None:
-    """Reject a negative trial count or seed; numpy seeds only from n >= 0."""
+    """Reject a negative trial count or seed, as numpy seeds only from
+    n >= 0, and a trial count past an int64, numpy's array size type."""
     for key in ("trials", "seed"):
         if scenario[key] < 0:
             raise ValueError(f"{key} must be >= 0, got {scenario[key]}")
+    if whole_count("trials", scenario["trials"], 0) >= 2**63:
+        raise ValueError(f"trials must fit in an int64, got {scenario['trials']}")
 
 
 def check_scenario(scenario: Scenario) -> None:
@@ -531,15 +547,10 @@ def run_experiment(name: str, scenario: Scenario | None = None,
 
 def run_experiments(scenarios: dict) -> list[ExperimentResult]:
     """Run each named experiment on its scenario (a name -> Scenario dict),
-    in order.  Each result equals its run_experiment result, but when both
-    fig4 experiments run on equal scenarios one radio sweep serves both."""
+    in order, once every scenario has passed `run_experiment`'s checks.
+    Each result equals its run_experiment result."""
     scenarios = {name: _checked(name, sc, None) for name, sc in scenarios.items()}
-    fig4 = [name for name in scenarios if name in FIG4_METRICS]
-    shared = {}
-    if len(fig4) == 2 and scenarios[fig4[0]] == scenarios[fig4[1]]:
-        shared = dict(zip(fig4, _run_fig4(scenarios[fig4[0]], fig4)))
-    return [shared[name] if name in shared else EXPERIMENTS[name](sc)
-            for name, sc in scenarios.items()]
+    return [EXPERIMENTS[name](sc) for name, sc in scenarios.items()]
 
 
 # ---------------------------------------------------------------------------

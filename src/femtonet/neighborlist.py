@@ -16,7 +16,13 @@ import numpy as np
 
 from . import topology as topo_mod
 from ._checks import require, whole_count
-from .radio import PropagationParams, link_power, linear_to_db, wall_attenuation
+from .radio import (
+    DEFAULT_PROPAGATION,
+    PropagationParams,
+    link_power,
+    linear_to_db,
+    wall_attenuation,
+)
 from .spectrum import SpectrumPlan, build_plan
 from .topology import CellTopology
 
@@ -241,7 +247,7 @@ def scan_from_geometry(
     may be below S_T0.  The levels come from one scalar pass in math-module
     arithmetic: numpy's hypot, pow and log10 differ from it in the last
     bit, and the levels are reported values."""
-    params = params or PropagationParams()
+    params = params or DEFAULT_PROPAGATION
     obstructed = obstructed or set()
     ue = tuple(ue_xy)
     ux, uy = ue[0], ue[1]

@@ -66,6 +66,10 @@ class PropagationParams:
         finite("sir_cap_db", self.sir_cap_db)
 
 
+# the parameters of a call that passes none; frozen, so every such call shares them
+DEFAULT_PROPAGATION = PropagationParams()
+
+
 @dataclass(frozen=True)
 class SirReport:
     signal_w: float
@@ -133,7 +137,7 @@ def sir(
     """
     if macro_tiers not in ("all", "reference"):
         raise ValueError(f"macro_tiers must be 'all' or 'reference', not {macro_tiers!r}")
-    params = params or PropagationParams()
+    params = params or DEFAULT_PROPAGATION
     serving_band = plan.band_for_link(serving, ue_xy, topo)
     macro_sites = (topo.macro_sites if macro_tiers == "all"
                    else topo.macro_sites[:1])
@@ -210,7 +214,7 @@ def outage_probability_mc(
     fast fade is drawn, matching the closed form's conditioning.
     """
     trials = whole_count("trials", trials, 1)
-    params = params or PropagationParams()
+    params = params or DEFAULT_PROPAGATION
     rng = np.random.default_rng(np.random.SeedSequence(seed))
 
     base = sir(topo, plan, ue_xy, serving, params)

@@ -14,6 +14,7 @@ import pytest
 from fixtures import hidden_fap_fixture, result_values
 from oracles import balance_equation_solve, erlang_b_direct, greedy_layer_packing
 
+from femtonet import experiments
 from femtonet import handoverflow as hf
 from femtonet import neighborlist as nl
 from femtonet import queueing as q
@@ -467,7 +468,7 @@ def test_criterion_12_handover_flows():
 # -- 13 -----------------------------------------------------------------
 
 
-def test_criterion_13_experiment_determinism():
+def test_criterion_13_experiment_determinism(monkeypatch):
     budget = Budget(13, "byte-identical CSV on rerun for every experiment", 60)
     tweaks = {
         "fig4-throughput": {"trials": 2, "sweep.femto_counts": (100.0,)},
@@ -502,7 +503,10 @@ def test_criterion_13_experiment_determinism():
         values = {**scenario.values, "seed": SEED}
         values.update(extra)
         scenario = Scenario(values)
+        # an empty sweep memo before each run, so a fig4 rerun sweeps again
+        monkeypatch.setattr(experiments, "_last_sweep", None)
         first = result_to_csv(run_experiment(name, scenario))
+        monkeypatch.setattr(experiments, "_last_sweep", None)
         second = result_to_csv(run_experiment(name, Scenario(dict(values))))
         assert first == second, f"{name} not deterministic"
         assert hashlib.sha256(first.encode()).hexdigest() == csv_sha256[name], \

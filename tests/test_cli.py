@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -18,6 +19,7 @@ from femtonet.experiments import (
     run_experiments,
 )
 from femtonet.scenario import SCENARIO_KEYS, Scenario, scenario_from_preset
+from femtonet.topology import PlacementInfeasibleError
 
 FIG8_SMALL = ["--trials", "3", "--set", "sweep.session_counts = 20"]
 ROOT = os.path.dirname(os.path.dirname(__file__))
@@ -103,6 +105,8 @@ def test_run_negative_arrival_rate_is_input_error(tmp_path, capsys):
 @pytest.mark.parametrize("argv, named", [
     (["fig4-outage", "--trials", "-1"], "trials"),
     (["fig8-popularity", "--trials", "-2"], "trials"),
+    # past an int64, numpy's array size type, and within the float range
+    (["fig8-popularity", "--trials", "99999999999999999999"], "trials"),
     (["fig8-popularity", "--seed", "-1", "--trials", "2",
       "--set", "sweep.session_counts = 5"], "seed"),
     (["fig8-popularity", "--set", "sweep.session_counts=0"], "sweep.session_counts"),
@@ -152,6 +156,13 @@ def test_a_trial_count_past_the_float_range_is_input_error(tmp_path, capsys):
     assert not os.listdir(tmp_path)
 
 
+def test_the_largest_trial_count_is_the_largest_int64():
+    base = scenario_from_preset(DEFAULT_PRESET["fig8-popularity"]).values
+    check_scenario(Scenario({**base, "trials": 2**63 - 1}))
+    with pytest.raises(ValueError, match=r"^trials must fit in an int64, got 9223372036854775808$"):
+        check_scenario(Scenario({**base, "trials": 2**63}))
+
+
 def test_zero_trials_leaves_an_analytic_figure_unchanged(tmp_path, capsys):
     # fig5-mobility never reads the trial count, so it writes its default CSV
     assert main(["run", "fig5-mobility", "--trials", "0", "--out", str(tmp_path)]) == EXIT_OK
@@ -199,6 +210,7 @@ def test_validate_missing_file():
 @pytest.mark.parametrize("line, experiment", [
     ("topology.min_separation_m = -1", "fig4-outage"),
     ("trials = -1", "fig4-outage"),
+    ("trials = 99999999999999999999", "fig8-popularity"),
     ("traffic.arrival_grid = 0.4, -0.5", "fig6-cac"),
     ("traffic.mean_call_duration_s = 0", "fig5-mobility"),
     ("traffic.femto_dwell_s = 1e-320", "fig5-mobility"),
@@ -403,6 +415,7 @@ def test_emit_out_names_a_file_is_input_error(tmp_path):
 def test_run_fig4_pair_sweeps_once(tmp_path, capsys, monkeypatch):
     """Both fig4 names in one run read one radio sweep; the pinned default
     run checks the bytes of both CSVs."""
+    monkeypatch.setattr(experiments, "_last_sweep", None)  # an earlier run's sweep
     sweeps = []
     real_sweep = experiments._radio_sweep
     monkeypatch.setattr(experiments, "_radio_sweep",
@@ -411,6 +424,99 @@ def test_run_fig4_pair_sweeps_once(tmp_path, capsys, monkeypatch):
     assert len(sweeps) == 1
     paths = capsys.readouterr().out.split()
     assert [os.path.basename(p) for p in paths] == ["fig4-throughput.csv", "fig4-outage.csv"]
+
+
+def _small_fig4(**changes):
+    """The default fig4 scenario at one trial and 60 FAPs, with `changes`
+    (dotted keys) applied."""
+    base = scenario_from_preset(DEFAULT_PRESET["fig4-outage"]).values
+    return Scenario({**base, "trials": 1, "sweep.femto_counts": (60.0,), **changes})
+
+
+def _cold_csv(name, scenario):
+    """The CSV of `name` run alone, on an empty sweep memo."""
+    experiments._last_sweep = None
+    return result_to_csv(run_experiment(name, scenario))
+
+
+@pytest.fixture
+def sweeps(monkeypatch):
+    """The arguments of each `_radio_sweep` call in the test, which starts
+    with an empty sweep memo."""
+    monkeypatch.setattr(experiments, "_last_sweep", None)
+    calls = []
+    real_sweep = experiments._radio_sweep
+    monkeypatch.setattr(experiments, "_radio_sweep",
+                        lambda *a: calls.append(a) or real_sweep(*a))
+    return calls
+
+
+def test_library_fig4_pair_on_equal_scenarios_sweeps_once(sweeps):
+    sc = _small_fig4()
+    results = [run_experiment("fig4-throughput", sc),
+               run_experiment("fig4-outage", Scenario(dict(sc.values)))]
+    assert len(sweeps) == 1
+    for result in results:
+        assert result_to_csv(result) == _cold_csv(result.experiment, sc)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("seed", 8),
+    ("trials", 2),
+    ("sweep.femto_counts", (100.0,)),
+    ("radio.sir_threshold_db", 12.0),
+    ("topology.min_separation_m", 3.0),
+    ("spectrum.edge_fraction", 0.5),
+])
+def test_a_changed_fig4_input_sweeps_again(sweeps, key, value):
+    sc, changed = _small_fig4(), _small_fig4(**{key: value})
+    first = run_experiment("fig4-throughput", sc)
+    second = run_experiment("fig4-outage", changed)
+    assert len(sweeps) == 2
+    assert result_to_csv(first) == _cold_csv("fig4-throughput", sc)
+    assert result_to_csv(second) == _cold_csv("fig4-outage", changed)
+
+
+def test_a_fig4_result_owns_its_rows(sweeps):
+    sc = _small_fig4()
+    first = run_experiment("fig4-outage", sc)
+    expected = result_to_csv(first)
+    first.rows[0] = first.rows[0][:4] + (-1.0,) + first.rows[0][5:]
+    first.rows.append(first.rows[0])
+    assert result_to_csv(run_experiment("fig4-outage", sc)) == expected
+    assert len(sweeps) == 1
+
+
+def test_a_sweep_that_raises_leaves_the_memo_empty(sweeps):
+    run_experiment("fig4-outage", _small_fig4())
+    assert experiments._last_sweep is not None
+    # 1000 FAPs at 50 m apart do not fit in the macrocell
+    crowded = _small_fig4(**{"topology.min_separation_m": 50.0,
+                             "sweep.femto_counts": (1000.0,)})
+    with pytest.raises(PlacementInfeasibleError):
+        run_experiment("fig4-throughput", crowded)
+    assert experiments._last_sweep is None
+    with pytest.raises(PlacementInfeasibleError):
+        run_experiment("fig4-outage", crowded)
+    assert len(sweeps) == 3
+
+
+def test_threads_sharing_the_sweep_memo_read_their_own_sweeps():
+    # more threads than cores, switching often, on three inputs at once: a
+    # sweep read under another input's key would change a CSV
+    scenarios = {seed: _small_fig4(seed=seed) for seed in (1, 2, 3)}
+    expected = {(name, seed): _cold_csv(name, sc)
+                for seed, sc in scenarios.items() for name in ("fig4-throughput", "fig4-outage")}
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=6) as pool:
+            futures = [(key, pool.submit(run_experiment, key[0], scenarios[key[1]]))
+                       for _ in range(4) for key in expected]
+            for key, future in futures:
+                assert result_to_csv(future.result(timeout=120)) == expected[key], key
+    finally:
+        sys.setswitchinterval(old)
 
 
 def _sets(*lines):
