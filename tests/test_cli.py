@@ -105,8 +105,6 @@ def test_run_negative_arrival_rate_is_input_error(tmp_path, capsys):
 @pytest.mark.parametrize("argv, named", [
     (["fig4-outage", "--trials", "-1"], "trials"),
     (["fig8-popularity", "--trials", "-2"], "trials"),
-    # past an int64, numpy's array size type, and within the float range
-    (["fig8-popularity", "--trials", "99999999999999999999"], "trials"),
     (["fig8-popularity", "--seed", "-1", "--trials", "2",
       "--set", "sweep.session_counts = 5"], "seed"),
     (["fig8-popularity", "--set", "sweep.session_counts=0"], "sweep.session_counts"),
@@ -115,6 +113,8 @@ def test_run_negative_arrival_rate_is_input_error(tmp_path, capsys):
     # zero trials must not skip the sweep-count check
     (["fig8-popularity", "--trials", "0", "--set", "sweep.session_counts=0"],
      "sweep.session_counts"),
+    # past an int64, numpy's array size type, and within the float range
+    (["fig8-popularity", "--trials", "99999999999999999999"], "trials"),
 ])
 def test_run_bad_trials_or_sweep_count_is_input_error(tmp_path, argv, named):
     proc = _femtonet("run", *argv, "--out", str(tmp_path))
