@@ -59,3 +59,21 @@ def whole_counts(obj, names) -> None:
     store each as an int (frozen dataclasses too)."""
     for name in names:
         object.__setattr__(obj, name, whole_count(name, getattr(obj, name), 0))
+
+
+def libm(ufunc, x):
+    """ufunc(x) elementwise for a float64 numpy ufunc of one argument (log,
+    cos, sin), bit for bit as libm's function (math.log, math.cos,
+    math.sin) gives it, in one numpy call.
+
+    On float64 arrays numpy may run its own SIMD routine (np.log does,
+    AVX-512 on x86-64 with numpy 2.4), which differs from libm in the last
+    bit on some inputs (about 0.4% of the DES kernel's draws for log).  It
+    takes that routine whenever input and output run through memory in one
+    direction (numpy turns two reversed operands into forward ones).  The
+    reversed view of x is read backwards while the ufunc writes its new
+    output forwards, so no such turn exists and numpy runs its scalar loop,
+    which calls libm.  The second reversal puts the result back in x's
+    order.  Tier-1 tests hold this to math.log, math.cos and math.sin over a
+    million inputs each, so a numpy whose dispatch differs fails them."""
+    return ufunc(x[::-1])[::-1]

@@ -20,7 +20,7 @@ rate (arrival_threshold): float rounding is monotone, so it holds exactly
 when `v * rate_i < lam_total` does, the product that picks the stream.  The
 second pass, in numpy, computes the time steps, the clocks and the
 per-stream counts from the recorded path; it takes the block's logs in one
-call that runs libm's log (_libm_log), not one Python call per event.
+call that runs libm's log (_checks.libm), not one Python call per event.
 
 The walker, _walks, builds the chain's tables once and runs every walk it
 is given, each its uncounted warm-up and its counted run in one pass over
@@ -43,7 +43,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from ._checks import integer
+from ._checks import integer, libm
 from .queueing import (
     Ch6QueueParams,
     LossChainSpec,
@@ -228,37 +228,19 @@ def _walk(c: _Tables, state: int, i: int, warm: int, remaining: int,
     return elapsed, i, state
 
 
-def _libm_log(x: np.ndarray) -> np.ndarray:
-    """log(x) elementwise, bit for bit as libm's log (math.log) gives it,
-    in one numpy call.  The time steps are these logs, so a last-bit change
-    would move every DesResult and des-oracle digest.
-
-    On float64 arrays np.log runs its own SIMD routine (AVX-512 on x86-64
-    with numpy 2.4), which differs from libm's log in the last bit on about
-    0.4% of the kernel's draws.  It takes that routine whenever input and
-    output run through memory in one direction (numpy turns two reversed
-    operands into forward ones).  The reversed view of x is read backwards
-    while np.log writes its new output forwards, so no such turn exists and
-    np.log runs its scalar loop, which calls libm's log.  The second
-    reversal puts the result back in x's order.  A Tier-1 test holds this
-    to math.log over a million draws, so a numpy whose dispatch differs
-    fails it."""
-    return np.log(x[::-1])[::-1]
-
-
 def _clocks(c: _Tables, u, path, elapsed: float, time_in_state, seen, rejected) -> float:
     """Pass 2: the time steps, clocks and counts of the events of `path`,
     whose draws are u, in numpy, with one event's float operations after
     another's, as scalar code would order them.  Returns the clock after
-    them.  The logs come from _libm_log, in one call per block, and equal
-    libm's log bit for bit.  np.add.at and np.add.accumulate add in event
-    order, so every DesResult and des-oracle digest stays fixed."""
+    them.  The logs come from `libm(np.log, ...)`, in one call per block,
+    and equal libm's log bit for bit.  np.add.at and np.add.accumulate add
+    in event order, so every DesResult and des-oracle digest stays fixed."""
     used = len(path)
     at = np.fromiter(path, np.intp, used)
     rates = c.rate_of[at]
     steps = np.empty(used + 1)  # the clock so far, then each time step
     steps[0] = elapsed
-    logs = _libm_log(1.0 - u[0::2])
+    logs = libm(np.log, 1.0 - u[0::2])
     with np.errstate(over="ignore"):  # a clock past the largest double is inf
         np.divide(np.negative(logs, out=logs), rates, out=steps[1:])
         np.add.at(time_in_state, at, steps[1:])

@@ -86,10 +86,12 @@ def _read_fig4(scenario: Scenario):
     return params, db_to_linear(threshold), ue_range, macro, bands
 
 
-def _radio_sweep(scenario: Scenario, counts, trials: int):
+def _radio_sweep(inputs, seed: int, counts, trials: int):
     """Per (count, scheme): mean throughput and outage of the measurement
     user held at the fixed range from the reference FAP, averaged over
     random surrounding deployments (the femtocell count is the x axis).
+    `inputs` are the checked values `_read_fig4` returns for the scenario,
+    and `seed` is the scenario's seed.
 
     The measurement reads only the bands of the reference FAP and of its
     `neighbors_of` set, so every plan but static reuse is built on the
@@ -100,13 +102,13 @@ def _radio_sweep(scenario: Scenario, counts, trials: int):
     because its coin flips depend on every earlier FAP.  The `events` and
     `branch_counts` of a dynamic-reuse plan so describe only the reference
     component."""
-    params, gamma, ue_range, macro, bands = _read_fig4(scenario)
+    params, gamma, ue_range, macro, bands = inputs
     out = {}
     for count in counts:
         sums = {s: [0.0, 0.0] for s in RADIO_SCHEMES}  # thr, outage
         for trial in range(trials):
-            topo = place_femtocells(scenario.seed + 1009 * trial, count, macro=macro)
-            rng = _spawn_rng(scenario.seed, count, trial)
+            topo = place_femtocells(seed + 1009 * trial, count, macro=macro)
+            rng = _spawn_rng(seed, count, trial)
             ref = 0  # reference FAP, pinned at the Table 4.3 range from the BS
             fx, fy = topo.position(ref)
             ang = 2.0 * math.pi * rng.random()
@@ -114,7 +116,7 @@ def _radio_sweep(scenario: Scenario, counts, trials: int):
             local = reach_components(topo, {ref})
             for scheme in RADIO_SCHEMES:
                 plan = build_plan(scheme, topo if scheme == "static-reuse" else local,
-                                  seed=scenario.seed, **bands)
+                                  seed=seed, **bands)
                 rep = sir(local, plan, ue, ref, params, macro_tiers="reference")
                 band = plan.band_for_link(ref, ue, local)
                 acc = sums[scheme]
@@ -160,17 +162,18 @@ _last_sweep = None
 
 
 def _fig4_sweep(scenario: Scenario, counts: list[int], trials: int):
-    """`_radio_sweep(scenario, counts, trials)`, the last one's when its key
-    matches: every input the sweep reads, as immutable values."""
+    """The radio sweep of the scenario's checked inputs, the last one's when
+    its key matches: every input the sweep reads, as immutable values."""
     global _last_sweep
-    params, gamma, ue_range, macro, bands = _read_fig4(scenario)
+    inputs = _read_fig4(scenario)
+    params, gamma, ue_range, macro, bands = inputs
     key = (params, gamma, ue_range, macro, tuple(bands.items()), scenario.seed,
            tuple(counts), trials)
     last = _last_sweep
     if last is not None and last[0] == key:
         return last[1]
     _last_sweep = None
-    sweep = _radio_sweep(scenario, counts, trials)
+    sweep = _radio_sweep(inputs, scenario.seed, counts, trials)
     _last_sweep = (key, sweep)
     return sweep
 

@@ -33,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._checks import finite, whole_count, whole_counts
+from ._checks import finite, libm, whole_count, whole_counts
 
 # Fixed reference geometry (distances in meters)
 DEFAULT_MACRO_RADIUS = 1000.0
@@ -224,13 +224,66 @@ def _neighbor_table(pos: np.ndarray, reach: float):
     side at least `reach`, so a pair within reach shares a cell or lies in
     two adjacent ones.  Each cell is paired with itself and with 4 of its 8
     neighbors, each pair is measured once with the same differences as
-    `CellTopology.distances_to`, and then mirrored.  One sort by
-    row * n + col, whose keys are distinct, orders the mirrored pairs.
+    `CellTopology.distances_to`, and then mirrored.
+
+    Cells are keyed column by column, so a point's partners lie in two
+    ranges of the points sorted by key: the rest of its own cell with the
+    cell above it, and the three cells of the next column beside it.  A
+    table of each cell's first point gives the ranges by indexing when the
+    grid has at most 4n cells; a sparser grid (an outlier stretches it to
+    up to 2**40 cells) takes a binary search instead.
+
+    Both sorts take numpy's default kind, which is not stable, and no bit
+    of the table depends on that.  The last sort orders the mirrored pairs
+    by row * n + col, whose keys are distinct, so every kind gives one
+    order.  The first orders the points by cell key; within one cell it
+    only decides which point of a pair is measured from which, and the
+    swapped differences are the negated ones, which hypot reads as the same
+    absolute values, so each distance is the same to the last bit.
     """
     n = len(pos)
     if n < 2:
         return _readonly(np.zeros(n + 1, dtype=np.intp), np.zeros(0, dtype=np.intp),
                          np.zeros(0))
+    x, y = pos[:, 0], pos[:, 1]
+    key, width, cells = _cells(pos, reach)
+    order = np.argsort(key)
+    key = key[order]
+    # sorted point p pairs with the points after it up to the end of the
+    # cell above its own, and with the cells right-below, right and
+    # right-above, which follow one another in key order
+    if cells <= 4 * n:
+        # starts[c]: the number of points in cells below c, so n past the grid
+        starts = np.full(cells + width + 1, n, dtype=np.intp)
+        starts[0] = 0
+        np.cumsum(np.bincount(key, minlength=cells), out=starts[1:cells + 1])
+        beside = starts[key + (width - 1)]
+        ends = starts[np.concatenate([key + 2, key + (width + 2)])]
+    else:
+        beside = np.searchsorted(key, key + (width - 1), "left")
+        ends = np.searchsorted(key, np.concatenate([key + 1, key + (width + 1)]), "right")
+    lo = np.concatenate([np.arange(1, n + 1), beside])
+    counts = ends - lo
+    a = np.repeat(np.concatenate([order, order]), counts)
+    b = order[_ranges(lo, counts)]
+    d = np.hypot(x[a] - x[b], y[a] - y[b])
+    keep = d <= reach
+    a, b, d = a[keep], b[keep], d[keep]
+    rows, cols = np.concatenate([a, b]), np.concatenate([b, a])
+    # the default kind pages in a larger sort kernel than the stable one: in
+    # a new process on x86-64 with numpy 2.4, the first default-kind argsort
+    # adds 0.38 MB to the peak RSS and the first stable one 0.15 MB
+    sort = np.argsort(rows * n + cols)
+    ptr = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(np.bincount(rows, minlength=n), out=ptr[1:])
+    return _readonly(ptr, cols[sort], np.concatenate([d, d])[sort])
+
+
+def _cells(pos: np.ndarray, reach: float) -> tuple[np.ndarray, int, int]:
+    """(key, width, cells): each point's cell key on `_neighbor_table`'s
+    grid, where the cell in column i and row j has key i * width + j, and
+    the number of cells of the grid's columns.  Rows 0 and width - 1 stay
+    empty, so a cell's neighbors above and below lie in its own column."""
     x, y = pos[:, 0], pos[:, 1]
     # the side exceeds `reach` by more than x/side can round, so a pair
     # within reach never lands two cells apart; at most 2**20 cells a side
@@ -241,28 +294,9 @@ def _neighbor_table(pos: np.ndarray, reach: float):
     kx = np.floor(x / side).astype(np.int64)
     ky = np.floor(y / side).astype(np.int64)
     kx -= kx.min()
-    ky -= ky.min() - 1  # ky >= 1, so ky - 1 and ky + 1 stay in kx's column
+    ky -= ky.min() - 1
     width = int(ky.max()) + 2
-    key = kx * width + ky
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    # partners of sorted point p: the rest of its own cell, then the cells
-    # above it, right-below, right and right-above
-    ahead = (key[None, :] + np.array([[1], [width - 1], [width], [width + 1]])).ravel()
-    lo = np.concatenate([np.arange(1, n + 1), np.searchsorted(key, ahead, "left")])
-    hi = np.searchsorted(key, np.concatenate([key, ahead]), "right")
-    counts = hi - lo
-    a = order[np.repeat(np.tile(np.arange(n), 5), counts)]
-    b = order[_ranges(lo, counts)]
-    d = np.hypot(x[a] - x[b], y[a] - y[b])
-    keep = d <= reach
-    a, b, d = a[keep], b[keep], d[keep]
-    rows, cols = np.concatenate([a, b]), np.concatenate([b, a])
-    # the stable kind: numpy's default kind pages in a further sort kernel
-    sort = np.argsort(rows * n + cols, kind="stable")
-    ptr = np.zeros(n + 1, dtype=np.intp)
-    np.cumsum(np.bincount(rows, minlength=n), out=ptr[1:])
-    return _readonly(ptr, cols[sort], np.concatenate([d, d])[sort])
+    return kx * width + ky, width, (int(kx.max()) + 1) * width
 
 
 def _readonly(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -394,7 +428,10 @@ def place_femtocells(
 
     The candidates come in draw rounds: one block of uniforms, two per
     candidate, for the missing FAPs plus a fixed slack, which yields the same
-    doubles in the same order as one scalar draw each.  One
+    doubles in the same order as one scalar draw each.  The round's angles
+    take one numpy call each for cos and sin that runs libm's functions
+    (`_checks.libm`), so every position equals the scalar loop's math.cos
+    and math.sin to the last bit.  One
     `_neighbor_table` over the placed FAPs and the round's candidates, at
     the wider of the separation and the topology's table reach, settles the
     round: taken in order, a candidate closer than the separation to a
@@ -441,13 +478,13 @@ def place_femtocells(
         # that budget is drawn
         drawn = min(missing + _ROUND_SLACK + count // 64, max_attempts - attempts)
         draws = rng.random(2 * drawn)
-        # uniform over the disc via sqrt radius; the scalar math functions
-        # keep every bit of the scalar loop, numpy only multiplies and takes
-        # the square root, which IEEE 754 rounds correctly as math.sqrt does
+        # uniform over the disc via sqrt radius; libm's cos and sin keep
+        # every bit of the scalar loop, and numpy otherwise only multiplies
+        # and takes the square root, which IEEE 754 rounds correctly as
+        # math.sqrt does
         rad = r * np.sqrt(draws[0::2])
-        ang = (2.0 * math.pi * draws[1::2]).tolist()
-        block = np.column_stack([rad * np.fromiter(map(math.cos, ang), float),
-                                 rad * np.fromiter(map(math.sin, ang), float)])
+        ang = 2.0 * math.pi * draws[1::2]
+        block = np.column_stack([rad * libm(np.cos, ang), rad * libm(np.sin, ang)])
         points = np.concatenate([pos, block])
         table = _neighbor_table(points, max(sep, reach))
         # first come, first placed: no two placed FAPs are that close, so

@@ -20,7 +20,7 @@ from femtonet import neighborlist as nl
 from femtonet import queueing as q
 from femtonet.admission import TrafficClass
 from femtonet.des import simulate_des, spec_for_ch6, spec_for_erlang, spec_for_two_tier_femto, spec_for_two_tier_macro
-from femtonet.experiments import _radio_sweep, run_experiment, result_to_csv
+from femtonet.experiments import _radio_sweep, _read_fig4, run_experiment, result_to_csv
 from femtonet.presets import table61_classes
 from femtonet.radio import db_to_linear, outage_probability_closed_form, outage_probability_mc, sir
 from femtonet.scenario import Scenario, scenario_from_preset
@@ -96,7 +96,7 @@ def test_criterion_02_dense_scheme_orderings():
     budget = Budget(2, "dense Table 4.3: throughput and outage orderings", 60)
     scenario = scenario_from_preset("table-4.3")
     scenario = Scenario({**scenario.values, "seed": SEED})
-    sweep = _radio_sweep(scenario, [1000], trials=20)[1000]
+    sweep = _radio_sweep(_read_fig4(scenario), scenario.seed, [1000], trials=20)[1000]
     thr = {s: v[0] for s, v in sweep.items()}
     out = {s: v[1] for s, v in sweep.items()}
     assert thr["dynamic-reuse"] >= thr["static-reuse"]
@@ -114,7 +114,7 @@ def test_criterion_03_non_dense_throughput_agreement():
     budget = Budget(3, "non-dense static~dynamic within 5%, both above others", 30)
     scenario = scenario_from_preset("table-4.3")
     scenario = Scenario({**scenario.values, "seed": SEED})
-    sweep = _radio_sweep(scenario, [60, 80, 100], trials=25)
+    sweep = _radio_sweep(_read_fig4(scenario), scenario.seed, [60, 80, 100], trials=25)
     for count, per in sweep.items():
         st, dy = per["static-reuse"][0], per["dynamic-reuse"][0]
         assert abs(st - dy) / st <= 0.05, f"count {count}: {abs(st - dy) / st}"

@@ -13,6 +13,7 @@ import oracles
 from oracles import balance_equation_solve, scalar_loss_chain
 
 from femtonet import des
+from femtonet._checks import libm
 from femtonet.admission import TrafficClass
 from femtonet.des import (
     LossChainSpec,
@@ -190,11 +191,26 @@ def test_the_block_log_is_libm_log_bit_for_bit():
     k = np.concatenate([np.arange(10**4), 2**53 - np.arange(1, 10**4 + 1)])
     extremes = 1.0 - k.astype(np.float64) / 2**53
     for draws in (*np.array_split(x, len(x) // ONE_BLOCK), x, extremes):
-        got = des._libm_log(draws)
-        want = np.fromiter(map(math.log, draws.tolist()), np.float64, len(draws))
-        miss = np.flatnonzero(got != want)
-        assert miss.size == 0, (f"{miss.size} of {len(draws)} logs differ from "
-                                f"math.log, first at {draws[miss[0]]!r}")
+        _assert_libm(np.log, math.log, draws)
+
+
+def _assert_libm(ufunc, libm_scalar, x):
+    got = libm(ufunc, x)
+    want = np.fromiter(map(libm_scalar, x.tolist()), np.float64, len(x))
+    miss = np.flatnonzero(got != want)
+    assert miss.size == 0, (f"{miss.size} of {len(x)} values of {ufunc.__name__} differ "
+                            f"from libm's, first at {x[miss[0]]!r}")
+
+
+@pytest.mark.parametrize("ufunc, libm_scalar", [(np.cos, math.cos), (np.sin, math.sin)])
+def test_the_placement_angles_take_libm_cos_and_sin_bit_for_bit(ufunc, libm_scalar):
+    """Placement takes a draw round's cos and sin in one numpy call each,
+    which must equal math.cos and math.sin on every angle 2*pi*u: over
+    2**20 draws u, and at u = k/2**53 for k < 10**4 and k > 2**53 - 10**4."""
+    u = des._uniforms(0xA4C1E, 2**19)
+    k = np.concatenate([np.arange(10**4), 2**53 - np.arange(1, 10**4 + 1)])
+    for draws in (u, k.astype(np.float64) / 2**53):
+        _assert_libm(ufunc, libm_scalar, 2.0 * math.pi * draws)
 
 
 @st.composite

@@ -244,6 +244,49 @@ def test_neighbor_table_matches_all_pairs(points):
     assert not any(arr.flags.writeable for arr in table)
 
 
+def _cluster(count, side_m, seed=0):
+    return np.random.default_rng(seed).uniform(-side_m / 2, side_m / 2, size=(count, 2))
+
+
+# (points, reach, whether the grid takes the table of cell starts: at most
+# 4n cells), or None where fewer than two points build no grid
+OUTLIER = [(1e7, 0.0)]
+ACROSS_EDGE = [(-0.3 * REACH, 5.0), (0.7 * REACH, 5.0)]  # exactly REACH apart
+GRID_CASES = {
+    "dense-cluster": (_cluster(400, 300.0), REACH, True),
+    "sparse-spread": (_cluster(12, 2000.0), REACH, False),
+    "cluster-and-1e7-m-outlier": (np.concatenate([_cluster(200, 300.0), OUTLIER]), REACH, False),
+    "reach-apart-across-a-cell-edge": (ACROSS_EDGE, REACH, True),
+    "reach-apart-across-a-cell-edge-and-outlier": (ACROSS_EDGE + OUTLIER, REACH, False),
+    "coincident-points": ([(3.0, -4.0)] * 30 + [(3.0, 56.0)] * 3, REACH, True),
+    "coincident-points-and-outlier": ([(3.0, -4.0)] * 30 + OUTLIER, REACH, False),
+    "coincident-pair": ([(3.0, -4.0)] * 2, REACH, True),
+    "n0": (np.zeros((0, 2)), REACH, None),
+    "n1": ([(3.0, -4.0)], REACH, None),
+    "n2-within-reach": ([(0.0, 0.0), (50.0, 20.0)], REACH, True),
+    "n2-beyond-reach": ([(0.0, 0.0), (1000.0, 0.0)], REACH, False),
+}
+
+
+@pytest.mark.parametrize("case", GRID_CASES)
+def test_neighbor_table_on_each_grid_path(case):
+    """Both ways of finding a cell's points, the table of cell starts and
+    the binary search, against all pairs, distances to the last bit."""
+    xy, reach, start_table = GRID_CASES[case]
+    xy = np.array(xy, dtype=float).reshape(-1, 2)
+    if start_table is not None:
+        cells = topology._cells(xy, reach)[2]
+        assert (cells <= 4 * len(xy)) == start_table, cells
+    table = topology._neighbor_table(xy, reach)
+    ptr, nbr, dist = _brute_table(xy, reach)
+    assert table[0].tolist() == ptr
+    assert table[1].tolist() == nbr
+    assert [d.hex() for d in table[2].tolist()] == [d.hex() for d in dist]
+    if case.startswith("reach-apart"):
+        key = topology._cells(xy, reach)[0]
+        assert key[0] != key[1] and table[2][:2].tolist() == [REACH, REACH]
+
+
 def _assert_earlier_matches_rows(topo, radii=(0.0, 20.0, 45.5, REACH)):
     """`earlier_within` against distance rows, at each radius and at about
     ten pair distances up to the largest radius: each FAP that has an
