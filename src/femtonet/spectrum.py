@@ -14,14 +14,19 @@ band under dynamic reuse, else its only band.
 `SpectrumPlan.interferers` is the one interference relation, scanned from
 the FAP's row of the neighbor table.  A plan holds only its labels and
 radii.  Each call that changes a dynamic-reuse plan (`build_plan`,
-`configure_new_femto`, `remove_femto`) keeps the relation of the members it
-reads, with each pair's table distance, for as long as it runs: a join
-reads the newcomer's row once, a shrink drops the pairs that the smaller
+`configure_new_femto`, `remove_femto`) works on a state keyed by table
+index: the labels and radii in lists, and the interference lists of the
+members it reads, with each pair's table distance, in per-index dicts.  It
+writes what changed in `femto_band` and `radius_of` back once, when it
+ends, and nothing else outlives it.  It cuts a member's list from the
+member's table row when it first needs it: a fresh build reads the table
+once, as a whole (`CellTopology.rows`), and a join or leave on a plan reads
+`CellTopology.row` for each member it reads, so beyond the lists of labels
+and radii its cost is local.  A shrink drops the pairs that the smaller
 radius breaks, from the kept distances, and a leave takes the FAP out of
-every list it was in.  So a whole build reads the table once per FAP, and
-nothing outlives the call.  Every configuration, shrink and repair step
-reads that one relation in place, with no copy of a list, and sorts a list
-only where its order picks the result.  Static reuse reads
+every list it was in.  Every configuration, shrink and repair step reads
+the lists in place, with no copy, sorts a list only where its order picks
+the result, and orders FAPs by id.  Static reuse reads
 `CellTopology.earlier_within`, so no plan makes a distance row.
 """
 
@@ -29,7 +34,9 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, field
+from itertools import compress, repeat
 
 import numpy as np
 
@@ -52,6 +59,7 @@ _SINGLE_BAND = {"shared": ("BT", "BT"), "sub": ("BT", "Bf"), "dedicated": ("Bm",
 _CYCLIC_EDGE = {"B5": "B4", "B4": "B5", "B1": "B2", "B2": "B3", "B3": "B1"}
 _THIRDS = ("B1", "B2", "B3")
 _EDGE_LABELS = ("B4", "B5", "B1", "B2", "B3")
+_EDGE_SET = frozenset(_EDGE_LABELS)
 
 
 class PlanConfigError(ValueError):
@@ -112,7 +120,7 @@ class SpectrumPlan:
     write nothing, so they may be concurrent between mutations.
 
     Plans come only from `build_plan`, so no cell is ever wider than the
-    nominal radius: a shrink (`_Relation.shrink`) is the only writer of
+    nominal radius: a shrink (`_shrink_one`) is the only writer of
     `radius_of` and it only lowers a radius (`remove_femto` only deletes).
     Two interfering cells are therefore within the neighbor table's reach of
     each other, and a scan for interferers reads the FAP's row of the table;
@@ -247,10 +255,13 @@ def build_plan(
         plan.macro_assignment[j] = "Bm2" if j % 2 == 1 else "Bm3"
     if scheme == "static-reuse":
         _assign_static(plan, topo, seed)
-    else:
-        rel = _Relation(plan, topo)  # one for the whole build
-        for f in topo.femtocells:
-            _configure(rel, f)
+    else:  # dynamic reuse: the FAPs join in femtocells order
+        starts, partners, dists = topo.rows()  # the table, read once
+        state = _State(plan, topo, lambda k: (partners[starts[k]:starts[k + 1]],
+                                              dists[starts[k]:starts[k + 1]]))
+        for k in range(len(topo.femtocells)):
+            _configure(state, k)
+        state.write_back()
     return plan
 
 
@@ -276,7 +287,7 @@ def _assign_static(plan: SpectrumPlan, topo: CellTopology, seed: int) -> None:
         run = k - len(picks)
         picks += flips[drawn:drawn + run]
         drawn += run
-        used = {picks[j] for j in earlier}
+        used = set(map(picks.__getitem__, earlier))
         if len(used) == 1:
             picks.append(1 - used.pop())  # the one band left free
         else:  # both taken: a coin flip
@@ -289,58 +300,71 @@ def _assign_static(plan: SpectrumPlan, topo: CellTopology, seed: int) -> None:
 # ---------------------------------------------------------------------------
 # dynamic reuse auto-configuration
 
+# the label of a FAP that is not a member of the plan
+_OUT = object()
 
-class _Relation(dict):
-    """The interference relation of a dynamic-reuse plan's members while one
-    call changes the plan: {member: {interferer: table distance}}.
 
-    A member's list is scanned from its table row when first read, and then
-    kept.  Its three writers keep every list read so far exact: a join reads
-    the newcomer's row once, a shrink drops the pairs that the smaller
-    radius breaks (radii only shrink, so no pair appears) and a leave drops
-    the FAP from every list it was in.  An edge-label move touches nothing.
-    The dynamic-reuse steps read the lists in place and copy none, so each
-    step sees the relation as the last shrink or leave left it.
+class _State(dict):
+    """The working state of one call that changes a dynamic-reuse plan,
+    keyed by the FAPs' table indices: the interference lists of the
+    members read so far, {member: {interferer: table distance}}, and every
+    FAP's label and radius in the lists `labels` (_OUT for a FAP outside
+    the plan, None for a member with no edge band yet) and `radii`.
+
+    The state starts from the plan's `femto_band` and `radius_of` and
+    writes what changed back once, in `write_back`, when the call ends.  A
+    member's list is cut from `read(k)`, the member's row of the neighbor
+    table as a pair of lists, when first needed, and then kept: a join
+    enters the newcomer in the list of each FAP it lists, a shrink drops
+    the pairs that the smaller radius breaks (radii only shrink, so no pair
+    appears) and a leave drops the FAP from every list it was in.  An
+    edge-label move touches nothing.  The steps read the lists in place and
+    copy none, so each step sees the relation as the last shrink or leave
+    left it.
+
+    Sorts, min and max order FAPs by id, which is by each FAP's rank in
+    ascending id order; that rank is the table index itself for the
+    topologies of `place_femtocells` and their components.
     """
 
-    def __init__(self, plan: SpectrumPlan, topo: CellTopology):
+    def __init__(self, plan: SpectrumPlan, topo: CellTopology, read):
         super().__init__()
-        self.plan, self.topo = plan, topo
+        self.plan, self.ids, self.read = plan, topo.femtocells, read
+        n, self.nominal = len(self.ids), topo.femto_radius_m
+        self.floor = self.nominal * SHRINK_FACTOR ** MAX_SHRINK_STEPS
+        # a FAP of the plan outside the topology is never read
+        self.labels = list(map(plan.femto_band.get, self.ids, repeat(_OUT, n)))
+        self.radii = list(map(plan.radius_of.get, self.ids, repeat(self.nominal, n)))
+        self.before = self.labels.copy()
+        self.shrunk = {}  # the indices this call shrank, first shrink first
 
-    def __missing__(self, fap_id: int) -> dict[int, float]:
-        row = self[fap_id] = self.plan._scan(self.topo, fap_id)
+    def __missing__(self, k: int) -> dict[int, float]:
+        r = self.radii[k]
+        if r > self.nominal:  # its pairs could lie beyond the table's reach
+            raise ValueError(f"femtocell {self.ids[k]} is wider ({r!r} m) than the "
+                             f"nominal radius of {self.nominal!r} m")
+        labels, radii = self.labels, self.radii
+        row = self[k] = {}
+        for j, d in zip(*self.read(k)):
+            if labels[j] is not _OUT and d <= INTERFERENCE_RADIUS_SCALE * (r + radii[j]):
+                row[j] = d
         return row
 
-    def join(self, fap_id: int) -> None:
-        """Make fap_id a member with no edge band yet; a newcomer enters the
-        list of each FAP it lists.  A member reconfigured keeps its list."""
-        band = self.plan.femto_band
-        newcomer = fap_id not in band
-        band[fap_id] = None
-        if newcomer:
-            for other, d in self[fap_id].items():
-                if other in self:
-                    self[other][fap_id] = d
+    def write_back(self) -> None:
+        """Write every member's label that this call changed and every
+        radius it shrank into the plan; an entry keeps its place, and a new
+        one goes last."""
+        ids, labels, radii = self.ids, self.labels, self.radii
+        changed = compress(range(len(ids)), map(operator.is_not, labels, self.before))
+        self.plan.femto_band.update((ids[k], labels[k]) for k in changed if labels[k] is not _OUT)
+        self.plan.radius_of.update((ids[k], radii[k]) for k in self.shrunk)
 
-    def shrink(self, fap_id: int, radius: float) -> None:
-        """Lower fap_id's radius to `radius` and drop the pairs that it breaks."""
-        row, radius_of, nominal = self[fap_id], self.plan.radius_of, self.topo.femto_radius_m
-        radius_of[fap_id] = radius
-        for other, d in list(row.items()):
-            if d > INTERFERENCE_RADIUS_SCALE * (radius + radius_of.get(other, nominal)):
-                del row[other]
-                if other in self:
-                    del self[other][fap_id]
 
-    def leave(self, fap_id: int) -> None:
-        """Drop the member fap_id from the plan and from every list it was in."""
-        row = self[fap_id]
-        del self[fap_id]
-        for other in row:
-            if other in self:
-                del self[other][fap_id]
-        del self.plan.femto_band[fap_id]
-        self.plan.radius_of.pop(fap_id, None)
+def _changing(plan: SpectrumPlan, topo: CellTopology) -> _State:
+    """The state of a join or leave on a plan: it reads a member's row when
+    it first needs the member's list."""
+    ids = topo.femtocells
+    return _State(plan, topo, lambda k: topo.row(ids[k]))
 
 
 def _free_third(used: set[str]) -> str | None:
@@ -350,17 +374,14 @@ def _free_third(used: set[str]) -> str | None:
     return None
 
 
-def _used_edges(plan: SpectrumPlan, others: dict[int, float]) -> list[str]:
-    return [plan.femto_band[i] for i in others if plan.femto_band[i] is not None]
+def _labels_exhausted(labels: list, others: dict[int, float]) -> bool:
+    """Whether `others` hold every edge label, which takes five of them."""
+    return len(others) >= len(_EDGE_LABELS) and {labels[k] for k in others} >= _EDGE_SET
 
 
-def _labels_exhausted(plan: SpectrumPlan, others: dict[int, float]) -> bool:
-    return set(_EDGE_LABELS) <= set(_used_edges(plan, others))
-
-
-def _free_label(plan: SpectrumPlan, others: dict[int, float]) -> str:
+def _free_label(labels: list, others: dict[int, float]) -> str:
     """First edge label unused by `others`; least-used as last resort."""
-    used = _used_edges(plan, others)
+    used = [labels[k] for k in others]
     for lab in _EDGE_LABELS:
         if lab not in used:
             return lab
@@ -374,142 +395,160 @@ def configure_new_femto(plan: SpectrumPlan, topo: CellTopology, new_id: int) -> 
     Reproduces the 0/1/2-interferer case analysis of the dynamic-reuse
     configuration algorithm; three mutually interfering femtocells take the
     lowest free third, and more than three trigger cell-size shrinking
-    before a band is forced.  Transactional: on error the plan is unchanged.
+    before a band is forced.  Transactional: on error the plan's labels and
+    radii are unchanged.
     """
     if plan.scheme != "dynamic-reuse":
         raise PlanConfigError("configure_new_femto requires a dynamic-reuse plan")
-    topo.index_of(new_id)
-    return _configure(_Relation(plan, topo), new_id)
+    k = topo.index_of(new_id)
+    state = _changing(plan, topo)
+    _configure(state, k)
+    state.write_back()
+    return plan.femto_band[new_id]
 
 
-def _configure(rel: _Relation, new_id: int) -> str:
-    """`configure_new_femto` on the relation of the call that changes the plan."""
-    plan = rel.plan
-    rel.join(new_id)
-    if (_mutual_overlap_count(rel, new_id) > 3
-            or _labels_exhausted(plan, rel[new_id])):
+def _configure(state: _State, new: int) -> None:
+    """`configure_new_femto` of the FAP at index `new`, on the state of the
+    call that changes the plan.  A member reconfigured keeps its list."""
+    plan, labels, ids = state.plan, state.labels, state.ids
+    newcomer = labels[new] is _OUT
+    labels[new] = None
+    interf = state[new]
+    if newcomer:
+        for j, d in interf.items():
+            if j in state:
+                state[j][new] = d
+    if _crowded(state, new) or _labels_exhausted(labels, interf):
         _count_branch(plan, "shrink")
-        _shrink_until_manageable(rel, new_id)
+        _shrink_until_manageable(state, new)
 
-    interf = rel[new_id]
-    if len(interf) == 0:
+    count = len(interf)
+    if count == 0:
         _count_branch(plan, "0")
-        plan.femto_band[new_id] = "Bm3"
-    elif len(interf) == 1:
+        labels[new] = "Bm3"
+    elif count == 1:
         _count_branch(plan, "1")
-        _configure_one(rel, new_id, *interf)
-    elif len(interf) == 2:
-        a, b = sorted(interf)
-        mutual = b in rel[a]
+        _configure_one(state, new, *interf)
+    elif count == 2:
+        a, b = interf
+        if ids[a] > ids[b]:
+            a, b = b, a
+        mutual = b in state[a]
         _count_branch(plan, "2" if mutual else "2-independent")
-        _configure_two(rel, new_id, a, b, mutual)
+        _configure_two(state, new, a, b, mutual)
     else:
         _count_branch(plan, "3")
-        _configure_many(rel, new_id)
+        _configure_many(state, new)
 
-    _repair_conflicts(rel, {new_id, *interf})
-    return plan.femto_band[new_id]
+    _repair_conflicts(state, {new, *interf})
 
 
 def _count_branch(plan, label: str) -> None:
     plan.branch_counts[label] = plan.branch_counts.get(label, 0) + 1
 
 
-def _mutual_overlap_count(rel: _Relation, new_id: int) -> int:
-    """Size of the largest set of femtocells that all overlap one another,
-    counting the newcomer: the newcomer plus the largest pairwise-interfering
-    clique among its interferers.  Greedy lower bound is enough here -- the
-    shrink path only needs to know whether more than three cells overlap.
-    The greedy clique visits the interferers in ascending order."""
-    interf = sorted(rel[new_id])
+def _crowded(state: _State, new: int) -> bool:
+    """Whether more than three cells overlap one another, counting the
+    newcomer: whether a greedy clique among its interferers I reaches three.
+    The greedy clique of an anchor a in I takes, in ascending id order,
+    each member of I that overlaps every cell taken so far; its first is
+    c1, the least of N(a) & I (N the interference lists), and it reaches a
+    third exactly when N(a) & N(c1) & I is not empty.  The test is an
+    `any` over the anchors, so their order does not change it.  A greedy
+    lower bound is enough: the shrink path only needs to know whether more
+    than three cells overlap."""
+    interf = state[new]
     if len(interf) < 3:
-        return len(interf) + 1
-    best = 1
-    for anchor in interf:
-        clique = {anchor}
-        for cand in interf:
-            if cand != anchor and clique <= rel[cand].keys():
-                clique.add(cand)
-        best = max(best, len(clique))
-    return best + 1
+        return False
+    key = state.ids.__getitem__
+    for a in interf:
+        near = interf.keys() & state[a].keys()
+        if len(near) > 1 and not near.isdisjoint(state[min(near, key=key)]):
+            return True
+    return False
 
 
-def _configure_one(rel: _Relation, new_id: int, other: int) -> None:
-    plan = rel.plan
-    e = plan.femto_band[other]
+def _configure_one(state: _State, new: int, other: int) -> None:
+    labels = state.labels
+    e = labels[other]
     if e == "Bm3":
         # the incumbent held the whole edge spectrum; split into halves
-        plan.femto_band[other] = "B4"
-        plan.femto_band[new_id] = "B5"
+        labels[other] = "B4"
+        labels[new] = "B5"
     else:
-        plan.femto_band[new_id] = _CYCLIC_EDGE.get(e) or _free_label(plan, rel[new_id])
+        labels[new] = _CYCLIC_EDGE.get(e) or _free_label(labels, state[new])
 
 
-def _configure_two(rel: _Relation, new_id: int, a: int, b: int, mutual: bool) -> None:
-    """Two interferers, a < b."""
-    plan = rel.plan
-    ea, eb = plan.femto_band[a], plan.femto_band[b]
+def _configure_two(state: _State, new: int, a: int, b: int, mutual: bool) -> None:
+    """Two interferers, a before b in id order."""
+    labels = state.labels
+    ea, eb = labels[a], labels[b]
     if mutual and {ea, eb} == {"B4", "B5"}:
         # pseudocode lines 23-26: move the incumbents onto thirds
-        plan.femto_band[a if ea == "B4" else b] = "B1"
-        plan.femto_band[a if ea == "B5" else b] = "B2"
-        plan.femto_band[new_id] = "B3"
+        labels[a if ea == "B4" else b] = "B1"
+        labels[a if ea == "B5" else b] = "B2"
+        labels[new] = "B3"
     elif mutual:
         # the many-interferer rule; it maps {B1,B2} -> B3 as the table does
-        _configure_many(rel, new_id)
+        _configure_many(state, new)
     else:
         # interferers not in range of each other: single-interferer rule
         # against the first, then verify against the second
-        _configure_one(rel, new_id, a)
-        if plan.femto_band[new_id] in (plan.femto_band[a], plan.femto_band[b]):
-            plan.femto_band[new_id] = _free_label(plan, rel[new_id])
+        _configure_one(state, new, a)
+        if labels[new] in (labels[a], labels[b]):
+            labels[new] = _free_label(labels, state[new])
 
 
-def _configure_many(rel: _Relation, new_id: int) -> None:
-    """Whole-band incumbents move first, in ascending order."""
-    plan = rel.plan
-    interf = sorted(rel[new_id])
-    for fid in interf:
-        if plan.femto_band[fid] == "Bm3":
-            plan.femto_band[fid] = _free_label(plan, rel[fid])
-    used = {plan.femto_band[i] for i in interf}
-    plan.femto_band[new_id] = _free_third(used) or _free_label(plan, rel[new_id])
+def _configure_many(state: _State, new: int) -> None:
+    """Whole-band incumbents move first, in ascending id order; a move
+    changes only the mover's label, so the movers are known up front."""
+    labels, interf = state.labels, state[new]
+    for k in sorted((k for k in interf if labels[k] == "Bm3"), key=state.ids.__getitem__):
+        labels[k] = _free_label(labels, state[k])
+    used = {labels[k] for k in interf}
+    labels[new] = _free_third(used) or _free_label(labels, interf)
 
 
-def _shrink_one(rel: _Relation, fid: int) -> bool:
-    """One 20% radius step; False once the max-step floor is reached."""
-    floor = rel.topo.femto_radius_m * SHRINK_FACTOR ** MAX_SHRINK_STEPS
-    current = rel.plan.femto_radius(fid, rel.topo)
-    if current <= floor + 1e-12:
+def _shrink_one(state: _State, k: int) -> bool:
+    """One 20% radius step of the FAP at index k, which drops the pairs it
+    breaks; False once the max-step floor is reached."""
+    current = state.radii[k]
+    if current <= state.floor + 1e-12:
         return False
-    rel.shrink(fid, SHRINK_FACTOR * current)
+    row, radii = state[k], state.radii  # read at the radius before the step
+    radius = radii[k] = SHRINK_FACTOR * current
+    state.shrunk[k] = None
+    for j, d in list(row.items()):
+        if d > INTERFERENCE_RADIUS_SCALE * (radius + radii[j]):
+            del row[j]
+            if j in state:
+                del state[j][k]
     return True
 
 
-def _shrink_until_manageable(rel: _Relation, new_id: int) -> None:
+def _shrink_until_manageable(state: _State, new: int) -> None:
     """Cell-size re-adjustment: more than three mutually overlapping cells,
     or no conflict-free edge band left for the newcomer.  Each step shrinks
-    the newcomer and its interferers, and its event records the newcomer's
-    interferers, ascending, as they were before it."""
-    plan = rel.plan
+    the newcomer and then its interferers in ascending id order, and its
+    event records those interferers as they were before it."""
+    plan, ids, interf = state.plan, state.ids, state[new]
     for _ in range(MAX_SHRINK_STEPS):
-        before = tuple(sorted(rel[new_id]))
-        progressed = any([_shrink_one(rel, fid) for fid in (new_id, *before)])
-        plan.events.append(("shrink", new_id, before))
-        if (_mutual_overlap_count(rel, new_id) <= 3
-                and not _labels_exhausted(plan, rel[new_id])):
+        before = sorted(interf, key=ids.__getitem__)
+        progressed = any([_shrink_one(state, k) for k in (new, *before)])
+        plan.events.append(("shrink", ids[new], tuple(map(ids.__getitem__, before))))
+        if not _crowded(state, new) and not _labels_exhausted(state.labels, interf):
             return
         if not progressed:
             break
-    plan.events.append(("shrink-failed", new_id, tuple(sorted(rel[new_id]))))
+    plan.events.append(("shrink-failed", ids[new], tuple(sorted(map(ids.__getitem__, interf)))))
 
 
-def _repair_conflicts(rel: _Relation, cells: set[int]) -> None:
+def _repair_conflicts(state: _State, cells: set[int]) -> None:
     """Clear residual same-edge conflicts among the interfering pairs of
     `cells` (reassignments may collide with an unexamined third party): the
     highest id in any conflicted pair moves, and joins `cells`.  When it has
     no free band left, it and its interferers shrink one step, per the
-    automatic cell-size re-adjustment.  Every list is read from the relation
+    automatic cell-size re-adjustment.  Every list is read from the state
     as it stands, so a shrink needs no re-read.
 
     When the steps run out while a pair of `cells` still conflicts, the
@@ -519,26 +558,31 @@ def _repair_conflicts(rel: _Relation, cells: set[int]) -> None:
     only an earlier exhausted repair, which recorded its own event, leaves
     such a conflict; a test pins that it does not make a later repair
     record one."""
-    plan = rel.plan
-    band = plan.femto_band
+    plan, labels, ids = state.plan, state.labels, state.ids
     steps = 8 * (MAX_SHRINK_STEPS + 1)
     for step in range(steps + 1):
-        loser = max((max(fid, other) for fid in cells for other in rel[fid]
-                     if band[other] == band[fid]), default=None)
-        if loser is None:
+        clashing = []  # both ends of every conflicted pair
+        for k in cells:
+            lab = labels[k]
+            for j in state[k]:
+                if labels[j] == lab:
+                    clashing += (k, j)
+        if not clashing:
             return
         if step == steps:
-            plan.events.append(("repair-exhausted", tuple(sorted(cells))))
+            plan.events.append(("repair-exhausted", tuple(sorted(map(ids.__getitem__, cells)))))
             return
+        loser = max(clashing, key=ids.__getitem__)
         cells.add(loser)
-        if _labels_exhausted(plan, rel[loser]):
-            shrunk = _shrink_one(rel, loser)
-            for nid in list(rel[loser]):
-                shrunk |= _shrink_one(rel, nid)
-            plan.events.append(("shrink", loser, ()))
+        row = state[loser]
+        if _labels_exhausted(labels, row):
+            shrunk = _shrink_one(state, loser)
+            for j in list(row):
+                shrunk |= _shrink_one(state, j)
+            plan.events.append(("shrink", ids[loser], ()))
             if not shrunk:
-                plan.events.append(("repair-exhausted", (loser,)))
-        band[loser] = _free_label(plan, rel[loser])
+                plan.events.append(("repair-exhausted", (ids[loser],)))
+        labels[loser] = _free_label(labels, row)
 
 
 def remove_femto(plan: SpectrumPlan, topo: CellTopology, fap_id: int) -> SpectrumPlan:
@@ -551,10 +595,18 @@ def remove_femto(plan: SpectrumPlan, topo: CellTopology, fap_id: int) -> Spectru
     if plan.scheme != "dynamic-reuse":
         del plan.femto_band[fap_id]
         return plan
-    rel = _Relation(plan, topo)
-    former = set(rel[fap_id])
-    rel.leave(fap_id)
-    _repair_conflicts(rel, former)
+    k = topo.index_of(fap_id)
+    state = _changing(plan, topo)
+    former = state[k]
+    del state[k]
+    for j in former:
+        if j in state:
+            del state[j][k]
+    state.labels[k] = _OUT
+    _repair_conflicts(state, set(former))
+    state.write_back()
+    del plan.femto_band[fap_id]
+    plan.radius_of.pop(fap_id, None)
     return plan
 
 

@@ -11,12 +11,12 @@ import numpy as np
 from femtonet.queueing import check_loss_chain
 from femtonet.spectrum import (
     DEFAULT_TOTAL_HZ,
+    INTERFERENCE_RADIUS_SCALE,
+    MAX_SHRINK_STEPS,
+    SHRINK_FACTOR,
     Band,
     PlanConfigError,
     SpectrumPlan,
-    _configure_one,
-    _free_label,
-    _free_third,
 )
 
 
@@ -1205,14 +1205,251 @@ def simulate_des(spec, total_calls: int = 1_000_000, seed: int = 0):
     )
 
 
-# ---------------------------------------------------------------------------
-# dynamic reuse: the two-interferer step with the full mutual-pair table
+# -- dynamic reuse as it was before its working state was keyed by table
+# index: an id-keyed relation {member: {interferer: table distance}} that
+# scans a member's neighbor-table row when first read and writes every label
+# and radius into the plan as it goes, and the greedy clique counted out in
+# full.  Kept written out as the bitwise reference for spectrum's
+# dynamic-reuse build, configure_new_femto and remove_femto.  The
+# `configure_two` argument swaps the two-interferer rule for another one.
+
+_CYCLIC_EDGE = {"B5": "B4", "B4": "B5", "B1": "B2", "B2": "B3", "B3": "B1"}
+_THIRDS = ("B1", "B2", "B3")
+_EDGE_LABELS = ("B4", "B5", "B1", "B2", "B3")
+
+
+class Relation(dict):
+    """The id-keyed interference relation of one call that changes a plan."""
+
+    def __init__(self, plan, topo, configure_two=None):
+        super().__init__()
+        self.plan, self.topo = plan, topo
+        self.configure_two = configure_two or _relation_configure_two
+
+    def __missing__(self, fap_id):
+        plan, topo = self.plan, self.topo
+        r = plan.radius_of.get(fap_id, topo.femto_radius_m)
+        if r > topo.femto_radius_m:
+            raise ValueError(f"femtocell {fap_id} is wider than the nominal radius")
+        hits = {}
+        for k, d in zip(*topo.row(fap_id)):
+            other = topo.femtocells[k]
+            if other in plan.femto_band and d <= INTERFERENCE_RADIUS_SCALE * (
+                    r + plan.radius_of.get(other, topo.femto_radius_m)):
+                hits[other] = d
+        self[fap_id] = hits
+        return hits
+
+    def join(self, fap_id):
+        band = self.plan.femto_band
+        newcomer = fap_id not in band
+        band[fap_id] = None
+        if newcomer:
+            for other, d in self[fap_id].items():
+                if other in self:
+                    self[other][fap_id] = d
+
+    def shrink(self, fap_id, radius):
+        row, radius_of, nominal = self[fap_id], self.plan.radius_of, self.topo.femto_radius_m
+        radius_of[fap_id] = radius
+        for other, d in list(row.items()):
+            if d > INTERFERENCE_RADIUS_SCALE * (radius + radius_of.get(other, nominal)):
+                del row[other]
+                if other in self:
+                    del self[other][fap_id]
+
+    def leave(self, fap_id):
+        row = self[fap_id]
+        del self[fap_id]
+        for other in row:
+            if other in self:
+                del self[other][fap_id]
+        del self.plan.femto_band[fap_id]
+        self.plan.radius_of.pop(fap_id, None)
+
+
+def relation_build_plan(topo, total_hz=DEFAULT_TOTAL_HZ, femto_fraction=1.0 / 3.0,
+                        edge_fraction=0.6, configure_two=None) -> SpectrumPlan:
+    """A dynamic-reuse plan: the macro bands, then every FAP configured in
+    femtocells order on one relation."""
+    plan = SpectrumPlan("dynamic-reuse", total_hz, femto_fraction, edge_fraction)
+    plan.macro_assignment = {0: "Bm1"}
+    for j in range(1, len(topo.macro_sites)):
+        plan.macro_assignment[j] = "Bm2" if j % 2 == 1 else "Bm3"
+    rel = Relation(plan, topo, configure_two)
+    for f in topo.femtocells:
+        _relation_configure(rel, f)
+    return plan
+
+
+def relation_configure_new_femto(plan, topo, new_id, configure_two=None) -> str:
+    topo.index_of(new_id)
+    return _relation_configure(Relation(plan, topo, configure_two), new_id)
+
+
+def relation_remove_femto(plan, topo, fap_id):
+    plan.femto_label(fap_id)
+    rel = Relation(plan, topo)
+    former = set(rel[fap_id])
+    rel.leave(fap_id)
+    _relation_repair(rel, former)
+    return plan
+
+
+def _used_edges(plan, others):
+    return [plan.femto_band[i] for i in others if plan.femto_band[i] is not None]
+
+
+def _labels_exhausted(plan, others):
+    return set(_EDGE_LABELS) <= set(_used_edges(plan, others))
+
+
+def _free_third(used):
+    for lab in _THIRDS:
+        if lab not in used:
+            return lab
+    return None
+
+
+def _free_label(plan, others):
+    used = _used_edges(plan, others)
+    for lab in _EDGE_LABELS:
+        if lab not in used:
+            return lab
+    return min(_EDGE_LABELS, key=lambda lab: (used.count(lab), _EDGE_LABELS.index(lab)))
+
+
+def _count_branch(plan, label):
+    plan.branch_counts[label] = plan.branch_counts.get(label, 0) + 1
+
+
+def _mutual_overlap_count(rel, new_id):
+    """The newcomer plus the largest greedy clique among its interferers,
+    each anchor's clique taking the interferers in ascending order."""
+    interf = sorted(rel[new_id])
+    if len(interf) < 3:
+        return len(interf) + 1
+    best = 1
+    for anchor in interf:
+        clique = {anchor}
+        for cand in interf:
+            if cand != anchor and clique <= rel[cand].keys():
+                clique.add(cand)
+        best = max(best, len(clique))
+    return best + 1
+
+
+def _relation_configure(rel, new_id):
+    plan = rel.plan
+    rel.join(new_id)
+    if _mutual_overlap_count(rel, new_id) > 3 or _labels_exhausted(plan, rel[new_id]):
+        _count_branch(plan, "shrink")
+        _relation_shrink_until_manageable(rel, new_id)
+    interf = rel[new_id]
+    if len(interf) == 0:
+        _count_branch(plan, "0")
+        plan.femto_band[new_id] = "Bm3"
+    elif len(interf) == 1:
+        _count_branch(plan, "1")
+        _relation_configure_one(rel, new_id, *interf)
+    elif len(interf) == 2:
+        a, b = sorted(interf)
+        mutual = b in rel[a]
+        _count_branch(plan, "2" if mutual else "2-independent")
+        rel.configure_two(rel, new_id, a, b, mutual)
+    else:
+        _count_branch(plan, "3")
+        _relation_configure_many(rel, new_id)
+    _relation_repair(rel, {new_id, *interf})
+    return plan.femto_band[new_id]
+
+
+def _relation_configure_one(rel, new_id, other):
+    plan = rel.plan
+    e = plan.femto_band[other]
+    if e == "Bm3":
+        plan.femto_band[other] = "B4"
+        plan.femto_band[new_id] = "B5"
+    else:
+        plan.femto_band[new_id] = _CYCLIC_EDGE.get(e) or _free_label(plan, rel[new_id])
+
+
+def _relation_configure_two(rel, new_id, a, b, mutual):
+    plan = rel.plan
+    ea, eb = plan.femto_band[a], plan.femto_band[b]
+    if mutual and {ea, eb} == {"B4", "B5"}:
+        plan.femto_band[a if ea == "B4" else b] = "B1"
+        plan.femto_band[a if ea == "B5" else b] = "B2"
+        plan.femto_band[new_id] = "B3"
+    elif mutual:
+        _relation_configure_many(rel, new_id)
+    else:
+        _relation_configure_one(rel, new_id, a)
+        if plan.femto_band[new_id] in (plan.femto_band[a], plan.femto_band[b]):
+            plan.femto_band[new_id] = _free_label(plan, rel[new_id])
+
+
+def _relation_configure_many(rel, new_id):
+    plan = rel.plan
+    interf = sorted(rel[new_id])
+    for fid in interf:
+        if plan.femto_band[fid] == "Bm3":
+            plan.femto_band[fid] = _free_label(plan, rel[fid])
+    used = {plan.femto_band[i] for i in interf}
+    plan.femto_band[new_id] = _free_third(used) or _free_label(plan, rel[new_id])
+
+
+def _relation_shrink_one(rel, fid):
+    floor = rel.topo.femto_radius_m * SHRINK_FACTOR ** MAX_SHRINK_STEPS
+    current = rel.plan.femto_radius(fid, rel.topo)
+    if current <= floor + 1e-12:
+        return False
+    rel.shrink(fid, SHRINK_FACTOR * current)
+    return True
+
+
+def _relation_shrink_until_manageable(rel, new_id):
+    plan = rel.plan
+    for _ in range(MAX_SHRINK_STEPS):
+        before = tuple(sorted(rel[new_id]))
+        progressed = any([_relation_shrink_one(rel, fid) for fid in (new_id, *before)])
+        plan.events.append(("shrink", new_id, before))
+        if (_mutual_overlap_count(rel, new_id) <= 3
+                and not _labels_exhausted(plan, rel[new_id])):
+            return
+        if not progressed:
+            break
+    plan.events.append(("shrink-failed", new_id, tuple(sorted(rel[new_id]))))
+
+
+def _relation_repair(rel, cells):
+    plan = rel.plan
+    band = plan.femto_band
+    steps = 8 * (MAX_SHRINK_STEPS + 1)
+    for step in range(steps + 1):
+        loser = max((max(fid, other) for fid in cells for other in rel[fid]
+                     if band[other] == band[fid]), default=None)
+        if loser is None:
+            return
+        if step == steps:
+            plan.events.append(("repair-exhausted", tuple(sorted(cells))))
+            return
+        cells.add(loser)
+        if _labels_exhausted(plan, rel[loser]):
+            shrunk = _relation_shrink_one(rel, loser)
+            for nid in list(rel[loser]):
+                shrunk |= _relation_shrink_one(rel, nid)
+            plan.events.append(("shrink", loser, ()))
+            if not shrunk:
+                plan.events.append(("repair-exhausted", (loser,)))
+        band[loser] = _free_label(plan, rel[loser])
 
 
 def configure_two_table(rel, new_id, a, b, mutual: bool) -> None:
-    """`spectrum._configure_two` with its pair table written out: each of
-    {B4,B5}, {B1,B2}, {B2,B3}, {B3,B1} has its own branch, and the other
-    mutual pairs move any whole-band incumbent before taking a free third."""
+    """The oracle's two-interferer rule with its pair table written out:
+    each of {B4,B5}, {B1,B2}, {B2,B3}, {B3,B1} has its own branch, and the
+    other mutual pairs move any whole-band incumbent before taking a free
+    third.  A `configure_two` for `relation_build_plan`."""
     plan = rel.plan
     edge = plan.femto_band
     ea, eb = edge[a], edge[b]
@@ -1240,7 +1477,7 @@ def configure_two_table(rel, new_id, a, b, mutual: bool) -> None:
     else:
         # interferers not in range of each other: single-interferer rule
         # against the first, then verify against the second
-        _configure_one(rel, new_id, a)
+        _relation_configure_one(rel, new_id, a)
         if edge[new_id] in (edge[a], edge[b]):
             edge[new_id] = _free_label(plan, rel[new_id])
 

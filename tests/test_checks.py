@@ -15,7 +15,8 @@ import numpy as np
 import pytest
 
 import femtonet
-from femtonet._checks import finite, fraction, integer, whole_count
+from femtonet import _checks
+from femtonet._checks import finite, fraction, integer, libm, whole_count
 from femtonet.admission import CellLoadState, TrafficClass, admit_ch6
 from femtonet.experiments import check_scenario
 from femtonet.queueing import Ch7QueueParams, TwoTierParams
@@ -195,3 +196,40 @@ def test_a_nan_input_keeps_its_message(module, call, message):
     with pytest.raises(ValueError) as got:
         call()
     assert str(got.value) == message
+
+
+def _one_ulp_high_on_odd_inputs(ufunc):
+    """ufunc, but one ulp high wherever the input's last mantissa bit is
+    set: a stand-in for a numpy whose reversed views reach a SIMD routine."""
+    def off(x):
+        y = ufunc(x)
+        odd = (x.view(np.uint64) & np.uint64(1)) == 1
+        y[odd] = np.nextafter(y[odd], np.inf)
+        return y
+    return off
+
+
+@pytest.mark.parametrize("ufunc, scalar, scale", [
+    (np.log, math.log, lambda u: 1.0 - u),
+    (np.cos, math.cos, lambda u: 2.0 * math.pi * u),
+    (np.sin, math.sin, lambda u: 2.0 * math.pi * u),
+])
+def test_a_ufunc_one_ulp_off_falls_back_to_maths_bits(monkeypatch, ufunc, scalar, scale):
+    # the import-time probe finds the stand-in off and routes libm through
+    # math per element, so the bits stay libm's on inputs beyond the probe
+    off = _one_ulp_high_on_odd_inputs(ufunc)
+    probe = scale(_checks._libm_probe())
+    monkeypatch.setitem(_checks._LIBM_CALLS, ufunc, _checks._libm_call(off, scalar, probe))
+    x = scale(np.arange(1, 5001) / 5001.0)
+    want = np.fromiter(map(scalar, x.tolist()), np.float64, len(x))
+    assert (off(x[::-1])[::-1] != want).any()  # the stand-in's one call misses
+    assert libm(ufunc, x).tobytes() == want.tobytes()
+
+
+def test_the_import_probe_keeps_one_call_for_a_ufunc_that_matches():
+    # a ufunc whose reversed view gives math's bits keeps that one call
+    exact = np.vectorize(math.log, otypes=[np.float64])
+    call = _checks._libm_call(exact, math.log, 1.0 - _checks._libm_probe())
+    assert call.__name__ == "reversed_view"
+    assert _checks._libm_call(_one_ulp_high_on_odd_inputs(np.log), math.log,
+                              1.0 - _checks._libm_probe()).__name__ == "per_element"

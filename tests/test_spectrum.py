@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import (
     BAND_LABELS,
@@ -22,6 +22,9 @@ from oracles import (
     record_band_for_link,
     record_interferer_band,
     record_shares_frequency,
+    relation_build_plan,
+    relation_configure_new_femto,
+    relation_remove_femto,
 )
 
 from femtonet import spectrum
@@ -277,6 +280,26 @@ def test_more_than_three_interferers_shrinks():
     assert any(r < 10.0 for r in plan.radius_of.values())
 
 
+@pytest.mark.parametrize("pendants_first", [True, False])
+def test_the_overlap_test_is_the_greedy_clique_by_id(pendants_first):
+    # the newcomer at the origin has six interferers: a triangle x, y, z at
+    # 25 m, each with a pendant 30 m further out that overlaps only its own
+    # corner.  Four cells overlap one another, but the greedy clique of
+    # each corner takes the least id it overlaps first; when that is the
+    # pendant, the clique stops at two and no shrink follows
+    ring = [(r * math.cos(math.radians(a)), r * math.sin(math.radians(a)))
+            for r in (55.0, 25.0) for a in (0, 120, 240)]
+    ids = [0, 1, 2, 3, 4, 5, 6] if pendants_first else [3, 4, 5, 0, 1, 2, 6]
+    topo = CellTopology(1000.0, 10.0, [(0.0, 0.0)], ids, ring + [(0.0, 0.0)])
+    plan = build_plan("dynamic-reuse", topo)
+    if pendants_first:
+        assert plan.interferers(topo, 6) == [0, 1, 2, 3, 4, 5]
+        assert "shrink" not in plan.branch_counts and plan.events == []
+    else:  # its first shrink step records all six, as they were before it
+        assert plan.events[0] == ("shrink", 6, (0, 1, 2, 3, 4, 5))
+    assert _ordered_state(plan) == _ordered_state(relation_build_plan(topo))
+
+
 def test_dense_dynamic_plan_branches_and_query_count(monkeypatch):
     # branch counts recorded before the helpers took interferer lists from
     # their callers; that code made 4.69 interferers calls per FAP here
@@ -295,10 +318,11 @@ def test_dense_dynamic_plan_branches_and_query_count(monkeypatch):
     assert calls == []
 
 
-def test_mutual_pairs_follow_the_pair_table(monkeypatch):
+def test_mutual_pairs_follow_the_pair_table():
     # two mutually interfering incumbents: the many-interferer rule gives
     # what the written-out pair table gives, on dense plans that reach
-    # every kind of pair
+    # every kind of pair.  The table runs in the id-keyed oracle, which
+    # test_dynamic_reuse_equals_the_id_keyed_oracle holds to the live steps
     pairs = set()
 
     def table(rel, new_id, a, b, mutual):
@@ -314,9 +338,7 @@ def test_mutual_pairs_follow_the_pair_table(monkeypatch):
         for seed in range(20):
             topo = place_femtocells(seed, count, macro=macro)
             plan = build_plan("dynamic-reuse", topo)
-            with monkeypatch.context() as patch:
-                patch.setattr(spectrum, "_configure_two", table)
-                expected = build_plan("dynamic-reuse", topo)
+            expected = relation_build_plan(topo, configure_two=table)
             assert state(plan) == state(expected), (count, seed)
 
     thirds = {"B1", "B2", "B3"}
@@ -371,7 +393,10 @@ def test_an_exhausted_repair_reports_only_a_conflict_among_its_own_pairs(last_pa
     plan.femto_band.update(dict.fromkeys(topo.femtocells, "B4"))
     pairs = range(steps + 1) if last_pair_in_cells else range(steps)
     left = pairs[0] if last_pair_in_cells else steps  # the pair no step reaches
-    spectrum._repair_conflicts(spectrum._Relation(plan, topo), {2 * i for i in pairs})
+    # the ids are the table indices here
+    state = spectrum._changing(plan, topo)
+    spectrum._repair_conflicts(state, {2 * i for i in pairs})
+    state.write_back()
     assert plan.edge_conflicts(topo) == [(2 * left, 2 * left + 1)]
     moved = {2 * i + 1 for i in pairs} - {2 * left + 1}
     assert {f for f, lab in plan.femto_band.items() if lab == "B5"} == moved
@@ -437,35 +462,43 @@ def test_random_insert_remove_sequences_conflict_free():
 
 
 @contextlib.contextmanager
-def _recorded_relations(eager=False):
-    """Record the relation of each call that changes a plan.  An eager one
-    reads every member's list when it is made, so that its join, shrink and
-    leave must keep them all exact."""
+def _recorded_states(eager=False):
+    """Record the working state of each call that changes a plan.  An eager
+    one reads every member's list when it is made, so that its join, shrink
+    and leave must keep them all exact."""
     made = []
 
-    class Recorded(spectrum._Relation):
-        def __init__(self, plan, topo):
-            super().__init__(plan, topo)
+    class Recorded(spectrum._State):
+        def __init__(self, plan, topo, read):
+            super().__init__(plan, topo, read)
             made.append(self)
             if eager:
-                for f in plan.femto_band:
-                    self[f]
+                for k, label in enumerate(self.labels):
+                    if label is not spectrum._OUT:
+                        self[k]
 
-    with mock.patch.object(spectrum, "_Relation", Recorded):
+    with mock.patch.object(spectrum, "_State", Recorded):
         yield made
 
 
-def _assert_relation(rel, plan, topo, every_member=False):
-    """Each list the call kept is a member's, equal to its brute-force
-    interferer list, with each interferer at its neighbor-table distance, as
-    a scan gives."""
-    assert rel.plan is plan and rel.topo is topo
-    assert rel.keys() <= plan.femto_band.keys()
+def _assert_relation(state, plan, topo, every_member=False):
+    """Each list the call kept is a member's, keyed by table index, equal to
+    its brute-force interferer list, with each interferer at its
+    neighbor-table distance, as a scan gives; and the labels and radii
+    that the call wrote back are the plan's."""
+    ids = topo.femtocells
+    assert state.plan is plan and state.ids is ids
+    members = {topo.index_of(f) for f in plan.femto_band}
+    assert state.keys() <= members
     if every_member:
-        assert rel.keys() == plan.femto_band.keys()
-    for f, row in rel.items():
-        assert sorted(row) == brute_interferers(plan, topo, f), f
-        assert row == plan._scan(topo, f), f
+        assert state.keys() == members
+    for k, row in state.items():
+        f = ids[k]
+        assert sorted(ids[j] for j in row) == brute_interferers(plan, topo, f), f
+        assert {ids[j]: d for j, d in row.items()} == plan._scan(topo, f), f
+    assert state.labels == [plan.femto_band.get(f, spectrum._OUT) for f in ids]
+    for k in members:
+        assert state.radii[k] == plan.femto_radius(ids[k], topo), ids[k]
 
 
 @st.composite
@@ -494,54 +527,109 @@ def test_kept_relation_matches_brute_force_after_every_step(case):
     topo = _manual_topo(pts)
     plan = _empty_dynamic_plan(topo)
     for kind, k in steps:
-        with _recorded_relations(eager) as made:
+        with _recorded_states(eager) as made:
             if kind == "join":
                 joined = k % len(pts)
                 configure_new_femto(plan, topo, joined)
             elif plan.femto_band:
                 remove_femto(plan, topo, sorted(plan.femto_band)[k % len(plan.femto_band)])
         if made:
-            (rel,) = made
-            _assert_relation(rel, plan, topo, every_member=eager)
-            assert kind == "leave" or joined in rel
+            (state,) = made
+            _assert_relation(state, plan, topo, every_member=eager)
+            assert kind == "leave" or topo.index_of(joined) in state
         assert plan.edge_conflicts(topo) == pairwise_edge_conflicts(plan, topo)
 
 
 @pytest.mark.parametrize("seed", range(3))
 def test_kept_relation_through_dense_shrinking_joins_and_leaves(seed):
-    # the build's relation at its return, then one eager relation per call
+    # the build's index-keyed lists at its return, then one eager state per
+    # call, each checked against brute_interferers after the call
     macro = MacroGeometry(macro_radius_m=200.0, min_separation_m=1.0)
     topo = place_femtocells(seed, 80, macro=macro)
-    with _recorded_relations() as made:
+    with _recorded_states() as made:
         built = build_plan("dynamic-reuse", topo)
     assert built.branch_counts["shrink"] > 0 and len(built.radius_of) > 10
-    (rel,) = made
-    _assert_relation(rel, built, topo, every_member=True)
+    (state,) = made
+    _assert_relation(state, built, topo, every_member=True)
     plan = _empty_dynamic_plan(topo)
     for f in topo.femtocells:
-        with _recorded_relations(eager=True) as made:
+        with _recorded_states(eager=True) as made:
             configure_new_femto(plan, topo, f)
         _assert_relation(made[0], plan, topo, every_member=True)
     assert (plan.femto_band, plan.radius_of) == (built.femto_band, built.radius_of)
     for f in topo.femtocells[::3]:
-        with _recorded_relations(eager=True) as made:
+        with _recorded_states(eager=True) as made:
             remove_femto(plan, topo, f)
         _assert_relation(made[0], plan, topo, every_member=True)
 
 
-def test_dynamic_build_reads_the_table_once_per_join(monkeypatch):
+def _ordered_state(plan) -> str:
+    """Every label, radius, event and branch count, each dict in its own
+    order, as repr text, so that two states compare bit for bit."""
+    return repr((list(plan.femto_band.items()), list(plan.radius_of.items()),
+                 plan.events, list(plan.branch_counts.items())))
+
+
+@st.composite
+def oracle_cases(draw):
+    """A topology of 1 to 40 FAPs on a square of side 10 to 300 m (the
+    smallest crowd every cell into one another's range, which shrinks
+    them), with distinct ids drawn from 0 to 5000, so gapped and in any
+    order; whether the plan starts as a whole build or empty; and steps:
+    ("join", k) configures the k-th FAP, modulo n, a member or not, and
+    ("leave", k) removes the k-th member in id order, modulo their count."""
+    n = draw(st.integers(1, 40))
+    side = draw(st.floats(10.0, 300.0))
+    coord = st.floats(0.0, side, allow_nan=False)
+    pts = draw(st.lists(st.tuples(coord, coord), min_size=n, max_size=n))
+    ids = draw(st.lists(st.integers(0, 5000), min_size=n, max_size=n, unique=True))
+    step = st.tuples(st.sampled_from(("join", "leave")), st.integers(0, 200))
+    return pts, ids, draw(st.booleans()), draw(st.lists(step, max_size=2 * n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=oracle_cases())
+@example(case=([(0.0, 0.0), (15.0, 0.0)], [3, 2], True, [("leave", 0), ("join", 1)]))
+def test_dynamic_reuse_equals_the_id_keyed_oracle(case):
+    # the index-keyed build, joins and leaves against the id-keyed relation
+    # that they replaced, after the build and after every step
+    pts, ids, built, steps = case
+    topo = CellTopology(1000.0, 10.0, [(0.0, 0.0)], ids, pts)
+    if built:
+        plan, want = build_plan("dynamic-reuse", topo), relation_build_plan(topo)
+    else:
+        plan, want = _empty_dynamic_plan(topo), _empty_dynamic_plan(topo)
+    assert _ordered_state(plan) == _ordered_state(want)
+    for kind, k in steps:
+        if kind == "join":
+            f = ids[k % len(ids)]
+            assert configure_new_femto(plan, topo, f) == \
+                relation_configure_new_femto(want, topo, f)
+        elif plan.femto_band:
+            f = sorted(plan.femto_band)[k % len(plan.femto_band)]
+            remove_femto(plan, topo, f)
+            relation_remove_femto(want, topo, f)
+        assert _ordered_state(plan) == _ordered_state(want), (kind, k)
+
+
+def test_a_dynamic_build_reads_the_table_once_as_a_whole(monkeypatch):
     topo = place_femtocells(7, 1000)
     reads = []
-    row = CellTopology.row  # the one read of one FAP's table row
+    row, rows = CellTopology.row, CellTopology.rows
 
-    def counted(self, fap_id):
+    def counted_row(self, fap_id):  # the read of one FAP's table row
         reads.append(fap_id)
         return row(self, fap_id)
 
-    monkeypatch.setattr(CellTopology, "row", counted)
+    def counted_rows(self):  # the read of the whole table
+        reads.append("whole")
+        return rows(self)
+
+    monkeypatch.setattr(CellTopology, "row", counted_row)
+    monkeypatch.setattr(CellTopology, "rows", counted_rows)
     plan = build_plan("dynamic-reuse", topo)
     assert plan.branch_counts["shrink"] == 107  # shrinks read no row
-    assert reads == list(topo.femtocells)
+    assert reads == ["whole"]
 
 
 def test_a_plan_read_after_its_build_keeps_no_relation():

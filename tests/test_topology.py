@@ -20,6 +20,7 @@ from femtonet.topology import (
     distance,
     neighbors_of,
     place_femtocells,
+    reach_components,
 )
 
 
@@ -547,3 +548,68 @@ def test_topology_rejects_a_bad_neighbor_threshold(threshold):
         CellTopology(macro_radius_m=1000.0, femto_radius_m=10.0, macro_sites=[(0.0, 0.0)],
                      femtocells=[0, 1], positions=[(0.0, 0.0), (5.0, 5.0)],
                      neighbor_threshold_m=threshold)
+
+
+def _replaced_child(topo, fap_ids):
+    """The component topology as `dataclasses.replace` and `_restrict`
+    give it: a new, checked topology of the components' FAPs, whose table
+    is the parent's cut to them."""
+    ptr, nbr, _ = topo._neighbors()
+    found = {topo.index_of(f) for f in fap_ids}
+    todo = list(found)
+    while todo:
+        k = todo.pop()
+        for j in nbr[ptr[k]:ptr[k + 1]].tolist():
+            if j not in found:
+                found.add(j)
+                todo.append(j)
+    keep = np.array(sorted(found), dtype=np.intp)
+    child = replace(topo, femtocells=[topo.femtocells[k] for k in keep],
+                    positions=topo.positions[keep])
+    child._table = topology._restrict(topo._neighbors(), keep, topo._reach)
+    return child
+
+
+def _hand_made(seed):
+    rng = np.random.default_rng(seed)
+    ids = rng.permutation(900)[:300].tolist()  # gapped and out of order
+    return CellTopology(1000.0, 12.0, [(0.0, 0.0), (5.0, 5.0)], ids,
+                        rng.uniform(-400.0, 400.0, size=(300, 2)),
+                        neighbor_threshold_m=80.0, macro_ue_walls=2, inter_femto_walls=0,
+                        closed_access=set(ids[::7]) | {5000},
+                        walls={(min(ids[0], ids[1]), max(ids[0], ids[1])): 4})
+
+
+@pytest.mark.parametrize("make, seeds", [
+    (lambda: place_femtocells(3, 1000), lambda t: {0}),
+    (lambda: place_femtocells(1, 600), lambda t: {0, 17, 400}),
+    (lambda: place_femtocells(2, 60), lambda t: {0}),
+    (lambda: place_femtocells(2, 1), lambda t: {0}),
+    (lambda: place_femtocells(5, 300), lambda t: ()),
+    (lambda: _hand_made(0), lambda t: set(t.femtocells[:3])),
+    (lambda: _hand_made(1), lambda t: set(t.femtocells[::40])),
+], ids=["1000", "600-three", "60", "1", "300-none", "hand-made", "hand-made-many"])
+def test_a_component_equals_the_replaced_and_restricted_topology(make, seeds):
+    # reach_components derives the child from its parent's visited rows,
+    # with no second check; every field, the index, the reach and the table
+    # must be those of a child made by replace and _restrict
+    topo = make()
+    got, want = reach_components(topo, seeds(topo)), _replaced_child(topo, seeds(topo))
+    assert type(got) is CellTopology
+    assert vars(got).keys() == vars(want).keys()
+    for name, value in vars(want).items():
+        if name == "positions":
+            assert got.positions.dtype == value.dtype and got.positions.shape == value.shape
+            assert got.positions.tobytes() == value.tobytes()
+        elif name == "_table":
+            for a, b in zip(got._neighbors(), value, strict=True):
+                assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+                assert not a.flags.writeable
+        else:
+            assert getattr(got, name) == value, name
+    assert all(type(f) is int for f in got.femtocells)
+    assert not got.positions.flags.writeable
+    with pytest.raises(ValueError):
+        got.positions[:1] = 0.0
+    # the parent is untouched and its positions stay read-only
+    assert not topo.positions.flags.writeable
