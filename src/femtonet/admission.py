@@ -246,6 +246,13 @@ def _class_position(state: CellLoadState, class_index: int) -> int:
     raise ValueError(f"no traffic class with index {class_index!r} in this cell")
 
 
+def _with_call(state: CellLoadState, pos: int) -> CellLoadState:
+    """The state rebalanced with one more call of the class at `pos`."""
+    after = state.copy()
+    after.counts[pos] += 1
+    return rebalance(after)
+
+
 def admit_ch6(state: CellLoadState, class_index: int, kind: str,
               guard_bw: float = 0.0) -> AdmissionDecision:
     """Bandwidth-adaptive CAC for one cell.
@@ -279,15 +286,9 @@ def admit_ch6(state: CellLoadState, class_index: int, kind: str,
         outcome = "block" if kind == "new" else "drop"
         return AdmissionDecision(outcome, "insufficient-bandwidth", (), state)
 
-    after = state.copy()
-    after.counts[pos] += 1
-    after = rebalance(after)
-    return AdmissionDecision(
-        "accept",
-        "fits-free" if req < free else "fits-after-release",
-        _degradation_list(state, after),
-        after,
-    )
+    after = _with_call(state, pos)
+    return AdmissionDecision("accept", "fits-free" if req < free else "fits-after-release",
+                             _degradation_list(state, after), after)
 
 
 # ---------------------------------------------------------------------------
@@ -339,9 +340,7 @@ def admit_new_call(
     cls = macro_state.classes[pos]
     free = macro_state.capacity - macro_state.occupied
     if cls.requested_bw <= free + CONSERVATION_TOL:
-        after = macro_state.copy()
-        after.counts[pos] += 1
-        after = rebalance(after)
+        after = _with_call(macro_state, pos)
         if not _degradation_list(macro_state, after):
             return AdmissionDecision("accept-macro", "fits-without-degradation",
                                      (), after)
@@ -374,9 +373,7 @@ def _macro_handover_admit(macro_state: CellLoadState, pos: int) -> AdmissionDeci
     req = required_bw(cls, "handover")
     if req > free + releasable(macro_state, "handover") + CONSERVATION_TOL:
         return None
-    after = macro_state.copy()
-    after.counts[pos] += 1
-    after = rebalance(after)
+    after = _with_call(macro_state, pos)
     reason = "fits-free" if cls.requested_bw <= free + CONSERVATION_TOL else "degraded-release"
     return AdmissionDecision("accept-macro", reason,
                              _degradation_list(macro_state, after), after)

@@ -12,19 +12,20 @@ chain state: it records the state at each event, tests whether the event
 is an arrival, and picks the stream only at states where the stream limits
 disagree on the move.  It iterates the block's move draws from an
 array("d") copy of their bytes, which is cheaper to build than a list of
-them, and counts the events it walks (an array iterator has no length
-hint): that count places the counted events' draws in the block and sets
-how far the RNG state advances.  Its arrival test is `v < thr[i]`, where
-thr[i] is the least double t with t * rate_i not below the total arrival
-rate (arrival_threshold): float rounding is monotone, so it holds exactly
-when `v * rate_i < lam_total` does, the product that picks the stream.  The
-second pass, in numpy, computes the time steps, the clocks and the
-per-stream counts from the recorded path; it takes the block's logs in one
-call that runs libm's log (_checks.libm), not one Python call per event.
+them; its path's length counts the events it walks (an array iterator
+has no length hint), which places the counted events' draws in the block
+and sets how far the RNG state advances.  Its arrival test is
+`v < thr[i]`, where thr[i] is the least double t with t * rate_i not below
+the total arrival rate (arrival_threshold): float rounding is monotone, so
+it holds exactly when `v * rate_i < lam_total` does, the product that
+picks the stream.  The second pass, in numpy, computes the time steps, the
+clocks and the per-stream counts from the recorded path; it takes the
+block's logs in one call that runs libm's log (_checks.libm), not one
+Python call per event.
 
 The walker, _walks, builds the chain's tables once and runs every walk it
 is given, each its uncounted warm-up and its counted run in one pass over
-its stream; warm-up events take pass 1 only, with no path and no clocks.
+its stream, both through pass 1, _moves; the warm-up takes no pass 2.
 It owns the walk rules and checks nothing.  The two entries check the
 arguments (the chain rules live beside LossChainSpec, in queueing) and call
 it: run_loss_chain (one walk) and run_replications (one walk per
@@ -170,6 +171,31 @@ class _Tables:
         self.limit_of = np.array(self.limits)
 
 
+def _moves(c: _Tables, picks, i: int, arrivals: int) -> tuple[int, int, list[int]]:
+    """Pass 1: walk chain state i over the event picks, in Python, until
+    `arrivals` arrivals have been walked or the picks run out.  Returns
+    (final chain state, arrivals left, path), the path holding the chain
+    state at each event walked."""
+    thr, event_rates = c.thr, c.event_rates
+    cum_rates, limits, min_state = c.cum_rates, c.limits, c.min_state
+    admit_all, reject_all = c.admit_all, c.reject_all
+    path = []
+    append = path.append
+    for v in picks:
+        append(i)
+        if v < thr[i]:
+            if i < admit_all:
+                i += 1
+            elif i < reject_all and i < limits[bisect_right(cum_rates, v * event_rates[i])]:
+                i += 1
+            arrivals -= 1
+            if not arrivals:
+                break
+        elif i > min_state:
+            i -= 1
+    return i, arrivals, path
+
+
 def _walk(c: _Tables, state: int, i: int, warm: int, remaining: int,
           time_in_state, seen, rejected) -> tuple[float, int, int]:
     """Run `warm` uncounted arrivals and then `remaining` counted ones from
@@ -180,50 +206,21 @@ def _walk(c: _Tables, state: int, i: int, warm: int, remaining: int,
     time of the counted events, final chain state, final RNG state)."""
     elapsed = 0.0
     while warm or remaining:
-        thr, event_rates = c.thr, c.event_rates
-        cum_rates, limits, min_state = c.cum_rates, c.limits, c.min_state
-        admit_all, reject_all = c.admit_all, c.reject_all
         # a chain in balance takes about two events per arrival
         n_events = min(2 * (warm + remaining) + 64, _BLOCK_EVENTS)
         u = _uniforms(state, n_events)
-        # the picks' iterator has no length hint, so the loops count the
-        # events they walk
+        # one iterator of the picks serves the warm-up and then the counted run
         picks = iter(array("d", u[1::2].tobytes()))
         walked = 0
-        # warm-up: pass 1 only, until the last uncounted arrival
         if warm:
-            for walked, v in enumerate(picks, 1):
-                if v < thr[i]:
-                    if i < admit_all:
-                        i += 1
-                    elif i < reject_all and i < limits[bisect_right(cum_rates, v * event_rates[i])]:
-                        i += 1
-                    warm -= 1
-                    if not warm:
-                        break
-                elif i > min_state:
-                    i -= 1
+            i, warm, path = _moves(c, picks, i, warm)
+            walked = len(path)
         if not warm and remaining:
-            # pass 1: the chain state at each counted event, in Python
-            first = walked
-            path = []
-            append = path.append
-            for v in picks:
-                append(i)
-                if v < thr[i]:
-                    if i < admit_all:
-                        i += 1
-                    elif i < reject_all and i < limits[bisect_right(cum_rates, v * event_rates[i])]:
-                        i += 1
-                    remaining -= 1
-                    if not remaining:
-                        break
-                elif i > min_state:
-                    i -= 1
-            walked += len(path)
+            i, remaining, path = _moves(c, picks, i, remaining)
             if path:
-                elapsed = _clocks(c, u[2 * first:2 * walked], path, elapsed,
+                elapsed = _clocks(c, u[2 * walked:2 * (walked + len(path))], path, elapsed,
                                   time_in_state, seen, rejected)
+            walked += len(path)
         state = (state + 2 * walked * _GAMMA) & _MASK
     return elapsed, i, state
 

@@ -7,7 +7,8 @@ evaluate that spec analytically and femtonet.des simulates the same spec.
 The stationary distribution is computed in log space, so state counts in
 the hundreds stay numerically exact.  Handover arrival rates and blocking
 and dropping probabilities depend on each other; both fixed points run one
-damped successive substitution, _fixed_point, to the requested residual.
+damped successive substitution, _fixed_point, to the requested residual,
+which restarts a point that cycles at half the damping.
 ChainBatch is the one product-form solver, loss_chain_probs its one-chain
 case; a sweep iterates all its points together, each iteration solving
 their chains through one ChainBatch in one pass per state count.  The
@@ -32,6 +33,7 @@ from .admission import TrafficClass, rebalance_states
 FIXED_POINT_TOL = 1e-8
 FIXED_POINT_DAMPING = 0.5
 MAX_ITERATIONS = 10_000
+RESTARTS = 3  # a point's restarts at half the damping before it raises
 
 CH6_SCHEMES = ("proposed", "non-prioritized", "aqos", "hard-qos", "guard")
 
@@ -65,39 +67,49 @@ class ChainSolution:
             raise AssertionError(f"state probabilities sum to {total}, not 1")
 
 
-def _fixed_point(step, rates: list[list[float]], what: str, names):
+def _fixed_point(step, rates: list[list[float]], what: str, names, restart=None):
     """Damped successive substitution on one list of rates per point.
 
     Each iteration calls step(points, rates) once, with the indices of the
     points still iterating and their rates, for their new rates.  Per point
-    it records the residual max |new - old| and moves every rate by
-    FIXED_POINT_DAMPING of its change; once a residual falls below
-    FIXED_POINT_TOL the point stops, and neither its rates nor step's state
-    for it change again.  Returns per point the damped rates, the iteration
-    count and the residuals; when a point reaches MAX_ITERATIONS it raises
-    NonConvergenceError naming `what` and the point, names(i), with that
-    point's residuals.
+    it records the residual max |new - old| and moves every rate by the
+    point's damping, FIXED_POINT_DAMPING at first, of its change; once a
+    residual falls below FIXED_POINT_TOL the point stops, and neither its
+    rates nor step's state for it change again.  A point still iterating
+    after MAX_ITERATIONS steps restarts from its initial rates with its
+    damping halved, its iteration count and residuals cleared, and
+    restart(i) called to reset step's state for it; a damped map can
+    settle into an exact cycle, which a smaller damping breaks.  Only a
+    point that would not converge otherwise restarts, so no converged
+    point depends on the rule.  Returns per point the damped rates, the
+    iteration count and the residuals of its last attempt; a point still
+    iterating after RESTARTS restarts raises NonConvergenceError naming
+    `what` and the point, names(i), with its last attempt's residuals.
     """
-    rates = list(rates)
+    initial, rates = rates, list(rates)
+    damping = [FIXED_POINT_DAMPING] * len(rates)
     iterations = [0] * len(rates)
     residuals = [[] for _ in rates]
     active = list(range(len(rates)))
-    iteration = 0
     while active:
-        iteration += 1
-        if iteration > MAX_ITERATIONS:
-            raise NonConvergenceError(f"{what} fixed point did not converge at "
-                                      f"{names(active[0])}", residuals[active[0]])
         running = []
         for i, new in zip(active, step(active, [rates[i] for i in active])):
-            old = rates[i]
+            old, d = rates[i], damping[i]
             residual = max([abs(b - a) for a, b in zip(old, new)])
             residuals[i].append(residual)
-            rates[i] = [a + FIXED_POINT_DAMPING * (b - a) for a, b in zip(old, new)]
+            rates[i] = [a + d * (b - a) for a, b in zip(old, new)]
+            iterations[i] += 1
             if residual < FIXED_POINT_TOL:
-                iterations[i] = iteration
-            else:
-                running.append(i)
+                continue
+            if iterations[i] >= MAX_ITERATIONS:
+                if d == FIXED_POINT_DAMPING / 2 ** RESTARTS:
+                    raise NonConvergenceError(f"{what} fixed point did not converge at "
+                                              f"{names(i)} in {RESTARTS + 1} attempts",
+                                              residuals[i])
+                rates[i], damping[i], iterations[i], residuals[i] = initial[i], d / 2, 0, []
+                if restart:
+                    restart(i)
+            running.append(i)
         active = running
     return rates, iterations, residuals
 
@@ -501,6 +513,9 @@ def solve_two_tier_sweep(sweep) -> list[TwoTierSolution]:
     p_m = [[0.0, 0.0] for _ in sweep]  # and its last (P_B,m, P_D,m)
     macro = ChainBatch(two_tier_macro_chain(params, 0.0) for params in sweep)
 
+    def restart(i):
+        p_f[i], p_m[i] = 0.0, [0.0, 0.0]
+
     def step(active, rates):
         for i, r in zip(active, rates):
             params = sweep[i]
@@ -516,7 +531,8 @@ def solve_two_tier_sweep(sweep) -> list[TwoTierSolution]:
                 for i, r in zip(active, rates)]
 
     rates, iterations, residuals = _fixed_point(
-        step, [[0.0, 0.0, 0.0, 0.0] for _ in sweep], "two-tier", lambda i: f"n = {sweep[i].n}")
+        step, [[0.0, 0.0, 0.0, 0.0] for _ in sweep], "two-tier", lambda i: f"n = {sweep[i].n}",
+        restart)
 
     lam_tf = [_femto_arrival_rate(params, r, p_dm)
               for params, r, (_, p_dm) in zip(sweep, rates, p_m)]

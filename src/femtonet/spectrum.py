@@ -11,23 +11,25 @@ The label -> Band table is built once per (total band, femto fraction), and
 each plan holds its own copy.  A plan holds one label per femtocell: the edge
 band under dynamic reuse, else its only band.
 
-`SpectrumPlan.interferers` is the one interference relation, scanned from
-the FAP's row of the neighbor table.  A plan holds only its labels and
-radii.  Each call that changes a dynamic-reuse plan (`build_plan`,
-`configure_new_femto`, `remove_femto`) works on a state keyed by table
-index: the labels and radii in lists, and the interference lists of the
-members it reads, with each pair's table distance, in per-index dicts.  It
-writes what changed in `femto_band` and `radius_of` back once, when it
-ends, and nothing else outlives it.  It cuts a member's list from the
-member's table row when it first needs it: a fresh build reads the table
-once, as a whole (`CellTopology.rows`), and a join or leave on a plan reads
-`CellTopology.row` for each member it reads, so beyond the lists of labels
-and radii its cost is local.  A shrink drops the pairs that the smaller
-radius breaks, from the kept distances, and a leave takes the FAP out of
-every list it was in.  Every configuration, shrink and repair step reads
-the lists in place, with no copy, sorts a list only where its order picks
-the result, and orders FAPs by id.  Static reuse reads
-`CellTopology.earlier_within`, so no plan makes a distance row.
+A plan holds only its labels and radii.  The one interference relation
+is `_State`, the state of one call on a plan, keyed by table index: the
+labels and radii in lists, and the interference lists of the members it
+reads, with each pair's table distance, in per-index dicts.  It cuts a
+member's list from the member's table row when it first needs it, and
+nothing else turns a row into a list.  Each call that changes a
+dynamic-reuse plan (`build_plan`, `configure_new_femto`, `remove_femto`)
+makes one, and so does each read (`SpectrumPlan.interferers`,
+`edge_conflicts`), so a read sees `femto_band` and `radius_of` as they
+are.  A call that changes the plan writes what changed back once, when it
+ends, and nothing else outlives it.  A fresh build reads the table once,
+as a whole (`CellTopology.rows`); every other call reads `CellTopology.row`
+for each member it reads, so beyond the lists of labels and radii its cost
+is local.  A shrink drops the pairs that the smaller radius breaks, from
+the kept distances, and a leave takes the FAP out of every list it was in.
+Every configuration, shrink and repair step reads the lists in place, with
+no copy, sorts a list only where its order picks the result, and orders
+FAPs by id.  Static reuse reads `CellTopology.earlier_within`, so no plan
+makes a distance row.
 """
 
 from __future__ import annotations
@@ -123,10 +125,11 @@ class SpectrumPlan:
     nominal radius: a shrink (`_shrink_one`) is the only writer of
     `radius_of` and it only lowers a radius (`remove_femto` only deletes).
     Two interfering cells are therefore within the neighbor table's reach of
-    each other, and a scan for interferers reads the FAP's row of the table;
-    it raises ValueError for a cell wider than the nominal radius.  The plan
-    keeps no interference relation: every read scans, so a read sees
-    `femto_band` and `radius_of` as they are, however they were changed.
+    each other, and a FAP's interferers are cut from its row of the table;
+    a cell wider than the nominal radius raises ValueError.  The plan keeps
+    no interference relation: each read makes the state of one call
+    (`_State`), so it sees `femto_band` and `radius_of` as they are, however
+    they were changed.
     """
 
     scheme: str
@@ -165,9 +168,6 @@ class SpectrumPlan:
             raise UnknownSiteError(f"femtocell {fap_id} not in plan")
         return self.femto_band[fap_id]
 
-    def femto_radius(self, fap_id: int, topo: CellTopology) -> float:
-        return self.radius_of.get(fap_id, topo.femto_radius_m)
-
     def band_for_link(self, fap_id: int, xy, topo: CellTopology) -> Band:
         """Band a FAP's transmission occupies toward a given position.
 
@@ -199,32 +199,16 @@ class SpectrumPlan:
     def interferers(self, topo: CellTopology, fap_id: int) -> list[int]:
         """Femtocells within mutual interference range of `fap_id`,
         ascending."""
-        return sorted(self._scan(topo, fap_id))
-
-    def _scan(self, topo: CellTopology, fap_id: int) -> dict[int, float]:
-        """{member: distance} for the members within mutual interference
-        range of `fap_id`, from its neighbor-table row."""
-        r = self.femto_radius(fap_id, topo)
-        band, radius_of, nominal, ids = (self.femto_band, self.radius_of,
-                                         topo.femto_radius_m, topo.femtocells)
-        if r > nominal:  # its pairs could lie beyond the table's reach
-            raise ValueError(f"femtocell {fap_id} is wider ({r!r} m) than the "
-                             f"nominal radius of {nominal!r} m")
-        hits = {}
-        for k, d in zip(*topo.row(fap_id)):
-            other = ids[k]
-            if other in band and d <= INTERFERENCE_RADIUS_SCALE * (
-                    r + radius_of.get(other, nominal)):
-                hits[other] = d
-        return hits
+        ids = topo.femtocells
+        return sorted(ids[j] for j in _lazy_state(self, topo)[topo.index_of(fap_id)])
 
     def edge_conflicts(self, topo: CellTopology) -> list[tuple[int, int]]:
         """Pairs of interfering femtocells sharing an edge band (should be [])."""
         if self.scheme != "dynamic-reuse":
             return []
-        edge = self.femto_band
-        return sorted((a, b) for a in edge for b in self.interferers(topo, a)
-                      if a < b and edge[a] == edge[b])
+        state, ids, edge = _lazy_state(self, topo), topo.femtocells, self.femto_band
+        return sorted((a, ids[j]) for a in edge for j in state[topo.index_of(a)]
+                      if a < ids[j] and edge[a] == state.labels[j])
 
 
 # ---------------------------------------------------------------------------
@@ -305,16 +289,17 @@ _OUT = object()
 
 
 class _State(dict):
-    """The working state of one call that changes a dynamic-reuse plan,
+    """The interference relation of one call on a plan, a read or a change,
     keyed by the FAPs' table indices: the interference lists of the
     members read so far, {member: {interferer: table distance}}, and every
     FAP's label and radius in the lists `labels` (_OUT for a FAP outside
     the plan, None for a member with no edge band yet) and `radii`.
 
-    The state starts from the plan's `femto_band` and `radius_of` and
-    writes what changed back once, in `write_back`, when the call ends.  A
-    member's list is cut from `read(k)`, the member's row of the neighbor
-    table as a pair of lists, when first needed, and then kept: a join
+    The state starts from the plan's `femto_band` and `radius_of`; a call
+    that changes the plan writes what changed back once, in `write_back`,
+    when it ends.  A member's list is cut from `read(k)`, the member's row
+    of the neighbor table as a pair of lists, when first needed, and then
+    kept: a join
     enters the newcomer in the list of each FAP it lists, a shrink drops
     the pairs that the smaller radius breaks (radii only shrink, so no pair
     appears) and a leave drops the FAP from every list it was in.  An
@@ -360,9 +345,9 @@ class _State(dict):
         self.plan.radius_of.update((ids[k], radii[k]) for k in self.shrunk)
 
 
-def _changing(plan: SpectrumPlan, topo: CellTopology) -> _State:
-    """The state of a join or leave on a plan: it reads a member's row when
-    it first needs the member's list."""
+def _lazy_state(plan: SpectrumPlan, topo: CellTopology) -> _State:
+    """The state of a read, join or leave on a plan: it reads a member's row
+    when it first needs the member's list."""
     ids = topo.femtocells
     return _State(plan, topo, lambda k: topo.row(ids[k]))
 
@@ -401,7 +386,7 @@ def configure_new_femto(plan: SpectrumPlan, topo: CellTopology, new_id: int) -> 
     if plan.scheme != "dynamic-reuse":
         raise PlanConfigError("configure_new_femto requires a dynamic-reuse plan")
     k = topo.index_of(new_id)
-    state = _changing(plan, topo)
+    state = _lazy_state(plan, topo)
     _configure(state, k)
     state.write_back()
     return plan.femto_band[new_id]
@@ -596,7 +581,7 @@ def remove_femto(plan: SpectrumPlan, topo: CellTopology, fap_id: int) -> Spectru
         del plan.femto_band[fap_id]
         return plan
     k = topo.index_of(fap_id)
-    state = _changing(plan, topo)
+    state = _lazy_state(plan, topo)
     former = state[k]
     del state[k]
     for j in former:

@@ -13,8 +13,8 @@ private to this module.  `place_femtocells` hands over the table that its
 last draw round built, `reach_components` gathers its parent's rows, and a
 topology made any other way builds its own on first read.  It has four
 readers: `CellTopology.row` hands a FAP's whole row over as lists, which
-`neighbors_of`, `SpectrumPlan.interferers` and dynamic reuse's joins and
-leaves cut to their radius; `CellTopology.rows` hands the whole table over
+`neighbors_of` and a dynamic-reuse plan's reads, joins and leaves (through
+`spectrum._State`) cut to their radius; `CellTopology.rows` hands the whole table over
 as lists, from which a fresh dynamic-reuse build cuts every row;
 `CellTopology.earlier_within` gives each FAP's earlier partners for the
 first-come pair rules; and `reach_components` cuts a topology down to the

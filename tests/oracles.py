@@ -192,9 +192,13 @@ def interfering(plan, topo, a, b):
     from femtonet.spectrum import INTERFERENCE_RADIUS_SCALE
     from femtonet.topology import distance
 
-    reach = INTERFERENCE_RADIUS_SCALE * (
-        plan.femto_radius(a, topo) + plan.femto_radius(b, topo))
+    reach = INTERFERENCE_RADIUS_SCALE * (cell_radius(plan, topo, a) + cell_radius(plan, topo, b))
     return distance(topo, a, b) <= reach
+
+
+def cell_radius(plan, topo, fap_id):
+    """A cell's radius: its shrunk radius, else the nominal one."""
+    return plan.radius_of.get(fap_id, topo.femto_radius_m)
 
 
 def pairwise_edge_conflicts(plan, topo):
@@ -870,6 +874,31 @@ def solve_two_tier(params):
     return TwoTierSolution(femto, macro, rates, probs, iteration, residuals)
 
 
+def two_tier_own_residual(params, solution):
+    """max |F(x) - x| over a two-tier solution's four handover rates x, F
+    being one undamped step of the written-out loop above from x and the
+    P_D,m that the solution carries: how far the solution is from its own
+    fixed point, whatever damping reached it."""
+    from femtonet.queueing import erlang_b, two_tier_macro_chain
+
+    probs, rates = solution.probabilities, solution.rates
+    l_mm, l_mf, l_ff, l_fm = (rates[k] for k in ("lambda_h_mm", "lambda_h_mf",
+                                                 "lambda_h_ff", "lambda_h_fm"))
+    alpha, lam_of, lam_om = params.alpha, params.lambda_o_f, params.lambda_o_m
+    lam_tf = lam_of + l_mf + alpha * l_ff + solution.macro.p_drop * params.beta_prob * l_ff
+    p_f = erlang_b(params.femto_capacity, lam_tf / params.n / rates["mu_f"]) if params.n else 0.0
+    lam_hm = l_mm + l_fm + alpha * p_f * l_ff + (1.0 - alpha) * l_ff
+    _, (p_bm, p_dm) = loss_chain_probs(two_tier_macro_chain(params, lam_hm))
+    num_m = (1.0 - p_bm) * (lam_om + lam_of * p_f) + (1.0 - p_dm) * (
+        l_fm + l_ff * (1.0 - alpha + alpha * p_f))
+    den_m = 1.0 - probs.mm * (1.0 - p_dm)
+    num_f = lam_of * (1.0 - p_f) + l_mf * (1.0 - p_f)
+    den_f = 1.0 - probs.ff * (1.0 - p_f) * (alpha + (1.0 - alpha) * p_dm)
+    new = (probs.mm * num_m / den_m, probs.mf * num_m / den_m,
+           probs.ff * num_f / den_f, probs.fm * num_f / den_f)
+    return max(abs(b - a) for a, b in zip((l_mm, l_mf, l_ff, l_fm), new))
+
+
 # -- the pure-Python DES kernel as it was before it drew its random stream in
 # blocks: one scalar splitmix64 call per draw.  Kept verbatim (with its
 # constants) as the bitwise reference for the pure-Python kernel's
@@ -1401,7 +1430,7 @@ def _relation_configure_many(rel, new_id):
 
 def _relation_shrink_one(rel, fid):
     floor = rel.topo.femto_radius_m * SHRINK_FACTOR ** MAX_SHRINK_STEPS
-    current = rel.plan.femto_radius(fid, rel.topo)
+    current = cell_radius(rel.plan, rel.topo, fid)
     if current <= floor + 1e-12:
         return False
     rel.shrink(fid, SHRINK_FACTOR * current)

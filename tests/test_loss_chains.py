@@ -195,23 +195,15 @@ def _pin_text(value) -> str:
 def test_two_tier_sweeps_are_pinned():
     """30 seeded sweeps, 103 points, hashed: every field of every
     TwoTierSolution but the femto probabilities of a layer of no
-    femtocells (n = 0), and the message of each sweep that does not
-    converge (2 of them) in place of its solutions."""
+    femtocells (n = 0).  Two sweeps (the 13th and 27th) hold a point that
+    cycles at damping 0.5 and converges once it restarts."""
     digest = hashlib.sha256()
-    failed = 0
     for sweep in _two_tier_grid(30, seed=1):
-        try:
-            solved = solve_two_tier_sweep(sweep)
-        except queueing.NonConvergenceError as err:
-            failed += 1
-            digest.update(f"{err}\n".encode())
-            continue
-        for params, sol in zip(sweep, solved, strict=True):
+        for params, sol in zip(sweep, solve_two_tier_sweep(sweep), strict=True):
             if params.n == 0:
                 sol = replace(sol, femto=replace(sol.femto, probs=None))
             digest.update(f"{_pin_text(sol)}\n".encode())
-    assert failed == 2
-    assert digest.hexdigest() == "a5460f738a801b6e2fd0be3bc0e9ede44c5aef5d8bd367c7812eaa4a48a0f7c0"
+    assert digest.hexdigest() == "cfbf26b6865689351d825b23f2ca534928df3040c7ec4408bcd4083e461f9397"
 
 
 def _solution(model: str):

@@ -30,7 +30,8 @@ from femtonet.queueing import (
     solve_two_tier,
     solve_two_tier_sweep,
 )
-from femtonet.scenario import scenario_from_preset
+from femtonet.cli import EXIT_OK, main
+from femtonet.scenario import apply_overrides, scenario_from_preset
 
 # Table 6.1 traffic classes
 TABLE61 = (
@@ -689,6 +690,8 @@ def test_fixed_point_damping_invariance(monkeypatch):
 
 
 def test_both_fixed_points_raise_after_max_iterations(monkeypatch):
+    # each point restarts RESTARTS times, so the residuals that the error
+    # carries are those of its last attempt, at the smallest damping
     monkeypatch.setattr(queueing, "MAX_ITERATIONS", 3)
     ch6 = Ch6QueueParams(lam_new=1.2, capacity=6000.0, classes=TABLE61, eta=1 / 240.0)
     for what, point, solve in [
@@ -703,7 +706,8 @@ def test_both_fixed_points_raise_after_max_iterations(monkeypatch):
 def test_sweeps_raise_after_max_iterations(monkeypatch):
     """A 30-point sweep stops at MAX_ITERATIONS beside points that converged
     at once, and its error names the first point still iterating and
-    carries that point's own residuals, those of its lone solve."""
+    carries that point's own residuals, those of its lone solve's last
+    attempt."""
     monkeypatch.setattr(queueing, "MAX_ITERATIONS", 3)
     base = Ch6QueueParams(lam_new=0.4, capacity=6000.0, classes=TABLE61, eta=1 / 240.0,
                           guard_channels=5)
@@ -722,6 +726,45 @@ def test_sweeps_raise_after_max_iterations(monkeypatch):
             alone()
         assert len(err.value.residuals) == 3 and err.value.residuals[-1] > 0.0
         assert [r.hex() for r in err.value.residuals] == [r.hex() for r in lone.value.residuals]
+
+
+# fig5-mobility runs whose two-tier points settle into an exact cycle at
+# damping 0.5, so that the run raised before points restarted: the
+# reproducer (total arrival rate 40/s, macro dwell 30 s; 4 of its 7 points
+# cycle), then drawn runs whose macro-only baseline cycles, as (arrival
+# rate, femto capacity, alpha, beta, femto dwell, macro dwell)
+_REPRODUCER = ["traffic.total_arrival_per_s = 40", "traffic.macro_dwell_s = 30"]
+_CYCLING = [(40.0, 2, 0.459, 0.2, 100.0, 30.0), (30.0, 1, 0.631, 0.2, 1000.0, 10.0),
+            (40.0, 0, 0.351, 0.2, 10.0, 10.0), (30.0, 0, 0.725, 0.2, 30.0, 30.0),
+            (30.0, 0, 0.872, 0.128, 100.0, 10.0), (40.0, 1, 0.705, 0.2, 1000.0, 10.0)]
+
+
+def _fig5_mobility_points(sets):
+    baseline, swept = experiments._read_fig5_mobility(
+        apply_overrides(scenario_from_preset("table-5.1"), sets))
+    return [baseline] + [params for _, params in swept]
+
+
+def test_cycling_points_restart_and_converge(monkeypatch, tmp_path):
+    """A point that cycles restarts at half the damping and converges: the
+    CLI reproducer writes its CSV, and every point of its sweep and each
+    drawn baseline is within the tolerance of its own fixed point, with no
+    reference to the damping that reached it.  With no restarts the drawn
+    baselines raise."""
+    argv = ["run", "fig5-mobility", "--out", str(tmp_path)]
+    assert main(argv + [arg for s in _REPRODUCER for arg in ("--set", s)]) == EXIT_OK
+    assert (tmp_path / "fig5-mobility.csv").stat().st_size > 0
+    keys = ("total_arrival_per_s", "femto_capacity_calls", "alpha", "beta", "femto_dwell_s",
+            "macro_dwell_s")
+    baselines = [_fig5_mobility_points([f"traffic.{k} = {v!r}" for k, v in zip(keys, run)])[0]
+                 for run in _CYCLING]
+    sweep = _fig5_mobility_points(_REPRODUCER) + baselines
+    for params, sol in zip(sweep, solve_two_tier_sweep(sweep), strict=True):
+        assert oracles.two_tier_own_residual(params, sol) < queueing.FIXED_POINT_TOL, params
+    monkeypatch.setattr(queueing, "RESTARTS", 0)
+    with pytest.raises(NonConvergenceError, match="^two-tier fixed point did not converge "
+                                                  "at n = 0 in 1 attempts "):
+        solve_two_tier_sweep(baselines)
 
 
 @pytest.mark.parametrize("bad", [-0.5, math.nan, math.inf])

@@ -8,13 +8,14 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 from oracles import (
     BAND_LABELS,
     BandPartition,
     band_records,
     brute_interferers,
+    cell_radius,
     configure_two_table,
     interfering,
     pairwise_edge_conflicts,
@@ -280,17 +281,20 @@ def test_more_than_three_interferers_shrinks():
     assert any(r < 10.0 for r in plan.radius_of.values())
 
 
+# the newcomer at the origin has six interferers: a triangle x, y, z at
+# 25 m, each with a pendant 30 m further out that overlaps only its own
+# corner, with the pendants' ids first or last
+_PENDANTS = [(r * math.cos(math.radians(a)), r * math.sin(math.radians(a)))
+             for r in (55.0, 25.0) for a in (0, 120, 240)] + [(0.0, 0.0)]
+_PENDANT_IDS = {True: [0, 1, 2, 3, 4, 5, 6], False: [3, 4, 5, 0, 1, 2, 6]}
+
+
 @pytest.mark.parametrize("pendants_first", [True, False])
 def test_the_overlap_test_is_the_greedy_clique_by_id(pendants_first):
-    # the newcomer at the origin has six interferers: a triangle x, y, z at
-    # 25 m, each with a pendant 30 m further out that overlaps only its own
-    # corner.  Four cells overlap one another, but the greedy clique of
-    # each corner takes the least id it overlaps first; when that is the
-    # pendant, the clique stops at two and no shrink follows
-    ring = [(r * math.cos(math.radians(a)), r * math.sin(math.radians(a)))
-            for r in (55.0, 25.0) for a in (0, 120, 240)]
-    ids = [0, 1, 2, 3, 4, 5, 6] if pendants_first else [3, 4, 5, 0, 1, 2, 6]
-    topo = CellTopology(1000.0, 10.0, [(0.0, 0.0)], ids, ring + [(0.0, 0.0)])
+    # four cells overlap one another, but the greedy clique of each corner
+    # takes the least id it overlaps first; when that is the pendant, the
+    # clique stops at two and no shrink follows
+    topo = CellTopology(1000.0, 10.0, [(0.0, 0.0)], _PENDANT_IDS[pendants_first], _PENDANTS)
     plan = build_plan("dynamic-reuse", topo)
     if pendants_first:
         assert plan.interferers(topo, 6) == [0, 1, 2, 3, 4, 5]
@@ -394,7 +398,7 @@ def test_an_exhausted_repair_reports_only_a_conflict_among_its_own_pairs(last_pa
     pairs = range(steps + 1) if last_pair_in_cells else range(steps)
     left = pairs[0] if last_pair_in_cells else steps  # the pair no step reaches
     # the ids are the table indices here
-    state = spectrum._changing(plan, topo)
+    state = spectrum._lazy_state(plan, topo)
     spectrum._repair_conflicts(state, {2 * i for i in pairs})
     state.write_back()
     assert plan.edge_conflicts(topo) == [(2 * left, 2 * left + 1)]
@@ -483,9 +487,9 @@ def _recorded_states(eager=False):
 
 def _assert_relation(state, plan, topo, every_member=False):
     """Each list the call kept is a member's, keyed by table index, equal to
-    its brute-force interferer list, with each interferer at its
-    neighbor-table distance, as a scan gives; and the labels and radii
-    that the call wrote back are the plan's."""
+    its brute-force interferer list, with each interferer at its distance
+    in the member's table row; and the labels and radii that the call wrote
+    back are the plan's."""
     ids = topo.femtocells
     assert state.plan is plan and state.ids is ids
     members = {topo.index_of(f) for f in plan.femto_band}
@@ -495,10 +499,11 @@ def _assert_relation(state, plan, topo, every_member=False):
     for k, row in state.items():
         f = ids[k]
         assert sorted(ids[j] for j in row) == brute_interferers(plan, topo, f), f
-        assert {ids[j]: d for j, d in row.items()} == plan._scan(topo, f), f
+        table = dict(zip(*topo.row(f)))
+        assert row == {j: table[j] for j in row}, f
     assert state.labels == [plan.femto_band.get(f, spectrum._OUT) for f in ids]
     for k in members:
-        assert state.radii[k] == plan.femto_radius(ids[k], topo), ids[k]
+        assert state.radii[k] == cell_radius(plan, topo, ids[k]), ids[k]
 
 
 @st.composite
@@ -587,12 +592,17 @@ def oracle_cases(draw):
     return pts, ids, draw(st.booleans()), draw(st.lists(step, max_size=2 * n))
 
 
-@settings(max_examples=200, deadline=None)
+# no shrink phase: a failing 40-FAP case took minutes to shrink through
+# both builds, and the failure names its step as it stands
+@settings(max_examples=200, deadline=None, phases=[p for p in Phase if p is not Phase.shrink])
 @given(case=oracle_cases())
 @example(case=([(0.0, 0.0), (15.0, 0.0)], [3, 2], True, [("leave", 0), ("join", 1)]))
+@example(case=(_PENDANTS, _PENDANT_IDS[True], True, []))
+@example(case=(_PENDANTS, _PENDANT_IDS[False], True, []))
 def test_dynamic_reuse_equals_the_id_keyed_oracle(case):
     # the index-keyed build, joins and leaves against the id-keyed relation
-    # that they replaced, after the build and after every step
+    # that they replaced, after the build and after every step; the two
+    # greedy-clique topologies above are cases too
     pts, ids, built, steps = case
     topo = CellTopology(1000.0, 10.0, [(0.0, 0.0)], ids, pts)
     if built:
