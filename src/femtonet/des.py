@@ -19,9 +19,15 @@ and sets how far the RNG state advances.  Its arrival test is
 the total arrival rate (arrival_threshold): float rounding is monotone, so
 it holds exactly when `v * rate_i < lam_total` does, the product that
 picks the stream.  The second pass, in numpy, computes the time steps, the
-clocks and the per-stream counts from the recorded path; it takes the
+clocks and the per-stream counts from the recorded path.  It reads the
+path through a bytearray when the chain has at most 256 states (each
+state then fits in a byte), else through np.fromiter, and takes the
 block's logs in one call that runs libm's log (_checks.libm), not one
-Python call per event.
+Python call per event.  It counts with no compaction and no search: an
+event's stream k is the number of cumulative rates at or below its pick
+(bisect_right's index; n_streams for a departure), and one bincount of
+the codes 2k + refused, refused being whether the chain stood at or above
+stream k's limit, tallies both the arrivals and the rejections per stream.
 
 The walker, _walks, builds the chain's tables once and runs every walk it
 is given, each its uncounted warm-up and its counted run in one pass over
@@ -56,7 +62,6 @@ from .queueing import (
 )
 
 _MASK = 0xFFFFFFFFFFFFFFFF
-_TWO53 = 9007199254740992.0  # 2**53
 _GAMMA = 0x9E3779B97F4A7C15  # the splitmix64 state increment
 # a block holds at most this many events' draws, so a long run keeps about
 # 2.5 MB of draws and path at a time (traced peak), not two floats per event
@@ -80,7 +85,7 @@ def _uniforms(state: int, n_events: int) -> np.ndarray:
     its move.
 
     numpy uint64 arithmetic wraps mod 2**64, as splitmix64 is defined, and
-    (z >> 11) / 2**53 is exact in float64, so every draw, and with it every
+    (z >> 11) * 2**-53 is exact in float64, so every draw, and with it every
     DesResult and des-oracle digest, is fixed by the seed."""
     z = np.arange(1, 2 * n_events + 1, dtype=np.uint64)
     z *= np.uint64(_GAMMA)
@@ -91,7 +96,7 @@ def _uniforms(state: int, n_events: int) -> np.ndarray:
     z *= np.uint64(0x94D049BB133111EB)
     z ^= z >> np.uint64(31)
     u = (z >> np.uint64(11)).astype(np.float64)
-    u /= _TWO53
+    u *= 2.0**-53  # a power of two: as exact as dividing by 2**53
     return u
 
 
@@ -149,7 +154,8 @@ class _Tables:
     the last is the total arrival rate lam_total.  Below every limit an
     arrival is admitted and at or above all it is rejected, so only in
     between does the picked stream decide the move.  The Python pass
-    indexes the lists, the numpy pass the arrays."""
+    indexes the lists; the numpy pass indexes the arrays and compares its
+    picks with each cumulative rate."""
 
     def __init__(self, stream_rates, stream_limits, srv_rates, min_state: int):
         self.cum_rates = []
@@ -167,8 +173,9 @@ class _Tables:
         self.event_rates = [lam_total + float(s) for s in srv_rates]
         self.thr = [arrival_threshold(lam_total, rate) for rate in self.event_rates]
         self.rate_of = np.array(self.event_rates)
-        self.cum_of = np.array(self.cum_rates)
-        self.limit_of = np.array(self.limits)
+        # a departure takes stream index n_streams, whose limit no state
+        # reaches, so it is never refused
+        self.limit_ext = np.array(self.limits + [2**63 - 1], dtype=np.int64)
 
 
 def _moves(c: _Tables, picks, i: int, arrivals: int) -> tuple[int, int, list[int]]:
@@ -233,7 +240,12 @@ def _clocks(c: _Tables, u, path, elapsed: float, time_in_state, seen, rejected) 
     and equal libm's log bit for bit.  np.add.at and np.add.accumulate add
     in event order, so every DesResult and des-oracle digest stays fixed."""
     used = len(path)
-    at = np.fromiter(path, np.intp, used)
+    # every state of a chain of at most 256 fits in a byte, and bytearray()
+    # reads a list of small ints in about a sixth of fromiter's time
+    if c.n_states <= 256:
+        at = np.frombuffer(bytearray(path), np.uint8).astype(np.intp)
+    else:
+        at = np.fromiter(path, np.intp, used)
     rates = c.rate_of[at]
     steps = np.empty(used + 1)  # the clock so far, then each time step
     steps[0] = elapsed
@@ -243,12 +255,20 @@ def _clocks(c: _Tables, u, path, elapsed: float, time_in_state, seen, rejected) 
         np.add.at(time_in_state, at, steps[1:])
         clock = float(np.add.accumulate(steps)[-1])
     picks = u[1::2] * rates
-    arrived = picks < c.lam_total
-    # each arrival's stream, as bisect_right finds it, and whether the
-    # chain stood at or above that stream's limit
-    k = c.cum_of.searchsorted(picks[arrived], side="right")
-    seen += np.bincount(k, minlength=c.n_streams)
-    rejected += np.bincount(k[at[arrived] >= c.limit_of[k]], minlength=c.n_streams)
+    # each event's stream k, the number of cumulative rates at or below its
+    # pick: bisect_right's index for an arrival, n_streams for a departure
+    # (its pick is at or above lam_total).  code = 2k + refused tallies
+    # both counts in one bincount; a departure is never refused, so the
+    # tally ends at code 2 * n_streams, and its odd entries are the refusals
+    k = (picks >= c.cum_rates[0]).astype(np.intp)
+    for cum in c.cum_rates[1:]:
+        k += picks >= cum
+    code = 2 * k
+    code += at >= c.limit_ext[k]
+    tally = np.bincount(code, minlength=2 * c.n_streams + 1)
+    refused = tally[1::2]
+    rejected += refused
+    seen += tally[0:-1:2] + refused
     return clock
 
 

@@ -217,9 +217,13 @@ def run_fig5_mobility(scenario: Scenario) -> ExperimentResult:
     femtocell count grows, against the macro-only baseline."""
     res = ExperimentResult("fig5-mobility", scenario.name, scenario.seed)
     baseline_params, swept = _read_fig5_mobility(scenario)
-    baseline, *solved = q_mod.solve_two_tier_sweep(
-        [baseline_params, *(params for _, params in swept)])
-    for (n, _), sol in zip(swept, solved):
+    # the baseline equals a swept count of 0, and a point's solution does not
+    # depend on the other points, so each distinct point is solved once
+    points = list(dict.fromkeys([baseline_params, *(params for _, params in swept)]))
+    solved = dict(zip(points, q_mod.solve_two_tier_sweep(points)))
+    baseline = solved[baseline_params]
+    for n, params in swept:
+        sol = solved[params]
         probs = sol.probabilities
         p_ft = q_mod.forced_termination_probability(probs.mm, sol.macro.p_drop)
         res.add("integrated", n, "macro_new_call_blocking", sol.macro.p_block)

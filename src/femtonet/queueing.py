@@ -165,7 +165,7 @@ def check_loss_chain(stream_rates, stream_limits, srv_rates,
                      start_state: int = 0, min_state: int = 0) -> None:
     """Reject a chain whose states or stream limits are not integers (numpy
     integers included), whose stream limits do not fit in an int64 (the DES
-    walker compares states with them in des._Tables.limit_of, an int64
+    walker compares states with them in des._Tables.limit_ext, an int64
     array), that would index outside srv_rates, whose rates are negative or
     not finite, or whose total arrival rate, or that total plus a service
     rate (a state's event rate), is not finite: no draw would be an arrival
@@ -184,7 +184,7 @@ def check_loss_chain(stream_rates, stream_limits, srv_rates,
         raise ValueError(f"start_state must lie in [min_state, {n_states})")
     if stream_limits and max(stream_limits) >= n_states:
         raise ValueError(f"stream limits must be < {n_states} (len(srv_rates))")
-    if stream_limits and min(stream_limits) < -2**63:  # below des._Tables.limit_of's int64
+    if stream_limits and min(stream_limits) < -2**63:  # below des._Tables.limit_ext's int64
         raise ValueError("stream limits must fit in 64 bits")
     check_rates((*stream_rates, *srv_rates))
     lam_total = 0.0

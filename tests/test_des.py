@@ -237,6 +237,30 @@ def resumed_chains(draw):
             rates, limits, srv, start, min_state)
 
 
+def _unshift(z: int, shift: int) -> int:
+    """The x with x ^ (x >> shift) == z, for 64-bit x."""
+    x = z
+    for _ in range(64 // shift):
+        x = z ^ (x >> shift)
+    return x
+
+
+def _seed_picking(u: float) -> int:
+    """An RNG state from which the first event's pick draw is exactly u, a
+    multiple of 2**-53 in [0, 1): splitmix64's mix undone step by step on
+    the output, less the two state increments up to that draw."""
+    z = _unshift(int(u * 2**53) << 11, 31)
+    z = z * pow(0x94D049BB133111EB, -1, 2**64) % 2**64
+    z = _unshift(z, 27)
+    z = z * pow(0xBF58476D1CE4E5B9, -1, 2**64) % 2**64
+    return (_unshift(z, 30) - 2 * des._GAMMA) % 2**64
+
+
+@pytest.mark.parametrize("u", [0.0, 0.5, 0.75, 1 - 2**-53])
+def test_a_crafted_seed_draws_the_pick_it_names(u):
+    assert des._uniforms(_seed_picking(u), 1)[1] == u
+
+
 @settings(max_examples=60, deadline=None)
 @given(args=resumed_chains())
 @example(args=(3, [0, ONE_BLOCK], [0.7], [0], [0.0], 0, 0))  # one full block
@@ -248,6 +272,16 @@ def resumed_chains(draw):
 # a zero-rate stream whose limit lies between the other two
 @example(args=(12, [300, 300], [0.6, 0.0, 0.9], [1, 2, 4],
                [0.0, 0.5, 1.0, 1.5, 2.0], 2, 0))
+# at state 0 the event rate is 1.0 and the first pick is 0.5: exactly the
+# cumulative rate of stream 0 and of the zero-rate stream 1, so it is an
+# arrival of stream 2, which is admitted where stream 0 would be rejected
+@example(args=(_seed_picking(0.5), [40, 300], [0.5, 0.0, 0.5], [0, 3, 2],
+               [0.0, 1.0, 2.0, 3.0], 0, 0))
+# the first pick, 0.5, is exactly the total arrival rate: a departure
+@example(args=(_seed_picking(0.5), [40, 300], [0.25, 0.25], [2, 3],
+               [0.5, 1.0, 2.0, 3.0], 0, 0))
+# stream 0's limit is the least int64, so its every arrival is rejected
+@example(args=(15, [300, ONE_BLOCK], [0.5, 0.7], [-2**63, 3], [0.0, 1.0, 2.0, 3.0], 0, 0))
 # the chain starts and stays above every limit, so every arrival is rejected
 @example(args=(13, [50, 100], [0.8, 0.4], [1, 0], [0.0, 1.0, 2.0, 3.0], 3, 2))
 # a departure at min_state = 2 leaves the chain where it is
@@ -266,6 +300,20 @@ def test_block_draws_match_scalar_loop(args):
         assert out == ref
         assert _bits(out) == _bits(ref)
         *_, chain, rng = out
+
+
+@pytest.mark.parametrize("n_states, low", [(256, 200), (300, 240)])
+def test_paths_of_256_and_more_states_match_scalar_loop(n_states, low):
+    """Pass 2 reads the path of a chain of at most 256 states through a
+    bytearray, and of a larger one through np.fromiter.  Both chains walk
+    up from state `low` to their top state, the 300-state one past 255,
+    and cross a draw block's end."""
+    srv = [0.0] * low + [0.5] * (n_states - low)
+    args = (3, ONE_BLOCK, [1.0, 0.5], [n_states - 1, n_states - 6], srv, low, low)
+    out, ref = des.run_loss_chain(*args), scalar_loss_chain(*args)
+    assert out == ref
+    assert _bits(out) == _bits(ref)
+    assert out[2][-1] > 0.0 and sum(out[1]) > 0
 
 
 # run_replications plans, (seeds, warm-ups, counted calls), on chains

@@ -563,6 +563,21 @@ def test_fig5_mobility_solves_its_sweep_in_one_pass_per_iteration(monkeypatch):
     assert sum(i + 1 for i in iterations) > 3 * passes
 
 
+def test_fig5_mobility_solves_its_macro_only_baseline_once(monkeypatch):
+    """The macro-only baseline and the swept count 0 are equal points, so a
+    default run solves 6 points, not 7."""
+    sizes = []
+    real = queueing.solve_two_tier_sweep
+
+    def counted(sweep):
+        sizes.append(len(sweep))
+        return real(sweep)
+
+    monkeypatch.setattr(queueing, "solve_two_tier_sweep", counted)
+    experiments.run_experiment("fig5-mobility")
+    assert sizes == [6]
+
+
 # ---------------------------------------------------------------------------
 # Ch. 7 chain
 
