@@ -15,15 +15,18 @@ def require(ok: bool, message: str, *args) -> None:
 
 
 def finite(name: str, value, minimum: float = -math.inf, strict: bool = False):
-    """value; a ValueError naming `name` if it is NaN, infinite, or below
-    minimum (or at it, if strict).  With a minimum the test is a comparison
-    chain, which takes an int of any size; without one, math.isfinite."""
-    if minimum == -math.inf:
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value!r}")
-    elif not ((minimum < value if strict else minimum <= value) and value < math.inf):
-        raise ValueError(f"{name} must be finite and {'>' if strict else '>='} {minimum:g}, "
-                         f"got {value!r}")
+    """value; a ValueError naming `name` if it is NaN, infinite, an int past
+    the float range, or below minimum (or at it, if strict).  A minimum is
+    compared first, so a value that does not compare raises as it does."""
+    unbounded = minimum == -math.inf
+    try:
+        ok = ((unbounded or (minimum < value if strict else minimum <= value))
+              and math.isfinite(value))
+    except OverflowError:  # an int past the float range
+        ok = False
+    if not ok:
+        bound = "" if unbounded else f" and {'>' if strict else '>='} {minimum:g}"
+        raise ValueError(f"{name} must be finite{bound}, got {value!r}")
     return value
 
 

@@ -9,6 +9,7 @@ depend on execution order.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 import os
@@ -73,25 +74,30 @@ def _spawn_rng(seed: int, *key) -> np.random.Generator:
 
 
 def _read_fig4(scenario: Scenario):
-    """The fig4 sweep's checked inputs: propagation parameters, linear SIR
-    threshold, UE range, macro geometry and `build_plan` band arguments."""
+    """The fig4 sweep's checked, hashable inputs: propagation parameters,
+    linear SIR threshold, UE range, macro geometry and `build_plan`'s band
+    arguments as (name, value) pairs."""
     threshold = finite("radio.sir_threshold_db", scenario["radio.sir_threshold_db"])
     ue_range = finite("radio.ue_fap_distance_m", scenario["radio.ue_fap_distance_m"], 0,
                       strict=True)
     macro = scenario.macro_geometry()
     check_reference_fap(macro)
     params = scenario.propagation()
-    bands = {k: scenario[f"spectrum.{k}"] for k in ("total_hz", "femto_fraction", "edge_fraction")}
-    SpectrumPlan("shared", **bands)  # the plan's constructor checks them
+    bands = tuple((k, scenario[f"spectrum.{k}"])
+                  for k in ("total_hz", "femto_fraction", "edge_fraction"))
+    SpectrumPlan("shared", **dict(bands))  # the plan's constructor checks them
     return params, db_to_linear(threshold), ue_range, macro, bands
 
 
-def _radio_sweep(inputs, seed: int, counts, trials: int):
+@functools.lru_cache(maxsize=1)
+def _radio_sweep(inputs, seed: int, counts: tuple[int, ...], trials: int):
     """Per (count, scheme): mean throughput and outage of the measurement
     user held at the fixed range from the reference FAP, averaged over
     random surrounding deployments (the femtocell count is the x axis).
-    `inputs` are the checked values `_read_fig4` returns for the scenario,
-    and `seed` is the scenario's seed.
+    `inputs` are `_read_fig4`'s checked values for the scenario, and `seed`
+    is its seed.  Both fig4 figures read one sweep, so the last one is
+    cached, keyed by these arguments, which are every input it reads; a
+    raise caches nothing, and `_radio_sweep.cache_clear()` empties it.
 
     The measurement reads only the bands of the reference FAP and of its
     `neighbors_of` set, so every plan but static reuse is built on the
@@ -116,7 +122,7 @@ def _radio_sweep(inputs, seed: int, counts, trials: int):
             local = reach_components(topo, {ref})
             for scheme in RADIO_SCHEMES:
                 plan = build_plan(scheme, topo if scheme == "static-reuse" else local,
-                                  seed=seed, **bands)
+                                  seed=seed, **dict(bands))
                 rep = sir(local, plan, ue, ref, params, macro_tiers="reference")
                 band = plan.band_for_link(ref, ue, local)
                 acc = sums[scheme]
@@ -154,30 +160,6 @@ def _no_trials(name: str, scenario: Scenario) -> ExperimentResult:
 
 DEFAULT_FIG4_COUNTS = (60, 100, 300, 600, 1000)
 
-# The last radio sweep, as (key, sweep): both fig4 figures read one sweep,
-# so a figure run on the inputs of the one before reuses its sweep.  None
-# before the first sweep and after one that raised.  Each store is one
-# assignment of a whole pair, so a thread reads a key with its own sweep.
-_last_sweep = None
-
-
-def _fig4_sweep(scenario: Scenario, counts: list[int], trials: int):
-    """The radio sweep of the scenario's checked inputs, the last one's when
-    its key matches: every input the sweep reads, as immutable values."""
-    global _last_sweep
-    inputs = _read_fig4(scenario)
-    params, gamma, ue_range, macro, bands = inputs
-    key = (params, gamma, ue_range, macro, tuple(bands.items()), scenario.seed,
-           tuple(counts), trials)
-    last = _last_sweep
-    if last is not None and last[0] == key:
-        return last[1]
-    _last_sweep = None
-    sweep = _radio_sweep(inputs, scenario.seed, counts, trials)
-    _last_sweep = (key, sweep)
-    return sweep
-
-
 def _run_fig4(scenario: Scenario, name: str, metric: str, index: int) -> ExperimentResult:
     """The fig4 result `name`: per (count, scheme), the sweep value at
     `index` as `metric`."""
@@ -186,7 +168,8 @@ def _run_fig4(scenario: Scenario, name: str, metric: str, index: int) -> Experim
         _read_fig4(scenario)  # zero trials reject what the trials reject
         return _no_trials(name, scenario)
     res = ExperimentResult(name, scenario.name, scenario.seed)
-    for count, per_scheme in _fig4_sweep(scenario, counts, scenario["trials"]).items():
+    sweep = _radio_sweep(_read_fig4(scenario), scenario.seed, tuple(counts), scenario["trials"])
+    for count, per_scheme in sweep.items():
         for scheme, values in per_scheme.items():
             res.add(scheme, count, metric, values[index])
     return res

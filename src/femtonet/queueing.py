@@ -27,7 +27,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._checks import finite, fraction, integer, whole_counts
+from ._checks import finite, fraction, integer, whole_count, whole_counts
 from .admission import TrafficClass, rebalance_states
 
 FIXED_POINT_TOL = 1e-8
@@ -116,14 +116,12 @@ def _fixed_point(step, rates: list[list[float]], what: str, names, restart=None)
 
 def erlang_b(servers: int, offered: float) -> float:
     """Blocking probability of M/M/c/c via the stable recursion."""
-    if not (float(servers).is_integer() and servers >= 0):
-        raise ValueError(f"servers must be a whole number >= 0, got {servers!r}")
-    if not 0.0 <= offered < math.inf:
-        raise ValueError(f"offered must be finite and >= 0, got {offered!r}")
+    servers = whole_count("servers", servers, 0)
+    finite("offered", offered, 0)
     if offered == 0.0:
         return 0.0
     b = 1.0
-    for k in range(1, int(servers) + 1):
+    for k in range(1, servers + 1):
         b = offered * b / (k + offered * b)
     return b
 
@@ -199,9 +197,14 @@ def check_loss_chain(stream_rates, stream_limits, srv_rates,
 
 
 def check_rates(rates) -> None:
-    """Reject a rate that is negative or not finite."""
+    """Reject a rate that is negative or not finite: NaN, infinite, or an
+    int past the float range."""
     for r in rates:  # a plain loop: every fixed-point iteration checks one rate
-        if not 0.0 <= r < math.inf:
+        try:
+            ok = 0.0 <= r and math.isfinite(r)
+        except OverflowError:  # an int past the float range
+            ok = False
+        if not ok:
             raise ValueError("stream and service rates must be finite and >= 0")
 
 
@@ -368,8 +371,7 @@ class TwoTierParams:
             if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)!r}")
         for name in ("mu", "eta_f", "eta_m"):
-            if getattr(self, name) == math.inf:
-                raise ValueError(f"{name} must be finite, got inf")
+            finite(name, getattr(self, name))
         whole_counts(self, ("n", "femto_capacity", "macro_base_states", "macro_adaptive_states"))
         for name in ("lambda_o_f", "lambda_o_m"):
             finite(name, getattr(self, name), 0)

@@ -20,12 +20,13 @@ nothing else turns a row into a list.  Each call that changes a
 dynamic-reuse plan (`build_plan`, `configure_new_femto`, `remove_femto`)
 makes one, and so does each read (`SpectrumPlan.interferers`,
 `edge_conflicts`), so a read sees `femto_band` and `radius_of` as they
-are.  A call that changes the plan writes what changed back once, when it
-ends, and nothing else outlives it.  A fresh build reads the table once,
-as a whole (`CellTopology.rows`); every other call reads `CellTopology.row`
-for each member it reads, so beyond the lists of labels and radii its cost
-is local.  A shrink drops the pairs that the smaller radius breaks, from
-the kept distances, and a leave takes the FAP out of every list it was in.
+are.  A call that changes the plan writes back the labels of the members
+it read and the radii it shrank once, when it ends, and nothing else
+outlives it.  A fresh build reads the table once, as a whole
+(`CellTopology.rows`); every other call reads `CellTopology.row` for each
+member it reads, so beyond the lists of labels and radii its cost is
+local.  A shrink drops the pairs that the smaller radius breaks, from the
+kept distances, and a leave takes the FAP out of every list it was in.
 Every configuration, shrink and repair step reads the lists in place, with
 no copy, sorts a list only where its order picks the result, and orders
 FAPs by id.  Static reuse reads `CellTopology.earlier_within`, so no plan
@@ -36,9 +37,8 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass, field
-from itertools import compress, repeat
+from itertools import repeat
 
 import numpy as np
 
@@ -295,17 +295,15 @@ class _State(dict):
     FAP's label and radius in the lists `labels` (_OUT for a FAP outside
     the plan, None for a member with no edge band yet) and `radii`.
 
-    The state starts from the plan's `femto_band` and `radius_of`; a call
-    that changes the plan writes what changed back once, in `write_back`,
-    when it ends.  A member's list is cut from `read(k)`, the member's row
-    of the neighbor table as a pair of lists, when first needed, and then
-    kept: a join
-    enters the newcomer in the list of each FAP it lists, a shrink drops
-    the pairs that the smaller radius breaks (radii only shrink, so no pair
-    appears) and a leave drops the FAP from every list it was in.  An
-    edge-label move touches nothing.  The steps read the lists in place and
-    copy none, so each step sees the relation as the last shrink or leave
-    left it.
+    The state starts from the plan's `femto_band` and `radius_of`, and a
+    call that changes the plan ends with `write_back`.  A member's list is
+    cut from `read(k)`, the member's row of the neighbor table as a pair of
+    lists, when first needed, and then kept: a join enters the newcomer in
+    the list of each FAP it lists, a shrink drops the pairs that the
+    smaller radius breaks (radii only shrink, so no pair appears) and a
+    leave drops the FAP from every list it was in.  An edge-label move
+    touches nothing.  The steps read the lists in place and copy none, so
+    each step sees the relation as the last shrink or leave left it.
 
     Sorts, min and max order FAPs by id, which is by each FAP's rank in
     ascending id order; that rank is the table index itself for the
@@ -320,7 +318,6 @@ class _State(dict):
         # a FAP of the plan outside the topology is never read
         self.labels = list(map(plan.femto_band.get, self.ids, repeat(_OUT, n)))
         self.radii = list(map(plan.radius_of.get, self.ids, repeat(self.nominal, n)))
-        self.before = self.labels.copy()
         self.shrunk = {}  # the indices this call shrank, first shrink first
 
     def __missing__(self, k: int) -> dict[int, float]:
@@ -336,12 +333,12 @@ class _State(dict):
         return row
 
     def write_back(self) -> None:
-        """Write every member's label that this call changed and every
-        radius it shrank into the plan; an entry keeps its place, and a new
-        one goes last."""
+        """Write into the plan every radius this call shrank and the label
+        of every member whose list it read, which covers each label it
+        changed (a FAP of repair's `cells`); an entry keeps its place, and a
+        new one goes last, in the order of first reads."""
         ids, labels, radii = self.ids, self.labels, self.radii
-        changed = compress(range(len(ids)), map(operator.is_not, labels, self.before))
-        self.plan.femto_band.update((ids[k], labels[k]) for k in changed if labels[k] is not _OUT)
+        self.plan.femto_band.update((ids[k], labels[k]) for k in self)
         self.plan.radius_of.update((ids[k], radii[k]) for k in self.shrunk)
 
 

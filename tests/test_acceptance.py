@@ -14,7 +14,6 @@ import pytest
 from fixtures import hidden_fap_fixture, result_values
 from oracles import balance_equation_solve, erlang_b_direct, greedy_layer_packing
 
-from femtonet import experiments
 from femtonet import handoverflow as hf
 from femtonet import neighborlist as nl
 from femtonet import queueing as q
@@ -96,7 +95,7 @@ def test_criterion_02_dense_scheme_orderings():
     budget = Budget(2, "dense Table 4.3: throughput and outage orderings", 60)
     scenario = scenario_from_preset("table-4.3")
     scenario = Scenario({**scenario.values, "seed": SEED})
-    sweep = _radio_sweep(_read_fig4(scenario), scenario.seed, [1000], trials=20)[1000]
+    sweep = _radio_sweep(_read_fig4(scenario), scenario.seed, (1000,), trials=20)[1000]
     thr = {s: v[0] for s, v in sweep.items()}
     out = {s: v[1] for s, v in sweep.items()}
     assert thr["dynamic-reuse"] >= thr["static-reuse"]
@@ -114,7 +113,7 @@ def test_criterion_03_non_dense_throughput_agreement():
     budget = Budget(3, "non-dense static~dynamic within 5%, both above others", 30)
     scenario = scenario_from_preset("table-4.3")
     scenario = Scenario({**scenario.values, "seed": SEED})
-    sweep = _radio_sweep(_read_fig4(scenario), scenario.seed, [60, 80, 100], trials=25)
+    sweep = _radio_sweep(_read_fig4(scenario), scenario.seed, (60, 80, 100), trials=25)
     for count, per in sweep.items():
         st, dy = per["static-reuse"][0], per["dynamic-reuse"][0]
         assert abs(st - dy) / st <= 0.05, f"count {count}: {abs(st - dy) / st}"
@@ -468,7 +467,7 @@ def test_criterion_12_handover_flows():
 # -- 13 -----------------------------------------------------------------
 
 
-def test_criterion_13_experiment_determinism(monkeypatch):
+def test_criterion_13_experiment_determinism():
     budget = Budget(13, "byte-identical CSV on rerun for every experiment", 60)
     tweaks = {
         "fig4-throughput": {"trials": 2, "sweep.femto_counts": (100.0,)},
@@ -503,10 +502,10 @@ def test_criterion_13_experiment_determinism(monkeypatch):
         values = {**scenario.values, "seed": SEED}
         values.update(extra)
         scenario = Scenario(values)
-        # an empty sweep memo before each run, so a fig4 rerun sweeps again
-        monkeypatch.setattr(experiments, "_last_sweep", None)
+        # an empty sweep cache before each run, so a fig4 rerun sweeps again
+        _radio_sweep.cache_clear()
         first = result_to_csv(run_experiment(name, scenario))
-        monkeypatch.setattr(experiments, "_last_sweep", None)
+        _radio_sweep.cache_clear()
         second = result_to_csv(run_experiment(name, Scenario(dict(values))))
         assert first == second, f"{name} not deterministic"
         assert hashlib.sha256(first.encode()).hexdigest() == csv_sha256[name], \

@@ -19,11 +19,11 @@ from femtonet import _checks
 from femtonet._checks import finite, fraction, integer, libm, whole_count
 from femtonet.admission import CellLoadState, TrafficClass, admit_ch6
 from femtonet.experiments import check_scenario
-from femtonet.queueing import Ch7QueueParams, TwoTierParams
-from femtonet.radio import PropagationParams, shannon_throughput
+from femtonet.queueing import Ch7QueueParams, LossChainSpec, TwoTierParams, erlang_b
+from femtonet.radio import PropagationParams, outage_probability_closed_form, shannon_throughput
 from femtonet.scenario import apply_overrides, scenario_from_preset
 from femtonet.topology import MacroGeometry
-from femtonet.videoalloc import MbsSession, allocate_popularity
+from femtonet.videoalloc import MbsSession, allocate_mbs_budget, allocate_popularity
 
 MODULES = sorted(pathlib.Path(femtonet.__file__).parent.glob("*.py"))
 
@@ -85,21 +85,24 @@ def test_finite_rejects_nan_and_inf_with_its_message(value, minimum, strict, bou
     (0, False, ">= 0"), (0.0, True, "> 0"), (2.0, False, ">= 2"), (2, True, "> 2")])
 def test_finite_holds_its_bound_with_and_without_strict(minimum, strict, bound):
     below = math.nextafter(minimum, -math.inf)
-    for value in (below, np.float64(below), *([minimum] if strict else [])):
+    # an int past the float range is above every bound, and not finite
+    for value in (below, np.float64(below), 10**400, *([minimum] if strict else [])):
         with pytest.raises(ValueError) as got:
             finite("x", value, minimum, strict)
         assert str(got.value) == f"x must be finite and {bound}, got {value!r}"
     above = math.nextafter(minimum, math.inf)
-    for value in (above, np.float64(above), 10**400, *([] if strict else [minimum])):
+    for value in (above, np.float64(above), 2**1023, *([] if strict else [minimum])):
         assert finite("x", value, minimum, strict) is value
 
 
 def test_finite_without_a_minimum_is_math_isfinite():
-    for value in (-1e308, 0.0, 5, np.float64(-3.5), np.int64(-7)):
+    for value in (-1e308, 0.0, 5, np.float64(-3.5), np.int64(-7), -2**1023):
         assert finite("x", value) is value
-    # math.isfinite takes no int past the float range; no caller passes one
-    with pytest.raises(OverflowError):
-        finite("x", 10**400)
+    # where math.isfinite raises OverflowError, on an int past the float range
+    for value in (10**400, -10**400):
+        with pytest.raises(ValueError) as got:
+            finite("x", value)
+        assert str(got.value) == f"x must be finite, got {value!r}"
 
 
 @pytest.mark.parametrize("value", [0, 0.0, 0.5, 1, 1.0, np.float64(1.0), np.float32(0.25)])
@@ -193,6 +196,49 @@ def _scenario(line):
 @pytest.mark.parametrize("module, call, message", NAN_MESSAGES,
                          ids=[f"{case[0]}-{k}" for k, case in enumerate(NAN_MESSAGES)])
 def test_a_nan_input_keeps_its_message(module, call, message):
+    with pytest.raises(ValueError) as got:
+        call()
+    assert str(got.value) == message
+
+
+BIG = 10**400  # an int that no float holds
+
+# public entries that raised OverflowError on BIG, or took it and failed
+# later, with the message each now raises: the one it gives NaN or inf
+PAST_THE_FLOAT_RANGE = {
+    "erlang_b-servers": (lambda: erlang_b(BIG, 1.0),
+                         f"servers must be a whole number within the float range, got {BIG}"),
+    "erlang_b-offered": (lambda: erlang_b(4, BIG), f"offered must be finite and >= 0, got {BIG}"),
+    "shannon_throughput": (lambda: shannon_throughput(BIG, 1.0),
+                           f"bandwidth_hz must be finite and >= 0, got {BIG}"),
+    "outage_probability_closed_form": (lambda: outage_probability_closed_form(BIG, 1.0, 1.0),
+                                       f"mean_signal must be finite and > 0, got {BIG}"),
+    "allocate_popularity": (lambda: allocate_popularity(BIG, 2.0, 0.6, [[1, 1]]),
+                            f"capacity must be finite, got {BIG}"),
+    "allocate_mbs_budget": (lambda: allocate_mbs_budget(BIG, 0.0, [MbsSession(1, 1.0, 1.0, 2)]),
+                            f"capacity must be finite, got {BIG}"),
+    "LossChainSpec": (lambda: LossChainSpec((1.0,), (1,), (0.0, BIG), hand_stream=0),
+                      "stream and service rates must be finite and >= 0"),
+    "TrafficClass": (lambda: TrafficClass(1, "rt", BIG),
+                     f"requested_bw must be finite and > 0, got {BIG}"),
+    "MacroGeometry": (lambda: MacroGeometry(min_separation_m=BIG),
+                      f"min_separation_m must be finite and >= 0, got {BIG}"),
+    "PropagationParams": (lambda: PropagationParams(tx_power_femto_w=BIG),
+                          f"tx_power_femto_w must be finite and > 0, got {BIG}"),
+    "TwoTierParams-lambda_o_f": (lambda: TwoTierParams(BIG, 1.0, 1.0, 0.1, 0.1, 10),
+                                 f"lambda_o_f must be finite and >= 0, got {BIG}"),
+    "TwoTierParams-mu": (lambda: TwoTierParams(1.0, 1.0, BIG, 0.1, 0.1, 10),
+                         f"mu must be finite, got {BIG}"),
+    "TwoTierParams-eta_m": (lambda: TwoTierParams(1.0, 1.0, 1.0, 0.1, BIG, 10),
+                            f"eta_m must be finite, got {BIG}"),
+    "Ch7QueueParams": (lambda: Ch7QueueParams(1, 4, 2, 1, 1.0, BIG, 1.0, 1.0, 1.0),
+                       f"lam_new_unicast must be finite and >= 0, got {BIG}"),
+}
+
+
+@pytest.mark.parametrize("call, message", PAST_THE_FLOAT_RANGE.values(),
+                         ids=PAST_THE_FLOAT_RANGE.keys())
+def test_an_int_past_the_float_range_is_rejected_by_name(call, message):
     with pytest.raises(ValueError) as got:
         call()
     assert str(got.value) == message

@@ -412,16 +412,12 @@ def test_emit_out_names_a_file_is_input_error(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
-def test_run_fig4_pair_sweeps_once(tmp_path, capsys, monkeypatch):
+def test_run_fig4_pair_sweeps_once(tmp_path, capsys):
     """Both fig4 names in one run read one radio sweep; the pinned default
     run checks the bytes of both CSVs."""
-    monkeypatch.setattr(experiments, "_last_sweep", None)  # an earlier run's sweep
-    sweeps = []
-    real_sweep = experiments._radio_sweep
-    monkeypatch.setattr(experiments, "_radio_sweep",
-                        lambda *a: sweeps.append(a) or real_sweep(*a))
+    experiments._radio_sweep.cache_clear()  # an earlier run's sweep
     assert main(["run", "fig4-throughput", "fig4-outage", "--out", str(tmp_path)]) == EXIT_OK
-    assert len(sweeps) == 1
+    assert experiments._radio_sweep.cache_info().misses == 1
     paths = capsys.readouterr().out.split()
     assert [os.path.basename(p) for p in paths] == ["fig4-throughput.csv", "fig4-outage.csv"]
 
@@ -434,28 +430,24 @@ def _small_fig4(**changes):
 
 
 def _cold_csv(name, scenario):
-    """The CSV of `name` run alone, on an empty sweep memo."""
-    experiments._last_sweep = None
+    """The CSV of `name` run alone, on an empty sweep cache."""
+    experiments._radio_sweep.cache_clear()
     return result_to_csv(run_experiment(name, scenario))
 
 
 @pytest.fixture
-def sweeps(monkeypatch):
-    """The arguments of each `_radio_sweep` call in the test, which starts
-    with an empty sweep memo."""
-    monkeypatch.setattr(experiments, "_last_sweep", None)
-    calls = []
-    real_sweep = experiments._radio_sweep
-    monkeypatch.setattr(experiments, "_radio_sweep",
-                        lambda *a: calls.append(a) or real_sweep(*a))
-    return calls
+def sweeps():
+    """The number of radio sweeps run in the test so far, which starts with
+    an empty sweep cache; `_cold_csv` empties it again."""
+    experiments._radio_sweep.cache_clear()
+    return lambda: experiments._radio_sweep.cache_info().misses
 
 
 def test_library_fig4_pair_on_equal_scenarios_sweeps_once(sweeps):
     sc = _small_fig4()
     results = [run_experiment("fig4-throughput", sc),
                run_experiment("fig4-outage", Scenario(dict(sc.values)))]
-    assert len(sweeps) == 1
+    assert sweeps() == 1
     for result in results:
         assert result_to_csv(result) == _cold_csv(result.experiment, sc)
 
@@ -472,7 +464,7 @@ def test_a_changed_fig4_input_sweeps_again(sweeps, key, value):
     sc, changed = _small_fig4(), _small_fig4(**{key: value})
     first = run_experiment("fig4-throughput", sc)
     second = run_experiment("fig4-outage", changed)
-    assert len(sweeps) == 2
+    assert sweeps() == 2
     assert result_to_csv(first) == _cold_csv("fig4-throughput", sc)
     assert result_to_csv(second) == _cold_csv("fig4-outage", changed)
 
@@ -484,21 +476,23 @@ def test_a_fig4_result_owns_its_rows(sweeps):
     first.rows[0] = first.rows[0][:4] + (-1.0,) + first.rows[0][5:]
     first.rows.append(first.rows[0])
     assert result_to_csv(run_experiment("fig4-outage", sc)) == expected
-    assert len(sweeps) == 1
+    assert sweeps() == 1
 
 
-def test_a_sweep_that_raises_leaves_the_memo_empty(sweeps):
-    run_experiment("fig4-outage", _small_fig4())
-    assert experiments._last_sweep is not None
+def test_a_sweep_that_raises_caches_nothing(sweeps):
+    sc = _small_fig4()
+    expected = result_to_csv(run_experiment("fig4-outage", sc))
     # 1000 FAPs at 50 m apart do not fit in the macrocell
     crowded = _small_fig4(**{"topology.min_separation_m": 50.0,
                              "sweep.femto_counts": (1000.0,)})
     with pytest.raises(PlacementInfeasibleError):
         run_experiment("fig4-throughput", crowded)
-    assert experiments._last_sweep is None
     with pytest.raises(PlacementInfeasibleError):
         run_experiment("fig4-outage", crowded)
-    assert len(sweeps) == 3
+    assert sweeps() == 3
+    # the earlier sweep is still the cached one
+    assert result_to_csv(run_experiment("fig4-outage", sc)) == expected
+    assert sweeps() == 3
 
 
 def test_threads_sharing_the_sweep_memo_read_their_own_sweeps():

@@ -1,9 +1,10 @@
 """Every name that a femtonet module or a test module imports is used in
 that module, every private name that a femtonet module defines at module
 level is used in that module, a femtonet module imports only at its top
-level, every public function and class of femtonet, and every public
-method and property of such a class, has a caller outside the tests, and
-every public field of such a class has a reader outside the tests."""
+level and has no `global` statement, every public function and class of
+femtonet, and every public method and property of such a class, has a
+caller outside the tests, and every public field of such a class has a
+reader outside the tests."""
 
 import ast
 import functools
@@ -92,6 +93,25 @@ def test_a_nested_import_is_found(tmp_path):
                     "def f():\n    import math\n\n    def g():\n        from os import path\n"
                     "    return g\n\n\nclass C:\n    import sys\n")
     assert _nested_imports(path) == ["mod.py:9", "mod.py:12", "mod.py:17"]
+
+
+def _global_statements(path) -> list[str]:
+    """`global` statements, anywhere in the module."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    lines = {node.lineno for node in ast.walk(tree) if isinstance(node, ast.Global)}
+    return [f"{path.name}:{line}" for line in sorted(lines)]
+
+
+@pytest.mark.parametrize("path", SRC_MODULES, ids=lambda p: p.name)
+def test_no_global_statements(path):
+    assert _global_statements(path) == []
+
+
+def test_a_global_statement_is_found(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text("_last = None\nglobal _top\n\n\ndef f():\n    global _last\n    _last = 1\n\n\n"
+                    "class C:\n    def g(self):\n        def h():\n            global _last, _n\n")
+    assert _global_statements(path) == ["mod.py:2", "mod.py:6", "mod.py:13"]
 
 
 def _public_api(path) -> dict[str, int]:

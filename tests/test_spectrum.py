@@ -381,6 +381,38 @@ def test_dense_dynamic_plans_are_pinned_through_leaves_and_rejoins():
     assert digest.hexdigest() == "bf3a40aac81174e7d782ea20d05a6298d2b580c5c665da5f5d879a125470b7e2"
 
 
+def _ordered_plan_state(plan) -> bytes:
+    return repr((list(plan.femto_band.items()), list(plan.radius_of.items()),
+                 plan.events, list(plan.branch_counts.items()))).encode()
+
+
+def test_dense_dynamic_plans_keep_their_key_order_through_leaves_and_rejoins():
+    # `_plan_state` sorts, so this pins the order of every plan's entries
+    # too: after a build on a whole dense topology and on the reference
+    # FAP's component, as fig4 builds them, then after every 5th FAP leaves
+    # and joins again, and after those FAPs all leave and join again in
+    # reverse order
+    digest = hashlib.sha256()
+    for radius, separation, count in ((1000.0, 2.0, 300), (200.0, 1.0, 150)):
+        macro = MacroGeometry(macro_radius_m=radius, min_separation_m=separation)
+        for seed in range(3):
+            whole = place_femtocells(seed, count, macro=macro)
+            for topo in (whole, reach_components(whole, {0})):
+                plan = build_plan("dynamic-reuse", topo)
+                digest.update(_ordered_plan_state(plan))
+                movers = topo.femtocells[::5]
+                for f in movers:
+                    remove_femto(plan, topo, f)
+                    configure_new_femto(plan, topo, f)
+                digest.update(_ordered_plan_state(plan))
+                for f in movers:
+                    remove_femto(plan, topo, f)
+                for f in reversed(movers):
+                    configure_new_femto(plan, topo, f)
+                digest.update(_ordered_plan_state(plan))
+    assert digest.hexdigest() == "0bca78fadbbf803d92f0299267a25af0c4ce5a03783268cde1e87ed24cef5e07"
+
+
 @pytest.mark.parametrize("last_pair_in_cells", [False, True])
 def test_an_exhausted_repair_reports_only_a_conflict_among_its_own_pairs(last_pair_in_cells):
     # isolated interfering pairs (2i, 2i + 1) 30 m apart, all on B4: one

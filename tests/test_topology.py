@@ -488,7 +488,7 @@ def test_a_fig4_trial_builds_one_table_per_placement_round(monkeypatch):
     sc = apply_overrides(scenario_from_preset("table-4.3"),
                          ["trials = 3", "sweep.femto_counts = 60, 300, 1000"])
     for name in ("fig4-outage", "fig4-throughput"):
-        monkeypatch.setattr(experiments, "_last_sweep", None)  # so each run sweeps
+        experiments._radio_sweep.cache_clear()  # so each run sweeps
         experiments.run_experiment(name, sc)
     assert len(rounds) >= 2 * 3 * 3
     assert builds == [True] * len(rounds)
